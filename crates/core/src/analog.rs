@@ -190,7 +190,8 @@ impl ProgrammedMatrix {
     /// persistent worker pool evaluates items concurrently against the
     /// shared tiles (`&self` — [`SuperTile::eval_dense_prepared`]), and
     /// read energy is then accrued sequentially in ascending item order
-    /// per atomic crossbar. Outputs are **bit-identical** to calling
+    /// per atomic crossbar. Returns the products flat, `cols` values per
+    /// item in item order. Outputs are **bit-identical** to calling
     /// [`dot_reference`](Self::dot_reference) on each row in turn — for
     /// any worker count — because each item's floating-point work is
     /// per-item pure and the accrual order matches the sequential path.
@@ -212,7 +213,10 @@ impl ProgrammedMatrix {
         n: usize,
         workers: usize,
         row: impl Fn(usize) -> &'d [f32] + Sync,
-    ) -> Result<Vec<Vec<f32>>, AnalogError> {
+    ) -> Result<Vec<f32>, AnalogError> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
         for tile in self.tiles.iter_mut().flatten() {
             tile.prepare();
         }
@@ -224,29 +228,34 @@ impl ProgrammedMatrix {
         // Per-AC total currents for one item live in a single flat
         // buffer, sliced per tile in (segment, group) order.
         let total_chunks: usize = tiles.iter().flatten().map(SuperTile::chunk_count).sum();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
+        let units: Vec<Vec<f64>> = tiles
+            .iter()
+            .map(|seg| seg.iter().map(|t| t.unit_current().0).collect())
+            .collect();
         // Workers take contiguous item blocks so scratch buffers are
         // reused across a block's items; the per-item values don't depend
         // on the partition, so results are identical for any worker
-        // count. Each item yields its output row and the total current
-        // drawn per AC (flattened in (segment, group, chunk) order).
+        // count. Each block yields one flat output buffer (`cols` values
+        // per item) and one flat current buffer (`total_chunks` values
+        // per item, in (segment, group, chunk) order).
         let blocks = workers.clamp(1, n);
-        type ItemResult = (Vec<f32>, Vec<f64>);
-        let per_block: Vec<Vec<ItemResult>> =
+        type BlockResult = (Vec<f32>, Vec<f64>);
+        let per_block: Vec<BlockResult> =
             nebula_tensor::pool::par_map_indexed(blocks, workers, |b| {
+                let lo = b * n / blocks;
+                let hi = (b + 1) * n / blocks;
                 let mut totals = vec![Amps::ZERO; M];
                 // Lane-padded so the vectorized kernel can write its
                 // tail lanes (every tile's scratch_cols() is ≤ this).
                 let mut diff = vec![0.0f64; kernel::padded_len(M)];
                 let mut drive: Vec<f64> = Vec::new();
-                let mut block = Vec::with_capacity(n.div_ceil(blocks));
-                for i in b * n / blocks..(b + 1) * n / blocks {
-                    let x = row(i);
+                let mut out = vec![0.0f32; (hi - lo) * cols];
+                let mut flat = vec![0.0f64; (hi - lo) * total_chunks];
+                for (i, item) in (lo..hi).enumerate() {
+                    let x = row(item);
                     debug_assert_eq!(x.len(), rf);
-                    let mut out_row = vec![0.0f32; cols];
-                    let mut flat = vec![0.0f64; total_chunks];
+                    let out_row = &mut out[i * cols..(i + 1) * cols];
+                    let flat_row = &mut flat[i * total_chunks..(i + 1) * total_chunks];
                     let mut offset = 0usize;
                     let mut chunk_off = 0usize;
                     for (seg, &seg_rows) in segment_rows.iter().enumerate() {
@@ -256,15 +265,14 @@ impl ProgrammedMatrix {
                                 .iter()
                                 .map(|&v| (v / x_scale).clamp(0.0, 1.0) as f64),
                         );
-                        for (g, tile) in tiles[seg].iter().enumerate() {
+                        for (g, (tile, &unit)) in tiles[seg].iter().zip(&units[seg]).enumerate() {
                             let chunks = tile.chunk_count();
                             tile.eval_dense_prepared(
                                 &drive,
                                 &mut totals,
-                                &mut flat[chunk_off..chunk_off + chunks],
+                                &mut flat_row[chunk_off..chunk_off + chunks],
                                 &mut diff,
                             );
-                            let unit = tile.unit_current().0;
                             for (c, i) in totals[..tile.kernels()].iter().enumerate() {
                                 out_row[g * M + c] += (i.0 / unit) as f32 * x_scale;
                             }
@@ -272,26 +280,28 @@ impl ProgrammedMatrix {
                         }
                         offset += seg_rows;
                     }
-                    block.push((out_row, flat));
                 }
-                block
+                (out, flat)
             });
-        let per_item: Vec<ItemResult> = per_block.into_iter().flatten().collect();
-        // Sequential accrual in ascending item order per atomic crossbar.
-        let mut item_currents: Vec<&[f64]> = Vec::with_capacity(per_item.len());
+        // Sequential accrual in ascending item order per atomic crossbar
+        // (blocks are in ascending item order, items ascend within one).
+        let mut item_currents: Vec<&[f64]> = Vec::with_capacity(n);
         let mut chunk_off = 0usize;
         for tile in self.tiles.iter_mut().flatten() {
             let chunks = tile.chunk_count();
             item_currents.clear();
-            item_currents.extend(
-                per_item
-                    .iter()
-                    .map(|(_, flat)| &flat[chunk_off..chunk_off + chunks]),
-            );
+            item_currents.extend(per_block.iter().flat_map(|(_, flat)| {
+                flat.chunks(total_chunks)
+                    .map(|row| &row[chunk_off..chunk_off + chunks])
+            }));
             tile.accrue_batch(&item_currents);
             chunk_off += chunks;
         }
-        Ok(per_item.into_iter().map(|(out_row, _)| out_row).collect())
+        let mut out = Vec::with_capacity(n * cols);
+        for (block_out, _) in per_block {
+            out.extend_from_slice(&block_out);
+        }
+        Ok(out)
     }
 
     pub(crate) fn read_energy(&self) -> Joules {
@@ -458,13 +468,16 @@ impl AnalogNetwork {
     /// Runs a batch through the crossbar models and returns the logits.
     ///
     /// All samples advance through each stage together: every weight
-    /// stage issues one [`SuperTile::dot_batch`] per tile instead of one
-    /// `dot` per sample. Results and energy counters are bit-identical
-    /// to [`forward_sequential`](Self::forward_sequential).
+    /// stage prepares its tiles once and evaluates the whole batch
+    /// through the split-phase [`SuperTile::eval_dense_prepared`], then
+    /// accrues read energy in item order. Results and energy counters
+    /// are bit-identical to [`forward_sequential`](Self::forward_sequential).
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures.
+    /// Returns [`AnalogError::BadGeometry`] when the input shape does not
+    /// fit the network (see [`output_shape`](Self::output_shape)), and
+    /// propagates circuit and tensor failures.
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
         self.forward_impl(inputs, false, nebula_tensor::pool::size())
     }
@@ -490,9 +503,71 @@ impl AnalogNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures.
+    /// As [`forward`](Self::forward).
     pub fn forward_sequential(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
         self.forward_impl(inputs, true, 1)
+    }
+
+    /// The output shape a batch of `input_shape` produces, checking
+    /// every stage's geometry on the way: weight stages need exactly
+    /// their receptive field per row (`[n, rf]` for dense,
+    /// `[n, c, h, w]` with `c·kh·kw = rf` for convolutions), and pooling
+    /// needs rank-4 input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalogError::BadGeometry`] for the first stage the shape
+    /// does not fit.
+    pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
+        let mut shape = input_shape.to_vec();
+        if shape.is_empty() {
+            return Err(AnalogError::BadGeometry {
+                reason: "rank-0 input".into(),
+            });
+        }
+        for stage in &self.stages {
+            shape = match stage {
+                AnalogStage::Dense { matrix, .. } => {
+                    if shape.len() != 2 || shape[1] != matrix.rf {
+                        return Err(AnalogError::BadGeometry {
+                            reason: format!(
+                                "dense stage expects [n, {}], got {shape:?}",
+                                matrix.rf
+                            ),
+                        });
+                    }
+                    vec![shape[0], matrix.cols]
+                }
+                AnalogStage::Conv {
+                    matrix,
+                    geom,
+                    out_channels,
+                    ..
+                } => {
+                    if shape.len() != 4 || shape[1] * geom.kh * geom.kw != matrix.rf {
+                        return Err(AnalogError::BadGeometry {
+                            reason: format!(
+                                "conv stage expects [n, {}, h, w], got {shape:?}",
+                                matrix.rf / (geom.kh * geom.kw)
+                            ),
+                        });
+                    }
+                    let (oh, ow) = geom.out_hw(shape[2], shape[3])?;
+                    vec![shape[0], *out_channels, oh, ow]
+                }
+                AnalogStage::Relu | AnalogStage::Quant { .. } => shape,
+                AnalogStage::AvgPool { k } => {
+                    if shape.len() != 4 {
+                        return Err(AnalogError::BadGeometry {
+                            reason: format!("avg-pool stage expects rank-4 input, got {shape:?}"),
+                        });
+                    }
+                    vec![shape[0], shape[1], shape[2] / k, shape[3] / k]
+                }
+                AnalogStage::Flatten => vec![shape[0], shape[1..].iter().product()],
+            };
+        }
+        Ok(shape)
     }
 
     fn forward_impl(
@@ -501,6 +576,7 @@ impl AnalogNetwork {
         reference: bool,
         workers: usize,
     ) -> Result<Tensor, AnalogError> {
+        self.output_shape(inputs.shape())?;
         let mut h = inputs.clone();
         // Take stages out to satisfy the borrow checker during mutation.
         let mut stages = std::mem::take(&mut self.stages);
@@ -510,10 +586,10 @@ impl AnalogNetwork {
                     AnalogStage::Dense { matrix, bias } => {
                         let n = h.shape()[0];
                         let ys = if reference {
-                            let mut ys = Vec::with_capacity(n);
+                            let mut ys = Vec::with_capacity(n * matrix.cols);
                             for i in 0..n {
                                 let row = &h.data()[i * matrix.rf..(i + 1) * matrix.rf];
-                                ys.push(matrix.dot_reference(row)?);
+                                ys.extend(matrix.dot_reference(row)?);
                             }
                             ys
                         } else {
@@ -523,8 +599,11 @@ impl AnalogNetwork {
                         };
                         self.waves += n as u64;
                         let mut out = Tensor::zeros(&[n, matrix.cols]);
-                        for (i, y) in ys.iter().enumerate() {
-                            let dst = &mut out.data_mut()[i * bias.len()..(i + 1) * bias.len()];
+                        for (dst, y) in out
+                            .data_mut()
+                            .chunks_mut(bias.len())
+                            .zip(ys.chunks(matrix.cols))
+                        {
                             for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter())) {
                                 *d = v + b;
                             }
@@ -550,10 +629,10 @@ impl AnalogNetwork {
                         let spatial = oh * ow;
                         let total_rows = n * spatial;
                         let ys = if reference {
-                            let mut ys = Vec::with_capacity(total_rows);
+                            let mut ys = Vec::with_capacity(total_rows * matrix.cols);
                             for ri in 0..total_rows {
                                 let row = &cols.data()[ri * matrix.rf..(ri + 1) * matrix.rf];
-                                ys.push(matrix.dot_reference(row)?);
+                                ys.extend(matrix.dot_reference(row)?);
                             }
                             ys
                         } else {
@@ -567,7 +646,7 @@ impl AnalogNetwork {
                         let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
                         for img in 0..n {
                             for s in 0..spatial {
-                                let y = &ys[img * spatial + s];
+                                let y = &ys[(img * spatial + s) * matrix.cols..][..matrix.cols];
                                 for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
                                     out.data_mut()
                                         [img * *out_channels * spatial + o * spatial + s] = v + b;
@@ -807,6 +886,38 @@ mod tests {
             );
         }
         assert_eq!(analog.waves(), 25); // 5×5 output positions
+    }
+
+    #[test]
+    fn misshaped_inputs_are_rejected_before_evaluation() {
+        let mut r = rng();
+        let net = Network::new(vec![L::dense(2, 3, &mut r)]);
+        let mut analog = compile_ann(&net).unwrap();
+        // Too wide would read misaligned rows; too narrow would panic in
+        // a worker. Both are geometry errors on every entry point.
+        for shape in [[3usize, 4], [3, 1]] {
+            let x = Tensor::zeros(&shape);
+            for result in [analog.forward(&x), analog.forward_sequential(&x)] {
+                assert!(
+                    matches!(result, Err(AnalogError::BadGeometry { .. })),
+                    "{shape:?}: {result:?}"
+                );
+            }
+        }
+        assert_eq!(analog.waves(), 0, "nothing was evaluated");
+        assert_eq!(analog.output_shape(&[3, 2]).unwrap(), vec![3, 3]);
+
+        let conv = Network::new(vec![L::conv2d(2, 3, 3, 1, 1, &mut r)]);
+        let mut analog = compile_ann(&conv).unwrap();
+        let x = Tensor::zeros(&[1, 3, 5, 5]);
+        assert!(matches!(
+            analog.forward(&x),
+            Err(AnalogError::BadGeometry { .. })
+        ));
+        assert_eq!(
+            analog.output_shape(&[1, 2, 5, 5]).unwrap(),
+            vec![1, 3, 5, 5]
+        );
     }
 
     #[test]

@@ -805,10 +805,12 @@ impl AnalogSpikingNetwork {
     /// the accumulated output potentials `[N, classes]`.
     ///
     /// All samples advance through each timestep together: every
-    /// synaptic stage issues one spike-sparse batched crossbar call per
-    /// tile ([`SuperTile::dot_batch_sparse`]) instead of one dense `dot`
-    /// per sample. Outputs, RNG consumption and energy counters are
-    /// bit-identical to [`run_sequential`](Self::run_sequential).
+    /// synaptic stage prepares its tiles once and evaluates each item's
+    /// spiking rows through the split-phase
+    /// [`SuperTile::eval_sparse_prepared`] instead of one dense `dot` per
+    /// sample, then accrues read energy in item order. Outputs, RNG
+    /// consumption and energy counters are bit-identical to
+    /// [`run_sequential`](Self::run_sequential).
     ///
     /// # Errors
     ///

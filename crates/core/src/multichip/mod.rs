@@ -441,10 +441,8 @@ fn exec_ann_unit<S: TrafficSink>(
                 let ys = shard
                     .matrix
                     .dot_batch_with(n, workers, |i| &data[i * rf + lo..i * rf + hi])?;
-                for (a_row, y) in acc.chunks_mut(*cols).zip(ys) {
-                    for (a, v) in a_row.iter_mut().zip(y) {
-                        *a += v;
-                    }
+                for (a, v) in acc.iter_mut().zip(ys) {
+                    *a += v;
                 }
             }
             sink.add_waves(n as u64);
@@ -492,10 +490,8 @@ fn exec_ann_unit<S: TrafficSink>(
                 let ys = shard
                     .matrix
                     .dot_batch_with(total_rows, workers, |ri| &data[ri * rf + lo..ri * rf + hi])?;
-                for (a_row, y) in acc.chunks_mut(*cols).zip(ys) {
-                    for (a, v) in a_row.iter_mut().zip(y) {
-                        *a += v;
-                    }
+                for (a, v) in acc.iter_mut().zip(ys) {
+                    *a += v;
                 }
             }
             sink.add_waves(total_rows as u64);

@@ -11,7 +11,7 @@
 
 use crate::config::CrossbarConfig;
 use crate::error::CrossbarError;
-use crate::kernel::{self, KernelPath};
+use crate::kernel::{self, KernelPath, VectorLayout};
 use nebula_device::fault::{CellFault, ConductanceEnvelope, FaultModel};
 use nebula_device::synapse::DwMtjSynapse;
 use nebula_device::units::{Amps, Joules, Seconds, Volts};
@@ -90,17 +90,13 @@ struct EffCache {
     quant: Option<QuantLayout>,
 }
 
-/// Differential column-lane layout ([`KernelPath::Vectorized`]).
-#[derive(Debug, Clone)]
-struct VectorLayout {
-    /// Differential conductances `g_eff − g_mid`, row-major with each row
-    /// zero-padded to `padded_cols`.
-    dg: Vec<f64>,
-    /// Per-row sum of effective conductances (column-ascending), folding
-    /// the energy term into one multiply per active row.
-    row_sum: Vec<f64>,
-    /// Stride of one `dg` row: `kernel::padded_len(cols_used)`.
-    padded_cols: usize,
+impl EffCache {
+    /// Evaluates `drive` through the differential layout
+    /// ([`kernel::gemv`]) — the Vectorized path and the evaluation of a
+    /// spilled quantized layout.
+    fn gemv(&self, drive: kernel::Drive<'_>, diff: &mut [f64]) -> f64 {
+        kernel::gemv(drive, self.vector.as_ref().expect(PREPARE_MSG), diff)
+    }
 }
 
 /// Bit-packed 4-bit layout ([`KernelPath::Quantized`]): either the
@@ -870,12 +866,13 @@ impl AtomicCrossbar {
         }
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v_read = self.config.mode.read_voltage().0;
-        let mut total_current = 0.0f64;
+        let drive = kernel::Drive::Dense { inputs, v_read };
         match self.effective_path(false) {
             KernelPath::Scalar => {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
                 let g_mid = self.g_mid();
                 let cols = self.cols_used;
+                let mut total_current = 0.0f64;
                 for (r, &x) in inputs.iter().enumerate() {
                     if x == 0.0 {
                         continue; // event-driven: silent rows draw no read current
@@ -887,23 +884,14 @@ impl AtomicCrossbar {
                         total_current += v * g;
                     }
                 }
+                total_current
             }
-            KernelPath::Vectorized => {
-                let vl = cache.vector.as_ref().expect(PREPARE_MSG);
-                let pc = vl.padded_cols;
-                for (r, &x) in inputs.iter().enumerate() {
-                    if x == 0.0 {
-                        continue;
-                    }
-                    let v = v_read * x;
-                    total_current += v * vl.row_sum[r];
-                    kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
-                }
-            }
+            KernelPath::Vectorized => cache.gemv(drive, diff),
             KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
                 QuantLayout::Packed(q) => {
                     let cols = self.cols_used;
                     let mut vdg = [0.0f64; kernel::PALETTE];
+                    let mut total_current = 0.0f64;
                     for (r, &x) in inputs.iter().enumerate() {
                         if x == 0.0 {
                             continue;
@@ -918,23 +906,12 @@ impl AtomicCrossbar {
                         }
                         kernel::gather_add(&vdg, &q.packed[r * q.stride..], cols, diff);
                     }
+                    total_current
                 }
-                QuantLayout::Spill => {
-                    let vl = cache.vector.as_ref().expect(PREPARE_MSG);
-                    let pc = vl.padded_cols;
-                    for (r, &x) in inputs.iter().enumerate() {
-                        if x == 0.0 {
-                            continue;
-                        }
-                        let v = v_read * x;
-                        total_current += v * vl.row_sum[r];
-                        kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
-                    }
-                }
+                QuantLayout::Spill => cache.gemv(drive, diff),
             },
             KernelPath::Auto => unreachable!("Auto resolves to a concrete layout"),
         }
-        total_current
     }
 
     /// Spike-sparse twin of [`eval_cached`](Self::eval_cached): every row
@@ -971,12 +948,17 @@ impl AtomicCrossbar {
         }
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v = self.config.mode.read_voltage().0;
-        let mut total_current = 0.0f64;
+        let drive = kernel::Drive::Spikes {
+            active: active_rows,
+            base,
+            v,
+        };
         match self.effective_path(true) {
             KernelPath::Scalar => {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
                 let g_mid = self.g_mid();
                 let cols = self.cols_used;
+                let mut total_current = 0.0f64;
                 for &r in active_rows {
                     let r = r - base;
                     let row = &eff[r * cols..(r + 1) * cols];
@@ -985,16 +967,9 @@ impl AtomicCrossbar {
                         total_current += v * g;
                     }
                 }
+                total_current
             }
-            KernelPath::Vectorized => {
-                let vl = cache.vector.as_ref().expect(PREPARE_MSG);
-                let pc = vl.padded_cols;
-                for &r in active_rows {
-                    let r = r - base;
-                    total_current += v * vl.row_sum[r];
-                    kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
-                }
-            }
+            KernelPath::Vectorized => cache.gemv(drive, diff),
             KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
                 QuantLayout::Packed(q) => {
                     // Binary spike drive: v is exactly v_read, so the
@@ -1002,6 +977,7 @@ impl AtomicCrossbar {
                     // product — the dot degenerates to one pair load and
                     // two adds per packed byte, no multiplies or nibble
                     // arithmetic in the loop.
+                    let mut total_current = 0.0f64;
                     if !active_rows.is_empty() {
                         let cols = self.cols_used;
                         let pair: &[[f64; 2]; 256] = q.pair_spike.as_slice().try_into().unwrap();
@@ -1011,20 +987,12 @@ impl AtomicCrossbar {
                             kernel::gather_add_pairs(pair, &q.packed[r * q.stride..], cols, diff);
                         }
                     }
+                    total_current
                 }
-                QuantLayout::Spill => {
-                    let vl = cache.vector.as_ref().expect(PREPARE_MSG);
-                    let pc = vl.padded_cols;
-                    for &r in active_rows {
-                        let r = r - base;
-                        total_current += v * vl.row_sum[r];
-                        kernel::axpy(v, &vl.dg[r * pc..(r + 1) * pc], diff);
-                    }
-                }
+                QuantLayout::Spill => cache.gemv(drive, diff),
             },
             KernelPath::Auto => unreachable!("Auto resolves to a concrete layout"),
         }
-        total_current
     }
 
     fn validate_active_rows(&self, active_rows: &[usize]) -> Result<(), CrossbarError> {

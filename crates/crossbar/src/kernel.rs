@@ -22,17 +22,29 @@
 //! agrees with the reference to a relative error ≤ 1e-12 rather than
 //! bitwise (the scalar path remains bitwise-exact on energy too).
 //!
-//! # Lane width and feature detection
+//! # The GEMV kernel: column blocks and runtime dispatch
 //!
-//! [`LANES`] is fixed at 8 (`4 × f64×2` on SSE2, `2 × f64×4` on AVX2,
-//! one ZMM on AVX-512). The kernels are written as fixed-trip
-//! `[f64; LANES]` chunk loops that LLVM autovectorizes for whatever
-//! vector ISA the target enables — no `core::arch` intrinsics and no
-//! runtime feature dispatch, so `-C target-cpu=native` changes only
-//! instruction selection, never results: rustc does not contract
-//! `a*b + c` into FMA and never re-associates floating point, so the
-//! numbers are identical across targets and `RUSTFLAGS` (a CI job builds
-//! with `-C target-cpu=native` to keep that property honest).
+//! One kernel, `gemv`, evaluates every differential-layout drive, dense
+//! and spike alike. It first compacts the driven rows into stack arrays
+//! (branch-free for dense drives: every row is written, the cursor only
+//! advances past non-zero inputs), then walks them once per column block
+//! of 32, 16 or 8 lanes (strides are multiples of [`LANES`] = 8, so the
+//! widths tile every row exactly). A block's accumulators live in a
+//! local `[f64; W]` — registers, not `diff` — for the whole row walk,
+//! and each column still adds its rows in ascending order.
+//!
+//! The same source is compiled twice: once for the target's baseline
+//! ISA, once under `#[target_feature(enable = "avx2")]`. The first call
+//! probes the host with `is_x86_feature_detected!` (on x86-64 only) and
+//! every later call takes the chosen build. Multiversioning rather than
+//! `core::arch` intrinsics keeps one readable source whose operations
+//! and order are plain Rust, and lets LLVM pick the instructions. The
+//! builds cannot disagree: rustc never contracts `a*b + c` into FMA
+//! (only `avx2` is enabled anyway, not `fma`) and never re-associates
+//! floating point, so wider registers change instruction selection,
+//! never a bit. The same holds for `-C target-cpu=native` builds (a CI
+//! job re-runs the equivalence suites under it). AVX-512 measured no
+//! faster than AVX2 on this kernel, so there is no third build.
 
 /// Column-lane width of the vectorized kernels. Cached differential rows
 /// are zero-padded to a multiple of this.
@@ -122,7 +134,7 @@ pub enum KernelPath {
     /// "Kernel layer").
     Quantized,
     /// Per-drive-shape dispatch: dense GEMV drives evaluate through the
-    /// [`KernelPath::Vectorized`] layout (where the axpy beats the
+    /// [`KernelPath::Vectorized`] layout (where the GEMV beats the
     /// per-drive LUT fill the quantized dense loop pays — the qgain
     /// 0.73× regression BENCH_hotpath recorded) and constant-voltage
     /// spike drives evaluate through the [`KernelPath::Quantized`]
@@ -161,26 +173,166 @@ impl KernelPath {
     }
 }
 
-/// `acc[..dg.len()] += v * dg` over [`LANES`]-wide column chunks.
+/// Most drive rows one compacted pass holds: the paper's atomic-crossbar
+/// side `M = 128`, so an AC's non-zero rows fit stack arrays. Taller
+/// crossbars are walked in row chunks of this size, which keeps every
+/// column's row-ascending accumulation order.
+const MAX_ROWS: usize = 128;
+
+/// The drive one atomic-crossbar evaluation applies to its rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Drive<'a> {
+    /// Analog drive: row `r` sees `v_read · inputs[r]`; rows whose input
+    /// is zero are silent (no current, no energy).
+    Dense { inputs: &'a [f64], v_read: f64 },
+    /// Binary spike drive: row `r − base` sees `v` for every `r` in the
+    /// strictly ascending `active`; all other rows are silent.
+    Spikes {
+        active: &'a [usize],
+        base: usize,
+        v: f64,
+    },
+}
+
+/// Differential column-lane layout ([`KernelPath::Vectorized`]), the
+/// one [`gemv`] walks.
+#[derive(Debug, Clone)]
+pub(crate) struct VectorLayout {
+    /// Differential conductances `g_eff − g_mid`, row-major with each row
+    /// zero-padded to `padded_cols`.
+    pub(crate) dg: Vec<f64>,
+    /// Per-row sum of effective conductances (column-ascending), folding
+    /// the energy term into one multiply per active row.
+    pub(crate) row_sum: Vec<f64>,
+    /// Stride of one `dg` row: [`padded_len`]`(cols_used)`.
+    pub(crate) padded_cols: usize,
+}
+
+/// Differential crossbar GEMV: `diff[j] += v_r · dg[r][j]` over every
+/// driven row `r` (ascending) and every column `j < padded_cols`,
+/// returning the total current `Σ_r v_r · row_sum[r]` (row-ascending
+/// chain). `diff` must be at least `padded_cols` long.
 ///
-/// `dg` must be a padded differential row (length a multiple of
-/// [`LANES`]) and `acc` at least as long. Each `acc[j]` receives exactly
-/// one `+= v * dg[j]` per call — the same operation, on the same
-/// operands, as the scalar loop's `diff[j] += v * (g - g_mid)` — so
-/// per-column accumulation order (row-ascending across calls) is
-/// preserved and results are bitwise identical. The mul-then-add is left
-/// uncontracted (no FMA) by rustc's default FP semantics.
-#[inline]
-pub(crate) fn axpy(v: f64, dg: &[f64], acc: &mut [f64]) {
-    debug_assert_eq!(dg.len() % LANES, 0);
-    let acc = &mut acc[..dg.len()];
-    for (dgc, accc) in dg.chunks_exact(LANES).zip(acc.chunks_exact_mut(LANES)) {
-        let dgc: &[f64; LANES] = dgc.try_into().unwrap();
-        let accc: &mut [f64; LANES] = accc.try_into().unwrap();
-        for l in 0..LANES {
-            accc[l] += v * dgc[l];
+/// Each column receives exactly one `+= v · dg` per driven row, in
+/// row-ascending order — the scalar loop's operation on the same
+/// operands — so the outputs are bitwise identical to it; the total is
+/// the per-row-sum chain of the vectorized layout. Runs the AVX2 build
+/// when the host has it, else the portable one; both compile the same
+/// source and produce the same bits. `is_x86_feature_detected!` probes
+/// the CPU on its first call and caches the answer for the process.
+pub(crate) fn gemv(drive: Drive<'_>, m: &VectorLayout, diff: &mut [f64]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host reports AVX2.
+        return unsafe { gemv_avx2(drive, m, diff) };
+    }
+    gemv_portable(drive, m, diff)
+}
+
+/// [`gemv`] compiled for the build target's baseline ISA.
+fn gemv_portable(drive: Drive<'_>, m: &VectorLayout, diff: &mut [f64]) -> f64 {
+    gemv_body(drive, m, diff)
+}
+
+/// [`gemv`] compiled with AVX2 enabled: the same source, wider registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemv_avx2(drive: Drive<'_>, m: &VectorLayout, diff: &mut [f64]) -> f64 {
+    gemv_body(drive, m, diff)
+}
+
+/// The one GEMV source both builds inline: compacts the driven rows into
+/// stack arrays (at most [`MAX_ROWS`] per pass), then accumulates them
+/// per column block.
+#[inline(always)]
+fn gemv_body(drive: Drive<'_>, m: &VectorLayout, diff: &mut [f64]) -> f64 {
+    let mut rows = [0usize; MAX_ROWS];
+    let mut volts = [0.0f64; MAX_ROWS];
+    let mut total = 0.0f64;
+    match drive {
+        Drive::Dense { inputs, v_read } => {
+            for (c, part) in inputs.chunks(MAX_ROWS).enumerate() {
+                // Branch-free compaction: every row is written, but the
+                // cursor only advances past non-zero drives.
+                let mut n = 0;
+                for (r, &x) in part.iter().enumerate() {
+                    rows[n] = c * MAX_ROWS + r;
+                    volts[n] = v_read * x;
+                    n += usize::from(x != 0.0);
+                }
+                total = accumulate(&rows[..n], &volts[..n], m, diff, total);
+            }
+        }
+        Drive::Spikes { active, base, v } => {
+            volts.fill(v);
+            for part in active.chunks(MAX_ROWS) {
+                for (slot, &r) in rows.iter_mut().zip(part) {
+                    *slot = r - base;
+                }
+                let n = part.len();
+                total = accumulate(&rows[..n], &volts[..n], m, diff, total);
+            }
         }
     }
+    total
+}
+
+/// Adds the compacted rows into `diff[..m.padded_cols]` one column block at a
+/// time (widths 32, then 16, then 8 — strides are multiples of
+/// [`LANES`], so the blocks tile them exactly) and continues the
+/// total-current chain from `total`.
+#[inline(always)]
+fn accumulate(
+    rows: &[usize],
+    volts: &[f64],
+    m: &VectorLayout,
+    diff: &mut [f64],
+    mut total: f64,
+) -> f64 {
+    if rows.is_empty() {
+        return total;
+    }
+    for (&r, &v) in rows.iter().zip(volts) {
+        total += v * m.row_sum[r];
+    }
+    let width = m.padded_cols;
+    let mut col = 0;
+    while col + 32 <= width {
+        column_block::<32>(rows, volts, m, col, diff);
+        col += 32;
+    }
+    if col + 16 <= width {
+        column_block::<16>(rows, volts, m, col, diff);
+        col += 16;
+    }
+    if col + LANES <= width {
+        column_block::<LANES>(rows, volts, m, col, diff);
+        col += LANES;
+    }
+    debug_assert_eq!(col, width, "stride must be a multiple of LANES");
+    total
+}
+
+/// `diff[col..col + W] += v_r · dg[r][col..col + W]` for every compacted
+/// row, ascending, with the `W` accumulators held in a local array (in
+/// registers) instead of reloading `diff` per row.
+#[inline(always)]
+fn column_block<const W: usize>(
+    rows: &[usize],
+    volts: &[f64],
+    m: &VectorLayout,
+    col: usize,
+    diff: &mut [f64],
+) {
+    let out: &mut [f64; W] = (&mut diff[col..col + W]).try_into().unwrap();
+    let mut acc = *out;
+    for (&r, &v) in rows.iter().zip(volts) {
+        let g: &[f64; W] = m.dg[r * m.padded_cols + col..][..W].try_into().unwrap();
+        for l in 0..W {
+            acc[l] += v * g[l];
+        }
+    }
+    *out = acc;
 }
 
 /// Gathered LUT accumulate over one packed nibble row:
@@ -238,18 +390,120 @@ mod tests {
         assert_eq!(padded_len(128), 128);
     }
 
-    #[test]
-    fn axpy_matches_scalar_accumulation_bitwise() {
-        let dg: Vec<f64> = (0..2 * LANES).map(|i| (i as f64).sin() * 1e-4).collect();
-        let v = 0.317;
-        let mut acc = vec![0.05f64; 2 * LANES + 3]; // longer than dg: tail untouched
-        let mut expect = acc.clone();
-        for (e, &d) in expect.iter_mut().zip(dg.iter()) {
-            *e += v * d;
+    type GemvBuild = fn(Drive<'_>, &VectorLayout, &mut [f64]) -> f64;
+
+    /// One GEMV case: a random `rows × cols` differential layout, a
+    /// dense or spike drive with about `zero_pct`% silent rows, and a
+    /// random starting `diff`. Every build of [`gemv`] must reproduce the
+    /// per-cell scalar loop bit for bit — the differential outputs, the
+    /// untouched tail past the stride, and the total current.
+    fn check_gemv(cols: usize, rows: usize, zero_pct: usize, spikes: bool, seed: u64) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stride = padded_len(cols);
+        let g_mid = 5.0e-5;
+        let g: Vec<f64> = (0..rows * cols)
+            .map(|_| rng.gen_range(1.0e-6..1.0e-4))
+            .collect();
+        let mut dg = vec![0.0f64; rows * stride];
+        let mut row_sum = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let mut sum = 0.0f64;
+            for j in 0..cols {
+                dg[r * stride + j] = g[r * cols + j] - g_mid;
+                sum += g[r * cols + j];
+            }
+            row_sum.push(sum);
         }
-        axpy(v, &dg, &mut acc);
-        for (a, e) in acc.iter().zip(expect.iter()) {
-            assert_eq!(a.to_bits(), e.to_bits());
+        let v_read = 0.317;
+        let silent: Vec<bool> = (0..rows)
+            .map(|_| rng.gen_range(0usize..100) < zero_pct)
+            .collect();
+        let inputs: Vec<f64> = silent
+            .iter()
+            .map(|&z| if z { 0.0 } else { rng.gen_range(0.01..1.0) })
+            .collect();
+        // Spike rows carry a base offset, as a super-tile's sub-slices do.
+        let base = 3;
+        let active: Vec<usize> = (0..rows)
+            .filter(|&r| !silent[r])
+            .map(|r| r + base)
+            .collect();
+        let drive = if spikes {
+            Drive::Spikes {
+                active: &active,
+                base,
+                v: v_read,
+            }
+        } else {
+            Drive::Dense {
+                inputs: &inputs,
+                v_read,
+            }
+        };
+        // Padding lanes only ever gain `v · 0.0`, and the tail past the
+        // stride is never touched: both must keep their sentinel.
+        let start: Vec<f64> = (0..stride + 5)
+            .map(|j| {
+                if j < cols {
+                    rng.gen_range(-1e-5..1e-5)
+                } else {
+                    7.0
+                }
+            })
+            .collect();
+        // Per-cell scalar loop over the same operands.
+        let mut expect = start.clone();
+        let mut expect_total = 0.0f64;
+        for r in (0..rows).filter(|&r| !silent[r]) {
+            let v = if spikes { v_read } else { v_read * inputs[r] };
+            expect_total += v * row_sum[r];
+            for j in 0..cols {
+                expect[j] += v * (g[r * cols + j] - g_mid);
+            }
+        }
+        let m = VectorLayout {
+            dg,
+            row_sum,
+            padded_cols: stride,
+        };
+        let mut builds: Vec<(&str, GemvBuild)> =
+            vec![("dispatch", gemv), ("portable", gemv_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host reports AVX2.
+            builds.push(("avx2", |d, m, out| unsafe { gemv_avx2(d, m, out) }));
+        }
+        for (name, build) in builds {
+            let mut diff = start.clone();
+            let total = build(drive, &m, &mut diff);
+            let case = format!("{name} cols {cols} rows {rows} zero {zero_pct}% spikes {spikes}");
+            assert_eq!(total.to_bits(), expect_total.to_bits(), "total: {case}");
+            for (j, (a, e)) in diff.iter().zip(&expect).enumerate() {
+                assert_eq!(a.to_bits(), e.to_bits(), "column {j}: {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn gemv_matches_scalar_loop_at_every_width() {
+        for cols in 1..=128 {
+            for (zero_pct, spikes) in [(0, false), (50, false), (100, false), (50, true)] {
+                check_gemv(cols, 9, zero_pct, spikes, cols as u64);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn gemv_matches_scalar_loop_bitwise(
+            cols in 1usize..129,
+            rows in 1usize..2 * MAX_ROWS + 7,
+            zero_pct in 0usize..101,
+            spikes in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            check_gemv(cols, rows, zero_pct, spikes == 1, seed);
         }
     }
 
