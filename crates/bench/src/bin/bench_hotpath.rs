@@ -2,8 +2,10 @@
 //! the scalar fast path vs the legacy per-sample per-cell reference on
 //! the circuit-level executors.
 //!
-//! Times the quantized VGG/10 workload through [`AnalogNetwork`] (ANN)
-//! and [`AnalogSpikingNetwork`] at 50/150/300 timesteps, running each
+//! Times the quantized VGG/10 workload through
+//! [`AnalogNetwork`](nebula_core::AnalogNetwork) (ANN) and
+//! [`AnalogSpikingNetwork`](nebula_core::AnalogSpikingNetwork) at
+//! 50/150/300 timesteps, running each
 //! leg five times:
 //!
 //! * **sequential** — the uncached per-sample reference
@@ -15,11 +17,11 @@
 //!   [`KernelPath::Vectorized`] column-lane GEMV kernels;
 //! * **quantized** — [`KernelPath::Quantized`], the nibble-packed
 //!   palette layout whose spike inner loop is a pure LUT gather-add;
-//! * **auto** — [`KernelPath::Auto`], the per-drive-shape dispatch that
-//!   sends dense GEMV drives through the vectorized layout and spike
-//!   drives through the quantized LUT, fixing the dense-ANN regression
-//!   the explicit quantized leg records (qgain < 1 on the `ann` leg)
-//!   without giving up the quantized win on the SNN legs.
+//! * **auto** — [`KernelPath::Auto`], the production path: every
+//!   drive, dense and spike, evaluates through the vectorized
+//!   differential layout, the only layout it builds (inside the
+//!   scatter-form spike evaluator the differential rows beat the
+//!   quantized LUT).
 //!
 //! Differential outputs and wave counts must match bit for bit across
 //! all five; scalar energy must equal the reference exactly; the
@@ -28,8 +30,8 @@
 //! against a 1e-9 relative tolerance vs the reference (per-dot bound is
 //! 1e-12 — see DESIGN.md "Kernel layer"). The quantized conductance
 //! cache must also come in at ≤ 1/3 of the vectorized f64 differential
-//! cache (auto is excluded — it deliberately keeps both layouts). The
-//! binary aborts on any divergence.
+//! cache (auto holds exactly the vectorized cache). The binary aborts on
+//! any divergence.
 //!
 //! Writes `results/BENCH_hotpath.json` (schema `nebula-bench-hotpath/4`,
 //! documented in `EXPERIMENTS.md`). `NEBULA_HOTPATH_SAMPLES` overrides

@@ -32,7 +32,8 @@
 //!   identity, and records the honest ≈1× number.
 //! * **Over-capacity** — a 16384-wide dense layer needs 16 ANN cores,
 //!   two more than one chip's pool: [`fits_chip`] rejects it with a
-//!   typed [`CapacityExceeded`], the tensor-sharded executor runs it
+//!   typed [`CapacityExceeded`](nebula_core::CapacityExceeded), the
+//!   tensor-sharded executor runs it
 //!   on 4 chips (sequentially *and* pipelined), and the output still
 //!   matches the (hypothetical) single-chip computation bit for bit.
 //!   Sharding buys capacity, the pipeline buys throughput.

@@ -41,6 +41,13 @@ pub enum AnalogError {
         /// Explanation.
         reason: String,
     },
+    /// An input value is NaN or infinite. Inference entry points check
+    /// their whole input once, before any crossbar is driven, so a bad
+    /// value cannot turn into silent NaN outputs or all-zero potentials.
+    NonFiniteInput {
+        /// Flat (row-major) index of the first non-finite value.
+        index: usize,
+    },
     /// Circuit-level failure.
     Crossbar(CrossbarError),
     /// Inter-chip fabric failure (multi-chip sharded execution).
@@ -56,6 +63,9 @@ impl std::fmt::Display for AnalogError {
                 write!(f, "analog compiler does not support `{layer}` layers")
             }
             AnalogError::BadGeometry { reason } => write!(f, "bad analog geometry: {reason}"),
+            AnalogError::NonFiniteInput { index } => {
+                write!(f, "non-finite input value at flat index {index}")
+            }
             AnalogError::Crossbar(e) => write!(f, "crossbar failure: {e}"),
             AnalogError::Noc(e) => write!(f, "inter-chip fabric failure: {e}"),
             AnalogError::Tensor(e) => write!(f, "tensor failure: {e}"),
@@ -64,6 +74,19 @@ impl std::fmt::Display for AnalogError {
 }
 
 impl std::error::Error for AnalogError {}
+
+/// Rejects an input holding a NaN or an infinity with
+/// [`AnalogError::NonFiniteInput`] naming the first one.
+pub(crate) fn check_finite(inputs: &Tensor) -> Result<(), AnalogError> {
+    // A branch-free pass (it vectorizes) for the common all-finite case.
+    if inputs.data().iter().fold(true, |ok, v| ok & v.is_finite()) {
+        return Ok(());
+    }
+    let index = inputs.data().iter().position(|v| !v.is_finite());
+    Err(AnalogError::NonFiniteInput {
+        index: index.expect("a non-finite value was found"),
+    })
+}
 
 impl From<nebula_noc::NocError> for AnalogError {
     fn from(e: nebula_noc::NocError) -> Self {
@@ -476,7 +499,8 @@ impl AnalogNetwork {
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] when the input shape does not
-    /// fit the network (see [`output_shape`](Self::output_shape)), and
+    /// fit the network (see [`output_shape`](Self::output_shape)),
+    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, and
     /// propagates circuit and tensor failures.
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
         self.forward_impl(inputs, false, nebula_tensor::pool::size())
@@ -577,6 +601,7 @@ impl AnalogNetwork {
         workers: usize,
     ) -> Result<Tensor, AnalogError> {
         self.output_shape(inputs.shape())?;
+        check_finite(inputs)?;
         let mut h = inputs.clone();
         // Take stages out to satisfy the borrow checker during mutation.
         let mut stages = std::mem::take(&mut self.stages);
@@ -886,6 +911,25 @@ mod tests {
             );
         }
         assert_eq!(analog.waves(), 25); // 5×5 output positions
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected_before_evaluation() {
+        let mut r = rng();
+        let net = Network::new(vec![L::dense(2, 3, &mut r)]);
+        let mut analog = compile_ann(&net).unwrap();
+        for (bad, index) in [(f32::NAN, 3usize), (f32::NEG_INFINITY, 0)] {
+            let mut x = Tensor::full(&[2, 2], 0.5);
+            x.data_mut()[index] = bad;
+            for result in [analog.forward(&x), analog.forward_sequential(&x)] {
+                assert!(
+                    matches!(result, Err(AnalogError::NonFiniteInput { index: i }) if i == index),
+                    "{bad} at {index}: {result:?}"
+                );
+            }
+        }
+        assert_eq!(analog.waves(), 0, "nothing was evaluated");
+        assert_eq!(analog.read_energy(), Joules::ZERO);
     }
 
     #[test]

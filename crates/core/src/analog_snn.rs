@@ -9,15 +9,17 @@
 //! ([`crate::analog`]) and the SNN path, differing only in drivers,
 //! read voltage and the neuron circuit at the columns.
 
-use crate::analog::AnalogError;
+use crate::analog::{check_finite, AnalogError};
 use crate::components::{M, MAX_RF_IN_CORE};
-use nebula_crossbar::{kernel, CrossbarConfig, KernelPath, Mode, SuperTile};
-use nebula_device::units::{Amps, Joules, Seconds};
+use nebula_crossbar::kernel::{self, SpikeRows};
+use nebula_crossbar::{CrossbarConfig, KernelPath, Mode, SuperTile};
+use nebula_device::units::{Joules, Seconds};
 use nebula_device::FaultModel;
 use nebula_nn::layer::Layer;
 use nebula_nn::snn::{IfPopulation, InputEncoding, SnnStage, SpikingNetwork};
 use nebula_tensor::{avg_pool2d, im2col, ConvGeometry, Tensor};
 use rand::Rng;
+use std::ops::Range;
 
 /// A programmed spiking synaptic stage: crossbars in SNN mode.
 #[derive(Debug, Clone)]
@@ -26,6 +28,10 @@ pub(crate) struct SnnMatrix {
     pub(crate) segment_rows: Vec<usize>,
     pub(crate) cols: usize,
     pub(crate) rf: usize,
+    /// `(segment AC, row within that AC)` of every receptive-field row,
+    /// the segments' ACs numbered consecutively — the scatter's row
+    /// lookup, so the spike walk never divides.
+    row_ac: Vec<(u32, u32)>,
 }
 
 impl SnnMatrix {
@@ -61,21 +67,33 @@ impl SnnMatrix {
             }
             tiles.push(groups);
         }
-        Ok(Self {
+        Ok(Self::assemble(tiles, segment_rows, cols))
+    }
+
+    /// A matrix over programmed `tiles` (segments × column groups).
+    fn assemble(tiles: Vec<Vec<SuperTile>>, segment_rows: Vec<usize>, cols: usize) -> Self {
+        let mut row_ac = Vec::new();
+        let mut seg_chunk_base = 0usize;
+        for (seg, &rows) in tiles.iter().zip(&segment_rows) {
+            let m = seg[0].m();
+            row_ac.extend((0..rows).map(|q| ((seg_chunk_base + q / m) as u32, (q % m) as u32)));
+            seg_chunk_base += seg[0].chunk_count();
+        }
+        Self {
+            rf: segment_rows.iter().sum(),
             tiles,
             segment_rows,
             cols,
-            rf,
-        })
+            row_ac,
+        }
     }
 
     /// One timestep for one sample through the legacy per-cell crossbar
     /// loop ([`SuperTile::dot_reference`]): binary spike vector in,
     /// real-valued membrane increments (`Wᵀs + b` handled by caller)
-    /// out. Bit-identical to one item of
-    /// [`dot_spikes_batch_active`](Self::dot_spikes_batch_active); kept
-    /// as the reference for equivalence tests and the `bench_hotpath`
-    /// sequential leg.
+    /// out. Bit-identical to one patch of
+    /// [`scatter_spikes`](Self::scatter_spikes); kept as the reference
+    /// for equivalence tests and the `bench_hotpath` sequential leg.
     pub(crate) fn dot_spikes_reference(&mut self, spikes: &[f32]) -> Result<Vec<f32>, AnalogError> {
         debug_assert_eq!(spikes.len(), self.rf);
         let mut out = vec![0.0f32; self.cols];
@@ -97,144 +115,115 @@ impl SnnMatrix {
         Ok(out)
     }
 
-    /// One timestep for a whole batch through the split-phase,
-    /// spike-sparse fast path, taking each item's active (spiking)
-    /// receptive-field indices as a [`SpikeBatch`] — the dense path
-    /// builds these with [`SpikeBatch::gather_dense`], the convolution
-    /// path straight from the sparse feature map without ever
-    /// materializing `im2col` patches ([`gather_conv_patches`]). Every
-    /// tile's conductance caches are prepared once, then the persistent
-    /// worker pool evaluates items concurrently against the shared
-    /// tiles — each item's active rows are evaluated with
-    /// [`SuperTile::eval_sparse_prepared`], so silent rows are never
-    /// scanned inside the crossbar loop — and read energy is accrued
-    /// sequentially in ascending item order per atomic crossbar.
-    /// Indices must be strictly ascending per item. Outputs are
-    /// **bit-identical** to calling
-    /// [`dot_spikes_reference`](Self::dot_spikes_reference) on the
-    /// matching dense spike vectors in turn, for any worker count: a
-    /// spiking row drives exactly full read voltage in both paths, each
-    /// item's floating-point work is per-item pure, and the accrual
-    /// order matches the sequential path. Energy counters are
-    /// bit-identical too under [`KernelPath::Scalar`]; the default
-    /// vectorized kernel re-associates the total-current sum per row
-    /// and tracks the reference to a relative error ≤ 1e-12.
+    /// One timestep of spikes through this matrix in **scatter form**:
+    /// every spiking input pixel adds its conductance rows once into the
+    /// column accumulators of the output patches it reaches, so the work
+    /// scales with spikes, not with crossbar waves — there is no
+    /// per-patch active-row list and no per-wave tile/AC dispatch.
     ///
-    /// A fully silent batch returns its all-zero outputs immediately —
-    /// no tile preparation, no pool dispatch, no accrual walk. The
-    /// short-circuit cannot change a bit: silent items produce exactly
-    /// the pre-zeroed `out` buffer on the long path too, and accruing a
-    /// zero current adds `+0.0 J` (see [`SuperTile::accrue_batch`]).
-    /// The worker count is explicit: `workers == 1` evaluates the whole
-    /// batch on the calling thread without touching the pool — how the
-    /// multi-chip pipeline executor keeps stage evaluation flat while
-    /// the pipeline itself provides the concurrency.
-    pub(crate) fn dot_spikes_batch_active_with(
+    /// `spikes` holds `geom.images` maps of `channels × in_hw` (row-major,
+    /// a value `> 0.5` spikes); a dense stage is the 1×1 convolution over
+    /// its features ([`StageGeometry::dense`]). Only receptive-field rows
+    /// in `window` are driven, rebased by `−window.start` onto this
+    /// matrix's rows (`window.len()` must equal the matrix's R_f): the
+    /// whole field on a single chip, one shard's rows when the matrix is
+    /// one R_f segment of a tensor-sharded layer. Each patch's crossbar
+    /// output is **added** (per segment, in ascending segment order) to
+    /// `out`, laid out `[images, cols, out_h·out_w]` — so a zeroed `out`
+    /// ends up with exactly what
+    /// [`dot_spikes_reference`](Self::dot_spikes_reference) returns per
+    /// patch, and the shards of one layer can accumulate into one buffer.
+    /// Read energy is accrued per AC in ascending patch order. Returns
+    /// whether any spike reached a patch through `window`; when none
+    /// did, neither `out` nor any energy counter changed.
+    ///
+    /// Bit-identity with the per-patch reference follows from the visit
+    /// order. Pixels are visited in ascending `(ch, y, x)`, and for a
+    /// fixed patch the receptive-field row `(ch·kh + ky)·kw + kx`, with
+    /// `ky = y − (oy·stride − pad)` and `kx = x − (ox·stride − pad)`, is
+    /// increasing in that order. So each (patch, AC) accumulator, started
+    /// at `+0.0`, adds its driven rows in ascending row order — the
+    /// per-AC evaluators' sequence — and its current chain links
+    /// `v·row_sum[r]` (or the scalar per-cell chain) in the same order.
+    /// The reduction then merges a patch's ACs in ascending order into a
+    /// `+0.0` total and adds `(total / unit) as f32` per segment and
+    /// column group. Untouched ACs and patches are skipped: their
+    /// contribution is exactly `+0.0`, and no partial sum here is ever
+    /// `−0.0`, so an add of zero could not change a bit. Workers split
+    /// the images; accrual then runs sequentially, so the result does
+    /// not depend on `workers`.
+    pub(crate) fn scatter_spikes(
         &mut self,
-        batch: &SpikeBatch,
+        spikes: &[f32],
+        geom: &StageGeometry,
+        window: Range<usize>,
         workers: usize,
-    ) -> Result<Vec<f32>, AnalogError> {
-        let n = batch.len();
+        scratch: &mut EventScratch,
+        out: &mut [f32],
+    ) -> bool {
+        assert_eq!(window.len(), self.rf, "row window must span the matrix");
+        let (n, spatial) = (geom.images, geom.patches());
+        debug_assert_eq!(
+            spikes.len(),
+            n * geom.channels * geom.in_hw[0] * geom.in_hw[1]
+        );
+        debug_assert_eq!(out.len(), n * self.cols * spatial);
         if n == 0 {
-            return Ok(Vec::new());
-        }
-        if batch.is_silent() {
-            return Ok(vec![0.0f32; n * self.cols]);
+            return false;
         }
         for tile in self.tiles.iter_mut().flatten() {
             tile.prepare();
         }
-        let cols = self.cols;
-        let segment_rows = &self.segment_rows;
-        let tiles = &self.tiles;
-        // Per-AC total currents for one item live in a single flat
-        // buffer, sliced per tile in (segment, group) order.
-        let total_chunks: usize = tiles.iter().flatten().map(SuperTile::chunk_count).sum();
-        // Workers take contiguous item blocks so scratch buffers are
-        // reused across a block's items; the per-item values don't depend
-        // on the partition, so results are identical for any worker
-        // count. Each block yields one flat output buffer (`cols` values
-        // per item) and one flat current buffer (`total_chunks` values
-        // per item, in (segment, group, chunk) order) — two allocations
-        // per block instead of two per item, which dominates the
-        // fixed cost when convolutions stream thousands of patch rows.
         let blocks = workers.clamp(1, n);
-        type BlockResult = (Vec<f32>, Vec<f64>);
-        let per_block: Vec<BlockResult> =
-            nebula_tensor::pool::par_map_indexed(blocks, workers, |b| {
-                let lo = b * n / blocks;
-                let hi = (b + 1) * n / blocks;
-                let mut totals = vec![Amps::ZERO; M];
-                // Lane-padded so the vectorized kernel can write its
-                // tail lanes (every tile's scratch_cols() is ≤ this).
-                let mut diff = vec![0.0f64; kernel::padded_len(M)];
-                let mut active: Vec<usize> = Vec::new();
-                let mut out = vec![0.0f32; (hi - lo) * cols];
-                let mut flat = vec![0.0f64; (hi - lo) * total_chunks];
-                for (i, item) in (lo..hi).enumerate() {
-                    let acts = batch.item(item);
-                    if acts.is_empty() {
-                        // Fully silent item: zero output, zero current.
-                        continue;
-                    }
-                    let out_row = &mut out[i * cols..(i + 1) * cols];
-                    let flat_row = &mut flat[i * total_chunks..(i + 1) * total_chunks];
-                    let mut offset = 0usize;
-                    let mut chunk_off = 0usize;
-                    for (seg, &seg_rows) in segment_rows.iter().enumerate() {
-                        let end = offset + seg_rows;
-                        let s_lo = acts.partition_point(|&g| (g as usize) < offset);
-                        let s_hi = acts.partition_point(|&g| (g as usize) < end);
-                        if s_lo == s_hi {
-                            // A fully silent segment contributes exactly
-                            // zero to every column and draws no current
-                            // (`flat_row` is pre-zeroed); adding `+0.0`
-                            // into `out_row` cannot change any bit
-                            // because partial outputs are never `-0.0`.
-                            chunk_off += tiles[seg].iter().map(|t| t.chunk_count()).sum::<usize>();
-                            offset = end;
-                            continue;
-                        }
-                        active.clear();
-                        active.extend(acts[s_lo..s_hi].iter().map(|&g| g as usize - offset));
-                        for (g, tile) in tiles[seg].iter().enumerate() {
-                            let chunks = tile.chunk_count();
-                            tile.eval_sparse_prepared(
-                                &active,
-                                &mut totals,
-                                &mut flat_row[chunk_off..chunk_off + chunks],
-                                &mut diff,
-                            );
-                            let unit = tile.unit_current().0;
-                            for (c, i) in totals[..tile.kernels()].iter().enumerate() {
-                                out_row[g * M + c] += (i.0 / unit) as f32;
-                            }
-                            chunk_off += chunks;
-                        }
-                        offset = end;
-                    }
+        if scratch.blocks.len() < blocks {
+            scratch.blocks.resize_with(blocks, BlockScratch::default);
+        }
+        let plan = ScatterPlan::new(self, geom, window);
+        let hit = {
+            let plan = &plan;
+            let in_len = spikes.len() / n;
+            let out_len = out.len() / n;
+            if blocks == 1 {
+                scatter_block(plan, spikes, n, out, &mut scratch.blocks[0])
+            } else {
+                let mut hits = vec![false; blocks];
+                let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(blocks);
+                let (mut rest_in, mut rest_out) = (spikes, &mut *out);
+                for (b, (bs, hit)) in scratch.blocks.iter_mut().zip(&mut hits).enumerate() {
+                    let images = (b + 1) * n / blocks - b * n / blocks;
+                    let (x, tail_in) = rest_in.split_at(images * in_len);
+                    let (y, tail_out) =
+                        std::mem::take(&mut rest_out).split_at_mut(images * out_len);
+                    (rest_in, rest_out) = (tail_in, tail_out);
+                    tasks.push(Box::new(move || {
+                        *hit = scatter_block(plan, x, images, y, bs)
+                    }));
                 }
-                (out, flat)
-            });
-        // Sequential accrual in ascending item order per atomic crossbar
-        // (blocks are in ascending item order, items ascend within one).
-        let mut item_currents: Vec<&[f64]> = Vec::with_capacity(n);
+                nebula_tensor::pool::run_scoped(tasks);
+                hits.contains(&true)
+            }
+        };
+        if !hit {
+            return false;
+        }
+        // Sequential accrual in ascending patch order per atomic crossbar:
+        // blocks hold ascending image ranges and each block lists its
+        // touched patches in ascending order.
+        let total_chunks = plan.total_chunks;
+        let mut item_currents: Vec<&[f64]> = Vec::new();
         let mut chunk_off = 0usize;
         for tile in self.tiles.iter_mut().flatten() {
             let chunks = tile.chunk_count();
             item_currents.clear();
-            item_currents.extend(per_block.iter().flat_map(|(_, flat)| {
-                flat.chunks(total_chunks)
+            item_currents.extend(scratch.blocks[..blocks].iter().flat_map(|bs| {
+                bs.currents
+                    .chunks(total_chunks)
                     .map(|row| &row[chunk_off..chunk_off + chunks])
             }));
             tile.accrue_batch(&item_currents);
             chunk_off += chunks;
         }
-        let mut out = Vec::with_capacity(n * cols);
-        for (block_out, _) in per_block {
-            out.extend_from_slice(&block_out);
-        }
-        Ok(out)
+        true
     }
 
     pub(crate) fn read_energy(&self) -> Joules {
@@ -283,255 +272,461 @@ impl SnnMatrix {
         tiles
             .into_iter()
             .zip(segment_rows)
-            .map(|(groups, rows)| SnnMatrix {
-                tiles: vec![groups],
-                segment_rows: vec![rows],
-                cols,
-                rf: rows,
-            })
+            .map(|(groups, rows)| SnnMatrix::assemble(vec![groups], vec![rows], cols))
             .collect()
     }
 }
 
-/// Active-row (spiking) index lists for a batch of crossbar waves, in
-/// CSR form: `starts` has `len() + 1` entries and item `i`'s strictly
-/// ascending receptive-field indices are `idx[starts[i]..starts[i+1]]`.
-///
-/// Batches live inside their stage's [`EventScratch`] and are rebuilt
-/// in place every timestep ([`clear`](Self::clear) +
-/// [`gather_dense`](Self::gather_dense) / [`gather_conv_patches`]), so the
-/// index vectors amortize to zero allocations per step once warm.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SpikeBatch {
-    idx: Vec<u32>,
-    starts: Vec<usize>,
+/// Shape of one spiking synaptic stage in scatter form: `images` spike
+/// maps of `channels × in_hw` feeding a `conv` kernel that yields
+/// `out_hw` output patches (crossbar waves) per image. A dense stage is
+/// the 1×1 convolution over its features.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageGeometry {
+    pub(crate) images: usize,
+    pub(crate) channels: usize,
+    pub(crate) in_hw: [usize; 2],
+    pub(crate) out_hw: [usize; 2],
+    pub(crate) conv: ConvGeometry,
 }
 
-impl SpikeBatch {
-    #[cfg(test)]
-    fn with_items(n: usize) -> Self {
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0);
+impl StageGeometry {
+    /// A dense stage over `[images, features]` spikes: one patch per
+    /// image whose receptive-field row `i` is feature `i`.
+    pub(crate) fn dense(images: usize, features: usize) -> Self {
         Self {
-            idx: Vec::new(),
-            starts,
+            images,
+            channels: features,
+            in_hw: [1, 1],
+            out_hw: [1, 1],
+            conv: ConvGeometry {
+                kh: 1,
+                kw: 1,
+                stride: 1,
+                pad: 0,
+            },
         }
     }
 
-    /// Empties the batch, retaining both vectors' capacity for reuse.
-    fn clear(&mut self) {
-        self.idx.clear();
-        self.starts.clear();
-        self.starts.push(0);
+    /// A convolution stage over a `[n, c, h, w]` spike map.
+    pub(crate) fn conv(shape: &[usize], conv: ConvGeometry) -> Result<Self, AnalogError> {
+        let &[images, channels, h, w] = shape else {
+            return Err(AnalogError::BadGeometry {
+                reason: format!("conv stage expects rank-4 input, got {shape:?}"),
+            });
+        };
+        let (oh, ow) = conv.out_hw(h, w)?;
+        Ok(Self {
+            images,
+            channels,
+            in_hw: [h, w],
+            out_hw: [oh, ow],
+            conv,
+        })
     }
 
-    /// Seals the current item: everything appended to `idx` since the
-    /// previous seal belongs to it.
-    fn push_item(&mut self) {
-        self.starts.push(self.idx.len());
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// `true` when no item has any active row — the whole wave is
-    /// silent and every downstream crossbar evaluation can be skipped.
-    pub(crate) fn is_silent(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    fn item(&self, i: usize) -> &[u32] {
-        &self.idx[self.starts[i]..self.starts[i + 1]]
-    }
-
-    /// Rebuilds `out` as the restriction of this batch to receptive-field
-    /// window `[lo, hi)`, rebasing every surviving index by `-lo` — the
-    /// gather a tensor-sharded chip performs on the full spike wave
-    /// before driving its own R_f segment. Because indices are strictly
-    /// ascending per item, the window is located with two binary
-    /// searches per item, exactly like the per-segment slicing inside
-    /// [`SnnMatrix::dot_spikes_batch_active`] — so a shard sees exactly
-    /// the active set the unsplit matrix's segment would.
-    pub(crate) fn slice_window(&self, lo: usize, hi: usize, out: &mut SpikeBatch) {
-        out.clear();
-        for i in 0..self.len() {
-            let acts = self.item(i);
-            let s_lo = acts.partition_point(|&g| (g as usize) < lo);
-            let s_hi = acts.partition_point(|&g| (g as usize) < hi);
-            out.idx
-                .extend(acts[s_lo..s_hi].iter().map(|&g| g - lo as u32));
-            out.push_item();
-        }
-    }
-
-    /// Rebuilds the batch in place from dense spike vectors — `data` is
-    /// `n` rows of `row_len` values and row `i`'s active (`v > 0.5`)
-    /// indices are gathered in ascending order. A branch-free counting
-    /// pass over 64-wide blocks (which the compiler vectorizes) decides
-    /// whether the index-building scan runs at all; spike trains after
-    /// the first IF layer are mostly silent, so most blocks are
-    /// dismissed with ~1 op/element. Retained capacity makes this
-    /// allocation-free once the batch has seen its peak activity.
-    pub(crate) fn gather_dense(&mut self, data: &[f32], row_len: usize) {
-        self.clear();
-        for spikes in data.chunks(row_len.max(1)) {
-            let mut base = 0u32;
-            for blk in spikes.chunks(64) {
-                let hits: u32 = blk.iter().map(|&v| u32::from(v > 0.5)).sum();
-                if hits > 0 {
-                    self.idx.extend(
-                        blk.iter()
-                            .enumerate()
-                            .filter(|(_, &v)| v > 0.5)
-                            .map(|(r, _)| base + r as u32),
-                    );
-                }
-                base += blk.len() as u32;
-            }
-            self.push_item();
-        }
+    /// Output patches (crossbar waves) per image.
+    pub(crate) fn patches(&self) -> usize {
+        self.out_hw[0] * self.out_hw[1]
     }
 }
 
-/// Per-stage gather scratch, owned by each synaptic stage and reused
-/// across timesteps: the active-index [`SpikeBatch`] handed to the
-/// crossbars plus the convolution gather's feature-map CSR and write
-/// cursors. All vectors are rebuilt in place each step, so steady-state
-/// timesteps perform no gather-side allocations (asserted by
-/// `event_gather_scratch_does_not_grow_across_timesteps`).
+/// Per-stage scatter scratch, owned by each synaptic stage and reused
+/// across timesteps: one [`BlockScratch`] per worker block. Every vector
+/// is rebuilt in place each step, so steady-state timesteps allocate
+/// nothing here (asserted by
+/// `event_scratch_does_not_grow_across_timesteps`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EventScratch {
-    pub(crate) batch: SpikeBatch,
-    fm_idx: Vec<u32>,
-    fm_starts: Vec<usize>,
-    cursor: Vec<usize>,
+    blocks: Vec<BlockScratch>,
 }
 
-/// Builds the per-patch active-index lists for a convolution directly
-/// from the sparse spiking feature map — the fused twin of
-/// [`im2col`] + [`SpikeBatch::gather_dense`] that never materializes the
-/// `[N·OH·OW, C·KH·KW]` patch matrix. Produces exactly the indices the
-/// unfused pipeline would: for patch `(img, oy, ox)`, column
-/// `ch·kh·kw + ky·kw + kx` is active iff input pixel
-/// `(img, ch, oy·stride + ky − pad, ox·stride + kx − pad)` is in bounds
-/// and spiking (`> 0.5`) — the identical test (padded taps stay `0.0`
-/// in `im2col`, hence inactive) emitted in the identical ascending
-/// `(ch, ky, kx)` order, so the downstream crossbar evaluation is
-/// bit-identical.
-pub(crate) fn gather_conv_patches(
-    scratch: &mut EventScratch,
-    data: &[f32],
-    [n, c, h, w]: [usize; 4],
-    [oh, ow]: [usize; 2],
-    geom: ConvGeometry,
-) {
-    // Feature-map CSR over the n·c·h input scanlines: ascending spiking
-    // x positions per scanline, found with the same blocked counting
-    // pass as `SpikeBatch::gather_dense`. All scratch vectors are rebuilt
-    // in place so steady-state timesteps allocate nothing here.
-    let fm_idx = &mut scratch.fm_idx;
-    let fm_starts = &mut scratch.fm_starts;
-    fm_idx.clear();
-    fm_starts.clear();
-    fm_starts.reserve(n * c * h + 1);
-    fm_starts.push(0);
-    for line in data.chunks(w.max(1)) {
-        let mut base = 0u32;
-        for blk in line.chunks(64) {
-            let hits: u32 = blk.iter().map(|&v| u32::from(v > 0.5)).sum();
-            if hits > 0 {
-                fm_idx.extend(
-                    blk.iter()
-                        .enumerate()
-                        .filter(|(_, &v)| v > 0.5)
-                        .map(|(x, _)| base + x as u32),
-                );
+/// One worker block's scatter state: sparse (patch, AC-row-range)
+/// accumulator slots, allocated on first touch, plus the per-patch AC
+/// currents the sequential accrual reads afterwards.
+#[derive(Debug, Clone, Default)]
+struct BlockScratch {
+    /// `slot_of[patch · seg_chunks + seg_chunk]` is the slot index + 1
+    /// of that (block-local patch, segment AC) pair, `0` when untouched.
+    /// All-zero between calls: the reduction resets every slot it reads.
+    slot_of: Vec<u32>,
+    /// Column accumulators, `width` per slot (column group `g` at
+    /// `g·M`); all `+0.0` between calls, like `cur`.
+    acc: Vec<f64>,
+    /// Current chains, one per slot and column group.
+    cur: Vec<f64>,
+    /// Per touched patch, ascending, its AC currents in (segment, group,
+    /// AC) order — `total_chunks` values, zero where an AC saw no spike.
+    currents: Vec<f64>,
+    /// One image's `(patch, window row)` drives, in spike order.
+    drives: Vec<(u32, u32)>,
+}
+
+/// What the scatter body reads from a prepared [`SnnMatrix`].
+struct ScatterPlan<'a> {
+    geom: StageGeometry,
+    window: Range<usize>,
+    /// `views[seg_chunk · groups + g]`: the spike rows of AC `seg_chunk`
+    /// (segments' ACs numbered consecutively) in column group `g`;
+    /// `None` for a dead AC.
+    views: Vec<Option<SpikeRows<'a>>>,
+    /// First segment-AC index of each segment.
+    seg_chunk_base: Vec<usize>,
+    /// ACs per segment.
+    seg_chunk_count: Vec<usize>,
+    seg_chunks: usize,
+    total_chunks: usize,
+    groups: usize,
+    /// `(segment AC, row within it)` of every matrix row.
+    row_ac: &'a [(u32, u32)],
+    /// Accumulator slot width: `padded_len(cols)`.
+    width: usize,
+    cols: usize,
+    /// Kernel count and unit current of each column group, per segment.
+    kernels: Vec<usize>,
+    units: Vec<Vec<f64>>,
+    y_taps: AxisTaps,
+    x_taps: AxisTaps,
+    /// `(y, x)` of every in-plane pixel index.
+    pixel_yx: Vec<(u32, u32)>,
+}
+
+impl<'a> ScatterPlan<'a> {
+    /// Reads the views of prepared tiles.
+    fn new(matrix: &'a SnnMatrix, geom: &StageGeometry, window: Range<usize>) -> Self {
+        let groups = matrix.tiles[0].len();
+        let mut views = Vec::new();
+        let mut seg_chunk_base = Vec::with_capacity(matrix.tiles.len());
+        let mut seg_chunk_count = Vec::with_capacity(matrix.tiles.len());
+        let mut seg_chunks = 0usize;
+        for seg in &matrix.tiles {
+            let chunks = seg[0].chunk_count();
+            seg_chunk_base.push(seg_chunks);
+            seg_chunk_count.push(chunks);
+            seg_chunks += chunks;
+            for k in 0..chunks {
+                views.extend(seg.iter().map(|t| t.spike_rows(k)));
             }
-            base += blk.len() as u32;
         }
-        fm_starts.push(fm_idx.len());
+        let c = &geom.conv;
+        let [h, w] = geom.in_hw;
+        Self {
+            pixel_yx: (0..h as u32)
+                .flat_map(|y| (0..w as u32).map(move |x| (y, x)))
+                .collect(),
+            y_taps: AxisTaps::new(geom.in_hw[0], c.kh, c.stride, c.pad, geom.out_hw[0]),
+            x_taps: AxisTaps::new(geom.in_hw[1], c.kw, c.stride, c.pad, geom.out_hw[1]),
+            geom: *geom,
+            window,
+            views,
+            seg_chunks,
+            // Every tile of a segment spans the same ACs.
+            total_chunks: seg_chunks * groups,
+            seg_chunk_base,
+            seg_chunk_count,
+            groups,
+            row_ac: &matrix.row_ac,
+            width: kernel::padded_len(matrix.cols),
+            cols: matrix.cols,
+            kernels: matrix.tiles[0].iter().map(SuperTile::kernels).collect(),
+            units: matrix
+                .tiles
+                .iter()
+                .map(|seg| seg.iter().map(|t| t.unit_current().0).collect())
+                .collect(),
+        }
     }
-    let (kh, kw, stride, pad) = (geom.kh, geom.kw, geom.stride, geom.pad);
-    let patches = n * oh * ow;
-    let batch = &mut scratch.batch;
-    if data.is_empty() {
-        batch.idx.clear();
-        batch.starts.clear();
-        batch.starts.resize(patches + 1, 0);
-        return;
+}
+
+/// Scatters and reduces one block of `images` images: `spikes` and `out`
+/// are the block's slices. Returns whether any spike reached a patch.
+/// Runs the AVX2 build when the host has it, else the portable one;
+/// both compile the same source (no intrinsics, no FMA contraction) and
+/// produce the same bits, as [`kernel`]'s GEMV does.
+fn scatter_block(
+    plan: &ScatterPlan<'_>,
+    spikes: &[f32],
+    images: usize,
+    out: &mut [f32],
+    bs: &mut BlockScratch,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host reports AVX2.
+        return unsafe { scatter_block_avx2(plan, spikes, images, out, bs) };
     }
-    // Scatter, not gather: each spiking pixel `(img, ch, y, x)` lands in
-    // at most `kh·kw` patches — those `(oy, ox)` with
-    // `y = oy·stride + ky − pad` and `x = ox·stride + kx − pad` for some
-    // in-kernel `(ky, kx)` — so the work scales with *spikes*, not with
-    // `patches × C·KH` probes of mostly-silent scanlines. `for_each`
-    // walks every (patch, column) contribution once; it runs twice —
-    // first to size each patch's slot (prefix-summed into `starts`),
-    // then to fill through per-patch write cursors. Pixels are visited
-    // in ascending `(ch, y, x)` order and a fixed patch maps
-    // `ky = y − (oy·stride − pad)` monotonically in `y` (and `kx`
-    // likewise in `x`), so each patch receives its columns already in
-    // strictly ascending order.
-    let for_each = |emit: &mut dyn FnMut(usize, u32)| {
-        for img in 0..n {
-            for ch in 0..c {
-                for y in 0..h {
-                    let line_r = (img * c + ch) * h + y;
-                    let line = &fm_idx[fm_starts[line_r]..fm_starts[line_r + 1]];
-                    if line.is_empty() {
-                        continue;
-                    }
-                    for ky in 0..kh {
-                        let Some(t) = (y + pad).checked_sub(ky) else {
-                            continue;
-                        };
-                        if t % stride != 0 {
-                            continue;
-                        }
-                        let oy = t / stride;
-                        if oy >= oh {
-                            continue;
-                        }
-                        let col0 = ((ch * kh + ky) * kw) as u32;
-                        let patch0 = (img * oh + oy) * ow;
-                        for &x in line {
-                            for kx in 0..kw {
-                                let Some(u) = (x as usize + pad).checked_sub(kx) else {
-                                    continue;
-                                };
-                                if u % stride != 0 {
-                                    continue;
-                                }
-                                let ox = u / stride;
-                                if ox >= ow {
-                                    continue;
-                                }
-                                emit(patch0 + ox, col0 + kx as u32);
-                            }
+    scatter_block_portable(plan, spikes, images, out, bs)
+}
+
+/// [`scatter_block`] compiled for the build target's baseline ISA.
+fn scatter_block_portable(
+    plan: &ScatterPlan<'_>,
+    spikes: &[f32],
+    images: usize,
+    out: &mut [f32],
+    bs: &mut BlockScratch,
+) -> bool {
+    scatter_block_body(plan, spikes, images, out, bs)
+}
+
+/// [`scatter_block`] compiled with AVX2 enabled: the same source, wider
+/// registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scatter_block_avx2(
+    plan: &ScatterPlan<'_>,
+    spikes: &[f32],
+    images: usize,
+    out: &mut [f32],
+    bs: &mut BlockScratch,
+) -> bool {
+    scatter_block_body(plan, spikes, images, out, bs)
+}
+
+/// The one scatter source both builds inline: the spike walk into the
+/// block's slots, then the per-patch reduction into `out` and the
+/// per-patch AC currents for accrual.
+#[inline(always)]
+fn scatter_block_body(
+    plan: &ScatterPlan<'_>,
+    spikes: &[f32],
+    images: usize,
+    out: &mut [f32],
+    bs: &mut BlockScratch,
+) -> bool {
+    let g = &plan.geom;
+    let hw = g.in_hw[0] * g.in_hw[1];
+    let spatial = g.patches();
+    let (kh, kw, ow) = (g.conv.kh, g.conv.kw, g.out_hw[1]);
+    let kk = kh * kw;
+    let map_len = g.channels * hw;
+    if map_len == 0 {
+        return false; // an empty map holds no spike
+    }
+    let slots_needed = spatial * plan.seg_chunks;
+    assert!(u32::try_from(slots_needed).is_ok(), "slot map exceeds u32");
+    if bs.slot_of.len() < slots_needed {
+        bs.slot_of.resize(slots_needed, 0);
+    }
+    bs.currents.clear();
+    // Only channels whose receptive-field rows meet the window can drive
+    // anything (rows of channel `ch` are `ch·kk .. (ch+1)·kk`).
+    let ch_lo = plan.window.start / kk;
+    let ch_hi = g.channels.min(plan.window.end.div_ceil(kk));
+    let mut hit = false;
+    // One image at a time, so the live slots stay cache-resident.
+    for (map, out_img) in spikes
+        .chunks_exact(map_len)
+        .zip(out.chunks_exact_mut(plan.cols * spatial))
+        .take(images)
+    {
+        let drives = &mut bs.drives;
+        drives.clear();
+        let mut base = ch_lo * hw;
+        // Channel of the current spike and the end of its plane, advanced
+        // as the ascending spikes cross planes — no division per spike.
+        let (mut ch, mut plane_end) = (ch_lo, (ch_lo + 1) * hw);
+        // First pass: list the image's (patch, row) drives. One spike
+        // bitmask per 64-pixel block: most blocks hold no spike and are
+        // dismissed with ~1 op per pixel, and the set bits are walked
+        // without a branch per pixel.
+        let (blocks, tail) = map[ch_lo * hw..ch_hi * hw].as_chunks::<64>();
+        for blk in blocks.iter().map(|b| &b[..]).chain([tail]) {
+            // Full blocks have a length known at compile time, so their
+            // mask compiles to vector compares.
+            let mut hits = match <&[f32; 64]>::try_from(blk) {
+                Ok(full) => spike_mask(full),
+                Err(_) => spike_mask(blk),
+            };
+            while hits != 0 {
+                let i = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                let pix = base + i;
+                while pix >= plane_end {
+                    ch += 1;
+                    plane_end += hw;
+                }
+                let (y, x) = plan.pixel_yx[pix + hw - plane_end];
+                for &(ky, oy) in plan.y_taps.of(y as usize) {
+                    let row0 = (ch * kh + ky as usize) * kw;
+                    let prow = oy as usize * ow;
+                    for &(kx, ox) in plan.x_taps.of(x as usize) {
+                        let row = row0 + kx as usize;
+                        if plan.window.contains(&row) {
+                            let p = prow + ox as usize;
+                            drives.push((p as u32, (row - plan.window.start) as u32));
                         }
                     }
                 }
             }
+            base += blk.len();
         }
-    };
-    let starts = &mut batch.starts;
-    starts.clear();
-    starts.resize(patches + 1, 0);
-    for_each(&mut |p, _| starts[p + 1] += 1);
-    for p in 0..patches {
-        starts[p + 1] += starts[p];
+        // Second pass: the adds, in the same (ascending pixel) order. An
+        // image takes at most one slot per drive; slots past the warm
+        // high-water mark are grown zeroed, and the reduction re-zeroes
+        // every slot it reads, so reused slots are `+0.0`.
+        let most = bs.drives.len().min(slots_needed);
+        if bs.acc.len() < most * plan.width {
+            bs.acc.resize(most * plan.width, 0.0);
+            bs.cur.resize(most * plan.groups, 0.0);
+        }
+        let mut slots = 0usize;
+        for i in 0..bs.drives.len() {
+            let (p, r) = bs.drives[i];
+            drive_row(plan, bs, &mut slots, p as usize, r as usize);
+        }
+        if slots > 0 {
+            hit = true;
+            reduce_image(plan, bs, out_img);
+        }
     }
-    let cursor = &mut scratch.cursor;
-    cursor.clear();
-    cursor.extend_from_slice(&starts[..patches]);
-    let idx = &mut batch.idx;
-    idx.clear();
-    idx.resize(starts[patches], 0);
-    for_each(&mut |p, col| {
-        idx[cursor[p]] = col;
-        cursor[p] += 1;
-    });
+    hit
+}
+
+/// Bit `i` set iff `blk[i]` spikes (`> 0.5`); `blk` holds ≤ 64 values.
+#[inline(always)]
+fn spike_mask(blk: &[f32]) -> u64 {
+    blk.iter()
+        .enumerate()
+        .fold(0u64, |m, (i, &v)| m | (u64::from(v > 0.5) << i))
+}
+
+/// Reduces one image's touched slots, patch by patch in ascending
+/// order: merges each patch's ACs into its column outputs in `out_img`
+/// (`[cols, spatial]`), appends its AC currents to `bs.currents`, and
+/// takes every slot it reads back to untouched and `+0.0` (in the same
+/// loops that read them).
+#[inline(always)]
+fn reduce_image(plan: &ScatterPlan<'_>, bs: &mut BlockScratch, out_img: &mut [f32]) {
+    let spatial = plan.geom.patches();
+    let (groups, width) = (plan.groups, plan.width);
+    let mut tot = [0.0f64; M];
+    let mut vals = [0.0f32; M];
+    for pos in 0..spatial {
+        let keys = &mut bs.slot_of[pos * plan.seg_chunks..(pos + 1) * plan.seg_chunks];
+        if keys.iter().all(|&s| s == 0) {
+            continue;
+        }
+        for (seg, (&sc0, &chunks)) in plan
+            .seg_chunk_base
+            .iter()
+            .zip(&plan.seg_chunk_count)
+            .enumerate()
+        {
+            let seg_keys = &keys[sc0..sc0 + chunks];
+            let silent = seg_keys.iter().all(|&s| s == 0);
+            for (gi, &kernels) in plan.kernels.iter().enumerate() {
+                let tot = &mut tot[..kernels];
+                let mut first = true;
+                for &slot in seg_keys {
+                    if slot == 0 {
+                        bs.currents.push(0.0);
+                        continue;
+                    }
+                    let s = slot as usize - 1;
+                    let cur = &mut bs.cur[s * groups + gi];
+                    bs.currents.push(std::mem::take(cur));
+                    let a = &mut bs.acc[s * width + gi * M..][..kernels];
+                    if first {
+                        // `0.0 + a == a`: an accumulator is never `−0.0`.
+                        for (t, a) in tot.iter_mut().zip(a) {
+                            *t = std::mem::take(a);
+                        }
+                        first = false;
+                    } else {
+                        for (t, a) in tot.iter_mut().zip(a) {
+                            // Kirchhoff current summation, AC-ascending.
+                            *t += std::mem::take(a);
+                        }
+                    }
+                }
+                if silent {
+                    continue;
+                }
+                let unit = plan.units[seg][gi];
+                for (v, &t) in vals.iter_mut().zip(tot.iter()) {
+                    *v = (t / unit) as f32;
+                }
+                let out_cols = out_img[gi * M * spatial + pos..]
+                    .iter_mut()
+                    .step_by(spatial);
+                for (o, &v) in out_cols.zip(&vals[..kernels]) {
+                    *o += v;
+                }
+            }
+        }
+        for k in keys {
+            *k = 0;
+        }
+    }
+}
+
+/// Adds receptive-field row `r` (window-relative) of patch `p` (within
+/// the current image) into its (patch, AC) slot, allocating the slot zeroed on first
+/// touch, for every column group whose AC is alive.
+#[inline(always)]
+fn drive_row(plan: &ScatterPlan<'_>, bs: &mut BlockScratch, slots: &mut usize, p: usize, r: usize) {
+    let (groups, width) = (plan.groups, plan.width);
+    let (sc, row) = plan.row_ac[r];
+    let (sc, row) = (sc as usize, row as usize);
+    let key = &mut bs.slot_of[p * plan.seg_chunks + sc];
+    // First touch takes the next slot. Branch-free: whether a slot is
+    // fresh is as random as the spikes.
+    let fresh = *key == 0;
+    *slots += usize::from(fresh);
+    *key = if fresh { *slots as u32 } else { *key };
+    let s = *key as usize - 1;
+    let acc = &mut bs.acc[s * width..(s + 1) * width];
+    if groups == 1 {
+        // The common single-group layer, without the group walk.
+        if let Some(view) = &plan.views[sc] {
+            bs.cur[s] = view.add_row(row, acc, bs.cur[s]);
+        }
+        return;
+    }
+    let cur = &mut bs.cur[s * groups..(s + 1) * groups];
+    for (gi, (view, c)) in plan.views[sc * groups..(sc + 1) * groups]
+        .iter()
+        .zip(cur)
+        .enumerate()
+    {
+        if let Some(view) = view {
+            *c = view.add_row(row, &mut acc[gi * M..], *c);
+        }
+    }
+}
+
+/// For every input coordinate along one axis, the `(tap, output)` pairs
+/// it feeds: input `y` is tap `ky` of output `oy` when
+/// `y + pad = oy·stride + ky`. Precomputed per call so the spike walk
+/// never divides by the stride.
+struct AxisTaps {
+    starts: Vec<usize>,
+    taps: Vec<(u32, u32)>,
+}
+
+impl AxisTaps {
+    fn new(input: usize, k: usize, stride: usize, pad: usize, output: usize) -> Self {
+        let mut starts = Vec::with_capacity(input + 1);
+        let mut taps = Vec::new();
+        starts.push(0);
+        for y in 0..input {
+            for ky in 0..k {
+                let Some(t) = (y + pad).checked_sub(ky) else {
+                    continue;
+                };
+                if t % stride == 0 && t / stride < output {
+                    taps.push((ky as u32, (t / stride) as u32));
+                }
+            }
+            starts.push(taps.len());
+        }
+        Self { starts, taps }
+    }
+
+    fn of(&self, y: usize) -> &[(u32, u32)] {
+        &self.taps[self.starts[y]..self.starts[y + 1]]
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -766,16 +961,11 @@ impl AnalogSpikingNetwork {
                     vec![shape[0], matrix.cols]
                 }
                 SpikingAnalogStage::Conv {
-                    geom, out_channels, ..
-                } => {
-                    if shape.len() != 4 {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!("conv stage expects rank-4 input, got {shape:?}"),
-                        });
-                    }
-                    let (oh, ow) = geom.out_hw(shape[2], shape[3])?;
-                    vec![shape[0], *out_channels, oh, ow]
-                }
+                    matrix,
+                    geom,
+                    out_channels,
+                    ..
+                } => conv_output_shape(&shape, matrix.rf, *geom, *out_channels)?,
                 SpikingAnalogStage::IntegrateFire(_) => shape,
                 SpikingAnalogStage::AvgPool { k } => {
                     if shape.len() != 4 {
@@ -793,6 +983,15 @@ impl AnalogSpikingNetwork {
         Ok(shape)
     }
 
+    /// The checks every entry point makes once, before the first
+    /// timestep: the shape must flow through every stage
+    /// ([`output_shape`](Self::output_shape)) and every value must be
+    /// finite.
+    pub(crate) fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
+        self.output_shape(inputs.shape())?;
+        check_finite(inputs)
+    }
+
     pub(crate) fn reset_state(&mut self) {
         for stage in &mut self.stages {
             if let SpikingAnalogStage::IntegrateFire(p) = stage {
@@ -805,16 +1004,20 @@ impl AnalogSpikingNetwork {
     /// the accumulated output potentials `[N, classes]`.
     ///
     /// All samples advance through each timestep together: every
-    /// synaptic stage prepares its tiles once and evaluates each item's
-    /// spiking rows through the split-phase
-    /// [`SuperTile::eval_sparse_prepared`] instead of one dense `dot` per
-    /// sample, then accrues read energy in item order. Outputs, RNG
-    /// consumption and energy counters are bit-identical to
-    /// [`run_sequential`](Self::run_sequential).
+    /// synaptic stage scatters the wave's spikes straight into the
+    /// crossbar rows they drive (see `SnnMatrix::scatter_spikes` and
+    /// DESIGN.md "Event-driven evaluation") instead of one dense `dot`
+    /// per sample and output position, then accrues read energy in
+    /// patch order. Outputs, RNG consumption and waves are bit-identical
+    /// to [`run_sequential`](Self::run_sequential), and so is energy on
+    /// [`KernelPath::Scalar`].
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures.
+    /// Returns [`AnalogError::BadGeometry`] when the input shape does not
+    /// fit the network (see [`output_shape`](Self::output_shape)) and
+    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
+    /// before any timestep runs; propagates circuit and tensor failures.
     pub fn run<R: Rng + ?Sized>(
         &mut self,
         inputs: &Tensor,
@@ -833,7 +1036,7 @@ impl AnalogSpikingNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures.
+    /// As [`run`](Self::run).
     pub fn run_sequential<R: Rng + ?Sized>(
         &mut self,
         inputs: &Tensor,
@@ -862,8 +1065,7 @@ impl AnalogSpikingNetwork {
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] when the group row counts
-    /// don't sum to the batch size; propagates circuit and tensor
-    /// failures.
+    /// don't sum to the batch size; otherwise as [`run`](Self::run).
     pub fn run_seeded_groups(
         &mut self,
         inputs: &Tensor,
@@ -913,6 +1115,7 @@ impl AnalogSpikingNetwork {
         reference: bool,
         encode: &mut dyn FnMut(&Tensor) -> Tensor,
     ) -> Result<Tensor, AnalogError> {
+        self.check_input(inputs)?;
         self.reset_state();
         let mut acc: Option<Tensor> = None;
         let stage_count = self.stages.len();
@@ -973,122 +1176,62 @@ impl AnalogSpikingNetwork {
                         scratch,
                     } => {
                         let n = h.shape()[0];
-                        let ys: Option<Vec<f32>> = if reference {
-                            let mut ys = Vec::with_capacity(n * matrix.cols);
-                            for i in 0..n {
-                                let row = &h.data()[i * matrix.rf..(i + 1) * matrix.rf];
-                                ys.extend_from_slice(&matrix.dot_spikes_reference(row)?);
-                            }
-                            Some(ys)
-                        } else {
-                            scratch.batch.gather_dense(h.data(), matrix.rf);
-                            if scratch.batch.is_silent() {
-                                // Whole-layer skip: a silent wave never
-                                // reaches the crossbars (no prepare, no
-                                // pool dispatch, no accrual).
-                                None
-                            } else {
-                                Some(matrix.dot_spikes_batch_active_with(&scratch.batch, workers)?)
-                            }
-                        };
-                        self.timestep_waves += n as u64;
                         let mut out = Tensor::zeros(&[n, matrix.cols]);
-                        match ys {
-                            Some(ys) => {
-                                for (dst, y) in out
-                                    .data_mut()
-                                    .chunks_mut(bias.len())
-                                    .zip(ys.chunks(matrix.cols))
-                                {
-                                    for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter()))
-                                    {
-                                        *d = v + b;
-                                    }
-                                }
+                        if reference {
+                            for (i, dst) in out.data_mut().chunks_mut(matrix.cols).enumerate() {
+                                let row = &h.data()[i * matrix.rf..(i + 1) * matrix.rf];
+                                dst.copy_from_slice(&matrix.dot_spikes_reference(row)?);
                             }
-                            // Bias-only output: the crossbar term is
-                            // exactly `0.0`, and `0.0 + b` (not a bare
-                            // `b`) keeps the bits identical to the long
-                            // path even for `b == -0.0`.
-                            None => {
-                                for dst in out.data_mut().chunks_mut(bias.len()) {
-                                    for (d, &b) in dst.iter_mut().zip(bias.iter()) {
-                                        *d = 0.0 + b;
-                                    }
-                                }
-                            }
+                        } else {
+                            let geom = StageGeometry::dense(n, matrix.rf);
+                            let rows = 0..matrix.rf;
+                            matrix.scatter_spikes(
+                                h.data(),
+                                &geom,
+                                rows,
+                                workers,
+                                scratch,
+                                out.data_mut(),
+                            );
                         }
+                        self.timestep_waves += n as u64;
+                        add_bias(&mut out, bias, 1);
                         out
                     }
                     SpikingAnalogStage::Conv {
                         matrix,
                         bias,
                         geom,
-                        out_channels,
                         scratch,
+                        ..
                     } => {
-                        let (n, cc, hh, ww) =
-                            (h.shape()[0], h.shape()[1], h.shape()[2], h.shape()[3]);
-                        let (oh, ow) = geom.out_hw(hh, ww)?;
-                        let spatial = oh * ow;
-                        let total_rows = n * spatial;
-                        let ys: Option<Vec<f32>> = if reference {
+                        let sg = StageGeometry::conv(h.shape(), *geom)?;
+                        let (n, spatial) = (sg.images, sg.patches());
+                        let [oh, ow] = sg.out_hw;
+                        let mut out = Tensor::zeros(&[n, matrix.cols, oh, ow]);
+                        if reference {
                             let cols = im2col(&h, *geom)?;
-                            let mut ys = Vec::with_capacity(total_rows * matrix.cols);
-                            for ri in 0..total_rows {
+                            for ri in 0..n * spatial {
                                 let row = &cols.data()[ri * matrix.rf..(ri + 1) * matrix.rf];
-                                ys.extend_from_slice(&matrix.dot_spikes_reference(row)?);
+                                let y = matrix.dot_spikes_reference(row)?;
+                                let (img, pos) = (ri / spatial, ri % spatial);
+                                for (o, v) in y.into_iter().enumerate() {
+                                    out.data_mut()[(img * matrix.cols + o) * spatial + pos] = v;
+                                }
                             }
-                            Some(ys)
                         } else {
-                            // Fused sparse lowering: build each patch's
-                            // active-index list straight from the
-                            // spiking feature map — no im2col matrix,
-                            // no dense patch rows. Bit-identical to the
-                            // unfused path (see `gather_conv_patches`).
-                            gather_conv_patches(
-                                scratch,
+                            let rows = 0..matrix.rf;
+                            matrix.scatter_spikes(
                                 h.data(),
-                                [n, cc, hh, ww],
-                                [oh, ow],
-                                *geom,
+                                &sg,
+                                rows,
+                                workers,
+                                scratch,
+                                out.data_mut(),
                             );
-                            if scratch.batch.is_silent() {
-                                // Whole-layer skip, as in the dense arm.
-                                None
-                            } else {
-                                Some(matrix.dot_spikes_batch_active_with(&scratch.batch, workers)?)
-                            }
-                        };
-                        self.timestep_waves += total_rows as u64;
-                        let mc = matrix.cols;
-                        let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
-                        match ys {
-                            Some(ys) => {
-                                for img in 0..n {
-                                    for s in 0..spatial {
-                                        let y = &ys[(img * spatial + s) * mc..][..mc];
-                                        for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
-                                            out.data_mut()
-                                                [img * *out_channels * spatial + o * spatial + s] =
-                                                v + b;
-                                        }
-                                    }
-                                }
-                            }
-                            // Bias-only planes; `0.0 + b` for the same
-                            // `-0.0` reason as the dense arm.
-                            None => {
-                                for img in 0..n {
-                                    for (o, &b) in bias.iter().enumerate() {
-                                        let base = img * *out_channels * spatial + o * spatial;
-                                        for d in &mut out.data_mut()[base..base + spatial] {
-                                            *d = 0.0 + b;
-                                        }
-                                    }
-                                }
-                            }
                         }
+                        self.timestep_waves += (n * spatial) as u64;
+                        add_bias(&mut out, bias, spatial);
                         out
                     }
                     SpikingAnalogStage::IntegrateFire(pop) => pop.step(&h)?,
@@ -1147,6 +1290,41 @@ impl AnalogSpikingNetwork {
     /// timestep).
     pub fn waves(&self) -> u64 {
         self.timestep_waves
+    }
+}
+
+/// Output shape of a convolution stage of receptive field `rf` fed
+/// `shape`: rank 4 with exactly `rf / (kh·kw)` channels.
+pub(crate) fn conv_output_shape(
+    shape: &[usize],
+    rf: usize,
+    geom: ConvGeometry,
+    out_channels: usize,
+) -> Result<Vec<usize>, AnalogError> {
+    if shape.len() != 4 || shape[1] * geom.kh * geom.kw != rf {
+        return Err(AnalogError::BadGeometry {
+            reason: format!(
+                "conv stage expects [n, {}, h, w], got {shape:?}",
+                rf / (geom.kh * geom.kw)
+            ),
+        });
+    }
+    let (oh, ow) = geom.out_hw(shape[2], shape[3])?;
+    Ok(vec![shape[0], out_channels, oh, ow])
+}
+
+/// Adds the digital bias injection to a stage's crossbar outputs, laid
+/// out `[n, channels, spatial]`: every value becomes `v + b`. A patch or
+/// a whole layer the spikes never reached holds exactly `0.0`, so it
+/// becomes `0.0 + b` — not a bare `b`, which would differ for
+/// `b == −0.0`.
+pub(crate) fn add_bias(out: &mut Tensor, bias: &[f32], spatial: usize) {
+    for plane in out.data_mut().chunks_mut(bias.len() * spatial) {
+        for (dst, &b) in plane.chunks_mut(spatial).zip(bias) {
+            for d in dst {
+                *d += b;
+            }
+        }
     }
 }
 
@@ -1247,55 +1425,25 @@ mod tests {
         (net, data)
     }
 
-    #[test]
-    fn spike_batch_slicing_handles_empty_and_single_active_items() {
-        // CSR edge cases the fast path relies on implicitly: items with
-        // zero activity produce empty slices, a single active row
-        // produces a one-element slice, and `partition_point` over a
-        // one-element item resolves segment membership exactly.
-        let mut batch = SpikeBatch::with_items(4);
-        batch.push_item(); // item 0: silent
-        batch.idx.push(7);
-        batch.push_item(); // item 1: single active row
-        batch.push_item(); // item 2: silent
-        batch.idx.extend([1u32, 5, 9]);
-        batch.push_item(); // item 3: several rows
-        assert_eq!(batch.len(), 4);
-        assert_eq!(batch.item(0), &[] as &[u32]);
-        assert_eq!(batch.item(1), &[7]);
-        assert_eq!(batch.item(2), &[] as &[u32]);
-        assert_eq!(batch.item(3), &[1, 5, 9]);
-
-        // partition_point slicing of a single-active-row item: the row
-        // lands in exactly one segment window, empty slices elsewhere.
-        let acts = batch.item(1);
-        for (lo_bound, hi_bound, expect) in [(0usize, 4usize, 0..0), (4, 8, 0..1), (8, 12, 1..1)] {
-            let s_lo = acts.partition_point(|&g| (g as usize) < lo_bound);
-            let s_hi = acts.partition_point(|&g| (g as usize) < hi_bound);
-            assert_eq!(s_lo..s_hi, expect, "window {lo_bound}..{hi_bound}");
+    /// Runs a dense-stage scatter of `items` (each a list of spiking
+    /// rows out of `rf`) and returns the `[items, cols]` outputs.
+    fn scatter_dense(matrix: &mut SnnMatrix, items: &[&[usize]], workers: usize) -> Vec<f32> {
+        let rf = matrix.rf;
+        let mut spikes = vec![0.0f32; items.len() * rf];
+        for (i, rows) in items.iter().enumerate() {
+            for &r in *rows {
+                spikes[i * rf + r] = 1.0;
+            }
         }
-
-        // The dense gather produces the same CSR structure, and reusing
-        // the batch keeps its capacity while replacing its contents.
-        let mut data = vec![0.0f32; 30];
-        data[10 + 7] = 1.0;
-        let mut gathered = SpikeBatch::default();
-        gathered.gather_dense(&data, 10);
-        assert_eq!(gathered.len(), 3);
-        assert_eq!(gathered.item(0), &[] as &[u32]);
-        assert_eq!(gathered.item(1), &[7]);
-        assert_eq!(gathered.item(2), &[] as &[u32]);
-        assert!(!gathered.is_silent());
-        let (idx_cap, starts_cap) = (gathered.idx.capacity(), gathered.starts.capacity());
-        gathered.gather_dense(&[0.0f32; 20], 10);
-        assert_eq!(gathered.len(), 2);
-        assert!(gathered.is_silent());
-        assert_eq!(gathered.idx.capacity(), idx_cap);
-        assert_eq!(gathered.starts.capacity(), starts_cap);
+        let mut out = vec![0.0f32; items.len() * matrix.cols];
+        let geom = StageGeometry::dense(items.len(), rf);
+        let mut scratch = EventScratch::default();
+        matrix.scatter_spikes(&spikes, &geom, 0..rf, workers, &mut scratch, &mut out);
+        out
     }
 
     #[test]
-    fn quantized_spike_gather_dismisses_silent_items_without_energy() {
+    fn quantized_scatter_dismisses_silent_items_without_energy() {
         let weight = Tensor::from_vec(
             (0..10 * 3).map(|i| (i % 5) as f32 / 4.0 - 0.4).collect(),
             &[10, 3],
@@ -1307,15 +1455,8 @@ mod tests {
 
         // A batch of only silent items must produce zero outputs and
         // touch neither the LUT nor the energy counters.
-        let silent = SpikeBatch::with_items(3);
-        let mut silent = silent;
-        for _ in 0..3 {
-            silent.push_item();
-        }
-        let out = quant
-            .dot_spikes_batch_active_with(&silent, nebula_tensor::pool::size())
-            .unwrap();
-        assert!(out.iter().all(|&v| v == 0.0));
+        let out = scatter_dense(&mut quant, &[&[], &[], &[]], nebula_tensor::pool::size());
+        assert!(out.iter().all(|&v| v.to_bits() == 0));
         assert_eq!(
             quant.read_energy(),
             Joules::ZERO,
@@ -1326,33 +1467,128 @@ mod tests {
         // the per-item scalar reference; silent item contributes nothing.
         let mut scalar = SnnMatrix::program(&weight, &config).unwrap();
         scalar.set_kernel_path(KernelPath::Scalar);
-        let mut batch = SpikeBatch::with_items(3);
-        batch.push_item(); // silent
-        batch.idx.push(4);
-        batch.push_item(); // single active row
-        batch.idx.extend([0u32, 3, 9]);
-        batch.push_item();
-        let out = quant
-            .dot_spikes_batch_active_with(&batch, nebula_tensor::pool::size())
-            .unwrap();
-        let mut spikes = vec![vec![0.0f32; 10]; 3];
-        spikes[1][4] = 1.0;
-        for r in [0usize, 3, 9] {
-            spikes[2][r] = 1.0;
-        }
-        for (i, item) in spikes.iter().enumerate() {
-            let reference = scalar.dot_spikes_reference(item).unwrap();
-            for (c, (&q, &s)) in out[i * 3..(i + 1) * 3].iter().zip(&reference).enumerate() {
-                assert_eq!(q.to_bits(), s.to_bits(), "item {i} col {c}");
+        let items: [&[usize]; 3] = [&[], &[4], &[0, 3, 9]];
+        for workers in [1, 3] {
+            let mut q = SnnMatrix::program(&weight, &config).unwrap();
+            q.set_kernel_path(KernelPath::Quantized);
+            let out = scatter_dense(&mut q, &items, workers);
+            for (i, rows) in items.iter().enumerate() {
+                let mut spikes = vec![0.0f32; 10];
+                for &r in *rows {
+                    spikes[r] = 1.0;
+                }
+                let reference = scalar.dot_spikes_reference(&spikes).unwrap();
+                for (c, (&q, &s)) in out[i * 3..(i + 1) * 3].iter().zip(&reference).enumerate() {
+                    assert_eq!(q.to_bits(), s.to_bits(), "item {i} col {c}");
+                }
             }
+            quant = q;
         }
         // Energy: quantized accrues via per-row sums, bitwise equal to
         // the vectorized formulation on the same activity.
         let mut vector = SnnMatrix::program(&weight, &config).unwrap();
-        vector
-            .dot_spikes_batch_active_with(&batch, nebula_tensor::pool::size())
-            .unwrap();
+        vector.set_kernel_path(KernelPath::Vectorized);
+        scatter_dense(&mut vector, &items, 1);
         assert_eq!(quant.read_energy(), vector.read_energy());
+    }
+
+    #[test]
+    fn scatter_window_drives_only_its_rows() {
+        // A window over rows 4..10 of a 10-feature spike map drives a
+        // 6-row matrix with the rebased rows 0..6: spikes below the
+        // window are ignored, and a wave with spikes only outside it
+        // reports no hit and accrues nothing.
+        let weight =
+            Tensor::from_vec((0..6 * 2).map(|i| i as f32 / 6.0 - 1.0).collect(), &[6, 2]).unwrap();
+        let config = CrossbarConfig::paper_default(Mode::Snn);
+        let mut matrix = SnnMatrix::program(&weight, &config).unwrap();
+        let geom = StageGeometry::dense(1, 10);
+        let mut scratch = EventScratch::default();
+        let mut out = vec![0.0f32; 2];
+        let mut spikes = vec![0.0f32; 10];
+        spikes[1] = 1.0;
+        assert!(!matrix.scatter_spikes(&spikes, &geom, 4..10, 1, &mut scratch, &mut out));
+        assert!(out.iter().all(|&v| v.to_bits() == 0));
+        assert_eq!(matrix.read_energy(), Joules::ZERO);
+        spikes[5] = 1.0;
+        spikes[9] = 1.0;
+        assert!(matrix.scatter_spikes(&spikes, &geom, 4..10, 1, &mut scratch, &mut out));
+        let mut rebased = vec![0.0f32; 6];
+        rebased[1] = 1.0;
+        rebased[5] = 1.0;
+        let expect = matrix.clone().dot_spikes_reference(&rebased).unwrap();
+        for (a, b) in out.iter().zip(&expect) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn scatter_is_bitwise_per_patch_reference_for_any_worker_count() {
+        // Every patch of a scatter equals the per-patch reference on its
+        // im2col row, and the accrued energy is the same bits for one
+        // worker or several (workers split by image; accrual is
+        // sequential), across strides, paddings, kernels and ACs.
+        let config = CrossbarConfig::paper_default(Mode::Snn);
+        let mut r = rng();
+        for (c, k, stride, pad, side) in [
+            (2, 3, 1, 1, 5),
+            (3, 5, 2, 2, 6),
+            (20, 3, 2, 0, 5),
+            (200, 1, 1, 0, 3),
+        ] {
+            let oc = 3;
+            let weight = Tensor::rand_uniform(&[c * k * k, oc], -1.0, 1.0, &mut r);
+            let geom = ConvGeometry {
+                kh: k,
+                kw: k,
+                stride,
+                pad,
+            };
+            let x = Tensor::rand_uniform(&[5, c, side, side], 0.0, 1.0, &mut r).map(|v| {
+                if v > 0.7 {
+                    1.0
+                } else {
+                    0.0
+                }
+            });
+            let sg = StageGeometry::conv(x.shape(), geom).unwrap();
+            let spatial = sg.patches();
+            let patches = im2col(&x, geom).unwrap();
+            let mut reference = SnnMatrix::program(&weight, &config).unwrap();
+            let mut energies = Vec::new();
+            for workers in [1, 4] {
+                let mut matrix = SnnMatrix::program(&weight, &config).unwrap();
+                let mut scratch = EventScratch::default();
+                let mut out = vec![0.0f32; 5 * oc * spatial];
+                let rf = matrix.rf;
+                assert!(matrix.scatter_spikes(
+                    x.data(),
+                    &sg,
+                    0..rf,
+                    workers,
+                    &mut scratch,
+                    &mut out
+                ));
+                for p in 0..5 * spatial {
+                    let row = &patches.data()[p * rf..(p + 1) * rf];
+                    let expect = reference.dot_spikes_reference(row).unwrap();
+                    let (img, pos) = (p / spatial, p % spatial);
+                    for (o, e) in expect.iter().enumerate() {
+                        let got = out[(img * oc + o) * spatial + pos];
+                        assert_eq!(
+                            got.to_bits(),
+                            e.to_bits(),
+                            "c {c} k {k} workers {workers} patch {p}"
+                        );
+                    }
+                }
+                energies.push(matrix.read_energy().0.to_bits());
+            }
+            assert_eq!(
+                energies[0], energies[1],
+                "c {c} k {k}: energy depends on workers"
+            );
+        }
     }
 
     #[test]
@@ -1399,7 +1635,7 @@ mod tests {
         );
     }
 
-    /// A small conv + dense spiking stack exercising both gather paths.
+    /// A small conv + dense spiking stack exercising both stage kinds.
     fn conv_snn(r: &mut rand::rngs::StdRng) -> AnalogSpikingNetwork {
         let snn = SpikingNetwork::new(
             vec![
@@ -1414,27 +1650,32 @@ mod tests {
         compile_snn_default(&snn).unwrap()
     }
 
-    /// Capacities of every gather-scratch vector, per synaptic stage.
+    /// Capacities of every scatter-scratch vector, per synaptic stage
+    /// and worker block.
     fn scratch_caps(net: &AnalogSpikingNetwork) -> Vec<[usize; 5]> {
         net.stages
             .iter()
             .filter_map(|s| match s {
                 SpikingAnalogStage::Dense { scratch, .. }
-                | SpikingAnalogStage::Conv { scratch, .. } => Some([
-                    scratch.batch.idx.capacity(),
-                    scratch.batch.starts.capacity(),
-                    scratch.fm_idx.capacity(),
-                    scratch.fm_starts.capacity(),
-                    scratch.cursor.capacity(),
-                ]),
+                | SpikingAnalogStage::Conv { scratch, .. } => Some(&scratch.blocks),
                 _ => None,
+            })
+            .flatten()
+            .map(|b| {
+                [
+                    b.slot_of.capacity(),
+                    b.acc.capacity(),
+                    b.cur.capacity(),
+                    b.currents.capacity(),
+                    b.drives.capacity(),
+                ]
             })
             .collect()
     }
 
     #[test]
-    fn event_gather_scratch_does_not_grow_across_timesteps() {
-        // The per-stage gather scratch must amortize to zero allocations
+    fn event_scratch_does_not_grow_across_timesteps() {
+        // The per-stage scatter scratch must amortize to zero allocations
         // per timestep: a second identically seeded run replays exactly
         // the same activity, so if the vectors are truly rebuilt in
         // place their capacities cannot move.
@@ -1444,7 +1685,7 @@ mod tests {
         let mut r1 = rand::rngs::StdRng::seed_from_u64(41);
         analog.run(&x, 25, &mut r1).unwrap();
         let caps = scratch_caps(&analog);
-        assert_eq!(caps.len(), 2, "one scratch per synaptic stage");
+        assert!(caps.len() >= 2, "at least one block per synaptic stage");
         assert!(
             caps.iter().flatten().any(|&c| c > 0),
             "warm scratch should hold capacity"
@@ -1454,8 +1695,18 @@ mod tests {
         assert_eq!(
             scratch_caps(&analog),
             caps,
-            "steady-state timesteps must not grow the gather scratch"
+            "steady-state timesteps must not grow the scatter scratch"
         );
+        // Between calls every slot map is back to all-untouched.
+        for stage in &analog.stages {
+            if let SpikingAnalogStage::Dense { scratch, .. }
+            | SpikingAnalogStage::Conv { scratch, .. } = stage
+            {
+                for b in &scratch.blocks {
+                    assert!(b.slot_of.iter().all(|&s| s == 0));
+                }
+            }
+        }
     }
 
     #[test]

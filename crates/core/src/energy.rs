@@ -172,7 +172,8 @@ impl EnergyModel {
     /// at [`pj_per_bit_hop`](Self::pj_per_bit_hop) and chip-to-chip
     /// link crossings at the ~8× more expensive
     /// [`pj_per_bit_link`](Self::pj_per_bit_link). Feed it a
-    /// [`TrafficStats`] from a [`ChipCluster`](nebula_noc::ChipCluster)
+    /// [`TrafficStats`](nebula_noc::TrafficStats) from a
+    /// [`ChipCluster`](nebula_noc::ChipCluster)
     /// (or a single mesh, where the link term is zero).
     pub fn noc_traffic_energy(&self, stats: &nebula_noc::TrafficStats) -> Joules {
         let flit_bits = nebula_noc::FLIT_BITS as f64;

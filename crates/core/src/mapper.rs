@@ -153,7 +153,8 @@ pub fn map_network(descriptors: &[LayerDescriptor]) -> Vec<LayerMapping> {
 ///
 /// # Errors
 ///
-/// Returns [`CapacityExceeded`] (from [`crate::capacity::fits_chip`])
+/// Returns [`CapacityExceeded`](crate::capacity::CapacityExceeded) (from
+/// [`crate::capacity::fits_chip`])
 /// naming the first layer whose cumulative demand crosses the pool.
 pub fn try_map_network(
     descriptors: &[LayerDescriptor],
@@ -226,7 +227,8 @@ pub fn partition_balanced(costs: &[u64], parts: usize) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// Returns [`CapacityExceeded`] when a single layer exceeds the pool
+/// Returns [`CapacityExceeded`](crate::capacity::CapacityExceeded) when a
+/// single layer exceeds the pool
 /// (no amount of pipelining shards one layer — that is tensor
 /// sharding's job) or when no contiguous split into `chips` stages
 /// satisfies the per-stage pool.

@@ -54,7 +54,7 @@
 //! (ANN) or timesteps (SNN) through the chip stages on pool workers,
 //! turning the plan's modeled overlap into measured wall-clock overlap
 //! while keeping every counter bit-identical to the sequential walk —
-//! see the [`exec`] module docs for the scheduler and the journaled
+//! see the `exec` module docs for the scheduler and the journaled
 //! traffic replay that make that hold.
 //!
 //! [`SuperTile`]: nebula_crossbar::SuperTile
@@ -69,10 +69,10 @@ use exec::{
     TrafficSink,
 };
 
-use crate::analog::{AnalogError, AnalogNetwork, AnalogStage, ProgrammedMatrix};
+use crate::analog::{check_finite, AnalogError, AnalogNetwork, AnalogStage, ProgrammedMatrix};
 use crate::analog_snn::{
-    encode_groups, encode_with, gather_conv_patches, AnalogSpikingNetwork, EventScratch, SnnMatrix,
-    SpikeBatch, SpikingAnalogStage,
+    add_bias, conv_output_shape, encode_groups, encode_with, AnalogSpikingNetwork, EventScratch,
+    SnnMatrix, SpikingAnalogStage, StageGeometry,
 };
 use crate::capacity::CapacityExceeded;
 use crate::chip::ChipConfig;
@@ -778,9 +778,11 @@ impl ShardedAnalogNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures; inter-chip routing
+    /// Returns [`AnalogError::NonFiniteInput`] for a NaN or infinite
+    /// input; propagates circuit and tensor failures; inter-chip routing
     /// failures surface as [`AnalogError::Noc`].
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
+        check_finite(inputs)?;
         let workers = nebula_tensor::pool::size();
         let mut h = inputs.clone();
         let mut units = std::mem::take(&mut self.units);
@@ -814,7 +816,7 @@ impl ShardedAnalogNetwork {
     /// chip stages on pool workers, with per-stage traffic journaled
     /// and replayed at the join — outputs, waves, scalar energy and
     /// cluster traffic are bit-identical to the sequential walk for any
-    /// worker count and depth (see [`exec`]'s module docs).
+    /// worker count and depth (see the `exec` module docs).
     ///
     /// # Errors
     ///
@@ -825,6 +827,7 @@ impl ShardedAnalogNetwork {
         inputs: &Tensor,
         cfg: &PipelineConfig,
     ) -> Result<Tensor, AnalogError> {
+        check_finite(inputs)?;
         let n = match inputs.shape().first() {
             Some(&n) => n,
             None => return self.forward(inputs),
@@ -987,11 +990,8 @@ enum SnnUnit {
         cols: usize,
         rf: usize,
         scratch: EventScratch,
-        window: SpikeBatch,
         /// Shard chips other than home, fixed at construction.
         remote: Vec<usize>,
-        /// Reusable partial-sum accumulator (no steady-state allocs).
-        acc: Vec<f32>,
     },
     Conv {
         shards: Vec<SnnShard>,
@@ -1000,11 +1000,8 @@ enum SnnUnit {
         out_channels: usize,
         cols: usize,
         scratch: EventScratch,
-        window: SpikeBatch,
         /// Shard chips other than home, fixed at construction.
         remote: Vec<usize>,
-        /// Reusable partial-sum accumulator (no steady-state allocs).
-        acc: Vec<f32>,
     },
 }
 
@@ -1039,41 +1036,23 @@ fn exec_snn_unit<S: TrafficSink>(
             cols,
             rf,
             scratch,
-            window,
             remote,
-            acc,
         } => {
             let n = h.shape()[0];
-            scratch.batch.gather_dense(h.data(), *rf);
-            acc.clear();
-            acc.resize(n * *cols, 0.0);
-            if !scratch.batch.is_silent() {
-                // A silent wave ships nothing and touches no
-                // crossbar — exactly the single-chip skip.
+            let geom = StageGeometry::dense(n, *rf);
+            let mut out = Tensor::zeros(&[n, *cols]);
+            if scatter_shards(shards, h.data(), &geom, scratch, workers, out.data_mut()) {
+                // A silent wave ships nothing and touches no crossbar —
+                // exactly the single-chip skip.
                 sink.shard(
                     HOME,
                     remote,
                     (n * *rf) as u64 * SNN_ACT_BITS,
                     (n * *cols) as u64 * PARTIAL_BITS,
                 )?;
-                for shard in shards.iter_mut() {
-                    scratch.batch.slice_window(shard.lo, shard.hi, window);
-                    if window.is_silent() {
-                        continue;
-                    }
-                    let ys = shard.matrix.dot_spikes_batch_active_with(window, workers)?;
-                    for (a, v) in acc.iter_mut().zip(ys) {
-                        *a += v;
-                    }
-                }
             }
             sink.add_waves(n as u64);
-            let mut out = Tensor::zeros(&[n, *cols]);
-            for (dst, y) in out.data_mut().chunks_mut(bias.len()).zip(acc.chunks(*cols)) {
-                for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter())) {
-                    *d = v + b;
-                }
-            }
+            add_bias(&mut out, bias, 1);
             Ok(out)
         }
         SnnUnit::Conv {
@@ -1083,48 +1062,48 @@ fn exec_snn_unit<S: TrafficSink>(
             out_channels,
             cols,
             scratch,
-            window,
             remote,
-            acc,
         } => {
-            let (n, cc, hh, ww) = (h.shape()[0], h.shape()[1], h.shape()[2], h.shape()[3]);
-            let (oh, ow) = geom.out_hw(hh, ww)?;
-            let spatial = oh * ow;
-            let total_rows = n * spatial;
-            gather_conv_patches(scratch, h.data(), [n, cc, hh, ww], [oh, ow], *geom);
-            acc.clear();
-            acc.resize(total_rows * *cols, 0.0);
-            if !scratch.batch.is_silent() {
+            let sg = StageGeometry::conv(h.shape(), *geom)?;
+            let (n, spatial) = (sg.images, sg.patches());
+            let [oh, ow] = sg.out_hw;
+            let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
+            if scatter_shards(shards, h.data(), &sg, scratch, workers, out.data_mut()) {
                 sink.shard(
                     HOME,
                     remote,
                     (h.len() as u64 * SNN_ACT_BITS).max(1),
-                    (total_rows * *cols) as u64 * PARTIAL_BITS,
+                    (n * spatial * *cols) as u64 * PARTIAL_BITS,
                 )?;
-                for shard in shards.iter_mut() {
-                    scratch.batch.slice_window(shard.lo, shard.hi, window);
-                    if window.is_silent() {
-                        continue;
-                    }
-                    let ys = shard.matrix.dot_spikes_batch_active_with(window, workers)?;
-                    for (a, v) in acc.iter_mut().zip(ys) {
-                        *a += v;
-                    }
-                }
             }
-            sink.add_waves(total_rows as u64);
-            let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
-            for img in 0..n {
-                for s in 0..spatial {
-                    let y = &acc[(img * spatial + s) * *cols..][..*cols];
-                    for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
-                        out.data_mut()[img * *out_channels * spatial + o * spatial + s] = v + b;
-                    }
-                }
-            }
+            sink.add_waves((n * spatial) as u64);
+            add_bias(&mut out, bias, spatial);
             Ok(out)
         }
     }
+}
+
+/// Drives every shard's R_f window of one spike wave, accumulating the
+/// per-segment partials into `out` in shard (= segment) order — the
+/// order the unsplit matrix adds them in. Returns whether any spike
+/// reached any shard; the windows partition the receptive field, so
+/// that is exactly whether the unsplit layer would have seen a spike.
+fn scatter_shards(
+    shards: &mut [SnnShard],
+    spikes: &[f32],
+    geom: &StageGeometry,
+    scratch: &mut EventScratch,
+    workers: usize,
+    out: &mut [f32],
+) -> bool {
+    let mut hit = false;
+    for shard in shards {
+        let window = shard.lo..shard.hi;
+        hit |= shard
+            .matrix
+            .scatter_spikes(spikes, geom, window, workers, scratch, out);
+    }
+    hit
 }
 
 /// A spiking network distributed over a chip cluster. Built from a
@@ -1323,9 +1302,7 @@ impl ShardedSpikingNetwork {
                         cols,
                         rf,
                         scratch: EventScratch::default(),
-                        window: SpikeBatch::default(),
                         remote,
-                        acc: Vec::new(),
                     });
                 }
                 SpikingAnalogStage::Conv {
@@ -1346,9 +1323,7 @@ impl ShardedSpikingNetwork {
                         out_channels,
                         cols,
                         scratch: EventScratch::default(),
-                        window: SpikeBatch::default(),
                         remote,
-                        acc: Vec::new(),
                     });
                 }
                 other => span.push(other),
@@ -1409,6 +1384,15 @@ impl ShardedSpikingNetwork {
         }
     }
 
+    /// The checks every entry point makes once, before the first
+    /// timestep: the shape must flow through every unit
+    /// ([`output_shape`](Self::output_shape)) and every value must be
+    /// finite.
+    fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
+        self.output_shape(inputs.shape())?;
+        check_finite(inputs)
+    }
+
     /// Output-potential shape for `input_shape` (used by the
     /// zero-timestep corner).
     ///
@@ -1421,12 +1405,22 @@ impl ShardedSpikingNetwork {
         for unit in &self.units {
             shape = match unit {
                 SnnUnit::Whole { net, .. } => net.output_shape(&shape)?,
-                SnnUnit::Dense { cols, .. } => vec![shape[0], *cols],
+                SnnUnit::Dense { cols, rf, .. } => {
+                    if shape.len() != 2 || shape[1] != *rf {
+                        return Err(AnalogError::BadGeometry {
+                            reason: format!("dense stage expects [n, {rf}], got {shape:?}"),
+                        });
+                    }
+                    vec![shape[0], *cols]
+                }
                 SnnUnit::Conv {
-                    geom, out_channels, ..
+                    shards,
+                    geom,
+                    out_channels,
+                    ..
                 } => {
-                    let (oh, ow) = geom.out_hw(shape[2], shape[3])?;
-                    vec![shape[0], *out_channels, oh, ow]
+                    let rf = shards.last().map_or(0, |s| s.hi);
+                    conv_output_shape(&shape, rf, *geom, *out_channels)?
                 }
             };
         }
@@ -1440,8 +1434,11 @@ impl ShardedSpikingNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures; inter-chip routing
-    /// failures surface as [`AnalogError::Noc`].
+    /// Returns [`AnalogError::BadGeometry`] when the input shape does not
+    /// fit the network (see [`output_shape`](Self::output_shape)) and
+    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
+    /// before any timestep runs; propagates circuit and tensor failures;
+    /// inter-chip routing failures surface as [`AnalogError::Noc`].
     pub fn run<R: Rng + ?Sized>(
         &mut self,
         inputs: &Tensor,
@@ -1498,6 +1495,7 @@ impl ShardedSpikingNetwork {
         timesteps: usize,
         encode: &mut dyn FnMut(&Tensor) -> Tensor,
     ) -> Result<Tensor, AnalogError> {
+        self.check_input(inputs)?;
         for unit in &mut self.units {
             if let SnnUnit::Whole { net, .. } = unit {
                 net.reset_state();
@@ -1619,6 +1617,7 @@ impl ShardedSpikingNetwork {
         if self.units.is_empty() || timesteps == 0 {
             return self.run_with_encoder(inputs, timesteps, encode);
         }
+        self.check_input(inputs)?;
         for unit in &mut self.units {
             if let SnnUnit::Whole { net, .. } = unit {
                 net.reset_state();

@@ -122,8 +122,9 @@ impl ChipPool {
     }
 
     /// Sum of read energy over the *idle* replicas. Exact once every
-    /// chip is checked in (e.g. after [`Server::shutdown`]
-    /// (crate::serve::Server::shutdown)); a snapshot otherwise.
+    /// chip is checked in (e.g. after
+    /// [`Server::shutdown`](crate::serve::Server::shutdown)); a snapshot
+    /// otherwise.
     pub fn total_read_energy(&self) -> Joules {
         self.idle
             .lock()

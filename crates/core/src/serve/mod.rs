@@ -30,7 +30,7 @@
 //!
 //! Dynamic batching never changes a tenant's answer. The batched
 //! evaluators compute every item's floating-point work per-item pure
-//! (`dot_batch` / `dot_spikes_batch` are bit-identical to the
+//! (`dot_batch` / `scatter_spikes` are bit-identical to the
 //! sequential reference per item, for any worker count), concatenating
 //! request rows into one wave is associativity-free (each output row
 //! depends only on its input row), and each SNN request carries its own

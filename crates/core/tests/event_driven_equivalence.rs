@@ -14,8 +14,17 @@
 //! the per-row-sum paths. The same holds after hard faults, retention
 //! aging and AC kill switches mutate the arrays, because faults perturb
 //! conductances, never the active-set bookkeeping.
+//!
+//! The convolution geometry sweep covers what the scatter-form spike
+//! evaluator has to get right: strides, paddings and kernel sizes that
+//! change which patches a spiking pixel reaches, receptive fields
+//! spanning several ACs, two column groups, two R_f segments, and the
+//! same layer split across two chips.
 
+use nebula_core::analog::AnalogError;
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
+use nebula_core::components::{M, MAX_RF_IN_CORE};
+use nebula_core::multichip::{PipelineConfig, ShardedSpikingNetwork};
 use nebula_crossbar::KernelPath;
 use nebula_device::units::Seconds;
 use nebula_device::{FaultClass, FaultModel};
@@ -23,7 +32,7 @@ use nebula_nn::layer::Layer;
 use nebula_nn::snn::{IfPopulation, InputEncoding, ResetMode, SnnStage, SpikingNetwork};
 use nebula_tensor::Tensor;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Accumulated per-row-sum energy tolerance (1e-12 relative per dot).
@@ -52,7 +61,7 @@ fn dense_snn(input: usize, hidden: usize, out: usize, seed: u64) -> AnalogSpikin
 }
 
 /// A conv + dense spiking net on `side×side` single-channel frames,
-/// exercising the patch-gather (im2col CSR) event path.
+/// exercising the convolution event path.
 fn conv_snn(side: usize, out: usize, seed: u64) -> AnalogSpikingNetwork {
     let mut r = ChaCha8Rng::seed_from_u64(seed);
     let snn = SpikingNetwork::new(
@@ -161,8 +170,8 @@ proptest! {
         }
     }
 
-    /// Conv nets: the im2col patch-gather event path against the
-    /// sequential reference, silent planes included.
+    /// Conv nets: the convolution event path against the sequential
+    /// reference, silent planes included.
     #[test]
     fn conv_event_run_matches_sequential_bitwise(
         timesteps in 1usize..8,
@@ -217,4 +226,206 @@ proptest! {
             assert_equivalent(&master, path, &x, timesteps, run_seed);
         }
     }
+}
+
+/// A single-convolution spiking net: the run's output is the layer's
+/// accumulated crossbar output plus bias, so every bit of the scatter's
+/// per-patch result reaches the comparison.
+fn single_conv_snn(
+    c: usize,
+    oc: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    seed: u64,
+) -> AnalogSpikingNetwork {
+    let mut r = ChaCha8Rng::seed_from_u64(seed);
+    let snn = SpikingNetwork::new(
+        vec![SnnStage::Synaptic(Layer::conv2d(
+            c, oc, k, stride, pad, &mut r,
+        ))],
+        InputEncoding::Poisson,
+    );
+    compile_snn_default(&snn).unwrap()
+}
+
+/// Sampled hard faults that leave the 16-level grid (per-cell TMR
+/// factors, retention drift), so the quantized layout spills to the
+/// differential one, plus one power-gated AC.
+fn wound(master: &mut AnalogSpikingNetwork, seed: u64, killed_ac: usize) {
+    let model = FaultModel::single(FaultClass::TmrDegradation, 0.2)
+        .with_class_rate(FaultClass::RetentionDrift, 0.2);
+    let mut fault_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFA17);
+    master.inject_faults(&model, &mut fault_rng);
+    master.advance_age(Seconds(5e6));
+    master.kill_ac(0, killed_ac);
+}
+
+/// Random spike-probability frames at `density_step / 4` activity.
+fn frames(shape: &[usize], density_step: usize, seed: u64) -> Tensor {
+    let mut r = ChaCha8Rng::seed_from_u64(seed);
+    let n: usize = shape.iter().product();
+    let raw: Vec<(f32, f64)> = (0..n)
+        .map(|_| (r.gen_range(0.0..1.0), r.gen_range(0.0..1.0)))
+        .collect();
+    Tensor::from_vec(mask(raw, density_step), shape).unwrap()
+}
+
+proptest! {
+    /// Convolution geometry sweep: stride {1, 2}, pad {0, 1, 2},
+    /// kernel {1, 3, 5}, input channels whose receptive field spans 1–3
+    /// ACs, spike density 0–100%, every kernel path, with and without
+    /// faults and a killed AC — outputs and waves bitwise equal to the
+    /// sequential reference, energy within the per-path contract.
+    #[test]
+    fn conv_geometry_matches_sequential_bitwise(
+        stride in 1usize..3,
+        pad in 0usize..3,
+        k_step in 0usize..3,
+        acs in 1usize..4,
+        extra_ch in 0usize..3,
+        oc in 1usize..5,
+        side in 1usize..8,
+        density_step in 0usize..5,
+        timesteps in 1usize..4,
+        faulty in 0u8..2,
+        killed_ac in 0usize..3,
+        net_seed in 0u64..1_000,
+        run_seed in 0u64..1_000,
+    ) {
+        let k = [1, 3, 5][k_step];
+        if side + 2 * pad < k {
+            continue; // no output patch fits
+        }
+        // The fewest channels whose receptive field needs `acs` ACs.
+        let c = ((acs - 1) * M / (k * k) + 1 + extra_ch).min(acs * M / (k * k));
+        prop_assert_eq!((c * k * k).div_ceil(M), acs);
+        let mut master = single_conv_snn(c, oc, k, stride, pad, net_seed);
+        if faulty == 1 {
+            wound(&mut master, net_seed, killed_ac % acs);
+        }
+        let x = frames(&[2, c, side, side], density_step, run_seed);
+        for path in PATHS {
+            assert_equivalent(&master, path, &x, timesteps, run_seed);
+        }
+    }
+}
+
+/// More than `M` output channels: the layer spans two column groups, so
+/// each patch reduces two super-tiles per segment.
+#[test]
+fn two_column_groups_match_sequential_bitwise() {
+    let mut master = single_conv_snn(3, M + 2, 3, 1, 1, 7);
+    let x = frames(&[2, 3, 4, 4], 2, 8);
+    for path in PATHS {
+        assert_equivalent(&master, path, &x, 2, 9);
+    }
+    wound(&mut master, 7, 0);
+    for path in PATHS {
+        assert_equivalent(&master, path, &x, 2, 9);
+    }
+}
+
+/// A receptive field over `MAX_RF_IN_CORE` rows: two R_f segments, each
+/// reduced into the output in segment order — on one chip, and split
+/// across two chips (one segment each), sequentially and through the
+/// pipeline executor (whose stage bodies evaluate on one worker).
+#[test]
+fn two_segments_and_a_two_chip_split_match_sequential_bitwise() {
+    let c = MAX_RF_IN_CORE / 9 + 2;
+    let master = single_conv_snn(c, 3, 3, 2, 1, 11);
+    let x = frames(&[2, c, 3, 3], 1, 12);
+    for path in PATHS {
+        assert_equivalent(&master, path, &x, 2, 13);
+    }
+    let mut seq = master.clone();
+    let want = seq
+        .run_sequential(&x, 2, &mut ChaCha8Rng::seed_from_u64(13))
+        .unwrap();
+    for path in PATHS {
+        let mut sharded = ShardedSpikingNetwork::tensor_sharded(master.clone(), 2).unwrap();
+        sharded.set_kernel_path(path);
+        let got = sharded
+            .run(&x, 2, &mut ChaCha8Rng::seed_from_u64(13))
+            .unwrap();
+        let mut piped = ShardedSpikingNetwork::tensor_sharded(master.clone(), 2).unwrap();
+        piped.set_kernel_path(path);
+        let cfg = PipelineConfig {
+            workers: 4,
+            ..PipelineConfig::default()
+        };
+        let got_piped = piped
+            .run_pipelined(&x, 2, &mut ChaCha8Rng::seed_from_u64(13), &cfg)
+            .unwrap();
+        for (name, y, net) in [
+            ("sharded", &got, &sharded),
+            ("pipelined", &got_piped, &piped),
+        ] {
+            assert_eq!(y.shape(), want.shape());
+            for (i, (a, b)) in want.data().iter().zip(y.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{name} {path:?} element {i}");
+            }
+            assert_eq!(net.waves(), seq.waves(), "{name} {path:?} waves");
+            let (e_seq, e) = (seq.read_energy().0, net.read_energy().0);
+            if path == KernelPath::Scalar {
+                assert_eq!(e_seq.to_bits(), e.to_bits(), "{name} scalar energy");
+            } else {
+                assert!(
+                    ((e - e_seq) / e_seq).abs() <= ENERGY_RTOL,
+                    "{name} {path:?} energy"
+                );
+            }
+        }
+    }
+}
+
+/// Misshaped and non-finite inputs fail before any timestep, on the
+/// event-driven and the sequential legs alike, single-chip and sharded.
+#[test]
+fn misshaped_and_non_finite_inputs_are_rejected_up_front() {
+    let master = dense_snn(4, 3, 2, 1);
+    let wrong = Tensor::from_vec(vec![0.5; 4], &[2, 2]).unwrap();
+    let mut nan = Tensor::full(&[2, 4], 0.5);
+    nan.data_mut()[5] = f32::NAN;
+    let mut inf = Tensor::full(&[2, 4], 0.5);
+    inf.data_mut()[0] = f32::INFINITY;
+    let mut fast = master.clone();
+    let mut seq = master.clone();
+    let mut r = ChaCha8Rng::seed_from_u64(3);
+    let bad_shape =
+        |e: Result<Tensor, AnalogError>| matches!(e, Err(AnalogError::BadGeometry { .. }));
+    assert!(bad_shape(fast.run(&wrong, 3, &mut r)));
+    assert!(bad_shape(seq.run_sequential(&wrong, 3, &mut r)));
+    assert!(bad_shape(fast.run_seeded_groups(&wrong, 3, &[(2, 1)])));
+    assert!(
+        bad_shape(fast.run(&wrong, 0, &mut r)),
+        "zero timesteps still validate"
+    );
+    for (x, index) in [(&nan, 5), (&inf, 0)] {
+        let non_finite = |e: Result<Tensor, AnalogError>| matches!(e, Err(AnalogError::NonFiniteInput { index: i }) if i == index);
+        assert!(non_finite(fast.run(x, 3, &mut r)));
+        assert!(non_finite(seq.run_sequential(x, 3, &mut r)));
+        assert!(non_finite(fast.run_seeded_groups(x, 3, &[(1, 1), (1, 2)])));
+    }
+    assert_eq!(fast.waves(), 0, "no wave ran");
+    assert_eq!(seq.read_energy().0, 0.0);
+    let cfg = PipelineConfig::default();
+    let mut sharded = ShardedSpikingNetwork::layer_pipelined(master, 2).unwrap();
+    assert!(bad_shape(sharded.run(&wrong, 3, &mut r)));
+    assert!(bad_shape(sharded.run_pipelined(&wrong, 3, &mut r, &cfg)));
+    assert!(bad_shape(sharded.run_seeded_groups_pipelined(
+        &wrong,
+        3,
+        &[(2, 1)],
+        &cfg
+    )));
+    assert!(matches!(
+        sharded.run_seeded_groups(&nan, 3, &[(2, 1)]),
+        Err(AnalogError::NonFiniteInput { index: 5 })
+    ));
+    // A conv stage fed the wrong channel count is a shape error too.
+    let mut conv = conv_snn(6, 3, 2);
+    let wrong_channels = Tensor::zeros(&[1, 2, 6, 6]);
+    assert!(bad_shape(conv.run(&wrong_channels, 1, &mut r)));
+    assert!(bad_shape(conv.run_sequential(&wrong_channels, 1, &mut r)));
 }

@@ -72,7 +72,7 @@ fn wide_snn(extra: usize, hidden: usize, out: usize, seed: u64) -> AnalogSpiking
 }
 
 /// A conv spiking net whose kernel's receptive field (`C·KH·KW`)
-/// overflows one segment, so the patch-gather path is sharded too.
+/// overflows one segment, so the convolution spike path is sharded too.
 fn wide_conv_snn(channels: usize, side: usize, out: usize, seed: u64) -> AnalogSpikingNetwork {
     let mut r = ChaCha8Rng::seed_from_u64(seed);
     let snn = SpikingNetwork::new(
@@ -247,7 +247,7 @@ proptest! {
         }
     }
 
-    /// Wide conv SNNs: the sharded patch-gather (im2col CSR) path. The
+    /// Wide conv SNNs: the sharded convolution spike path. The
     /// 232-channel 3×3 kernel's receptive field (2088 rows) spans two
     /// segments, so the conv itself is what shards.
     #[test]

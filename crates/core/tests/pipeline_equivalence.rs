@@ -75,7 +75,7 @@ fn wide_snn(extra: usize, hidden: usize, out: usize, seed: u64) -> AnalogSpiking
 }
 
 /// A conv spiking net whose kernel receptive field (`C·KH·KW`) spans
-/// two segments — shards the patch-gather path too.
+/// two segments — shards the convolution spike path too.
 fn wide_conv_snn(channels: usize, side: usize, out: usize, seed: u64) -> AnalogSpikingNetwork {
     let mut r = ChaCha8Rng::seed_from_u64(seed);
     let snn = SpikingNetwork::new(

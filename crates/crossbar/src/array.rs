@@ -121,6 +121,10 @@ enum QuantLayout {
 /// `&self` evaluators) without re-preparing.
 const PREPARE_MSG: &str = "prepare() must run before a *_prepared evaluation";
 
+/// Pair table of a packed layout without cells (an unprogrammed AC never
+/// builds its 4 KiB table); no row of such a layout is ever driven.
+static EMPTY_PAIRS: [[f64; 2]; 256] = [[0.0; 2]; 256];
+
 #[derive(Debug, Clone)]
 struct QuantPacked {
     /// Palette indices packed two per byte (`kernel::pack_nibbles`
@@ -607,11 +611,9 @@ impl AtomicCrossbar {
         }
         let have = |c: &EffCache| match self.kernel {
             KernelPath::Scalar => c.scalar.is_some(),
-            KernelPath::Vectorized => c.vector.is_some(),
+            // Auto evaluates every drive through the differential layout.
+            KernelPath::Vectorized | KernelPath::Auto => c.vector.is_some(),
             KernelPath::Quantized => c.quant.is_some(),
-            // Auto dispatches per drive shape, so both target layouts
-            // must be materialized.
-            KernelPath::Auto => c.vector.is_some() && c.quant.is_some(),
         };
         if !have(self.eff_cache.as_ref().unwrap()) {
             match self.kernel {
@@ -619,7 +621,7 @@ impl AtomicCrossbar {
                     let eff = self.build_scalar();
                     self.eff_cache.as_mut().unwrap().scalar = Some(eff);
                 }
-                KernelPath::Vectorized => {
+                KernelPath::Vectorized | KernelPath::Auto => {
                     let vector = self.build_vector();
                     self.eff_cache.as_mut().unwrap().vector = Some(vector);
                 }
@@ -627,22 +629,12 @@ impl AtomicCrossbar {
                     let quant = self.build_quant();
                     self.eff_cache.as_mut().unwrap().quant = Some(quant);
                 }
-                KernelPath::Auto => {
-                    if self.eff_cache.as_ref().unwrap().vector.is_none() {
-                        let vector = self.build_vector();
-                        self.eff_cache.as_mut().unwrap().vector = Some(vector);
-                    }
-                    if self.eff_cache.as_ref().unwrap().quant.is_none() {
-                        let quant = self.build_quant();
-                        self.eff_cache.as_mut().unwrap().quant = Some(quant);
-                    }
-                }
             }
         }
         // A spilled quantized layout evaluates through the vectorized
         // one, which must then exist too.
         let cache = self.eff_cache.as_ref().unwrap();
-        if matches!(self.kernel, KernelPath::Quantized | KernelPath::Auto)
+        if self.kernel == KernelPath::Quantized
             && matches!(cache.quant, Some(QuantLayout::Spill))
             && cache.vector.is_none()
         {
@@ -756,7 +748,8 @@ impl AtomicCrossbar {
     /// (0 while the cache is dirty or unbuilt): the quantity
     /// `bench_hotpath` reports as the conductance-cache footprint. A
     /// spilled quantized layout is charged the vectorized bytes it
-    /// actually evaluates through.
+    /// actually evaluates through; [`KernelPath::Auto`] holds only the
+    /// vectorized layout, so it is charged exactly those bytes.
     pub fn kernel_cache_bytes(&self) -> usize {
         let Some(cache) = &self.eff_cache else {
             return 0;
@@ -781,18 +774,8 @@ impl AtomicCrossbar {
         };
         match self.kernel {
             KernelPath::Scalar => cache.scalar.as_ref().map_or(0, |eff| eff.len() * f64s),
-            KernelPath::Vectorized => vector_bytes(&cache.vector),
+            KernelPath::Vectorized | KernelPath::Auto => vector_bytes(&cache.vector),
             KernelPath::Quantized => quant_bytes(cache),
-            // Auto keeps both layouts around; a spilled quantized layout
-            // shares the vectorized one, so it is charged only once.
-            KernelPath::Auto => {
-                let v = vector_bytes(&cache.vector);
-                if matches!(cache.quant, Some(QuantLayout::Spill)) {
-                    v
-                } else {
-                    v + quant_bytes(cache)
-                }
-            }
         }
     }
 
@@ -829,22 +812,53 @@ impl AtomicCrossbar {
         self.eval_dense_prepared(inputs, diff)
     }
 
-    /// The concrete layout one evaluation dispatches to:
-    /// [`KernelPath::Auto`] resolves per drive shape (dense GEMV →
-    /// vectorized, constant-voltage spike → quantized — both produce
-    /// identical bits, see [`KernelPath::Auto`]); explicit paths resolve
-    /// to themselves.
-    fn effective_path(&self, spike_drive: bool) -> KernelPath {
+    /// The concrete layout every evaluation dispatches to:
+    /// [`KernelPath::Auto`] resolves to the vectorized layout; explicit
+    /// paths resolve to themselves.
+    fn effective_path(&self) -> KernelPath {
         match self.kernel {
-            KernelPath::Auto => {
-                if spike_drive {
-                    KernelPath::Quantized
-                } else {
-                    KernelPath::Vectorized
-                }
-            }
+            KernelPath::Auto => KernelPath::Vectorized,
             p => p,
         }
+    }
+
+    /// The prepared cache's rows as a binary spike drive at the mode's
+    /// read voltage sees them (see [`kernel::SpikeRows`]), in the layout
+    /// the current kernel path evaluates through; `None` for a dead
+    /// array, which drives and draws nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cache is dirty (no [`prepare`](Self::prepare)
+    /// since the last state mutation).
+    pub(crate) fn spike_rows(&self) -> Option<kernel::SpikeRows<'_>> {
+        if self.dead {
+            return None;
+        }
+        let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
+        let v = self.config.mode.read_voltage().0;
+        let vector =
+            || kernel::SpikeRows::differential(v, cache.vector.as_ref().expect(PREPARE_MSG));
+        Some(match self.effective_path() {
+            KernelPath::Scalar => kernel::SpikeRows::scalar(
+                v,
+                cache.scalar.as_ref().expect(PREPARE_MSG),
+                self.cols_used,
+                self.g_mid(),
+            ),
+            KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
+                QuantLayout::Packed(q) => kernel::SpikeRows::quantized(
+                    v,
+                    &q.packed,
+                    q.stride,
+                    self.cols_used,
+                    q.pair_spike.as_slice().try_into().unwrap_or(&EMPTY_PAIRS),
+                    &q.row_sum,
+                ),
+                QuantLayout::Spill => vector(),
+            },
+            _ => vector(),
+        })
     }
 
     /// `&self` core of [`eval_cached`](Self::eval_cached), for callers
@@ -867,7 +881,7 @@ impl AtomicCrossbar {
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v_read = self.config.mode.read_voltage().0;
         let drive = kernel::Drive::Dense { inputs, v_read };
-        match self.effective_path(false) {
+        match self.effective_path() {
             KernelPath::Scalar => {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
                 let g_mid = self.g_mid();
@@ -910,7 +924,7 @@ impl AtomicCrossbar {
                 }
                 QuantLayout::Spill => cache.gemv(drive, diff),
             },
-            KernelPath::Auto => unreachable!("Auto resolves to a concrete layout"),
+            KernelPath::Auto => unreachable!("Auto resolves to the vectorized layout"),
         }
     }
 
@@ -953,7 +967,7 @@ impl AtomicCrossbar {
             base,
             v,
         };
-        match self.effective_path(true) {
+        match self.effective_path() {
             KernelPath::Scalar => {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
                 let g_mid = self.g_mid();
@@ -991,7 +1005,7 @@ impl AtomicCrossbar {
                 }
                 QuantLayout::Spill => cache.gemv(drive, diff),
             },
-            KernelPath::Auto => unreachable!("Auto resolves to a concrete layout"),
+            KernelPath::Auto => unreachable!("Auto resolves to the vectorized layout"),
         }
     }
 

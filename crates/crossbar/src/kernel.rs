@@ -24,8 +24,9 @@
 //!
 //! # The GEMV kernel: column blocks and runtime dispatch
 //!
-//! One kernel, `gemv`, evaluates every differential-layout drive, dense
-//! and spike alike. It first compacts the driven rows into stack arrays
+//! One kernel, `gemv`, evaluates every differential-layout drive a single
+//! atomic crossbar sees, dense and spike alike (the batched SNN engine
+//! instead scatters spikes row by row through [`SpikeRows`]). It first compacts the driven rows into stack arrays
 //! (branch-free for dense drives: every row is written, the cursor only
 //! advances past non-zero inputs), then walks them once per column block
 //! of 32, 16 or 8 lanes (strides are multiples of [`LANES`] = 8, so the
@@ -118,12 +119,14 @@ pub enum KernelPath {
     /// energy agrees to relative error ≤ 1e-12.
     #[default]
     Vectorized,
-    /// Bit-packed 4-bit tier: per-cell palette indices packed two per
-    /// byte plus a ≤[`PALETTE`]-entry fault/age-resolved conductance LUT.
-    /// The inner loop is a gathered LUT add — `diff[j] += vdg[nibble]`,
-    /// where `vdg[s] = v · (g_s − g_mid)` is precomputed per drive (once
-    /// per prepare on the constant-voltage spike path) — performing the
-    /// *same* multiply-then-add on the *same* operands as the scalar
+    /// Bit-packed 4-bit tier, kept as a pinned path (the golden
+    /// harness re-runs recorded experiments under it): per-cell palette
+    /// indices packed two per byte plus a ≤[`PALETTE`]-entry
+    /// fault/age-resolved conductance LUT. The inner loop is a gathered
+    /// LUT add — `diff[j] += vdg[nibble]`, where `vdg[s] = v · (g_s −
+    /// g_mid)` is precomputed per drive (once per prepare on the
+    /// constant-voltage spike path, as a byte-pair table) — performing
+    /// the *same* multiply-then-add on the *same* operands as the scalar
     /// loop, per column in row-ascending order. Differential outputs are
     /// therefore bit-identical to [`KernelPath::Scalar`] on dense *and*
     /// spike inputs; energy uses the per-row-sum formulation and is
@@ -131,18 +134,16 @@ pub enum KernelPath {
     /// dot vs the reference). Arrays whose fault-resolved conductances
     /// exceed [`PALETTE`] distinct values evaluate through the
     /// vectorized layout instead (same output bits; see DESIGN.md
-    /// "Kernel layer").
+    /// "Kernel layer"). No default path builds this layout.
     Quantized,
-    /// Per-drive-shape dispatch: dense GEMV drives evaluate through the
-    /// [`KernelPath::Vectorized`] layout (where the GEMV beats the
-    /// per-drive LUT fill the quantized dense loop pays — the qgain
-    /// 0.73× regression BENCH_hotpath recorded) and constant-voltage
-    /// spike drives evaluate through the [`KernelPath::Quantized`]
-    /// byte-pair gather (where the LUT wins). Both layouts produce
-    /// bit-identical differential outputs and bit-identical per-row-sum
-    /// energy, so the dispatch can never change a bit — it only picks
-    /// the faster inner loop per call. Costs both layouts' cache
-    /// footprint.
+    /// The production path: every drive, dense GEMV and binary spike
+    /// alike, evaluates through the [`KernelPath::Vectorized`]
+    /// differential layout, and only that layout is materialized. The
+    /// quantized byte-pair gather used to serve spike drives here, but
+    /// inside the scatter-form spike evaluator (one row add per driven
+    /// row and output patch) the differential rows measured faster, so
+    /// Auto no longer builds the packed layout. Outputs and energy are
+    /// bit-identical to [`KernelPath::Vectorized`].
     Auto,
 }
 
@@ -333,6 +334,136 @@ fn column_block<const W: usize>(
         }
     }
     *out = acc;
+}
+
+/// Read-only view of one prepared atomic crossbar's rows as a binary
+/// spike drive sees them: every driven row contributes its whole row of
+/// `v · (g − g_mid)` to the columns and `v · g` to the total current.
+/// Obtained from [`SuperTile::spike_rows`](crate::tile::SuperTile::spike_rows)
+/// (`None` for a dead AC, which drives and draws nothing).
+///
+/// A scatter-form evaluator walks the spiking inputs once and calls
+/// [`add_row`](Self::add_row) per (output patch, driven row), so a
+/// crossbar wave no longer needs its own active-row list. Each column
+/// still gets exactly one add per driven row, of the value the per-AC
+/// evaluators add; as long as the caller adds a patch's rows in
+/// ascending order from a `+0.0` accumulator, the outputs are
+/// bit-identical to [`KernelPath::Scalar`] and the current chain matches
+/// the layout's own energy formulation.
+#[derive(Debug, Clone, Copy)]
+pub struct SpikeRows<'a> {
+    v: f64,
+    layout: RowLayout<'a>,
+}
+
+/// The cache layout behind a [`SpikeRows`] view.
+#[derive(Debug, Clone, Copy)]
+enum RowLayout<'a> {
+    /// The padded differential layout ([`KernelPath::Vectorized`],
+    /// [`KernelPath::Auto`], a spilled [`KernelPath::Quantized`]).
+    Differential {
+        dg: &'a [f64],
+        stride: usize,
+        row_sum: &'a [f64],
+    },
+    /// The nibble-packed palette layout (a packed, pinned
+    /// [`KernelPath::Quantized`]): one byte-pair LUT load per two cells.
+    Quantized {
+        packed: &'a [u8],
+        stride: usize,
+        cols: usize,
+        pair: &'a [[f64; 2]; 256],
+        row_sum: &'a [f64],
+    },
+    /// Resolved conductances ([`KernelPath::Scalar`]): per-cell
+    /// `g − g_mid` and the per-cell total-current chain.
+    Scalar {
+        eff: &'a [f64],
+        cols: usize,
+        g_mid: f64,
+    },
+}
+
+impl<'a> SpikeRows<'a> {
+    pub(crate) fn differential(v: f64, m: &'a VectorLayout) -> Self {
+        Self {
+            v,
+            layout: RowLayout::Differential {
+                dg: &m.dg,
+                stride: m.padded_cols,
+                row_sum: &m.row_sum,
+            },
+        }
+    }
+
+    pub(crate) fn quantized(
+        v: f64,
+        packed: &'a [u8],
+        stride: usize,
+        cols: usize,
+        pair: &'a [[f64; 2]; 256],
+        row_sum: &'a [f64],
+    ) -> Self {
+        Self {
+            v,
+            layout: RowLayout::Quantized {
+                packed,
+                stride,
+                cols,
+                pair,
+                row_sum,
+            },
+        }
+    }
+
+    pub(crate) fn scalar(v: f64, eff: &'a [f64], cols: usize, g_mid: f64) -> Self {
+        Self {
+            v,
+            layout: RowLayout::Scalar { eff, cols, g_mid },
+        }
+    }
+
+    /// Adds row `r`'s spike contribution into `acc` (which must hold at
+    /// least [`padded_len`]`(cols)` values; padding lanes only ever gain
+    /// `v · 0.0`) and returns `current` continued by the row's share of
+    /// the total current — `v · row_sum[r]` on the per-row-sum layouts,
+    /// the per-cell `v · g` chain on the scalar one.
+    #[inline(always)]
+    pub fn add_row(&self, r: usize, acc: &mut [f64], mut current: f64) -> f64 {
+        let v = self.v;
+        match self.layout {
+            RowLayout::Differential {
+                dg,
+                stride,
+                row_sum,
+            } => {
+                for (a, &g) in acc[..stride]
+                    .iter_mut()
+                    .zip(&dg[r * stride..(r + 1) * stride])
+                {
+                    *a += v * g;
+                }
+                current + v * row_sum[r]
+            }
+            RowLayout::Quantized {
+                packed,
+                stride,
+                cols,
+                pair,
+                row_sum,
+            } => {
+                gather_add_pairs(pair, &packed[r * stride..], cols, acc);
+                current + v * row_sum[r]
+            }
+            RowLayout::Scalar { eff, cols, g_mid } => {
+                for (a, &g) in acc[..cols].iter_mut().zip(&eff[r * cols..(r + 1) * cols]) {
+                    *a += v * (g - g_mid);
+                    current += v * g;
+                }
+                current
+            }
+        }
+    }
 }
 
 /// Gathered LUT accumulate over one packed nibble row:

@@ -345,10 +345,10 @@ impl SuperTile {
     }
 
     /// Rebuilds every AC's effective-conductance cache if dirty, so the
-    /// `&self` split-phase evaluators
+    /// `&self` split-phase readers
     /// ([`eval_dense_prepared`](Self::eval_dense_prepared),
-    /// [`eval_sparse_prepared`](Self::eval_sparse_prepared)) can run from
-    /// parallel workers that share the tile immutably.
+    /// [`spike_rows`](Self::spike_rows)) can run from parallel workers
+    /// that share the tile immutably.
     pub fn prepare(&mut self) {
         for ac in &mut self.acs {
             ac.prepare();
@@ -381,7 +381,8 @@ impl SuperTile {
     }
 
     /// Total bytes of the per-AC cache layouts backing the current kernel
-    /// path (see [`AtomicCrossbar::kernel_cache_bytes`]); 0 for ACs whose
+    /// path (see [`AtomicCrossbar::kernel_cache_bytes`]: under
+    /// [`KernelPath::Auto`] only the vectorized layout); 0 for ACs whose
     /// cache is dirty or unbuilt, so call after [`prepare`](Self::prepare)
     /// for a meaningful footprint.
     pub fn kernel_cache_bytes(&self) -> usize {
@@ -406,7 +407,7 @@ impl SuperTile {
     /// order to keep energy counters bit-identical to the sequential
     /// path. `diff` is scratch space (len ≥
     /// [`scratch_cols`](Self::scratch_cols); contents ignored). All
-    /// floating-point work happens in exactly [`dot`]'s order, so
+    /// floating-point work happens in exactly [`dot`](Self::dot)'s order, so
     /// results are independent of worker count.
     ///
     /// # Panics
@@ -434,54 +435,30 @@ impl SuperTile {
         }
     }
 
-    /// Spike-sparse twin of
-    /// [`eval_dense_prepared`](Self::eval_dense_prepared): `active_rows`
-    /// is a strictly ascending list of spiking rows in `0..rf` (the
-    /// caller is trusted — indices are split per AC by binary search and
-    /// evaluated unchecked).
+    /// Atomic crossbar `ac`'s prepared rows as a binary spike drive sees
+    /// them ([`kernel::SpikeRows`]), for scatter-form evaluators that add
+    /// each driven row straight into per-patch column accumulators: AC
+    /// `ac` holds receptive-field rows `ac·M .. (ac+1)·M`, and its
+    /// differential columns land in the first [`kernels`](Self::kernels)
+    /// accumulator slots (the padding lanes up to
+    /// [`scratch_cols`](Self::scratch_cols) only gain `+0.0`). `None` for a
+    /// dead AC — it contributes zero current and draws no energy. Feed
+    /// the per-AC current chains back through
+    /// [`accrue_batch`](Self::accrue_batch).
     ///
     /// # Panics
     ///
-    /// Panics when a buffer is too short or [`prepare`](Self::prepare)
-    /// has not run since the last state mutation; out-of-range indices
-    /// panic on cache indexing.
-    pub fn eval_sparse_prepared(
-        &self,
-        active_rows: &[usize],
-        totals: &mut [Amps],
-        currents: &mut [f64],
-        diff: &mut [f64],
-    ) {
-        let totals = &mut totals[..self.kernels];
-        totals.fill(Amps::ZERO);
-        for (chunk_idx, current) in currents.iter_mut().enumerate().take(self.chunk_count()) {
-            let start = chunk_idx * self.m;
-            let end = (start + self.m).min(self.rf);
-            let lo = active_rows.partition_point(|&r| r < start);
-            let hi = active_rows.partition_point(|&r| r < end);
-            if lo == hi {
-                // No spikes hit this AC: its differential contribution is
-                // exactly zero and it draws no current, so the scratch
-                // zeroing, evaluation and merge can be skipped outright.
-                // Bit-identical: merging zeros only performs `x + 0.0`
-                // adds, and no accumulated value here is ever `-0.0`
-                // (partial currents are sums of `+0.0` and non-zero
-                // products).
-                *current = 0.0;
-                continue;
-            }
-            let diff = &mut diff[..self.scratch_cols()];
-            diff.fill(0.0);
-            *current = self.acs[chunk_idx].eval_sparse_prepared(&active_rows[lo..hi], start, diff);
-            for (t, &d) in totals.iter_mut().zip(diff[..self.kernels].iter()) {
-                *t += Amps(d);
-            }
-        }
+    /// Panics when `ac ≥ 16` or [`prepare`](Self::prepare) has not run
+    /// since the last state mutation.
+    pub fn spike_rows(&self, ac: usize) -> Option<kernel::SpikeRows<'_>> {
+        self.acs[ac].spike_rows()
     }
 
     /// Accrual half of the split-phase evaluators: `per_item[i]` is the
     /// per-AC total-current vector the `i`-th item's
-    /// `eval_*_prepared` call returned. Each AC accrues its items in
+    /// [`eval_dense_prepared`](Self::eval_dense_prepared) call returned,
+    /// or the per-AC current chains a [`spike_rows`](Self::spike_rows)
+    /// scatter built for it. Each AC accrues its items in
     /// ascending item order — the exact floating-point sequence the
     /// sequential batch path produces.
     ///

@@ -18,7 +18,7 @@
 //! per-class rates; [`CellFault`] applies a sampled fault to a programmed
 //! conductance (or to the signed weight it encodes, for network-level
 //! Monte-Carlo campaigns). Faults compose with the existing
-//! [`VariationModel`](crate::variation::VariationModel) through
+//! [`crate::variation::VariationModel`] through
 //! [`NonidealityModel`]: Gaussian mismatch perturbs the programmed value
 //! first, then the (rarer, harder) fault transforms the result — a stuck
 //! cell ends up stuck regardless of its mismatch draw.
