@@ -54,7 +54,7 @@ mod queue;
 
 pub use chip_pool::{ChipPool, ModelChip};
 
-use crate::analog::AnalogError;
+use crate::analog::{check_finite, AnalogError};
 use crate::analog_snn::AnalogSpikingNetwork;
 use nebula_device::units::Joules;
 use nebula_tensor::Tensor;
@@ -424,6 +424,9 @@ impl Server {
                 "input must have a leading batch axis".into(),
             ));
         }
+        // Refused here, per request: inside a coalesced batch the
+        // engines' own check would fail every tenant in the batch.
+        check_finite(&req.input)?;
         let slot = Arc::new(OneShot::new());
         let pending = Pending {
             tenant: req.tenant,
@@ -442,6 +445,8 @@ impl Server {
     ///
     /// [`ServeError::UnknownModel`] / [`ServeError::WrongKind`] /
     /// [`ServeError::BadRequest`] for invalid requests,
+    /// [`ServeError::Analog`] with [`AnalogError::NonFiniteInput`] (its
+    /// index into this request's own input) for a NaN or infinite input,
     /// [`ServeError::ShuttingDown`] once shutdown has begun.
     pub fn submit(&self, req: InferenceRequest) -> Result<ResponseHandle, ServeError> {
         let (state, pending, handle) = self.make_pending(req)?;

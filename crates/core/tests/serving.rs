@@ -10,7 +10,7 @@
 //! before shutdown), and exactly-once is enforced structurally by the
 //! response slots plus response counting here.
 
-use nebula_core::analog::compile_ann;
+use nebula_core::analog::{compile_ann, AnalogError};
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
 use nebula_core::serve::{
     InferenceRequest, ModelSpec, RequestKind, ServeConfig, ServeError, Server,
@@ -313,6 +313,84 @@ fn invalid_requests_are_rejected_up_front() {
         Server::start(ServeConfig::default(), vec![ModelSpec::ann("m", chip2, 0)]),
         Err(ServeError::BadRequest(_))
     ));
+}
+
+#[test]
+fn a_non_finite_request_never_fails_another_tenants_batch() {
+    // Between two valid requests another tenant submits a NaN and an
+    // infinity. Both are refused at submit, with the index into their
+    // own input, so the batch the valid requests share (max_batch 2,
+    // long max_wait) answers both of them bit for bit.
+    let mut r = rng();
+    let (net, _) = trained_net(&mut r);
+    let ann = compile_ann(&net).unwrap();
+    let snn = snn_chip(&mut r);
+    let cfg = ServeConfig {
+        queue_capacity: 8,
+        max_batch: 2,
+        max_wait: Duration::from_secs(5),
+    };
+    let server = Server::start(
+        cfg,
+        vec![
+            ModelSpec::ann("mlp", ann.clone(), 1),
+            ModelSpec::snn("snn", snn.clone(), 1),
+        ],
+    )
+    .unwrap();
+    let kinds = [
+        ("mlp", RequestKind::Ann),
+        (
+            "snn",
+            RequestKind::Snn {
+                timesteps: 30,
+                seed: 77,
+            },
+        ),
+    ];
+    for (model, kind) in kinds {
+        let request = |tenant: u64, input: Tensor| InferenceRequest {
+            model: model.into(),
+            tenant,
+            input,
+            kind,
+        };
+        let good: Vec<Tensor> = (0..2).map(|_| input(&mut r, 2)).collect();
+        let first = server.submit(request(1, good[0].clone())).unwrap();
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut data = input(&mut r, 2).data().to_vec();
+            data[3] = bad;
+            let err = server
+                .submit(request(2, Tensor::from_vec(data, &[2, 2]).unwrap()))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::Analog(AnalogError::NonFiniteInput { index: 3 }),
+                "{model}"
+            );
+        }
+        let second = server.submit(request(3, good[1].clone())).unwrap();
+        for (x, h) in good.iter().zip([first, second]) {
+            let resp = h.wait().unwrap();
+            assert_eq!(
+                resp.batched_with, 2,
+                "{model}: the valid pair shares a batch"
+            );
+            let expect = match kind {
+                RequestKind::Ann => ann.clone().forward_sequential(x).unwrap(),
+                RequestKind::Snn { timesteps, seed } => {
+                    let mut seed_rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    snn.clone()
+                        .run_sequential(x, timesteps, &mut seed_rng)
+                        .unwrap()
+                }
+            };
+            assert_eq!(resp.output.shape(), expect.shape());
+            for (a, b) in resp.output.data().iter().zip(expect.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{model}: served {a} vs {b}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -91,11 +91,16 @@ struct EffCache {
 }
 
 impl EffCache {
-    /// Evaluates `drive` through the differential layout
+    /// Evaluates a dense drive through the differential layout
     /// ([`kernel::gemv`]) — the Vectorized path and the evaluation of a
     /// spilled quantized layout.
-    fn gemv(&self, drive: kernel::Drive<'_>, diff: &mut [f64]) -> f64 {
-        kernel::gemv(drive, self.vector.as_ref().expect(PREPARE_MSG), diff)
+    fn gemv(&self, inputs: &[f64], v_read: f64, diff: &mut [f64]) -> f64 {
+        kernel::gemv(
+            inputs,
+            v_read,
+            self.vector.as_ref().expect(PREPARE_MSG),
+            diff,
+        )
     }
 }
 
@@ -880,7 +885,6 @@ impl AtomicCrossbar {
         }
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v_read = self.config.mode.read_voltage().0;
-        let drive = kernel::Drive::Dense { inputs, v_read };
         match self.effective_path() {
             KernelPath::Scalar => {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
@@ -900,7 +904,7 @@ impl AtomicCrossbar {
                 }
                 total_current
             }
-            KernelPath::Vectorized => cache.gemv(drive, diff),
+            KernelPath::Vectorized => cache.gemv(inputs, v_read, diff),
             KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
                 QuantLayout::Packed(q) => {
                     let cols = self.cols_used;
@@ -922,7 +926,7 @@ impl AtomicCrossbar {
                     }
                     total_current
                 }
-                QuantLayout::Spill => cache.gemv(drive, diff),
+                QuantLayout::Spill => cache.gemv(inputs, v_read, diff),
             },
             KernelPath::Auto => unreachable!("Auto resolves to the vectorized layout"),
         }
@@ -931,82 +935,22 @@ impl AtomicCrossbar {
     /// Spike-sparse twin of [`eval_cached`](Self::eval_cached): every row
     /// in `active_rows` is driven at full read voltage (binary spike
     /// input `x = 1.0`, so `v_read * x == v_read` bitwise), rows not
-    /// listed are silent. Ascending row order reproduces the dense loop's
-    /// skip order exactly. `base` is subtracted from every index, so a
-    /// super-tile can pass sub-slices of a whole-receptive-field row list
-    /// without rebasing (and re-allocating) them first.
+    /// listed are silent. The rows are added one by one, ascending,
+    /// through the same [`kernel::SpikeRows`] view the batched SNN
+    /// scatter uses, which reproduces the dense loop's skip order
+    /// exactly. `base` is subtracted from every index, so a super-tile
+    /// can pass sub-slices of a whole-receptive-field row list without
+    /// rebasing (and re-allocating) them first.
     fn eval_cached_sparse(&mut self, active_rows: &[usize], base: usize, diff: &mut [f64]) -> f64 {
+        // A power-gated (dead) array drives nothing and draws nothing.
         if self.dead {
             return 0.0;
         }
         self.ensure_cache();
-        self.eval_sparse_prepared(active_rows, base, diff)
-    }
-
-    /// `&self` core of [`eval_cached_sparse`](Self::eval_cached_sparse):
-    /// see [`eval_dense_prepared`](Self::eval_dense_prepared) for the
-    /// prepare/accrue contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cache is dirty (no [`prepare`](Self::prepare)
-    /// since the last state mutation).
-    pub(crate) fn eval_sparse_prepared(
-        &self,
-        active_rows: &[usize],
-        base: usize,
-        diff: &mut [f64],
-    ) -> f64 {
-        if self.dead {
-            return 0.0;
-        }
-        let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
-        let v = self.config.mode.read_voltage().0;
-        let drive = kernel::Drive::Spikes {
-            active: active_rows,
-            base,
-            v,
-        };
-        match self.effective_path() {
-            KernelPath::Scalar => {
-                let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
-                let g_mid = self.g_mid();
-                let cols = self.cols_used;
-                let mut total_current = 0.0f64;
-                for &r in active_rows {
-                    let r = r - base;
-                    let row = &eff[r * cols..(r + 1) * cols];
-                    for (j, &g) in row.iter().enumerate() {
-                        diff[j] += v * (g - g_mid);
-                        total_current += v * g;
-                    }
-                }
-                total_current
-            }
-            KernelPath::Vectorized => cache.gemv(drive, diff),
-            KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
-                QuantLayout::Packed(q) => {
-                    // Binary spike drive: v is exactly v_read, so the
-                    // prepare-time byte-pair LUT already holds every
-                    // product — the dot degenerates to one pair load and
-                    // two adds per packed byte, no multiplies or nibble
-                    // arithmetic in the loop.
-                    let mut total_current = 0.0f64;
-                    if !active_rows.is_empty() {
-                        let cols = self.cols_used;
-                        let pair: &[[f64; 2]; 256] = q.pair_spike.as_slice().try_into().unwrap();
-                        for &r in active_rows {
-                            let r = r - base;
-                            total_current += v * q.row_sum[r];
-                            kernel::gather_add_pairs(pair, &q.packed[r * q.stride..], cols, diff);
-                        }
-                    }
-                    total_current
-                }
-                QuantLayout::Spill => cache.gemv(drive, diff),
-            },
-            KernelPath::Auto => unreachable!("Auto resolves to the vectorized layout"),
-        }
+        let rows = self.spike_rows().expect("a live array has spike rows");
+        active_rows
+            .iter()
+            .fold(0.0, |current, &r| rows.add_row(r - base, diff, current))
     }
 
     fn validate_active_rows(&self, active_rows: &[usize]) -> Result<(), CrossbarError> {

@@ -24,10 +24,10 @@
 //!
 //! # The GEMV kernel: column blocks and runtime dispatch
 //!
-//! One kernel, `gemv`, evaluates every differential-layout drive a single
-//! atomic crossbar sees, dense and spike alike (the batched SNN engine
-//! instead scatters spikes row by row through [`SpikeRows`]). It first compacts the driven rows into stack arrays
-//! (branch-free for dense drives: every row is written, the cursor only
+//! One kernel, `gemv`, evaluates every dense differential-layout drive
+//! (spike drives instead add whole rows one by one through
+//! [`SpikeRows`], on every layout). It first compacts the driven rows
+//! into stack arrays (branch-free: every row is written, the cursor only
 //! advances past non-zero inputs), then walks them once per column block
 //! of 32, 16 or 8 lanes (strides are multiples of [`LANES`] = 8, so the
 //! widths tile every row exactly). A block's accumulators live in a
@@ -180,21 +180,6 @@ impl KernelPath {
 /// column's row-ascending accumulation order.
 const MAX_ROWS: usize = 128;
 
-/// The drive one atomic-crossbar evaluation applies to its rows.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Drive<'a> {
-    /// Analog drive: row `r` sees `v_read · inputs[r]`; rows whose input
-    /// is zero are silent (no current, no energy).
-    Dense { inputs: &'a [f64], v_read: f64 },
-    /// Binary spike drive: row `r − base` sees `v` for every `r` in the
-    /// strictly ascending `active`; all other rows are silent.
-    Spikes {
-        active: &'a [usize],
-        base: usize,
-        v: f64,
-    },
-}
-
 /// Differential column-lane layout ([`KernelPath::Vectorized`]), the
 /// one [`gemv`] walks.
 #[derive(Debug, Clone)]
@@ -210,7 +195,8 @@ pub(crate) struct VectorLayout {
 }
 
 /// Differential crossbar GEMV: `diff[j] += v_r · dg[r][j]` over every
-/// driven row `r` (ascending) and every column `j < padded_cols`,
+/// driven row `r` (ascending; row `r` sees `v_r = v_read · inputs[r]`,
+/// rows whose input is zero are silent) and every column `j < padded_cols`,
 /// returning the total current `Σ_r v_r · row_sum[r]` (row-ascending
 /// chain). `diff` must be at least `padded_cols` long.
 ///
@@ -221,59 +207,45 @@ pub(crate) struct VectorLayout {
 /// when the host has it, else the portable one; both compile the same
 /// source and produce the same bits. `is_x86_feature_detected!` probes
 /// the CPU on its first call and caches the answer for the process.
-pub(crate) fn gemv(drive: Drive<'_>, m: &VectorLayout, diff: &mut [f64]) -> f64 {
+pub(crate) fn gemv(inputs: &[f64], v_read: f64, m: &VectorLayout, diff: &mut [f64]) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the host reports AVX2.
-        return unsafe { gemv_avx2(drive, m, diff) };
+        return unsafe { gemv_avx2(inputs, v_read, m, diff) };
     }
-    gemv_portable(drive, m, diff)
+    gemv_portable(inputs, v_read, m, diff)
 }
 
 /// [`gemv`] compiled for the build target's baseline ISA.
-fn gemv_portable(drive: Drive<'_>, m: &VectorLayout, diff: &mut [f64]) -> f64 {
-    gemv_body(drive, m, diff)
+fn gemv_portable(inputs: &[f64], v_read: f64, m: &VectorLayout, diff: &mut [f64]) -> f64 {
+    gemv_body(inputs, v_read, m, diff)
 }
 
 /// [`gemv`] compiled with AVX2 enabled: the same source, wider registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemv_avx2(drive: Drive<'_>, m: &VectorLayout, diff: &mut [f64]) -> f64 {
-    gemv_body(drive, m, diff)
+fn gemv_avx2(inputs: &[f64], v_read: f64, m: &VectorLayout, diff: &mut [f64]) -> f64 {
+    gemv_body(inputs, v_read, m, diff)
 }
 
 /// The one GEMV source both builds inline: compacts the driven rows into
 /// stack arrays (at most [`MAX_ROWS`] per pass), then accumulates them
 /// per column block.
 #[inline(always)]
-fn gemv_body(drive: Drive<'_>, m: &VectorLayout, diff: &mut [f64]) -> f64 {
+fn gemv_body(inputs: &[f64], v_read: f64, m: &VectorLayout, diff: &mut [f64]) -> f64 {
     let mut rows = [0usize; MAX_ROWS];
     let mut volts = [0.0f64; MAX_ROWS];
     let mut total = 0.0f64;
-    match drive {
-        Drive::Dense { inputs, v_read } => {
-            for (c, part) in inputs.chunks(MAX_ROWS).enumerate() {
-                // Branch-free compaction: every row is written, but the
-                // cursor only advances past non-zero drives.
-                let mut n = 0;
-                for (r, &x) in part.iter().enumerate() {
-                    rows[n] = c * MAX_ROWS + r;
-                    volts[n] = v_read * x;
-                    n += usize::from(x != 0.0);
-                }
-                total = accumulate(&rows[..n], &volts[..n], m, diff, total);
-            }
+    for (c, part) in inputs.chunks(MAX_ROWS).enumerate() {
+        // Branch-free compaction: every row is written, but the cursor
+        // only advances past non-zero drives.
+        let mut n = 0;
+        for (r, &x) in part.iter().enumerate() {
+            rows[n] = c * MAX_ROWS + r;
+            volts[n] = v_read * x;
+            n += usize::from(x != 0.0);
         }
-        Drive::Spikes { active, base, v } => {
-            volts.fill(v);
-            for part in active.chunks(MAX_ROWS) {
-                for (slot, &r) in rows.iter_mut().zip(part) {
-                    *slot = r - base;
-                }
-                let n = part.len();
-                total = accumulate(&rows[..n], &volts[..n], m, diff, total);
-            }
-        }
+        total = accumulate(&rows[..n], &volts[..n], m, diff, total);
     }
     total
 }
@@ -521,13 +493,14 @@ mod tests {
         assert_eq!(padded_len(128), 128);
     }
 
-    type GemvBuild = fn(Drive<'_>, &VectorLayout, &mut [f64]) -> f64;
+    type GemvBuild = fn(&[f64], f64, &VectorLayout, &mut [f64]) -> f64;
 
-    /// One GEMV case: a random `rows × cols` differential layout, a
+    /// One differential-layout case: a random `rows × cols` layout, a
     /// dense or spike drive with about `zero_pct`% silent rows, and a
-    /// random starting `diff`. Every build of [`gemv`] must reproduce the
-    /// per-cell scalar loop bit for bit — the differential outputs, the
-    /// untouched tail past the stride, and the total current.
+    /// random starting `diff`. Every build of [`gemv`] (dense) or the
+    /// [`SpikeRows`] row adds (spikes) must reproduce the per-cell scalar
+    /// loop bit for bit — the differential outputs, the untouched tail
+    /// past the stride, and the total current.
     fn check_gemv(cols: usize, rows: usize, zero_pct: usize, spikes: bool, seed: u64) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -554,24 +527,6 @@ mod tests {
             .iter()
             .map(|&z| if z { 0.0 } else { rng.gen_range(0.01..1.0) })
             .collect();
-        // Spike rows carry a base offset, as a super-tile's sub-slices do.
-        let base = 3;
-        let active: Vec<usize> = (0..rows)
-            .filter(|&r| !silent[r])
-            .map(|r| r + base)
-            .collect();
-        let drive = if spikes {
-            Drive::Spikes {
-                active: &active,
-                base,
-                v: v_read,
-            }
-        } else {
-            Drive::Dense {
-                inputs: &inputs,
-                v_read,
-            }
-        };
         // Padding lanes only ever gain `v · 0.0`, and the tail past the
         // stride is never touched: both must keep their sentinel.
         let start: Vec<f64> = (0..stride + 5)
@@ -598,16 +553,25 @@ mod tests {
             row_sum,
             padded_cols: stride,
         };
-        let mut builds: Vec<(&str, GemvBuild)> =
-            vec![("dispatch", gemv), ("portable", gemv_portable)];
+        let mut builds: Vec<(&str, GemvBuild)> = if spikes {
+            // Spike drives add every non-silent row once, ascending.
+            vec![("spike rows", |inputs, v, m, out| {
+                let rows = SpikeRows::differential(v, m);
+                (0..inputs.len())
+                    .filter(|&r| inputs[r] != 0.0)
+                    .fold(0.0, |c, r| rows.add_row(r, out, c))
+            })]
+        } else {
+            vec![("dispatch", gemv), ("portable", gemv_portable)]
+        };
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if !spikes && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the host reports AVX2.
-            builds.push(("avx2", |d, m, out| unsafe { gemv_avx2(d, m, out) }));
+            builds.push(("avx2", |x, v, m, out| unsafe { gemv_avx2(x, v, m, out) }));
         }
         for (name, build) in builds {
             let mut diff = start.clone();
-            let total = build(drive, &m, &mut diff);
+            let total = build(&inputs, v_read, &m, &mut diff);
             let case = format!("{name} cols {cols} rows {rows} zero {zero_pct}% spikes {spikes}");
             assert_eq!(total.to_bits(), expect_total.to_bits(), "total: {case}");
             for (j, (a, e)) in diff.iter().zip(&expect).enumerate() {
