@@ -772,17 +772,60 @@ impl ShardedAnalogNetwork {
         }
     }
 
+    /// Output shape for `input_shape`, checked unit by unit as
+    /// [`AnalogNetwork::output_shape`] checks a single-chip network.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
+    /// flow through the units.
+    pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
+        let mut shape = input_shape.to_vec();
+        for unit in &self.units {
+            shape = match unit {
+                AnnUnit::Whole { net, .. } => net.output_shape(&shape)?,
+                AnnUnit::Dense { cols, rf, .. } => {
+                    if shape.len() != 2 || shape[1] != *rf {
+                        return Err(AnalogError::BadGeometry {
+                            reason: format!("dense stage expects [n, {rf}], got {shape:?}"),
+                        });
+                    }
+                    vec![shape[0], *cols]
+                }
+                AnnUnit::Conv {
+                    geom,
+                    out_channels,
+                    rf,
+                    ..
+                } => conv_output_shape(&shape, *rf, *geom, *out_channels)?,
+            };
+        }
+        Ok(shape)
+    }
+
+    /// The checks both entry points make once, before any crossbar or
+    /// ring traffic: the shape must flow through every unit
+    /// ([`output_shape`](Self::output_shape)) and every value must be
+    /// finite.
+    fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
+        self.output_shape(inputs.shape())?;
+        check_finite(inputs)
+    }
+
     /// Runs a batch through the cluster and returns the logits —
     /// bit-identical to the donor single-chip
     /// [`AnalogNetwork::forward`].
     ///
     /// # Errors
     ///
-    /// Returns [`AnalogError::NonFiniteInput`] for a NaN or infinite
-    /// input; propagates circuit and tensor failures; inter-chip routing
-    /// failures surface as [`AnalogError::Noc`].
+    /// Returns [`AnalogError::BadGeometry`] when the input shape does not
+    /// fit the network (see [`output_shape`](Self::output_shape)) and
+    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
+    /// before any crossbar or ring traffic; propagates circuit and tensor
+    /// failures; inter-chip routing failures surface as
+    /// [`AnalogError::Noc`].
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        check_finite(inputs)?;
+        self.check_input(inputs)?;
         let workers = nebula_tensor::pool::size();
         let mut h = inputs.clone();
         let mut units = std::mem::take(&mut self.units);
@@ -827,7 +870,7 @@ impl ShardedAnalogNetwork {
         inputs: &Tensor,
         cfg: &PipelineConfig,
     ) -> Result<Tensor, AnalogError> {
-        check_finite(inputs)?;
+        self.check_input(inputs)?;
         let n = match inputs.shape().first() {
             Some(&n) => n,
             None => return self.forward(inputs),

@@ -14,10 +14,12 @@
 //! counts match exactly, and read energy is bitwise identical on the
 //! scalar path and within 1e-9 relative on the vectorized paths.
 
-use nebula_core::analog::{compile_ann, AnalogNetwork};
+use nebula_core::analog::{compile_ann, AnalogError, AnalogNetwork};
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
 use nebula_core::components::MAX_RF_IN_CORE;
-use nebula_core::multichip::{ShardStrategy, ShardedAnalogNetwork, ShardedSpikingNetwork};
+use nebula_core::multichip::{
+    PipelineConfig, ShardStrategy, ShardedAnalogNetwork, ShardedSpikingNetwork,
+};
 use nebula_crossbar::KernelPath;
 use nebula_device::units::Seconds;
 use nebula_device::{FaultClass, FaultModel};
@@ -317,6 +319,86 @@ proptest! {
                     assert_snn_equivalent(&master, strategy, chips, path, &x, timesteps, run_seed);
                 }
             }
+        }
+    }
+}
+
+/// A misshaped batch fails with `BadGeometry` at both sharded ANN entry
+/// points, under both strategies, before any crossbar or ring traffic —
+/// for a dense and a convolutional first layer whose receptive field
+/// spans two segments, so tensor sharding splits it into row shards.
+#[test]
+fn sharded_ann_rejects_misshaped_batches_up_front() {
+    let mut r = ChaCha8Rng::seed_from_u64(21);
+    let channels = MAX_RF_IN_CORE / 9 + 1;
+    let conv = Network::new(vec![
+        Layer::conv2d(channels, 2, 3, 1, 1, &mut r),
+        Layer::relu(),
+        Layer::flatten(),
+        Layer::dense(2 * 4 * 4, 3, &mut r),
+    ]);
+    let input = MAX_RF_IN_CORE + 5;
+    let cases: [(AnalogNetwork, Vec<usize>, Vec<Vec<usize>>); 2] = [
+        (
+            wide_ann(5, 6, 3, 9),
+            vec![2, input],
+            vec![
+                vec![2, input - 1],
+                vec![2, input + 1],
+                vec![2, 1, input],
+                vec![input],
+                vec![],
+            ],
+        ),
+        (
+            compile_ann(&conv).unwrap(),
+            vec![1, channels, 4, 4],
+            vec![
+                vec![1, channels - 1, 4, 4],
+                vec![1, channels, 5, 4],
+                vec![1, channels * 16],
+                vec![channels, 4, 4],
+            ],
+        ),
+    ];
+    let cfg = PipelineConfig::default();
+    for (net, good, bad_shapes) in cases {
+        for strategy in STRATEGIES {
+            let mut sharded = ShardedAnalogNetwork::new(net.clone(), 2, strategy).unwrap();
+            for shape in &bad_shapes {
+                let x = Tensor::zeros(shape);
+                let case = format!("{strategy:?} input {shape:?}");
+                assert!(
+                    matches!(sharded.forward(&x), Err(AnalogError::BadGeometry { .. })),
+                    "forward, {case}"
+                );
+                assert!(
+                    matches!(
+                        sharded.forward_pipelined(&x, &cfg),
+                        Err(AnalogError::BadGeometry { .. })
+                    ),
+                    "forward_pipelined, {case}"
+                );
+                assert!(sharded.output_shape(shape).is_err(), "output_shape, {case}");
+            }
+            assert_eq!(sharded.waves(), 0, "{strategy:?}: no wave ran");
+            assert_eq!(
+                sharded.read_energy().0,
+                0.0,
+                "{strategy:?}: no crossbar read"
+            );
+            assert_eq!(
+                sharded.traffic().transfers,
+                0,
+                "{strategy:?}: no ring traffic"
+            );
+            let x = Tensor::full(&good, 0.5);
+            let want = sharded.output_shape(&good).unwrap();
+            assert_eq!(sharded.forward(&x).unwrap().shape(), &want[..]);
+            assert_eq!(
+                sharded.forward_pipelined(&x, &cfg).unwrap().shape(),
+                &want[..]
+            );
         }
     }
 }

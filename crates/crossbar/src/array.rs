@@ -935,10 +935,9 @@ impl AtomicCrossbar {
     /// Spike-sparse twin of [`eval_cached`](Self::eval_cached): every row
     /// in `active_rows` is driven at full read voltage (binary spike
     /// input `x = 1.0`, so `v_read * x == v_read` bitwise), rows not
-    /// listed are silent. The rows are added one by one, ascending,
-    /// through the same [`kernel::SpikeRows`] view the batched SNN
-    /// scatter uses, which reproduces the dense loop's skip order
-    /// exactly. `base` is subtracted from every index, so a super-tile
+    /// listed are silent. The rows are added ascending by the same
+    /// [`kernel::SpikeRows::add_rows`] kernel the batched SNN scatter
+    /// uses, which reproduces the dense loop's skip order exactly. `base` is subtracted from every index, so a super-tile
     /// can pass sub-slices of a whole-receptive-field row list without
     /// rebasing (and re-allocating) them first.
     fn eval_cached_sparse(&mut self, active_rows: &[usize], base: usize, diff: &mut [f64]) -> f64 {
@@ -948,9 +947,7 @@ impl AtomicCrossbar {
         }
         self.ensure_cache();
         let rows = self.spike_rows().expect("a live array has spike rows");
-        active_rows
-            .iter()
-            .fold(0.0, |current, &r| rows.add_row(r - base, diff, current))
+        rows.add_rows(active_rows, base, diff, 0.0)
     }
 
     fn validate_active_rows(&self, active_rows: &[usize]) -> Result<(), CrossbarError> {

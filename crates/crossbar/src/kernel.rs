@@ -25,10 +25,11 @@
 //! # The GEMV kernel: column blocks and runtime dispatch
 //!
 //! One kernel, `gemv`, evaluates every dense differential-layout drive
-//! (spike drives instead add whole rows one by one through
-//! [`SpikeRows`], on every layout). It first compacts the driven rows
-//! into stack arrays (branch-free: every row is written, the cursor only
-//! advances past non-zero inputs), then walks them once per column block
+//! (spike drives instead add a patch's rows through
+//! [`SpikeRows::add_rows`], on every layout, with the same column
+//! blocks). It first compacts the driven rows into stack arrays
+//! (branch-free: every row is written, the cursor only advances past
+//! non-zero inputs), then walks them once per column block
 //! of 32, 16 or 8 lanes (strides are multiples of [`LANES`] = 8, so the
 //! widths tile every row exactly). A block's accumulators live in a
 //! local `[f64; W]` — registers, not `diff` — for the whole row walk,
@@ -314,14 +315,14 @@ fn column_block<const W: usize>(
 /// Obtained from [`SuperTile::spike_rows`](crate::tile::SuperTile::spike_rows)
 /// (`None` for a dead AC, which drives and draws nothing).
 ///
-/// A scatter-form evaluator walks the spiking inputs once and calls
-/// [`add_row`](Self::add_row) per (output patch, driven row), so a
-/// crossbar wave no longer needs its own active-row list. Each column
-/// still gets exactly one add per driven row, of the value the per-AC
-/// evaluators add; as long as the caller adds a patch's rows in
-/// ascending order from a `+0.0` accumulator, the outputs are
-/// bit-identical to [`KernelPath::Scalar`] and the current chain matches
-/// the layout's own energy formulation.
+/// A scatter-form evaluator bins its spike drives by output patch and
+/// calls [`add_rows`](Self::add_rows) once per (patch, AC) with that
+/// patch's driven rows, so a crossbar wave needs no active-row list of
+/// its own. Each column still gets exactly one add per driven row, of
+/// the value the per-AC evaluators add, in the order given; as long as
+/// the caller passes a patch's rows in ascending order into a `+0.0`
+/// accumulator, the outputs are bit-identical to [`KernelPath::Scalar`]
+/// and the current chain matches the layout's own energy formulation.
 #[derive(Debug, Clone, Copy)]
 pub struct SpikeRows<'a> {
     v: f64,
@@ -395,13 +396,21 @@ impl<'a> SpikeRows<'a> {
         }
     }
 
-    /// Adds row `r`'s spike contribution into `acc` (which must hold at
-    /// least [`padded_len`]`(cols)` values; padding lanes only ever gain
-    /// `v · 0.0`) and returns `current` continued by the row's share of
-    /// the total current — `v · row_sum[r]` on the per-row-sum layouts,
-    /// the per-cell `v · g` chain on the scalar one.
+    /// Adds the spike contribution of rows `rows[i] − base`, in the
+    /// order given, into `acc` (which must hold at least
+    /// [`padded_len`]`(cols)` values; padding lanes only ever gain
+    /// `v · 0.0`) and returns `current` continued by the rows' shares of
+    /// the total current — `v · row_sum[r]` per row on the per-row-sum
+    /// layouts, the per-cell `v · g` chain on the scalar one.
+    ///
+    /// On the differential layout the columns are walked in blocks of
+    /// 32, 16 and 8 lanes, as the dense GEMV walks them: a block's sums
+    /// stay in a local `[f64; W]` (registers) across all the rows, and
+    /// the first block also carries the current chain. Every column
+    /// still receives one `+= v · dg` per row, in row order, so the
+    /// result is the same bits as adding the rows one at a time.
     #[inline(always)]
-    pub fn add_row(&self, r: usize, acc: &mut [f64], mut current: f64) -> f64 {
+    pub fn add_rows(&self, rows: &[usize], base: usize, acc: &mut [f64], mut current: f64) -> f64 {
         let v = self.v;
         match self.layout {
             RowLayout::Differential {
@@ -409,13 +418,42 @@ impl<'a> SpikeRows<'a> {
                 stride,
                 row_sum,
             } => {
-                for (a, &g) in acc[..stride]
-                    .iter_mut()
-                    .zip(&dg[r * stride..(r + 1) * stride])
-                {
-                    *a += v * g;
+                if rows.is_empty() {
+                    return current;
                 }
-                current + v * row_sum[r]
+                let rows = DriveRows {
+                    rows,
+                    base,
+                    v,
+                    dg,
+                    stride,
+                };
+                // The first block, at least 8 lanes wide, carries the
+                // current chain; the rest tile the stride as in `gemv`.
+                let mut col = if stride >= 32 {
+                    current = rows.block::<32, true>(0, acc, row_sum, current);
+                    32
+                } else if stride >= 16 {
+                    current = rows.block::<16, true>(0, acc, row_sum, current);
+                    16
+                } else {
+                    current = rows.block::<LANES, true>(0, acc, row_sum, current);
+                    LANES
+                };
+                while col + 32 <= stride {
+                    rows.block::<32, false>(col, acc, row_sum, current);
+                    col += 32;
+                }
+                if col + 16 <= stride {
+                    rows.block::<16, false>(col, acc, row_sum, current);
+                    col += 16;
+                }
+                if col + LANES <= stride {
+                    rows.block::<LANES, false>(col, acc, row_sum, current);
+                    col += LANES;
+                }
+                debug_assert_eq!(col, stride, "stride must be a multiple of LANES");
+                current
             }
             RowLayout::Quantized {
                 packed,
@@ -424,17 +462,63 @@ impl<'a> SpikeRows<'a> {
                 pair,
                 row_sum,
             } => {
-                gather_add_pairs(pair, &packed[r * stride..], cols, acc);
-                current + v * row_sum[r]
+                for &r in rows {
+                    let r = r - base;
+                    gather_add_pairs(pair, &packed[r * stride..], cols, acc);
+                    current += v * row_sum[r];
+                }
+                current
             }
             RowLayout::Scalar { eff, cols, g_mid } => {
-                for (a, &g) in acc[..cols].iter_mut().zip(&eff[r * cols..(r + 1) * cols]) {
-                    *a += v * (g - g_mid);
-                    current += v * g;
+                for &r in rows {
+                    let r = r - base;
+                    for (a, &g) in acc[..cols].iter_mut().zip(&eff[r * cols..(r + 1) * cols]) {
+                        *a += v * (g - g_mid);
+                        current += v * g;
+                    }
                 }
                 current
             }
         }
+    }
+}
+
+/// The rows one [`SpikeRows::add_rows`] call drives on the differential
+/// layout, all at the spike voltage `v`.
+struct DriveRows<'r> {
+    rows: &'r [usize],
+    base: usize,
+    v: f64,
+    dg: &'r [f64],
+    stride: usize,
+}
+
+impl DriveRows<'_> {
+    /// `acc[col..col + W] += v · dg[r][col..col + W]` for every row, in
+    /// order, with the `W` sums held in a local array; with `CHAIN` the
+    /// same walk also continues `current` by `v · row_sum[r]` per row.
+    #[inline(always)]
+    fn block<const W: usize, const CHAIN: bool>(
+        &self,
+        col: usize,
+        acc: &mut [f64],
+        row_sum: &[f64],
+        mut current: f64,
+    ) -> f64 {
+        let out: &mut [f64; W] = (&mut acc[col..col + W]).try_into().unwrap();
+        let mut sum = *out;
+        for &r in self.rows {
+            let r = r - self.base;
+            let g: &[f64; W] = self.dg[r * self.stride + col..][..W].try_into().unwrap();
+            for l in 0..W {
+                sum[l] += self.v * g[l];
+            }
+            if CHAIN {
+                current += self.v * row_sum[r];
+            }
+        }
+        *out = sum;
+        current
     }
 }
 
@@ -554,12 +638,14 @@ mod tests {
             padded_cols: stride,
         };
         let mut builds: Vec<(&str, GemvBuild)> = if spikes {
-            // Spike drives add every non-silent row once, ascending.
+            // Spike drives add every non-silent row once, ascending,
+            // named with an offset the `base` argument removes.
             vec![("spike rows", |inputs, v, m, out| {
-                let rows = SpikeRows::differential(v, m);
-                (0..inputs.len())
+                let driven: Vec<usize> = (0..inputs.len())
                     .filter(|&r| inputs[r] != 0.0)
-                    .fold(0.0, |c, r| rows.add_row(r, out, c))
+                    .map(|r| r + 7)
+                    .collect();
+                SpikeRows::differential(v, m).add_rows(&driven, 7, out, 0.0)
             })]
         } else {
             vec![("dispatch", gemv), ("portable", gemv_portable)]
@@ -583,7 +669,14 @@ mod tests {
     #[test]
     fn gemv_matches_scalar_loop_at_every_width() {
         for cols in 1..=128 {
-            for (zero_pct, spikes) in [(0, false), (50, false), (100, false), (50, true)] {
+            for (zero_pct, spikes) in [
+                (0, false),
+                (50, false),
+                (100, false),
+                (0, true),
+                (50, true),
+                (100, true),
+            ] {
                 check_gemv(cols, 9, zero_pct, spikes, cols as u64);
             }
         }

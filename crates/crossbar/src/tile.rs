@@ -437,7 +437,7 @@ impl SuperTile {
 
     /// Atomic crossbar `ac`'s prepared rows as a binary spike drive sees
     /// them ([`kernel::SpikeRows`]), for scatter-form evaluators that add
-    /// each driven row straight into per-patch column accumulators: AC
+    /// each patch's driven rows into its column accumulators: AC
     /// `ac` holds receptive-field rows `ac·M .. (ac+1)·M`, and its
     /// differential columns land in the first [`kernels`](Self::kernels)
     /// accumulator slots (the padding lanes up to

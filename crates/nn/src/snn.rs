@@ -143,7 +143,17 @@ impl IfPopulation {
 
     /// Advances one timestep: integrates `input` into the membrane and
     /// returns the binary spike tensor.
+    ///
+    /// Every neuron runs the same branch-free body: leak, integration,
+    /// fire and reset are computed and then picked by selects, so the
+    /// loop vectorizes (compiled portable and for AVX2, picked once per
+    /// process).
     pub fn step(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        self.step_with(input, integrate)
+    }
+
+    /// [`step`](Self::step) through one build of the IF body.
+    fn step_with(&mut self, input: &Tensor, build: IntegrateBuild) -> Result<Tensor, NnError> {
         let needs_init = !matches!(&self.membrane, Some(m) if m.shape() == input.shape());
         if needs_init {
             self.membrane = Some(Tensor::zeros(input.shape()));
@@ -151,44 +161,20 @@ impl IfPopulation {
             self.thresholds = vec![self.threshold; input.len()];
             self.neuron_count = input.len();
         }
+        let dynamics = Dynamics {
+            leak: self.leak,
+            zero_reset: self.reset == ResetMode::Zero,
+            refractory: self.refractory,
+            homeostasis: self.homeostasis,
+        };
         let membrane = self.membrane.as_mut().expect("initialized above");
-        if self.leak < 1.0 {
-            membrane.map_inplace(|v| v * self.leak);
-        }
         let mut spikes = Tensor::zeros(input.shape());
-        let mut fired = 0u64;
-        {
-            let (m, s) = (membrane.data_mut(), spikes.data_mut());
-            let x = input.data();
-            for i in 0..m.len() {
-                if self.refractory > 0 && self.refractory_left[i] > 0 {
-                    self.refractory_left[i] -= 1;
-                    continue; // input arriving in the dead time is lost
-                }
-                m[i] += x[i];
-                let th = self.thresholds[i];
-                let spiked = m[i] >= th;
-                if spiked {
-                    s[i] = 1.0;
-                    fired += 1;
-                    match self.reset {
-                        ResetMode::Subtract => m[i] -= th,
-                        ResetMode::Zero => m[i] = 0.0,
-                    }
-                    if self.refractory > 0 {
-                        self.refractory_left[i] = self.refractory;
-                    }
-                }
-                if let Some(h) = self.homeostasis {
-                    // Firing above target raises the threshold; silence
-                    // lowers it — the rate self-regulates.
-                    let err = f32::from(spiked) - h.target_rate;
-                    self.thresholds[i] =
-                        (self.thresholds[i] + h.adaptation_rate * err).max(h.min_threshold);
-                }
-            }
-        }
-        self.total_spikes += fired;
+        let neurons = Neurons {
+            membrane: membrane.data_mut(),
+            refractory_left: &mut self.refractory_left,
+            thresholds: &mut self.thresholds,
+        };
+        self.total_spikes += build(&dynamics, neurons, input.data(), spikes.data_mut());
         Ok(spikes)
     }
 
@@ -210,6 +196,124 @@ impl IfPopulation {
     pub fn neuron_count(&self) -> usize {
         self.neuron_count
     }
+}
+
+/// The per-population constants one IF step reads.
+#[derive(Debug, Clone, Copy)]
+struct Dynamics {
+    leak: f32,
+    zero_reset: bool,
+    refractory: u32,
+    homeostasis: Option<Homeostasis>,
+}
+
+/// The per-neuron state one IF step advances, one entry per neuron.
+struct Neurons<'a> {
+    membrane: &'a mut [f32],
+    refractory_left: &'a mut [u32],
+    thresholds: &'a mut [f32],
+}
+
+/// One build of the IF step: advances `neurons` by the input `x`,
+/// writes the binary spikes into `s` (one value per neuron) and returns
+/// how many fired.
+type IntegrateBuild = fn(&Dynamics, Neurons<'_>, &[f32], &mut [f32]) -> u64;
+
+/// The IF step: runs the AVX2 build when the host has it, else the
+/// portable one. Both compile the same source and produce the same bits
+/// (no FMA contraction, no re-association), like the crossbar GEMV
+/// kernel; `is_x86_feature_detected!` probes the CPU on its first call
+/// and caches the answer for the process.
+fn integrate(d: &Dynamics, n: Neurons<'_>, x: &[f32], s: &mut [f32]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host reports AVX2.
+        return unsafe { integrate_avx2(d, n, x, s) };
+    }
+    integrate_portable(d, n, x, s)
+}
+
+/// [`integrate`] compiled for the build target's baseline ISA.
+fn integrate_portable(d: &Dynamics, n: Neurons<'_>, x: &[f32], s: &mut [f32]) -> u64 {
+    integrate_body(d, n, x, s)
+}
+
+/// [`integrate`] compiled with AVX2 enabled: the same source, wider
+/// registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn integrate_avx2(d: &Dynamics, n: Neurons<'_>, x: &[f32], s: &mut [f32]) -> u64 {
+    integrate_body(d, n, x, s)
+}
+
+/// The one IF source both builds inline, instantiated once per
+/// combination of the optional dynamics so that a population without a
+/// refractory period or homeostasis never touches their state.
+#[inline(always)]
+fn integrate_body(d: &Dynamics, n: Neurons<'_>, x: &[f32], s: &mut [f32]) -> u64 {
+    match (d.refractory > 0, d.homeostasis) {
+        (false, None) => neurons::<false, false>(d, Homeostasis::new(0.0), n, x, s),
+        (true, None) => neurons::<true, false>(d, Homeostasis::new(0.0), n, x, s),
+        (false, Some(h)) => neurons::<false, true>(d, h, n, x, s),
+        (true, Some(h)) => neurons::<true, true>(d, h, n, x, s),
+    }
+}
+
+/// The branch-free per-neuron body. Each neuron leaks (`leak < 1`),
+/// integrates its input unless it is in its dead time (such input is
+/// lost), fires when the membrane reaches its threshold, and then
+/// subtracts the threshold or resets to `0.0`; with `REFRACTORY` a spike
+/// starts a dead time, and with `HOMEOSTASIS` firing above the target
+/// rate raises the threshold and silence lowers it, outside the dead
+/// time. Every outcome is computed and picked by a select.
+#[inline(always)]
+fn neurons<const REFRACTORY: bool, const HOMEOSTASIS: bool>(
+    d: &Dynamics,
+    h: Homeostasis,
+    n: Neurons<'_>,
+    x: &[f32],
+    s: &mut [f32],
+) -> u64 {
+    let len = x.len();
+    let (m, left, th, s) = (
+        &mut n.membrane[..len],
+        &mut n.refractory_left[..len],
+        &mut n.thresholds[..len],
+        &mut s[..len],
+    );
+    let (leaky, leak, zero_reset) = (d.leak < 1.0, d.leak, d.zero_reset);
+    let mut fired = 0u64;
+    for i in 0..len {
+        let held = if leaky { m[i] * leak } else { m[i] };
+        let dead = REFRACTORY && left[i] > 0;
+        let v = held + x[i];
+        let t = th[i];
+        let spiked = !dead && v >= t;
+        let reset = if zero_reset { 0.0 } else { v - t };
+        m[i] = if dead {
+            held
+        } else if spiked {
+            reset
+        } else {
+            v
+        };
+        s[i] = if spiked { 1.0 } else { 0.0 };
+        fired += u64::from(spiked);
+        if REFRACTORY {
+            // Counts down through the dead time; only a spike restarts it.
+            left[i] = if spiked {
+                d.refractory
+            } else {
+                left[i].saturating_sub(1)
+            };
+        }
+        if HOMEOSTASIS {
+            let err = f32::from(spiked) - h.target_rate;
+            let adapted = (t + h.adaptation_rate * err).max(h.min_threshold);
+            th[i] = if dead { t } else { adapted };
+        }
+    }
+    fired
 }
 
 /// Per-layer spiking-activity statistics (the data behind the paper's
@@ -444,6 +548,154 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(17)
+    }
+
+    /// The per-neuron IF loop as it was before the step became
+    /// branch-free, kept as the reference every build must reproduce.
+    fn step_reference(pop: &mut IfPopulation, input: &Tensor) -> Tensor {
+        let needs_init = !matches!(&pop.membrane, Some(m) if m.shape() == input.shape());
+        if needs_init {
+            pop.membrane = Some(Tensor::zeros(input.shape()));
+            pop.refractory_left = vec![0; input.len()];
+            pop.thresholds = vec![pop.threshold; input.len()];
+            pop.neuron_count = input.len();
+        }
+        let membrane = pop.membrane.as_mut().expect("initialized above");
+        if pop.leak < 1.0 {
+            membrane.map_inplace(|v| v * pop.leak);
+        }
+        let mut spikes = Tensor::zeros(input.shape());
+        let mut fired = 0u64;
+        {
+            let (m, s) = (membrane.data_mut(), spikes.data_mut());
+            let x = input.data();
+            for i in 0..m.len() {
+                if pop.refractory > 0 && pop.refractory_left[i] > 0 {
+                    pop.refractory_left[i] -= 1;
+                    continue;
+                }
+                m[i] += x[i];
+                let th = pop.thresholds[i];
+                let spiked = m[i] >= th;
+                if spiked {
+                    s[i] = 1.0;
+                    fired += 1;
+                    match pop.reset {
+                        ResetMode::Subtract => m[i] -= th,
+                        ResetMode::Zero => m[i] = 0.0,
+                    }
+                    if pop.refractory > 0 {
+                        pop.refractory_left[i] = pop.refractory;
+                    }
+                }
+                if let Some(h) = pop.homeostasis {
+                    let err = f32::from(spiked) - h.target_rate;
+                    pop.thresholds[i] =
+                        (pop.thresholds[i] + h.adaptation_rate * err).max(h.min_threshold);
+                }
+            }
+        }
+        pop.total_spikes += fired;
+        spikes
+    }
+
+    /// Every build of the IF body: the dispatched one, the portable one
+    /// and, on an AVX2 host, the AVX2 one.
+    fn if_builds() -> Vec<(&'static str, IntegrateBuild)> {
+        #[allow(unused_mut)]
+        let mut builds: Vec<(&'static str, IntegrateBuild)> =
+            vec![("dispatch", integrate), ("portable", integrate_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host reports AVX2.
+            builds.push(("avx2", |d, n, x, s| unsafe { integrate_avx2(d, n, x, s) }));
+        }
+        builds
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Steps a copy of `base` through 80 random inputs with every build
+    /// and another copy with the reference loop, comparing the spikes,
+    /// membrane, spike count, dead times and thresholds bit for bit after
+    /// every step. The inputs mix values landing exactly on the
+    /// threshold (alone or in two halves), negatives and both signed
+    /// zeros.
+    fn assert_if_matches_reference(base: &IfPopulation, seed: u64) {
+        use rand::Rng;
+        let th = base.threshold;
+        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+        let neurons = 1 + r.gen_range(0..70usize);
+        let inputs: Vec<Tensor> = (0..80)
+            .map(|_| {
+                let data = (0..neurons)
+                    .map(|_| match r.gen_range(0..8) {
+                        0 => th,
+                        1 => th / 2.0,
+                        2 => -th,
+                        3 => 0.0,
+                        4 => -0.0,
+                        5 => r.gen_range(-2.0f32..0.0),
+                        _ => r.gen_range(0.0f32..2.0 * th),
+                    })
+                    .collect();
+                Tensor::from_vec(data, &[1, neurons]).unwrap()
+            })
+            .collect();
+        for (name, build) in if_builds() {
+            let (mut pop, mut reference) = (base.clone(), base.clone());
+            for (t, x) in inputs.iter().enumerate() {
+                let got = pop.step_with(x, build).unwrap();
+                let want = step_reference(&mut reference, x);
+                let at = format!("{name} step {t}: {base:?}");
+                assert_eq!(bits(got.data()), bits(want.data()), "spikes, {at}");
+                assert_eq!(
+                    bits(pop.membrane.as_ref().unwrap().data()),
+                    bits(reference.membrane.as_ref().unwrap().data()),
+                    "membrane, {at}"
+                );
+                assert_eq!(pop.total_spikes, reference.total_spikes, "{at}");
+                assert_eq!(
+                    pop.refractory_left, reference.refractory_left,
+                    "dead times, {at}"
+                );
+                assert_eq!(
+                    bits(&pop.thresholds),
+                    bits(&reference.thresholds),
+                    "thresholds, {at}"
+                );
+            }
+            assert!(reference.total_spikes > 0, "never fired: {base:?}");
+        }
+    }
+
+    #[test]
+    fn if_step_matches_the_reference_loop_bitwise() {
+        // Both reset modes, leaky and leak-free, with and without a
+        // refractory period and homeostasis, at several thresholds.
+        let homeostasis = Homeostasis {
+            target_rate: 0.3,
+            adaptation_rate: 0.07,
+            min_threshold: 0.2,
+        };
+        let mut seed = 0;
+        for reset in [ResetMode::Subtract, ResetMode::Zero] {
+            for leak in [1.0, 0.9, 0.5] {
+                for refractory in [0, 1, 3] {
+                    for homeo in [None, Some(homeostasis)] {
+                        for threshold in [1.0, 0.75, 0.3, 2.5] {
+                            let mut base =
+                                IfPopulation::with_dynamics(threshold, reset, leak, refractory);
+                            base.homeostasis = homeo;
+                            seed += 1;
+                            assert_if_matches_reference(&base, seed);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

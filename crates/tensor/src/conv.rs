@@ -416,39 +416,67 @@ fn pool2d(input: &Tensor, k: usize, kind: PoolKind) -> Result<Tensor, TensorErro
             reason: format!("pool window {k} does not divide input {h}×{w}"),
         });
     }
-    let (oh, ow) = (h / k, w / k);
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let src = input.data();
-    let dst = out.data_mut();
+    let mut out = Tensor::zeros(&[n, c, h / k, w / k]);
+    if out.is_empty() {
+        return Ok(out);
+    }
+    let (src, dst) = (input.data(), out.data_mut());
     let inv = 1.0 / (k * k) as f32;
-    for img in 0..n {
-        for ch in 0..c {
-            let in_base = (img * c + ch) * h * w;
-            let out_base = (img * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = match kind {
-                        PoolKind::Average => 0.0,
-                        PoolKind::Max => f32::NEG_INFINITY,
-                    };
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let v = src[in_base + (oy * k + ky) * w + (ox * k + kx)];
-                            match kind {
-                                PoolKind::Average => acc += v,
-                                PoolKind::Max => acc = acc.max(v),
-                            }
-                        }
+    match kind {
+        PoolKind::Average if k == 2 => avg_pool_2x2(src, w, inv, dst),
+        PoolKind::Average => pool_windows(src, [h, w], k, dst, 0.0, |a, v| a + v, |a| a * inv),
+        PoolKind::Max => pool_windows(src, [h, w], k, dst, f32::NEG_INFINITY, f32::max, |a| a),
+    }
+    Ok(out)
+}
+
+/// Pools every `k×k` window of the `[h, w]` planes in `src` into `dst`:
+/// `finish(fold(…fold(init, v₀₀)…, v_{k−1,k−1}))`, the window read
+/// row by row.
+#[inline(always)]
+fn pool_windows(
+    src: &[f32],
+    [h, w]: [usize; 2],
+    k: usize,
+    dst: &mut [f32],
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
+) {
+    let ow = w / k;
+    for (plane, out) in src
+        .chunks_exact(h * w)
+        .zip(dst.chunks_exact_mut(h / k * ow))
+    {
+        for (rows, out_row) in plane.chunks_exact(k * w).zip(out.chunks_exact_mut(ow)) {
+            for (ox, o) in out_row.iter_mut().enumerate() {
+                let mut acc = init;
+                for row in rows.chunks_exact(w) {
+                    for &v in &row[ox * k..(ox + 1) * k] {
+                        acc = fold(acc, v);
                     }
-                    dst[out_base + oy * ow + ox] = match kind {
-                        PoolKind::Average => acc * inv,
-                        PoolKind::Max => acc,
-                    };
                 }
+                *o = finish(acc);
             }
         }
     }
-    Ok(out)
+}
+
+/// The 2×2 average pool as straight adds over each pair of input rows:
+/// `(0.0 + v00 + v01 + v10 + v11) · inv`, the order [`pool_windows`]
+/// adds a window in (the leading `0.0 +` turns a `−0.0` sum into
+/// `+0.0`, as there).
+fn avg_pool_2x2(src: &[f32], w: usize, inv: f32, dst: &mut [f32]) {
+    for (rows, out) in src.chunks_exact(2 * w).zip(dst.chunks_exact_mut(w / 2)) {
+        let (top, bottom) = rows.split_at(w);
+        for ((o, t), b) in out
+            .iter_mut()
+            .zip(top.chunks_exact(2))
+            .zip(bottom.chunks_exact(2))
+        {
+            *o = (0.0 + t[0] + t[1] + b[0] + b[1]) * inv;
+        }
+    }
 }
 
 /// Backward pass of [`avg_pool2d`]: spreads each output gradient equally
@@ -670,6 +698,74 @@ mod tests {
         .unwrap();
         let y = max_pool2d(&x, 2).unwrap();
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
+    }
+
+    /// The pooling loop with the window kind matched per element, as it
+    /// was before the kind moved out of the loops: the reference the
+    /// specialized paths must reproduce bit for bit.
+    fn pool_reference(input: &Tensor, k: usize, average: bool) -> Tensor {
+        let s = input.shape();
+        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+        let (oh, ow) = (h / k, w / k);
+        let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        let inv = 1.0 / (k * k) as f32;
+        for img in 0..n {
+            for ch in 0..c {
+                let in_base = (img * c + ch) * h * w;
+                let out_base = (img * c + ch) * oh * ow;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = if average { 0.0 } else { f32::NEG_INFINITY };
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let v = input.data()[in_base + (oy * k + ky) * w + (ox * k + kx)];
+                                acc = if average { acc + v } else { acc.max(v) };
+                            }
+                        }
+                        out.data_mut()[out_base + oy * ow + ox] =
+                            if average { acc * inv } else { acc };
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pooling_matches_the_per_element_loop_bitwise() {
+        // Every window size, the 2×2 average's row-pair path included,
+        // on inputs mixing both signed zeros (an all-`−0.0` window
+        // averages to `+0.0`), negatives and ordinary values.
+        use rand::{Rng, SeedableRng};
+        let mut r = rand::rngs::StdRng::seed_from_u64(5);
+        for k in 1..=4 {
+            for (n, c, side) in [(1, 1, k), (2, 3, 2 * k), (3, 2, 4 * k), (1, 1, 0)] {
+                let data = (0..n * c * side * side)
+                    .map(|_| match r.gen_range(0..6) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => 1.0,
+                        3 => r.gen_range(-3.0f32..0.0),
+                        _ => r.gen_range(0.0f32..3.0),
+                    })
+                    .collect();
+                let x = Tensor::from_vec(data, &[n, c, side, side]).unwrap();
+                for (average, got) in [(true, avg_pool2d(&x, k)), (false, max_pool2d(&x, k))] {
+                    let got = got.unwrap();
+                    let expect = pool_reference(&x, k, average);
+                    assert_eq!(got.shape(), expect.shape());
+                    for (i, (a, e)) in got.data().iter().zip(expect.data()).enumerate() {
+                        assert_eq!(a.to_bits(), e.to_bits(), "k {k} average {average} at {i}");
+                    }
+                }
+            }
+        }
+        let zeros = Tensor::from_vec(vec![-0.0; 16], &[1, 1, 4, 4]).unwrap();
+        let pooled = avg_pool2d(&zeros, 2).unwrap();
+        assert!(
+            pooled.data().iter().all(|v| v.to_bits() == 0),
+            "−0.0 windows pool to +0.0"
+        );
     }
 
     #[test]
