@@ -80,10 +80,7 @@ fn bench_snn(c: &mut Criterion) {
 /// workloads. Summarized in `EXPERIMENTS.md` ("Kernel microbenchmarks").
 fn bench_kernel_paths(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let paths = [
-        ("vectorized", KernelPath::Vectorized),
-        ("scalar", KernelPath::Scalar),
-    ];
+    let paths = [("auto", KernelPath::Auto), ("scalar", KernelPath::Scalar)];
 
     // Dense GEMV: full 128×128 differential array, analog input drive.
     let mut xbar = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();

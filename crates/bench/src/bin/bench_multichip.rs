@@ -99,6 +99,21 @@ fn sample_count() -> usize {
         .unwrap_or(4)
 }
 
+/// The pipeline config for every leg: the default, with the ANN
+/// micro-batch depth overridable through `NEBULA_MULTICHIP_DEPTH`
+/// (a positive integer; anything else keeps the default).
+fn pipeline_config() -> PipelineConfig {
+    let mut cfg = PipelineConfig::default();
+    if let Some(depth) = std::env::var("NEBULA_MULTICHIP_DEPTH")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&d| d >= 1)
+    {
+        cfg.micro_batch = depth;
+    }
+    cfg
+}
+
 fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
@@ -442,7 +457,7 @@ fn main() {
     let hw_threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let cfg = PipelineConfig::from_env();
+    let cfg = pipeline_config();
     let energy_model = EnergyModel::default();
 
     // --- Plan study: VGG/13 SNN layer-pipelined across cluster sizes --

@@ -16,9 +16,10 @@
 //! * **scalar** — the event-driven engine pinned to
 //!   [`KernelPath::Scalar`], whose outputs *and* read energy must match
 //!   the reference bit for bit;
-//! * **event** — the event-driven engine on the default vectorized
-//!   kernels (the timed production path), bitwise-identical outputs and
-//!   per-row-sum energy within 1e-9 relative of the reference.
+//! * **event** — the event-driven engine on the default
+//!   [`KernelPath::Auto`] kernels (the timed production path),
+//!   bitwise-identical outputs and per-row-sum energy within 1e-9
+//!   relative of the reference.
 //!
 //! The ANN baseline leg (`forward` vs `forward_sequential`) is checked
 //! the same way. Constant input encoding makes every leg's active set

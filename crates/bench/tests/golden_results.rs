@@ -2,56 +2,40 @@
 //! experiment and diff its stdout against the recorded `results/*.txt`,
 //! so model drift is caught by `cargo test` instead of manual diffing.
 //!
-//! Only the 14 RNG-free experiments are pinned byte-for-byte here. The
-//! RNG-dependent experiments (training-based accuracy studies) are
-//! deterministic too, but cost minutes of training each; their clean
-//! corners are covered by `fault_campaign`'s zero-fault assertion and
-//! the seeded-determinism suite.
-//!
-//! Each experiment is additionally re-run with
-//! `NEBULA_KERNEL_PATH=quantized` pinning every crossbar to the
-//! bit-packed 4-bit kernel tier. The quantized path's differential
-//! outputs are bitwise identical to the default and its read energy
-//! uses the same per-row-sum formulation as the default vectorized
-//! kernel, so *all* recorded columns — classifications and energy alike
-//! — must stay byte-for-byte; no looser tolerance is needed.
-//!
-//! The 14 table binaries evaluate the analytical energy model and never
-//! construct a crossbar, so their `quantized` reruns only pin that the
-//! env override doesn't perturb anything process-wide. The recorded
-//! experiment that actually runs inference *through* the crossbar
+//! The 14 RNG-free experiments are pinned byte-for-byte here. They
+//! evaluate the analytical energy model and never construct a crossbar.
+//! The recorded experiment that runs inference *through* the crossbar
 //! models is `analog_validation` (RNG-dependent, but byte-stable under
 //! the vendored rand — it is regenerated whenever the random stream
-//! shifts, see CHANGES.md PR 1); the [`analog_kernel_paths`] module
-//! re-runs it under every kernel path as the end-to-end golden check
-//! that genuinely exercises the scalar, vectorized and quantized tiers.
+//! shifts, see CHANGES.md PR 1); it is pinned too, on the default
+//! kernel path. The other RNG-dependent experiments (training-based
+//! accuracy studies) are deterministic as well, but cost minutes of
+//! training each; their clean corners are covered by `fault_campaign`'s
+//! zero-fault assertion and the seeded-determinism suite. The scalar
+//! reference kernel is checked against the same inference in
+//! `nebula_core`'s unit tests, device mismatch included.
 
 use std::process::Command;
 
 /// Runs a recorded experiment binary and asserts byte-identical stdout
-/// against its golden file, optionally pinning the crossbar kernel path
-/// through the `NEBULA_KERNEL_PATH` environment override.
-fn assert_matches_golden(bin: &str, exe: &str, kernel_path: Option<&str>) {
+/// against its golden file.
+fn assert_matches_golden(bin: &str, exe: &str) {
     let golden_path = format!("{}/../../results/{bin}.txt", env!("CARGO_MANIFEST_DIR"));
     let golden = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("missing golden file {golden_path}: {e}"));
-    let mut cmd = Command::new(exe);
-    if let Some(path) = kernel_path {
-        cmd.env("NEBULA_KERNEL_PATH", path);
-    }
-    let out = cmd
+    let out = Command::new(exe)
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
     assert!(
         out.status.success(),
-        "{bin} (kernel path {kernel_path:?}) exited with {:?}:\n{}",
+        "{bin} exited with {:?}:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("experiment output is UTF-8");
     assert_eq!(
         stdout, golden,
-        "{bin} (kernel path {kernel_path:?}) drifted from its recorded output ({golden_path})"
+        "{bin} drifted from its recorded output ({golden_path})"
     );
 }
 
@@ -62,23 +46,9 @@ macro_rules! golden {
             assert_matches_golden(
                 stringify!($name),
                 env!(concat!("CARGO_BIN_EXE_", stringify!($name))),
-                None,
             );
         }
-    )*
-        mod quantized {
-            $(
-                #[test]
-                fn $name() {
-                    super::assert_matches_golden(
-                        stringify!($name),
-                        env!(concat!("CARGO_BIN_EXE_", stringify!($name))),
-                        Some("quantized"),
-                    );
-                }
-            )*
-        }
-    };
+    )*};
 }
 
 golden!(
@@ -86,6 +56,7 @@ golden!(
     ablate_morphable,
     ablate_replication,
     ablate_tmr,
+    analog_validation,
     chip_layout,
     fig01_device,
     fig12_isaac_layers,
@@ -97,30 +68,3 @@ golden!(
     fig17_hybrid_tradeoff,
     tab03_components,
 );
-
-/// Golden reruns that drive real crossbar inference (MLP + LeNet
-/// accuracy through `compile_ann`, including the 10% device-mismatch
-/// leg) under each pinned kernel path. Outputs must stay byte-for-byte
-/// on every path: differential dots are bitwise identical across tiers
-/// and the printed energies come from the per-row-sum chain shared by
-/// the vectorized and quantized paths. (`sec4d_noise` also exercises
-/// the crossbars but costs minutes per debug run, so it is left to the
-/// seeded-determinism and equivalence suites.)
-mod analog_kernel_paths {
-    const EXE: &str = env!("CARGO_BIN_EXE_analog_validation");
-
-    #[test]
-    fn analog_validation_scalar() {
-        super::assert_matches_golden("analog_validation", EXE, Some("scalar"));
-    }
-
-    #[test]
-    fn analog_validation_vectorized() {
-        super::assert_matches_golden("analog_validation", EXE, Some("vectorized"));
-    }
-
-    #[test]
-    fn analog_validation_quantized() {
-        super::assert_matches_golden("analog_validation", EXE, Some("quantized"));
-    }
-}

@@ -613,10 +613,10 @@ fn evaluate_batch(chip: &mut ModelChip, batch: &[Pending]) -> Result<Vec<Tensor>
         (ModelChip::Ann(net), RequestKind::Ann) => net.forward(&x)?,
         // Sharded models stream through the concurrent pipeline
         // executor (bit-identical to the sequential sharded walk, so
-        // the serving identity contract is untouched); depth follows
-        // NEBULA_MULTICHIP_DEPTH.
+        // the serving identity contract is untouched) at the default
+        // micro-batch depth.
         (ModelChip::ShardedAnn(cluster), RequestKind::Ann) => {
-            cluster.forward_pipelined(&x, &crate::multichip::PipelineConfig::from_env())?
+            cluster.forward_pipelined(&x, &crate::multichip::PipelineConfig::default())?
         }
         (ModelChip::Snn(net), RequestKind::Snn { timesteps, .. }) => {
             net.run_seeded_groups(&x, *timesteps, &snn_groups(batch))?
@@ -626,7 +626,7 @@ fn evaluate_batch(chip: &mut ModelChip, batch: &[Pending]) -> Result<Vec<Tensor>
                 &x,
                 *timesteps,
                 &snn_groups(batch),
-                &crate::multichip::PipelineConfig::from_env(),
+                &crate::multichip::PipelineConfig::default(),
             )?,
         _ => {
             return Err(ServeError::BadRequest(

@@ -38,12 +38,7 @@ use rand_chacha::ChaCha8Rng;
 /// Accumulated per-row-sum energy tolerance (1e-12 relative per dot).
 const ENERGY_RTOL: f64 = 1e-9;
 
-const PATHS: [KernelPath; 4] = [
-    KernelPath::Scalar,
-    KernelPath::Vectorized,
-    KernelPath::Quantized,
-    KernelPath::Auto,
-];
+const PATHS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Auto];
 
 /// A dense two-stage spiking net: `input → IF → hidden → IF`.
 fn dense_snn(input: usize, hidden: usize, out: usize, seed: u64) -> AnalogSpikingNetwork {
@@ -250,8 +245,7 @@ fn single_conv_snn(
 }
 
 /// Sampled hard faults that leave the 16-level grid (per-cell TMR
-/// factors, retention drift), so the quantized layout spills to the
-/// differential one, plus one power-gated AC.
+/// factors, retention drift), plus one power-gated AC.
 fn wound(master: &mut AnalogSpikingNetwork, seed: u64, killed_ac: usize) {
     let model = FaultModel::single(FaultClass::TmrDegradation, 0.2)
         .with_class_rate(FaultClass::RetentionDrift, 0.2);

@@ -12,7 +12,7 @@
 //! retention aging and AC kill switches mutate the donor's arrays,
 //! outputs are **bitwise identical** to the single-chip run, wave
 //! counts match exactly, and read energy is bitwise identical on the
-//! scalar path and within 1e-9 relative on the vectorized paths.
+//! scalar path and within 1e-9 relative on Auto.
 
 use nebula_core::analog::{compile_ann, AnalogError, AnalogNetwork};
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
@@ -34,12 +34,7 @@ use rand_chacha::ChaCha8Rng;
 /// Accumulated per-row-sum energy tolerance (1e-12 relative per dot).
 const ENERGY_RTOL: f64 = 1e-9;
 
-const PATHS: [KernelPath; 4] = [
-    KernelPath::Scalar,
-    KernelPath::Vectorized,
-    KernelPath::Quantized,
-    KernelPath::Auto,
-];
+const PATHS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Auto];
 
 const STRATEGIES: [ShardStrategy; 2] =
     [ShardStrategy::LayerPipelined, ShardStrategy::TensorSharded];

@@ -8,7 +8,7 @@
 //! {1, 2, 4} × strategy × kernel path — and with faults, aging and AC
 //! kill switches mutating the donor — the pipelined run is **bitwise
 //! identical** to the sequential sharded walk in outputs, wave counts,
-//! read energy (scalar path exactly; vectorized within the accumulated
+//! read energy (scalar path exactly; Auto within the accumulated
 //! 1e-9 relative bound) and the *entire* cluster [`TrafficStats`],
 //! `link_flit_hops` included. Deterministic backpressure cases
 //! (capacity-1 queues, more workers than stages) prove the bounded
@@ -34,12 +34,7 @@ use rand_chacha::ChaCha8Rng;
 /// Accumulated per-row-sum energy tolerance (1e-12 relative per dot).
 const ENERGY_RTOL: f64 = 1e-9;
 
-const PATHS: [KernelPath; 4] = [
-    KernelPath::Scalar,
-    KernelPath::Vectorized,
-    KernelPath::Quantized,
-    KernelPath::Auto,
-];
+const PATHS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Auto];
 
 const STRATEGIES: [ShardStrategy; 2] =
     [ShardStrategy::LayerPipelined, ShardStrategy::TensorSharded];

@@ -568,9 +568,8 @@ fn coalesced_batches_are_bitwise_identical_across_kernel_paths() {
     // The same coalesced batch — ANN requests of mixed row counts plus
     // seeded SNN requests — must produce per-tenant answers that do not
     // depend on which crossbar kernel the replicas evaluate through:
-    // Scalar is the pinned reference, Vectorized the default, Quantized
-    // the bit-packed 4-bit tier. Any kernel-path drift in `serve` shows
-    // up as a bit mismatch here.
+    // Scalar is the pinned reference, Auto the default. Any kernel-path
+    // drift in `serve` shows up as a bit mismatch here.
     let mut r = rng();
     let (net, data) = trained_net(&mut r);
     let ann_chip = compile_ann(&net).unwrap();
@@ -582,11 +581,7 @@ fn coalesced_batches_are_bitwise_identical_across_kernel_paths() {
         .collect();
 
     let mut per_path: Vec<Vec<(u64, Vec<f32>)>> = Vec::new();
-    for path in [
-        KernelPath::Scalar,
-        KernelPath::Vectorized,
-        KernelPath::Quantized,
-    ] {
+    for path in [KernelPath::Scalar, KernelPath::Auto] {
         let mut ann = ann_chip.clone();
         ann.set_kernel_path(path);
         let mut snn = snn_chip.clone();

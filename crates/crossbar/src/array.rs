@@ -82,42 +82,9 @@ struct EffCache {
     /// `rows_used × cols_used` — exactly what the legacy per-cell loop
     /// would compute, consumed by [`KernelPath::Scalar`].
     scalar: Option<Vec<f64>>,
-    /// The column-lane layout consumed by [`KernelPath::Vectorized`]
-    /// (and by a spilled [`KernelPath::Quantized`]).
+    /// The differential column-lane layout consumed by
+    /// [`KernelPath::Auto`].
     vector: Option<VectorLayout>,
-    /// The bit-packed palette layout consumed by
-    /// [`KernelPath::Quantized`].
-    quant: Option<QuantLayout>,
-}
-
-impl EffCache {
-    /// Evaluates a dense drive through the differential layout
-    /// ([`kernel::gemv`]) — the Vectorized path and the evaluation of a
-    /// spilled quantized layout.
-    fn gemv(&self, inputs: &[f64], v_read: f64, diff: &mut [f64]) -> f64 {
-        kernel::gemv(
-            inputs,
-            v_read,
-            self.vector.as_ref().expect(PREPARE_MSG),
-            diff,
-        )
-    }
-}
-
-/// Bit-packed 4-bit layout ([`KernelPath::Quantized`]): either the
-/// nibble-packed palette form, or a marker that the array's
-/// fault-resolved conductances would not fit a [`kernel::PALETTE`]-entry
-/// palette and evaluation goes through the vectorized layout instead.
-#[derive(Debug, Clone)]
-enum QuantLayout {
-    /// Boxed so the un-prepared / spilled states don't carry the full
-    /// inline struct around in the per-array cache slot.
-    Packed(Box<QuantPacked>),
-    /// More than [`kernel::PALETTE`] distinct fault-resolved
-    /// conductances (per-cell TMR factors, drift mixing on/off-grid
-    /// values): evaluate through [`VectorLayout`]. Outputs are bitwise
-    /// identical either way; energy is per-row-sum on both.
-    Spill,
 }
 
 /// Panic message of every `*_prepared` evaluator whose layout is
@@ -125,38 +92,6 @@ enum QuantLayout {
 /// switched after it (a `&mut` operation, so it cannot race the
 /// `&self` evaluators) without re-preparing.
 const PREPARE_MSG: &str = "prepare() must run before a *_prepared evaluation";
-
-/// Pair table of a packed layout without cells (an unprogrammed AC never
-/// builds its 4 KiB table); no row of such a layout is ever driven.
-static EMPTY_PAIRS: [[f64; 2]; 256] = [[0.0; 2]; 256];
-
-#[derive(Debug, Clone)]
-struct QuantPacked {
-    /// Palette indices packed two per byte (`kernel::pack_nibbles`
-    /// layout), row-major with stride [`QuantPacked::stride`].
-    packed: Vec<u8>,
-    /// Bytes per packed row: `kernel::packed_row_len(cols_used)`.
-    stride: usize,
-    /// Distinct fault/age-resolved conductances, in first-seen
-    /// (row-major cell) order; ≤ [`kernel::PALETTE`] entries.
-    pal_g: Vec<f64>,
-    /// `pal_g[s] − g_mid`, the same subtraction the scalar loop performs
-    /// per cell visit, done once per palette entry here.
-    pal_dg: Vec<f64>,
-    /// `v_read · pal_dg[s]` for the binary spike drive (`x = 1`), padded
-    /// with zeros to [`kernel::PALETTE`]; the constant-voltage sparse
-    /// path gathers from this without any per-row multiply.
-    vdg_spike: [f64; kernel::PALETTE],
-    /// Byte-pair expansion of `vdg_spike`: entry `b` holds
-    /// `[vdg_spike[b & 15], vdg_spike[b >> 4]]`, so the spike gather
-    /// loads one aligned 16-byte pair per packed byte with no nibble
-    /// arithmetic. 4 KiB per AC, built once per prepare.
-    pair_spike: Vec<[f64; 2]>,
-    /// Per-row conductance sums, identical bits to
-    /// [`VectorLayout::row_sum`] (same values, same column-ascending
-    /// order) — the per-row-sum energy formulation.
-    row_sum: Vec<f64>,
-}
 
 impl AtomicCrossbar {
     /// Creates an unprogrammed crossbar (all cells at mid conductance).
@@ -187,17 +122,15 @@ impl AtomicCrossbar {
             age: Seconds(0.0),
             dead: false,
             eff_cache: None,
-            kernel: KernelPath::from_env(),
+            kernel: KernelPath::default(),
             config,
         })
     }
 
     /// Selects the inner-loop kernel the noise-free evaluators run
-    /// through (default [`KernelPath::Vectorized`], overridable
-    /// process-wide via `NEBULA_KERNEL_PATH` — see
-    /// [`KernelPath::from_env`]). Differential outputs are bit-identical
-    /// on every path; only the energy term's association differs (see
-    /// [`KernelPath`]). Does not invalidate the prepared cache — the
+    /// through (default [`KernelPath::Auto`]). Differential outputs are
+    /// bit-identical on both paths; only the energy term's association
+    /// differs (see [`KernelPath`]). Does not invalidate the prepared cache — the
     /// next `prepare()` builds the newly selected layout if it is not
     /// materialized yet and keeps the others.
     pub fn set_kernel_path(&mut self, path: KernelPath) {
@@ -210,7 +143,7 @@ impl AtomicCrossbar {
     }
 
     /// Scratch width the `*_prepared` evaluators require: `cols_used`
-    /// rounded up to a lane multiple (the vectorized kernel writes the
+    /// rounded up to a lane multiple (the differential kernel writes the
     /// zero-padded tail lanes).
     pub(crate) fn padded_cols(&self) -> usize {
         kernel::padded_len(self.cols_used)
@@ -601,51 +534,25 @@ impl AtomicCrossbar {
         }
     }
 
-    /// Rebuilds the effective-conductance cache layout(s) the current
+    /// Rebuilds the effective-conductance cache layout the current
     /// kernel path needs, if a state mutation marked the cache dirty or
     /// the path was switched to one whose layout is not materialized
     /// yet. Each cached value is exactly what the legacy loop would
     /// compute (fault- and age-resolved programmed conductance), so
     /// cached evaluations are bit-identical by construction; the
-    /// differential layouts store the same `g_eff − g_mid` the scalar
-    /// loop computes per visit, pre-subtracted once here (per cell for
-    /// the vectorized layout, per palette entry for the quantized one).
+    /// differential layout stores the same `g_eff − g_mid` the scalar
+    /// loop computes per visit, pre-subtracted once per cell here.
     fn ensure_cache(&mut self) {
-        if self.eff_cache.is_none() {
-            self.eff_cache = Some(EffCache::default());
-        }
-        let have = |c: &EffCache| match self.kernel {
-            KernelPath::Scalar => c.scalar.is_some(),
-            // Auto evaluates every drive through the differential layout.
-            KernelPath::Vectorized | KernelPath::Auto => c.vector.is_some(),
-            KernelPath::Quantized => c.quant.is_some(),
-        };
-        if !have(self.eff_cache.as_ref().unwrap()) {
-            match self.kernel {
-                KernelPath::Scalar => {
-                    let eff = self.build_scalar();
-                    self.eff_cache.as_mut().unwrap().scalar = Some(eff);
-                }
-                KernelPath::Vectorized | KernelPath::Auto => {
-                    let vector = self.build_vector();
-                    self.eff_cache.as_mut().unwrap().vector = Some(vector);
-                }
-                KernelPath::Quantized => {
-                    let quant = self.build_quant();
-                    self.eff_cache.as_mut().unwrap().quant = Some(quant);
-                }
+        let mut cache = self.eff_cache.take().unwrap_or_default();
+        match self.kernel {
+            KernelPath::Scalar => {
+                cache.scalar.get_or_insert_with(|| self.build_scalar());
+            }
+            KernelPath::Auto => {
+                cache.vector.get_or_insert_with(|| self.build_vector());
             }
         }
-        // A spilled quantized layout evaluates through the vectorized
-        // one, which must then exist too.
-        let cache = self.eff_cache.as_ref().unwrap();
-        if self.kernel == KernelPath::Quantized
-            && matches!(cache.quant, Some(QuantLayout::Spill))
-            && cache.vector.is_none()
-        {
-            let vector = self.build_vector();
-            self.eff_cache.as_mut().unwrap().vector = Some(vector);
-        }
+        self.eff_cache = Some(cache);
     }
 
     /// Scalar layout: the resolved conductances, row-major over the
@@ -662,7 +569,7 @@ impl AtomicCrossbar {
         eff
     }
 
-    /// Vectorized layout: lane-padded differential conductances plus
+    /// Differential layout: lane-padded `g_eff − g_mid` rows plus
     /// per-row sums.
     fn build_vector(&self) -> VectorLayout {
         let faulty = !self.faults.is_empty();
@@ -687,111 +594,23 @@ impl AtomicCrossbar {
         }
     }
 
-    /// Quantized layout: deduplicates the resolved conductances into a
-    /// first-seen palette and packs per-cell indices two per byte.
-    /// Returns [`QuantLayout::Spill`] when the block holds more than
-    /// [`kernel::PALETTE`] distinct values (only possible under faults
-    /// whose resolved values leave the 16-state device grid, e.g.
-    /// per-cell TMR factors).
-    fn build_quant(&self) -> QuantLayout {
-        let faulty = !self.faults.is_empty();
-        let cols = self.cols_used;
-        let stride = kernel::packed_row_len(cols);
-        let g_mid = self.g_mid();
-        let mut pal_g: Vec<f64> = Vec::with_capacity(kernel::PALETTE);
-        let mut packed = vec![0u8; self.rows_used * stride];
-        let mut row_sum = Vec::with_capacity(self.rows_used);
-        for r in 0..self.rows_used {
-            let mut sum = 0.0f64;
-            for j in 0..cols {
-                let g = self.resolved_g(r, j, faulty);
-                // Bit-level matching: equal inputs through identical ops
-                // yield identical bits, and conductances are never NaN.
-                let idx = match pal_g.iter().position(|p| p.to_bits() == g.to_bits()) {
-                    Some(idx) => idx,
-                    None => {
-                        if pal_g.len() == kernel::PALETTE {
-                            return QuantLayout::Spill;
-                        }
-                        pal_g.push(g);
-                        pal_g.len() - 1
-                    }
-                };
-                packed[r * stride + j / 2] |= (idx as u8) << ((j % 2) * 4);
-                sum += g;
-            }
-            row_sum.push(sum);
-        }
-        let pal_dg: Vec<f64> = pal_g.iter().map(|&g| g - g_mid).collect();
-        let v_read = self.config.mode.read_voltage().0;
-        let mut vdg_spike = [0.0f64; kernel::PALETTE];
-        for (slot, &dg) in vdg_spike.iter_mut().zip(pal_dg.iter()) {
-            *slot = v_read * dg;
-        }
-        // Only arrays that actually hold cells pay for the 4 KiB pair
-        // table (a super-tile's unprogrammed ACs would otherwise dwarf
-        // the packed footprint).
-        let pair_spike = if packed.is_empty() {
-            Vec::new()
-        } else {
-            (0..256)
-                .map(|b| [vdg_spike[b & 0x0F], vdg_spike[b >> 4]])
-                .collect()
-        };
-        QuantLayout::Packed(Box::new(QuantPacked {
-            packed,
-            stride,
-            pal_g,
-            pal_dg,
-            vdg_spike,
-            pair_spike,
-            row_sum,
-        }))
-    }
-
     /// Bytes the cache layout backing the *current* kernel path occupies
-    /// (0 while the cache is dirty or unbuilt): the quantity
-    /// `bench_hotpath` reports as the conductance-cache footprint. A
-    /// spilled quantized layout is charged the vectorized bytes it
-    /// actually evaluates through; [`KernelPath::Auto`] holds only the
-    /// vectorized layout, so it is charged exactly those bytes.
+    /// (0 while the cache is dirty or unbuilt) — the quantity
+    /// `bench_hotpath` reports as the conductance-cache footprint. That
+    /// is the resolved conductances under [`KernelPath::Scalar`], and the
+    /// padded differential rows plus per-row sums under
+    /// [`KernelPath::Auto`].
     pub fn kernel_cache_bytes(&self) -> usize {
         let Some(cache) = &self.eff_cache else {
             return 0;
         };
         let f64s = std::mem::size_of::<f64>();
-        let vector_bytes = |v: &Option<VectorLayout>| {
-            v.as_ref()
-                .map_or(0, |v| (v.dg.len() + v.row_sum.len()) * f64s)
-        };
-        let quant_bytes = |c: &EffCache| match &c.quant {
-            Some(QuantLayout::Packed(q)) => {
-                q.packed.len()
-                    + (q.pal_g.len()
-                        + q.pal_dg.len()
-                        + q.vdg_spike.len()
-                        + 2 * q.pair_spike.len()
-                        + q.row_sum.len())
-                        * f64s
-            }
-            Some(QuantLayout::Spill) => vector_bytes(&c.vector),
-            None => 0,
-        };
         match self.kernel {
             KernelPath::Scalar => cache.scalar.as_ref().map_or(0, |eff| eff.len() * f64s),
-            KernelPath::Vectorized | KernelPath::Auto => vector_bytes(&cache.vector),
-            KernelPath::Quantized => quant_bytes(cache),
-        }
-    }
-
-    /// Whether the prepared quantized layout packed into nibbles
-    /// (`Some(true)`), spilled to the vectorized layout (`Some(false)`),
-    /// or has not been built (`None`). Test/bench introspection.
-    pub fn quantized_is_packed(&self) -> Option<bool> {
-        match &self.eff_cache.as_ref()?.quant {
-            Some(QuantLayout::Packed(_)) => Some(true),
-            Some(QuantLayout::Spill) => Some(false),
-            None => None,
+            KernelPath::Auto => cache
+                .vector
+                .as_ref()
+                .map_or(0, |v| (v.dg.len() + v.row_sum.len()) * f64s),
         }
     }
 
@@ -817,16 +636,6 @@ impl AtomicCrossbar {
         self.eval_dense_prepared(inputs, diff)
     }
 
-    /// The concrete layout every evaluation dispatches to:
-    /// [`KernelPath::Auto`] resolves to the vectorized layout; explicit
-    /// paths resolve to themselves.
-    fn effective_path(&self) -> KernelPath {
-        match self.kernel {
-            KernelPath::Auto => KernelPath::Vectorized,
-            p => p,
-        }
-    }
-
     /// The prepared cache's rows as a binary spike drive at the mode's
     /// read voltage sees them (see [`kernel::SpikeRows`]), in the layout
     /// the current kernel path evaluates through; `None` for a dead
@@ -842,27 +651,16 @@ impl AtomicCrossbar {
         }
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v = self.config.mode.read_voltage().0;
-        let vector =
-            || kernel::SpikeRows::differential(v, cache.vector.as_ref().expect(PREPARE_MSG));
-        Some(match self.effective_path() {
+        Some(match self.kernel {
             KernelPath::Scalar => kernel::SpikeRows::scalar(
                 v,
                 cache.scalar.as_ref().expect(PREPARE_MSG),
                 self.cols_used,
                 self.g_mid(),
             ),
-            KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
-                QuantLayout::Packed(q) => kernel::SpikeRows::quantized(
-                    v,
-                    &q.packed,
-                    q.stride,
-                    self.cols_used,
-                    q.pair_spike.as_slice().try_into().unwrap_or(&EMPTY_PAIRS),
-                    &q.row_sum,
-                ),
-                QuantLayout::Spill => vector(),
-            },
-            _ => vector(),
+            KernelPath::Auto => {
+                kernel::SpikeRows::differential(v, cache.vector.as_ref().expect(PREPARE_MSG))
+            }
         })
     }
 
@@ -871,7 +669,7 @@ impl AtomicCrossbar {
     /// workers evaluate through this without mutating the array; energy
     /// is accrued afterwards by the owner via
     /// [`accrue_read`](Self::accrue_read). `diff` must be at least
-    /// [`padded_cols`](Self::padded_cols) long; the vectorized kernel
+    /// [`padded_cols`](Self::padded_cols) long; the differential kernel
     /// writes (zero) into the padding tail, and only `diff[..cols_used]`
     /// is meaningful.
     ///
@@ -885,7 +683,7 @@ impl AtomicCrossbar {
         }
         let cache = self.eff_cache.as_ref().expect(PREPARE_MSG);
         let v_read = self.config.mode.read_voltage().0;
-        match self.effective_path() {
+        match self.kernel {
             KernelPath::Scalar => {
                 let eff = cache.scalar.as_ref().expect(PREPARE_MSG);
                 let g_mid = self.g_mid();
@@ -904,31 +702,12 @@ impl AtomicCrossbar {
                 }
                 total_current
             }
-            KernelPath::Vectorized => cache.gemv(inputs, v_read, diff),
-            KernelPath::Quantized => match cache.quant.as_ref().expect(PREPARE_MSG) {
-                QuantLayout::Packed(q) => {
-                    let cols = self.cols_used;
-                    let mut vdg = [0.0f64; kernel::PALETTE];
-                    let mut total_current = 0.0f64;
-                    for (r, &x) in inputs.iter().enumerate() {
-                        if x == 0.0 {
-                            continue;
-                        }
-                        let v = v_read * x;
-                        total_current += v * q.row_sum[r];
-                        // Per-drive LUT: v · (g_s − g_mid) — the same
-                        // multiply, on the same operands, the scalar
-                        // loop performs per cell visit.
-                        for (slot, &dg) in vdg.iter_mut().zip(q.pal_dg.iter()) {
-                            *slot = v * dg;
-                        }
-                        kernel::gather_add(&vdg, &q.packed[r * q.stride..], cols, diff);
-                    }
-                    total_current
-                }
-                QuantLayout::Spill => cache.gemv(inputs, v_read, diff),
-            },
-            KernelPath::Auto => unreachable!("Auto resolves to the vectorized layout"),
+            KernelPath::Auto => kernel::gemv(
+                inputs,
+                v_read,
+                cache.vector.as_ref().expect(PREPARE_MSG),
+                diff,
+            ),
         }
     }
 
@@ -1431,10 +1210,10 @@ mod tests {
         let fast = x.dot(&inputs).unwrap();
         let legacy = reference.dot_reference(&inputs).unwrap();
         let pinned = scalar.dot(&inputs).unwrap();
-        assert_eq!(fast, legacy, "vectorized path must be bit-identical");
+        assert_eq!(fast, legacy, "Auto path must be bit-identical");
         assert_eq!(pinned, legacy, "scalar path must be bit-identical");
         // The scalar path reproduces the reference energy bitwise; the
-        // vectorized path re-associates the total-current sum per row and
+        // Auto path re-associates the total-current sum per row and
         // is held to the documented ≤ 1e-12 relative tolerance.
         assert_eq!(
             scalar.accumulated_read_energy(),
@@ -1444,7 +1223,7 @@ mod tests {
         let e_vec = x.accumulated_read_energy().0;
         assert!(
             (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "vectorized energy {e_vec} vs reference {e_ref}"
+            "Auto energy {e_vec} vs reference {e_ref}"
         );
         assert_eq!(x.evaluations(), reference.evaluations());
     }

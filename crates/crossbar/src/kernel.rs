@@ -5,7 +5,7 @@
 //! paper builds on). This module holds the lane-level primitives the
 //! [`AtomicCrossbar`](crate::array::AtomicCrossbar) evaluators dispatch
 //! to, plus the [`KernelPath`] selector that switches between the pinned
-//! scalar reference loop and the vectorized layout.
+//! scalar reference loop and the differential layout.
 //!
 //! # Layout and bit-identity contract
 //!
@@ -18,7 +18,7 @@
 //! in row-ascending order, the vectorized differential outputs are
 //! **bit-identical** to the scalar fast path and to `dot_reference`.
 //! Only the total-current (energy) accumulation is re-associated — per
-//! row instead of per cell — so read energy under [`KernelPath::Vectorized`]
+//! row instead of per cell — so read energy under [`KernelPath::Auto`]
 //! agrees with the reference to a relative error ≤ 1e-12 rather than
 //! bitwise (the scalar path remains bitwise-exact on energy too).
 //!
@@ -52,14 +52,6 @@
 /// are zero-padded to a multiple of this.
 pub const LANES: usize = 8;
 
-/// Palette capacity of the quantized layout: one nibble indexes at most
-/// 16 distinct effective conductances — exactly the device's 4-bit state
-/// count, so every fault-free array packs. Arrays whose *fault-resolved*
-/// conductances exceed 16 distinct values (per-cell TMR factors,
-/// retention drift mixing on- and off-grid values) spill to the
-/// vectorized layout instead (see `AtomicCrossbar::quantized_is_packed`).
-pub const PALETTE: usize = 16;
-
 /// Smallest multiple of [`LANES`] that holds `cols` values (the stride of
 /// one padded differential-conductance row, and the minimum scratch width
 /// callers of the `*_prepared` evaluators must provide).
@@ -67,112 +59,24 @@ pub fn padded_len(cols: usize) -> usize {
     cols.div_ceil(LANES) * LANES
 }
 
-/// Bytes one packed nibble row occupies: two palette indices per byte,
-/// rounded up (an odd column count leaves the last byte's high nibble as
-/// padding that the kernels never read).
-pub fn packed_row_len(cols: usize) -> usize {
-    cols.div_ceil(2)
-}
-
-/// Packs palette indices (each `< PALETTE`) two per byte: even positions
-/// in the low nibble, odd positions in the high nibble. The inverse is
-/// [`unpack_nibbles`].
-///
-/// # Panics
-///
-/// Panics when an index does not fit a nibble.
-pub fn pack_nibbles(indices: &[u8]) -> Vec<u8> {
-    assert!(
-        indices.iter().all(|&i| (i as usize) < PALETTE),
-        "palette index out of nibble range"
-    );
-    let mut packed = vec![0u8; packed_row_len(indices.len())];
-    for (pos, &idx) in indices.iter().enumerate() {
-        packed[pos / 2] |= idx << ((pos % 2) * 4);
-    }
-    packed
-}
-
-/// Unpacks `len` palette indices from a nibble-packed row (inverse of
-/// [`pack_nibbles`]).
-///
-/// # Panics
-///
-/// Panics when `packed` is shorter than [`packed_row_len`]`(len)`.
-pub fn unpack_nibbles(packed: &[u8], len: usize) -> Vec<u8> {
-    assert!(packed.len() >= packed_row_len(len), "packed row too short");
-    (0..len)
-        .map(|pos| (packed[pos / 2] >> ((pos % 2) * 4)) & 0x0F)
-        .collect()
-}
-
 /// Which inner-loop implementation an [`AtomicCrossbar`](crate::array::AtomicCrossbar)
 /// evaluates through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
-    /// The PR 3 scalar loop over effective conductances: per-cell
+    /// The production path: every drive, dense and binary spike alike,
+    /// evaluates through the differential column-lane layout (the
+    /// column-blocked GEMV for dense drives, [`SpikeRows::add_rows`] for
+    /// spikes), with the energy term folded into a per-row conductance
+    /// sum. Differential outputs are bit-identical to
+    /// [`KernelPath::Scalar`]; energy agrees to relative error ≤ 1e-12.
+    /// No environment variable overrides it: callers pick a path with
+    /// `set_kernel_path`.
+    #[default]
+    Auto,
+    /// The scalar loop over effective conductances: per-cell
     /// `g − g_mid` subtraction and a single serial total-current chain.
     /// Pinned as the bitwise-exact reference (outputs *and* energy).
     Scalar,
-    /// Column-lane vectorized GEMV over the padded differential layout,
-    /// with the energy term folded into a per-row conductance sum.
-    /// Differential outputs stay bit-identical to [`KernelPath::Scalar`];
-    /// energy agrees to relative error ≤ 1e-12.
-    #[default]
-    Vectorized,
-    /// Bit-packed 4-bit tier, kept as a pinned path (the golden
-    /// harness re-runs recorded experiments under it): per-cell palette
-    /// indices packed two per byte plus a ≤[`PALETTE`]-entry
-    /// fault/age-resolved conductance LUT. The inner loop is a gathered
-    /// LUT add — `diff[j] += vdg[nibble]`, where `vdg[s] = v · (g_s −
-    /// g_mid)` is precomputed per drive (once per prepare on the
-    /// constant-voltage spike path, as a byte-pair table) — performing
-    /// the *same* multiply-then-add on the *same* operands as the scalar
-    /// loop, per column in row-ascending order. Differential outputs are
-    /// therefore bit-identical to [`KernelPath::Scalar`] on dense *and*
-    /// spike inputs; energy uses the per-row-sum formulation and is
-    /// bit-identical to [`KernelPath::Vectorized`] (≤ 1e-12 relative per
-    /// dot vs the reference). Arrays whose fault-resolved conductances
-    /// exceed [`PALETTE`] distinct values evaluate through the
-    /// vectorized layout instead (same output bits; see DESIGN.md
-    /// "Kernel layer"). No default path builds this layout.
-    Quantized,
-    /// The production path: every drive, dense GEMV and binary spike
-    /// alike, evaluates through the [`KernelPath::Vectorized`]
-    /// differential layout, and only that layout is materialized. The
-    /// quantized byte-pair gather used to serve spike drives here, but
-    /// inside the scatter-form spike evaluator (one row add per driven
-    /// row and output patch) the differential rows measured faster, so
-    /// Auto no longer builds the packed layout. Outputs and energy are
-    /// bit-identical to [`KernelPath::Vectorized`].
-    Auto,
-}
-
-impl KernelPath {
-    /// The kernel path new crossbars start on: `NEBULA_KERNEL_PATH`
-    /// (`scalar` | `vectorized` | `quantized` | `auto`, read once per
-    /// process) or the default when unset. Lets subprocess harnesses — the golden
-    /// regression tests re-running recorded experiment binaries under
-    /// `quantized` — pin the path without threading a parameter through
-    /// every binary. Explicit `set_kernel_path` calls still override it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value: a typo silently falling back to
-    /// the default would make an equivalence harness vacuous.
-    pub fn from_env() -> Self {
-        static PATH: std::sync::OnceLock<KernelPath> = std::sync::OnceLock::new();
-        *PATH.get_or_init(|| match std::env::var("NEBULA_KERNEL_PATH") {
-            Ok(v) if v == "scalar" => KernelPath::Scalar,
-            Ok(v) if v == "vectorized" => KernelPath::Vectorized,
-            Ok(v) if v == "quantized" => KernelPath::Quantized,
-            Ok(v) if v == "auto" => KernelPath::Auto,
-            Ok(v) => {
-                panic!("NEBULA_KERNEL_PATH must be scalar|vectorized|quantized|auto, got {v:?}")
-            }
-            Err(_) => KernelPath::default(),
-        })
-    }
 }
 
 /// Most drive rows one compacted pass holds: the paper's atomic-crossbar
@@ -181,8 +85,8 @@ impl KernelPath {
 /// column's row-ascending accumulation order.
 const MAX_ROWS: usize = 128;
 
-/// Differential column-lane layout ([`KernelPath::Vectorized`]), the
-/// one [`gemv`] walks.
+/// Differential column-lane layout ([`KernelPath::Auto`]), the one
+/// [`gemv`] walks.
 #[derive(Debug, Clone)]
 pub(crate) struct VectorLayout {
     /// Differential conductances `g_eff − g_mid`, row-major with each row
@@ -204,7 +108,7 @@ pub(crate) struct VectorLayout {
 /// Each column receives exactly one `+= v · dg` per driven row, in
 /// row-ascending order — the scalar loop's operation on the same
 /// operands — so the outputs are bitwise identical to it; the total is
-/// the per-row-sum chain of the vectorized layout. Runs the AVX2 build
+/// the per-row-sum chain of the differential layout. Runs the AVX2 build
 /// when the host has it, else the portable one; both compile the same
 /// source and produce the same bits. `is_x86_feature_detected!` probes
 /// the CPU on its first call and caches the answer for the process.
@@ -332,20 +236,10 @@ pub struct SpikeRows<'a> {
 /// The cache layout behind a [`SpikeRows`] view.
 #[derive(Debug, Clone, Copy)]
 enum RowLayout<'a> {
-    /// The padded differential layout ([`KernelPath::Vectorized`],
-    /// [`KernelPath::Auto`], a spilled [`KernelPath::Quantized`]).
+    /// The padded differential layout ([`KernelPath::Auto`]).
     Differential {
         dg: &'a [f64],
         stride: usize,
-        row_sum: &'a [f64],
-    },
-    /// The nibble-packed palette layout (a packed, pinned
-    /// [`KernelPath::Quantized`]): one byte-pair LUT load per two cells.
-    Quantized {
-        packed: &'a [u8],
-        stride: usize,
-        cols: usize,
-        pair: &'a [[f64; 2]; 256],
         row_sum: &'a [f64],
     },
     /// Resolved conductances ([`KernelPath::Scalar`]): per-cell
@@ -369,26 +263,6 @@ impl<'a> SpikeRows<'a> {
         }
     }
 
-    pub(crate) fn quantized(
-        v: f64,
-        packed: &'a [u8],
-        stride: usize,
-        cols: usize,
-        pair: &'a [[f64; 2]; 256],
-        row_sum: &'a [f64],
-    ) -> Self {
-        Self {
-            v,
-            layout: RowLayout::Quantized {
-                packed,
-                stride,
-                cols,
-                pair,
-                row_sum,
-            },
-        }
-    }
-
     pub(crate) fn scalar(v: f64, eff: &'a [f64], cols: usize, g_mid: f64) -> Self {
         Self {
             v,
@@ -400,8 +274,8 @@ impl<'a> SpikeRows<'a> {
     /// order given, into `acc` (which must hold at least
     /// [`padded_len`]`(cols)` values; padding lanes only ever gain
     /// `v · 0.0`) and returns `current` continued by the rows' shares of
-    /// the total current — `v · row_sum[r]` per row on the per-row-sum
-    /// layouts, the per-cell `v · g` chain on the scalar one.
+    /// the total current — `v · row_sum[r]` per row on the differential
+    /// layout, the per-cell `v · g` chain on the scalar one.
     ///
     /// On the differential layout the columns are walked in blocks of
     /// 32, 16 and 8 lanes, as the dense GEMV walks them: a block's sums
@@ -455,20 +329,6 @@ impl<'a> SpikeRows<'a> {
                 debug_assert_eq!(col, stride, "stride must be a multiple of LANES");
                 current
             }
-            RowLayout::Quantized {
-                packed,
-                stride,
-                cols,
-                pair,
-                row_sum,
-            } => {
-                for &r in rows {
-                    let r = r - base;
-                    gather_add_pairs(pair, &packed[r * stride..], cols, acc);
-                    current += v * row_sum[r];
-                }
-                current
-            }
             RowLayout::Scalar { eff, cols, g_mid } => {
                 for &r in rows {
                     let r = r - base;
@@ -519,48 +379,6 @@ impl DriveRows<'_> {
         }
         *out = sum;
         current
-    }
-}
-
-/// Gathered LUT accumulate over one packed nibble row:
-/// `acc[j] += vdg[index_of(j)]` for `j in 0..cols`, ascending. `vdg` must
-/// hold `v · dg_s` for every palette entry (unused slots are never
-/// indexed, since packed nibbles only ever name live palette entries and
-/// odd-`cols` padding nibbles are skipped). Column order matches the
-/// scalar loop's, and each `acc[j]` receives exactly one add of exactly
-/// the value the scalar loop would compute — bitwise identity by
-/// construction.
-#[inline]
-pub(crate) fn gather_add(vdg: &[f64; PALETTE], row: &[u8], cols: usize, acc: &mut [f64]) {
-    let full = cols / 2;
-    let (pairs, tail) = acc[..cols].split_at_mut(full * 2);
-    for (accp, &b) in pairs.chunks_exact_mut(2).zip(row) {
-        accp[0] += vdg[(b & 0x0F) as usize];
-        accp[1] += vdg[(b >> 4) as usize];
-    }
-    if let [t] = tail {
-        *t += vdg[(row[full] & 0x0F) as usize];
-    }
-}
-
-/// Byte-pair variant of [`gather_add`] for the constant-voltage spike
-/// path: `pair[b]` pre-expands both nibbles of byte value `b`
-/// (`[vdg[b & 15], vdg[b >> 4]]`), so each packed byte costs one aligned
-/// 16-byte load and two adds — no nibble arithmetic in the loop. The
-/// adds land on exactly the values [`gather_add`] would produce
-/// (`pair` is built from the same `vdg` table), in the same ascending
-/// column order, so results are bitwise identical.
-#[inline]
-pub(crate) fn gather_add_pairs(pair: &[[f64; 2]; 256], row: &[u8], cols: usize, acc: &mut [f64]) {
-    let full = cols / 2;
-    let (pairs, tail) = acc[..cols].split_at_mut(full * 2);
-    for (accp, &b) in pairs.chunks_exact_mut(2).zip(row) {
-        let p = &pair[b as usize];
-        accp[0] += p[0];
-        accp[1] += p[1];
-    }
-    if let [t] = tail {
-        *t += pair[(row[full] & 0x0F) as usize][0];
     }
 }
 
@@ -696,65 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn default_path_is_vectorized() {
-        assert_eq!(KernelPath::default(), KernelPath::Vectorized);
-    }
-
-    #[test]
-    fn nibble_roundtrip_even_and_odd_lengths() {
-        for len in [0usize, 1, 2, 7, 8, 15, 16, 33] {
-            let indices: Vec<u8> = (0..len).map(|i| (i * 7 % PALETTE) as u8).collect();
-            let packed = pack_nibbles(&indices);
-            assert_eq!(packed.len(), packed_row_len(len));
-            assert_eq!(unpack_nibbles(&packed, len), indices, "len {len}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "nibble range")]
-    fn packing_rejects_out_of_range_indices() {
-        pack_nibbles(&[0, PALETTE as u8]);
-    }
-
-    #[test]
-    fn gather_add_pairs_matches_gather_add_bitwise() {
-        let mut vdg = [0.0f64; PALETTE];
-        for (s, v) in vdg.iter_mut().enumerate() {
-            *v = (s as f64 - 4.1) * 3.3e-8;
-        }
-        let pair: Vec<[f64; 2]> = (0..256).map(|b| [vdg[b & 0x0F], vdg[b >> 4]]).collect();
-        let pair: &[[f64; 2]; 256] = pair.as_slice().try_into().unwrap();
-        for cols in [1usize, 2, 5, 8, 15, 16, 31] {
-            let indices: Vec<u8> = (0..cols).map(|i| (i * 11 % PALETTE) as u8).collect();
-            let packed = pack_nibbles(&indices);
-            let mut a = vec![0.25f64; cols + 2];
-            let mut b = a.clone();
-            gather_add(&vdg, &packed, cols, &mut a);
-            gather_add_pairs(pair, &packed, cols, &mut b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "cols {cols}");
-            }
-        }
-    }
-
-    #[test]
-    fn gather_add_matches_scalar_lut_walk_bitwise() {
-        let mut vdg = [0.0f64; PALETTE];
-        for (s, v) in vdg.iter_mut().enumerate() {
-            *v = (s as f64 - 7.3) * 1.7e-7;
-        }
-        for cols in [1usize, 2, 5, 8, 15, 16] {
-            let indices: Vec<u8> = (0..cols).map(|i| (i * 5 % PALETTE) as u8).collect();
-            let packed = pack_nibbles(&indices);
-            let mut acc = vec![0.125f64; cols + 3]; // longer: tail untouched
-            let mut expect = acc.clone();
-            for (e, &s) in expect.iter_mut().zip(indices.iter()) {
-                *e += vdg[s as usize];
-            }
-            gather_add(&vdg, &packed, cols, &mut acc);
-            for (a, e) in acc.iter().zip(expect.iter()) {
-                assert_eq!(a.to_bits(), e.to_bits(), "cols {cols}");
-            }
-        }
+    fn default_path_is_auto() {
+        assert_eq!(KernelPath::default(), KernelPath::Auto);
     }
 }

@@ -15,10 +15,9 @@
 //! * [`nu`] — neuron units: arrays of current-driven spin neurons
 //!   (spiking IF or saturating ReLU) terminating crossbar columns.
 //! * [`kernel`] — the GEMV kernels beneath the evaluation fast path:
-//!   the column-lane vectorized differential-conductance layout, the
-//!   bit-packed 4-bit palette layout (nibble-packed state indices +
-//!   conductance LUT, spike dots as pure gathered adds), per-row
-//!   energy sums, and the [`KernelPath`] selector.
+//!   the column-lane differential-conductance layout with per-row
+//!   energy sums, the spike row adds, and the [`KernelPath`] selector
+//!   (`Auto`, or the `Scalar` reference).
 //! * [`converters`] — the multi-level DACs, spike drivers and the
 //!   sparingly used 4-bit ADC.
 //!

@@ -362,13 +362,15 @@ impl SuperTile {
 
     /// Minimum scratch width the split-phase evaluators require:
     /// [`kernels`](Self::kernels) rounded up to a lane multiple so the
-    /// vectorized kernel can write its zero-padded tail lanes.
+    /// differential kernel can write its zero-padded tail lanes.
     pub fn scratch_cols(&self) -> usize {
         kernel::padded_len(self.kernels)
     }
 
     /// Selects the inner-loop kernel every atomic crossbar evaluates
-    /// through (see [`AtomicCrossbar::set_kernel_path`]).
+    /// through: [`KernelPath::Auto`] (the default) or the
+    /// [`KernelPath::Scalar`] reference (see
+    /// [`AtomicCrossbar::set_kernel_path`]).
     pub fn set_kernel_path(&mut self, path: KernelPath) {
         for ac in &mut self.acs {
             ac.set_kernel_path(path);
@@ -381,8 +383,7 @@ impl SuperTile {
     }
 
     /// Total bytes of the per-AC cache layouts backing the current kernel
-    /// path (see [`AtomicCrossbar::kernel_cache_bytes`]: under
-    /// [`KernelPath::Auto`] only the vectorized layout); 0 for ACs whose
+    /// path (see [`AtomicCrossbar::kernel_cache_bytes`]); 0 for ACs whose
     /// cache is dirty or unbuilt, so call after [`prepare`](Self::prepare)
     /// for a meaningful footprint.
     pub fn kernel_cache_bytes(&self) -> usize {
@@ -764,7 +765,7 @@ mod tests {
         let expected = reference.dot_reference(&inputs).unwrap();
         assert_eq!(st.dot(&inputs).unwrap(), expected);
         assert_eq!(scalar.dot(&inputs).unwrap(), expected);
-        // Scalar kernel: energy bitwise; vectorized kernel: per-row
+        // Scalar kernel: energy bitwise; Auto kernel: per-row
         // re-association held to the documented ≤ 1e-12 relative bound.
         assert_eq!(
             scalar.accumulated_read_energy(),
@@ -774,69 +775,41 @@ mod tests {
         let e_vec = st.accumulated_read_energy().0;
         assert!(
             (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "vectorized energy {e_vec} vs reference {e_ref}"
+            "Auto energy {e_vec} vs reference {e_ref}"
         );
     }
 
     #[test]
-    fn supertile_quantized_matches_scalar_bitwise() {
+    fn supertile_auto_matches_scalar_bitwise() {
         let mut st = SuperTile::new(small_config()).unwrap();
         let rf = 20;
         let weights: Vec<Vec<f64>> = (0..rf)
             .map(|r| vec![(r % 5) as f64 / 4.0 - 0.5, (r % 3) as f64 / 2.0])
             .collect();
         st.program(&weights, 1.0).unwrap();
-        st.kill_ac(1); // kill switch must flow through every layout
+        st.kill_ac(1); // kill switch must flow through both layouts
         let mut scalar = st.clone();
         scalar.set_kernel_path(KernelPath::Scalar);
-        let mut vector = st.clone();
-        vector.set_kernel_path(KernelPath::Vectorized);
-        st.set_kernel_path(KernelPath::Quantized);
+        assert_eq!(st.kernel_path(), KernelPath::Auto);
 
         let inputs: Vec<f64> = (0..rf).map(|i| (i % 4) as f64 / 3.0 - 0.2).collect();
         assert_eq!(
             st.dot(&inputs).unwrap(),
             scalar.dot(&inputs).unwrap(),
-            "quantized dense outputs must be bitwise scalar"
+            "Auto dense outputs must be bitwise scalar"
         );
         let active = vec![vec![1usize, 4, 7, 19]];
         assert_eq!(
             st.dot_batch_sparse(&active).unwrap(),
             scalar.dot_batch_sparse(&active).unwrap(),
-            "quantized spike outputs must be bitwise scalar"
+            "Auto spike outputs must be bitwise scalar"
         );
-        // Energy uses the per-row-sum formulation: bitwise vs Vectorized.
-        vector.dot(&inputs).unwrap();
-        vector.dot_batch_sparse(&active).unwrap();
-        assert_eq!(
-            st.accumulated_read_energy(),
-            vector.accumulated_read_energy(),
-            "quantized energy chain must match vectorized bitwise"
-        );
-    }
-
-    #[test]
-    fn quantized_cache_footprint_shrinks_on_wide_tiles() {
-        // The nibble win needs realistic widths: on tiny arrays the fixed
-        // 16-entry LUTs dominate. 64 kernels × 64 rows per AC chunk is
-        // the small end of the workload shapes bench_hotpath runs.
-        let mut st = SuperTile::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
-        let weights: Vec<Vec<f64>> = (0..64)
-            .map(|r| {
-                (0..64)
-                    .map(|c| ((r * 64 + c) % 17) as f64 / 16.0 - 0.5)
-                    .collect()
-            })
-            .collect();
-        st.program(&weights, 1.0).unwrap();
-        let mut quant = st.clone();
-        quant.set_kernel_path(KernelPath::Quantized);
-        st.prepare();
-        quant.prepare();
-        let (qb, vb) = (quant.kernel_cache_bytes(), st.kernel_cache_bytes());
+        // Energy uses the per-row-sum formulation: ≤ 1e-12 relative.
+        let e_ref = scalar.accumulated_read_energy().0;
+        let e_auto = st.accumulated_read_energy().0;
         assert!(
-            qb > 0 && 3 * qb <= vb,
-            "quantized {qb} B vs vectorized {vb} B: acceptance wants ≤ 1/3"
+            e_ref > 0.0 && (e_auto - e_ref).abs() <= 1e-12 * e_ref,
+            "Auto energy {e_auto} vs scalar {e_ref}"
         );
     }
 

@@ -37,6 +37,23 @@ fn kernel_shapes() -> impl Strategy<Value = Vec<Vec<f64>>> {
     })
 }
 
+/// Relative bound on Auto's accumulated per-row-sum read energy against
+/// the scalar chain.
+const ENERGY_RTOL: f64 = 1e-9;
+
+/// One of the hard fault classes, or none; `factor` is the TMR
+/// degradation factor.
+fn fault_for(kind: usize, factor: f64) -> Option<CellFault> {
+    match kind {
+        0 => None,
+        1 => Some(CellFault::StuckAtGmin),
+        2 => Some(CellFault::StuckAtGmax),
+        3 => Some(CellFault::DwPinning { offset_states: 3 }),
+        4 => Some(CellFault::TmrDegradation { factor }),
+        _ => Some(CellFault::DwPinning { offset_states: -3 }),
+    }
+}
+
 proptest! {
     #[test]
     fn analog_dot_is_bounded_by_row_count(w in small_weights(), drive in 0.0f64..1.0) {
@@ -159,8 +176,8 @@ proptest! {
     /// currents to the uncached per-cell reference on arbitrary shapes —
     /// including single rows/columns and widths straddling the 8-lane
     /// boundary (remainder lanes) — and the scalar path's read energy is
-    /// bitwise too, while the vectorized path's per-row-sum energy stays
-    /// within 1e-12 relative.
+    /// bitwise too, while Auto's per-row-sum energy stays within 1e-12
+    /// relative.
     #[test]
     fn kernel_paths_match_reference_bitwise(
         w in kernel_shapes(),
@@ -171,12 +188,7 @@ proptest! {
         reference.program(&w, 1.0).unwrap();
         let inputs = &drives[..rows];
         let expect = reference.dot_reference(inputs).unwrap();
-        for path in [
-            KernelPath::Vectorized,
-            KernelPath::Scalar,
-            KernelPath::Quantized,
-            KernelPath::Auto,
-        ] {
+        for path in [KernelPath::Scalar, KernelPath::Auto] {
             let mut x = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
             x.program(&w, 1.0).unwrap();
             x.set_kernel_path(path);
@@ -187,106 +199,126 @@ proptest! {
             let (e_got, e_ref) = (x.accumulated_read_energy().0, reference.accumulated_read_energy().0);
             match path {
                 KernelPath::Scalar => prop_assert_eq!(e_got.to_bits(), e_ref.to_bits()),
-                // Per-row-sum energy formulation on all three (Auto
-                // resolves dense GEMV drives to the vectorized layout).
-                KernelPath::Vectorized | KernelPath::Quantized | KernelPath::Auto => prop_assert!(
+                KernelPath::Auto => prop_assert!(
                     (e_got - e_ref).abs() <= 1e-12 * e_ref.abs(),
                     "energy {} vs {}", e_got, e_ref
                 ),
-            }
-            if path == KernelPath::Quantized {
-                // A clean (fault-free) program always packs: ≤ 16 grid values.
-                prop_assert_eq!(x.quantized_is_packed(), Some(true));
             }
         }
     }
 
     /// The spike-sparse entry point agrees bitwise with dense SNN-mode
     /// evaluation of the equivalent binary drive on both kernel paths,
-    /// including the all-silent case (no active rows at all).
+    /// with or without a faulty cell, and the two paths agree bitwise on
+    /// the outputs (Auto's per-row-sum energy within 1e-9 of Scalar's).
+    /// The explicit edges hold on both paths too: an all-silent drive
+    /// outputs zeros and accrues no energy, and a single active row
+    /// reproduces the scalar bits.
     #[test]
     fn sparse_and_dense_spike_evaluation_agree(
         w in kernel_shapes(),
         mask in proptest::collection::vec(0u8..2, 24),
+        fault_row in 0usize..24,
+        fault_col in 0usize..24,
+        kind in 0usize..6,
+        factor in 0.05f64..0.95,
+        row_pick in 0usize..24,
     ) {
-        let rows = w.len();
+        let (rows, cols) = (w.len(), w[0].len());
         let active: Vec<usize> = (0..rows).filter(|&r| mask[r] == 1).collect();
         let dense: Vec<f64> = (0..rows).map(|r| f64::from(mask[r])).collect();
-        for path in [
-            KernelPath::Vectorized,
-            KernelPath::Scalar,
-            KernelPath::Quantized,
-            KernelPath::Auto,
-        ] {
-            let mut a = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Snn)).unwrap();
-            a.program(&w, 1.0).unwrap();
-            a.set_kernel_path(path);
+        let single = [row_pick % rows];
+        let build = |path| {
+            let mut x = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Snn)).unwrap();
+            x.program(&w, 1.0).unwrap();
+            if let Some(f) = fault_for(kind, factor) {
+                x.set_cell_fault(fault_row % rows, fault_col % cols, f);
+            }
+            x.set_kernel_path(path);
+            x
+        };
+        let mut scalar = build(KernelPath::Scalar);
+        let scalar_out = scalar.dot_sparse(&active).unwrap();
+        let e_scalar = scalar.accumulated_read_energy().0;
+        let scalar_single = scalar.dot_sparse(&single).unwrap();
+        for path in [KernelPath::Scalar, KernelPath::Auto] {
+            let mut a = build(path);
             let mut b = a.clone();
+            let silent = a.dot_sparse(&[]).unwrap();
+            prop_assert!(silent.iter().all(|c| c.0 == 0.0), "{:?}: silent input must output zeros", path);
+            prop_assert_eq!(a.accumulated_read_energy().0, 0.0, "{:?}: silent input must not accrue energy", path);
             let ya = a.dot_sparse(&active).unwrap();
             let yb = b.dot(&dense).unwrap();
-            for (j, (x, y)) in ya.iter().zip(&yb).enumerate() {
-                prop_assert_eq!(x.0.to_bits(), y.0.to_bits(), "{:?} col {}", path, j);
+            for (j, ((x, y), s)) in ya.iter().zip(&yb).zip(&scalar_out).enumerate() {
+                prop_assert_eq!(x.0.to_bits(), y.0.to_bits(), "{:?} sparse-vs-dense col {}", path, j);
+                prop_assert_eq!(x.0.to_bits(), s.0.to_bits(), "{:?} vs scalar col {}", path, j);
             }
-            prop_assert_eq!(
-                a.accumulated_read_energy().0.to_bits(),
-                b.accumulated_read_energy().0.to_bits()
+            let e_sparse = a.accumulated_read_energy().0;
+            prop_assert_eq!(e_sparse.to_bits(), b.accumulated_read_energy().0.to_bits());
+            prop_assert!(
+                (e_sparse - e_scalar).abs() <= ENERGY_RTOL * e_scalar.abs(),
+                "{:?} spike energy {} vs scalar {}", path, e_sparse, e_scalar
             );
+            let y1 = a.dot_sparse(&single).unwrap();
+            for (j, (x, s)) in y1.iter().zip(&scalar_single).enumerate() {
+                prop_assert_eq!(x.0.to_bits(), s.0.to_bits(), "{:?} single-row col {}", path, j);
+            }
         }
     }
 
     /// Bit-identity survives every conductance-mutating event: dead
     /// arrays, stuck/pinned/degraded cells and retention aging all flow
-    /// through the same cached differential layout.
+    /// through the same cached layouts. Over a chain of up to three
+    /// dots, Scalar matches the uncached reference bitwise on outputs
+    /// and accumulated energy; Auto matches the outputs bitwise and the
+    /// accumulated energy within 1e-9 relative.
     #[test]
     fn kernel_paths_match_reference_under_faults_and_aging(
         w in kernel_shapes(),
-        drives in proptest::collection::vec(0.0f64..1.0, 24),
+        drives in proptest::collection::vec(0.0f64..1.0, 24 * 3),
         fault_row in 0usize..24,
         fault_col in 0usize..24,
-        kind in 0usize..4,
+        kind in 0usize..6,
+        factor in 0.05f64..0.95,
         age_s in 0.0f64..1e7,
         dead in 0u8..2,
+        dots in 1usize..4,
     ) {
-        let dead = dead == 1;
         let (rows, cols) = (w.len(), w[0].len());
-        let fault = match kind {
-            0 => CellFault::StuckAtGmin,
-            1 => CellFault::StuckAtGmax,
-            2 => CellFault::DwPinning { offset_states: 3 },
-            _ => CellFault::TmrDegradation { factor: 0.4 },
-        };
-        let inputs = &drives[..rows];
-        let mut expect = None;
-        for path in [
-            None,
-            Some(KernelPath::Vectorized),
-            Some(KernelPath::Scalar),
-            Some(KernelPath::Quantized),
-            Some(KernelPath::Auto),
-        ] {
+        let build = |path| {
             let mut x = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
             x.program(&w, 1.0).unwrap();
-            x.set_cell_fault(fault_row % rows, fault_col % cols, fault);
+            if let Some(f) = fault_for(kind, factor) {
+                x.set_cell_fault(fault_row % rows, fault_col % cols, f);
+            }
             x.advance_age(Seconds(age_s));
-            if dead {
+            if dead == 1 {
                 x.kill();
             }
-            let got = match path {
-                None => x.dot_reference(inputs).unwrap(),
-                Some(p) => {
-                    x.set_kernel_path(p);
-                    x.dot(inputs).unwrap()
-                }
-            };
-            match &expect {
-                None => expect = Some(got),
-                Some(e) => {
-                    for (j, (g, r)) in got.iter().zip(e.iter()).enumerate() {
-                        prop_assert_eq!(g.0.to_bits(), r.0.to_bits(), "{:?} col {}", path, j);
-                    }
+            x.set_kernel_path(path);
+            x
+        };
+        let mut reference = build(KernelPath::Scalar);
+        let mut scalar = build(KernelPath::Scalar);
+        let mut auto = build(KernelPath::Auto);
+        for d in 0..dots {
+            let inputs = &drives[d * rows..(d + 1) * rows];
+            let expect = reference.dot_reference(inputs).unwrap();
+            for (path, x) in [("scalar", &mut scalar), ("auto", &mut auto)] {
+                let got = x.dot(inputs).unwrap();
+                for (j, (g, e)) in got.iter().zip(&expect).enumerate() {
+                    prop_assert_eq!(g.0.to_bits(), e.0.to_bits(), "{} dot {} col {}", path, d, j);
                 }
             }
         }
+        let e_ref = reference.accumulated_read_energy().0;
+        let e_scalar = scalar.accumulated_read_energy().0;
+        let e_auto = auto.accumulated_read_energy().0;
+        prop_assert_eq!(e_scalar.to_bits(), e_ref.to_bits(), "scalar energy must be bitwise");
+        prop_assert!(
+            (e_auto - e_ref).abs() <= ENERGY_RTOL * e_ref.abs(),
+            "accumulated energy {} vs reference {}", e_auto, e_ref
+        );
     }
 
     #[test]
