@@ -12,29 +12,30 @@
 //! * **Execution** — a wide 9-segment MLP (ANN and SNN) actually runs
 //!   on every cluster size under both strategies, through the same
 //!   circuit-level executors the single-chip engine uses. Every leg
-//!   runs **three** times: single-chip, sequential sharded, and the
-//!   concurrent pipeline executor
-//!   ([`ShardedAnalogNetwork::forward_pipelined`] /
-//!   [`ShardedSpikingNetwork::run_pipelined`]). All three must agree
-//!   bitwise on outputs and wave counts, the two sharded twins must
-//!   report identical cluster traffic, and read energy must match the
-//!   single chip to ≤1e-9 relative. `measured_speedup` is sequential
-//!   sharded over pipelined wall time; `modeled_speedup` is the PR 9
-//!   analytic plan at the same item count, and `speedup_ratio` their
-//!   agreement.
+//!   runs **three** times: single-chip, then sharded through the
+//!   pipeline executor ([`ShardedAnalogNetwork::forward`] /
+//!   [`ShardedSpikingNetwork::run`]) under two schedules set with
+//!   `set_pipeline` — one claimant with the whole batch as one item
+//!   (the sequential schedule, `sharded_ms`) and the default
+//!   [`PipelineConfig`] (`pipelined_ms`). All three must agree bitwise
+//!   on outputs and wave counts, the two schedules must report
+//!   identical cluster traffic, and read energy must match the single
+//!   chip to ≤1e-9 relative. `measured_speedup` is sequential over
+//!   pipelined wall time; `modeled_speedup` is the PR 9 analytic plan
+//!   at the same item count, and `speedup_ratio` their agreement.
 //! * **Scaled VGG/13 SNN** — a channels/8 VGG-13 on 16×16 inputs,
 //!   sharded with the cost-aware
 //!   [`ShardedSpikingNetwork::layer_pipelined_for_input`] splitter, is
 //!   the headline measured-speedup leg: on a multi-core runner
 //!   (`NEBULA_THREADS ≥ 4` with ≥ 4 hardware threads) the 4-chip
-//!   pipelined run must beat sequential sharded by ≥ 1.5×. On a
+//!   pipelined run must beat the sequential schedule by ≥ 1.5×. On a
 //!   single-CPU host the leg still runs, still checks bitwise
 //!   identity, and records the honest ≈1× number.
 //! * **Over-capacity** — a 16384-wide dense layer needs 16 ANN cores,
 //!   two more than one chip's pool: [`fits_chip`] rejects it with a
 //!   typed [`CapacityExceeded`](nebula_core::CapacityExceeded), the
 //!   tensor-sharded executor runs it
-//!   on 4 chips (sequentially *and* pipelined), and the output still
+//!   on 4 chips (under the sequential *and* the default schedule), and the output still
 //!   matches the (hypothetical) single-chip computation bit for bit.
 //!   Sharding buys capacity, the pipeline buys throughput.
 //!
@@ -99,7 +100,7 @@ fn sample_count() -> usize {
         .unwrap_or(4)
 }
 
-/// The pipeline config for every leg: the default, with the ANN
+/// The pipelined schedule for every leg: the default, with the ANN
 /// micro-batch depth overridable through `NEBULA_MULTICHIP_DEPTH`
 /// (a positive integer; anything else keeps the default).
 fn pipeline_config() -> PipelineConfig {
@@ -112,6 +113,16 @@ fn pipeline_config() -> PipelineConfig {
         cfg.micro_batch = depth;
     }
     cfg
+}
+
+/// The sequential schedule every leg is timed against: one claimant,
+/// the whole batch as one item.
+fn sequential_config() -> PipelineConfig {
+    PipelineConfig {
+        micro_batch: usize::MAX,
+        workers: 1,
+        ..PipelineConfig::default()
+    }
 }
 
 fn ms(t: Instant) -> f64 {
@@ -285,7 +296,7 @@ struct ExecPoint {
 }
 
 /// Folds the three runs of one leg into an [`ExecPoint`], enforcing
-/// the identity contract: both sharded twins bitwise-match the
+/// the identity contract: both sharded schedules bitwise-match the
 /// single-chip outputs and waves, report the *same* cluster traffic
 /// (all [`TrafficStats`] fields, link flit-hops included), and land
 /// within [`ENERGY_RTOL`] of the single-chip read energy.
@@ -357,13 +368,15 @@ fn run_ann_point(
     let single_ms = ms(tm);
 
     let mut seq = ShardedAnalogNetwork::new(ann.clone(), chips, strategy).unwrap();
+    seq.set_pipeline(sequential_config());
     let tm = Instant::now();
     let got_seq = seq.forward(x).unwrap();
     let sharded_ms = ms(tm);
 
     let mut pipe = ShardedAnalogNetwork::new(ann.clone(), chips, strategy).unwrap();
+    pipe.set_pipeline(cfg.clone());
     let tm = Instant::now();
-    let got_pipe = pipe.forward_pipelined(x, cfg).unwrap();
+    let got_pipe = pipe.forward(x).unwrap();
     let pipelined_ms = ms(tm);
 
     let waves_ok = single.waves() == seq.waves() && seq.waves() == pipe.waves();
@@ -407,15 +420,17 @@ fn run_snn_point(
     let single_ms = ms(tm);
 
     let mut seq = build(snn.clone(), chips);
+    seq.set_pipeline(sequential_config());
     let mut r2 = ChaCha8Rng::seed_from_u64(7);
     let tm = Instant::now();
     let got_seq = seq.run(x, timesteps, &mut r2).unwrap();
     let sharded_ms = ms(tm);
 
     let mut pipe = build(snn.clone(), chips);
+    pipe.set_pipeline(cfg.clone());
     let mut r3 = ChaCha8Rng::seed_from_u64(7);
     let tm = Instant::now();
-    let got_pipe = pipe.run_pipelined(x, timesteps, &mut r3, cfg).unwrap();
+    let got_pipe = pipe.run(x, timesteps, &mut r3).unwrap();
     let pipelined_ms = ms(tm);
 
     let waves_ok = single.waves() == seq.waves() && seq.waves() == pipe.waves();
@@ -569,8 +584,8 @@ fn main() {
 
     // --- Over-capacity study ------------------------------------------
     // 16384×256 dense: 16 ANN cores > the 14-core pool. One chip rejects
-    // it with a typed error; 4 tensor-sharded chips run it — both
-    // sequentially and through the pipeline executor.
+    // it with a typed error; 4 tensor-sharded chips run it — under both
+    // the sequential and the pipelined schedule.
     let oc_desc = vec![LayerDescriptor::dense(0, "wide_fc", 16384, 256)];
     let oc_err = fits_chip(&oc_desc, &ChipConfig::default(), ExecMode::Ann)
         .expect_err("wide_fc must overflow one chip's ANN pool");
@@ -586,9 +601,11 @@ fn main() {
     let oc_want = oc_net.clone().forward(&x_oc).unwrap();
     let mut oc_sharded =
         ShardedAnalogNetwork::new(oc_net.clone(), 4, ShardStrategy::TensorSharded).unwrap();
+    oc_sharded.set_pipeline(sequential_config());
     let oc_got = oc_sharded.forward(&x_oc).unwrap();
     let mut oc_pipe = ShardedAnalogNetwork::new(oc_net, 4, ShardStrategy::TensorSharded).unwrap();
-    let oc_got_pipe = oc_pipe.forward_pipelined(&x_oc, &cfg).unwrap();
+    oc_pipe.set_pipeline(cfg.clone());
+    let oc_got_pipe = oc_pipe.forward(&x_oc).unwrap();
     let oc_identical = bits_equal(&oc_want, &oc_got);
     let oc_pipelined_identical =
         bits_equal(&oc_want, &oc_got_pipe) && oc_sharded.traffic() == oc_pipe.traffic();

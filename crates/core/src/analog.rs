@@ -17,6 +17,7 @@
 //! convolutions and batch-norm must be lowered/folded before
 //! compilation.
 
+use crate::analog_snn::{conv_output_shape, dense_output_shape};
 use crate::components::{M, MAX_RF_IN_CORE};
 use nebula_crossbar::{kernel, CrossbarConfig, CrossbarError, KernelPath, Mode, SuperTile};
 use nebula_device::units::{Amps, Joules};
@@ -552,33 +553,14 @@ impl AnalogNetwork {
         for stage in &self.stages {
             shape = match stage {
                 AnalogStage::Dense { matrix, .. } => {
-                    if shape.len() != 2 || shape[1] != matrix.rf {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!(
-                                "dense stage expects [n, {}], got {shape:?}",
-                                matrix.rf
-                            ),
-                        });
-                    }
-                    vec![shape[0], matrix.cols]
+                    dense_output_shape(&shape, matrix.rf, matrix.cols)?
                 }
                 AnalogStage::Conv {
                     matrix,
                     geom,
                     out_channels,
                     ..
-                } => {
-                    if shape.len() != 4 || shape[1] * geom.kh * geom.kw != matrix.rf {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!(
-                                "conv stage expects [n, {}, h, w], got {shape:?}",
-                                matrix.rf / (geom.kh * geom.kw)
-                            ),
-                        });
-                    }
-                    let (oh, ow) = geom.out_hw(shape[2], shape[3])?;
-                    vec![shape[0], *out_channels, oh, ow]
-                }
+                } => conv_output_shape(&shape, matrix.rf, *geom, *out_channels)?,
                 AnalogStage::Relu | AnalogStage::Quant { .. } => shape,
                 AnalogStage::AvgPool { k } => {
                     if shape.len() != 4 {

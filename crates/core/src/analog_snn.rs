@@ -975,15 +975,7 @@ impl AnalogSpikingNetwork {
         for stage in &self.stages {
             shape = match stage {
                 SpikingAnalogStage::Dense { matrix, .. } => {
-                    if shape.len() != 2 || shape[1] != matrix.rf {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!(
-                                "dense stage expects [n, {}], got {shape:?}",
-                                matrix.rf
-                            ),
-                        });
-                    }
-                    vec![shape[0], matrix.cols]
+                    dense_output_shape(&shape, matrix.rf, matrix.cols)?
                 }
                 SpikingAnalogStage::Conv {
                     matrix,
@@ -1097,27 +1089,8 @@ impl AnalogSpikingNetwork {
         timesteps: usize,
         groups: &[(usize, u64)],
     ) -> Result<Tensor, AnalogError> {
-        let n = *inputs
-            .shape()
-            .first()
-            .ok_or_else(|| AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            })?;
-        let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
-        if total != n {
-            return Err(AnalogError::BadGeometry {
-                reason: format!("seeded groups cover {total} rows, batch has {n}"),
-            });
-        }
-        let row_elems = inputs.len().checked_div(n).unwrap_or(0);
-        let encoding = self.encoding;
-        let mut rngs: Vec<rand::rngs::StdRng> = groups
-            .iter()
-            .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
-            .collect();
-        self.run_with_encoder(inputs, timesteps, false, &mut |x: &Tensor| {
-            encode_groups(encoding, x, row_elems, groups, &mut rngs)
-        })
+        let mut encode = seeded_groups_encoder(self.encoding, inputs, groups)?;
+        self.run_with_encoder(inputs, timesteps, false, &mut encode)
     }
 
     fn run_impl<R: Rng + ?Sized>(
@@ -1318,6 +1291,21 @@ impl AnalogSpikingNetwork {
     }
 }
 
+/// Output shape of a dense stage of receptive field `rf` and `cols`
+/// outputs fed `shape`: exactly `[n, rf]`.
+pub(crate) fn dense_output_shape(
+    shape: &[usize],
+    rf: usize,
+    cols: usize,
+) -> Result<Vec<usize>, AnalogError> {
+    if shape.len() != 2 || shape[1] != rf {
+        return Err(AnalogError::BadGeometry {
+            reason: format!("dense stage expects [n, {rf}], got {shape:?}"),
+        });
+    }
+    Ok(vec![shape[0], cols])
+}
+
 /// Output shape of a convolution stage of receptive field `rf` fed
 /// `shape`: rank 4 with exactly `rf / (kh·kw)` channels.
 pub(crate) fn conv_output_shape(
@@ -1353,43 +1341,65 @@ pub(crate) fn add_bias(out: &mut Tensor, bias: &[f32], spatial: usize) {
     }
 }
 
-/// Encodes one timestep for independently seeded request groups:
-/// group `(rows, _)` covers the next `rows` batch rows and draws from
-/// its own RNG stream, elementwise in row-major order — exactly the
-/// draws (Poisson) or values (Constant) a solo [`encode_with`] over
-/// that group's rows would produce. Shared by
-/// [`AnalogSpikingNetwork::run_seeded_groups`] and the multi-chip
-/// executor's seeded-group entry point, which is what keeps the two
-/// serving paths bit-identical.
-pub(crate) fn encode_groups(
+/// The timestep encoder for independently seeded request groups:
+/// group `(rows, seed)` covers the next `rows` batch rows and draws
+/// from its own [`rand::rngs::StdRng`] stream seeded with `seed`,
+/// elementwise in row-major order — exactly the draws (Poisson) or
+/// values (Constant) a solo [`encode_with`] over that group's rows
+/// would produce. Both the single-chip and the sharded
+/// `run_seeded_groups` encode through this, which is what keeps the
+/// two serving paths bit-identical.
+///
+/// # Errors
+///
+/// Returns [`AnalogError::BadGeometry`] for a rank-0 input or when the
+/// group row counts don't sum to the batch size.
+pub(crate) fn seeded_groups_encoder<'g>(
     encoding: InputEncoding,
-    x: &Tensor,
-    row_elems: usize,
-    groups: &[(usize, u64)],
-    rngs: &mut [rand::rngs::StdRng],
-) -> Tensor {
-    let mut t = Tensor::zeros(x.shape());
-    let mut offset = 0usize;
-    for (&(rows, _), rng) in groups.iter().zip(rngs.iter_mut()) {
-        let lo = offset * row_elems;
-        let hi = (offset + rows) * row_elems;
-        match encoding {
-            InputEncoding::Poisson => {
-                for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
-                    if rng.gen::<f32>() < p.clamp(0.0, 1.0) {
-                        *d = 1.0;
+    inputs: &Tensor,
+    groups: &'g [(usize, u64)],
+) -> Result<impl FnMut(&Tensor) -> Tensor + Send + 'g, AnalogError> {
+    let n = *inputs
+        .shape()
+        .first()
+        .ok_or_else(|| AnalogError::BadGeometry {
+            reason: "rank-0 input".into(),
+        })?;
+    let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
+    if total != n {
+        return Err(AnalogError::BadGeometry {
+            reason: format!("seeded groups cover {total} rows, batch has {n}"),
+        });
+    }
+    let row_elems = inputs.len().checked_div(n).unwrap_or(0);
+    let mut rngs: Vec<rand::rngs::StdRng> = groups
+        .iter()
+        .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
+        .collect();
+    Ok(move |x: &Tensor| {
+        let mut t = Tensor::zeros(x.shape());
+        let mut offset = 0usize;
+        for (&(rows, _), rng) in groups.iter().zip(rngs.iter_mut()) {
+            let lo = offset * row_elems;
+            let hi = (offset + rows) * row_elems;
+            match encoding {
+                InputEncoding::Poisson => {
+                    for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
+                        if rng.gen::<f32>() < p.clamp(0.0, 1.0) {
+                            *d = 1.0;
+                        }
+                    }
+                }
+                InputEncoding::Constant => {
+                    for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
+                        *d = p.clamp(0.0, 1.0);
                     }
                 }
             }
-            InputEncoding::Constant => {
-                for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
-                    *d = p.clamp(0.0, 1.0);
-                }
-            }
+            offset += rows;
         }
-        offset += rows;
-    }
-    t
+        t
+    })
 }
 
 /// Encodes one timestep of input under `encoding`, drawing from `rng`

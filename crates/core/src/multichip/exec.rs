@@ -1,20 +1,20 @@
-//! Concurrent stage-pipelined execution for sharded networks: the
+//! The pipeline executor: the one way a sharded network runs, and the
 //! runtime that turns [`ClusterPlan`](super::ClusterPlan)'s *modeled*
 //! pipeline speedup into measured wall-clock speedup.
 //!
 //! # Execution model
 //!
-//! A sharded network is a chain of units (one per chip span). The
-//! sequential executors walk that chain once per batch; here each unit
-//! becomes a **pipeline stage** fed by a bounded FIFO queue, and the
-//! batch is split into items that stream through the stages — stage
-//! `k` computes item `i + 1` while stage `k + 1` computes item `i`,
-//! exactly how batches stream through a ring of independently-clocked
-//! NEBULA chips. For ANNs an item is a micro-batch of input rows
+//! A sharded network is a chain of units (one per chip span). Each unit
+//! is a **pipeline stage** fed by a bounded FIFO queue, and the batch
+//! is split into items that stream through the stages — stage `k`
+//! computes item `i + 1` while stage `k + 1` computes item `i`, exactly
+//! how batches stream through a ring of independently-clocked NEBULA
+//! chips. For ANNs an item is a micro-batch of input rows
 //! ([`PipelineConfig::micro_batch`]); for SNNs an item is one timestep
 //! (membrane state advances strictly in time order inside each stage,
 //! and the wave is still encoded exactly once per timestep at the
-//! pipeline head, so the RNG stream is untouched).
+//! pipeline head, so the RNG stream is untouched). One claimant and one
+//! whole-batch item is the degenerate, fully sequential schedule.
 //!
 //! The bounded queues are the backpressure model: a stage may run only
 //! when its input queue is non-empty *and* its downstream queue has
@@ -45,8 +45,8 @@
 //! *another claimant* on top of a suspended stage — a lost-wakeup
 //! deadlock. With a single claimant (the 1-worker / 1-CPU case) the
 //! claimant runs inline and stages keep full intra-stage pool
-//! parallelism, so the degenerate pipeline costs nothing over the
-//! sequential path.
+//! parallelism, so the degenerate pipeline costs nothing over a plain
+//! loop over the units.
 //!
 //! # Bitwise identity (journaled accrual replay)
 //!
@@ -60,31 +60,30 @@
 //! * **Outputs** — per-item work is pure, queues are FIFO and each
 //!   stage processes items in ascending order (a stage is claimed by at
 //!   most one worker at a time), so the concatenated / accumulated
-//!   outputs equal the sequential walk bit for bit.
+//!   outputs are the same bits for any schedule.
 //! * **Energy** — each tile is owned by exactly one stage and sees its
 //!   items in ascending order, so the per-AC accrual fold runs in
-//!   exactly the sequential order.
+//!   exactly the single-chip order.
 //! * **NoC traffic** — ring ops mutate the shared [`ChipCluster`], so
 //!   stages record [`TrafficOp`]s into a private [`TrafficJournal`]
 //!   and the join replays them in canonical (stage-major,
 //!   item-ascending) order against the live cluster. ANN journals
 //!   coalesce each boundary/shard transfer into one whole-batch op —
-//!   bit counts are linear in the rows carried, and the sequential
-//!   path issues exactly one whole-batch transfer per boundary, so
-//!   replaying the summed bits reproduces its flit rounding
-//!   (`ceil(bits / FLIT_BITS)` does *not* distribute over micro-batch
-//!   splits — per-micro-batch sends would inflate `link_flit_hops`).
-//!   SNN journals keep one op per timestep, mirroring the sequential
-//!   per-timestep (and silence-gated) transfers; all traffic counters
-//!   are additive, so the stage-major replay lands on identical totals.
+//!   bit counts are linear in the rows carried, so replaying the summed
+//!   bits issues one transfer per route per call whatever the
+//!   micro-batch depth (`ceil(bits / FLIT_BITS)` does *not* distribute
+//!   over micro-batch splits — per-micro-batch sends would inflate
+//!   `link_flit_hops`). SNN journals keep one op per timestep (one
+//!   boundary transfer per timestep, shard traffic silence-gated per
+//!   timestep); all traffic counters are additive, so the stage-major
+//!   replay lands on the same totals for any worker count.
 //! * **Waves** — journaled per stage as a plain sum and added at the
 //!   join.
 //!
 //! Routing failures (dead ring links) therefore surface at the join,
-//! from the replay, with the same [`AnalogError::Noc`] the sequential
-//! walk raises mid-batch; traffic counters accrued *before* a failed
-//! replay may differ from the sequential path's partial state (the
-//! error itself, and all success-path counters, do not).
+//! from the replay, as [`AnalogError::Noc`]; a failed call leaves the
+//! traffic counters with whatever the replay applied before the
+//! failing op.
 
 use super::AnalogError;
 use nebula_noc::ChipCluster;
@@ -93,7 +92,10 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
-/// Tuning for the concurrent pipeline executor.
+/// Tuning for the pipeline executor every sharded call runs through
+/// (set per network with `set_pipeline`). `workers: 1` with a
+/// `micro_batch` of at least the batch size is the fully sequential
+/// schedule; every configuration gives the same bits.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Input rows per ANN pipeline item (micro-batch depth). SNN
@@ -134,55 +136,12 @@ pub(crate) enum TrafficOp {
     },
 }
 
-/// Where a unit executor's traffic and wave accounting goes: straight
-/// to the cluster (sequential walk) or into a journal (pipeline stage).
-pub(crate) trait TrafficSink {
-    fn send(&mut self, src: usize, dst: usize, bits: u64) -> Result<(), AnalogError>;
-    fn shard(
-        &mut self,
-        home: usize,
-        remote: &[usize],
-        in_bits: u64,
-        out_bits: u64,
-    ) -> Result<(), AnalogError>;
-    fn add_waves(&mut self, n: u64);
-}
-
-/// The sequential sink: applies every op to the live cluster at the
-/// moment the unit executes — today's behavior, unchanged.
-pub(crate) struct LiveSink<'a> {
-    pub(crate) cluster: &'a mut ChipCluster,
-    pub(crate) extra_waves: &'a mut u64,
-}
-
-impl TrafficSink for LiveSink<'_> {
-    fn send(&mut self, src: usize, dst: usize, bits: u64) -> Result<(), AnalogError> {
-        self.cluster
-            .send(super::portal(src), super::portal(dst), bits)?;
-        Ok(())
-    }
-
-    fn shard(
-        &mut self,
-        home: usize,
-        remote: &[usize],
-        in_bits: u64,
-        out_bits: u64,
-    ) -> Result<(), AnalogError> {
-        super::account_shard_traffic(self.cluster, home, remote, in_bits, out_bits)
-    }
-
-    fn add_waves(&mut self, n: u64) {
-        *self.extra_waves += n;
-    }
-}
-
 /// A pipeline stage's private accounting log. With `coalesce` set (ANN
 /// pipelines) repeated ops against the same route merge by summing
-/// bits, so the replay issues exactly the whole-batch transfers the
-/// sequential path would — flit rounding happens once, on the summed
-/// payload. Without it (SNN pipelines) every op replays individually,
-/// one per timestep, matching the sequential per-timestep rounding.
+/// bits, so the replay issues exactly one whole-batch transfer per
+/// route — flit rounding happens once, on the summed payload. Without
+/// it (SNN pipelines) every op replays individually, one per timestep,
+/// with per-timestep rounding.
 pub(crate) struct TrafficJournal {
     ops: Vec<TrafficOp>,
     coalesce: bool,
@@ -198,46 +157,21 @@ impl TrafficJournal {
         }
     }
 
-    /// Applies this journal to the live cluster, in recorded (item-
-    /// ascending) order.
-    pub(crate) fn replay(&self, sink: &mut LiveSink<'_>) -> Result<(), AnalogError> {
-        sink.add_waves(self.waves);
-        for op in &self.ops {
-            match op {
-                TrafficOp::Send { src, dst, bits } => sink.send(*src, *dst, *bits)?,
-                TrafficOp::Shard {
-                    home,
-                    remote,
-                    in_bits,
-                    out_bits,
-                } => sink.shard(*home, remote, *in_bits, *out_bits)?,
-            }
-        }
-        Ok(())
-    }
-}
-
-impl TrafficSink for TrafficJournal {
-    fn send(&mut self, src: usize, dst: usize, bits: u64) -> Result<(), AnalogError> {
+    /// Records a stage-boundary activation transfer.
+    pub(crate) fn send(&mut self, src: usize, dst: usize, bits: u64) {
         if self.coalesce {
             if let Some(TrafficOp::Send { bits: b, .. }) = self.ops.iter_mut().find(
                 |op| matches!(op, TrafficOp::Send { src: s, dst: d, .. } if *s == src && *d == dst),
             ) {
                 *b += bits;
-                return Ok(());
+                return;
             }
         }
         self.ops.push(TrafficOp::Send { src, dst, bits });
-        Ok(())
     }
 
-    fn shard(
-        &mut self,
-        home: usize,
-        remote: &[usize],
-        in_bits: u64,
-        out_bits: u64,
-    ) -> Result<(), AnalogError> {
+    /// Records a tensor-sharded stage's fan-out and fan-in.
+    pub(crate) fn shard(&mut self, home: usize, remote: &[usize], in_bits: u64, out_bits: u64) {
         if self.coalesce {
             if let Some(TrafficOp::Shard {
                 in_bits: i,
@@ -248,7 +182,7 @@ impl TrafficSink for TrafficJournal {
             ) {
                 *i += in_bits;
                 *o += out_bits;
-                return Ok(());
+                return;
             }
         }
         self.ops.push(TrafficOp::Shard {
@@ -257,12 +191,96 @@ impl TrafficSink for TrafficJournal {
             in_bits,
             out_bits,
         });
-        Ok(())
     }
 
-    fn add_waves(&mut self, n: u64) {
+    pub(crate) fn add_waves(&mut self, n: u64) {
         self.waves += n;
     }
+
+    /// Applies this journal to the live cluster, in recorded (item-
+    /// ascending) order, and adds its waves to `waves`.
+    pub(crate) fn replay(
+        &self,
+        cluster: &mut ChipCluster,
+        waves: &mut u64,
+    ) -> Result<(), AnalogError> {
+        *waves += self.waves;
+        for op in &self.ops {
+            match op {
+                TrafficOp::Send { src, dst, bits } => {
+                    cluster.send(super::portal(*src), super::portal(*dst), *bits)?;
+                }
+                TrafficOp::Shard {
+                    home,
+                    remote,
+                    in_bits,
+                    out_bits,
+                } => super::account_shard_traffic(cluster, *home, remote, *in_bits, *out_bits)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One chip span of a sharded network, as a pipeline stage sees it.
+pub(crate) trait PipelineUnit: Send {
+    /// ANN journals coalesce per route; SNN journals keep one op per
+    /// timestep (see [`TrafficJournal`]).
+    const COALESCE: bool;
+    /// The chip this unit runs on.
+    fn chip(&self) -> usize;
+    /// Bits a wave `h` carries across a ring boundary into this unit.
+    fn boundary_bits(h: &Tensor) -> u64;
+    /// Advances this unit by one item: pure evaluation against state the
+    /// unit owns, with every shared counter journaled. `workers` bounds
+    /// intra-unit pool parallelism (see [`stage_workers`]).
+    fn exec(
+        &mut self,
+        h: Tensor,
+        journal: &mut TrafficJournal,
+        workers: usize,
+    ) -> Result<Tensor, AnalogError>;
+}
+
+/// Streams `n_items` items from `source` through one pipeline stage per
+/// unit under `cfg`, then — at the join — replays every stage's journal
+/// against `cluster` in stage-major order and adds the journaled waves
+/// to `waves`. A stage first journals the ring transfer its input takes
+/// when the previous unit sits on another chip. Returns every item's
+/// output in index order; on an error nothing is replayed.
+pub(crate) fn run_units<U: PipelineUnit>(
+    units: &mut [U],
+    n_items: usize,
+    source: SourceFn<'_>,
+    cfg: &PipelineConfig,
+    cluster: &mut ChipCluster,
+    waves: &mut u64,
+) -> Result<Vec<Tensor>, AnalogError> {
+    let workers = effective_workers(cfg);
+    let sw = stage_workers(workers);
+    let chips: Vec<usize> = units.iter().map(U::chip).collect();
+    let mut journals: Vec<TrafficJournal> = (0..units.len())
+        .map(|_| TrafficJournal::new(U::COALESCE))
+        .collect();
+    let stages: Vec<StageFn<'_>> = units
+        .iter_mut()
+        .zip(journals.iter_mut())
+        .enumerate()
+        .map(|(u, (unit, journal))| {
+            let (prev, here) = (u.checked_sub(1).map(|p| chips[p]), chips[u]);
+            Box::new(move |_idx: usize, h: Tensor| {
+                if let Some(prev) = prev.filter(|&p| p != here) {
+                    journal.send(prev, here, U::boundary_bits(&h));
+                }
+                unit.exec(h, journal, sw)
+            }) as StageFn<'_>
+        })
+        .collect();
+    let outs = run_pipeline(n_items, source, stages, workers, cfg.queue_capacity)?;
+    for journal in &journals {
+        journal.replay(cluster, waves)?;
+    }
+    Ok(outs)
 }
 
 /// A stage body: consumes item `idx`'s tensor, returns the next stage's
@@ -294,19 +312,23 @@ struct SchedState {
 }
 
 /// Streams `n_items` items through `stages` with `workers` claimants on
-/// the persistent pool. Returns every item's final tensor in index
-/// order. On a stage/source error the first error is returned (the
-/// remaining in-flight work is abandoned); a panic in a stage body
-/// propagates to the caller after all claimants settle.
+/// the persistent pool (clamped to one per stage plus the source).
+/// Returns every item's final tensor in index order; with no stages,
+/// the source's items themselves. On a stage/source error the first
+/// error is returned (the remaining in-flight work is abandoned); a
+/// panic in a stage body propagates to the caller after all claimants
+/// settle.
 pub(crate) fn run_pipeline(
     n_items: usize,
     mut source: SourceFn<'_>,
-    stages: Vec<StageFn<'_>>,
+    mut stages: Vec<StageFn<'_>>,
     workers: usize,
     capacity: usize,
 ) -> Result<Vec<Tensor>, AnalogError> {
+    if stages.is_empty() {
+        stages.push(Box::new(|_, h| Ok(h)));
+    }
     let n_stages = stages.len();
-    debug_assert!(n_stages > 0, "caller guarantees at least one stage");
     if n_items == 0 {
         return Ok(Vec::new());
     }
@@ -420,20 +442,20 @@ pub(crate) fn run_pipeline(
         .collect())
 }
 
-/// Effective claimant count for a config over an `n_stages` pipeline.
-pub(crate) fn effective_workers(cfg: &PipelineConfig, n_stages: usize) -> usize {
-    let w = if cfg.workers == 0 {
+/// The claimant count a config asks for: `0` resolves to one per pool
+/// worker ([`run_pipeline`] clamps it to the stage count).
+fn effective_workers(cfg: &PipelineConfig) -> usize {
+    if cfg.workers == 0 {
         nebula_tensor::pool::size()
     } else {
         cfg.workers
-    };
-    w.clamp(1, n_stages + 1)
+    }
 }
 
 /// Worker count stage bodies may use: full pool parallelism when the
 /// pipeline is degenerate (one claimant), strictly inline otherwise —
 /// see the module docs for why nested pool dispatch is forbidden there.
-pub(crate) fn stage_workers(pipeline_workers: usize) -> usize {
+fn stage_workers(pipeline_workers: usize) -> usize {
     if pipeline_workers > 1 {
         1
     } else {
@@ -543,10 +565,10 @@ mod tests {
     #[test]
     fn ann_journal_coalesces_and_snn_journal_does_not() {
         let mut ann = TrafficJournal::new(true);
-        ann.send(0, 1, 40).unwrap();
-        ann.send(0, 1, 24).unwrap();
-        ann.shard(0, &[1, 2], 100, 60).unwrap();
-        ann.shard(0, &[1, 2], 50, 30).unwrap();
+        ann.send(0, 1, 40);
+        ann.send(0, 1, 24);
+        ann.shard(0, &[1, 2], 100, 60);
+        ann.shard(0, &[1, 2], 50, 30);
         assert_eq!(ann.ops.len(), 2);
         assert!(
             matches!(&ann.ops[0], TrafficOp::Send { bits: 64, .. }),
@@ -561,8 +583,8 @@ mod tests {
             }
         ));
         let mut snn = TrafficJournal::new(false);
-        snn.send(0, 1, 40).unwrap();
-        snn.send(0, 1, 24).unwrap();
+        snn.send(0, 1, 40);
+        snn.send(0, 1, 24);
         assert_eq!(snn.ops.len(), 2, "per-timestep ops stay separate");
     }
 }

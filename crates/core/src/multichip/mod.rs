@@ -48,14 +48,15 @@
 //! [`NocError::UnroutableChips`] — the same detour-or-fail fault model
 //! the intra-chip mesh uses.
 //!
-//! Both executors have a **concurrent pipelined** entry point
-//! ([`ShardedAnalogNetwork::forward_pipelined`],
-//! [`ShardedSpikingNetwork::run_pipelined`]) that streams micro-batches
-//! (ANN) or timesteps (SNN) through the chip stages on pool workers,
-//! turning the plan's modeled overlap into measured wall-clock overlap
-//! while keeping every counter bit-identical to the sequential walk —
-//! see the `exec` module docs for the scheduler and the journaled
-//! traffic replay that make that hold.
+//! Both executors run every call through one **pipeline executor**
+//! ([`ShardedAnalogNetwork::forward`], [`ShardedSpikingNetwork::run`]
+//! and [`ShardedSpikingNetwork::run_seeded_groups`]): micro-batches
+//! (ANN) or timesteps (SNN) stream through the chip stages on pool
+//! workers, turning the plan's modeled overlap into measured wall-clock
+//! overlap, configured per network by `set_pipeline`
+//! ([`PipelineConfig`]). Every counter is the same for any
+//! configuration — see the `exec` module docs for the scheduler and
+//! the journaled traffic replay that make that hold.
 //!
 //! [`SuperTile`]: nebula_crossbar::SuperTile
 //! [`NocError::UnroutableChips`]: nebula_noc::NocError::UnroutableChips
@@ -64,15 +65,12 @@ mod exec;
 
 pub use exec::PipelineConfig;
 
-use exec::{
-    effective_workers, run_pipeline, stage_workers, LiveSink, SourceFn, StageFn, TrafficJournal,
-    TrafficSink,
-};
+use exec::{run_units, PipelineUnit, SourceFn, TrafficJournal};
 
 use crate::analog::{check_finite, AnalogError, AnalogNetwork, AnalogStage, ProgrammedMatrix};
 use crate::analog_snn::{
-    add_bias, conv_output_shape, encode_groups, encode_with, AnalogSpikingNetwork, EventScratch,
-    SnnMatrix, SpikingAnalogStage, StageGeometry,
+    add_bias, conv_output_shape, dense_output_shape, encode_with, seeded_groups_encoder,
+    AnalogSpikingNetwork, EventScratch, SnnMatrix, SpikingAnalogStage, StageGeometry,
 };
 use crate::capacity::CapacityExceeded;
 use crate::chip::ChipConfig;
@@ -249,14 +247,11 @@ pub fn plan_cluster(
                     *cores += (m.cores * segs_here).div_ceil(segments);
                 }
             }
-            if let Some((chip, &demand)) =
-                per_chip_cores.iter().enumerate().find(|&(_, &c)| c > pool)
-            {
+            if let Some(&demand) = per_chip_cores.iter().find(|&&c| c > pool) {
                 let widest = mappings
                     .iter()
                     .max_by_key(|m| m.cores)
                     .expect("non-empty: a chip is over pool");
-                let _ = chip;
                 return Err(CapacityExceeded {
                     layer_index: widest.layer_index,
                     layer: widest.name.clone(),
@@ -396,24 +391,38 @@ enum AnnUnit {
     },
 }
 
-impl AnnUnit {
+impl PipelineUnit for AnnUnit {
+    const COALESCE: bool = true;
+
     fn chip(&self) -> usize {
         match self {
             AnnUnit::Whole { chip, .. } => *chip,
             _ => HOME,
         }
     }
+
+    fn boundary_bits(h: &Tensor) -> u64 {
+        h.len() as u64 * ANN_ACT_BITS
+    }
+
+    fn exec(
+        &mut self,
+        h: Tensor,
+        journal: &mut TrafficJournal,
+        workers: usize,
+    ) -> Result<Tensor, AnalogError> {
+        exec_ann_unit(self, &h, journal, workers)
+    }
 }
 
-/// Advances one ANN unit by one wave: pure evaluation against the
-/// unit's own tiles and scratch, with all shared accounting routed
-/// through `sink` — the live cluster on the sequential walk, a
-/// per-stage journal on the pipelined one. `workers` bounds intra-unit
-/// pool parallelism (1 inside a multi-claimant pipeline stage).
-fn exec_ann_unit<S: TrafficSink>(
+/// Advances one ANN unit by one micro-batch: pure evaluation against
+/// the unit's own tiles and scratch, with all shared accounting
+/// journaled. `workers` bounds intra-unit pool parallelism (1 inside a
+/// multi-claimant pipeline stage).
+fn exec_ann_unit(
     unit: &mut AnnUnit,
     h: &Tensor,
-    sink: &mut S,
+    journal: &mut TrafficJournal,
     workers: usize,
 ) -> Result<Tensor, AnalogError> {
     match unit {
@@ -427,12 +436,12 @@ fn exec_ann_unit<S: TrafficSink>(
             acc,
         } => {
             let n = h.shape()[0];
-            sink.shard(
+            journal.shard(
                 HOME,
                 remote,
                 n as u64 * *rf as u64 * ANN_ACT_BITS,
                 n as u64 * *cols as u64 * PARTIAL_BITS,
-            )?;
+            );
             acc.clear();
             acc.resize(n * *cols, 0.0);
             let data = h.data();
@@ -445,7 +454,7 @@ fn exec_ann_unit<S: TrafficSink>(
                     *a += v;
                 }
             }
-            sink.add_waves(n as u64);
+            journal.add_waves(n as u64);
             let mut out = Tensor::zeros(&[n, *cols]);
             for (dst, y) in out.data_mut().chunks_mut(bias.len()).zip(acc.chunks(*cols)) {
                 for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter())) {
@@ -476,12 +485,12 @@ fn exec_ann_unit<S: TrafficSink>(
             };
             let spatial = oh * ow;
             let total_rows = n * spatial;
-            sink.shard(
+            journal.shard(
                 HOME,
                 remote,
                 h.len() as u64 * ANN_ACT_BITS,
                 total_rows as u64 * *cols as u64 * PARTIAL_BITS,
-            )?;
+            );
             acc.clear();
             acc.resize(total_rows * *cols, 0.0);
             let data = patches.data();
@@ -494,7 +503,7 @@ fn exec_ann_unit<S: TrafficSink>(
                     *a += v;
                 }
             }
-            sink.add_waves(total_rows as u64);
+            journal.add_waves(total_rows as u64);
             let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
             for img in 0..n {
                 for s in 0..spatial {
@@ -520,6 +529,7 @@ pub struct ShardedAnalogNetwork {
     cluster: ChipCluster,
     strategy: ShardStrategy,
     extra_waves: u64,
+    pipeline: PipelineConfig,
 }
 
 impl ShardedAnalogNetwork {
@@ -658,6 +668,7 @@ impl ShardedAnalogNetwork {
             cluster,
             strategy: ShardStrategy::LayerPipelined,
             extra_waves,
+            pipeline: PipelineConfig::default(),
         })
     }
 
@@ -730,6 +741,7 @@ impl ShardedAnalogNetwork {
             cluster,
             strategy: ShardStrategy::TensorSharded,
             extra_waves,
+            pipeline: PipelineConfig::default(),
         })
     }
 
@@ -758,6 +770,14 @@ impl ShardedAnalogNetwork {
         self.cluster.stats()
     }
 
+    /// Configures the pipeline executor every call runs through
+    /// ([`PipelineConfig::default`] until set). Any configuration gives
+    /// the same outputs, waves, traffic and scalar-path energy; it only
+    /// moves wall-clock overlap.
+    pub fn set_pipeline(&mut self, cfg: PipelineConfig) {
+        self.pipeline = cfg;
+    }
+
     /// Selects the crossbar kernel path on every shard and span.
     pub fn set_kernel_path(&mut self, path: nebula_crossbar::KernelPath) {
         for unit in &mut self.units {
@@ -784,14 +804,7 @@ impl ShardedAnalogNetwork {
         for unit in &self.units {
             shape = match unit {
                 AnnUnit::Whole { net, .. } => net.output_shape(&shape)?,
-                AnnUnit::Dense { cols, rf, .. } => {
-                    if shape.len() != 2 || shape[1] != *rf {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!("dense stage expects [n, {rf}], got {shape:?}"),
-                        });
-                    }
-                    vec![shape[0], *cols]
-                }
+                AnnUnit::Dense { cols, rf, .. } => dense_output_shape(&shape, *rf, *cols)?,
                 AnnUnit::Conv {
                     geom,
                     out_channels,
@@ -803,8 +816,8 @@ impl ShardedAnalogNetwork {
         Ok(shape)
     }
 
-    /// The checks both entry points make once, before any crossbar or
-    /// ring traffic: the shape must flow through every unit
+    /// The checks [`forward`](Self::forward) makes once, before any
+    /// crossbar or ring traffic: the shape must flow through every unit
     /// ([`output_shape`](Self::output_shape)) and every value must be
     /// finite.
     fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
@@ -814,7 +827,12 @@ impl ShardedAnalogNetwork {
 
     /// Runs a batch through the cluster and returns the logits —
     /// bit-identical to the donor single-chip
-    /// [`AnalogNetwork::forward`].
+    /// [`AnalogNetwork::forward`]. The batch is split into micro-batches
+    /// of [`PipelineConfig::micro_batch`] rows that stream through the
+    /// chip stages on pool workers (see
+    /// [`set_pipeline`](Self::set_pipeline)); per-stage traffic is
+    /// journaled and replayed at the join, one transfer per route per
+    /// call. A zero-row batch runs as one empty micro-batch.
     ///
     /// # Errors
     ///
@@ -822,127 +840,43 @@ impl ShardedAnalogNetwork {
     /// fit the network (see [`output_shape`](Self::output_shape)) and
     /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
     /// before any crossbar or ring traffic; propagates circuit and tensor
-    /// failures; inter-chip routing failures surface as
-    /// [`AnalogError::Noc`].
+    /// failures; inter-chip routing failures surface from the journal
+    /// replay as [`AnalogError::Noc`].
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
         self.check_input(inputs)?;
-        let workers = nebula_tensor::pool::size();
-        let mut h = inputs.clone();
-        let mut units = std::mem::take(&mut self.units);
-        let result = (|| -> Result<Tensor, AnalogError> {
-            let mut sink = LiveSink {
-                cluster: &mut self.cluster,
-                extra_waves: &mut self.extra_waves,
-            };
-            let mut prev_chip: Option<usize> = None;
-            for unit in units.iter_mut() {
-                let here = unit.chip();
-                if let Some(prev) = prev_chip {
-                    if prev != here {
-                        // Activations cross the ring between pipeline
-                        // stages: one transfer per wave per boundary.
-                        sink.send(prev, here, h.len() as u64 * ANN_ACT_BITS)?;
-                    }
-                }
-                h = exec_ann_unit(unit, &h, &mut sink, workers)?;
-                prev_chip = Some(here);
-            }
-            Ok(h)
-        })();
-        self.units = units;
-        result
-    }
-
-    /// [`forward`](Self::forward), executed by the concurrent pipeline:
-    /// the batch is split into micro-batches of
-    /// [`PipelineConfig::micro_batch`] rows that stream through the
-    /// chip stages on pool workers, with per-stage traffic journaled
-    /// and replayed at the join — outputs, waves, scalar energy and
-    /// cluster traffic are bit-identical to the sequential walk for any
-    /// worker count and depth (see the `exec` module docs).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`forward`](Self::forward); routing failures
-    /// surface from the journal replay at the join.
-    pub fn forward_pipelined(
-        &mut self,
-        inputs: &Tensor,
-        cfg: &PipelineConfig,
-    ) -> Result<Tensor, AnalogError> {
-        self.check_input(inputs)?;
-        let n = match inputs.shape().first() {
-            Some(&n) => n,
-            None => return self.forward(inputs),
+        // Only a stage-less network accepts a rank-0 input: the identity.
+        let Some(&n) = inputs.shape().first() else {
+            return Ok(inputs.clone());
         };
-        if self.units.is_empty() || n == 0 {
-            return self.forward(inputs);
-        }
-        let depth = cfg.micro_batch.max(1).min(n);
-        let items = n.div_ceil(depth);
-        let workers = effective_workers(cfg, self.units.len());
-        let sw = stage_workers(workers);
-        let row_elems = inputs.len() / n;
+        let depth = self.pipeline.micro_batch.clamp(1, n.max(1));
+        let row_elems = inputs.len().checked_div(n).unwrap_or(0);
         let in_shape = inputs.shape().to_vec();
         let data = inputs.data();
-        let mut units = std::mem::take(&mut self.units);
-        let chips_of: Vec<usize> = units.iter().map(|u| u.chip()).collect();
-        let mut journals: Vec<TrafficJournal> = (0..units.len())
-            .map(|_| TrafficJournal::new(true))
-            .collect();
-        let result = (|| -> Result<Tensor, AnalogError> {
-            let source: SourceFn<'_> = Box::new(move |idx| {
-                let lo = idx * depth;
-                let hi = ((idx + 1) * depth).min(n);
-                let mut shape = in_shape.clone();
-                shape[0] = hi - lo;
-                Ok(Tensor::from_vec(
-                    data[lo * row_elems..hi * row_elems].to_vec(),
-                    &shape,
-                )?)
-            });
-            let stages: Vec<StageFn<'_>> = units
-                .iter_mut()
-                .zip(journals.iter_mut())
-                .enumerate()
-                .map(|(u, (unit, journal))| {
-                    let prev = u.checked_sub(1).map(|p| chips_of[p]);
-                    let here = chips_of[u];
-                    Box::new(move |_idx: usize, h: Tensor| {
-                        if let Some(prev) = prev {
-                            if prev != here {
-                                journal.send(prev, here, h.len() as u64 * ANN_ACT_BITS)?;
-                            }
-                        }
-                        exec_ann_unit(unit, &h, journal, sw)
-                    }) as StageFn<'_>
-                })
-                .collect();
-            let outs = run_pipeline(items, source, stages, workers, cfg.queue_capacity)?;
-            // Concatenate micro-batch outputs in index order.
-            let mut out_shape = outs[0].shape().to_vec();
-            out_shape[0] = n;
-            let per_row: usize = out_shape.iter().skip(1).product();
-            let mut out = Vec::with_capacity(n * per_row);
-            for o in &outs {
-                out.extend_from_slice(o.data());
-            }
-            Ok(Tensor::from_vec(out, &out_shape)?)
-        })();
-        self.units = units;
-        let out = result?;
-        // The join: replay every stage's journal against the live
-        // cluster in stage-major, item-ascending order. This is where
-        // dead-link routing failures surface, exactly as the
-        // sequential walk would raise them.
-        let mut sink = LiveSink {
-            cluster: &mut self.cluster,
-            extra_waves: &mut self.extra_waves,
-        };
-        for journal in &journals {
-            journal.replay(&mut sink)?;
+        let source: SourceFn<'_> = Box::new(move |idx| {
+            let (lo, hi) = (idx * depth, ((idx + 1) * depth).min(n));
+            let mut shape = in_shape.clone();
+            shape[0] = hi - lo;
+            Ok(Tensor::from_vec(
+                data[lo * row_elems..hi * row_elems].to_vec(),
+                &shape,
+            )?)
+        });
+        let outs = run_units(
+            &mut self.units,
+            n.div_ceil(depth).max(1),
+            source,
+            &self.pipeline,
+            &mut self.cluster,
+            &mut self.extra_waves,
+        )?;
+        // Concatenate micro-batch outputs in index order.
+        let mut out_shape = outs[0].shape().to_vec();
+        out_shape[0] = n;
+        let mut out = Vec::with_capacity(outs.iter().map(Tensor::len).sum());
+        for o in &outs {
+            out.extend_from_slice(o.data());
         }
-        Ok(out)
+        Ok(Tensor::from_vec(out, &out_shape)?)
     }
 
     /// Total analog read energy across every chip, summed in stage then
@@ -1042,30 +976,47 @@ enum SnnUnit {
         geom: ConvGeometry,
         out_channels: usize,
         cols: usize,
+        rf: usize,
         scratch: EventScratch,
         /// Shard chips other than home, fixed at construction.
         remote: Vec<usize>,
     },
 }
 
-impl SnnUnit {
+impl PipelineUnit for SnnUnit {
+    const COALESCE: bool = false;
+
     fn chip(&self) -> usize {
         match self {
             SnnUnit::Whole { chip, .. } => *chip,
             _ => HOME,
         }
     }
+
+    /// Spike bitmaps cross the ring once per timestep, at least one bit.
+    fn boundary_bits(h: &Tensor) -> u64 {
+        (h.len() as u64 * SNN_ACT_BITS).max(1)
+    }
+
+    fn exec(
+        &mut self,
+        h: Tensor,
+        journal: &mut TrafficJournal,
+        workers: usize,
+    ) -> Result<Tensor, AnalogError> {
+        exec_snn_unit(self, h, journal, workers)
+    }
 }
 
 /// Advances one SNN unit by one encoded timestep wave. Mirrors
 /// [`exec_ann_unit`]: pure evaluation against unit-owned state (tiles,
-/// IF membranes, gather scratch), shared accounting through `sink`.
-/// Unlike the ANN path, shard traffic is journaled *per timestep* and
-/// silence-gated — exactly the sequential per-timestep skips.
-fn exec_snn_unit<S: TrafficSink>(
+/// IF membranes, gather scratch), shared accounting journaled. Unlike
+/// the ANN path, shard traffic is journaled *per timestep* and
+/// silence-gated — exactly the single-chip per-timestep skips.
+fn exec_snn_unit(
     unit: &mut SnnUnit,
     h: Tensor,
-    sink: &mut S,
+    journal: &mut TrafficJournal,
     workers: usize,
 ) -> Result<Tensor, AnalogError> {
     match unit {
@@ -1087,14 +1038,14 @@ fn exec_snn_unit<S: TrafficSink>(
             if scatter_shards(shards, h.data(), &geom, scratch, workers, out.data_mut()) {
                 // A silent wave ships nothing and touches no crossbar —
                 // exactly the single-chip skip.
-                sink.shard(
+                journal.shard(
                     HOME,
                     remote,
                     (n * *rf) as u64 * SNN_ACT_BITS,
                     (n * *cols) as u64 * PARTIAL_BITS,
-                )?;
+                );
             }
-            sink.add_waves(n as u64);
+            journal.add_waves(n as u64);
             add_bias(&mut out, bias, 1);
             Ok(out)
         }
@@ -1106,20 +1057,21 @@ fn exec_snn_unit<S: TrafficSink>(
             cols,
             scratch,
             remote,
+            ..
         } => {
             let sg = StageGeometry::conv(h.shape(), *geom)?;
             let (n, spatial) = (sg.images, sg.patches());
             let [oh, ow] = sg.out_hw;
             let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
             if scatter_shards(shards, h.data(), &sg, scratch, workers, out.data_mut()) {
-                sink.shard(
+                journal.shard(
                     HOME,
                     remote,
                     (h.len() as u64 * SNN_ACT_BITS).max(1),
                     (n * spatial * *cols) as u64 * PARTIAL_BITS,
-                )?;
+                );
             }
-            sink.add_waves((n * spatial) as u64);
+            journal.add_waves((n * spatial) as u64);
             add_bias(&mut out, bias, spatial);
             Ok(out)
         }
@@ -1162,6 +1114,7 @@ pub struct ShardedSpikingNetwork {
     strategy: ShardStrategy,
     encoding: InputEncoding,
     extra_waves: u64,
+    pipeline: PipelineConfig,
 }
 
 impl ShardedSpikingNetwork {
@@ -1304,6 +1257,7 @@ impl ShardedSpikingNetwork {
             strategy: ShardStrategy::LayerPipelined,
             encoding,
             extra_waves,
+            pipeline: PipelineConfig::default(),
         })
     }
 
@@ -1356,7 +1310,7 @@ impl ShardedSpikingNetwork {
                     ..
                 } if matrix.tiles.len() > 1 => {
                     flush(&mut span, &mut units);
-                    let cols = matrix.cols;
+                    let (cols, rf) = (matrix.cols, matrix.rf);
                     let shards = shard_snn_matrix(matrix, chips);
                     let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
                     units.push(SnnUnit::Conv {
@@ -1365,6 +1319,7 @@ impl ShardedSpikingNetwork {
                         geom,
                         out_channels,
                         cols,
+                        rf,
                         scratch: EventScratch::default(),
                         remote,
                     });
@@ -1379,6 +1334,7 @@ impl ShardedSpikingNetwork {
             strategy: ShardStrategy::TensorSharded,
             encoding,
             extra_waves,
+            pipeline: PipelineConfig::default(),
         })
     }
 
@@ -1411,6 +1367,14 @@ impl ShardedSpikingNetwork {
     /// default).
     pub fn set_encoding(&mut self, encoding: InputEncoding) {
         self.encoding = encoding;
+    }
+
+    /// Configures the pipeline executor every call runs through
+    /// ([`PipelineConfig::default`] until set). Any configuration gives
+    /// the same outputs, waves, traffic and scalar-path energy; it only
+    /// moves wall-clock overlap.
+    pub fn set_pipeline(&mut self, cfg: PipelineConfig) {
+        self.pipeline = cfg;
     }
 
     /// Selects the crossbar kernel path on every shard and span.
@@ -1448,23 +1412,13 @@ impl ShardedSpikingNetwork {
         for unit in &self.units {
             shape = match unit {
                 SnnUnit::Whole { net, .. } => net.output_shape(&shape)?,
-                SnnUnit::Dense { cols, rf, .. } => {
-                    if shape.len() != 2 || shape[1] != *rf {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!("dense stage expects [n, {rf}], got {shape:?}"),
-                        });
-                    }
-                    vec![shape[0], *cols]
-                }
+                SnnUnit::Dense { cols, rf, .. } => dense_output_shape(&shape, *rf, *cols)?,
                 SnnUnit::Conv {
-                    shards,
                     geom,
                     out_channels,
+                    rf,
                     ..
-                } => {
-                    let rf = shards.last().map_or(0, |s| s.hi);
-                    conv_output_shape(&shape, rf, *geom, *out_channels)?
-                }
+                } => conv_output_shape(&shape, *rf, *geom, *out_channels)?,
             };
         }
         Ok(shape)
@@ -1472,8 +1426,13 @@ impl ShardedSpikingNetwork {
 
     /// Runs `timesteps` of spiking inference across the cluster —
     /// bit-identical to the donor single-chip
-    /// [`AnalogSpikingNetwork::run`] (the whole batch is encoded at the
-    /// pipeline head each timestep, so RNG consumption matches).
+    /// [`AnalogSpikingNetwork::run`]. Each timestep is one pipeline
+    /// item (see [`set_pipeline`](Self::set_pipeline)), so chip stage
+    /// *k* advances timestep *t+1* while stage *k+1* advances timestep
+    /// *t*; the whole batch is encoded exactly once per timestep, at the
+    /// pipeline head and in ascending timestep order, so RNG
+    /// consumption matches. The RNG is `Send` because the encoder runs
+    /// on whichever pool worker claims the pipeline head.
     ///
     /// # Errors
     ///
@@ -1481,15 +1440,16 @@ impl ShardedSpikingNetwork {
     /// fit the network (see [`output_shape`](Self::output_shape)) and
     /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
     /// before any timestep runs; propagates circuit and tensor failures;
-    /// inter-chip routing failures surface as [`AnalogError::Noc`].
-    pub fn run<R: Rng + ?Sized>(
+    /// inter-chip routing failures surface from the journal replay as
+    /// [`AnalogError::Noc`].
+    pub fn run<R: Rng + Send + ?Sized>(
         &mut self,
         inputs: &Tensor,
         timesteps: usize,
         rng: &mut R,
     ) -> Result<Tensor, AnalogError> {
         let encoding = self.encoding;
-        self.run_with_encoder(inputs, timesteps, &mut |x: &Tensor| {
+        self.run_with_encoder(inputs, timesteps, |x: &Tensor| {
             encode_with(encoding, x, rng)
         })
     }
@@ -1501,42 +1461,22 @@ impl ShardedSpikingNetwork {
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] when the group row counts
-    /// don't sum to the batch size; propagates circuit, tensor and
-    /// routing failures.
+    /// don't sum to the batch size; otherwise as [`run`](Self::run).
     pub fn run_seeded_groups(
         &mut self,
         inputs: &Tensor,
         timesteps: usize,
         groups: &[(usize, u64)],
     ) -> Result<Tensor, AnalogError> {
-        let n = *inputs
-            .shape()
-            .first()
-            .ok_or_else(|| AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            })?;
-        let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
-        if total != n {
-            return Err(AnalogError::BadGeometry {
-                reason: format!("seeded groups cover {total} rows, batch has {n}"),
-            });
-        }
-        let row_elems = inputs.len().checked_div(n).unwrap_or(0);
-        let encoding = self.encoding;
-        let mut rngs: Vec<rand::rngs::StdRng> = groups
-            .iter()
-            .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
-            .collect();
-        self.run_with_encoder(inputs, timesteps, &mut |x: &Tensor| {
-            encode_groups(encoding, x, row_elems, groups, &mut rngs)
-        })
+        let encode = seeded_groups_encoder(self.encoding, inputs, groups)?;
+        self.run_with_encoder(inputs, timesteps, encode)
     }
 
     fn run_with_encoder(
         &mut self,
         inputs: &Tensor,
         timesteps: usize,
-        encode: &mut dyn FnMut(&Tensor) -> Tensor,
+        mut encode: impl FnMut(&Tensor) -> Tensor + Send,
     ) -> Result<Tensor, AnalogError> {
         self.check_input(inputs)?;
         for unit in &mut self.units {
@@ -1544,179 +1484,26 @@ impl ShardedSpikingNetwork {
                 net.reset_state();
             }
         }
-        let mut acc: Option<Tensor> = None;
-        for _ in 0..timesteps {
-            let h = self.step_timestep(encode(inputs))?;
-            match &mut acc {
-                Some(a) => a.add_assign(&h)?,
-                none => *none = Some(h),
-            }
-        }
-        match acc {
-            Some(a) => Ok(a),
-            None => Ok(Tensor::zeros(&self.output_shape(inputs.shape())?)),
-        }
-    }
-
-    /// Advances one encoded spike wave through every unit in order.
-    fn step_timestep(&mut self, mut h: Tensor) -> Result<Tensor, AnalogError> {
-        let workers = nebula_tensor::pool::size();
-        let mut units = std::mem::take(&mut self.units);
-        let result = (|| -> Result<Tensor, AnalogError> {
-            let mut sink = LiveSink {
-                cluster: &mut self.cluster,
-                extra_waves: &mut self.extra_waves,
-            };
-            let mut prev_chip: Option<usize> = None;
-            for unit in units.iter_mut() {
-                let here = unit.chip();
-                if let Some(prev) = prev_chip {
-                    if prev != here {
-                        // Spike bitmaps cross the ring between pipeline
-                        // stages once per timestep.
-                        sink.send(prev, here, (h.len() as u64 * SNN_ACT_BITS).max(1))?;
-                    }
-                }
-                h = exec_snn_unit(unit, h, &mut sink, workers)?;
-                prev_chip = Some(here);
-            }
-            Ok(h)
-        })();
-        self.units = units;
-        result
-    }
-
-    /// [`run`](Self::run), executed by the concurrent pipeline: each
-    /// timestep is one pipeline item, so chip stage *k* advances
-    /// timestep *t+1* while stage *k+1* advances timestep *t*. The
-    /// whole batch is still encoded exactly once per timestep, at the
-    /// pipeline head and in ascending timestep order (the source is
-    /// serialized), so RNG consumption is untouched; per-stage traffic
-    /// is journaled one op per timestep and replayed at the join —
-    /// outputs, waves, scalar energy and cluster traffic are
-    /// bit-identical to the sequential [`run`](Self::run) for any
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run`](Self::run); routing failures surface
-    /// from the journal replay at the join.
-    pub fn run_pipelined<R: Rng + Send + ?Sized>(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        rng: &mut R,
-        cfg: &PipelineConfig,
-    ) -> Result<Tensor, AnalogError> {
-        let encoding = self.encoding;
-        self.run_with_encoder_pipelined(inputs, timesteps, cfg, &mut |x: &Tensor| {
-            encode_with(encoding, x, rng)
-        })
-    }
-
-    /// [`run_seeded_groups`](Self::run_seeded_groups) through the
-    /// concurrent pipeline — the serving layer's pipelined entry point.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run_seeded_groups`](Self::run_seeded_groups).
-    pub fn run_seeded_groups_pipelined(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        groups: &[(usize, u64)],
-        cfg: &PipelineConfig,
-    ) -> Result<Tensor, AnalogError> {
-        let n = *inputs
-            .shape()
-            .first()
-            .ok_or_else(|| AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            })?;
-        let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
-        if total != n {
-            return Err(AnalogError::BadGeometry {
-                reason: format!("seeded groups cover {total} rows, batch has {n}"),
-            });
-        }
-        let row_elems = inputs.len().checked_div(n).unwrap_or(0);
-        let encoding = self.encoding;
-        let mut rngs: Vec<rand::rngs::StdRng> = groups
-            .iter()
-            .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
-            .collect();
-        self.run_with_encoder_pipelined(inputs, timesteps, cfg, &mut |x: &Tensor| {
-            encode_groups(encoding, x, row_elems, groups, &mut rngs)
-        })
-    }
-
-    fn run_with_encoder_pipelined(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        cfg: &PipelineConfig,
-        encode: &mut (dyn FnMut(&Tensor) -> Tensor + Send),
-    ) -> Result<Tensor, AnalogError> {
-        if self.units.is_empty() || timesteps == 0 {
-            return self.run_with_encoder(inputs, timesteps, encode);
-        }
-        self.check_input(inputs)?;
-        for unit in &mut self.units {
-            if let SnnUnit::Whole { net, .. } = unit {
-                net.reset_state();
-            }
-        }
-        let workers = effective_workers(cfg, self.units.len());
-        let sw = stage_workers(workers);
-        let mut units = std::mem::take(&mut self.units);
-        let chips_of: Vec<usize> = units.iter().map(|u| u.chip()).collect();
-        // One non-coalescing journal per stage: SNN traffic replays one
-        // op per timestep (flit rounding and silence skips are
-        // per-timestep in the sequential walk).
-        let mut journals: Vec<TrafficJournal> = (0..units.len())
-            .map(|_| TrafficJournal::new(false))
-            .collect();
-        let result = (|| -> Result<Tensor, AnalogError> {
-            let source: SourceFn<'_> = Box::new(move |_t| Ok(encode(inputs)));
-            let stages: Vec<StageFn<'_>> = units
-                .iter_mut()
-                .zip(journals.iter_mut())
-                .enumerate()
-                .map(|(u, (unit, journal))| {
-                    let prev = u.checked_sub(1).map(|p| chips_of[p]);
-                    let here = chips_of[u];
-                    Box::new(move |_t: usize, h: Tensor| {
-                        if let Some(prev) = prev {
-                            if prev != here {
-                                journal.send(prev, here, (h.len() as u64 * SNN_ACT_BITS).max(1))?;
-                            }
-                        }
-                        exec_snn_unit(unit, h, journal, sw)
-                    }) as StageFn<'_>
-                })
-                .collect();
-            let outs = run_pipeline(timesteps, source, stages, workers, cfg.queue_capacity)?;
-            // Fold potentials in ascending timestep order — the same
-            // accumulation the sequential loop performs.
-            let mut acc: Option<Tensor> = None;
-            for h in outs {
-                match &mut acc {
-                    Some(a) => a.add_assign(&h)?,
-                    none => *none = Some(h),
-                }
-            }
-            Ok(acc.expect("timesteps >= 1"))
-        })();
-        self.units = units;
-        let out = result?;
-        let mut sink = LiveSink {
-            cluster: &mut self.cluster,
-            extra_waves: &mut self.extra_waves,
+        let source: SourceFn<'_> = Box::new(move |_t| Ok(encode(inputs)));
+        let outs = run_units(
+            &mut self.units,
+            timesteps,
+            source,
+            &self.pipeline,
+            &mut self.cluster,
+            &mut self.extra_waves,
+        )?;
+        // Fold potentials in ascending timestep order. Zero timesteps
+        // run no wave and move no traffic, but still return the shape a
+        // longer run would (all-zero potentials).
+        let mut outs = outs.into_iter();
+        let Some(mut acc) = outs.next() else {
+            return Ok(Tensor::zeros(&self.output_shape(inputs.shape())?));
         };
-        for journal in &journals {
-            journal.replay(&mut sink)?;
+        for h in outs {
+            acc.add_assign(&h)?;
         }
-        Ok(out)
+        Ok(acc)
     }
 
     /// Total analog read energy across every chip, summed in stage then

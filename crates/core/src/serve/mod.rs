@@ -611,23 +611,18 @@ fn evaluate_batch(chip: &mut ModelChip, batch: &[Pending]) -> Result<Vec<Tensor>
     };
     let y = match (chip, &batch[0].kind) {
         (ModelChip::Ann(net), RequestKind::Ann) => net.forward(&x)?,
-        // Sharded models stream through the concurrent pipeline
-        // executor (bit-identical to the sequential sharded walk, so
-        // the serving identity contract is untouched) at the default
-        // micro-batch depth.
-        (ModelChip::ShardedAnn(cluster), RequestKind::Ann) => {
-            cluster.forward_pipelined(&x, &crate::multichip::PipelineConfig::default())?
-        }
+        // Sharded models stream through the pipeline executor under
+        // the network's own `PipelineConfig` (the default unless the
+        // spec's network was given another); every configuration is
+        // bit-identical to the single-chip donor, so the serving
+        // identity contract is untouched.
+        (ModelChip::ShardedAnn(cluster), RequestKind::Ann) => cluster.forward(&x)?,
         (ModelChip::Snn(net), RequestKind::Snn { timesteps, .. }) => {
             net.run_seeded_groups(&x, *timesteps, &snn_groups(batch))?
         }
-        (ModelChip::ShardedSnn(cluster), RequestKind::Snn { timesteps, .. }) => cluster
-            .run_seeded_groups_pipelined(
-                &x,
-                *timesteps,
-                &snn_groups(batch),
-                &crate::multichip::PipelineConfig::default(),
-            )?,
+        (ModelChip::ShardedSnn(cluster), RequestKind::Snn { timesteps, .. }) => {
+            cluster.run_seeded_groups(&x, *timesteps, &snn_groups(batch))?
+        }
         _ => {
             return Err(ServeError::BadRequest(
                 "request kind does not match chip mode".into(),

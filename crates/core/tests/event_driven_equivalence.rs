@@ -322,8 +322,9 @@ fn two_column_groups_match_sequential_bitwise() {
 
 /// A receptive field over `MAX_RF_IN_CORE` rows: two R_f segments, each
 /// reduced into the output in segment order — on one chip, and split
-/// across two chips (one segment each), sequentially and through the
-/// pipeline executor (whose stage bodies evaluate on one worker).
+/// across two chips (one segment each), through the pipeline executor
+/// at one claimant and at four (whose stage bodies evaluate on one
+/// worker).
 #[test]
 fn two_segments_and_a_two_chip_split_match_sequential_bitwise() {
     let c = MAX_RF_IN_CORE / 9 + 2;
@@ -337,37 +338,33 @@ fn two_segments_and_a_two_chip_split_match_sequential_bitwise() {
         .run_sequential(&x, 2, &mut ChaCha8Rng::seed_from_u64(13))
         .unwrap();
     for path in PATHS {
-        let mut sharded = ShardedSpikingNetwork::tensor_sharded(master.clone(), 2).unwrap();
-        sharded.set_kernel_path(path);
-        let got = sharded
-            .run(&x, 2, &mut ChaCha8Rng::seed_from_u64(13))
-            .unwrap();
-        let mut piped = ShardedSpikingNetwork::tensor_sharded(master.clone(), 2).unwrap();
-        piped.set_kernel_path(path);
-        let cfg = PipelineConfig {
-            workers: 4,
-            ..PipelineConfig::default()
-        };
-        let got_piped = piped
-            .run_pipelined(&x, 2, &mut ChaCha8Rng::seed_from_u64(13), &cfg)
-            .unwrap();
-        for (name, y, net) in [
-            ("sharded", &got, &sharded),
-            ("pipelined", &got_piped, &piped),
+        for cfg in [
+            PipelineConfig {
+                workers: 1,
+                ..PipelineConfig::default()
+            },
+            PipelineConfig {
+                workers: 4,
+                ..PipelineConfig::default()
+            },
         ] {
-            assert_eq!(y.shape(), want.shape());
-            for (i, (a, b)) in want.data().iter().zip(y.data()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{name} {path:?} element {i}");
+            let mut sharded = ShardedSpikingNetwork::tensor_sharded(master.clone(), 2).unwrap();
+            sharded.set_kernel_path(path);
+            sharded.set_pipeline(cfg.clone());
+            let got = sharded
+                .run(&x, 2, &mut ChaCha8Rng::seed_from_u64(13))
+                .unwrap();
+            let tag = format!("{path:?} {cfg:?}");
+            assert_eq!(got.shape(), want.shape());
+            for (i, (a, b)) in want.data().iter().zip(got.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{tag} element {i}");
             }
-            assert_eq!(net.waves(), seq.waves(), "{name} {path:?} waves");
-            let (e_seq, e) = (seq.read_energy().0, net.read_energy().0);
+            assert_eq!(sharded.waves(), seq.waves(), "{tag} waves");
+            let (e_seq, e) = (seq.read_energy().0, sharded.read_energy().0);
             if path == KernelPath::Scalar {
-                assert_eq!(e_seq.to_bits(), e.to_bits(), "{name} scalar energy");
+                assert_eq!(e_seq.to_bits(), e.to_bits(), "{tag} scalar energy");
             } else {
-                assert!(
-                    ((e - e_seq) / e_seq).abs() <= ENERGY_RTOL,
-                    "{name} {path:?} energy"
-                );
+                assert!(((e - e_seq) / e_seq).abs() <= ENERGY_RTOL, "{tag} energy");
             }
         }
     }
@@ -403,16 +400,9 @@ fn misshaped_and_non_finite_inputs_are_rejected_up_front() {
     }
     assert_eq!(fast.waves(), 0, "no wave ran");
     assert_eq!(seq.read_energy().0, 0.0);
-    let cfg = PipelineConfig::default();
     let mut sharded = ShardedSpikingNetwork::layer_pipelined(master, 2).unwrap();
     assert!(bad_shape(sharded.run(&wrong, 3, &mut r)));
-    assert!(bad_shape(sharded.run_pipelined(&wrong, 3, &mut r, &cfg)));
-    assert!(bad_shape(sharded.run_seeded_groups_pipelined(
-        &wrong,
-        3,
-        &[(2, 1)],
-        &cfg
-    )));
+    assert!(bad_shape(sharded.run_seeded_groups(&wrong, 3, &[(2, 1)])));
     assert!(matches!(
         sharded.run_seeded_groups(&nan, 3, &[(2, 1)]),
         Err(AnalogError::NonFiniteInput { index: 5 })
