@@ -29,13 +29,13 @@
 
 use std::time::Instant;
 
+use nebula_bench::measure::{bits_equal, json_escape, ms, rel_err, sample_count};
 use nebula_bench::setup::{trained, Workload};
 use nebula_core::analog::compile_ann;
 use nebula_core::analog_snn::compile_snn_default;
 use nebula_crossbar::KernelPath;
 use nebula_nn::convert::{ann_to_snn, ConversionConfig};
 use nebula_nn::quant::{quantize_network, QuantConfig};
-use nebula_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -43,16 +43,6 @@ use rand_chacha::ChaCha8Rng;
 /// within 1e-12 relative of the reference, and the workload sums
 /// millions of them, so the accumulated deviation stays far below this.
 const ENERGY_RTOL: f64 = 1e-9;
-
-/// Evaluated sample count (the circuit-level SNN legs dominate the
-/// wall clock, so this stays modest by default).
-fn sample_count() -> usize {
-    std::env::var("NEBULA_HOTPATH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(8)
-}
 
 struct Leg {
     name: String,
@@ -81,36 +71,10 @@ impl Leg {
     }
 }
 
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.shape() == b.shape()
-        && a.data()
-            .iter()
-            .zip(b.data())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn rel_err(value: f64, reference: f64) -> f64 {
-    if reference == 0.0 {
-        if value == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        ((value - reference) / reference).abs()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
-    let samples = sample_count();
+    // The circuit-level SNN legs dominate the wall clock, so the default
+    // sample count stays modest.
+    let samples = sample_count("NEBULA_HOTPATH_SAMPLES", 8);
     let workers = nebula_tensor::pool::size();
     let t = trained(Workload::Vgg10, 500, 20);
     let q = quantize_network(&t.net, &t.train.take(64), &QuantConfig::default()).unwrap();

@@ -48,6 +48,7 @@
 
 use std::time::Instant;
 
+use nebula_bench::measure::{bits_equal, ms, rel_err, sample_count};
 use nebula_core::analog::{compile_ann, AnalogNetwork};
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
 use nebula_core::capacity::fits_chip;
@@ -92,14 +93,6 @@ const VGG_TIMESTEPS: usize = 16;
 /// Segments in the wide execution MLP's first layer (2048 rows each).
 const WIDE_SEGMENTS: usize = 9;
 
-fn sample_count() -> usize {
-    std::env::var("NEBULA_MULTICHIP_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
-
 /// The pipelined schedule for every leg: the default, with the ANN
 /// micro-batch depth overridable through `NEBULA_MULTICHIP_DEPTH`
 /// (a positive integer; anything else keeps the default).
@@ -122,30 +115,6 @@ fn sequential_config() -> PipelineConfig {
         micro_batch: usize::MAX,
         workers: 1,
         ..PipelineConfig::default()
-    }
-}
-
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.shape() == b.shape()
-        && a.data()
-            .iter()
-            .zip(b.data())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn rel_err(value: f64, reference: f64) -> f64 {
-    if reference == 0.0 {
-        if value == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        ((value - reference) / reference).abs()
     }
 }
 
@@ -467,7 +436,7 @@ fn modeled_speedup_for(
 }
 
 fn main() {
-    let samples = sample_count();
+    let samples = sample_count("NEBULA_MULTICHIP_SAMPLES", 4);
     let workers = nebula_tensor::pool::size();
     let hw_threads = std::thread::available_parallelism()
         .map(|p| p.get())

@@ -41,6 +41,7 @@
 
 use std::time::Instant;
 
+use nebula_bench::measure::{bits_equal, ms, rel_err, sample_count};
 use nebula_bench::setup::{trained, Workload};
 use nebula_core::analog::compile_ann;
 use nebula_core::analog_snn::compile_snn_default;
@@ -48,7 +49,6 @@ use nebula_crossbar::KernelPath;
 use nebula_nn::convert::{ann_to_snn, ConversionConfig};
 use nebula_nn::quant::{quantize_network, QuantConfig};
 use nebula_nn::snn::InputEncoding;
-use nebula_tensor::Tensor;
 use nebula_workloads::{generate_events, EventStreamConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -72,14 +72,6 @@ const SMOKE_WALL_RATIO_MAX: f64 = 0.8;
 
 /// The full sparsity sweep (fraction of *silent* input pixels).
 const SWEEP: [f64; 5] = [0.90, 0.925, 0.95, 0.975, 0.99];
-
-fn sample_count() -> usize {
-    std::env::var("NEBULA_SPARSITY_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4)
-}
 
 /// Sweep points to run, evenly selected from [`SWEEP`] (2 keeps the
 /// endpoints — the CI smoke configuration).
@@ -113,30 +105,6 @@ struct Point {
     wall_ratio_vs_dense: f64,
 }
 
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.shape() == b.shape()
-        && a.data()
-            .iter()
-            .zip(b.data())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn rel_err(value: f64, reference: f64) -> f64 {
-    if reference == 0.0 {
-        if value == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        ((value - reference) / reference).abs()
-    }
-}
-
 /// Linear interpolation of the sparsity where the SNN and ANN energy
 /// curves cross, from the per-point energy gaps; `None` when the sign
 /// never flips inside the sweep.
@@ -159,7 +127,7 @@ fn crossover(points: &[&Point]) -> Option<f64> {
 }
 
 fn main() {
-    let samples = sample_count();
+    let samples = sample_count("NEBULA_SPARSITY_SAMPLES", 4);
     let sweep = sweep_points();
     let workers = nebula_tensor::pool::size();
     let t = trained(Workload::Vgg10, 500, 20);

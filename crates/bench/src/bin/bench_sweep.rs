@@ -8,6 +8,7 @@
 
 use std::time::Instant;
 
+use nebula_bench::measure::{json_escape, ms};
 use nebula_core::energy::EnergyModel;
 use nebula_core::engine::{evaluate_suite, par_evaluate_suite_with_workers, SuiteJob, SuiteMode};
 use nebula_tensor::conv::{self, ConvGeometry};
@@ -47,10 +48,6 @@ impl Leg {
     fn speedup(&self) -> f64 {
         self.sequential_ms / self.parallel_ms.max(1e-9)
     }
-}
-
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
 }
 
 /// The full suite — every zoo model in ANN, SNN@300 and (where the
@@ -142,10 +139,6 @@ fn conv2d_leg(workers: usize) -> Leg {
         parallel_ms,
         identical: seq.data() == par.data(),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -13,6 +13,7 @@
 //! `NEBULA_FAULT_TRIALS` overrides the Monte-Carlo trials per
 //! (class, rate) point (default 2).
 
+use nebula_bench::measure::json_escape;
 use nebula_bench::par::par_map;
 use nebula_bench::setup::{trained, Workload};
 use nebula_bench::table::{pct, print_table};
@@ -91,10 +92,6 @@ struct DegradationPoint {
     avg_power_ratio: f64,
     estimated_accuracy_loss: f64,
     within_policy: bool,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

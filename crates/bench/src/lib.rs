@@ -7,10 +7,13 @@
 //!
 //! The [`table`] module renders aligned text tables; [`setup`] trains the
 //! scaled workload models the accuracy experiments share; [`par`] fans
-//! independent per-workload computations out across scoped threads.
+//! independent per-workload computations out across scoped threads;
+//! [`measure`] holds the timing and comparison helpers the bench
+//! binaries share.
 
 #![warn(missing_docs)]
 
+pub mod measure;
 pub mod par;
 pub mod setup;
 pub mod table;

@@ -2,15 +2,23 @@
 //! experiment and diff its stdout against the recorded `results/*.txt`,
 //! so model drift is caught by `cargo test` instead of manual diffing.
 //!
-//! The 14 RNG-free experiments are pinned byte-for-byte here. They
-//! evaluate the analytical energy model and never construct a crossbar.
-//! The recorded experiment that runs inference *through* the crossbar
-//! models is `analog_validation` (RNG-dependent, but byte-stable under
-//! the vendored rand — it is regenerated whenever the random stream
-//! shifts, see CHANGES.md PR 1); it is pinned too, on the default
-//! kernel path. The other RNG-dependent experiments (training-based
-//! accuracy studies) are deterministic as well, but cost minutes of
-//! training each; their clean corners are covered by `fault_campaign`'s
+//! Thirteen of the pinned experiments are RNG-free: they evaluate the
+//! analytical energy model and never construct a crossbar. Two are
+//! seeded and byte-stable under the vendored rand (regenerated whenever
+//! the random stream shifts, see CHANGES.md PR 1):
+//!
+//! * `analog_validation` runs inference *through* the crossbar models,
+//!   on the default kernel path;
+//! * `ablate_tmr` trains the scaled VGG/10 model, quantizes it and
+//!   averages seeded device-noise trials per TMR ratio — neither
+//!   RNG-free nor analytic. `nebula-tensor` and `nebula-nn` are built
+//!   at `opt-level = 3` even in the dev profile (root `Cargo.toml`), so
+//!   this debug-build rerun takes seconds, not minutes; debug
+//!   assertions and overflow checks stay on.
+//!
+//! The other RNG-dependent experiments (training-based accuracy
+//! studies) are deterministic as well, but cost minutes of training
+//! each; their clean corners are covered by `fault_campaign`'s
 //! zero-fault assertion and the seeded-determinism suite. The scalar
 //! reference kernel is checked against the same inference in
 //! `nebula_core`'s unit tests, device mismatch included.

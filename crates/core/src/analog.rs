@@ -225,13 +225,11 @@ impl ProgrammedMatrix {
     /// relative error ≤ 1e-12.
     ///
     /// Input rows are supplied by an index accessor instead of a
-    /// materialized `&[&[f32]]`, and the worker count is explicit. The
-    /// accessor form lets callers that window a flat activation buffer
-    /// (the multi-chip sharded executors slice `[lo, hi)` out of every
-    /// row) feed the crossbars without building a fresh slice vector
-    /// per call; the explicit worker count lets the pipeline executor
-    /// force single-threaded evaluation inside a pipeline stage
-    /// (`workers == 1` never touches the pool).
+    /// materialized `&[&[f32]]`, so a flat activation or im2col buffer
+    /// feeds the crossbars without a fresh slice vector per call, and
+    /// the worker count is explicit, so the pipeline executor can force
+    /// single-threaded evaluation inside a pipeline stage (`workers ==
+    /// 1` never touches the pool).
     pub(crate) fn dot_batch_with<'d>(
         &mut self,
         n: usize,
@@ -367,35 +365,6 @@ impl ProgrammedMatrix {
             .map(SuperTile::kernel_cache_bytes)
             .sum()
     }
-
-    /// Splits an already-programmed matrix into one single-segment
-    /// matrix per `16M`-row segment, **moving** the programmed tiles
-    /// (never re-programming): the weight clip is computed from the
-    /// whole matrix, so a shard evaluated in isolation produces exactly
-    /// the per-segment partial sums the unified matrix accumulates
-    /// internally. This is how tensor sharding distributes one wide
-    /// layer across chips while keeping every bit and every accrued
-    /// joule attributable to the same physical tile.
-    pub(crate) fn split_segments(self) -> Vec<ProgrammedMatrix> {
-        let Self {
-            tiles,
-            segment_rows,
-            cols,
-            x_scale,
-            ..
-        } = self;
-        tiles
-            .into_iter()
-            .zip(segment_rows)
-            .map(|(groups, rows)| ProgrammedMatrix {
-                tiles: vec![groups],
-                segment_rows: vec![rows],
-                cols,
-                rf: rows,
-                x_scale,
-            })
-            .collect()
-    }
 }
 
 /// One compiled stage of an analog network.
@@ -420,6 +389,28 @@ pub(crate) enum AnalogStage {
         k: usize,
     },
     Flatten,
+}
+
+impl AnalogStage {
+    /// Read energy this stage's crossbars accrued (zero without any).
+    pub(crate) fn read_energy(&self) -> Joules {
+        match self {
+            AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
+                matrix.read_energy()
+            }
+            _ => Joules::ZERO,
+        }
+    }
+
+    /// Energy spent programming this stage's crossbars.
+    pub(crate) fn program_energy(&self) -> Joules {
+        match self {
+            AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
+                matrix.program_energy()
+            }
+            _ => Joules::ZERO,
+        }
+    }
 }
 
 /// A network compiled onto crossbar hardware models.
@@ -756,28 +747,12 @@ impl AnalogNetwork {
 
     /// Total analog read energy accrued across all crossbars.
     pub fn read_energy(&self) -> Joules {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.read_energy()
-                }
-                _ => Joules::ZERO,
-            })
-            .sum()
+        self.stages.iter().map(AnalogStage::read_energy).sum()
     }
 
     /// Total programming energy spent writing the weights.
     pub fn program_energy(&self) -> Joules {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.program_energy()
-                }
-                _ => Joules::ZERO,
-            })
-            .sum()
+        self.stages.iter().map(AnalogStage::program_energy).sum()
     }
 }
 

@@ -4,7 +4,8 @@
 //!
 //! # Execution model
 //!
-//! A sharded network is a chain of units (one per chip span). Each unit
+//! A sharded network is a chain of units (one per chip span, each a
+//! single-chip network over a slice of the donor's stages). Each unit
 //! is a **pipeline stage** fed by a bounded FIFO queue, and the batch
 //! is split into items that stream through the stages — stage `k`
 //! computes item `i + 1` while stage `k + 1` computes item `i`, exactly
@@ -54,8 +55,9 @@
 //! single-chip engine. Concurrency must not bend that, so the PR 3
 //! split-phase pattern is applied at pipeline scale — stages perform
 //! pure evaluation against state only they own (their tiles, their IF
-//! populations, their gather scratch), while every *shared* counter is
-//! journaled per stage and replayed sequentially at the join:
+//! populations, their scatter scratch, their wave counter), while every
+//! *shared* counter is journaled per stage and replayed sequentially at
+//! the join:
 //!
 //! * **Outputs** — per-item work is pure, queues are FIFO and each
 //!   stage processes items in ascending order (a stage is claimed by at
@@ -63,7 +65,8 @@
 //!   outputs are the same bits for any schedule.
 //! * **Energy** — each tile is owned by exactly one stage and sees its
 //!   items in ascending order, so the per-AC accrual fold runs in
-//!   exactly the single-chip order.
+//!   exactly the single-chip order; the read-out then folds every
+//!   unit's stages in the donor's stage order, the single-chip sum.
 //! * **NoC traffic** — ring ops mutate the shared [`ChipCluster`], so
 //!   stages record [`TrafficOp`]s into a private [`TrafficJournal`]
 //!   and the join replays them in canonical (stage-major,
@@ -77,15 +80,16 @@
 //!   boundary transfer per timestep, shard traffic silence-gated per
 //!   timestep); all traffic counters are additive, so the stage-major
 //!   replay lands on the same totals for any worker count.
-//! * **Waves** — journaled per stage as a plain sum and added at the
-//!   join.
+//! * **Waves** — each unit's network counts its own, exactly as the
+//!   donor counts them; the sharded `waves()` sums the units' counters,
+//!   so nothing about waves is journaled.
 //!
 //! Routing failures (dead ring links) therefore surface at the join,
 //! from the replay, as [`AnalogError::Noc`]; a failed call leaves the
 //! traffic counters with whatever the replay applied before the
 //! failing op.
 
-use super::AnalogError;
+use super::{AnalogError, Unit, UnitNet};
 use nebula_noc::ChipCluster;
 use nebula_tensor::Tensor;
 use std::collections::VecDeque;
@@ -126,8 +130,11 @@ impl Default for PipelineConfig {
 pub(crate) enum TrafficOp {
     /// A stage-boundary activation transfer (`send` on the cluster).
     Send { src: usize, dst: usize, bits: u64 },
-    /// A tensor-sharded stage's fan-out + fan-in
-    /// ([`super::account_shard_traffic`]).
+    /// A tensor-sharded unit's input fan-out to the chips holding its
+    /// remote segments, and their partial fan-in
+    /// ([`super::account_shard_traffic`]). Journaled after the unit's
+    /// network ran: on every ANN call, and on an SNN timestep only when
+    /// the spikes reached a patch.
     Shard {
         home: usize,
         remote: Vec<usize>,
@@ -145,7 +152,6 @@ pub(crate) enum TrafficOp {
 pub(crate) struct TrafficJournal {
     ops: Vec<TrafficOp>,
     coalesce: bool,
-    waves: u64,
 }
 
 impl TrafficJournal {
@@ -153,7 +159,6 @@ impl TrafficJournal {
         Self {
             ops: Vec::new(),
             coalesce,
-            waves: 0,
         }
     }
 
@@ -193,18 +198,9 @@ impl TrafficJournal {
         });
     }
 
-    pub(crate) fn add_waves(&mut self, n: u64) {
-        self.waves += n;
-    }
-
     /// Applies this journal to the live cluster, in recorded (item-
-    /// ascending) order, and adds its waves to `waves`.
-    pub(crate) fn replay(
-        &self,
-        cluster: &mut ChipCluster,
-        waves: &mut u64,
-    ) -> Result<(), AnalogError> {
-        *waves += self.waves;
+    /// ascending) order.
+    pub(crate) fn replay(&self, cluster: &mut ChipCluster) -> Result<(), AnalogError> {
         for op in &self.ops {
             match op {
                 TrafficOp::Send { src, dst, bits } => {
@@ -222,45 +218,24 @@ impl TrafficJournal {
     }
 }
 
-/// One chip span of a sharded network, as a pipeline stage sees it.
-pub(crate) trait PipelineUnit: Send {
-    /// ANN journals coalesce per route; SNN journals keep one op per
-    /// timestep (see [`TrafficJournal`]).
-    const COALESCE: bool;
-    /// The chip this unit runs on.
-    fn chip(&self) -> usize;
-    /// Bits a wave `h` carries across a ring boundary into this unit.
-    fn boundary_bits(h: &Tensor) -> u64;
-    /// Advances this unit by one item: pure evaluation against state the
-    /// unit owns, with every shared counter journaled. `workers` bounds
-    /// intra-unit pool parallelism (see [`stage_workers`]).
-    fn exec(
-        &mut self,
-        h: Tensor,
-        journal: &mut TrafficJournal,
-        workers: usize,
-    ) -> Result<Tensor, AnalogError>;
-}
-
 /// Streams `n_items` items from `source` through one pipeline stage per
 /// unit under `cfg`, then — at the join — replays every stage's journal
-/// against `cluster` in stage-major order and adds the journaled waves
-/// to `waves`. A stage first journals the ring transfer its input takes
-/// when the previous unit sits on another chip. Returns every item's
-/// output in index order; on an error nothing is replayed.
-pub(crate) fn run_units<U: PipelineUnit>(
-    units: &mut [U],
+/// against `cluster` in stage-major order. A stage first journals the
+/// ring transfer its input takes when the previous unit sits on another
+/// chip. Returns every item's output in index order; on an error
+/// nothing is replayed.
+pub(crate) fn run_units<N: UnitNet>(
+    units: &mut [Unit<N>],
     n_items: usize,
     source: SourceFn<'_>,
     cfg: &PipelineConfig,
     cluster: &mut ChipCluster,
-    waves: &mut u64,
 ) -> Result<Vec<Tensor>, AnalogError> {
     let workers = effective_workers(cfg);
     let sw = stage_workers(workers);
-    let chips: Vec<usize> = units.iter().map(U::chip).collect();
+    let chips: Vec<usize> = units.iter().map(|u| u.chip).collect();
     let mut journals: Vec<TrafficJournal> = (0..units.len())
-        .map(|_| TrafficJournal::new(U::COALESCE))
+        .map(|_| TrafficJournal::new(N::COALESCE))
         .collect();
     let stages: Vec<StageFn<'_>> = units
         .iter_mut()
@@ -270,7 +245,7 @@ pub(crate) fn run_units<U: PipelineUnit>(
             let (prev, here) = (u.checked_sub(1).map(|p| chips[p]), chips[u]);
             Box::new(move |_idx: usize, h: Tensor| {
                 if let Some(prev) = prev.filter(|&p| p != here) {
-                    journal.send(prev, here, U::boundary_bits(&h));
+                    journal.send(prev, here, N::boundary_bits(&h));
                 }
                 unit.exec(h, journal, sw)
             }) as StageFn<'_>
@@ -278,7 +253,7 @@ pub(crate) fn run_units<U: PipelineUnit>(
         .collect();
     let outs = run_pipeline(n_items, source, stages, workers, cfg.queue_capacity)?;
     for journal in &journals {
-        journal.replay(cluster, waves)?;
+        journal.replay(cluster)?;
     }
     Ok(outs)
 }

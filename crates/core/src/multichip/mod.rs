@@ -17,30 +17,30 @@
 //!   layer wider than one chip's core pool runnable at all.
 //!
 //! The functional executors ([`ShardedAnalogNetwork`],
-//! [`ShardedSpikingNetwork`]) are built by *splitting an
-//! already-compiled* single-chip network — programmed [`SuperTile`]s
-//! move, they are never reprogrammed — and their outputs, wave counts
-//! and (scalar-path) energy counters are **bit-identical** to the
-//! single-chip engine. The bitwise argument:
+//! [`ShardedSpikingNetwork`]) are built by *placing an
+//! already-compiled* single-chip network — its stages are cut into
+//! units, one per chip span, and the programmed [`SuperTile`]s move
+//! with them, never reprogrammed. A placement changes where stages run,
+//! not how: every unit is a single-chip network over a contiguous slice
+//! of the donor's stages, run by the single-chip stage code. So
+//! outputs, wave counts and (scalar-path) energy counters are
+//! **bit-identical** to the single-chip engine:
 //!
 //! * Pipelined: a forward pass is a left-to-right fold over stages, so
 //!   splitting the stage list at any boundary changes no operation.
-//! * Tensor-sharded: the single-chip matrix already accumulates
-//!   per-segment partials in ascending segment order
-//!   (`out[c] += contribution(seg)` — exactly one f32 add per segment
-//!   per column). A shard *is* one segment (see
-//!   `ProgrammedMatrix::split_segments`), computes the identical
-//!   contribution with the identical tiles, and the reducer adds shard
-//!   outputs in the same ascending segment order starting from `0.0`.
-//!   The only representable difference is `-0.0` vs `+0.0` partials,
-//!   and `0.0 + x` normalizes `-0.0` to `+0.0` in both engines, so all
-//!   bits match (asserted exhaustively in
-//!   `tests/multichip_equivalence.rs`).
+//! * Tensor-sharded: a wide layer keeps the donor's unsplit matrix, and
+//!   its unit runs it with the donor's code — same matrix, same code,
+//!   same bits. Its segments are *placed* on chips (segment `s` on chip
+//!   `s mod N`, like the paper's multi-core spill with some cores on
+//!   other chips); only the ring traffic that placement costs is new.
+//! * Energy: the sharded counters fold every unit's stages in the
+//!   donor's stage order — the single-chip fold.
 //!
 //! Inter-chip traffic is accounted through a
 //! [`nebula_noc::ChipCluster`]: one ring `send` per pipeline boundary
 //! per wave, and one `multicast_across` (input fan-out) plus one
-//! `reduce_across` (partial fan-in) per tensor-sharded stage per wave.
+//! `reduce_across` (partial fan-in) per tensor-sharded stage per wave
+//! (per SNN timestep only when its spikes reach a patch).
 //! Payload sizes come from the real tensor shapes: 4-bit activations in
 //! ANN mode, 1-bit spike bitmaps in SNN mode, 32-bit partial sums on
 //! the reduction. Dead chip-to-chip links reroute the other way around
@@ -58,19 +58,17 @@
 //! configuration — see the `exec` module docs for the scheduler and
 //! the journaled traffic replay that make that hold.
 //!
-//! [`SuperTile`]: nebula_crossbar::SuperTile
 //! [`NocError::UnroutableChips`]: nebula_noc::NocError::UnroutableChips
 
 mod exec;
 
 pub use exec::PipelineConfig;
 
-use exec::{run_units, PipelineUnit, SourceFn, TrafficJournal};
+use exec::{run_units, SourceFn, TrafficJournal};
 
-use crate::analog::{check_finite, AnalogError, AnalogNetwork, AnalogStage, ProgrammedMatrix};
+use crate::analog::{check_finite, AnalogError, AnalogNetwork, AnalogStage};
 use crate::analog_snn::{
-    add_bias, conv_output_shape, dense_output_shape, encode_with, seeded_groups_encoder,
-    AnalogSpikingNetwork, EventScratch, SnnMatrix, SpikingAnalogStage, StageGeometry,
+    encode_with, seeded_groups_encoder, AnalogSpikingNetwork, SpikingAnalogStage,
 };
 use crate::capacity::CapacityExceeded;
 use crate::chip::ChipConfig;
@@ -78,11 +76,12 @@ use crate::components::{MAX_RF_IN_CORE, MESH_SIDE};
 use crate::energy::ExecMode;
 use crate::mapper;
 use crate::pipeline;
+use nebula_crossbar::SuperTile;
 use nebula_device::units::Joules;
 use nebula_nn::snn::InputEncoding;
 use nebula_nn::stats::LayerDescriptor;
 use nebula_noc::{ChipCluster, ClusterNode, MeshTopology, NodeId, TrafficStats, LINK_HOP_CYCLES};
-use nebula_tensor::{ConvGeometry, Tensor};
+use nebula_tensor::Tensor;
 use rand::Rng;
 
 /// Bits per inter-chip activation in ANN mode (4-bit quantized values).
@@ -286,25 +285,6 @@ fn portal(chip: usize) -> ClusterNode {
     }
 }
 
-/// Partitions per-stage crossbar costs into contiguous chip spans and
-/// returns the chip index per stage (nondecreasing from 0). Stages with
-/// no crossbars (activations, pooling) cost nothing and ride with their
-/// neighbours.
-fn assign_spans(costs: &[u64], chips: usize) -> Vec<usize> {
-    mapper::partition_balanced(costs, chips.max(1))
-}
-
-/// Unique shard chips other than `home`, in first-seen (segment) order.
-fn remote_chips(shard_chips: impl Iterator<Item = usize>, home: usize) -> Vec<usize> {
-    let mut remote = Vec::new();
-    for c in shard_chips {
-        if c != home && !remote.contains(&c) {
-            remote.push(c);
-        }
-    }
-    remote
-}
-
 /// Accounts one tensor-sharded stage's ring traffic: the home chip
 /// multicasts the input wave to every remote shard chip, then remote
 /// partials reduce back to the home accumulator. Purely additive
@@ -328,193 +308,161 @@ fn account_shard_traffic(
 }
 
 // ---------------------------------------------------------------------
-// ANN executor
+// Placement: one unit type for both modes and both strategies
 // ---------------------------------------------------------------------
 
-/// One row-window shard of a synaptic layer: a single-segment matrix
-/// living on `chip`, driving receptive-field rows `[lo, hi)`.
-#[derive(Debug, Clone)]
-struct AnnShard {
-    chip: usize,
-    lo: usize,
-    hi: usize,
-    matrix: ProgrammedMatrix,
-}
-
-fn shard_ann_matrix(matrix: ProgrammedMatrix, chips: usize) -> Vec<AnnShard> {
-    let mut lo = 0usize;
-    matrix
-        .split_segments()
-        .into_iter()
-        .enumerate()
-        .map(|(s, m)| {
-            let hi = lo + m.rf;
-            let shard = AnnShard {
-                chip: s % chips,
-                lo,
-                hi,
-                matrix: m,
-            };
-            lo = hi;
-            shard
-        })
-        .collect()
-}
-
-#[derive(Debug, Clone)]
-enum AnnUnit {
-    /// A contiguous span of stages executing whole on one chip.
-    Whole { chip: usize, net: AnalogNetwork },
-    /// A dense layer split row-wise across chips.
-    Dense {
-        shards: Vec<AnnShard>,
-        bias: Vec<f32>,
-        cols: usize,
-        rf: usize,
-        /// Shard chips other than home, fixed at construction.
-        remote: Vec<usize>,
-        /// Reusable partial-sum accumulator (no steady-state allocs).
-        acc: Vec<f32>,
-    },
-    /// A convolution split row-wise (along `C·KH·KW`) across chips.
-    Conv {
-        shards: Vec<AnnShard>,
-        bias: Vec<f32>,
-        geom: ConvGeometry,
-        out_channels: usize,
-        cols: usize,
-        rf: usize,
-        /// Shard chips other than home, fixed at construction.
-        remote: Vec<usize>,
-        /// Reusable partial-sum accumulator (no steady-state allocs).
-        acc: Vec<f32>,
-    },
-}
-
-impl PipelineUnit for AnnUnit {
-    const COALESCE: bool = true;
-
-    fn chip(&self) -> usize {
-        match self {
-            AnnUnit::Whole { chip, .. } => *chip,
-            _ => HOME,
-        }
-    }
-
+/// A compiled single-chip network as the sharded executors cut and run
+/// it. Implemented by [`AnalogNetwork`] and [`AnalogSpikingNetwork`];
+/// neither learns anything about chips.
+pub(crate) trait UnitNet: Send {
+    type Stage;
+    /// ANN journals coalesce per route; SNN journals keep one op per
+    /// timestep (see [`TrafficJournal`]).
+    const COALESCE: bool;
+    /// Bits per activation on the ring.
+    const ACT_BITS: u64;
+    /// Bits a wave `h` carries across a ring boundary into this net.
     fn boundary_bits(h: &Tensor) -> u64 {
-        h.len() as u64 * ANN_ACT_BITS
+        h.len() as u64 * Self::ACT_BITS
     }
+    /// The stage list, which cutting moves out.
+    fn stages_mut(&mut self) -> &mut Vec<Self::Stage>;
+    /// A network over `stages` with this one's settings and no waves.
+    fn respan(&self, stages: Vec<Self::Stage>) -> Self;
+    /// A stage's programmed tiles, `[segment][group]` (empty for a stage
+    /// without crossbars).
+    fn tiles(stage: &Self::Stage) -> &[Vec<SuperTile>];
+    /// Runs one item through every stage with at most `workers` pool
+    /// workers. Returns the output and whether any crossbar was driven.
+    fn step(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError>;
+}
 
+/// A contiguous span of the donor's stages placed on `chip`. `remote`
+/// is empty except on a unit holding one multi-segment synaptic stage
+/// under tensor sharding: there it lists the other chips that hold the
+/// stage's segments (segment `s` lives on chip `s mod N`).
+#[derive(Debug, Clone)]
+pub(crate) struct Unit<N> {
+    chip: usize,
+    remote: Vec<usize>,
+    net: N,
+}
+
+impl<N: UnitNet> Unit<N> {
+    /// Advances this unit by one item: the unit's own network runs it,
+    /// and a tensor-sharded unit journals the input fan-out and partial
+    /// fan-in its remote segments cost — on every ANN call, and on an
+    /// SNN timestep only when the spikes reached a patch.
     fn exec(
         &mut self,
         h: Tensor,
         journal: &mut TrafficJournal,
         workers: usize,
     ) -> Result<Tensor, AnalogError> {
-        exec_ann_unit(self, &h, journal, workers)
+        let in_bits = h.len() as u64 * N::ACT_BITS;
+        let (out, hit) = self.net.step(h, workers)?;
+        if hit && !self.remote.is_empty() {
+            journal.shard(HOME, &self.remote, in_bits, out.len() as u64 * PARTIAL_BITS);
+        }
+        Ok(out)
     }
 }
 
-/// Advances one ANN unit by one micro-batch: pure evaluation against
-/// the unit's own tiles and scratch, with all shared accounting
-/// journaled. `workers` bounds intra-unit pool parallelism (1 inside a
-/// multi-claimant pipeline stage).
-fn exec_ann_unit(
-    unit: &mut AnnUnit,
-    h: &Tensor,
-    journal: &mut TrafficJournal,
-    workers: usize,
-) -> Result<Tensor, AnalogError> {
-    match unit {
-        AnnUnit::Whole { net, .. } => net.forward_with_workers(h, workers),
-        AnnUnit::Dense {
-            shards,
-            bias,
-            cols,
-            rf,
-            remote,
-            acc,
-        } => {
-            let n = h.shape()[0];
-            journal.shard(
-                HOME,
-                remote,
-                n as u64 * *rf as u64 * ANN_ACT_BITS,
-                n as u64 * *cols as u64 * PARTIAL_BITS,
-            );
-            acc.clear();
-            acc.resize(n * *cols, 0.0);
-            let data = h.data();
-            for shard in shards.iter_mut() {
-                let (rf, lo, hi) = (*rf, shard.lo, shard.hi);
-                let ys = shard
-                    .matrix
-                    .dot_batch_with(n, workers, |i| &data[i * rf + lo..i * rf + hi])?;
-                for (a, v) in acc.iter_mut().zip(ys) {
-                    *a += v;
-                }
-            }
-            journal.add_waves(n as u64);
-            let mut out = Tensor::zeros(&[n, *cols]);
-            for (dst, y) in out.data_mut().chunks_mut(bias.len()).zip(acc.chunks(*cols)) {
-                for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter())) {
-                    *d = v + b;
-                }
-            }
-            Ok(out)
+/// Cuts `net` into units for `chips` chips. Layer-pipelined: contiguous
+/// spans balanced by `costs` (super-tile weight when `None`).
+/// Tensor-sharded: a home span, then each multi-segment synaptic stage
+/// alone, then the next span. Every unit keeps its stages whole, so the
+/// evaluation is the donor's.
+fn cut<N: UnitNet>(
+    mut net: N,
+    chips: usize,
+    strategy: ShardStrategy,
+    costs: Option<Vec<u64>>,
+) -> Vec<Unit<N>> {
+    let stages = std::mem::take(net.stages_mut());
+    let places: Vec<(usize, Option<Vec<usize>>)> = match strategy {
+        ShardStrategy::LayerPipelined => {
+            let costs = costs.unwrap_or_else(|| {
+                stages
+                    .iter()
+                    .map(|s| match N::tiles(s) {
+                        [] => 0,
+                        tiles => tiles.iter().map(Vec::len).sum::<usize>().max(1) as u64,
+                    })
+                    .collect()
+            });
+            let spans = mapper::partition_balanced(&costs, chips);
+            spans.into_iter().map(|chip| (chip, None)).collect()
         }
-        AnnUnit::Conv {
-            shards,
-            bias,
-            geom,
-            out_channels,
-            cols,
-            rf,
-            remote,
-            acc,
-        } => {
-            let (n, hh, ww) = (h.shape()[0], h.shape()[2], h.shape()[3]);
-            let (oh, ow) = geom.out_hw(hh, ww)?;
-            // The parallel and serial im2col are bit-identical; the
-            // serial one is mandatory inside pipeline stages (nested
-            // pool dispatch is forbidden there — see `exec`).
-            let patches = if workers <= 1 {
-                nebula_tensor::im2col(h, *geom)?
-            } else {
-                nebula_tensor::par::im2col(h, *geom)?
-            };
-            let spatial = oh * ow;
-            let total_rows = n * spatial;
-            journal.shard(
-                HOME,
-                remote,
-                h.len() as u64 * ANN_ACT_BITS,
-                total_rows as u64 * *cols as u64 * PARTIAL_BITS,
-            );
-            acc.clear();
-            acc.resize(total_rows * *cols, 0.0);
-            let data = patches.data();
-            for shard in shards.iter_mut() {
-                let (rf, lo, hi) = (*rf, shard.lo, shard.hi);
-                let ys = shard
-                    .matrix
-                    .dot_batch_with(total_rows, workers, |ri| &data[ri * rf + lo..ri * rf + hi])?;
-                for (a, v) in acc.iter_mut().zip(ys) {
-                    *a += v;
-                }
-            }
-            journal.add_waves(total_rows as u64);
-            let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
-            for img in 0..n {
-                for s in 0..spatial {
-                    let y = &acc[(img * spatial + s) * *cols..][..*cols];
-                    for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
-                        out.data_mut()[img * *out_channels * spatial + o * spatial + s] = v + b;
-                    }
-                }
-            }
-            Ok(out)
+        ShardStrategy::TensorSharded => stages
+            .iter()
+            .map(|s| {
+                let segments = N::tiles(s).len();
+                (
+                    HOME,
+                    (segments > 1).then(|| (1..segments.min(chips)).collect()),
+                )
+            })
+            .collect(),
+    };
+    let mut units = Vec::new();
+    let mut span = Vec::new();
+    let mut span_chip = HOME;
+    let flush = |span: &mut Vec<N::Stage>, units: &mut Vec<Unit<N>>, chip| {
+        if !span.is_empty() {
+            units.push(Unit {
+                chip,
+                remote: Vec::new(),
+                net: net.respan(std::mem::take(span)),
+            });
         }
+    };
+    for (stage, (chip, remote)) in stages.into_iter().zip(places) {
+        if remote.is_some() || chip != span_chip {
+            flush(&mut span, &mut units, span_chip);
+        }
+        match remote {
+            Some(remote) => units.push(Unit {
+                chip,
+                remote,
+                net: net.respan(vec![stage]),
+            }),
+            None => {
+                span_chip = chip;
+                span.push(stage);
+            }
+        }
+    }
+    flush(&mut span, &mut units, span_chip);
+    units
+}
+
+// ---------------------------------------------------------------------
+// ANN executor
+// ---------------------------------------------------------------------
+
+impl UnitNet for AnalogNetwork {
+    type Stage = AnalogStage;
+    const COALESCE: bool = true;
+    const ACT_BITS: u64 = ANN_ACT_BITS;
+
+    fn stages_mut(&mut self) -> &mut Vec<AnalogStage> {
+        &mut self.stages
+    }
+
+    fn respan(&self, stages: Vec<AnalogStage>) -> Self {
+        AnalogNetwork { stages, waves: 0 }
+    }
+
+    fn tiles(stage: &AnalogStage) -> &[Vec<SuperTile>] {
+        match stage {
+            AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => &matrix.tiles,
+            _ => &[],
+        }
+    }
+
+    fn step(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError> {
+        Ok((self.forward_with_workers(&h, workers)?, true))
     }
 }
 
@@ -525,7 +473,7 @@ fn exec_ann_unit(
 /// [`AnalogNetwork::forward`].
 #[derive(Debug, Clone)]
 pub struct ShardedAnalogNetwork {
-    units: Vec<AnnUnit>,
+    units: Vec<Unit<AnalogNetwork>>,
     cluster: ChipCluster,
     strategy: ShardStrategy,
     extra_waves: u64,
@@ -543,10 +491,13 @@ impl ShardedAnalogNetwork {
         chips: usize,
         strategy: ShardStrategy,
     ) -> Result<Self, AnalogError> {
-        match strategy {
-            ShardStrategy::LayerPipelined => Self::layer_pipelined(net, chips),
-            ShardStrategy::TensorSharded => Self::tensor_sharded(net, chips),
-        }
+        Ok(Self {
+            cluster: default_cluster(chips)?,
+            strategy,
+            extra_waves: net.waves,
+            units: cut(net, chips.max(1), strategy, None),
+            pipeline: PipelineConfig::default(),
+        })
     }
 
     /// Pipelines `net` over `chips` chips: contiguous stage spans,
@@ -556,120 +507,7 @@ impl ShardedAnalogNetwork {
     ///
     /// Propagates cluster-construction failures.
     pub fn layer_pipelined(net: AnalogNetwork, chips: usize) -> Result<Self, AnalogError> {
-        let costs: Vec<u64> = net
-            .stages
-            .iter()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.supertile_count().max(1) as u64
-                }
-                _ => 0,
-            })
-            .collect();
-        Self::pipelined_with_costs(net, chips, &costs)
-    }
-
-    /// Pipelines `net` over `chips` chips with stage spans balanced by
-    /// *compute* (crossbar waves × receptive field × columns) for the
-    /// given input shape, rather than by super-tile count. Super-tile
-    /// weight is a capacity proxy; for convolutional networks the
-    /// per-stage wall time is dominated by the im2col row count, which
-    /// this walker knows — so the resulting spans bottleneck later. Any
-    /// contiguous split is bit-identical (the forward pass is a fold
-    /// over stages), so this only moves wall-clock balance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
-    /// flow through the stages; propagates cluster-construction
-    /// failures.
-    pub fn layer_pipelined_for_input(
-        net: AnalogNetwork,
-        chips: usize,
-        input_shape: &[usize],
-    ) -> Result<Self, AnalogError> {
-        let mut shape: Vec<usize> = input_shape.get(1..).unwrap_or_default().to_vec();
-        let mut costs = Vec::with_capacity(net.stages.len());
-        for stage in &net.stages {
-            costs.push(match stage {
-                AnalogStage::Dense { matrix, .. } => {
-                    shape = vec![matrix.cols];
-                    (matrix.rf as u64) * matrix.cols as u64
-                }
-                AnalogStage::Conv {
-                    matrix,
-                    geom,
-                    out_channels,
-                    ..
-                } => {
-                    if shape.len() != 3 {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!("conv stage fed rank-{} image", shape.len()),
-                        });
-                    }
-                    let (oh, ow) = geom.out_hw(shape[1], shape[2])?;
-                    shape = vec![*out_channels, oh, ow];
-                    (oh * ow) as u64 * matrix.rf as u64 * matrix.cols as u64
-                }
-                AnalogStage::AvgPool { k } => {
-                    if shape.len() != 3 {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!("pool stage fed rank-{} image", shape.len()),
-                        });
-                    }
-                    shape = vec![shape[0], shape[1] / k, shape[2] / k];
-                    0
-                }
-                AnalogStage::Flatten => {
-                    shape = vec![shape.iter().product()];
-                    0
-                }
-                AnalogStage::Relu | AnalogStage::Quant { .. } => 0,
-            });
-        }
-        Self::pipelined_with_costs(net, chips, &costs)
-    }
-
-    fn pipelined_with_costs(
-        net: AnalogNetwork,
-        chips: usize,
-        costs: &[u64],
-    ) -> Result<Self, AnalogError> {
-        let cluster = default_cluster(chips)?;
-        let extra_waves = net.waves;
-        let assignment = assign_spans(costs, chips);
-        let mut units = Vec::new();
-        let mut span: Vec<AnalogStage> = Vec::new();
-        let mut span_chip = 0usize;
-        for (stage, &chip) in net.stages.into_iter().zip(assignment.iter()) {
-            if chip != span_chip && !span.is_empty() {
-                units.push(AnnUnit::Whole {
-                    chip: span_chip,
-                    net: AnalogNetwork {
-                        stages: std::mem::take(&mut span),
-                        waves: 0,
-                    },
-                });
-            }
-            span_chip = chip;
-            span.push(stage);
-        }
-        if !span.is_empty() {
-            units.push(AnnUnit::Whole {
-                chip: span_chip,
-                net: AnalogNetwork {
-                    stages: span,
-                    waves: 0,
-                },
-            });
-        }
-        Ok(Self {
-            units,
-            cluster,
-            strategy: ShardStrategy::LayerPipelined,
-            extra_waves,
-            pipeline: PipelineConfig::default(),
-        })
+        Self::new(net, chips, ShardStrategy::LayerPipelined)
     }
 
     /// Shards `net`'s multi-segment layers row-wise over `chips` chips;
@@ -679,70 +517,7 @@ impl ShardedAnalogNetwork {
     ///
     /// Propagates cluster-construction failures.
     pub fn tensor_sharded(net: AnalogNetwork, chips: usize) -> Result<Self, AnalogError> {
-        let cluster = default_cluster(chips)?;
-        let chips = chips.max(1);
-        let extra_waves = net.waves;
-        let mut units = Vec::new();
-        let mut span: Vec<AnalogStage> = Vec::new();
-        let flush = |span: &mut Vec<AnalogStage>, units: &mut Vec<AnnUnit>| {
-            if !span.is_empty() {
-                units.push(AnnUnit::Whole {
-                    chip: HOME,
-                    net: AnalogNetwork {
-                        stages: std::mem::take(span),
-                        waves: 0,
-                    },
-                });
-            }
-        };
-        for stage in net.stages {
-            match stage {
-                AnalogStage::Dense { matrix, bias } if matrix.tiles.len() > 1 => {
-                    flush(&mut span, &mut units);
-                    let (cols, rf) = (matrix.cols, matrix.rf);
-                    let shards = shard_ann_matrix(matrix, chips);
-                    let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
-                    units.push(AnnUnit::Dense {
-                        shards,
-                        bias,
-                        cols,
-                        rf,
-                        remote,
-                        acc: Vec::new(),
-                    });
-                }
-                AnalogStage::Conv {
-                    matrix,
-                    bias,
-                    geom,
-                    out_channels,
-                } if matrix.tiles.len() > 1 => {
-                    flush(&mut span, &mut units);
-                    let (cols, rf) = (matrix.cols, matrix.rf);
-                    let shards = shard_ann_matrix(matrix, chips);
-                    let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
-                    units.push(AnnUnit::Conv {
-                        shards,
-                        bias,
-                        geom,
-                        out_channels,
-                        cols,
-                        rf,
-                        remote,
-                        acc: Vec::new(),
-                    });
-                }
-                other => span.push(other),
-            }
-        }
-        flush(&mut span, &mut units);
-        Ok(Self {
-            units,
-            cluster,
-            strategy: ShardStrategy::TensorSharded,
-            extra_waves,
-            pipeline: PipelineConfig::default(),
-        })
+        Self::new(net, chips, ShardStrategy::TensorSharded)
     }
 
     /// The distribution strategy this network was built with.
@@ -778,17 +553,10 @@ impl ShardedAnalogNetwork {
         self.pipeline = cfg;
     }
 
-    /// Selects the crossbar kernel path on every shard and span.
+    /// Selects the crossbar kernel path on every unit.
     pub fn set_kernel_path(&mut self, path: nebula_crossbar::KernelPath) {
         for unit in &mut self.units {
-            match unit {
-                AnnUnit::Whole { net, .. } => net.set_kernel_path(path),
-                AnnUnit::Dense { shards, .. } | AnnUnit::Conv { shards, .. } => {
-                    for s in shards {
-                        s.matrix.set_kernel_path(path);
-                    }
-                }
-            }
+            unit.net.set_kernel_path(path);
         }
     }
 
@@ -800,22 +568,10 @@ impl ShardedAnalogNetwork {
     /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
     /// flow through the units.
     pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        let mut shape = input_shape.to_vec();
-        for unit in &self.units {
-            shape = match unit {
-                AnnUnit::Whole { net, .. } => net.output_shape(&shape)?,
-                AnnUnit::Dense { cols, rf, .. } => dense_output_shape(&shape, *rf, *cols)?,
-                AnnUnit::Conv {
-                    geom,
-                    out_channels,
-                    rf,
-                    ..
-                } => conv_output_shape(&shape, *rf, *geom, *out_channels)?,
-            };
-        }
-        Ok(shape)
+        self.units
+            .iter()
+            .try_fold(input_shape.to_vec(), |shape, u| u.net.output_shape(&shape))
     }
-
     /// The checks [`forward`](Self::forward) makes once, before any
     /// crossbar or ring traffic: the shape must flow through every unit
     /// ([`output_shape`](Self::output_shape)) and every value must be
@@ -867,7 +623,6 @@ impl ShardedAnalogNetwork {
             source,
             &self.pipeline,
             &mut self.cluster,
-            &mut self.extra_waves,
         )?;
         // Concatenate micro-batch outputs in index order.
         let mut out_shape = outs[0].shape().to_vec();
@@ -879,46 +634,28 @@ impl ShardedAnalogNetwork {
         Ok(Tensor::from_vec(out, &out_shape)?)
     }
 
-    /// Total analog read energy across every chip, summed in stage then
-    /// segment order — the same addition order as the single-chip
-    /// engine, hence bitwise equal on the scalar path.
+    /// Total analog read energy across every chip, folded over the
+    /// donor's stages in order — the single-chip fold, so bitwise equal
+    /// to the donor's counter on the scalar path.
     pub fn read_energy(&self) -> Joules {
-        self.units
-            .iter()
-            .map(|u| match u {
-                AnnUnit::Whole { net, .. } => net.read_energy(),
-                AnnUnit::Dense { shards, .. } | AnnUnit::Conv { shards, .. } => {
-                    shards.iter().map(|s| s.matrix.read_energy()).sum()
-                }
-            })
-            .sum()
+        self.stages().map(AnalogStage::read_energy).sum()
     }
 
-    /// Total programming energy (spent before sharding; tiles moved).
+    /// Total programming energy (spent before sharding; tiles moved),
+    /// folded as [`read_energy`](Self::read_energy) is.
     pub fn program_energy(&self) -> Joules {
-        self.units
-            .iter()
-            .map(|u| match u {
-                AnnUnit::Whole { net, .. } => net.program_energy(),
-                AnnUnit::Dense { shards, .. } | AnnUnit::Conv { shards, .. } => {
-                    shards.iter().map(|s| s.matrix.program_energy()).sum()
-                }
-            })
-            .sum()
+        self.stages().map(AnalogStage::program_energy).sum()
+    }
+
+    /// Every unit's stages, in the donor's order.
+    fn stages(&self) -> impl Iterator<Item = &AnalogStage> {
+        self.units.iter().flat_map(|u| &u.net.stages)
     }
 
     /// Crossbar evaluation waves executed across the cluster — equal to
     /// the single-chip count (sharding a wave does not multiply it).
     pub fn waves(&self) -> u64 {
-        self.extra_waves
-            + self
-                .units
-                .iter()
-                .map(|u| match u {
-                    AnnUnit::Whole { net, .. } => net.waves(),
-                    _ => 0,
-                })
-                .sum::<u64>()
+        self.extra_waves + self.units.iter().map(|u| u.net.waves()).sum::<u64>()
     }
 }
 
@@ -926,179 +663,41 @@ impl ShardedAnalogNetwork {
 // SNN executor
 // ---------------------------------------------------------------------
 
-/// One row-window shard of a spiking synaptic layer.
-#[derive(Debug, Clone)]
-struct SnnShard {
-    chip: usize,
-    lo: usize,
-    hi: usize,
-    matrix: SnnMatrix,
-}
-
-fn shard_snn_matrix(matrix: SnnMatrix, chips: usize) -> Vec<SnnShard> {
-    let mut lo = 0usize;
-    matrix
-        .split_segments()
-        .into_iter()
-        .enumerate()
-        .map(|(s, m)| {
-            let hi = lo + m.rf;
-            let shard = SnnShard {
-                chip: s % chips,
-                lo,
-                hi,
-                matrix: m,
-            };
-            lo = hi;
-            shard
-        })
-        .collect()
-}
-
-#[derive(Debug, Clone)]
-enum SnnUnit {
-    Whole {
-        chip: usize,
-        net: AnalogSpikingNetwork,
-    },
-    Dense {
-        shards: Vec<SnnShard>,
-        bias: Vec<f32>,
-        cols: usize,
-        rf: usize,
-        scratch: EventScratch,
-        /// Shard chips other than home, fixed at construction.
-        remote: Vec<usize>,
-    },
-    Conv {
-        shards: Vec<SnnShard>,
-        bias: Vec<f32>,
-        geom: ConvGeometry,
-        out_channels: usize,
-        cols: usize,
-        rf: usize,
-        scratch: EventScratch,
-        /// Shard chips other than home, fixed at construction.
-        remote: Vec<usize>,
-    },
-}
-
-impl PipelineUnit for SnnUnit {
+impl UnitNet for AnalogSpikingNetwork {
+    type Stage = SpikingAnalogStage;
     const COALESCE: bool = false;
-
-    fn chip(&self) -> usize {
-        match self {
-            SnnUnit::Whole { chip, .. } => *chip,
-            _ => HOME,
-        }
-    }
+    const ACT_BITS: u64 = SNN_ACT_BITS;
 
     /// Spike bitmaps cross the ring once per timestep, at least one bit.
     fn boundary_bits(h: &Tensor) -> u64 {
         (h.len() as u64 * SNN_ACT_BITS).max(1)
     }
 
-    fn exec(
-        &mut self,
-        h: Tensor,
-        journal: &mut TrafficJournal,
-        workers: usize,
-    ) -> Result<Tensor, AnalogError> {
-        exec_snn_unit(self, h, journal, workers)
+    fn stages_mut(&mut self) -> &mut Vec<SpikingAnalogStage> {
+        &mut self.stages
     }
-}
 
-/// Advances one SNN unit by one encoded timestep wave. Mirrors
-/// [`exec_ann_unit`]: pure evaluation against unit-owned state (tiles,
-/// IF membranes, gather scratch), shared accounting journaled. Unlike
-/// the ANN path, shard traffic is journaled *per timestep* and
-/// silence-gated — exactly the single-chip per-timestep skips.
-fn exec_snn_unit(
-    unit: &mut SnnUnit,
-    h: Tensor,
-    journal: &mut TrafficJournal,
-    workers: usize,
-) -> Result<Tensor, AnalogError> {
-    match unit {
-        SnnUnit::Whole { net, .. } => {
-            let len = net.stages.len();
-            net.step_range_with(h, 0..len, false, workers)
-        }
-        SnnUnit::Dense {
-            shards,
-            bias,
-            cols,
-            rf,
-            scratch,
-            remote,
-        } => {
-            let n = h.shape()[0];
-            let geom = StageGeometry::dense(n, *rf);
-            let mut out = Tensor::zeros(&[n, *cols]);
-            if scatter_shards(shards, h.data(), &geom, scratch, workers, out.data_mut()) {
-                // A silent wave ships nothing and touches no crossbar —
-                // exactly the single-chip skip.
-                journal.shard(
-                    HOME,
-                    remote,
-                    (n * *rf) as u64 * SNN_ACT_BITS,
-                    (n * *cols) as u64 * PARTIAL_BITS,
-                );
-            }
-            journal.add_waves(n as u64);
-            add_bias(&mut out, bias, 1);
-            Ok(out)
-        }
-        SnnUnit::Conv {
-            shards,
-            bias,
-            geom,
-            out_channels,
-            cols,
-            scratch,
-            remote,
-            ..
-        } => {
-            let sg = StageGeometry::conv(h.shape(), *geom)?;
-            let (n, spatial) = (sg.images, sg.patches());
-            let [oh, ow] = sg.out_hw;
-            let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
-            if scatter_shards(shards, h.data(), &sg, scratch, workers, out.data_mut()) {
-                journal.shard(
-                    HOME,
-                    remote,
-                    (h.len() as u64 * SNN_ACT_BITS).max(1),
-                    (n * spatial * *cols) as u64 * PARTIAL_BITS,
-                );
-            }
-            journal.add_waves((n * spatial) as u64);
-            add_bias(&mut out, bias, spatial);
-            Ok(out)
+    fn respan(&self, stages: Vec<SpikingAnalogStage>) -> Self {
+        AnalogSpikingNetwork {
+            stages,
+            encoding: self.encoding,
+            timestep_waves: 0,
         }
     }
-}
 
-/// Drives every shard's R_f window of one spike wave, accumulating the
-/// per-segment partials into `out` in shard (= segment) order — the
-/// order the unsplit matrix adds them in. Returns whether any spike
-/// reached any shard; the windows partition the receptive field, so
-/// that is exactly whether the unsplit layer would have seen a spike.
-fn scatter_shards(
-    shards: &mut [SnnShard],
-    spikes: &[f32],
-    geom: &StageGeometry,
-    scratch: &mut EventScratch,
-    workers: usize,
-    out: &mut [f32],
-) -> bool {
-    let mut hit = false;
-    for shard in shards {
-        let window = shard.lo..shard.hi;
-        hit |= shard
-            .matrix
-            .scatter_spikes(spikes, geom, window, workers, scratch, out);
+    fn tiles(stage: &SpikingAnalogStage) -> &[Vec<SuperTile>] {
+        match stage {
+            SpikingAnalogStage::Dense { matrix, .. } | SpikingAnalogStage::Conv { matrix, .. } => {
+                &matrix.tiles
+            }
+            _ => &[],
+        }
     }
-    hit
+
+    fn step(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError> {
+        let len = self.stages.len();
+        self.step_range_with(h, 0..len, false, workers)
+    }
 }
 
 /// A spiking network distributed over a chip cluster. Built from a
@@ -1109,7 +708,7 @@ fn scatter_shards(
 /// changes.
 #[derive(Debug, Clone)]
 pub struct ShardedSpikingNetwork {
-    units: Vec<SnnUnit>,
+    units: Vec<Unit<AnalogSpikingNetwork>>,
     cluster: ChipCluster,
     strategy: ShardStrategy,
     encoding: InputEncoding,
@@ -1128,10 +727,23 @@ impl ShardedSpikingNetwork {
         chips: usize,
         strategy: ShardStrategy,
     ) -> Result<Self, AnalogError> {
-        match strategy {
-            ShardStrategy::LayerPipelined => Self::layer_pipelined(net, chips),
-            ShardStrategy::TensorSharded => Self::tensor_sharded(net, chips),
-        }
+        Self::place(net, chips, strategy, None)
+    }
+
+    fn place(
+        net: AnalogSpikingNetwork,
+        chips: usize,
+        strategy: ShardStrategy,
+        costs: Option<Vec<u64>>,
+    ) -> Result<Self, AnalogError> {
+        Ok(Self {
+            cluster: default_cluster(chips)?,
+            strategy,
+            encoding: net.encoding,
+            extra_waves: net.timestep_waves,
+            units: cut(net, chips.max(1), strategy, costs),
+            pipeline: PipelineConfig::default(),
+        })
     }
 
     /// Pipelines `net` over `chips` chips (contiguous stage spans,
@@ -1142,123 +754,41 @@ impl ShardedSpikingNetwork {
     ///
     /// Propagates cluster-construction failures.
     pub fn layer_pipelined(net: AnalogSpikingNetwork, chips: usize) -> Result<Self, AnalogError> {
-        let costs: Vec<u64> = net
-            .stages
-            .iter()
-            .map(|s| match s {
-                SpikingAnalogStage::Dense { matrix, .. }
-                | SpikingAnalogStage::Conv { matrix, .. } => {
-                    matrix.tiles.iter().map(Vec::len).sum::<usize>().max(1) as u64
-                }
-                _ => 0,
-            })
-            .collect();
-        Self::pipelined_with_costs(net, chips, &costs)
+        Self::new(net, chips, ShardStrategy::LayerPipelined)
     }
 
     /// Pipelines `net` over `chips` chips with stage spans balanced by
-    /// per-timestep *compute* (crossbar rows × receptive field ×
-    /// columns) for the given input shape — the SNN counterpart of
-    /// [`ShardedAnalogNetwork::layer_pipelined_for_input`]. Any
-    /// contiguous split is bit-identical; this only moves wall-clock
-    /// balance toward the im2col-heavy convolutional stages.
+    /// per-timestep *compute* (output patches × receptive field ×
+    /// columns) for the given input shape, rather than by super-tile
+    /// count. Any contiguous split is bit-identical; this only moves
+    /// wall-clock balance toward the convolutional stages.
     ///
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
-    /// flow through the stages; propagates cluster-construction
-    /// failures.
+    /// flow through the stages (the check
+    /// [`AnalogSpikingNetwork::output_shape`] makes); propagates
+    /// cluster-construction failures.
     pub fn layer_pipelined_for_input(
         net: AnalogSpikingNetwork,
         chips: usize,
         input_shape: &[usize],
     ) -> Result<Self, AnalogError> {
-        let mut shape: Vec<usize> = input_shape.get(1..).unwrap_or_default().to_vec();
+        let mut shape = input_shape.to_vec();
         let mut costs = Vec::with_capacity(net.stages.len());
         for stage in &net.stages {
+            let next = stage.output_shape(&shape)?;
+            let patches: usize = next[2..].iter().product();
             costs.push(match stage {
-                SpikingAnalogStage::Dense { matrix, .. } => {
-                    shape = vec![matrix.cols];
-                    (matrix.rf as u64) * matrix.cols as u64
+                SpikingAnalogStage::Dense { matrix, .. }
+                | SpikingAnalogStage::Conv { matrix, .. } => {
+                    (patches * matrix.rf * matrix.cols) as u64
                 }
-                SpikingAnalogStage::Conv {
-                    matrix,
-                    geom,
-                    out_channels,
-                    ..
-                } => {
-                    if shape.len() != 3 {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!("conv stage fed rank-{} image", shape.len()),
-                        });
-                    }
-                    let (oh, ow) = geom.out_hw(shape[1], shape[2])?;
-                    shape = vec![*out_channels, oh, ow];
-                    (oh * ow) as u64 * matrix.rf as u64 * matrix.cols as u64
-                }
-                SpikingAnalogStage::AvgPool { k } => {
-                    if shape.len() != 3 {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!("pool stage fed rank-{} image", shape.len()),
-                        });
-                    }
-                    shape = vec![shape[0], shape[1] / k, shape[2] / k];
-                    0
-                }
-                SpikingAnalogStage::Flatten => {
-                    shape = vec![shape.iter().product()];
-                    0
-                }
-                SpikingAnalogStage::IntegrateFire(_) => 0,
+                _ => 0,
             });
+            shape = next;
         }
-        Self::pipelined_with_costs(net, chips, &costs)
-    }
-
-    fn pipelined_with_costs(
-        net: AnalogSpikingNetwork,
-        chips: usize,
-        costs: &[u64],
-    ) -> Result<Self, AnalogError> {
-        let cluster = default_cluster(chips)?;
-        let encoding = net.encoding;
-        let extra_waves = net.timestep_waves;
-        let assignment = assign_spans(costs, chips);
-        let mut units = Vec::new();
-        let mut span: Vec<SpikingAnalogStage> = Vec::new();
-        let mut span_chip = 0usize;
-        for (stage, &chip) in net.stages.into_iter().zip(assignment.iter()) {
-            if chip != span_chip && !span.is_empty() {
-                units.push(SnnUnit::Whole {
-                    chip: span_chip,
-                    net: AnalogSpikingNetwork {
-                        stages: std::mem::take(&mut span),
-                        encoding,
-                        timestep_waves: 0,
-                    },
-                });
-            }
-            span_chip = chip;
-            span.push(stage);
-        }
-        if !span.is_empty() {
-            units.push(SnnUnit::Whole {
-                chip: span_chip,
-                net: AnalogSpikingNetwork {
-                    stages: span,
-                    encoding,
-                    timestep_waves: 0,
-                },
-            });
-        }
-        Ok(Self {
-            units,
-            cluster,
-            strategy: ShardStrategy::LayerPipelined,
-            encoding,
-            extra_waves,
-            pipeline: PipelineConfig::default(),
-        })
+        Self::place(net, chips, ShardStrategy::LayerPipelined, Some(costs))
     }
 
     /// Shards `net`'s multi-segment synaptic layers row-wise across
@@ -1268,74 +798,7 @@ impl ShardedSpikingNetwork {
     ///
     /// Propagates cluster-construction failures.
     pub fn tensor_sharded(net: AnalogSpikingNetwork, chips: usize) -> Result<Self, AnalogError> {
-        let cluster = default_cluster(chips)?;
-        let chips = chips.max(1);
-        let encoding = net.encoding;
-        let extra_waves = net.timestep_waves;
-        let mut units = Vec::new();
-        let mut span: Vec<SpikingAnalogStage> = Vec::new();
-        let flush = |span: &mut Vec<SpikingAnalogStage>, units: &mut Vec<SnnUnit>| {
-            if !span.is_empty() {
-                units.push(SnnUnit::Whole {
-                    chip: HOME,
-                    net: AnalogSpikingNetwork {
-                        stages: std::mem::take(span),
-                        encoding,
-                        timestep_waves: 0,
-                    },
-                });
-            }
-        };
-        for stage in net.stages {
-            match stage {
-                SpikingAnalogStage::Dense { matrix, bias, .. } if matrix.tiles.len() > 1 => {
-                    flush(&mut span, &mut units);
-                    let (cols, rf) = (matrix.cols, matrix.rf);
-                    let shards = shard_snn_matrix(matrix, chips);
-                    let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
-                    units.push(SnnUnit::Dense {
-                        shards,
-                        bias,
-                        cols,
-                        rf,
-                        scratch: EventScratch::default(),
-                        remote,
-                    });
-                }
-                SpikingAnalogStage::Conv {
-                    matrix,
-                    bias,
-                    geom,
-                    out_channels,
-                    ..
-                } if matrix.tiles.len() > 1 => {
-                    flush(&mut span, &mut units);
-                    let (cols, rf) = (matrix.cols, matrix.rf);
-                    let shards = shard_snn_matrix(matrix, chips);
-                    let remote = remote_chips(shards.iter().map(|s| s.chip), HOME);
-                    units.push(SnnUnit::Conv {
-                        shards,
-                        bias,
-                        geom,
-                        out_channels,
-                        cols,
-                        rf,
-                        scratch: EventScratch::default(),
-                        remote,
-                    });
-                }
-                other => span.push(other),
-            }
-        }
-        flush(&mut span, &mut units);
-        Ok(Self {
-            units,
-            cluster,
-            strategy: ShardStrategy::TensorSharded,
-            encoding,
-            extra_waves,
-            pipeline: PipelineConfig::default(),
-        })
+        Self::new(net, chips, ShardStrategy::TensorSharded)
     }
 
     /// The distribution strategy this network was built with.
@@ -1377,17 +840,10 @@ impl ShardedSpikingNetwork {
         self.pipeline = cfg;
     }
 
-    /// Selects the crossbar kernel path on every shard and span.
+    /// Selects the crossbar kernel path on every unit.
     pub fn set_kernel_path(&mut self, path: nebula_crossbar::KernelPath) {
         for unit in &mut self.units {
-            match unit {
-                SnnUnit::Whole { net, .. } => net.set_kernel_path(path),
-                SnnUnit::Dense { shards, .. } | SnnUnit::Conv { shards, .. } => {
-                    for s in shards {
-                        s.matrix.set_kernel_path(path);
-                    }
-                }
-            }
+            unit.net.set_kernel_path(path);
         }
     }
 
@@ -1408,20 +864,9 @@ impl ShardedSpikingNetwork {
     /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
     /// flow through the units.
     pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        let mut shape = input_shape.to_vec();
-        for unit in &self.units {
-            shape = match unit {
-                SnnUnit::Whole { net, .. } => net.output_shape(&shape)?,
-                SnnUnit::Dense { cols, rf, .. } => dense_output_shape(&shape, *rf, *cols)?,
-                SnnUnit::Conv {
-                    geom,
-                    out_channels,
-                    rf,
-                    ..
-                } => conv_output_shape(&shape, *rf, *geom, *out_channels)?,
-            };
-        }
-        Ok(shape)
+        self.units
+            .iter()
+            .try_fold(input_shape.to_vec(), |shape, u| u.net.output_shape(&shape))
     }
 
     /// Runs `timesteps` of spiking inference across the cluster —
@@ -1480,9 +925,7 @@ impl ShardedSpikingNetwork {
     ) -> Result<Tensor, AnalogError> {
         self.check_input(inputs)?;
         for unit in &mut self.units {
-            if let SnnUnit::Whole { net, .. } = unit {
-                net.reset_state();
-            }
+            unit.net.reset_state();
         }
         let source: SourceFn<'_> = Box::new(move |_t| Ok(encode(inputs)));
         let outs = run_units(
@@ -1491,7 +934,6 @@ impl ShardedSpikingNetwork {
             source,
             &self.pipeline,
             &mut self.cluster,
-            &mut self.extra_waves,
         )?;
         // Fold potentials in ascending timestep order. Zero timesteps
         // run no wave and move no traffic, but still return the shape a
@@ -1506,33 +948,21 @@ impl ShardedSpikingNetwork {
         Ok(acc)
     }
 
-    /// Total analog read energy across every chip, summed in stage then
-    /// segment order — bitwise equal to the single-chip counter on the
-    /// scalar path.
+    /// Total analog read energy across every chip, folded over the
+    /// donor's stages in order — bitwise equal to the single-chip
+    /// counter on the scalar path.
     pub fn read_energy(&self) -> Joules {
         self.units
             .iter()
-            .map(|u| match u {
-                SnnUnit::Whole { net, .. } => net.read_energy(),
-                SnnUnit::Dense { shards, .. } | SnnUnit::Conv { shards, .. } => {
-                    shards.iter().map(|s| s.matrix.read_energy()).sum()
-                }
-            })
+            .flat_map(|u| &u.net.stages)
+            .map(SpikingAnalogStage::read_energy)
             .sum()
     }
 
     /// Crossbar waves executed across the cluster — equal to the
     /// single-chip count.
     pub fn waves(&self) -> u64 {
-        self.extra_waves
-            + self
-                .units
-                .iter()
-                .map(|u| match u {
-                    SnnUnit::Whole { net, .. } => net.waves(),
-                    _ => 0,
-                })
-                .sum::<u64>()
+        self.extra_waves + self.units.iter().map(|u| u.net.waves()).sum::<u64>()
     }
 }
 

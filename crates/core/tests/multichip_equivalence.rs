@@ -422,10 +422,10 @@ fn capacity_one_backpressure_completes_with_identical_bits() {
     }
 }
 
-/// Two-stage pipelined SNN smoke for the native-CPU CI job: fast, no
-/// proptest, exercises encode-at-head serialization plus the journal
-/// replay under real pool concurrency, on the default kernel path and
-/// the default and a multi-claimant schedule.
+/// Two-stage pipelined SNN smoke: fast, no proptest, exercises
+/// encode-at-head serialization plus the journal replay under real pool
+/// concurrency, on the default kernel path and the default and a
+/// multi-claimant schedule.
 #[test]
 fn two_stage_pipeline_smoke() {
     let master = wide_snn(9, 5, 3, 21);
@@ -736,6 +736,169 @@ fn sharded_ann_rejects_misshaped_batches_up_front() {
                 let want = sharded.output_shape(&good).unwrap();
                 assert_eq!(sharded.forward(&x).unwrap().shape(), &want[..]);
             }
+        }
+    }
+}
+
+/// A dense ANN of six synaptic layers, each one super-tile: a 2- or
+/// 3-chip pipeline puts several synaptic stages on one chip span.
+fn six_layer_ann(seed: u64) -> AnalogNetwork {
+    let mut r = ChaCha8Rng::seed_from_u64(seed);
+    let mut layers = Vec::new();
+    for (i, (rf, cols)) in [(24, 40), (40, 40), (40, 40), (40, 40), (40, 40), (40, 5)]
+        .into_iter()
+        .enumerate()
+    {
+        if i > 0 {
+            layers.push(Layer::relu());
+        }
+        layers.push(Layer::dense(rf, cols, &mut r));
+    }
+    compile_ann(&Network::new(layers)).unwrap()
+}
+
+/// Scalar-path energy is one fold over the donor's stages, in stage
+/// order, whichever chips the stages sit on: read energy (and the ANN's
+/// programming energy) must equal the single chip's bit for bit when a
+/// tensor-sharded layer spans several column groups (129–300 outputs,
+/// over M = 128) and when one pipeline span holds several synaptic
+/// stages. Summing per-unit or per-segment subtotals first moves the
+/// last bits in some of these cases.
+#[test]
+fn scalar_energy_folds_in_single_chip_order() {
+    let path = KernelPath::Scalar;
+    let bits = |e: nebula_device::units::Joules| e.0.to_bits();
+    let input = MAX_RF_IN_CORE + 9;
+    for (hidden, seed) in [(129usize, 1u64), (200, 2), (300, 3)] {
+        let x = Tensor::rand_uniform(
+            &[3, input],
+            0.0,
+            1.0,
+            &mut ChaCha8Rng::seed_from_u64(seed + 100),
+        );
+        let mut single = wide_ann(9, hidden, 3, seed);
+        single.set_kernel_path(path);
+        single.forward(&x).unwrap();
+        let mut single_snn = wide_snn(9, hidden, 3, seed);
+        single_snn.set_kernel_path(path);
+        single_snn
+            .run(&x, 3, &mut ChaCha8Rng::seed_from_u64(seed))
+            .unwrap();
+        for chips in [2usize, 3, 4] {
+            let tag = format!("hidden {hidden}, {chips} chips");
+            let mut ann =
+                ShardedAnalogNetwork::tensor_sharded(wide_ann(9, hidden, 3, seed), chips).unwrap();
+            ann.set_kernel_path(path);
+            ann.forward(&x).unwrap();
+            assert_eq!(bits(ann.read_energy()), bits(single.read_energy()), "{tag}");
+            assert_eq!(
+                bits(ann.program_energy()),
+                bits(single.program_energy()),
+                "{tag}"
+            );
+            let mut snn =
+                ShardedSpikingNetwork::tensor_sharded(wide_snn(9, hidden, 3, seed), chips).unwrap();
+            snn.set_kernel_path(path);
+            snn.run(&x, 3, &mut ChaCha8Rng::seed_from_u64(seed))
+                .unwrap();
+            assert_eq!(
+                bits(snn.read_energy()),
+                bits(single_snn.read_energy()),
+                "SNN {tag}"
+            );
+        }
+    }
+    for seed in 0..6u64 {
+        let x = Tensor::rand_uniform(
+            &[4, 24],
+            0.0,
+            1.0,
+            &mut ChaCha8Rng::seed_from_u64(seed + 200),
+        );
+        let mut single = six_layer_ann(seed);
+        single.set_kernel_path(path);
+        single.forward(&x).unwrap();
+        for chips in [2usize, 3] {
+            let tag = format!("seed {seed}, {chips}-chip pipeline");
+            let mut ann =
+                ShardedAnalogNetwork::layer_pipelined(six_layer_ann(seed), chips).unwrap();
+            ann.set_kernel_path(path);
+            ann.forward(&x).unwrap();
+            assert_eq!(bits(ann.read_energy()), bits(single.read_energy()), "{tag}");
+            assert_eq!(
+                bits(ann.program_energy()),
+                bits(single.program_energy()),
+                "{tag}"
+            );
+        }
+    }
+}
+
+/// Tensor-sharded ring traffic and waves, pinned to the values the
+/// per-segment shard evaluator produced: on every ANN call the home
+/// chip multicasts the 4-bit input and gathers 32-bit partials from the
+/// chips holding the layer's other segments; on an SNN timestep it does
+/// so only when the spikes reach a patch, so an all-silent timestep
+/// moves nothing (and still counts its waves). Three-segment layers, so
+/// 2 chips hold segments {0, 2} and {1}, and 4 chips spread them over
+/// chips 0–2.
+#[test]
+fn tensor_sharded_traffic_and_waves_are_pinned() {
+    let input = 2 * MAX_RF_IN_CORE + 9;
+    let channels = 460; // 460 · 9 = 4140 rows: three segments
+    let mut r = ChaCha8Rng::seed_from_u64(12);
+    let ann_x = Tensor::rand_uniform(&[3, input], 0.0, 1.0, &mut r);
+    let snn_x = Tensor::rand_uniform(&[2, input], 0.0, 1.0, &mut r);
+    let conv_x = Tensor::rand_uniform(&[1, channels, 4, 4], 0.0, 1.0, &mut r);
+    let pins = [
+        (
+            2,
+            traffic(12, 84_132, 2, 3_116),
+            traffic(18, 21_627, 3, 801),
+            traffic(18, 21_222, 3, 786),
+        ),
+        (
+            4,
+            TrafficStats {
+                ru_activations: 2,
+                ..traffic(28, 208_772, 4, 9_348)
+            },
+            TrafficStats {
+                ru_activations: 3,
+                ..traffic(42, 53_667, 6, 2_403)
+            },
+            TrafficStats {
+                ru_activations: 3,
+                ..traffic(42, 52_662, 6, 2_358)
+            },
+        ),
+    ];
+    for (chips, ann_traffic, snn_traffic, conv_traffic) in pins {
+        let mut ann =
+            ShardedAnalogNetwork::tensor_sharded(wide_ann(MAX_RF_IN_CORE + 9, 6, 3, 5), chips)
+                .unwrap();
+        ann.forward(&ann_x).unwrap();
+        ann.forward(&ann_x).unwrap();
+        assert_eq!(ann.traffic(), ann_traffic, "ANN dense, {chips} chips");
+        assert_eq!(ann.waves(), 12, "ANN dense, {chips} chips");
+        let snn =
+            ShardedSpikingNetwork::tensor_sharded(wide_snn(MAX_RF_IN_CORE + 9, 5, 3, 6), chips)
+                .unwrap();
+        let conv =
+            ShardedSpikingNetwork::tensor_sharded(wide_conv_snn(channels, 4, 3, 8), chips).unwrap();
+        for (name, mut net, x, seed, want, waves) in [
+            ("SNN dense", snn, &snn_x, 7, snn_traffic, [12, 16]),
+            ("SNN conv", conv, &conv_x, 9, conv_traffic, [51, 68]),
+        ] {
+            let tag = format!("{name}, {chips} chips");
+            net.run(x, 3, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+            assert_eq!(net.traffic(), want, "{tag}");
+            assert_eq!(net.waves(), waves[0], "{tag}");
+            let silent = Tensor::zeros(x.shape());
+            net.run(&silent, 1, &mut ChaCha8Rng::seed_from_u64(seed))
+                .unwrap();
+            assert_eq!(net.traffic(), want, "{tag}: a silent timestep");
+            assert_eq!(net.waves(), waves[1], "{tag}: a silent timestep");
         }
     }
 }
