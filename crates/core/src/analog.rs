@@ -1,27 +1,48 @@
-//! Analog execution: compile a trained (quantized) network onto actual
-//! super-tile circuit structures and run inference *through the
-//! device-level crossbar models* — the functional twin of programming a
-//! real NEBULA chip.
+//! Analog execution: compile a trained network onto super-tile circuit
+//! structures and run inference *through the device-level crossbar
+//! models* — the functional twin of programming a real NEBULA chip.
 //!
 //! Where the [`engine`](crate::engine) module prices a workload
-//! analytically, this module computes with it: every dense/conv MAC goes
-//! through [`SuperTile::dot`] (DW-MTJ conductances, reference-column
-//! signed weights, 16-level quantization, optional read noise), im2col
-//! streaming plays the role of the input buffers and drivers, and one
-//! crossbar evaluation corresponds to one 110 ns wave of the Fig. 8
+//! analytically, this module computes with it. Both execution modes run
+//! on one engine, as the paper's chip runs both on the same DW-MTJ
+//! crossbars: a compiled network is one list of stages over programmed
+//! matrices (weights split into `16M`-row segments and `M`-column
+//! groups of [`SuperTile`]s), and one stage interpreter advances a batch
+//! through it. The modes differ only in their drivers and column
+//! neurons:
+//!
+//! * **ANN** ([`AnalogNetwork`], built by [`compile`]): 4-bit drivers
+//!   carry `x / x_scale` clamped to `[0, 1]`. A synaptic stage lowers its
+//!   input to rows (im2col for a convolution) and evaluates them through
+//!   the split-phase GEMV ([`SuperTile::eval_dense_prepared`]); ReLU and
+//!   the activation quantizer are digital stages.
+//! * **SNN** ([`AnalogSpikingNetwork`], built by
+//!   [`compile_snn`](crate::analog_snn::compile_snn)): binary 0.25 V
+//!   spike drivers. A synaptic stage scatters each timestep's spikes
+//!   into the conductance rows they drive (see [`crate::analog_snn`]);
+//!   integrate-and-fire populations sit on the columns.
+//!
+//! The sequential entry points (`forward_sequential`, `run_sequential`)
+//! run the same interpreter with the per-cell oracle
+//! ([`SuperTile::dot_reference`]) at every synaptic stage, and every
+//! multi-chip unit ([`crate::multichip`]) runs it over its slice of the
+//! stages. One crossbar evaluation is one 110 ns wave of the Fig. 8
 //! pipeline.
 //!
-//! Supported layers: `Dense`, `Conv2d`, `Relu`, `ActivationQuant`,
-//! `AvgPool`, `Flatten`. Biases are applied digitally (a real chip would
-//! dedicate a bias row; the paper does not detail it). Depthwise
-//! convolutions and batch-norm must be lowered/folded before
-//! compilation.
+//! Supported layers: `Dense`, `Conv2d`, `AvgPool` and `Flatten` in both
+//! modes, `Relu` and `ActivationQuant` in ANN mode, IF populations in
+//! SNN mode. Biases are applied digitally (a real chip would dedicate a
+//! bias row; the paper does not detail it). Depthwise convolutions and
+//! batch-norm must be lowered/folded before compilation.
+//!
+//! [`AnalogSpikingNetwork`]: crate::analog_snn::AnalogSpikingNetwork
 
-use crate::analog_snn::{conv_output_shape, dense_output_shape};
+use crate::analog_snn::{EventScratch, StageGeometry};
 use crate::components::{M, MAX_RF_IN_CORE};
 use nebula_crossbar::{kernel, CrossbarConfig, CrossbarError, KernelPath, Mode, SuperTile};
 use nebula_device::units::{Amps, Joules};
 use nebula_nn::layer::Layer;
+use nebula_nn::snn::IfPopulation;
 use nebula_nn::{Network, NnError};
 use nebula_tensor::{avg_pool2d, im2col, ConvGeometry, Tensor, TensorError};
 use rand::Rng;
@@ -120,6 +141,10 @@ impl From<NnError> for AnalogError {
 
 /// One weight matrix programmed across super-tiles: rows are split into
 /// `R_f ≤ 16M` segments (multi-core spill), columns into groups of `M`.
+/// Both modes program it alike and differ in how they drive it:
+/// [`dot_batch_with`](Self::dot_batch_with) drives analog levels,
+/// `scatter_spikes` binary spikes, and [`dot_reference`](Self::dot_reference)
+/// either, one cell at a time.
 #[derive(Debug, Clone)]
 pub(crate) struct ProgrammedMatrix {
     /// `tiles[segment][group]`.
@@ -127,9 +152,13 @@ pub(crate) struct ProgrammedMatrix {
     pub(crate) segment_rows: Vec<usize>,
     pub(crate) cols: usize,
     pub(crate) rf: usize,
-    /// Input normalization: activations are divided by this before
-    /// driving the bit-lines (so drives stay in `[0, 1]`).
+    /// Input normalization: ANN activations are divided by this before
+    /// driving the bit-lines (so drives stay in `[0, 1]`); 1 in SNN mode.
     pub(crate) x_scale: f32,
+    /// `(segment AC, row within that AC)` of every receptive-field row,
+    /// the segments' ACs numbered consecutively — the scatter's row
+    /// lookup, so the spike walk never divides.
+    pub(crate) row_ac: Vec<(u32, u32)>,
 }
 
 impl ProgrammedMatrix {
@@ -152,6 +181,8 @@ impl ProgrammedMatrix {
             .max(1e-6) as f64;
         let mut tiles = Vec::new();
         let mut segment_rows = Vec::new();
+        let mut row_ac = Vec::with_capacity(rf);
+        let mut seg_chunk_base = 0usize;
         for seg_start in (0..rf).step_by(MAX_RF_IN_CORE) {
             let seg_rows = (rf - seg_start).min(MAX_RF_IN_CORE);
             segment_rows.push(seg_rows);
@@ -168,6 +199,9 @@ impl ProgrammedMatrix {
                 st.program(&block, clip)?;
                 groups.push(st);
             }
+            let m = groups[0].m();
+            row_ac.extend((0..seg_rows).map(|q| ((seg_chunk_base + q / m) as u32, (q % m) as u32)));
+            seg_chunk_base += groups[0].chunk_count();
             tiles.push(groups);
         }
         Ok(Self {
@@ -176,24 +210,30 @@ impl ProgrammedMatrix {
             cols,
             rf,
             x_scale,
+            row_ac,
         })
     }
 
-    /// Evaluates one input vector (length `rf`, real units) through the
-    /// legacy per-cell crossbar loop ([`SuperTile::dot_reference`]):
-    /// drives the crossbars with `x / x_scale` and returns the
-    /// real-valued products `Wᵀx` per column. Bit-identical to one item
-    /// of [`dot_batch_with`](Self::dot_batch_with); kept as the
-    /// reference for equivalence tests and the `bench_hotpath`
-    /// sequential leg.
-    pub(crate) fn dot_reference(&mut self, x: &[f32]) -> Result<Vec<f32>, AnalogError> {
+    /// Evaluates one input vector (length `rf`) through the per-cell
+    /// crossbar loop ([`SuperTile::dot_reference`]) under `mode`'s
+    /// drivers — ANN: `x / x_scale` clamped to `[0, 1]`; SNN: a spike
+    /// where `x > 0.5` — and returns the real-valued products `Wᵀx` per
+    /// column. Bit-identical to one item of
+    /// [`dot_batch_with`](Self::dot_batch_with) (ANN) or one patch of
+    /// `scatter_spikes` (SNN): the oracle of the sequential entry points
+    /// and the `bench_hotpath` sequential leg.
+    pub(crate) fn dot_reference(&mut self, x: &[f32], mode: Mode) -> Result<Vec<f32>, AnalogError> {
         debug_assert_eq!(x.len(), self.rf);
+        let x_scale = self.x_scale;
         let mut out = vec![0.0f32; self.cols];
         let mut offset = 0usize;
-        for (seg, seg_rows) in self.segment_rows.clone().into_iter().enumerate() {
+        for (seg, &seg_rows) in self.segment_rows.iter().enumerate() {
             let drive: Vec<f64> = x[offset..offset + seg_rows]
                 .iter()
-                .map(|&v| (v / self.x_scale).clamp(0.0, 1.0) as f64)
+                .map(|&v| match mode {
+                    Mode::Ann => (v / x_scale).clamp(0.0, 1.0) as f64,
+                    Mode::Snn => f64::from(v > 0.5),
+                })
                 .collect();
             for (g, tile) in self.tiles[seg].iter_mut().enumerate() {
                 let currents = tile.dot_reference(&drive)?;
@@ -201,7 +241,7 @@ impl ProgrammedMatrix {
                 for (c, i) in currents.iter().enumerate() {
                     // value (weight units) → real: × x_scale (drive
                     // normalization) — clip is already the weight unit.
-                    out[g * M + c] += (i.0 / unit) as f32 * self.x_scale;
+                    out[g * M + c] += (i.0 / unit) as f32 * x_scale;
                 }
             }
             offset += seg_rows;
@@ -326,6 +366,65 @@ impl ProgrammedMatrix {
         Ok(out)
     }
 
+    /// Evaluates one synaptic stage of geometry `sg` on `h` under
+    /// `drive` and writes the crossbar products to the zeroed `out`,
+    /// laid out `[images, cols, patches]`. The scatter walks the spikes
+    /// ([`scatter_spikes`](Self::scatter_spikes)); the GEMV and the
+    /// oracle take one row per patch — the input rows of a dense stage,
+    /// the im2col rows of a convolution. Returns whether any crossbar
+    /// was driven: the scatter reports whether a spike reached a patch,
+    /// the row forms always drive.
+    fn evaluate(
+        &mut self,
+        h: &Tensor,
+        sg: &StageGeometry,
+        drive: Drive,
+        workers: usize,
+        scratch: &mut EventScratch,
+        out: &mut [f32],
+    ) -> Result<bool, AnalogError> {
+        let oracle = match drive {
+            Drive::Scatter => return Ok(self.scatter_spikes(h.data(), sg, workers, scratch, out)),
+            Drive::Gemv => None,
+            Drive::Oracle(mode) => Some(mode),
+        };
+        let (rf, cols, spatial) = (self.rf, self.cols, sg.patches());
+        // The parallel lowering is bit-identical to `im2col` (same index
+        // order), so single-worker passes take the serial one.
+        let lowered;
+        let rows = match h.shape().len() {
+            2 => h.data(),
+            _ => {
+                lowered = if oracle.is_some() || workers <= 1 {
+                    im2col(h, sg.conv)?
+                } else {
+                    nebula_tensor::par::im2col(h, sg.conv)?
+                };
+                lowered.data()
+            }
+        };
+        let ys = match oracle {
+            Some(mode) => {
+                let mut ys = Vec::with_capacity(rows.len() / rf * cols);
+                for row in rows.chunks_exact(rf) {
+                    ys.extend(self.dot_reference(row, mode)?);
+                }
+                ys
+            }
+            None => self.dot_batch_with(sg.images * spatial, workers, |i| {
+                &rows[i * rf..(i + 1) * rf]
+            })?,
+        };
+        // Row `r` is patch `r % spatial` of image `r / spatial`.
+        for (r, y) in ys.chunks_exact(cols).enumerate() {
+            let (img, pos) = (r / spatial, r % spatial);
+            for (o, &v) in y.iter().enumerate() {
+                out[(img * cols + o) * spatial + pos] = v;
+            }
+        }
+        Ok(true)
+    }
+
     pub(crate) fn read_energy(&self) -> Joules {
         self.tiles
             .iter()
@@ -342,88 +441,366 @@ impl ProgrammedMatrix {
             .sum()
     }
 
-    pub(crate) fn supertile_count(&self) -> usize {
-        self.tiles.iter().map(Vec::len).sum()
-    }
-
     pub(crate) fn set_kernel_path(&mut self, path: KernelPath) {
         for tile in self.tiles.iter_mut().flatten() {
             tile.set_kernel_path(path);
         }
     }
-
-    /// Builds any missing cache layouts and returns the total bytes the
-    /// current kernel path's conductance caches occupy across all tiles
-    /// (see [`SuperTile::kernel_cache_bytes`]).
-    pub(crate) fn kernel_cache_bytes(&mut self) -> usize {
-        for tile in self.tiles.iter_mut().flatten() {
-            tile.prepare();
-        }
-        self.tiles
-            .iter()
-            .flatten()
-            .map(SuperTile::kernel_cache_bytes)
-            .sum()
-    }
 }
 
-/// One compiled stage of an analog network.
+/// How a synaptic stage drives its crossbars, picked by the interpreter
+/// from the network's mode.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// ANN analog levels through the split-phase row GEMV.
+    Gemv,
+    /// SNN binary spikes scattered into the rows they drive.
+    Scatter,
+    /// The mode's drivers through the per-cell oracle.
+    Oracle(Mode),
+}
+
+/// One compiled stage of an analog network, in either mode.
 #[derive(Debug, Clone)]
-pub(crate) enum AnalogStage {
+pub(crate) enum Stage {
+    /// Crossbar-backed dense synapses plus digital bias injection.
     Dense {
         matrix: ProgrammedMatrix,
         bias: Vec<f32>,
+        scratch: EventScratch,
     },
+    /// Crossbar-backed convolution with `matrix.cols` output channels,
+    /// plus bias.
     Conv {
         matrix: ProgrammedMatrix,
         bias: Vec<f32>,
         geom: ConvGeometry,
-        out_channels: usize,
+        scratch: EventScratch,
     },
+    /// ANN rectifier.
     Relu,
+    /// ANN activation quantizer: `levels` steps over `[0, amax]`.
     Quant {
         amax: f32,
         levels: usize,
     },
+    /// SNN integrate-and-fire population on the column outputs.
+    IntegrateFire(IfPopulation),
+    /// Average pooling (a fixed-weight circuit on hardware).
     AvgPool {
         k: usize,
     },
     Flatten,
 }
 
-impl AnalogStage {
+impl Stage {
+    /// Programs a synaptic layer onto crossbars driven at input scale
+    /// `x_scale`, or compiles a pooling or flatten layer.
+    pub(crate) fn program(
+        layer: &Layer,
+        x_scale: f32,
+        config: &CrossbarConfig,
+    ) -> Result<Self, AnalogError> {
+        Ok(match layer {
+            Layer::Dense(d) => Stage::Dense {
+                matrix: ProgrammedMatrix::program(&d.weight.value, x_scale, config)?,
+                bias: d.bias.value.data().to_vec(),
+                scratch: EventScratch::default(),
+            },
+            Layer::Conv2d(c) => {
+                let s = c.weight.value.shape();
+                // Kernel matrix [R_f, OC] = flattened kernels as columns.
+                let wmat = c
+                    .weight
+                    .value
+                    .reshape(&[s[0], s[1] * s[2] * s[3]])?
+                    .transpose()?;
+                Stage::Conv {
+                    matrix: ProgrammedMatrix::program(&wmat, x_scale, config)?,
+                    bias: c.bias.value.data().to_vec(),
+                    geom: c.geom,
+                    scratch: EventScratch::default(),
+                }
+            }
+            Layer::AvgPool(p) => Stage::AvgPool { k: p.k },
+            Layer::Flatten(_) => Stage::Flatten,
+            other => {
+                return Err(AnalogError::Unsupported {
+                    layer: other.name().to_string(),
+                })
+            }
+        })
+    }
+
+    /// The programmed matrix of a synaptic stage.
+    pub(crate) fn matrix(&self) -> Option<&ProgrammedMatrix> {
+        match self {
+            Stage::Dense { matrix, .. } | Stage::Conv { matrix, .. } => Some(matrix),
+            _ => None,
+        }
+    }
+
+    fn matrix_mut(&mut self) -> Option<&mut ProgrammedMatrix> {
+        match self {
+            Stage::Dense { matrix, .. } | Stage::Conv { matrix, .. } => Some(matrix),
+            _ => None,
+        }
+    }
+
+    /// The shape this stage produces when fed `shape`, checking that it
+    /// fits: a dense stage needs exactly `[n, rf]`, a convolution rank 4
+    /// with `c·kh·kw = rf`, and a pooling window must be nonzero and
+    /// divide a rank-4 input's height and width.
+    pub(crate) fn output_shape(&self, shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
+        let bad = |expects: String| {
+            Err(AnalogError::BadGeometry {
+                reason: format!("{expects}, got {shape:?}"),
+            })
+        };
+        Ok(match (self, shape) {
+            (Stage::Dense { matrix, .. }, &[n, f]) if f == matrix.rf => vec![n, matrix.cols],
+            (Stage::Dense { matrix, .. }, _) => {
+                return bad(format!("dense stage expects [n, {}]", matrix.rf))
+            }
+            (Stage::Conv { matrix, geom, .. }, &[n, c, h, w])
+                if c * geom.kh * geom.kw == matrix.rf =>
+            {
+                let (oh, ow) = geom.out_hw(h, w)?;
+                vec![n, matrix.cols, oh, ow]
+            }
+            (Stage::Conv { matrix, geom, .. }, _) => {
+                let c = matrix.rf / (geom.kh * geom.kw);
+                return bad(format!("conv stage expects [n, {c}, h, w]"));
+            }
+            (&Stage::AvgPool { k }, &[n, c, h, w]) if k > 0 && h % k == 0 && w % k == 0 => {
+                vec![n, c, h / k, w / k]
+            }
+            (Stage::AvgPool { k }, _) => {
+                return bad(format!(
+                    "avg-pool window {k} expects a rank-4 input whose height and width it divides"
+                ))
+            }
+            (Stage::Flatten, [n, rest @ ..]) => vec![*n, rest.iter().product()],
+            (Stage::Flatten, []) => return bad("flatten expects rank ≥ 1".into()),
+            (Stage::Relu | Stage::Quant { .. } | Stage::IntegrateFire(_), _) => shape.to_vec(),
+        })
+    }
+
     /// Read energy this stage's crossbars accrued (zero without any).
     pub(crate) fn read_energy(&self) -> Joules {
-        match self {
-            AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                matrix.read_energy()
-            }
-            _ => Joules::ZERO,
-        }
+        self.matrix()
+            .map_or(Joules::ZERO, ProgrammedMatrix::read_energy)
     }
 
     /// Energy spent programming this stage's crossbars.
     pub(crate) fn program_energy(&self) -> Joules {
-        match self {
-            AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                matrix.program_energy()
+        self.matrix()
+            .map_or(Joules::ZERO, ProgrammedMatrix::program_energy)
+    }
+}
+
+/// The analog engine both modes share: a compiled stage list, the wave
+/// counter, and the mode whose drivers the synaptic stages use (fixed by
+/// the compiler that built it). [`AnalogNetwork`] and
+/// `AnalogSpikingNetwork` wrap one; every multi-chip unit holds one over
+/// a slice of its donor's stages.
+#[derive(Debug, Clone)]
+pub(crate) struct AnalogEngine {
+    pub(crate) stages: Vec<Stage>,
+    pub(crate) waves: u64,
+    pub(crate) mode: Mode,
+}
+
+impl AnalogEngine {
+    /// The output shape a batch of `input_shape` produces, checking
+    /// every stage's geometry on the way ([`Stage::output_shape`]).
+    pub(crate) fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
+        if input_shape.is_empty() {
+            return Err(AnalogError::BadGeometry {
+                reason: "rank-0 input".into(),
+            });
+        }
+        self.stages
+            .iter()
+            .try_fold(input_shape.to_vec(), |shape, stage| {
+                stage.output_shape(&shape)
+            })
+    }
+
+    /// The checks every single-chip entry point makes once, before any
+    /// crossbar is driven: the shape must flow through every stage and
+    /// every value must be finite.
+    pub(crate) fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
+        self.output_shape(inputs.shape())?;
+        check_finite(inputs)
+    }
+
+    /// The stage interpreter: advances `h` (one ANN batch, or one
+    /// encoded SNN wave) through every stage with at most `workers`
+    /// crossbar workers (`workers == 1` keeps it on the calling thread —
+    /// the pipeline executor's per-stage mode). A synaptic stage drives
+    /// its crossbars by the mode — the row GEMV in ANN mode, the spike
+    /// scatter in SNN mode — or through the per-cell oracle when
+    /// `oracle` is set; IF populations advance their membranes, and
+    /// waves and read energy accrue as they would on the chip. Returns
+    /// the output and whether any synaptic stage drove a crossbar.
+    ///
+    /// The caller has checked `h` ([`check_input`](Self::check_input)).
+    /// For a fixed input the stage loop is a left-to-right fold, so
+    /// running the stages in slices (one multi-chip unit each) changes
+    /// nothing, and the result does not depend on `workers`.
+    pub(crate) fn step(
+        &mut self,
+        mut h: Tensor,
+        workers: usize,
+        oracle: bool,
+    ) -> Result<(Tensor, bool), AnalogError> {
+        let drive = match (oracle, self.mode) {
+            (true, mode) => Drive::Oracle(mode),
+            (false, Mode::Ann) => Drive::Gemv,
+            (false, Mode::Snn) => Drive::Scatter,
+        };
+        let mut hit = false;
+        for stage in &mut self.stages {
+            h = match stage {
+                Stage::Dense {
+                    matrix,
+                    bias,
+                    scratch,
+                } => {
+                    let n = h.shape()[0];
+                    let sg = StageGeometry::dense(n, matrix.rf);
+                    let mut out = Tensor::zeros(&[n, matrix.cols]);
+                    hit |= matrix.evaluate(&h, &sg, drive, workers, scratch, out.data_mut())?;
+                    self.waves += n as u64;
+                    add_bias(&mut out, bias, 1);
+                    out
+                }
+                Stage::Conv {
+                    matrix,
+                    bias,
+                    geom,
+                    scratch,
+                } => {
+                    let sg = StageGeometry::conv(h.shape(), *geom)?;
+                    let [oh, ow] = sg.out_hw;
+                    let mut out = Tensor::zeros(&[sg.images, matrix.cols, oh, ow]);
+                    hit |= matrix.evaluate(&h, &sg, drive, workers, scratch, out.data_mut())?;
+                    self.waves += (sg.images * sg.patches()) as u64;
+                    add_bias(&mut out, bias, sg.patches());
+                    out
+                }
+                Stage::Relu => h.relu(),
+                Stage::Quant { amax, levels } => {
+                    let step = *amax / (*levels - 1) as f32;
+                    h.map(|v| (v.clamp(0.0, *amax) / step).round() * step)
+                }
+                Stage::IntegrateFire(pop) => pop.step(&h)?,
+                Stage::AvgPool { k } => avg_pool2d(&h, *k)?,
+                Stage::Flatten => {
+                    let n = h.shape()[0];
+                    let rest: usize = h.shape()[1..].iter().product();
+                    h.reshape(&[n, rest])?
+                }
+            };
+        }
+        Ok((h, hit))
+    }
+
+    /// Returns every IF population to rest.
+    pub(crate) fn reset_state(&mut self) {
+        for stage in &mut self.stages {
+            if let Stage::IntegrateFire(p) = stage {
+                p.reset_state();
             }
-            _ => Joules::ZERO,
+        }
+    }
+
+    /// Every programmed super-tile, in stage then tile order.
+    pub(crate) fn tiles_mut(&mut self) -> impl Iterator<Item = &mut SuperTile> {
+        self.stages
+            .iter_mut()
+            .filter_map(Stage::matrix_mut)
+            .flat_map(|m| m.tiles.iter_mut().flatten())
+    }
+
+    pub(crate) fn supertile_count(&self) -> usize {
+        self.stages
+            .iter()
+            .filter_map(Stage::matrix)
+            .map(|m| m.tiles.iter().map(Vec::len).sum::<usize>())
+            .sum()
+    }
+
+    pub(crate) fn set_kernel_path(&mut self, path: KernelPath) {
+        for matrix in self.stages.iter_mut().filter_map(Stage::matrix_mut) {
+            matrix.set_kernel_path(path);
+        }
+    }
+
+    /// Builds any missing cache layouts and returns the total bytes the
+    /// current kernel path's conductance caches occupy across all tiles
+    /// (see [`SuperTile::kernel_cache_bytes`]).
+    pub(crate) fn conductance_cache_bytes(&mut self) -> usize {
+        self.tiles_mut()
+            .map(|tile| {
+                tile.prepare();
+                tile.kernel_cache_bytes()
+            })
+            .sum()
+    }
+
+    /// Read energy folded stage by stage in order (each stage's tiles
+    /// summed first) — the fold a sharded network repeats over its units.
+    pub(crate) fn read_energy(&self) -> Joules {
+        self.stages.iter().map(Stage::read_energy).sum()
+    }
+}
+
+/// Adds the digital bias injection to a stage's crossbar outputs, laid
+/// out `[n, channels, spatial]`: every value becomes `v + b`. A patch or
+/// a whole layer the spikes never reached holds exactly `0.0`, so it
+/// becomes `0.0 + b` — not a bare `b`, which would differ for
+/// `b == −0.0`.
+fn add_bias(out: &mut Tensor, bias: &[f32], spatial: usize) {
+    for plane in out.data_mut().chunks_mut(bias.len() * spatial) {
+        for (dst, &b) in plane.chunks_mut(spatial).zip(bias) {
+            for d in dst {
+                *d += b;
+            }
         }
     }
 }
 
-/// A network compiled onto crossbar hardware models.
+/// Classification accuracy of the logits `run` produces for `inputs`.
+/// The label count is checked against the batch before `run` evaluates
+/// anything (or, in SNN mode, draws from an RNG).
+pub(crate) fn accuracy(
+    inputs: &Tensor,
+    labels: &[usize],
+    run: impl FnOnce() -> Result<Tensor, AnalogError>,
+) -> Result<f64, AnalogError> {
+    let rows = inputs.shape().first().copied().unwrap_or(0);
+    if rows != labels.len() {
+        return Err(AnalogError::BadGeometry {
+            reason: format!("{} labels for a batch of {rows}", labels.len()),
+        });
+    }
+    let preds = run()?.argmax_rows()?;
+    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+    Ok(correct as f64 / labels.len().max(1) as f64)
+}
+
+/// A network compiled onto ANN-mode crossbar hardware models.
 ///
 /// Build with [`compile`]; run with [`AnalogNetwork::forward`].
 #[derive(Debug, Clone)]
 pub struct AnalogNetwork {
-    pub(crate) stages: Vec<AnalogStage>,
-    pub(crate) waves: u64,
+    pub(crate) core: AnalogEngine,
 }
 
 /// Compiles a (preferably 4-bit-quantized, BN-folded) network for analog
-/// execution in the given mode.
+/// execution in ANN mode on crossbars built from `config`.
 ///
 /// Per-layer input scales are taken from the preceding
 /// [`Layer::ActivationQuant`] ceiling when present (quantized networks),
@@ -438,45 +815,25 @@ pub fn compile(net: &Network, config: &CrossbarConfig) -> Result<AnalogNetwork, 
     // The scale of the *current* activations flowing between stages.
     let mut x_scale = 1.0f32;
     for layer in net.layers() {
-        match layer {
-            Layer::Dense(d) => {
-                let matrix = ProgrammedMatrix::program(&d.weight.value, x_scale, config)?;
-                stages.push(AnalogStage::Dense {
-                    matrix,
-                    bias: d.bias.value.data().to_vec(),
-                });
-            }
-            Layer::Conv2d(c) => {
-                let s = c.weight.value.shape();
-                let (oc, ckk) = (s[0], s[1] * s[2] * s[3]);
-                // Kernel matrix [R_f, OC] = flattened kernels as columns.
-                let wmat = c.weight.value.reshape(&[oc, ckk])?.transpose()?;
-                let matrix = ProgrammedMatrix::program(&wmat, x_scale, config)?;
-                stages.push(AnalogStage::Conv {
-                    matrix,
-                    bias: c.bias.value.data().to_vec(),
-                    geom: c.geom,
-                    out_channels: oc,
-                });
-            }
-            Layer::Relu(_) => stages.push(AnalogStage::Relu),
+        stages.push(match layer {
+            Layer::Relu(_) => Stage::Relu,
             Layer::ActivationQuant(q) => {
-                stages.push(AnalogStage::Quant {
+                x_scale = q.amax;
+                Stage::Quant {
                     amax: q.amax,
                     levels: q.levels,
-                });
-                x_scale = q.amax;
+                }
             }
-            Layer::AvgPool(p) => stages.push(AnalogStage::AvgPool { k: p.k }),
-            Layer::Flatten(_) => stages.push(AnalogStage::Flatten),
-            other => {
-                return Err(AnalogError::Unsupported {
-                    layer: other.name().to_string(),
-                })
-            }
-        }
+            other => Stage::program(other, x_scale, config)?,
+        });
     }
-    Ok(AnalogNetwork { stages, waves: 0 })
+    Ok(AnalogNetwork {
+        core: AnalogEngine {
+            stages,
+            waves: 0,
+            mode: Mode::Ann,
+        },
+    })
 }
 
 impl AnalogNetwork {
@@ -495,181 +852,44 @@ impl AnalogNetwork {
     /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, and
     /// propagates circuit and tensor failures.
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        self.forward_impl(inputs, false, nebula_tensor::pool::size())
+        self.pass(inputs, nebula_tensor::pool::size(), false)
     }
 
-    /// [`forward`](Self::forward) with an explicit evaluation worker
-    /// count. `workers == 1` keeps the whole pass on the calling thread
-    /// (no pool dispatch at all) — the multi-chip pipeline executor runs
-    /// each stage this way so stage-level concurrency comes from the
-    /// pipeline, not from nested pool fan-out. Bit-identical to
-    /// [`forward`](Self::forward) for any worker count.
-    pub(crate) fn forward_with_workers(
-        &mut self,
-        inputs: &Tensor,
-        workers: usize,
-    ) -> Result<Tensor, AnalogError> {
-        self.forward_impl(inputs, false, workers)
-    }
-
-    /// [`forward`](Self::forward) through the legacy path: one
-    /// uncached per-cell crossbar evaluation per sample — the pre-cache
-    /// baseline. Kept for equivalence tests and the `bench_hotpath`
-    /// sequential leg.
+    /// [`forward`](Self::forward) through the per-cell oracle: one
+    /// uncached crossbar evaluation per sample and output position — the
+    /// pre-cache baseline. Kept for equivalence tests and the
+    /// `bench_hotpath` sequential leg.
     ///
     /// # Errors
     ///
     /// As [`forward`](Self::forward).
     pub fn forward_sequential(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        self.forward_impl(inputs, true, 1)
+        self.pass(inputs, 1, true)
+    }
+
+    fn pass(
+        &mut self,
+        inputs: &Tensor,
+        workers: usize,
+        oracle: bool,
+    ) -> Result<Tensor, AnalogError> {
+        self.core.check_input(inputs)?;
+        Ok(self.core.step(inputs.clone(), workers, oracle)?.0)
     }
 
     /// The output shape a batch of `input_shape` produces, checking
     /// every stage's geometry on the way: weight stages need exactly
     /// their receptive field per row (`[n, rf]` for dense,
-    /// `[n, c, h, w]` with `c·kh·kw = rf` for convolutions), and pooling
-    /// needs rank-4 input.
+    /// `[n, c, h, w]` with `c·kh·kw = rf` for convolutions), and a
+    /// pooling window must be nonzero and divide its rank-4 input's
+    /// height and width.
     ///
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] for the first stage the shape
     /// does not fit.
     pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        let mut shape = input_shape.to_vec();
-        if shape.is_empty() {
-            return Err(AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            });
-        }
-        for stage in &self.stages {
-            shape = match stage {
-                AnalogStage::Dense { matrix, .. } => {
-                    dense_output_shape(&shape, matrix.rf, matrix.cols)?
-                }
-                AnalogStage::Conv {
-                    matrix,
-                    geom,
-                    out_channels,
-                    ..
-                } => conv_output_shape(&shape, matrix.rf, *geom, *out_channels)?,
-                AnalogStage::Relu | AnalogStage::Quant { .. } => shape,
-                AnalogStage::AvgPool { k } => {
-                    if shape.len() != 4 {
-                        return Err(AnalogError::BadGeometry {
-                            reason: format!("avg-pool stage expects rank-4 input, got {shape:?}"),
-                        });
-                    }
-                    vec![shape[0], shape[1], shape[2] / k, shape[3] / k]
-                }
-                AnalogStage::Flatten => vec![shape[0], shape[1..].iter().product()],
-            };
-        }
-        Ok(shape)
-    }
-
-    fn forward_impl(
-        &mut self,
-        inputs: &Tensor,
-        reference: bool,
-        workers: usize,
-    ) -> Result<Tensor, AnalogError> {
-        self.output_shape(inputs.shape())?;
-        check_finite(inputs)?;
-        let mut h = inputs.clone();
-        // Take stages out to satisfy the borrow checker during mutation.
-        let mut stages = std::mem::take(&mut self.stages);
-        let result = (|| -> Result<Tensor, AnalogError> {
-            for stage in stages.iter_mut() {
-                h = match stage {
-                    AnalogStage::Dense { matrix, bias } => {
-                        let n = h.shape()[0];
-                        let ys = if reference {
-                            let mut ys = Vec::with_capacity(n * matrix.cols);
-                            for i in 0..n {
-                                let row = &h.data()[i * matrix.rf..(i + 1) * matrix.rf];
-                                ys.extend(matrix.dot_reference(row)?);
-                            }
-                            ys
-                        } else {
-                            let rf = matrix.rf;
-                            let data = h.data();
-                            matrix.dot_batch_with(n, workers, |i| &data[i * rf..(i + 1) * rf])?
-                        };
-                        self.waves += n as u64;
-                        let mut out = Tensor::zeros(&[n, matrix.cols]);
-                        for (dst, y) in out
-                            .data_mut()
-                            .chunks_mut(bias.len())
-                            .zip(ys.chunks(matrix.cols))
-                        {
-                            for (d, (v, b)) in dst.iter_mut().zip(y.iter().zip(bias.iter())) {
-                                *d = v + b;
-                            }
-                        }
-                        out
-                    }
-                    AnalogStage::Conv {
-                        matrix,
-                        bias,
-                        geom,
-                        out_channels,
-                    } => {
-                        let (n, hh, ww) = (h.shape()[0], h.shape()[2], h.shape()[3]);
-                        let (oh, ow) = geom.out_hw(hh, ww)?;
-                        // [N·OH·OW, R_f]; the parallel lowering is
-                        // bit-identical to `im2col` (same index order),
-                        // so single-worker passes take the serial one.
-                        let cols = if reference || workers <= 1 {
-                            im2col(&h, *geom)?
-                        } else {
-                            nebula_tensor::par::im2col(&h, *geom)?
-                        };
-                        let spatial = oh * ow;
-                        let total_rows = n * spatial;
-                        let ys = if reference {
-                            let mut ys = Vec::with_capacity(total_rows * matrix.cols);
-                            for ri in 0..total_rows {
-                                let row = &cols.data()[ri * matrix.rf..(ri + 1) * matrix.rf];
-                                ys.extend(matrix.dot_reference(row)?);
-                            }
-                            ys
-                        } else {
-                            let rf = matrix.rf;
-                            let data = cols.data();
-                            matrix.dot_batch_with(total_rows, workers, |ri| {
-                                &data[ri * rf..(ri + 1) * rf]
-                            })?
-                        };
-                        self.waves += total_rows as u64;
-                        let mut out = Tensor::zeros(&[n, *out_channels, oh, ow]);
-                        for img in 0..n {
-                            for s in 0..spatial {
-                                let y = &ys[(img * spatial + s) * matrix.cols..][..matrix.cols];
-                                for (o, (&v, &b)) in y.iter().zip(bias.iter()).enumerate() {
-                                    out.data_mut()
-                                        [img * *out_channels * spatial + o * spatial + s] = v + b;
-                                }
-                            }
-                        }
-                        out
-                    }
-                    AnalogStage::Relu => h.relu(),
-                    AnalogStage::Quant { amax, levels } => {
-                        let step = *amax / (*levels - 1) as f32;
-                        h.map(|v| (v.clamp(0.0, *amax) / step).round() * step)
-                    }
-                    AnalogStage::AvgPool { k } => avg_pool2d(&h, *k)?,
-                    AnalogStage::Flatten => {
-                        let n = h.shape()[0];
-                        let rest: usize = h.shape()[1..].iter().product();
-                        h.reshape(&[n, rest])?
-                    }
-                };
-            }
-            Ok(h)
-        })();
-        self.stages = stages;
-        result
+        self.core.output_shape(input_shape)
     }
 
     /// Predicted class per input row.
@@ -685,16 +905,11 @@ impl AnalogNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the label count differs from the batch size.
+    /// Returns [`AnalogError::BadGeometry`] when the label count differs
+    /// from the batch size, before any evaluation; otherwise as
+    /// [`forward`](Self::forward).
     pub fn accuracy(&mut self, inputs: &Tensor, labels: &[usize]) -> Result<f64, AnalogError> {
-        let preds = self.predict(inputs)?;
-        assert_eq!(preds.len(), labels.len());
-        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-        Ok(correct as f64 / labels.len().max(1) as f64)
+        accuracy(inputs, labels, || self.forward(inputs))
     }
 
     /// Selects the crossbar inner-loop kernel every programmed tile
@@ -704,55 +919,35 @@ impl AnalogNetwork {
     /// agrees with the scalar/reference path to a relative error ≤ 1e-12
     /// per dot instead of bitwise (see [`nebula_crossbar::kernel`]).
     pub fn set_kernel_path(&mut self, path: KernelPath) {
-        for stage in &mut self.stages {
-            if let AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } = stage {
-                matrix.set_kernel_path(path);
-            }
-        }
+        self.core.set_kernel_path(path);
     }
 
     /// Bytes the conductance caches backing the current kernel path
     /// occupy across all programmed tiles (building any missing layouts
     /// first) — the footprint `bench_hotpath` and perfbench report.
     pub fn conductance_cache_bytes(&mut self) -> usize {
-        self.stages
-            .iter_mut()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.kernel_cache_bytes()
-                }
-                _ => 0,
-            })
-            .sum()
+        self.core.conductance_cache_bytes()
     }
 
     /// Crossbar evaluation waves executed so far (each is one 110 ns
     /// pipeline wave on hardware).
     pub fn waves(&self) -> u64 {
-        self.waves
+        self.core.waves
     }
 
     /// Super-tiles this network's weights occupy.
     pub fn supertile_count(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => {
-                    matrix.supertile_count()
-                }
-                _ => 0,
-            })
-            .sum()
+        self.core.supertile_count()
     }
 
     /// Total analog read energy accrued across all crossbars.
     pub fn read_energy(&self) -> Joules {
-        self.stages.iter().map(AnalogStage::read_energy).sum()
+        self.core.read_energy()
     }
 
     /// Total programming energy spent writing the weights.
     pub fn program_energy(&self) -> Joules {
-        self.stages.iter().map(AnalogStage::program_energy).sum()
+        self.core.stages.iter().map(Stage::program_energy).sum()
     }
 }
 
@@ -887,36 +1082,86 @@ mod tests {
         assert_eq!(analog.read_energy(), Joules::ZERO);
     }
 
+    /// conv(1→2, 3×3, pad 1) → ReLU → avg-pool(`k`) → flatten → dense:
+    /// 4×4 frames pool to 2×2 at `k = 2`.
+    fn pooled(k: usize, r: &mut rand::rngs::StdRng) -> Network {
+        Network::new(vec![
+            L::conv2d(1, 2, 3, 1, 1, r),
+            L::relu(),
+            L::avg_pool(k),
+            L::flatten(),
+            L::dense(8, 3, r),
+        ])
+    }
+
     #[test]
     fn misshaped_inputs_are_rejected_before_evaluation() {
         let mut r = rng();
-        let net = Network::new(vec![L::dense(2, 3, &mut r)]);
-        let mut analog = compile_ann(&net).unwrap();
         // Too wide would read misaligned rows; too narrow would panic in
-        // a worker. Both are geometry errors on every entry point.
-        for shape in [[3usize, 4], [3, 1]] {
-            let x = Tensor::zeros(&shape);
-            for result in [analog.forward(&x), analog.forward_sequential(&x)] {
-                assert!(
-                    matches!(result, Err(AnalogError::BadGeometry { .. })),
-                    "{shape:?}: {result:?}"
-                );
+        // a worker; a pool window that does not divide the map (or is
+        // zero) would fail after the crossbars before it ran. All are
+        // geometry errors on every entry point, before any wave.
+        let cases = [
+            (
+                Network::new(vec![L::dense(2, 3, &mut r)]),
+                Some(([3, 2].to_vec(), vec![3, 3])),
+                vec![vec![3, 4], vec![3, 1]],
+            ),
+            (
+                Network::new(vec![L::conv2d(2, 3, 3, 1, 1, &mut r)]),
+                Some((vec![1, 2, 5, 5], vec![1, 3, 5, 5])),
+                vec![vec![1, 3, 5, 5]],
+            ),
+            (
+                pooled(2, &mut r),
+                Some((vec![1, 1, 4, 4], vec![1, 3])),
+                vec![vec![1, 1, 5, 5], vec![1, 1, 4, 5]],
+            ),
+            (pooled(0, &mut r), None, vec![vec![1, 1, 4, 4]]),
+        ];
+        for (net, good, bad) in cases {
+            let mut analog = compile_ann(&net).unwrap();
+            for shape in &bad {
+                let x = Tensor::zeros(shape);
+                for result in [analog.forward(&x), analog.forward_sequential(&x)] {
+                    assert!(
+                        matches!(result, Err(AnalogError::BadGeometry { .. })),
+                        "{shape:?}: {result:?}"
+                    );
+                }
+                assert!(analog.output_shape(shape).is_err(), "{shape:?}");
+            }
+            assert_eq!(analog.waves(), 0, "nothing was evaluated");
+            assert_eq!(analog.read_energy(), Joules::ZERO);
+            if let Some((input, output)) = good {
+                assert_eq!(analog.output_shape(&input).unwrap(), output);
             }
         }
-        assert_eq!(analog.waves(), 0, "nothing was evaluated");
-        assert_eq!(analog.output_shape(&[3, 2]).unwrap(), vec![3, 3]);
+    }
 
-        let conv = Network::new(vec![L::conv2d(2, 3, 3, 1, 1, &mut r)]);
-        let mut analog = compile_ann(&conv).unwrap();
-        let x = Tensor::zeros(&[1, 3, 5, 5]);
-        assert!(matches!(
-            analog.forward(&x),
-            Err(AnalogError::BadGeometry { .. })
-        ));
-        assert_eq!(
-            analog.output_shape(&[1, 2, 5, 5]).unwrap(),
-            vec![1, 3, 5, 5]
+    #[test]
+    fn accuracy_checks_the_label_count_before_evaluating() {
+        let mut r = rng();
+        let x = Tensor::full(&[3, 2], 0.5);
+        let mut ann = compile_ann(&Network::new(vec![L::dense(2, 3, &mut r)])).unwrap();
+        let snn = nebula_nn::snn::SpikingNetwork::new(
+            vec![nebula_nn::snn::SnnStage::Synaptic(L::dense(2, 3, &mut r))],
+            nebula_nn::snn::InputEncoding::Poisson,
         );
+        let mut snn = crate::analog_snn::compile_snn_default(&snn).unwrap();
+        for labels in [&[0usize, 1][..], &[0, 1, 2, 0]] {
+            let ann_acc = ann.accuracy(&x, labels);
+            assert!(matches!(ann_acc, Err(AnalogError::BadGeometry { .. })));
+            let mut drawn = rand::rngs::StdRng::seed_from_u64(5);
+            let snn_acc = snn.accuracy(&x, labels, 4, &mut drawn);
+            assert!(matches!(snn_acc, Err(AnalogError::BadGeometry { .. })));
+            // The RNG was not touched: its next draw is a fresh stream's.
+            let fresh = rand::rngs::StdRng::seed_from_u64(5).gen::<u64>();
+            assert_eq!(drawn.gen::<u64>(), fresh);
+        }
+        assert_eq!((ann.waves(), snn.waves()), (0, 0), "nothing was evaluated");
+        assert_eq!(ann.read_energy() + snn.read_energy(), Joules::ZERO);
+        assert!(ann.accuracy(&x, &[0, 1, 2]).is_ok());
     }
 
     #[test]

@@ -5,111 +5,27 @@
 //! circuit layer.
 //!
 //! This closes the loop on the paper's multi-modal claim at circuit
-//! level: the *same* crossbar structures execute both the ANN
-//! ([`crate::analog`]) and the SNN path, differing only in drivers,
-//! read voltage and the neuron circuit at the columns.
+//! level: an [`AnalogSpikingNetwork`] is the same engine as an ANN-mode
+//! [`AnalogNetwork`](crate::analog::AnalogNetwork) — the same programmed
+//! matrices, stage list and stage interpreter ([`crate::analog`]) —
+//! compiled with SNN drivers and IF populations on the columns. This
+//! module holds what only spikes need: the scatter-form evaluation of a
+//! synaptic stage (each spike adds the conductance rows it drives, so
+//! the work scales with spikes, not with crossbar waves), the input
+//! encoders, and the SNN entry points.
 
-use crate::analog::{check_finite, AnalogError};
-use crate::components::{M, MAX_RF_IN_CORE};
+use crate::analog::{accuracy, AnalogEngine, AnalogError, ProgrammedMatrix, Stage};
+use crate::components::M;
 use nebula_crossbar::kernel::{self, SpikeRows};
 use nebula_crossbar::{CrossbarConfig, KernelPath, Mode, SuperTile};
 use nebula_device::units::{Joules, Seconds};
 use nebula_device::FaultModel;
-use nebula_nn::layer::Layer;
 use nebula_nn::snn::{IfPopulation, InputEncoding, SnnStage, SpikingNetwork};
-use nebula_tensor::{avg_pool2d, im2col, ConvGeometry, Tensor};
+use nebula_tensor::{ConvGeometry, Tensor};
 use rand::Rng;
 use std::ops::Range;
 
-/// A programmed spiking synaptic stage: crossbars in SNN mode.
-#[derive(Debug, Clone)]
-pub(crate) struct SnnMatrix {
-    pub(crate) tiles: Vec<Vec<SuperTile>>,
-    pub(crate) segment_rows: Vec<usize>,
-    pub(crate) cols: usize,
-    pub(crate) rf: usize,
-    /// `(segment AC, row within that AC)` of every receptive-field row,
-    /// the segments' ACs numbered consecutively — the scatter's row
-    /// lookup, so the spike walk never divides.
-    row_ac: Vec<(u32, u32)>,
-}
-
-impl SnnMatrix {
-    pub(crate) fn program(weight: &Tensor, config: &CrossbarConfig) -> Result<Self, AnalogError> {
-        let (rf, cols) = (weight.shape()[0], weight.shape()[1]);
-        if rf == 0 || cols == 0 {
-            return Err(AnalogError::BadGeometry {
-                reason: format!("degenerate spiking weight matrix {rf}×{cols}"),
-            });
-        }
-        let clip = weight
-            .data()
-            .iter()
-            .fold(0.0f32, |m, v| m.max(v.abs()))
-            .max(1e-6) as f64;
-        let mut tiles = Vec::new();
-        let mut segment_rows = Vec::new();
-        for seg_start in (0..rf).step_by(MAX_RF_IN_CORE) {
-            let seg_rows = (rf - seg_start).min(MAX_RF_IN_CORE);
-            segment_rows.push(seg_rows);
-            let mut groups = Vec::new();
-            for col_start in (0..cols).step_by(M) {
-                let group_cols = (cols - col_start).min(M);
-                let mut block = vec![vec![0.0f64; group_cols]; seg_rows];
-                for (r, row) in block.iter_mut().enumerate() {
-                    for (c, cell) in row.iter_mut().enumerate() {
-                        *cell = weight.at(&[seg_start + r, col_start + c]) as f64;
-                    }
-                }
-                let mut st = SuperTile::new(config.clone())?;
-                st.program(&block, clip)?;
-                groups.push(st);
-            }
-            tiles.push(groups);
-        }
-        let mut row_ac = Vec::with_capacity(rf);
-        let mut seg_chunk_base = 0usize;
-        for (seg, &rows) in tiles.iter().zip(&segment_rows) {
-            let m = seg[0].m();
-            row_ac.extend((0..rows).map(|q| ((seg_chunk_base + q / m) as u32, (q % m) as u32)));
-            seg_chunk_base += seg[0].chunk_count();
-        }
-        Ok(Self {
-            tiles,
-            segment_rows,
-            cols,
-            rf,
-            row_ac,
-        })
-    }
-
-    /// One timestep for one sample through the legacy per-cell crossbar
-    /// loop ([`SuperTile::dot_reference`]): binary spike vector in,
-    /// real-valued membrane increments (`Wᵀs + b` handled by caller)
-    /// out. Bit-identical to one patch of
-    /// [`scatter_spikes`](Self::scatter_spikes); kept as the reference
-    /// for equivalence tests and the `bench_hotpath` sequential leg.
-    pub(crate) fn dot_spikes_reference(&mut self, spikes: &[f32]) -> Result<Vec<f32>, AnalogError> {
-        debug_assert_eq!(spikes.len(), self.rf);
-        let mut out = vec![0.0f32; self.cols];
-        let mut offset = 0usize;
-        for (seg, seg_rows) in self.segment_rows.clone().into_iter().enumerate() {
-            let drive: Vec<f64> = spikes[offset..offset + seg_rows]
-                .iter()
-                .map(|&v| f64::from(v > 0.5))
-                .collect();
-            for (g, tile) in self.tiles[seg].iter_mut().enumerate() {
-                let currents = tile.dot_reference(&drive)?;
-                let unit = tile.unit_current().0;
-                for (c, i) in currents.iter().enumerate() {
-                    out[g * M + c] += (i.0 / unit) as f32;
-                }
-            }
-            offset += seg_rows;
-        }
-        Ok(out)
-    }
-
+impl ProgrammedMatrix {
     /// One timestep of spikes through this matrix in **scatter form**:
     /// the spiking input pixels are walked once, each listing the
     /// `(output patch, conductance row)` pairs it drives; the pairs are
@@ -124,8 +40,8 @@ impl SnnMatrix {
     /// output is **added** (per segment, in ascending segment order) to
     /// `out`, laid out `[images, cols, out_h·out_w]` — so a zeroed `out`
     /// ends up with exactly what
-    /// [`dot_spikes_reference`](Self::dot_spikes_reference) returns per
-    /// patch. Read energy is accrued per AC in ascending patch order.
+    /// [`dot_reference`](Self::dot_reference) returns per patch under
+    /// SNN drivers. Read energy is accrued per AC in ascending patch order.
     /// Returns whether any spike reached a patch; when none did, neither
     /// `out` nor any energy counter changed. A tensor-sharded layer runs
     /// through here unchanged: its segments are this matrix's segments.
@@ -223,34 +139,6 @@ impl SnnMatrix {
         }
         true
     }
-
-    pub(crate) fn read_energy(&self) -> Joules {
-        self.tiles
-            .iter()
-            .flatten()
-            .map(SuperTile::accumulated_read_energy)
-            .sum()
-    }
-
-    pub(crate) fn set_kernel_path(&mut self, path: KernelPath) {
-        for tile in self.tiles.iter_mut().flatten() {
-            tile.set_kernel_path(path);
-        }
-    }
-
-    /// Bytes of the current kernel path's conductance caches across this
-    /// matrix's tiles, building any missing layouts first (see
-    /// [`SuperTile::kernel_cache_bytes`]).
-    fn kernel_cache_bytes(&mut self) -> usize {
-        for tile in self.tiles.iter_mut().flatten() {
-            tile.prepare();
-        }
-        self.tiles
-            .iter()
-            .flatten()
-            .map(SuperTile::kernel_cache_bytes)
-            .sum()
-    }
 }
 
 /// Shape of one spiking synaptic stage in scatter form: `images` spike
@@ -339,7 +227,7 @@ struct BlockScratch {
     currents: Vec<f64>,
 }
 
-/// What the scatter body reads from a prepared [`SnnMatrix`].
+/// What the scatter body reads from a prepared [`ProgrammedMatrix`].
 struct ScatterPlan<'a> {
     geom: StageGeometry,
     /// `views[seg_chunk · groups + g]`: the spike rows of AC `seg_chunk`
@@ -369,7 +257,7 @@ struct ScatterPlan<'a> {
 
 impl<'a> ScatterPlan<'a> {
     /// Reads the views of prepared tiles.
-    fn new(matrix: &'a SnnMatrix, geom: &StageGeometry) -> Self {
+    fn new(matrix: &'a ProgrammedMatrix, geom: &StageGeometry) -> Self {
         let groups = matrix.tiles[0].len();
         let mut views = Vec::new();
         let mut seg_chunk_base = Vec::with_capacity(matrix.tiles.len());
@@ -717,76 +605,6 @@ impl AxisTaps {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum SpikingAnalogStage {
-    /// Crossbar-backed dense synapses + digital bias injection.
-    Dense {
-        matrix: SnnMatrix,
-        bias: Vec<f32>,
-        scratch: EventScratch,
-    },
-    /// Crossbar-backed convolution (im2col streaming) + bias.
-    Conv {
-        matrix: SnnMatrix,
-        bias: Vec<f32>,
-        geom: ConvGeometry,
-        out_channels: usize,
-        scratch: EventScratch,
-    },
-    /// IF population on the column outputs.
-    IntegrateFire(IfPopulation),
-    /// Software average pooling (fixed-weight circuit on hardware).
-    AvgPool {
-        k: usize,
-    },
-    Flatten,
-}
-
-impl SpikingAnalogStage {
-    /// The shape this stage produces when fed `shape` — one step of
-    /// [`AnalogSpikingNetwork::output_shape`].
-    pub(crate) fn output_shape(&self, shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        Ok(match self {
-            SpikingAnalogStage::Dense { matrix, .. } => {
-                dense_output_shape(shape, matrix.rf, matrix.cols)?
-            }
-            SpikingAnalogStage::Conv {
-                matrix,
-                geom,
-                out_channels,
-                ..
-            } => conv_output_shape(shape, matrix.rf, *geom, *out_channels)?,
-            SpikingAnalogStage::IntegrateFire(_) => shape.to_vec(),
-            SpikingAnalogStage::AvgPool { k } => {
-                if shape.len() != 4 {
-                    return Err(AnalogError::BadGeometry {
-                        reason: format!("avg-pool stage expects rank-4 input, got {shape:?}"),
-                    });
-                }
-                vec![shape[0], shape[1], shape[2] / k, shape[3] / k]
-            }
-            SpikingAnalogStage::Flatten => {
-                let Some((&n, rest)) = shape.split_first() else {
-                    return Err(AnalogError::BadGeometry {
-                        reason: "rank-0 input".into(),
-                    });
-                };
-                vec![n, rest.iter().product()]
-            }
-        })
-    }
-
-    /// Read energy this stage's crossbars accrued (zero without any).
-    pub(crate) fn read_energy(&self) -> Joules {
-        match self {
-            SpikingAnalogStage::Dense { matrix, .. } | SpikingAnalogStage::Conv { matrix, .. } => {
-                matrix.read_energy()
-            }
-            _ => Joules::ZERO,
-        }
-    }
-}
-
 /// A spiking network executing its synaptic arithmetic on SNN-mode
 /// crossbar models.
 ///
@@ -795,9 +613,8 @@ impl SpikingAnalogStage {
 /// carries over unchanged.
 #[derive(Debug, Clone)]
 pub struct AnalogSpikingNetwork {
-    pub(crate) stages: Vec<SpikingAnalogStage>,
+    pub(crate) core: AnalogEngine,
     pub(crate) encoding: InputEncoding,
-    pub(crate) timestep_waves: u64,
 }
 
 /// Compiles a converted spiking network onto SNN-mode crossbars.
@@ -811,44 +628,25 @@ pub fn compile_snn(
     snn: &SpikingNetwork,
     config: &CrossbarConfig,
 ) -> Result<AnalogSpikingNetwork, AnalogError> {
-    let mut stages = Vec::with_capacity(snn.stages().len());
-    for stage in snn.stages() {
-        match stage {
-            SnnStage::Synaptic(Layer::Dense(d)) => stages.push(SpikingAnalogStage::Dense {
-                matrix: SnnMatrix::program(&d.weight.value, config)?,
-                bias: d.bias.value.data().to_vec(),
-                scratch: EventScratch::default(),
-            }),
-            SnnStage::Synaptic(Layer::Conv2d(c)) => {
-                let s = c.weight.value.shape();
-                let (oc, ckk) = (s[0], s[1] * s[2] * s[3]);
-                let wmat = c.weight.value.reshape(&[oc, ckk])?.transpose()?;
-                stages.push(SpikingAnalogStage::Conv {
-                    matrix: SnnMatrix::program(&wmat, config)?,
-                    bias: c.bias.value.data().to_vec(),
-                    geom: c.geom,
-                    out_channels: oc,
-                    scratch: EventScratch::default(),
-                });
-            }
-            SnnStage::Synaptic(Layer::AvgPool(p)) => {
-                stages.push(SpikingAnalogStage::AvgPool { k: p.k })
-            }
-            SnnStage::Synaptic(Layer::Flatten(_)) => stages.push(SpikingAnalogStage::Flatten),
-            SnnStage::IntegrateFire(pop) => stages.push(SpikingAnalogStage::IntegrateFire(
-                IfPopulation::with_dynamics(pop.threshold, pop.reset, pop.leak, pop.refractory),
-            )),
-            SnnStage::Synaptic(other) => {
-                return Err(AnalogError::Unsupported {
-                    layer: other.name().to_string(),
-                })
-            }
-        }
-    }
+    let stages =
+        snn.stages()
+            .iter()
+            .map(|stage| match stage {
+                // A fresh population: the compiled network starts at rest.
+                SnnStage::IntegrateFire(p) => Ok(Stage::IntegrateFire(
+                    IfPopulation::with_dynamics(p.threshold, p.reset, p.leak, p.refractory),
+                )),
+                // Spike drivers are binary: inputs need no scaling.
+                SnnStage::Synaptic(layer) => Stage::program(layer, 1.0, config),
+            })
+            .collect::<Result<_, _>>()?;
     Ok(AnalogSpikingNetwork {
-        stages,
+        core: AnalogEngine {
+            stages,
+            waves: 0,
+            mode: Mode::Snn,
+        },
         encoding: InputEncoding::Poisson,
-        timestep_waves: 0,
     })
 }
 
@@ -865,28 +663,13 @@ impl AnalogSpikingNetwork {
     /// agrees with the scalar/reference path to a relative error ≤ 1e-12
     /// per dot instead of bitwise (see [`nebula_crossbar::kernel`]).
     pub fn set_kernel_path(&mut self, path: KernelPath) {
-        for stage in &mut self.stages {
-            if let SpikingAnalogStage::Dense { matrix, .. }
-            | SpikingAnalogStage::Conv { matrix, .. } = stage
-            {
-                matrix.set_kernel_path(path);
-            }
-        }
+        self.core.set_kernel_path(path);
     }
 
     /// Number of programmed super-tiles across all synaptic stages —
     /// the address space [`kill_ac`](Self::kill_ac) indexes.
     pub fn supertile_count(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                SpikingAnalogStage::Dense { matrix, .. }
-                | SpikingAnalogStage::Conv { matrix, .. } => {
-                    matrix.tiles.iter().map(Vec::len).sum()
-                }
-                _ => 0,
-            })
-            .sum()
+        self.core.supertile_count()
     }
 
     /// Samples hard faults into every programmed super-tile, in stage
@@ -896,30 +679,17 @@ impl AnalogSpikingNetwork {
     /// any fault map — faults perturb conductances, not the active-set
     /// bookkeeping.
     pub fn inject_faults<R: Rng + ?Sized>(&mut self, model: &FaultModel, rng: &mut R) -> usize {
-        let mut faulty = 0;
-        for stage in &mut self.stages {
-            if let SpikingAnalogStage::Dense { matrix, .. }
-            | SpikingAnalogStage::Conv { matrix, .. } = stage
-            {
-                for tile in matrix.tiles.iter_mut().flatten() {
-                    faulty += tile.inject_faults(model, rng);
-                }
-            }
-        }
-        faulty
+        self.core
+            .tiles_mut()
+            .map(|tile| tile.inject_faults(model, rng))
+            .sum()
     }
 
     /// Advances every programmed crossbar's age by `dt`, driving
     /// retention-drift faults (see [`SuperTile::advance_age`]).
     pub fn advance_age(&mut self, dt: Seconds) {
-        for stage in &mut self.stages {
-            if let SpikingAnalogStage::Dense { matrix, .. }
-            | SpikingAnalogStage::Conv { matrix, .. } = stage
-            {
-                for tile in matrix.tiles.iter_mut().flatten() {
-                    tile.advance_age(dt);
-                }
-            }
+        for tile in self.core.tiles_mut() {
+            tile.advance_age(dt);
         }
     }
 
@@ -932,35 +702,18 @@ impl AnalogSpikingNetwork {
     ///
     /// Panics when `tile` or `ac` is out of range.
     pub fn kill_ac(&mut self, tile: usize, ac: usize) {
-        let mut idx = 0;
-        for stage in &mut self.stages {
-            if let SpikingAnalogStage::Dense { matrix, .. }
-            | SpikingAnalogStage::Conv { matrix, .. } = stage
-            {
-                for t in matrix.tiles.iter_mut().flatten() {
-                    if idx == tile {
-                        t.kill_ac(ac);
-                        return;
-                    }
-                    idx += 1;
-                }
-            }
+        let count = self.supertile_count();
+        match self.core.tiles_mut().nth(tile) {
+            Some(t) => t.kill_ac(ac),
+            None => panic!("super-tile {tile} outside the {count} programmed tiles"),
         }
-        panic!("super-tile {tile} outside the {idx} programmed tiles");
     }
 
     /// Bytes the conductance caches backing the current kernel path
     /// occupy across all programmed tiles (building any missing layouts
     /// first) — the footprint `bench_hotpath` reports per path.
     pub fn conductance_cache_bytes(&mut self) -> usize {
-        self.stages
-            .iter_mut()
-            .map(|s| match s {
-                SpikingAnalogStage::Dense { matrix, .. }
-                | SpikingAnalogStage::Conv { matrix, .. } => matrix.kernel_cache_bytes(),
-                _ => 0,
-            })
-            .sum()
+        self.core.conductance_cache_bytes()
     }
 
     /// Output-potential shape this network produces for `input_shape`
@@ -974,33 +727,7 @@ impl AnalogSpikingNetwork {
     /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
     /// flow through the compiled stages.
     pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        if input_shape.is_empty() {
-            return Err(AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            });
-        }
-        self.stages
-            .iter()
-            .try_fold(input_shape.to_vec(), |shape, stage| {
-                stage.output_shape(&shape)
-            })
-    }
-
-    /// The checks every entry point makes once, before the first
-    /// timestep: the shape must flow through every stage
-    /// ([`output_shape`](Self::output_shape)) and every value must be
-    /// finite.
-    pub(crate) fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
-        self.output_shape(inputs.shape())?;
-        check_finite(inputs)
-    }
-
-    pub(crate) fn reset_state(&mut self) {
-        for stage in &mut self.stages {
-            if let SpikingAnalogStage::IntegrateFire(p) = stage {
-                p.reset_state();
-            }
-        }
+        self.core.output_shape(input_shape)
     }
 
     /// Runs `timesteps` of circuit-backed spiking inference and returns
@@ -1008,11 +735,11 @@ impl AnalogSpikingNetwork {
     ///
     /// All samples advance through each timestep together: every
     /// synaptic stage scatters the wave's spikes straight into the
-    /// crossbar rows they drive (see `SnnMatrix::scatter_spikes` and
-    /// DESIGN.md "Event-driven evaluation") instead of one dense `dot`
-    /// per sample and output position, then accrues read energy in
-    /// patch order. Outputs, RNG consumption and waves are bit-identical
-    /// to [`run_sequential`](Self::run_sequential), and so is energy on
+    /// crossbar rows they drive (see DESIGN.md "Event-driven
+    /// evaluation") instead of one dense `dot` per sample and output
+    /// position, then accrues read energy in patch order. Outputs, RNG
+    /// consumption and waves are bit-identical to
+    /// [`run_sequential`](Self::run_sequential), and so is energy on
     /// [`KernelPath::Scalar`].
     ///
     /// # Errors
@@ -1027,12 +754,15 @@ impl AnalogSpikingNetwork {
         timesteps: usize,
         rng: &mut R,
     ) -> Result<Tensor, AnalogError> {
-        self.run_impl(inputs, timesteps, rng, false)
+        let encoding = self.encoding;
+        self.run_with_encoder(inputs, timesteps, false, &mut |x: &Tensor| {
+            encode_with(encoding, x, rng)
+        })
     }
 
-    /// [`run`](Self::run) through the legacy path: one uncached
-    /// per-cell crossbar evaluation per sample per timestep — the
-    /// pre-cache baseline. The encoder consumes the RNG identically
+    /// [`run`](Self::run) through the per-cell oracle: one uncached
+    /// crossbar evaluation per sample, output position and timestep —
+    /// the pre-cache baseline. The encoder consumes the RNG identically
     /// (whole batch per timestep), so outputs match [`run`](Self::run)
     /// bit for bit. Kept for equivalence tests and the `bench_hotpath`
     /// sequential leg.
@@ -1046,7 +776,10 @@ impl AnalogSpikingNetwork {
         timesteps: usize,
         rng: &mut R,
     ) -> Result<Tensor, AnalogError> {
-        self.run_impl(inputs, timesteps, rng, true)
+        let encoding = self.encoding;
+        self.run_with_encoder(inputs, timesteps, true, &mut |x: &Tensor| {
+            encode_with(encoding, x, rng)
+        })
     }
 
     /// Runs `timesteps` of circuit-backed spiking inference for a batch
@@ -1079,33 +812,19 @@ impl AnalogSpikingNetwork {
         self.run_with_encoder(inputs, timesteps, false, &mut encode)
     }
 
-    fn run_impl<R: Rng + ?Sized>(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        rng: &mut R,
-        reference: bool,
-    ) -> Result<Tensor, AnalogError> {
-        let encoding = self.encoding;
-        self.run_with_encoder(inputs, timesteps, reference, &mut |x: &Tensor| {
-            encode_with(encoding, x, rng)
-        })
-    }
-
     fn run_with_encoder(
         &mut self,
         inputs: &Tensor,
         timesteps: usize,
-        reference: bool,
+        oracle: bool,
         encode: &mut dyn FnMut(&Tensor) -> Tensor,
     ) -> Result<Tensor, AnalogError> {
-        self.check_input(inputs)?;
-        self.reset_state();
+        self.core.check_input(inputs)?;
+        self.core.reset_state();
         let mut acc: Option<Tensor> = None;
-        let (stage_count, workers) = (self.stages.len(), nebula_tensor::pool::size());
+        let workers = nebula_tensor::pool::size();
         for _ in 0..timesteps {
-            let (h, _) =
-                self.step_range_with(encode(inputs), 0..stage_count, reference, workers)?;
+            let (h, _) = self.core.step(encode(inputs), workers, oracle)?;
             match &mut acc {
                 Some(a) => a.add_assign(&h)?,
                 none => *none = Some(h),
@@ -1117,123 +836,18 @@ impl AnalogSpikingNetwork {
             // result must still have the shape a one-or-more-timestep
             // run would produce (all-zero potentials), so callers —
             // the serving layer in particular — can split it per
-            // request. (This used to return a `[0, 0]` placeholder.)
+            // request.
             None => Ok(Tensor::zeros(&self.output_shape(inputs.shape())?)),
         }
-    }
-
-    /// Advances one already-encoded spike wave `h` through stages
-    /// `range` with at most `workers` crossbar workers (`workers == 1`
-    /// keeps it on the calling thread — the pipelined executor's
-    /// per-stage mode), mutating IF state and accruing crossbar energy
-    /// exactly as the matching slice of a full timestep would. The
-    /// multi-chip executor ([`crate::multichip`]) advances each chip's
-    /// contiguous stage span this way and stays bit-identical to
-    /// [`run_sequential`](Self::run_sequential): for a fixed wave the
-    /// stage loop is a left-to-right fold, so splitting it at any
-    /// boundary changes nothing, and the result does not depend on
-    /// `workers`. Also returns whether a synaptic stage's spikes reached
-    /// a patch (the reference path, which drives every wave, reports
-    /// `true` for any synaptic stage).
-    pub(crate) fn step_range_with(
-        &mut self,
-        mut h: Tensor,
-        range: std::ops::Range<usize>,
-        reference: bool,
-        workers: usize,
-    ) -> Result<(Tensor, bool), AnalogError> {
-        let mut hit = false;
-        let mut stages = std::mem::take(&mut self.stages);
-        let step: Result<(), AnalogError> = (|| {
-            for stage in stages[range].iter_mut() {
-                h = match stage {
-                    SpikingAnalogStage::Dense {
-                        matrix,
-                        bias,
-                        scratch,
-                    } => {
-                        let n = h.shape()[0];
-                        let mut out = Tensor::zeros(&[n, matrix.cols]);
-                        if reference {
-                            for (i, dst) in out.data_mut().chunks_mut(matrix.cols).enumerate() {
-                                let row = &h.data()[i * matrix.rf..(i + 1) * matrix.rf];
-                                dst.copy_from_slice(&matrix.dot_spikes_reference(row)?);
-                            }
-                            hit = true;
-                        } else {
-                            let geom = StageGeometry::dense(n, matrix.rf);
-                            hit |= matrix.scatter_spikes(
-                                h.data(),
-                                &geom,
-                                workers,
-                                scratch,
-                                out.data_mut(),
-                            );
-                        }
-                        self.timestep_waves += n as u64;
-                        add_bias(&mut out, bias, 1);
-                        out
-                    }
-                    SpikingAnalogStage::Conv {
-                        matrix,
-                        bias,
-                        geom,
-                        scratch,
-                        ..
-                    } => {
-                        let sg = StageGeometry::conv(h.shape(), *geom)?;
-                        let (n, spatial) = (sg.images, sg.patches());
-                        let [oh, ow] = sg.out_hw;
-                        let mut out = Tensor::zeros(&[n, matrix.cols, oh, ow]);
-                        if reference {
-                            let cols = im2col(&h, *geom)?;
-                            for ri in 0..n * spatial {
-                                let row = &cols.data()[ri * matrix.rf..(ri + 1) * matrix.rf];
-                                let y = matrix.dot_spikes_reference(row)?;
-                                let (img, pos) = (ri / spatial, ri % spatial);
-                                for (o, v) in y.into_iter().enumerate() {
-                                    out.data_mut()[(img * matrix.cols + o) * spatial + pos] = v;
-                                }
-                            }
-                            hit = true;
-                        } else {
-                            hit |= matrix.scatter_spikes(
-                                h.data(),
-                                &sg,
-                                workers,
-                                scratch,
-                                out.data_mut(),
-                            );
-                        }
-                        self.timestep_waves += (n * spatial) as u64;
-                        add_bias(&mut out, bias, spatial);
-                        out
-                    }
-                    SpikingAnalogStage::IntegrateFire(pop) => pop.step(&h)?,
-                    SpikingAnalogStage::AvgPool { k } => avg_pool2d(&h, *k)?,
-                    SpikingAnalogStage::Flatten => {
-                        let n = h.shape()[0];
-                        let rest: usize = h.shape()[1..].iter().product();
-                        h.reshape(&[n, rest])?
-                    }
-                };
-            }
-            Ok(())
-        })();
-        self.stages = stages;
-        step?;
-        Ok((h, hit))
     }
 
     /// Classification accuracy of the circuit-backed SNN.
     ///
     /// # Errors
     ///
-    /// Propagates circuit and tensor failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the label count differs from the batch size.
+    /// Returns [`AnalogError::BadGeometry`] when the label count differs
+    /// from the batch size, before any timestep runs or `rng` is drawn
+    /// from; otherwise as [`run`](Self::run).
     pub fn accuracy<R: Rng + ?Sized>(
         &mut self,
         inputs: &Tensor,
@@ -1241,76 +855,19 @@ impl AnalogSpikingNetwork {
         timesteps: usize,
         rng: &mut R,
     ) -> Result<f64, AnalogError> {
-        let potentials = self.run(inputs, timesteps, rng)?;
-        let preds = potentials.argmax_rows()?;
-        assert_eq!(preds.len(), labels.len());
-        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-        Ok(correct as f64 / labels.len().max(1) as f64)
+        accuracy(inputs, labels, || self.run(inputs, timesteps, rng))
     }
 
     /// Total analog read energy the crossbars dissipated — the
     /// event-driven energy figure (silent rows are free).
     pub fn read_energy(&self) -> Joules {
-        self.stages
-            .iter()
-            .map(SpikingAnalogStage::read_energy)
-            .sum()
+        self.core.read_energy()
     }
 
     /// Crossbar waves executed (one per sample per output position per
     /// timestep).
     pub fn waves(&self) -> u64 {
-        self.timestep_waves
-    }
-}
-
-/// Output shape of a dense stage of receptive field `rf` and `cols`
-/// outputs fed `shape`: exactly `[n, rf]`.
-pub(crate) fn dense_output_shape(
-    shape: &[usize],
-    rf: usize,
-    cols: usize,
-) -> Result<Vec<usize>, AnalogError> {
-    if shape.len() != 2 || shape[1] != rf {
-        return Err(AnalogError::BadGeometry {
-            reason: format!("dense stage expects [n, {rf}], got {shape:?}"),
-        });
-    }
-    Ok(vec![shape[0], cols])
-}
-
-/// Output shape of a convolution stage of receptive field `rf` fed
-/// `shape`: rank 4 with exactly `rf / (kh·kw)` channels.
-pub(crate) fn conv_output_shape(
-    shape: &[usize],
-    rf: usize,
-    geom: ConvGeometry,
-    out_channels: usize,
-) -> Result<Vec<usize>, AnalogError> {
-    if shape.len() != 4 || shape[1] * geom.kh * geom.kw != rf {
-        return Err(AnalogError::BadGeometry {
-            reason: format!(
-                "conv stage expects [n, {}, h, w], got {shape:?}",
-                rf / (geom.kh * geom.kw)
-            ),
-        });
-    }
-    let (oh, ow) = geom.out_hw(shape[2], shape[3])?;
-    Ok(vec![shape[0], out_channels, oh, ow])
-}
-
-/// Adds the digital bias injection to a stage's crossbar outputs, laid
-/// out `[n, channels, spatial]`: every value becomes `v + b`. A patch or
-/// a whole layer the spikes never reached holds exactly `0.0`, so it
-/// becomes `0.0 + b` — not a bare `b`, which would differ for
-/// `b == −0.0`.
-pub(crate) fn add_bias(out: &mut Tensor, bias: &[f32], spatial: usize) {
-    for plane in out.data_mut().chunks_mut(bias.len() * spatial) {
-        for (dst, &b) in plane.chunks_mut(spatial).zip(bias) {
-            for d in dst {
-                *d += b;
-            }
-        }
+        self.core.waves
     }
 }
 
@@ -1353,22 +910,13 @@ pub(crate) fn seeded_groups_encoder<'g>(
         let mut t = Tensor::zeros(x.shape());
         let mut offset = 0usize;
         for (&(rows, _), rng) in groups.iter().zip(rngs.iter_mut()) {
-            let lo = offset * row_elems;
-            let hi = (offset + rows) * row_elems;
-            match encoding {
-                InputEncoding::Poisson => {
-                    for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
-                        if rng.gen::<f32>() < p.clamp(0.0, 1.0) {
-                            *d = 1.0;
-                        }
-                    }
-                }
-                InputEncoding::Constant => {
-                    for (d, &p) in t.data_mut()[lo..hi].iter_mut().zip(&x.data()[lo..hi]) {
-                        *d = p.clamp(0.0, 1.0);
-                    }
-                }
-            }
+            let span = offset * row_elems..(offset + rows) * row_elems;
+            encode_into(
+                encoding,
+                &x.data()[span.clone()],
+                &mut t.data_mut()[span],
+                rng,
+            );
             offset += rows;
         }
         t
@@ -1383,17 +931,24 @@ pub(crate) fn encode_with<R: Rng + ?Sized>(
     inputs: &Tensor,
     rng: &mut R,
 ) -> Tensor {
-    match encoding {
-        InputEncoding::Poisson => {
-            let mut t = Tensor::zeros(inputs.shape());
-            for (d, &p) in t.data_mut().iter_mut().zip(inputs.data()) {
-                if rng.gen::<f32>() < p.clamp(0.0, 1.0) {
-                    *d = 1.0;
-                }
-            }
-            t
-        }
-        InputEncoding::Constant => inputs.clamp(0.0, 1.0),
+    let mut t = Tensor::zeros(inputs.shape());
+    encode_into(encoding, inputs.data(), t.data_mut(), rng);
+    t
+}
+
+/// Encodes `src` into `dst` as [`encode_with`] does.
+fn encode_into<R: Rng + ?Sized>(
+    encoding: InputEncoding,
+    src: &[f32],
+    dst: &mut [f32],
+    rng: &mut R,
+) {
+    for (d, &p) in dst.iter_mut().zip(src) {
+        let p = p.clamp(0.0, 1.0);
+        *d = match encoding {
+            InputEncoding::Poisson => f32::from(u8::from(rng.gen::<f32>() < p)),
+            InputEncoding::Constant => p,
+        };
     }
 }
 
@@ -1414,6 +969,7 @@ mod tests {
     use nebula_nn::optim::{train, Dataset, TrainConfig};
     use nebula_nn::snn::ResetMode;
     use nebula_nn::{Layer as L, Network};
+    use nebula_tensor::im2col;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -1435,7 +991,11 @@ mod tests {
 
     /// Runs a dense-stage scatter of `items` (each a list of spiking
     /// rows out of `rf`) and returns the `[items, cols]` outputs.
-    fn scatter_dense(matrix: &mut SnnMatrix, items: &[&[usize]], workers: usize) -> Vec<f32> {
+    fn scatter_dense(
+        matrix: &mut ProgrammedMatrix,
+        items: &[&[usize]],
+        workers: usize,
+    ) -> Vec<f32> {
         let rf = matrix.rf;
         let mut spikes = vec![0.0f32; items.len() * rf];
         for (i, rows) in items.iter().enumerate() {
@@ -1458,7 +1018,7 @@ mod tests {
         )
         .unwrap();
         let config = CrossbarConfig::paper_default(Mode::Snn);
-        let mut auto = SnnMatrix::program(&weight, &config).unwrap();
+        let mut auto = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
         auto.set_kernel_path(KernelPath::Auto);
 
         // A batch of only silent items must produce zero outputs and
@@ -1474,12 +1034,12 @@ mod tests {
         // Mixed batch (silent / single-row / multi-row): bitwise equal to
         // the per-item scalar reference at 1 and 3 workers; the silent
         // item contributes nothing.
-        let mut scalar = SnnMatrix::program(&weight, &config).unwrap();
+        let mut scalar = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
         scalar.set_kernel_path(KernelPath::Scalar);
         let items: [&[usize]; 3] = [&[], &[4], &[0, 3, 9]];
         let mut energies = Vec::new();
         for workers in [1, 3] {
-            let mut a = SnnMatrix::program(&weight, &config).unwrap();
+            let mut a = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
             a.set_kernel_path(KernelPath::Auto);
             let out = scatter_dense(&mut a, &items, workers);
             for (i, rows) in items.iter().enumerate() {
@@ -1487,7 +1047,7 @@ mod tests {
                 for &r in *rows {
                     spikes[r] = 1.0;
                 }
-                let reference = scalar.dot_spikes_reference(&spikes).unwrap();
+                let reference = scalar.dot_reference(&spikes, Mode::Snn).unwrap();
                 for (c, (&a, &s)) in out[i * 3..(i + 1) * 3].iter().zip(&reference).enumerate() {
                     assert_eq!(a.to_bits(), s.to_bits(), "item {i} col {c}");
                 }
@@ -1497,7 +1057,7 @@ mod tests {
         // Energy accrues via per-row sums: the same bits for any worker
         // count, within 1e-12 of the scalar chain on the same activity.
         assert_eq!(energies[0], energies[1]);
-        let mut scalar = SnnMatrix::program(&weight, &config).unwrap();
+        let mut scalar = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
         scalar.set_kernel_path(KernelPath::Scalar);
         scatter_dense(&mut scalar, &items, 1);
         let (e_auto, e_ref) = (energies[0].0, scalar.read_energy().0);
@@ -1539,17 +1099,17 @@ mod tests {
             let sg = StageGeometry::conv(x.shape(), geom).unwrap();
             let spatial = sg.patches();
             let patches = im2col(&x, geom).unwrap();
-            let mut reference = SnnMatrix::program(&weight, &config).unwrap();
+            let mut reference = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
             let mut energies = Vec::new();
             for workers in [1, 4] {
-                let mut matrix = SnnMatrix::program(&weight, &config).unwrap();
+                let mut matrix = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
                 let mut scratch = EventScratch::default();
                 let mut out = vec![0.0f32; 5 * oc * spatial];
                 let rf = matrix.rf;
                 assert!(matrix.scatter_spikes(x.data(), &sg, workers, &mut scratch, &mut out));
                 for p in 0..5 * spatial {
                     let row = &patches.data()[p * rf..(p + 1) * rf];
-                    let expect = reference.dot_spikes_reference(row).unwrap();
+                    let expect = reference.dot_reference(row, Mode::Snn).unwrap();
                     let (img, pos) = (p / spatial, p % spatial);
                     for (o, e) in expect.iter().enumerate() {
                         let got = out[(img * oc + o) * spatial + pos];
@@ -1631,11 +1191,11 @@ mod tests {
     /// Capacities of every scatter-scratch vector, per synaptic stage
     /// and, within it, per worker block.
     fn scratch_caps(net: &AnalogSpikingNetwork) -> Vec<Vec<[usize; 5]>> {
-        net.stages
+        net.core
+            .stages
             .iter()
             .filter_map(|s| match s {
-                SpikingAnalogStage::Dense { scratch, .. }
-                | SpikingAnalogStage::Conv { scratch, .. } => Some(&scratch.blocks),
+                Stage::Dense { scratch, .. } | Stage::Conv { scratch, .. } => Some(&scratch.blocks),
                 _ => None,
             })
             .map(|blocks| {
@@ -1690,10 +1250,8 @@ mod tests {
             "timesteps after the first must not grow the scatter scratch"
         );
         // Between calls every patch bin is back to empty.
-        for stage in &analog.stages {
-            if let SpikingAnalogStage::Dense { scratch, .. }
-            | SpikingAnalogStage::Conv { scratch, .. } = stage
-            {
+        for stage in &analog.core.stages {
+            if let Stage::Dense { scratch, .. } | Stage::Conv { scratch, .. } = stage {
                 for b in &scratch.blocks {
                     assert!(b.bins.iter().all(|&n| n == 0));
                 }

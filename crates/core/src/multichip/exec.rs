@@ -4,8 +4,8 @@
 //!
 //! # Execution model
 //!
-//! A sharded network is a chain of units (one per chip span, each a
-//! single-chip network over a slice of the donor's stages). Each unit
+//! A sharded network is a chain of units (one per chip span, each the
+//! shared analog engine over a slice of the donor's stages). Each unit
 //! is a **pipeline stage** fed by a bounded FIFO queue, and the batch
 //! is split into items that stream through the stages — stage `k`
 //! computes item `i + 1` while stage `k + 1` computes item `i`, exactly
@@ -80,7 +80,7 @@
 //!   boundary transfer per timestep, shard traffic silence-gated per
 //!   timestep); all traffic counters are additive, so the stage-major
 //!   replay lands on the same totals for any worker count.
-//! * **Waves** — each unit's network counts its own, exactly as the
+//! * **Waves** — each unit's engine counts its own, exactly as the
 //!   donor counts them; the sharded `waves()` sums the units' counters,
 //!   so nothing about waves is journaled.
 //!
@@ -89,7 +89,7 @@
 //! traffic counters with whatever the replay applied before the
 //! failing op.
 
-use super::{AnalogError, Unit, UnitNet};
+use super::{AnalogError, Unit};
 use nebula_noc::ChipCluster;
 use nebula_tensor::Tensor;
 use std::collections::VecDeque;
@@ -133,7 +133,7 @@ pub(crate) enum TrafficOp {
     /// A tensor-sharded unit's input fan-out to the chips holding its
     /// remote segments, and their partial fan-in
     /// ([`super::account_shard_traffic`]). Journaled after the unit's
-    /// network ran: on every ANN call, and on an SNN timestep only when
+    /// stages ran: on every ANN call, and on an SNN timestep only when
     /// the spikes reached a patch.
     Shard {
         home: usize,
@@ -224,8 +224,8 @@ impl TrafficJournal {
 /// ring transfer its input takes when the previous unit sits on another
 /// chip. Returns every item's output in index order; on an error
 /// nothing is replayed.
-pub(crate) fn run_units<N: UnitNet>(
-    units: &mut [Unit<N>],
+pub(crate) fn run_units(
+    units: &mut [Unit],
     n_items: usize,
     source: SourceFn<'_>,
     cfg: &PipelineConfig,
@@ -234,8 +234,9 @@ pub(crate) fn run_units<N: UnitNet>(
     let workers = effective_workers(cfg);
     let sw = stage_workers(workers);
     let chips: Vec<usize> = units.iter().map(|u| u.chip).collect();
-    let mut journals: Vec<TrafficJournal> = (0..units.len())
-        .map(|_| TrafficJournal::new(N::COALESCE))
+    let mut journals: Vec<TrafficJournal> = units
+        .iter()
+        .map(|u| TrafficJournal::new(u.coalesces()))
         .collect();
     let stages: Vec<StageFn<'_>> = units
         .iter_mut()
@@ -245,7 +246,7 @@ pub(crate) fn run_units<N: UnitNet>(
             let (prev, here) = (u.checked_sub(1).map(|p| chips[p]), chips[u]);
             Box::new(move |_idx: usize, h: Tensor| {
                 if let Some(prev) = prev.filter(|&p| p != here) {
-                    journal.send(prev, here, N::boundary_bits(&h));
+                    journal.send(prev, here, unit.boundary_bits(&h));
                 }
                 unit.exec(h, journal, sw)
             }) as StageFn<'_>

@@ -19,20 +19,23 @@
 //! The functional executors ([`ShardedAnalogNetwork`],
 //! [`ShardedSpikingNetwork`]) are built by *placing an
 //! already-compiled* single-chip network — its stages are cut into
-//! units, one per chip span, and the programmed [`SuperTile`]s move
+//! units, one per chip span, and the programmed
+//! [`SuperTile`](nebula_crossbar::SuperTile)s move
 //! with them, never reprogrammed. A placement changes where stages run,
-//! not how: every unit is a single-chip network over a contiguous slice
-//! of the donor's stages, run by the single-chip stage code. So
-//! outputs, wave counts and (scalar-path) energy counters are
-//! **bit-identical** to the single-chip engine:
+//! not how: every unit holds the analog engine both modes share over a
+//! contiguous slice of the donor's stages, and the one stage interpreter
+//! of [`crate::analog`] runs it. So outputs, wave counts and
+//! (scalar-path) energy counters are **bit-identical** to the
+//! single-chip engine:
 //!
 //! * Pipelined: a forward pass is a left-to-right fold over stages, so
 //!   splitting the stage list at any boundary changes no operation.
 //! * Tensor-sharded: a wide layer keeps the donor's unsplit matrix, and
-//!   its unit runs it with the donor's code — same matrix, same code,
-//!   same bits. Its segments are *placed* on chips (segment `s` on chip
-//!   `s mod N`, like the paper's multi-core spill with some cores on
-//!   other chips); only the ring traffic that placement costs is new.
+//!   its unit runs it through the donor's interpreter — same matrix,
+//!   same code, same bits. Its segments are *placed* on chips (segment
+//!   `s` on chip `s mod N`, like the paper's multi-core spill with some
+//!   cores on other chips); only the ring traffic that placement costs
+//!   is new.
 //! * Energy: the sharded counters fold every unit's stages in the
 //!   donor's stage order — the single-chip fold.
 //!
@@ -66,17 +69,15 @@ pub use exec::PipelineConfig;
 
 use exec::{run_units, SourceFn, TrafficJournal};
 
-use crate::analog::{check_finite, AnalogError, AnalogNetwork, AnalogStage};
-use crate::analog_snn::{
-    encode_with, seeded_groups_encoder, AnalogSpikingNetwork, SpikingAnalogStage,
-};
+use crate::analog::{check_finite, AnalogEngine, AnalogError, AnalogNetwork, Stage};
+use crate::analog_snn::{encode_with, seeded_groups_encoder, AnalogSpikingNetwork};
 use crate::capacity::CapacityExceeded;
 use crate::chip::ChipConfig;
 use crate::components::{MAX_RF_IN_CORE, MESH_SIDE};
 use crate::energy::ExecMode;
 use crate::mapper;
 use crate::pipeline;
-use nebula_crossbar::SuperTile;
+use nebula_crossbar::Mode;
 use nebula_device::units::Joules;
 use nebula_nn::snn::InputEncoding;
 use nebula_nn::stats::LayerDescriptor;
@@ -311,56 +312,58 @@ fn account_shard_traffic(
 // Placement: one unit type for both modes and both strategies
 // ---------------------------------------------------------------------
 
-/// A compiled single-chip network as the sharded executors cut and run
-/// it. Implemented by [`AnalogNetwork`] and [`AnalogSpikingNetwork`];
-/// neither learns anything about chips.
-pub(crate) trait UnitNet: Send {
-    type Stage;
-    /// ANN journals coalesce per route; SNN journals keep one op per
-    /// timestep (see [`TrafficJournal`]).
-    const COALESCE: bool;
-    /// Bits per activation on the ring.
-    const ACT_BITS: u64;
-    /// Bits a wave `h` carries across a ring boundary into this net.
-    fn boundary_bits(h: &Tensor) -> u64 {
-        h.len() as u64 * Self::ACT_BITS
-    }
-    /// The stage list, which cutting moves out.
-    fn stages_mut(&mut self) -> &mut Vec<Self::Stage>;
-    /// A network over `stages` with this one's settings and no waves.
-    fn respan(&self, stages: Vec<Self::Stage>) -> Self;
-    /// A stage's programmed tiles, `[segment][group]` (empty for a stage
-    /// without crossbars).
-    fn tiles(stage: &Self::Stage) -> &[Vec<SuperTile>];
-    /// Runs one item through every stage with at most `workers` pool
-    /// workers. Returns the output and whether any crossbar was driven.
-    fn step(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError>;
-}
-
-/// A contiguous span of the donor's stages placed on `chip`. `remote`
-/// is empty except on a unit holding one multi-segment synaptic stage
-/// under tensor sharding: there it lists the other chips that hold the
-/// stage's segments (segment `s` lives on chip `s mod N`).
+/// A contiguous span of the donor's stages placed on `chip`, held as an
+/// engine of its own. `remote` is empty except on a unit holding one
+/// multi-segment synaptic stage under tensor sharding: there it lists
+/// the other chips that hold the stage's segments (segment `s` lives on
+/// chip `s mod N`).
 #[derive(Debug, Clone)]
-pub(crate) struct Unit<N> {
+pub(crate) struct Unit {
     chip: usize,
     remote: Vec<usize>,
-    net: N,
+    net: AnalogEngine,
 }
 
-impl<N: UnitNet> Unit<N> {
-    /// Advances this unit by one item: the unit's own network runs it,
-    /// and a tensor-sharded unit journals the input fan-out and partial
-    /// fan-in its remote segments cost — on every ANN call, and on an
-    /// SNN timestep only when the spikes reached a patch.
+impl Unit {
+    /// Bits per activation on the ring: 4-bit levels in ANN mode, a
+    /// 1-bit spike bitmap in SNN mode.
+    fn act_bits(&self) -> u64 {
+        match self.net.mode {
+            Mode::Ann => ANN_ACT_BITS,
+            Mode::Snn => SNN_ACT_BITS,
+        }
+    }
+
+    /// Bits a wave `h` carries across a ring boundary into this unit (a
+    /// spike bitmap crosses once per timestep: at least one bit).
+    fn boundary_bits(&self, h: &Tensor) -> u64 {
+        let bits = h.len() as u64 * self.act_bits();
+        if self.coalesces() {
+            bits
+        } else {
+            bits.max(1)
+        }
+    }
+
+    /// Whether this unit's journal coalesces transfers per route (ANN)
+    /// or keeps one op per timestep (SNN; see [`TrafficJournal`]).
+    fn coalesces(&self) -> bool {
+        self.net.mode == Mode::Ann
+    }
+
+    /// Advances this unit by one item: the interpreter runs it through
+    /// the unit's stages, and a tensor-sharded unit journals the input
+    /// fan-out and partial fan-in its remote segments cost — on every
+    /// ANN call, and on an SNN timestep only when the spikes reached a
+    /// patch. The sharded entry point checked the whole input first.
     fn exec(
         &mut self,
         h: Tensor,
         journal: &mut TrafficJournal,
         workers: usize,
     ) -> Result<Tensor, AnalogError> {
-        let in_bits = h.len() as u64 * N::ACT_BITS;
-        let (out, hit) = self.net.step(h, workers)?;
+        let in_bits = h.len() as u64 * self.act_bits();
+        let (out, hit) = self.net.step(h, workers, false)?;
         if hit && !self.remote.is_empty() {
             journal.shard(HOME, &self.remote, in_bits, out.len() as u64 * PARTIAL_BITS);
         }
@@ -373,21 +376,21 @@ impl<N: UnitNet> Unit<N> {
 /// Tensor-sharded: a home span, then each multi-segment synaptic stage
 /// alone, then the next span. Every unit keeps its stages whole, so the
 /// evaluation is the donor's.
-fn cut<N: UnitNet>(
-    mut net: N,
+fn cut(
+    net: AnalogEngine,
     chips: usize,
     strategy: ShardStrategy,
     costs: Option<Vec<u64>>,
-) -> Vec<Unit<N>> {
-    let stages = std::mem::take(net.stages_mut());
+) -> Vec<Unit> {
+    let AnalogEngine { stages, mode, .. } = net;
     let places: Vec<(usize, Option<Vec<usize>>)> = match strategy {
         ShardStrategy::LayerPipelined => {
             let costs = costs.unwrap_or_else(|| {
                 stages
                     .iter()
-                    .map(|s| match N::tiles(s) {
-                        [] => 0,
-                        tiles => tiles.iter().map(Vec::len).sum::<usize>().max(1) as u64,
+                    .map(|s| match s.matrix() {
+                        None => 0,
+                        Some(m) => m.tiles.iter().map(Vec::len).sum::<usize>().max(1) as u64,
                     })
                     .collect()
             });
@@ -397,7 +400,7 @@ fn cut<N: UnitNet>(
         ShardStrategy::TensorSharded => stages
             .iter()
             .map(|s| {
-                let segments = N::tiles(s).len();
+                let segments = s.matrix().map_or(0, |m| m.tiles.len());
                 (
                     HOME,
                     (segments > 1).then(|| (1..segments.min(chips)).collect()),
@@ -405,16 +408,21 @@ fn cut<N: UnitNet>(
             })
             .collect(),
     };
+    let unit = |chip, remote, stages| Unit {
+        chip,
+        remote,
+        net: AnalogEngine {
+            stages,
+            waves: 0,
+            mode,
+        },
+    };
     let mut units = Vec::new();
     let mut span = Vec::new();
     let mut span_chip = HOME;
-    let flush = |span: &mut Vec<N::Stage>, units: &mut Vec<Unit<N>>, chip| {
+    let flush = |span: &mut Vec<Stage>, units: &mut Vec<Unit>, chip| {
         if !span.is_empty() {
-            units.push(Unit {
-                chip,
-                remote: Vec::new(),
-                net: net.respan(std::mem::take(span)),
-            });
+            units.push(unit(chip, Vec::new(), std::mem::take(span)));
         }
     };
     for (stage, (chip, remote)) in stages.into_iter().zip(places) {
@@ -422,11 +430,7 @@ fn cut<N: UnitNet>(
             flush(&mut span, &mut units, span_chip);
         }
         match remote {
-            Some(remote) => units.push(Unit {
-                chip,
-                remote,
-                net: net.respan(vec![stage]),
-            }),
+            Some(remote) => units.push(unit(chip, remote, vec![stage])),
             None => {
                 span_chip = chip;
                 span.push(stage);
@@ -437,34 +441,35 @@ fn cut<N: UnitNet>(
     units
 }
 
+/// Output shape for `input_shape`, checked unit by unit as a single-chip
+/// network checks its stages.
+fn output_shape(units: &[Unit], input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
+    units
+        .iter()
+        .try_fold(input_shape.to_vec(), |shape, u| u.net.output_shape(&shape))
+}
+
+/// The checks every sharded entry point makes once, before any crossbar
+/// or ring traffic: the shape must flow through every unit and every
+/// value must be finite.
+fn check_input(units: &[Unit], inputs: &Tensor) -> Result<(), AnalogError> {
+    output_shape(units, inputs.shape())?;
+    check_finite(inputs)
+}
+
+/// Every unit's stages, in the donor's order.
+fn stages(units: &[Unit]) -> impl Iterator<Item = &Stage> {
+    units.iter().flat_map(|u| &u.net.stages)
+}
+
+/// Crossbar waves the donor ran before sharding plus every unit's.
+fn waves(extra: u64, units: &[Unit]) -> u64 {
+    extra + units.iter().map(|u| u.net.waves).sum::<u64>()
+}
+
 // ---------------------------------------------------------------------
 // ANN executor
 // ---------------------------------------------------------------------
-
-impl UnitNet for AnalogNetwork {
-    type Stage = AnalogStage;
-    const COALESCE: bool = true;
-    const ACT_BITS: u64 = ANN_ACT_BITS;
-
-    fn stages_mut(&mut self) -> &mut Vec<AnalogStage> {
-        &mut self.stages
-    }
-
-    fn respan(&self, stages: Vec<AnalogStage>) -> Self {
-        AnalogNetwork { stages, waves: 0 }
-    }
-
-    fn tiles(stage: &AnalogStage) -> &[Vec<SuperTile>] {
-        match stage {
-            AnalogStage::Dense { matrix, .. } | AnalogStage::Conv { matrix, .. } => &matrix.tiles,
-            _ => &[],
-        }
-    }
-
-    fn step(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError> {
-        Ok((self.forward_with_workers(&h, workers)?, true))
-    }
-}
 
 /// An ANN compiled once, then distributed over a chip cluster. Built
 /// from an [`AnalogNetwork`] (faults, aging and kernel-path choices
@@ -473,7 +478,7 @@ impl UnitNet for AnalogNetwork {
 /// [`AnalogNetwork::forward`].
 #[derive(Debug, Clone)]
 pub struct ShardedAnalogNetwork {
-    units: Vec<Unit<AnalogNetwork>>,
+    units: Vec<Unit>,
     cluster: ChipCluster,
     strategy: ShardStrategy,
     extra_waves: u64,
@@ -494,8 +499,8 @@ impl ShardedAnalogNetwork {
         Ok(Self {
             cluster: default_cluster(chips)?,
             strategy,
-            extra_waves: net.waves,
-            units: cut(net, chips.max(1), strategy, None),
+            extra_waves: net.core.waves,
+            units: cut(net.core, chips.max(1), strategy, None),
             pipeline: PipelineConfig::default(),
         })
     }
@@ -568,17 +573,7 @@ impl ShardedAnalogNetwork {
     /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
     /// flow through the units.
     pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        self.units
-            .iter()
-            .try_fold(input_shape.to_vec(), |shape, u| u.net.output_shape(&shape))
-    }
-    /// The checks [`forward`](Self::forward) makes once, before any
-    /// crossbar or ring traffic: the shape must flow through every unit
-    /// ([`output_shape`](Self::output_shape)) and every value must be
-    /// finite.
-    fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
-        self.output_shape(inputs.shape())?;
-        check_finite(inputs)
+        output_shape(&self.units, input_shape)
     }
 
     /// Runs a batch through the cluster and returns the logits —
@@ -599,7 +594,7 @@ impl ShardedAnalogNetwork {
     /// failures; inter-chip routing failures surface from the journal
     /// replay as [`AnalogError::Noc`].
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        self.check_input(inputs)?;
+        check_input(&self.units, inputs)?;
         // Only a stage-less network accepts a rank-0 input: the identity.
         let Some(&n) = inputs.shape().first() else {
             return Ok(inputs.clone());
@@ -638,67 +633,25 @@ impl ShardedAnalogNetwork {
     /// donor's stages in order — the single-chip fold, so bitwise equal
     /// to the donor's counter on the scalar path.
     pub fn read_energy(&self) -> Joules {
-        self.stages().map(AnalogStage::read_energy).sum()
+        stages(&self.units).map(Stage::read_energy).sum()
     }
 
     /// Total programming energy (spent before sharding; tiles moved),
     /// folded as [`read_energy`](Self::read_energy) is.
     pub fn program_energy(&self) -> Joules {
-        self.stages().map(AnalogStage::program_energy).sum()
-    }
-
-    /// Every unit's stages, in the donor's order.
-    fn stages(&self) -> impl Iterator<Item = &AnalogStage> {
-        self.units.iter().flat_map(|u| &u.net.stages)
+        stages(&self.units).map(Stage::program_energy).sum()
     }
 
     /// Crossbar evaluation waves executed across the cluster — equal to
     /// the single-chip count (sharding a wave does not multiply it).
     pub fn waves(&self) -> u64 {
-        self.extra_waves + self.units.iter().map(|u| u.net.waves()).sum::<u64>()
+        waves(self.extra_waves, &self.units)
     }
 }
 
 // ---------------------------------------------------------------------
 // SNN executor
 // ---------------------------------------------------------------------
-
-impl UnitNet for AnalogSpikingNetwork {
-    type Stage = SpikingAnalogStage;
-    const COALESCE: bool = false;
-    const ACT_BITS: u64 = SNN_ACT_BITS;
-
-    /// Spike bitmaps cross the ring once per timestep, at least one bit.
-    fn boundary_bits(h: &Tensor) -> u64 {
-        (h.len() as u64 * SNN_ACT_BITS).max(1)
-    }
-
-    fn stages_mut(&mut self) -> &mut Vec<SpikingAnalogStage> {
-        &mut self.stages
-    }
-
-    fn respan(&self, stages: Vec<SpikingAnalogStage>) -> Self {
-        AnalogSpikingNetwork {
-            stages,
-            encoding: self.encoding,
-            timestep_waves: 0,
-        }
-    }
-
-    fn tiles(stage: &SpikingAnalogStage) -> &[Vec<SuperTile>] {
-        match stage {
-            SpikingAnalogStage::Dense { matrix, .. } | SpikingAnalogStage::Conv { matrix, .. } => {
-                &matrix.tiles
-            }
-            _ => &[],
-        }
-    }
-
-    fn step(&mut self, h: Tensor, workers: usize) -> Result<(Tensor, bool), AnalogError> {
-        let len = self.stages.len();
-        self.step_range_with(h, 0..len, false, workers)
-    }
-}
 
 /// A spiking network distributed over a chip cluster. Built from a
 /// compiled [`AnalogSpikingNetwork`]; outputs, RNG consumption, wave
@@ -708,7 +661,7 @@ impl UnitNet for AnalogSpikingNetwork {
 /// changes.
 #[derive(Debug, Clone)]
 pub struct ShardedSpikingNetwork {
-    units: Vec<Unit<AnalogSpikingNetwork>>,
+    units: Vec<Unit>,
     cluster: ChipCluster,
     strategy: ShardStrategy,
     encoding: InputEncoding,
@@ -740,8 +693,8 @@ impl ShardedSpikingNetwork {
             cluster: default_cluster(chips)?,
             strategy,
             encoding: net.encoding,
-            extra_waves: net.timestep_waves,
-            units: cut(net, chips.max(1), strategy, costs),
+            extra_waves: net.core.waves,
+            units: cut(net.core, chips.max(1), strategy, costs),
             pipeline: PipelineConfig::default(),
         })
     }
@@ -775,17 +728,15 @@ impl ShardedSpikingNetwork {
         input_shape: &[usize],
     ) -> Result<Self, AnalogError> {
         let mut shape = input_shape.to_vec();
-        let mut costs = Vec::with_capacity(net.stages.len());
-        for stage in &net.stages {
+        let mut costs = Vec::with_capacity(net.core.stages.len());
+        for stage in &net.core.stages {
             let next = stage.output_shape(&shape)?;
             let patches: usize = next[2..].iter().product();
-            costs.push(match stage {
-                SpikingAnalogStage::Dense { matrix, .. }
-                | SpikingAnalogStage::Conv { matrix, .. } => {
-                    (patches * matrix.rf * matrix.cols) as u64
-                }
-                _ => 0,
-            });
+            costs.push(
+                stage
+                    .matrix()
+                    .map_or(0, |m| (patches * m.rf * m.cols) as u64),
+            );
             shape = next;
         }
         Self::place(net, chips, ShardStrategy::LayerPipelined, Some(costs))
@@ -847,15 +798,6 @@ impl ShardedSpikingNetwork {
         }
     }
 
-    /// The checks every entry point makes once, before the first
-    /// timestep: the shape must flow through every unit
-    /// ([`output_shape`](Self::output_shape)) and every value must be
-    /// finite.
-    fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
-        self.output_shape(inputs.shape())?;
-        check_finite(inputs)
-    }
-
     /// Output-potential shape for `input_shape` (used by the
     /// zero-timestep corner).
     ///
@@ -864,9 +806,7 @@ impl ShardedSpikingNetwork {
     /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
     /// flow through the units.
     pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        self.units
-            .iter()
-            .try_fold(input_shape.to_vec(), |shape, u| u.net.output_shape(&shape))
+        output_shape(&self.units, input_shape)
     }
 
     /// Runs `timesteps` of spiking inference across the cluster —
@@ -923,7 +863,7 @@ impl ShardedSpikingNetwork {
         timesteps: usize,
         mut encode: impl FnMut(&Tensor) -> Tensor + Send,
     ) -> Result<Tensor, AnalogError> {
-        self.check_input(inputs)?;
+        check_input(&self.units, inputs)?;
         for unit in &mut self.units {
             unit.net.reset_state();
         }
@@ -952,17 +892,13 @@ impl ShardedSpikingNetwork {
     /// donor's stages in order — bitwise equal to the single-chip
     /// counter on the scalar path.
     pub fn read_energy(&self) -> Joules {
-        self.units
-            .iter()
-            .flat_map(|u| &u.net.stages)
-            .map(SpikingAnalogStage::read_energy)
-            .sum()
+        stages(&self.units).map(Stage::read_energy).sum()
     }
 
     /// Crossbar waves executed across the cluster — equal to the
     /// single-chip count.
     pub fn waves(&self) -> u64 {
-        self.extra_waves + self.units.iter().map(|u| u.net.waves()).sum::<u64>()
+        waves(self.extra_waves, &self.units)
     }
 }
 

@@ -412,4 +412,38 @@ fn misshaped_and_non_finite_inputs_are_rejected_up_front() {
     let wrong_channels = Tensor::zeros(&[1, 2, 6, 6]);
     assert!(bad_shape(conv.run(&wrong_channels, 1, &mut r)));
     assert!(bad_shape(conv.run_sequential(&wrong_channels, 1, &mut r)));
+    // So is a pool window that does not divide the map, or is zero: it
+    // fails before the conv ahead of it drives a crossbar, on every
+    // entry point, single-chip and sharded.
+    for (k, shape) in [(2, [1, 1, 5, 5]), (2, [1, 1, 4, 5]), (0, [1, 1, 4, 4])] {
+        let mut pr = ChaCha8Rng::seed_from_u64(4);
+        let master = compile_snn_default(&SpikingNetwork::new(
+            vec![
+                SnnStage::Synaptic(Layer::conv2d(1, 2, 3, 1, 1, &mut pr)),
+                SnnStage::IntegrateFire(IfPopulation::new(0.5, ResetMode::Subtract)),
+                SnnStage::Synaptic(Layer::avg_pool(k)),
+                SnnStage::Synaptic(Layer::flatten()),
+                SnnStage::Synaptic(Layer::dense(8, 3, &mut pr)),
+                SnnStage::IntegrateFire(IfPopulation::new(0.5, ResetMode::Zero)),
+            ],
+            InputEncoding::Poisson,
+        ))
+        .unwrap();
+        let x = Tensor::full(&shape, 0.9);
+        let (mut fast, mut seq) = (master.clone(), master.clone());
+        let mut sharded = ShardedSpikingNetwork::layer_pipelined(master, 2).unwrap();
+        let case = format!("pool {k}, input {shape:?}");
+        assert!(bad_shape(fast.run(&x, 3, &mut r)), "{case}");
+        assert!(bad_shape(seq.run_sequential(&x, 3, &mut r)), "{case}");
+        assert!(
+            bad_shape(fast.run_seeded_groups(&x, 3, &[(1, 1)])),
+            "{case}"
+        );
+        assert!(bad_shape(sharded.run(&x, 3, &mut r)), "{case}");
+        assert!(fast.output_shape(&shape).is_err(), "{case}");
+        assert_eq!(fast.waves() + seq.waves() + sharded.waves(), 0, "{case}");
+        let energy = fast.read_energy().0 + seq.read_energy().0 + sharded.read_energy().0;
+        assert_eq!(energy, 0.0, "{case}");
+        assert_eq!(sharded.traffic().transfers, 0, "{case}: no ring traffic");
+    }
 }

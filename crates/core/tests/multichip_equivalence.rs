@@ -672,7 +672,8 @@ fn zero_size_edges_keep_their_shapes_waves_and_traffic() {
 /// A misshaped batch fails with `BadGeometry` under both strategies and
 /// any schedule, before any crossbar or ring traffic — for a dense and
 /// a convolutional first layer whose receptive field spans two
-/// segments, so tensor sharding splits it into row shards.
+/// segments, so tensor sharding splits it into row shards, and for a
+/// pool window that does not divide its map or is zero.
 #[test]
 fn sharded_ann_rejects_misshaped_batches_up_front() {
     let mut r = ChaCha8Rng::seed_from_u64(21);
@@ -684,10 +685,22 @@ fn sharded_ann_rejects_misshaped_batches_up_front() {
         Layer::dense(2 * 4 * 4, 3, &mut r),
     ]);
     let input = MAX_RF_IN_CORE + 5;
-    let cases: [(AnalogNetwork, Vec<usize>, Vec<Vec<usize>>); 2] = [
+    // A pool window must be nonzero and divide the map it pools; `k = 2`
+    // pools 4×4 frames to 2×2.
+    let pooled = |k, r: &mut ChaCha8Rng| {
+        compile_ann(&Network::new(vec![
+            Layer::conv2d(1, 2, 3, 1, 1, r),
+            Layer::relu(),
+            Layer::avg_pool(k),
+            Layer::flatten(),
+            Layer::dense(8, 3, r),
+        ]))
+        .unwrap()
+    };
+    let cases = [
         (
             wide_ann(5, 6, 3, 9),
-            vec![2, input],
+            Some(vec![2, input]),
             vec![
                 vec![2, input - 1],
                 vec![2, input + 1],
@@ -698,7 +711,7 @@ fn sharded_ann_rejects_misshaped_batches_up_front() {
         ),
         (
             compile_ann(&conv).unwrap(),
-            vec![1, channels, 4, 4],
+            Some(vec![1, channels, 4, 4]),
             vec![
                 vec![1, channels - 1, 4, 4],
                 vec![1, channels, 5, 4],
@@ -706,6 +719,12 @@ fn sharded_ann_rejects_misshaped_batches_up_front() {
                 vec![channels, 4, 4],
             ],
         ),
+        (
+            pooled(2, &mut r),
+            Some(vec![1, 1, 4, 4]),
+            vec![vec![1, 1, 5, 5], vec![1, 1, 4, 5]],
+        ),
+        (pooled(0, &mut r), None, vec![vec![1, 1, 4, 4]]),
     ];
     for (net, good, bad_shapes) in cases {
         for strategy in STRATEGIES {
@@ -732,9 +751,11 @@ fn sharded_ann_rejects_misshaped_batches_up_front() {
                     0,
                     "{strategy:?}: no ring traffic"
                 );
-                let x = Tensor::full(&good, 0.5);
-                let want = sharded.output_shape(&good).unwrap();
-                assert_eq!(sharded.forward(&x).unwrap().shape(), &want[..]);
+                if let Some(good) = &good {
+                    let x = Tensor::full(good, 0.5);
+                    let want = sharded.output_shape(good).unwrap();
+                    assert_eq!(sharded.forward(&x).unwrap().shape(), &want[..]);
+                }
             }
         }
     }
