@@ -12,10 +12,12 @@
 //! neurons:
 //!
 //! * **ANN** ([`AnalogNetwork`], built by [`compile`]): 4-bit drivers
-//!   carry `x / x_scale` clamped to `[0, 1]`. A synaptic stage lowers its
-//!   input to rows (im2col for a convolution) and evaluates them through
-//!   the split-phase GEMV ([`SuperTile::eval_dense_prepared`]); ReLU and
-//!   the activation quantizer are digital stages.
+//!   carry `x / x_scale` clamped to `[0, 1]`. A synaptic stage normalizes
+//!   its input once into a drive plane, gathers each wave's drive from it
+//!   (a dense row, or a convolution patch through a tap-offset table) and
+//!   evaluates it through the split-phase GEMV
+//!   ([`SuperTile::eval_dense_prepared`]); ReLU and the activation
+//!   quantizer are digital stages applied in place.
 //! * **SNN** ([`AnalogSpikingNetwork`], built by
 //!   [`compile_snn`](crate::analog_snn::compile_snn)): binary 0.25 V
 //!   spike drivers. A synaptic stage scatters each timestep's spikes
@@ -46,6 +48,7 @@ use nebula_nn::snn::IfPopulation;
 use nebula_nn::{Network, NnError};
 use nebula_tensor::{avg_pool2d, im2col, ConvGeometry, Tensor, TensorError};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Errors produced while compiling or executing analog networks.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,16 +160,27 @@ pub(crate) struct ProgrammedMatrix {
     pub(crate) x_scale: f32,
     /// `(segment AC, row within that AC)` of every receptive-field row,
     /// the segments' ACs numbered consecutively — the scatter's row
-    /// lookup, so the spike walk never divides.
+    /// lookup, so the spike walk never divides. Empty in ANN mode, whose
+    /// GEMV never reads it.
     pub(crate) row_ac: Vec<(u32, u32)>,
 }
 
+/// The ANN driver level of activation `v`: `v / x_scale` clamped to
+/// `[0, 1]`. Every ANN evaluator converts through here, so the GEMV's
+/// drive plane and the oracle's per-row drive hold the same bits.
+#[inline]
+fn ann_drive(v: f32, x_scale: f32) -> f64 {
+    (v / x_scale).clamp(0.0, 1.0) as f64
+}
+
 impl ProgrammedMatrix {
-    /// Programs `weight[rf][cols]` (row-major `Tensor` `[rf, cols]`).
+    /// Programs `weight[rf][cols]` (row-major `Tensor` `[rf, cols]`) for
+    /// `mode`'s drivers.
     pub(crate) fn program(
         weight: &Tensor,
         x_scale: f32,
         config: &CrossbarConfig,
+        mode: Mode,
     ) -> Result<Self, AnalogError> {
         let (rf, cols) = (weight.shape()[0], weight.shape()[1]);
         if rf == 0 || cols == 0 {
@@ -181,7 +195,7 @@ impl ProgrammedMatrix {
             .max(1e-6) as f64;
         let mut tiles = Vec::new();
         let mut segment_rows = Vec::new();
-        let mut row_ac = Vec::with_capacity(rf);
+        let mut row_ac = Vec::new();
         let mut seg_chunk_base = 0usize;
         for seg_start in (0..rf).step_by(MAX_RF_IN_CORE) {
             let seg_rows = (rf - seg_start).min(MAX_RF_IN_CORE);
@@ -199,8 +213,12 @@ impl ProgrammedMatrix {
                 st.program(&block, clip)?;
                 groups.push(st);
             }
-            let m = groups[0].m();
-            row_ac.extend((0..seg_rows).map(|q| ((seg_chunk_base + q / m) as u32, (q % m) as u32)));
+            if mode == Mode::Snn {
+                let m = groups[0].m();
+                row_ac.extend(
+                    (0..seg_rows).map(|q| ((seg_chunk_base + q / m) as u32, (q % m) as u32)),
+                );
+            }
             seg_chunk_base += groups[0].chunk_count();
             tiles.push(groups);
         }
@@ -231,7 +249,7 @@ impl ProgrammedMatrix {
             let drive: Vec<f64> = x[offset..offset + seg_rows]
                 .iter()
                 .map(|&v| match mode {
-                    Mode::Ann => (v / x_scale).clamp(0.0, 1.0) as f64,
+                    Mode::Ann => ann_drive(v, x_scale),
                     Mode::Snn => f64::from(v > 0.5),
                 })
                 .collect();
@@ -264,17 +282,19 @@ impl ProgrammedMatrix {
     /// the total-current sum per row and tracks the reference to a
     /// relative error ≤ 1e-12.
     ///
-    /// Input rows are supplied by an index accessor instead of a
-    /// materialized `&[&[f32]]`, so a flat activation or im2col buffer
-    /// feeds the crossbars without a fresh slice vector per call, and
-    /// the worker count is explicit, so the pipeline executor can force
+    /// Each item's drive is written by a fill accessor, `fill(item,
+    /// drive)`, into a reused `rf`-long buffer of driver levels (already
+    /// normalized, see [`ann_drive`]) — no patch matrix or row slice is
+    /// materialized: a dense stage converts its contiguous input row, a
+    /// convolution gathers its patch from the stage's drive plane. The
+    /// worker count is explicit, so the pipeline executor can force
     /// single-threaded evaluation inside a pipeline stage (`workers ==
     /// 1` never touches the pool).
-    pub(crate) fn dot_batch_with<'d>(
+    pub(crate) fn dot_batch_with(
         &mut self,
         n: usize,
         workers: usize,
-        row: impl Fn(usize) -> &'d [f32] + Sync,
+        fill: impl Fn(usize, &mut [f64]) + Sync,
     ) -> Result<Vec<f32>, AnalogError> {
         if n == 0 {
             return Ok(Vec::new());
@@ -310,27 +330,21 @@ impl ProgrammedMatrix {
                 // Lane-padded so the differential kernel can write its
                 // tail lanes (every tile's scratch_cols() is ≤ this).
                 let mut diff = vec![0.0f64; kernel::padded_len(M)];
-                let mut drive: Vec<f64> = Vec::new();
+                let mut drive = vec![0.0f64; rf];
                 let mut out = vec![0.0f32; (hi - lo) * cols];
                 let mut flat = vec![0.0f64; (hi - lo) * total_chunks];
                 for (i, item) in (lo..hi).enumerate() {
-                    let x = row(item);
-                    debug_assert_eq!(x.len(), rf);
+                    fill(item, &mut drive);
                     let out_row = &mut out[i * cols..(i + 1) * cols];
                     let flat_row = &mut flat[i * total_chunks..(i + 1) * total_chunks];
                     let mut offset = 0usize;
                     let mut chunk_off = 0usize;
                     for (seg, &seg_rows) in segment_rows.iter().enumerate() {
-                        drive.clear();
-                        drive.extend(
-                            x[offset..offset + seg_rows]
-                                .iter()
-                                .map(|&v| (v / x_scale).clamp(0.0, 1.0) as f64),
-                        );
+                        let drive = &drive[offset..offset + seg_rows];
                         for (g, (tile, &unit)) in tiles[seg].iter().zip(&units[seg]).enumerate() {
                             let chunks = tile.chunk_count();
                             tile.eval_dense_prepared(
-                                &drive,
+                                drive,
                                 &mut totals,
                                 &mut flat_row[chunk_off..chunk_off + chunks],
                                 &mut diff,
@@ -369,11 +383,15 @@ impl ProgrammedMatrix {
     /// Evaluates one synaptic stage of geometry `sg` on `h` under
     /// `drive` and writes the crossbar products to the zeroed `out`,
     /// laid out `[images, cols, patches]`. The scatter walks the spikes
-    /// ([`scatter_spikes`](Self::scatter_spikes)); the GEMV and the
-    /// oracle take one row per patch — the input rows of a dense stage,
-    /// the im2col rows of a convolution. Returns whether any crossbar
-    /// was driven: the scatter reports whether a spike reached a patch,
-    /// the row forms always drive.
+    /// ([`scatter_spikes`](Self::scatter_spikes)). The GEMV
+    /// ([`dot_batch_with`](Self::dot_batch_with)) fills each patch's
+    /// drive through its accessor: a dense stage converts its input row,
+    /// a convolution normalizes `h` once into a drive plane and gathers
+    /// each patch from it ([`PatchGather`]). Only the oracle lowers a
+    /// convolution with `im2col`, one row per patch, so the gather is
+    /// checked against the lowering it replaces. Returns whether any
+    /// crossbar was driven: the scatter reports whether a spike reached
+    /// a patch, the GEMV and the oracle always drive.
     fn evaluate(
         &mut self,
         h: &Tensor,
@@ -383,37 +401,40 @@ impl ProgrammedMatrix {
         scratch: &mut EventScratch,
         out: &mut [f32],
     ) -> Result<bool, AnalogError> {
-        let oracle = match drive {
-            Drive::Scatter => return Ok(self.scatter_spikes(h.data(), sg, workers, scratch, out)),
-            Drive::Gemv => None,
-            Drive::Oracle(mode) => Some(mode),
-        };
         let (rf, cols, spatial) = (self.rf, self.cols, sg.patches());
-        // The parallel lowering is bit-identical to `im2col` (same index
-        // order), so single-worker passes take the serial one.
-        let lowered;
-        let rows = match h.shape().len() {
-            2 => h.data(),
-            _ => {
-                lowered = if oracle.is_some() || workers <= 1 {
-                    im2col(h, sg.conv)?
-                } else {
-                    nebula_tensor::par::im2col(h, sg.conv)?
-                };
-                lowered.data()
+        let dense = h.shape().len() == 2;
+        let ys = match drive {
+            Drive::Scatter => return Ok(self.scatter_spikes(h.data(), sg, workers, scratch, out)),
+            Drive::Gemv if dense => {
+                let (x, x_scale) = (h.data(), self.x_scale);
+                self.dot_batch_with(sg.images, workers, |i, drive| {
+                    for (d, &v) in drive.iter_mut().zip(&x[i * rf..(i + 1) * rf]) {
+                        *d = ann_drive(v, x_scale);
+                    }
+                })?
             }
-        };
-        let ys = match oracle {
-            Some(mode) => {
+            Drive::Gemv => {
+                let x_scale = self.x_scale;
+                let plane: Vec<f64> = h.data().iter().map(|&v| ann_drive(v, x_scale)).collect();
+                let gather = PatchGather::new(sg);
+                self.dot_batch_with(sg.images * spatial, workers, |i, drive| {
+                    gather.fill(&plane, i, drive)
+                })?
+            }
+            Drive::Oracle(mode) => {
+                let lowered;
+                let rows = if dense {
+                    h.data()
+                } else {
+                    lowered = im2col(h, sg.conv)?;
+                    lowered.data()
+                };
                 let mut ys = Vec::with_capacity(rows.len() / rf * cols);
                 for row in rows.chunks_exact(rf) {
                     ys.extend(self.dot_reference(row, mode)?);
                 }
                 ys
             }
-            None => self.dot_batch_with(sg.images * spatial, workers, |i| {
-                &rows[i * rf..(i + 1) * rf]
-            })?,
         };
         // Row `r` is patch `r % spatial` of image `r / spatial`.
         for (r, y) in ys.chunks_exact(cols).enumerate() {
@@ -444,6 +465,65 @@ impl ProgrammedMatrix {
     pub(crate) fn set_kernel_path(&mut self, path: KernelPath) {
         for tile in self.tiles.iter_mut().flatten() {
             tile.set_kernel_path(path);
+        }
+    }
+}
+
+/// Gathers convolution patches from a drive plane laid out like the
+/// stage input, `[images, channels, h, w]`, instead of from `im2col`
+/// rows: receptive-field tap `t = (ch·kh + ky)·kw + kx` of a patch whose
+/// top-left input pixel is `(y0, x0)` reads the plane at that corner
+/// plus `offsets[t] = ch·h·w + ky·w + kx`. The tap order is `im2col`'s
+/// column order, so a patch's drive equals the normalized `im2col` row
+/// tap for tap. A padding tap drives `0.0`: `im2col` writes `0.0` there,
+/// and `compile` keeps every `x_scale` positive, so it normalizes to
+/// `0.0`.
+struct PatchGather {
+    sg: StageGeometry,
+    offsets: Vec<usize>,
+}
+
+impl PatchGather {
+    fn new(sg: &StageGeometry) -> Self {
+        let (c, [h, w]) = (&sg.conv, sg.in_hw);
+        let offsets = (0..sg.channels)
+            .flat_map(|ch| {
+                (0..c.kh).flat_map(move |ky| (0..c.kw).map(move |kx| ch * h * w + ky * w + kx))
+            })
+            .collect();
+        Self { sg: *sg, offsets }
+    }
+
+    /// Writes the drive of patch `item` (patch `item % patches` of image
+    /// `item / patches`) into `drive`. A patch inside the input takes one
+    /// offset add per tap; a border patch checks each tap.
+    fn fill(&self, plane: &[f64], item: usize, drive: &mut [f64]) {
+        let (sg, c, [h, w]) = (&self.sg, &self.sg.conv, self.sg.in_hw);
+        let (img, pos) = (item / sg.patches(), item % sg.patches());
+        let y0 = (pos / sg.out_hw[1] * c.stride) as isize - c.pad as isize;
+        let x0 = (pos % sg.out_hw[1] * c.stride) as isize - c.pad as isize;
+        debug_assert_eq!(drive.len(), self.offsets.len());
+        let image = &plane[img * sg.channels * h * w..(img + 1) * sg.channels * h * w];
+        if y0 >= 0 && x0 >= 0 && y0 as usize + c.kh <= h && x0 as usize + c.kw <= w {
+            let corner = &image[y0 as usize * w + x0 as usize..];
+            for (d, &o) in drive.iter_mut().zip(&self.offsets) {
+                *d = corner[o];
+            }
+            return;
+        }
+        let mut t = 0;
+        for ch in 0..sg.channels {
+            for iy in y0..y0 + c.kh as isize {
+                for ix in x0..x0 + c.kw as isize {
+                    let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                    drive[t] = if inside {
+                        image[(ch * h + iy as usize) * w + ix as usize]
+                    } else {
+                        0.0
+                    };
+                    t += 1;
+                }
+            }
         }
     }
 }
@@ -494,16 +574,18 @@ pub(crate) enum Stage {
 }
 
 impl Stage {
-    /// Programs a synaptic layer onto crossbars driven at input scale
-    /// `x_scale`, or compiles a pooling or flatten layer.
+    /// Programs a synaptic layer onto crossbars driven by `mode`'s
+    /// drivers at input scale `x_scale`, or compiles a pooling or flatten
+    /// layer.
     pub(crate) fn program(
         layer: &Layer,
         x_scale: f32,
         config: &CrossbarConfig,
+        mode: Mode,
     ) -> Result<Self, AnalogError> {
         Ok(match layer {
             Layer::Dense(d) => Stage::Dense {
-                matrix: ProgrammedMatrix::program(&d.weight.value, x_scale, config)?,
+                matrix: ProgrammedMatrix::program(&d.weight.value, x_scale, config, mode)?,
                 bias: d.bias.value.data().to_vec(),
                 scratch: EventScratch::default(),
             },
@@ -516,7 +598,7 @@ impl Stage {
                     .reshape(&[s[0], s[1] * s[2] * s[3]])?
                     .transpose()?;
                 Stage::Conv {
-                    matrix: ProgrammedMatrix::program(&wmat, x_scale, config)?,
+                    matrix: ProgrammedMatrix::program(&wmat, x_scale, config, mode)?,
                     bias: c.bias.value.data().to_vec(),
                     geom: c.geom,
                     scratch: EventScratch::default(),
@@ -646,12 +728,15 @@ impl AnalogEngine {
     /// the output and whether any synaptic stage drove a crossbar.
     ///
     /// The caller has checked `h` ([`check_input`](Self::check_input)).
+    /// A borrowed `h` is only read: the first stage builds a new tensor
+    /// (a copy, if that stage is ReLU, the quantizer or a flatten); those
+    /// three work in place on the interpreter's own tensor.
     /// For a fixed input the stage loop is a left-to-right fold, so
     /// running the stages in slices (one multi-chip unit each) changes
     /// nothing, and the result does not depend on `workers`.
     pub(crate) fn step(
         &mut self,
-        mut h: Tensor,
+        mut h: Cow<'_, Tensor>,
         workers: usize,
         oracle: bool,
     ) -> Result<(Tensor, bool), AnalogError> {
@@ -662,7 +747,7 @@ impl AnalogEngine {
         };
         let mut hit = false;
         for stage in &mut self.stages {
-            h = match stage {
+            h = Cow::Owned(match stage {
                 Stage::Dense {
                     matrix,
                     bias,
@@ -690,21 +775,26 @@ impl AnalogEngine {
                     add_bias(&mut out, bias, sg.patches());
                     out
                 }
-                Stage::Relu => h.relu(),
+                Stage::Relu => {
+                    let mut h = h.into_owned();
+                    h.map_inplace(|v| v.max(0.0));
+                    h
+                }
                 Stage::Quant { amax, levels } => {
-                    let step = *amax / (*levels - 1) as f32;
-                    h.map(|v| (v.clamp(0.0, *amax) / step).round() * step)
+                    let mut h = h.into_owned();
+                    quantize_activations(h.data_mut(), *amax, *levels, oracle);
+                    h
                 }
                 Stage::IntegrateFire(pop) => pop.step(&h)?,
                 Stage::AvgPool { k } => avg_pool2d(&h, *k)?,
                 Stage::Flatten => {
                     let n = h.shape()[0];
                     let rest: usize = h.shape()[1..].iter().product();
-                    h.reshape(&[n, rest])?
+                    Tensor::from_vec(h.into_owned().into_vec(), &[n, rest])?
                 }
-            };
+            });
         }
-        Ok((h, hit))
+        Ok((h.into_owned(), hit))
     }
 
     /// Returns every IF population to rest.
@@ -754,6 +844,43 @@ impl AnalogEngine {
     /// summed first) — the fold a sharded network repeats over its units.
     pub(crate) fn read_energy(&self) -> Joules {
         self.stages.iter().map(Stage::read_energy).sum()
+    }
+}
+
+/// The activation quantizer, in place: every `v` becomes
+/// `(v.clamp(0, amax) / step).round() * step` with `step = amax /
+/// (levels − 1)`, bit for bit. The oracle rounds through [`f32::round`],
+/// as does any quantizer with `levels − 1 ≥ 2²²`; otherwise the rounding
+/// runs in a form the compiler vectorizes ([`round_half_away`]).
+fn quantize_activations(data: &mut [f32], amax: f32, levels: usize, oracle: bool) {
+    let step = amax / (levels - 1) as f32;
+    if oracle || levels > 1 << 22 {
+        for v in data {
+            *v = (v.clamp(0.0, amax) / step).round() * step;
+        }
+        return;
+    }
+    for v in data {
+        *v = round_half_away(v.clamp(0.0, amax) / step) * step;
+    }
+}
+
+/// [`f32::round`] (half away from zero) for `|q| < 2³¹`, without a libm
+/// call. With `a = |q|`, `t = a as i32 as f32` is `a` truncated, exactly;
+/// `a − t` is `a`'s fractional part, exact because it is representable
+/// (its bits are the low bits of `a`); and `t + 1` is taken only when
+/// `a` has a fractional part, so `a < 2²³` and the add is exact too.
+/// So `r` is `a` rounded half up, and restoring the sign (`−0.0` stays
+/// `−0.0`) gives `round(q)`. NaN passes through unchanged.
+#[inline]
+fn round_half_away(q: f32) -> f32 {
+    let a = q.abs();
+    let t = a as i32 as f32;
+    let r = if a - t >= 0.5 { t + 1.0 } else { t };
+    if q.is_nan() {
+        q
+    } else {
+        r.copysign(q)
     }
 }
 
@@ -809,7 +936,9 @@ pub struct AnalogNetwork {
 /// # Errors
 ///
 /// Returns [`AnalogError::Unsupported`] for depthwise convolutions and
-/// live batch-norm layers.
+/// live batch-norm layers, and [`AnalogError::BadGeometry`] for an
+/// activation quantizer with fewer than 2 levels or a ceiling that is
+/// not positive.
 pub fn compile(net: &Network, config: &CrossbarConfig) -> Result<AnalogNetwork, AnalogError> {
     let mut stages = Vec::with_capacity(net.len());
     // The scale of the *current* activations flowing between stages.
@@ -818,13 +947,23 @@ pub fn compile(net: &Network, config: &CrossbarConfig) -> Result<AnalogNetwork, 
         stages.push(match layer {
             Layer::Relu(_) => Stage::Relu,
             Layer::ActivationQuant(q) => {
+                // The digital layer's own check; it also keeps every
+                // drive scale positive.
+                if q.levels < 2 || q.amax.is_nan() || q.amax <= 0.0 {
+                    return Err(AnalogError::BadGeometry {
+                        reason: format!(
+                            "activation quantizer needs levels ≥ 2 and amax > 0, got {} / {}",
+                            q.levels, q.amax
+                        ),
+                    });
+                }
                 x_scale = q.amax;
                 Stage::Quant {
                     amax: q.amax,
                     levels: q.levels,
                 }
             }
-            other => Stage::program(other, x_scale, config)?,
+            other => Stage::program(other, x_scale, config, Mode::Ann)?,
         });
     }
     Ok(AnalogNetwork {
@@ -874,7 +1013,7 @@ impl AnalogNetwork {
         oracle: bool,
     ) -> Result<Tensor, AnalogError> {
         self.core.check_input(inputs)?;
-        Ok(self.core.step(inputs.clone(), workers, oracle)?.0)
+        Ok(self.core.step(Cow::Borrowed(inputs), workers, oracle)?.0)
     }
 
     /// The output shape a batch of `input_shape` produces, checking
@@ -1010,6 +1149,7 @@ pub fn expected_supertiles(rf: usize, cols: usize) -> usize {
 mod tests {
     use super::*;
     use nebula_nn::Layer as L;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -1184,6 +1324,15 @@ mod tests {
         ));
         let bn = Network::new(vec![L::batch_norm2d(4)]);
         assert!(compile_ann(&bn).is_err());
+        // Quantizers the digital layer rejects would panic or feed NaN
+        // drives at the first forward.
+        for (amax, levels) in [(0.0, 16), (-1.0, 16), (f32::NAN, 16), (1.0, 1), (1.0, 0)] {
+            let net = Network::new(vec![L::activation_quant(amax, levels)]);
+            assert!(
+                matches!(compile_ann(&net), Err(AnalogError::BadGeometry { .. })),
+                "({amax}, {levels})"
+            );
+        }
     }
 
     #[test]
@@ -1232,6 +1381,214 @@ mod tests {
             "Auto energy {e_vec} vs reference {e_ref}"
         );
         assert_eq!(fast.waves(), slow.waves());
+    }
+
+    /// An input value from the drive's edge cases: exact zeros of both
+    /// signs, negatives (a zero drive) and values above the drive scale
+    /// (a full drive), or anything in between.
+    fn edge_value(kind: u8, v: f32) -> f32 {
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -v,
+            3 => 2.0 + v,
+            _ => v,
+        }
+    }
+
+    proptest! {
+        /// The GEMV gathers each patch's drive from the normalized plane;
+        /// the oracle drives the `im2col` rows. Over random geometries —
+        /// kernels 1–5 (even ones too), strides 1–3 (some not tiling the
+        /// input), padding 0–2 (some ≥ k/2), 1–5 channels, 1–4 images —
+        /// `forward` must equal `forward_sequential` bit for bit at 1 and
+        /// 4 workers on both kernel paths, with equal waves and, on the
+        /// Scalar path, equal energy bits. The first convolution sees the
+        /// raw edge values at `x_scale = 1`; after a quantizer the second
+        /// sees quantized values and the third (and the dense stage) raw
+        /// products, both at `x_scale = amax`.
+        #[test]
+        fn gathered_forward_matches_im2col_oracle_bitwise(
+            geoms in prop::collection::vec((1usize..6, 1usize..4, 0usize..3), 3),
+            (images, channels, mid) in (1usize..5, 1usize..6, 1usize..4),
+            (extra_h, extra_w) in (0usize..7, 0usize..7),
+            amax in 0.3f32..3.0,
+            values in prop::collection::vec((0u8..6, 0.0f32..1.5), 4 * 5 * 11 * 11),
+            seed in 0u64..1_000,
+        ) {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let (k1, p1) = (geoms[0].0, geoms[0].2);
+            let side = |extra: usize| k1.saturating_sub(2 * p1).max(1) + extra;
+            let (h, w) = (side(extra_h), side(extra_w));
+            let mut layers = Vec::new();
+            let (mut c, mut hw) = (channels, (h, w));
+            for (i, &(k, stride, pad)) in geoms.iter().enumerate() {
+                // Later kernels shrink to fit the map they get.
+                let k = k.min(hw.0 + 2 * pad).min(hw.1 + 2 * pad);
+                let oc = if i == 0 { mid } else { 2 };
+                layers.push(L::conv2d(c, oc, k, stride, pad, &mut r));
+                hw = ConvGeometry::new(k, stride, pad).out_hw(hw.0, hw.1).unwrap();
+                c = oc;
+                if i == 0 {
+                    layers.push(L::activation_quant(amax, 16));
+                }
+            }
+            layers.push(L::flatten());
+            layers.push(L::dense(c * hw.0 * hw.1, 3, &mut r));
+            let data = values[..images * channels * h * w]
+                .iter()
+                .map(|&(kind, v)| edge_value(kind, v))
+                .collect();
+            let x = Tensor::from_vec(data, &[images, channels, h, w]).unwrap();
+            let master = compile_ann(&Network::new(layers)).unwrap();
+            let mut oracle = master.clone();
+            let expect = oracle.forward_sequential(&x).unwrap();
+            for path in [KernelPath::Scalar, KernelPath::Auto] {
+                for workers in [1, 4] {
+                    let mut fast = master.clone();
+                    fast.set_kernel_path(path);
+                    let y = fast.pass(&x, workers, false).unwrap();
+                    prop_assert_eq!(y.shape(), expect.shape());
+                    for (i, (a, b)) in y.data().iter().zip(expect.data()).enumerate() {
+                        let at = format!("{path:?}, {workers} workers, [{i}]: {a} vs {b}");
+                        prop_assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+                    }
+                    prop_assert_eq!(fast.waves(), oracle.waves());
+                    if path == KernelPath::Scalar {
+                        let energy = |net: &AnalogNetwork| net.read_energy().0.to_bits();
+                        prop_assert_eq!(energy(&fast), energy(&oracle));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_stages_leave_the_callers_input_alone() {
+        let mut r = rng();
+        let net = Network::new(vec![
+            L::relu(),
+            L::activation_quant(0.5, 4),
+            L::relu(),
+            L::dense(4, 2, &mut r),
+        ]);
+        let x = Tensor::from_vec(vec![-1.0, -0.0, 0.3, 0.9, 0.2, -0.4, 2.0, 0.0], &[2, 4]).unwrap();
+        let bits: Vec<u32> = x.data().iter().map(|v| v.to_bits()).collect();
+        let mut analog = compile_ann(&net).unwrap();
+        let fast = analog.forward(&x).unwrap();
+        let slow = analog.forward_sequential(&x).unwrap();
+        assert_eq!(
+            x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            bits
+        );
+        for (a, b) in fast.data().iter().zip(slow.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// The map the quantizer stage applied before it ran in place.
+    fn quantize_reference(v: f32, amax: f32, levels: usize) -> f32 {
+        let step = amax / (levels - 1) as f32;
+        (v.clamp(0.0, amax) / step).round() * step
+    }
+
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// `(amax, levels)` of the quantizer checks; the last takes the
+    /// `levels − 1 ≥ 2²²` fallback through `f32::round`.
+    const QUANT_CASES: [(f32, usize); 5] = [
+        (1.0, 16),
+        (3.7, 16),
+        (0.123, 256),
+        (6.0, 2),
+        (1.0, (1 << 22) + 1),
+    ];
+
+    #[test]
+    fn in_place_quantizer_matches_the_rounding_map_on_every_edge() {
+        for (amax, levels) in QUANT_CASES {
+            let step = amax / (levels - 1) as f32;
+            let tiny = f32::from_bits(1);
+            let mut values = vec![
+                0.0,
+                -0.0,
+                tiny,
+                -tiny,
+                f32::from_bits(0x007f_ffff),
+                f32::MIN_POSITIVE,
+                amax,
+                amax.next_down(),
+                amax.next_up(),
+                2.0 * amax,
+                f32::MAX,
+                f32::INFINITY,
+                -1.0,
+                -amax,
+                f32::MIN,
+                f32::NEG_INFINITY,
+                f32::NAN,
+            ];
+            // Every `k + 0.5` midpoint (every 4096th in the fallback
+            // case) and the values up to 2 ulps either side of it.
+            let stride = if levels > 1 << 12 { 4096 } else { 1 };
+            for k in (0..levels - 1).step_by(stride) {
+                let mid = (k as f32 + 0.5) * step;
+                values.extend([
+                    mid.next_down().next_down(),
+                    mid.next_down(),
+                    mid,
+                    mid.next_up(),
+                    mid.next_up().next_up(),
+                ]);
+            }
+            let mut data = values.clone();
+            quantize_activations(&mut data, amax, levels, false);
+            for (&v, q) in values.iter().zip(data) {
+                let expect = quantize_reference(v, amax, levels);
+                assert!(
+                    same_bits(q, expect),
+                    "({amax}, {levels}) at {v:e}: {q:e} vs {expect:e}"
+                );
+            }
+        }
+        // The rounding itself at exact midpoints and their neighbours.
+        for k in (0..1 << 22).step_by(997).chain([1 << 22]) {
+            let mid = k as f32 + 0.5;
+            for q in [mid.next_down(), mid, mid.next_up(), k as f32] {
+                for q in [q, -q] {
+                    assert!(same_bits(round_half_away(q), q.round()), "{q:e}");
+                }
+            }
+        }
+    }
+
+    /// Every f32 bit pattern through the quantizer for every
+    /// [`QUANT_CASES`] configuration, one thread each; about 150 CPU
+    /// seconds in a release build on a 2-vCPU Xeon VM:
+    /// `cargo test --release -p nebula-core --lib exhaustive -- --ignored`.
+    #[test]
+    #[ignore]
+    fn in_place_quantizer_matches_the_rounding_map_exhaustively() {
+        std::thread::scope(|scope| {
+            for (amax, levels) in QUANT_CASES {
+                scope.spawn(move || {
+                    let mut data = vec![0.0f32; 1 << 16];
+                    for hi in 0u32..1 << 16 {
+                        for (lo, v) in data.iter_mut().enumerate() {
+                            *v = f32::from_bits(hi << 16 | lo as u32);
+                        }
+                        quantize_activations(&mut data, amax, levels, false);
+                        for (lo, &q) in data.iter().enumerate() {
+                            let v = f32::from_bits(hi << 16 | lo as u32);
+                            let expect = quantize_reference(v, amax, levels);
+                            assert!(same_bits(q, expect), "({amax}, {levels}) at {v:e}");
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -23,6 +23,7 @@ use nebula_device::FaultModel;
 use nebula_nn::snn::{IfPopulation, InputEncoding, SnnStage, SpikingNetwork};
 use nebula_tensor::{ConvGeometry, Tensor};
 use rand::Rng;
+use std::borrow::Cow;
 use std::ops::Range;
 
 impl ProgrammedMatrix {
@@ -637,7 +638,7 @@ pub fn compile_snn(
                     IfPopulation::with_dynamics(p.threshold, p.reset, p.leak, p.refractory),
                 )),
                 // Spike drivers are binary: inputs need no scaling.
-                SnnStage::Synaptic(layer) => Stage::program(layer, 1.0, config),
+                SnnStage::Synaptic(layer) => Stage::program(layer, 1.0, config, Mode::Snn),
             })
             .collect::<Result<_, _>>()?;
     Ok(AnalogSpikingNetwork {
@@ -824,7 +825,9 @@ impl AnalogSpikingNetwork {
         let mut acc: Option<Tensor> = None;
         let workers = nebula_tensor::pool::size();
         for _ in 0..timesteps {
-            let (h, _) = self.core.step(encode(inputs), workers, oracle)?;
+            let (h, _) = self
+                .core
+                .step(Cow::Owned(encode(inputs)), workers, oracle)?;
             match &mut acc {
                 Some(a) => a.add_assign(&h)?,
                 none => *none = Some(h),
@@ -1018,7 +1021,7 @@ mod tests {
         )
         .unwrap();
         let config = CrossbarConfig::paper_default(Mode::Snn);
-        let mut auto = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
+        let mut auto = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
         auto.set_kernel_path(KernelPath::Auto);
 
         // A batch of only silent items must produce zero outputs and
@@ -1034,12 +1037,12 @@ mod tests {
         // Mixed batch (silent / single-row / multi-row): bitwise equal to
         // the per-item scalar reference at 1 and 3 workers; the silent
         // item contributes nothing.
-        let mut scalar = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
+        let mut scalar = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
         scalar.set_kernel_path(KernelPath::Scalar);
         let items: [&[usize]; 3] = [&[], &[4], &[0, 3, 9]];
         let mut energies = Vec::new();
         for workers in [1, 3] {
-            let mut a = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
+            let mut a = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
             a.set_kernel_path(KernelPath::Auto);
             let out = scatter_dense(&mut a, &items, workers);
             for (i, rows) in items.iter().enumerate() {
@@ -1057,7 +1060,7 @@ mod tests {
         // Energy accrues via per-row sums: the same bits for any worker
         // count, within 1e-12 of the scalar chain on the same activity.
         assert_eq!(energies[0], energies[1]);
-        let mut scalar = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
+        let mut scalar = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
         scalar.set_kernel_path(KernelPath::Scalar);
         scatter_dense(&mut scalar, &items, 1);
         let (e_auto, e_ref) = (energies[0].0, scalar.read_energy().0);
@@ -1099,10 +1102,12 @@ mod tests {
             let sg = StageGeometry::conv(x.shape(), geom).unwrap();
             let spatial = sg.patches();
             let patches = im2col(&x, geom).unwrap();
-            let mut reference = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
+            let mut reference =
+                ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
             let mut energies = Vec::new();
             for workers in [1, 4] {
-                let mut matrix = ProgrammedMatrix::program(&weight, 1.0, &config).unwrap();
+                let mut matrix =
+                    ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
                 let mut scratch = EventScratch::default();
                 let mut out = vec![0.0f32; 5 * oc * spatial];
                 let rf = matrix.rf;

@@ -84,6 +84,7 @@ use nebula_nn::stats::LayerDescriptor;
 use nebula_noc::{ChipCluster, ClusterNode, MeshTopology, NodeId, TrafficStats, LINK_HOP_CYCLES};
 use nebula_tensor::Tensor;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Bits per inter-chip activation in ANN mode (4-bit quantized values).
 const ANN_ACT_BITS: u64 = 4;
@@ -363,7 +364,7 @@ impl Unit {
         workers: usize,
     ) -> Result<Tensor, AnalogError> {
         let in_bits = h.len() as u64 * self.act_bits();
-        let (out, hit) = self.net.step(h, workers, false)?;
+        let (out, hit) = self.net.step(Cow::Owned(h), workers, false)?;
         if hit && !self.remote.is_empty() {
             journal.shard(HOME, &self.remote, in_bits, out.len() as u64 * PARTIAL_BITS);
         }
