@@ -2,11 +2,12 @@
 //! evaluation, convolution lowering, spiking simulation steps and the
 //! whole-chip analytical energy evaluation.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Bencher, Criterion};
 use nebula_core::energy::EnergyModel;
 use nebula_core::engine::{evaluate_ann, evaluate_snn};
 use nebula_core::mapper::map_network;
-use nebula_crossbar::{AtomicCrossbar, CrossbarConfig, KernelPath, Mode, SuperTile};
+use nebula_crossbar::{CrossbarConfig, KernelPath, Mode, SuperTile};
+use nebula_device::units::Amps;
 use nebula_nn::layer::Layer;
 use nebula_nn::snn::{IfPopulation, ResetMode};
 use nebula_tensor::{conv2d, im2col, ConvGeometry, Tensor};
@@ -15,26 +16,37 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// A super-tile holding `weights` on `path`, prepared for the seam.
+fn prepared_tile(mode: Mode, weights: &[Vec<f64>], path: KernelPath) -> SuperTile {
+    let mut st = SuperTile::new(CrossbarConfig::paper_default(mode)).unwrap();
+    st.program(weights, 1.0).unwrap();
+    st.set_kernel_path(path);
+    st.prepare();
+    st
+}
+
+/// Times one dense drive through the split-phase seam `nebula-core`
+/// runs: evaluate against the prepared tile, then accrue the read
+/// energy. The buffers are allocated once, outside the timed loop.
+fn bench_seam_dense(b: &mut Bencher, st: &mut SuperTile, inputs: &[f64]) {
+    let mut out = vec![Amps::ZERO; st.kernels()];
+    let mut currents = vec![0.0; st.chunk_count()];
+    let mut scratch = vec![0.0; st.scratch_cols()];
+    b.iter(|| {
+        st.eval_dense_prepared(black_box(inputs), &mut out, &mut currents, &mut scratch);
+        st.accrue_batch(&[&currents]);
+    });
+}
+
 fn bench_crossbar(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let mut xbar = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
-    let weights: Vec<Vec<f64>> = (0..128)
-        .map(|_| (0..128).map(|_| rng.gen_range(-1.0..1.0)).collect())
-        .collect();
-    xbar.program(&weights, 1.0).unwrap();
-    let inputs: Vec<f64> = (0..128).map(|_| rng.gen_range(0.0..1.0)).collect();
-    c.bench_function("atomic_crossbar_dot_128x128", |b| {
-        b.iter(|| xbar.dot(black_box(&inputs)).unwrap())
-    });
-
-    let mut st = SuperTile::new(CrossbarConfig::paper_default(Mode::Snn)).unwrap();
     let kernel: Vec<Vec<f64>> = (0..2000).map(|_| vec![rng.gen_range(-1.0..1.0)]).collect();
-    st.program(&kernel, 1.0).unwrap();
+    let mut st = prepared_tile(Mode::Snn, &kernel, KernelPath::Auto);
     let spikes: Vec<f64> = (0..2000)
         .map(|_| if rng.gen_bool(0.2) { 1.0 } else { 0.0 })
         .collect();
-    c.bench_function("supertile_dot_h2_rf2000", |b| {
-        b.iter(|| st.dot(black_box(&spikes)).unwrap())
+    c.bench_function("supertile_h2_rf2000", |b| {
+        bench_seam_dense(b, &mut st, &spikes)
     });
 }
 
@@ -83,32 +95,36 @@ fn bench_kernel_paths(c: &mut Criterion) {
     let paths = [("auto", KernelPath::Auto), ("scalar", KernelPath::Scalar)];
 
     // Dense GEMV: full 128×128 differential array, analog input drive.
-    let mut xbar = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
     let weights: Vec<Vec<f64>> = (0..128)
         .map(|_| (0..128).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
-    xbar.program(&weights, 1.0).unwrap();
     let inputs: Vec<f64> = (0..128).map(|_| rng.gen_range(0.0..1.0)).collect();
     for (label, path) in paths {
-        xbar.set_kernel_path(path);
+        let mut st = prepared_tile(Mode::Ann, &weights, path);
         c.bench_function(&format!("gemv_dense_128x128_{label}"), |b| {
-            b.iter(|| xbar.dot(black_box(&inputs)).unwrap())
+            bench_seam_dense(b, &mut st, &inputs)
         });
     }
 
     // Spike-sparse GEMV at 5 / 20 / 80 % row activity (SNN mode drives
-    // active rows at full read voltage; silent rows are skipped).
-    let mut snn_xbar = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Snn)).unwrap();
-    snn_xbar.program(&weights, 1.0).unwrap();
+    // active rows at full read voltage; silent rows are skipped): the
+    // active rows are added through the tile's spike-row view.
     for activity in [5u32, 20, 80] {
         let active: Vec<usize> = (0..128)
             .filter(|_| rng.gen_bool(f64::from(activity) / 100.0))
             .collect();
         for (label, path) in paths {
-            snn_xbar.set_kernel_path(path);
+            let st = prepared_tile(Mode::Snn, &weights, path);
+            let rows = st.spike_rows(0).unwrap();
+            let mut acc = vec![0.0; st.scratch_cols()];
             c.bench_function(
                 &format!("gemv_sparse_128x128_act{activity:02}_{label}"),
-                |b| b.iter(|| snn_xbar.dot_sparse(black_box(&active)).unwrap()),
+                |b| {
+                    b.iter(|| {
+                        acc.fill(0.0);
+                        rows.add_rows(black_box(&active), 0, &mut acc, 0.0)
+                    })
+                },
             );
         }
     }

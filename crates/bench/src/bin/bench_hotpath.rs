@@ -82,7 +82,7 @@ fn main() {
 
     let mut legs = Vec::new();
 
-    // --- ANN: batched dot_batch fast path vs per-row reference ----------
+    // --- ANN: batched dot_batch_with fast path vs per-row reference -----
     {
         let mut auto = compile_ann(&q).unwrap();
         let mut slow = auto.clone();

@@ -1099,21 +1099,6 @@ pub fn compile_ann(net: &Network) -> Result<AnalogNetwork, AnalogError> {
     compile(net, &CrossbarConfig::paper_default(Mode::Ann))
 }
 
-/// Compiles with read noise of the given sigma (Monte-Carlo studies).
-/// Note: noise sampling requires driving evaluation through
-/// [`AnalogNetwork::forward`] after constructing the config explicitly —
-/// this helper only sets the config's sigma so programmed conductances
-/// carry it.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_ann_noisy(net: &Network, sigma: f64) -> Result<AnalogNetwork, AnalogError> {
-    let mut cfg = CrossbarConfig::paper_default(Mode::Ann);
-    cfg.read_noise_sigma = sigma;
-    compile(net, &cfg)
-}
-
 /// Perturbs every programmed conductance once (device-mismatch style)
 /// by re-programming the network's weights with multiplicative Gaussian
 /// noise — the §IV-D Monte-Carlo experiment, executed at circuit level.

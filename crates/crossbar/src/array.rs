@@ -15,7 +15,6 @@ use crate::kernel::{self, KernelPath, VectorLayout};
 use nebula_device::fault::{CellFault, ConductanceEnvelope, FaultModel};
 use nebula_device::synapse::DwMtjSynapse;
 use nebula_device::units::{Amps, Joules, Seconds, Volts};
-use nebula_device::variation::VariationModel;
 use rand::Rng;
 
 /// One `M×M` atomic crossbar (AC) of DW-MTJ synapses.
@@ -29,7 +28,8 @@ use rand::Rng;
 /// let mut xbar = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann))?;
 /// // Program a 2×2 block of signed weights.
 /// xbar.program(&[vec![0.5, -0.5], vec![1.0, 0.25]], 1.0)?;
-/// let currents = xbar.dot(&[1.0, 1.0])?;
+/// // The per-cell oracle; batches evaluate through a `SuperTile`.
+/// let currents = xbar.dot_reference(&[1.0, 1.0])?;
 /// assert!(currents[0].0 > 0.0); // 0.5 + 1.0 > 0
 /// # Ok::<(), nebula_crossbar::CrossbarError>(())
 /// ```
@@ -48,7 +48,6 @@ pub struct AtomicCrossbar {
     levels: usize,
     program_energy: Joules,
     read_energy: Joules,
-    evaluations: u64,
     /// Per-cell hard faults (row-major, `m × m`); empty when the array
     /// is fault-free, so the clean hot path pays nothing.
     faults: Vec<Option<CellFault>>,
@@ -61,13 +60,13 @@ pub struct AtomicCrossbar {
     /// Lazily rebuilt fault/age-resolved effective conductances for the
     /// programmed block. `None` means dirty: every state mutation
     /// (program, reset, fault injection, aging, kill/revive) invalidates
-    /// it, and the next noise-free evaluation rebuilds it once instead
-    /// of re-resolving faults per cell per evaluation.
+    /// it, and the next [`prepare`](Self::prepare) rebuilds it once
+    /// instead of re-resolving faults per cell per evaluation.
     eff_cache: Option<EffCache>,
     /// Which inner-loop kernel the prepared evaluators dispatch to.
     /// Switching paths does not invalidate the cache: the next
-    /// `prepare()`/`ensure_cache` materializes the missing layout
-    /// alongside the ones already built.
+    /// `prepare()` materializes the missing layout alongside the ones
+    /// already built.
     kernel: KernelPath,
 }
 
@@ -79,8 +78,8 @@ pub struct AtomicCrossbar {
 #[derive(Debug, Clone, Default)]
 struct EffCache {
     /// Fault/age-resolved effective conductances, row-major
-    /// `rows_used × cols_used` — exactly what the legacy per-cell loop
-    /// would compute, consumed by [`KernelPath::Scalar`].
+    /// `rows_used × cols_used` — exactly what the per-cell oracle
+    /// computes, consumed by [`KernelPath::Scalar`].
     scalar: Option<Vec<f64>>,
     /// The differential column-lane layout consumed by
     /// [`KernelPath::Auto`].
@@ -117,7 +116,6 @@ impl AtomicCrossbar {
             levels,
             program_energy: Joules::ZERO,
             read_energy: Joules::ZERO,
-            evaluations: 0,
             faults: Vec::new(),
             age: Seconds(0.0),
             dead: false,
@@ -127,26 +125,19 @@ impl AtomicCrossbar {
         })
     }
 
-    /// Selects the inner-loop kernel the noise-free evaluators run
-    /// through (default [`KernelPath::Auto`]). Differential outputs are
+    /// Selects the inner-loop kernel the prepared evaluators run through
+    /// (default [`KernelPath::Auto`]). Differential outputs are
     /// bit-identical on both paths; only the energy term's association
-    /// differs (see [`KernelPath`]). Does not invalidate the prepared cache — the
-    /// next `prepare()` builds the newly selected layout if it is not
-    /// materialized yet and keeps the others.
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
+    /// differs (see [`KernelPath`]). Does not invalidate the prepared
+    /// cache — the next `prepare()` builds the newly selected layout if
+    /// it is not materialized yet and keeps the others.
+    pub(crate) fn set_kernel_path(&mut self, path: KernelPath) {
         self.kernel = path;
     }
 
     /// The currently selected inner-loop kernel.
-    pub fn kernel_path(&self) -> KernelPath {
+    pub(crate) fn kernel_path(&self) -> KernelPath {
         self.kernel
-    }
-
-    /// Scratch width the `*_prepared` evaluators require: `cols_used`
-    /// rounded up to a lane multiple (the differential kernel writes the
-    /// zero-padded tail lanes).
-    pub(crate) fn padded_cols(&self) -> usize {
-        kernel::padded_len(self.cols_used)
     }
 
     /// The configuration this crossbar was built with.
@@ -362,13 +353,11 @@ impl AtomicCrossbar {
         self.conductance.fill(g_mid);
         // One calibrated programming event per cell: the device crate's
         // ~100 fJ spin-Hall write.
-        let probe = DwMtjSynapse::new(&self.config.device);
         let per_cell = {
             let i = self.config.device.full_scale_current();
             (i * self.config.device.heavy_metal_resistance() * i)
                 * self.config.device.switching_time()
         };
-        let _ = probe;
         for (r, row) in weights.iter().enumerate() {
             for (c, &w) in row.iter().enumerate() {
                 self.conductance[r * m + c] = self.weight_to_conductance(w);
@@ -414,93 +403,25 @@ impl AtomicCrossbar {
         self.conductance_to_weight(g)
     }
 
-    /// Evaluates one analog dot-product cycle: drives `inputs` (per-row
-    /// activations normalized to `[0, 1]` of the mode's read voltage,
-    /// binary for SNN) and returns the *differential* column currents
-    /// `I_j − I_ref`, proportional to `Σ_i v_i·w_ij`.
+    /// The per-cell oracle: evaluates one analog dot-product cycle by
+    /// re-resolving every visited cell's fault and age, with no cache.
+    /// Drives `inputs` (per-row activations normalized to `[0, 1]` of the
+    /// mode's read voltage, binary for SNN) and returns the
+    /// *differential* column currents `I_j − I_ref`, proportional to
+    /// `Σ_i v_i·w_ij`.
     ///
     /// Read energy is accrued from the total (non-differential) current
-    /// actually flowing through the array for one pipeline cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InputLengthMismatch`] when
-    /// `inputs.len() != rows_used`.
-    pub fn dot(&mut self, inputs: &[f64]) -> Result<Vec<Amps>, CrossbarError> {
-        if inputs.len() != self.rows_used {
-            return Err(CrossbarError::InputLengthMismatch {
-                len: inputs.len(),
-                expected: self.rows_used,
-            });
-        }
-        Ok(self.dot_unchecked(inputs))
-    }
-
-    /// [`dot`](Self::dot) without the input-length check, for callers
-    /// (e.g. [`SuperTile`](crate::tile::SuperTile)) that already proved
-    /// the whole drive vector valid up front.
-    pub(crate) fn dot_unchecked(&mut self, inputs: &[f64]) -> Vec<Amps> {
-        let mut diff = vec![0.0f64; self.padded_cols()];
-        self.dot_unchecked_into(inputs, &mut diff);
-        diff.truncate(self.cols_used);
-        diff.into_iter().map(Amps).collect()
-    }
-
-    /// Allocation-free [`dot_unchecked`](Self::dot_unchecked): evaluates
-    /// into the caller's scratch slice (length ≥
-    /// [`padded_cols`](Self::padded_cols); zeroed here, so it can be
-    /// reused dirty across calls) and accrues read energy. The
-    /// differential currents land in `diff[..cols_used]` in amps. This is
-    /// the per-timestep entry [`SuperTile`](crate::tile::SuperTile) drives
-    /// with one block-reused buffer instead of a fresh `Vec` per call.
-    pub(crate) fn dot_unchecked_into(&mut self, inputs: &[f64], diff: &mut [f64]) {
-        debug_assert_eq!(inputs.len(), self.rows_used);
-        let scratch = &mut diff[..self.padded_cols()];
-        scratch.fill(0.0);
-        let total_current = self.eval_cached(inputs, scratch);
-        self.accrue_read(total_current, 1);
-    }
-
-    /// Like [`dot`](Self::dot) but evaluated through the legacy per-cell
-    /// loop that re-resolves faults on every access instead of the
-    /// effective-conductance cache. Bit-identical to `dot` by
-    /// construction; kept public as the reference implementation for
-    /// equivalence tests and the `bench_hotpath` sequential leg.
+    /// actually flowing through the array for one pipeline cycle. The
+    /// prepared evaluators a [`SuperTile`](crate::tile::SuperTile) drives
+    /// return the same outputs bit for bit (and, on
+    /// [`KernelPath::Scalar`], the same energy bits); this loop is what
+    /// they are checked against.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::InputLengthMismatch`] when
     /// `inputs.len() != rows_used`.
     pub fn dot_reference(&mut self, inputs: &[f64]) -> Result<Vec<Amps>, CrossbarError> {
-        // The noise source is passed as a trait object on purpose: the
-        // pre-cache implementation dispatched `sample` through `&mut dyn
-        // NoiseSource` on every cell, and this leg reproduces that
-        // baseline faithfully (the values are identical either way).
-        self.dot_noisy(inputs, &mut NoNoise as &mut dyn NoiseSource)
-    }
-
-    /// Like [`dot`](Self::dot) but sampling multiplicative read noise
-    /// (`config.read_noise_sigma`) from `rng` per cell access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InputLengthMismatch`] when
-    /// `inputs.len() != rows_used`.
-    pub fn dot_with_noise<R: Rng + ?Sized>(
-        &mut self,
-        inputs: &[f64],
-        rng: &mut R,
-    ) -> Result<Vec<Amps>, CrossbarError> {
-        let model = VariationModel::new(self.config.read_noise_sigma);
-        let mut sampler = RngNoise { model, rng };
-        self.dot_noisy(inputs, &mut sampler)
-    }
-
-    fn dot_noisy<N: NoiseSource + ?Sized>(
-        &mut self,
-        inputs: &[f64],
-        noise: &mut N,
-    ) -> Result<Vec<Amps>, CrossbarError> {
         if inputs.len() != self.rows_used {
             return Err(CrossbarError::InputLengthMismatch {
                 len: inputs.len(),
@@ -508,41 +429,50 @@ impl AtomicCrossbar {
             });
         }
         let mut diff = vec![0.0f64; self.cols_used];
-        let total_current = self.eval_currents(inputs, noise, &mut diff);
-        self.accrue_read(total_current, 1);
+        let mut total_current = 0.0f64;
+        // A power-gated (dead) array drives nothing and draws nothing.
+        if !self.dead {
+            let v_read = self.config.mode.read_voltage().0;
+            let g_mid = self.g_mid();
+            for (r, &x) in inputs.iter().enumerate() {
+                if x == 0.0 {
+                    continue; // event-driven: silent rows draw no read current
+                }
+                let v = v_read * x;
+                for (j, d) in diff.iter_mut().enumerate() {
+                    let g_eff = self.resolved_g(r, j);
+                    *d += v * (g_eff - g_mid);
+                    total_current += v * g_eff;
+                }
+            }
+        }
+        self.accrue_read(total_current);
         Ok(diff.into_iter().map(Amps).collect())
     }
 
-    /// Per-cell effective conductance under faults: the programmed (and
-    /// possibly noise-perturbed) value transformed by the cell's fault.
-    fn fault_adjust(&self, idx: usize, g: f64) -> f64 {
-        match self.faults[idx] {
-            Some(fault) => fault.apply(g, &self.envelope(), self.age),
-            None => g,
-        }
-    }
-
-    /// The fault/age-resolved effective conductance of cell `(r, j)` —
-    /// exactly the value the legacy per-cell loop computes per visit.
-    fn resolved_g(&self, r: usize, j: usize, faulty: bool) -> f64 {
+    /// The fault/age-resolved effective conductance of cell `(r, j)`:
+    /// the programmed value transformed by the cell's fault, if any.
+    fn resolved_g(&self, r: usize, j: usize) -> f64 {
         let idx = r * self.m() + j;
         let g = self.conductance[idx];
-        if faulty {
-            self.fault_adjust(idx, g)
-        } else {
-            g
+        match self.faults.get(idx) {
+            Some(Some(fault)) => fault.apply(g, &self.envelope(), self.age),
+            _ => g,
         }
     }
 
-    /// Rebuilds the effective-conductance cache layout the current
-    /// kernel path needs, if a state mutation marked the cache dirty or
-    /// the path was switched to one whose layout is not materialized
-    /// yet. Each cached value is exactly what the legacy loop would
-    /// compute (fault- and age-resolved programmed conductance), so
-    /// cached evaluations are bit-identical by construction; the
-    /// differential layout stores the same `g_eff − g_mid` the scalar
-    /// loop computes per visit, pre-subtracted once per cell here.
-    fn ensure_cache(&mut self) {
+    /// Builds the effective-conductance cache layout the current kernel
+    /// path needs, if a state mutation marked the cache dirty or the path
+    /// was switched to one whose layout is not materialized yet, so that
+    /// the `&self` evaluators ([`eval_dense_prepared`](Self::eval_dense_prepared),
+    /// [`spike_rows`](Self::spike_rows)) can run from parallel workers
+    /// that share the array immutably. Each cached value is exactly what
+    /// the oracle computes per visit (fault- and age-resolved programmed
+    /// conductance), so cached evaluations are bit-identical by
+    /// construction; the differential layout stores the same
+    /// `g_eff − g_mid` the scalar loop computes per visit, pre-subtracted
+    /// once per cell here.
+    pub(crate) fn prepare(&mut self) {
         let mut cache = self.eff_cache.take().unwrap_or_default();
         match self.kernel {
             KernelPath::Scalar => {
@@ -558,12 +488,11 @@ impl AtomicCrossbar {
     /// Scalar layout: the resolved conductances, row-major over the
     /// programmed block.
     fn build_scalar(&self) -> Vec<f64> {
-        let faulty = !self.faults.is_empty();
         let cols = self.cols_used;
         let mut eff = Vec::with_capacity(self.rows_used * cols);
         for r in 0..self.rows_used {
             for j in 0..cols {
-                eff.push(self.resolved_g(r, j, faulty));
+                eff.push(self.resolved_g(r, j));
             }
         }
         eff
@@ -572,7 +501,6 @@ impl AtomicCrossbar {
     /// Differential layout: lane-padded `g_eff − g_mid` rows plus
     /// per-row sums.
     fn build_vector(&self) -> VectorLayout {
-        let faulty = !self.faults.is_empty();
         let cols = self.cols_used;
         let padded_cols = kernel::padded_len(cols);
         let g_mid = self.g_mid();
@@ -581,7 +509,7 @@ impl AtomicCrossbar {
         for r in 0..self.rows_used {
             let mut sum = 0.0f64;
             for j in 0..cols {
-                let g = self.resolved_g(r, j, faulty);
+                let g = self.resolved_g(r, j);
                 dg[r * padded_cols + j] = g - g_mid;
                 sum += g;
             }
@@ -595,12 +523,10 @@ impl AtomicCrossbar {
     }
 
     /// Bytes the cache layout backing the *current* kernel path occupies
-    /// (0 while the cache is dirty or unbuilt) — the quantity
-    /// `bench_hotpath` reports as the conductance-cache footprint. That
-    /// is the resolved conductances under [`KernelPath::Scalar`], and the
-    /// padded differential rows plus per-row sums under
-    /// [`KernelPath::Auto`].
-    pub fn kernel_cache_bytes(&self) -> usize {
+    /// (0 while the cache is dirty or unbuilt): the resolved conductances
+    /// under [`KernelPath::Scalar`], and the padded differential rows
+    /// plus per-row sums under [`KernelPath::Auto`].
+    pub(crate) fn kernel_cache_bytes(&self) -> usize {
         let Some(cache) = &self.eff_cache else {
             return 0;
         };
@@ -612,28 +538,6 @@ impl AtomicCrossbar {
                 .as_ref()
                 .map_or(0, |v| (v.dg.len() + v.row_sum.len()) * f64s),
         }
-    }
-
-    /// Rebuilds the conductance cache if dirty, so that the `&self`
-    /// `*_prepared` evaluators can run (e.g. from parallel workers that
-    /// share the array immutably).
-    pub(crate) fn prepare(&mut self) {
-        self.ensure_cache();
-    }
-
-    /// Noise-free evaluation over the effective-conductance cache:
-    /// accumulates differential column currents into `diff` (len
-    /// `cols_used`) and returns the total (non-differential) current
-    /// drawn. Cell visit order matches the legacy loop exactly
-    /// (row-ascending, column-ascending, silent rows skipped), so every
-    /// floating-point operation happens in the same sequence.
-    fn eval_cached(&mut self, inputs: &[f64], diff: &mut [f64]) -> f64 {
-        // A power-gated (dead) array drives nothing and draws nothing.
-        if self.dead {
-            return 0.0;
-        }
-        self.ensure_cache();
-        self.eval_dense_prepared(inputs, diff)
     }
 
     /// The prepared cache's rows as a binary spike drive at the mode's
@@ -664,14 +568,16 @@ impl AtomicCrossbar {
         })
     }
 
-    /// `&self` core of [`eval_cached`](Self::eval_cached), for callers
-    /// that already ran [`prepare`](Self::prepare) — parallel batch
-    /// workers evaluate through this without mutating the array; energy
-    /// is accrued afterwards by the owner via
-    /// [`accrue_read`](Self::accrue_read). `diff` must be at least
-    /// [`padded_cols`](Self::padded_cols) long; the differential kernel
-    /// writes (zero) into the padding tail, and only `diff[..cols_used]`
-    /// is meaningful.
+    /// Dense evaluation over the prepared cache, through `&self` so
+    /// parallel batch workers can evaluate without mutating the array:
+    /// accumulates the differential column currents into `diff` and
+    /// returns the total (non-differential) current drawn, which the
+    /// owner later feeds to [`accrue_read`](Self::accrue_read). `diff`
+    /// must hold at least `cols_used` rounded up to a lane multiple, zeroed
+    /// (the differential kernel writes zeros into the padding tail);
+    /// only `diff[..cols_used]` is meaningful. Cells are visited in the
+    /// oracle's order (row-ascending, column-ascending, silent rows
+    /// skipped), so every output is the oracle's bits.
     ///
     /// # Panics
     ///
@@ -711,250 +617,17 @@ impl AtomicCrossbar {
         }
     }
 
-    /// Spike-sparse twin of [`eval_cached`](Self::eval_cached): every row
-    /// in `active_rows` is driven at full read voltage (binary spike
-    /// input `x = 1.0`, so `v_read * x == v_read` bitwise), rows not
-    /// listed are silent. The rows are added ascending by the same
-    /// [`kernel::SpikeRows::add_rows`] kernel the batched SNN scatter
-    /// uses, which reproduces the dense loop's skip order exactly. `base` is subtracted from every index, so a super-tile
-    /// can pass sub-slices of a whole-receptive-field row list without
-    /// rebasing (and re-allocating) them first.
-    fn eval_cached_sparse(&mut self, active_rows: &[usize], base: usize, diff: &mut [f64]) -> f64 {
-        // A power-gated (dead) array drives nothing and draws nothing.
-        if self.dead {
-            return 0.0;
-        }
-        self.ensure_cache();
-        let rows = self.spike_rows().expect("a live array has spike rows");
-        rows.add_rows(active_rows, base, diff, 0.0)
-    }
-
-    fn validate_active_rows(&self, active_rows: &[usize]) -> Result<(), CrossbarError> {
-        let mut prev: Option<usize> = None;
-        for &r in active_rows {
-            if r >= self.rows_used || prev.is_some_and(|p| p >= r) {
-                return Err(CrossbarError::InvalidActiveRows {
-                    row: r,
-                    rows: self.rows_used,
-                });
-            }
-            prev = Some(r);
-        }
-        Ok(())
-    }
-
-    /// Spike-sparse evaluation: equivalent to [`dot`](Self::dot) driven
-    /// with a binary vector whose ones sit at `active_rows` — identical
-    /// outputs and identical energy accrual — without scanning silent
-    /// rows. `active_rows` must be strictly ascending indices into the
-    /// programmed rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidActiveRows`] when an index is out
-    /// of range or the list is not strictly ascending.
-    pub fn dot_sparse(&mut self, active_rows: &[usize]) -> Result<Vec<Amps>, CrossbarError> {
-        self.validate_active_rows(active_rows)?;
-        Ok(self.dot_sparse_unchecked(active_rows))
-    }
-
-    /// [`dot_sparse`](Self::dot_sparse) without validation, for callers
-    /// that already proved the row list valid.
-    pub(crate) fn dot_sparse_unchecked(&mut self, active_rows: &[usize]) -> Vec<Amps> {
-        let mut diff = vec![0.0f64; self.padded_cols()];
-        self.dot_sparse_unchecked_into(active_rows, 0, &mut diff);
-        diff.truncate(self.cols_used);
-        diff.into_iter().map(Amps).collect()
-    }
-
-    /// Spike-sparse twin of
-    /// [`dot_unchecked_into`](Self::dot_unchecked_into): evaluates the
-    /// active-row list (indices relative to `base`) into the caller's
-    /// scratch slice and accrues read energy.
-    pub(crate) fn dot_sparse_unchecked_into(
-        &mut self,
-        active_rows: &[usize],
-        base: usize,
-        diff: &mut [f64],
-    ) {
-        let scratch = &mut diff[..self.padded_cols()];
-        scratch.fill(0.0);
-        let total_current = self.eval_cached_sparse(active_rows, base, scratch);
-        self.accrue_read(total_current, 1);
-    }
-
-    /// Evaluates a whole batch of input vectors in one call, amortizing
-    /// the per-call bookkeeping: outputs and energy counters are
-    /// **bit-identical** to calling [`dot`](Self::dot) on each item in
-    /// turn — read energy is accrued per item in batch order, exactly as
-    /// a sequence of `dot` calls would.
-    ///
-    /// Validation is all-or-nothing: if any item has the wrong length the
-    /// call fails before any evaluation, and no energy is accrued.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InputLengthMismatch`] when any item's
-    /// length differs from `rows_used`.
-    pub fn dot_batch<S: AsRef<[f64]>>(
-        &mut self,
-        batch: &[S],
-    ) -> Result<Vec<Vec<Amps>>, CrossbarError> {
-        for item in batch {
-            if item.as_ref().len() != self.rows_used {
-                return Err(CrossbarError::InputLengthMismatch {
-                    len: item.as_ref().len(),
-                    expected: self.rows_used,
-                });
-            }
-        }
-        Ok(self.dot_batch_unchecked(batch))
-    }
-
-    /// [`dot_batch`](Self::dot_batch) without per-item validation.
-    pub(crate) fn dot_batch_unchecked<S: AsRef<[f64]>>(&mut self, batch: &[S]) -> Vec<Vec<Amps>> {
-        let mut out = Vec::with_capacity(batch.len());
-        let mut diff = vec![0.0f64; self.padded_cols()];
-        for item in batch {
-            diff.fill(0.0);
-            let total_current = self.eval_cached(item.as_ref(), &mut diff);
-            self.accrue_read(total_current, 1);
-            out.push(diff[..self.cols_used].iter().copied().map(Amps).collect());
-        }
-        out
-    }
-
-    /// Batched spike-sparse evaluation: one item per active-row list,
-    /// bit-identical (outputs and energy) to calling
-    /// [`dot_sparse`](Self::dot_sparse) on each item in turn.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidActiveRows`] when any item's list
-    /// is out of range or not strictly ascending; validation is
-    /// all-or-nothing.
-    pub fn dot_batch_sparse<S: AsRef<[usize]>>(
-        &mut self,
-        batch: &[S],
-    ) -> Result<Vec<Vec<Amps>>, CrossbarError> {
-        for item in batch {
-            self.validate_active_rows(item.as_ref())?;
-        }
-        Ok(self.dot_batch_sparse_unchecked(batch))
-    }
-
-    /// [`dot_batch_sparse`](Self::dot_batch_sparse) without validation.
-    pub(crate) fn dot_batch_sparse_unchecked<S: AsRef<[usize]>>(
-        &mut self,
-        batch: &[S],
-    ) -> Vec<Vec<Amps>> {
-        let mut out = Vec::with_capacity(batch.len());
-        let mut diff = vec![0.0f64; self.padded_cols()];
-        for item in batch {
-            diff.fill(0.0);
-            let total_current = self.eval_cached_sparse(item.as_ref(), 0, &mut diff);
-            self.accrue_read(total_current, 1);
-            out.push(diff[..self.cols_used].iter().copied().map(Amps).collect());
-        }
-        out
-    }
-
-    /// Batched spike-sparse evaluation that accumulates straight into the
-    /// caller's per-item running totals (Kirchhoff summation) instead of
-    /// materializing a `Vec<Amps>` per item. Row indices are interpreted
-    /// relative to `base`. Accumulation happens per item in batch order,
-    /// column-ascending — the same floating-point sequence as summing the
-    /// [`dot_batch_sparse`](Self::dot_batch_sparse) return values would
-    /// produce, so results stay bit-identical.
-    pub(crate) fn dot_batch_sparse_accumulate(
-        &mut self,
-        batch: &[&[usize]],
-        base: usize,
-        totals: &mut [Vec<Amps>],
-    ) {
-        let mut diff = vec![0.0f64; self.padded_cols()];
-        for (item, rows) in batch.iter().enumerate() {
-            diff.fill(0.0);
-            let total_current = self.eval_cached_sparse(rows, base, &mut diff);
-            self.accrue_read(total_current, 1);
-            for (t, &d) in totals[item].iter_mut().zip(diff[..self.cols_used].iter()) {
-                *t += Amps(d);
-            }
-        }
-    }
-
-    /// Dense twin of
-    /// [`dot_batch_sparse_accumulate`](Self::dot_batch_sparse_accumulate):
-    /// evaluates each item over the conductance cache and adds the
-    /// differential currents into `totals[item]` in place.
-    pub(crate) fn dot_batch_accumulate(&mut self, batch: &[&[f64]], totals: &mut [Vec<Amps>]) {
-        let mut diff = vec![0.0f64; self.padded_cols()];
-        for (item, inputs) in batch.iter().enumerate() {
-            diff.fill(0.0);
-            let total_current = self.eval_cached(inputs, &mut diff);
-            self.accrue_read(total_current, 1);
-            for (t, &d) in totals[item].iter_mut().zip(diff[..self.cols_used].iter()) {
-                *t += Amps(d);
-            }
-        }
-    }
-
-    /// Legacy per-cell evaluation core, monomorphized over the noise
-    /// source: accumulates differential column currents into `diff` (len
-    /// `cols_used`) and returns the total (non-differential) current
-    /// drawn. Does not touch the energy counters — callers accrue via
-    /// [`accrue_read`](Self::accrue_read). The noisy path must stay on
-    /// this loop (noise is sampled per cell access, so there is nothing
-    /// to cache); the noise-free path uses it only as the reference
-    /// implementation ([`dot_reference`](Self::dot_reference)).
-    fn eval_currents<N: NoiseSource + ?Sized>(
-        &self,
-        inputs: &[f64],
-        noise: &mut N,
-        diff: &mut [f64],
-    ) -> f64 {
-        let m = self.m();
-        let v_read = self.config.mode.read_voltage().0;
-        let g_mid = self.g_mid();
-        let cols = self.cols_used;
-        let mut total_current = 0.0f64;
-        // A power-gated (dead) array drives nothing and draws nothing;
-        // still consume the noise stream? No — the array is off, so no
-        // read events occur at all.
-        if self.dead {
-            return 0.0;
-        }
-        let faulty = !self.faults.is_empty();
-        for (r, &x) in inputs.iter().enumerate() {
-            if x == 0.0 {
-                continue; // event-driven: silent rows draw no read current
-            }
-            let v = v_read * x;
-            let row = &self.conductance[r * m..r * m + cols];
-            for (j, &g) in row.iter().enumerate() {
-                let mut g_eff = noise.sample(g);
-                if faulty {
-                    g_eff = self.fault_adjust(r * m + j, g_eff);
-                }
-                diff[j] += v * (g_eff - g_mid);
-                total_current += v * g_eff;
-            }
-        }
-        total_current
-    }
-
-    /// Accrues read energy for `evals` evaluations that together drew
+    /// Accrues the read energy of one evaluation that drew
     /// `total_current`: all active current flows for one pipeline cycle.
-    pub(crate) fn accrue_read(&mut self, total_current: f64, evals: u64) {
+    pub(crate) fn accrue_read(&mut self, total_current: f64) {
         let v_read = self.config.mode.read_voltage().0;
         let cycle = self.config.device.switching_time();
         self.read_energy += (Volts(v_read) * Amps(total_current)) * cycle;
-        self.evaluations += evals;
     }
 
     /// The differential current a full-scale single-row, full-weight
     /// product produces — the natural scale for interpreting
-    /// [`dot`](Self::dot) outputs as numbers:
+    /// [`dot_reference`](Self::dot_reference) outputs as numbers:
     /// `value = I / unit_current()` recovers `Σ v_i·w_i` in weight units.
     pub fn unit_current(&self) -> Amps {
         let v = self.config.mode.read_voltage().0;
@@ -971,38 +644,9 @@ impl AtomicCrossbar {
         self.read_energy
     }
 
-    /// Number of dot-product evaluations performed.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
     /// Duration of one evaluation cycle (the DW switching time).
     pub fn cycle_time(&self) -> Seconds {
         self.config.device.switching_time()
-    }
-}
-
-/// Internal abstraction over "no noise" and "rng-sampled noise".
-trait NoiseSource {
-    fn sample(&mut self, g: f64) -> f64;
-}
-
-struct NoNoise;
-
-impl NoiseSource for NoNoise {
-    fn sample(&mut self, g: f64) -> f64 {
-        g
-    }
-}
-
-struct RngNoise<'a, R: Rng + ?Sized> {
-    model: VariationModel,
-    rng: &'a mut R,
-}
-
-impl<R: Rng + ?Sized> NoiseSource for RngNoise<'_, R> {
-    fn sample(&mut self, g: f64) -> f64 {
-        self.model.perturb(g, self.rng)
     }
 }
 
@@ -1022,6 +666,21 @@ mod tests {
         currents.iter().map(|i| i.0 / unit).collect()
     }
 
+    /// One dense drive through the prepared path a super-tile runs:
+    /// prepare, evaluate through `&self`, accrue.
+    fn prepared_dot(x: &mut AtomicCrossbar, inputs: &[f64]) -> Vec<Amps> {
+        x.prepare();
+        let mut diff = vec![0.0f64; kernel::padded_len(x.cols_used())];
+        let current = x.eval_dense_prepared(inputs, &mut diff);
+        x.accrue_read(current);
+        diff[..x.cols_used()].iter().copied().map(Amps).collect()
+    }
+
+    /// The oracle on a clone, so repeated checks leave `x` untouched.
+    fn oracle(x: &AtomicCrossbar, inputs: &[f64]) -> Vec<Amps> {
+        x.clone().dot_reference(inputs).unwrap()
+    }
+
     #[test]
     fn dot_product_matches_math_within_quantization() {
         let mut x = xbar(Mode::Ann);
@@ -1032,7 +691,7 @@ mod tests {
         ];
         x.program(&w, 1.0).unwrap();
         let inputs = [1.0, 0.5, 0.25];
-        let out = as_values(&x, &x.clone().dot(&inputs).unwrap());
+        let out = as_values(&x, &oracle(&x, &inputs));
         for j in 0..3 {
             let exact: f64 = (0..3).map(|i| inputs[i] * w[i][j]).sum();
             assert!(
@@ -1059,7 +718,8 @@ mod tests {
         let mut x = xbar(Mode::Snn);
         x.program(&[vec![1.0, 1.0], vec![1.0, 1.0]], 1.0).unwrap();
         let before = x.accumulated_read_energy();
-        x.dot(&[0.0, 0.0]).unwrap();
+        x.dot_reference(&[0.0, 0.0]).unwrap();
+        prepared_dot(&mut x, &[0.0, 0.0]);
         assert_eq!(
             x.accumulated_read_energy(),
             before,
@@ -1071,9 +731,8 @@ mod tests {
     fn active_rows_accrue_read_energy() {
         let mut x = xbar(Mode::Snn);
         x.program(&[vec![1.0], vec![1.0]], 1.0).unwrap();
-        x.dot(&[1.0, 1.0]).unwrap();
+        x.dot_reference(&[1.0, 1.0]).unwrap();
         assert!(x.accumulated_read_energy().0 > 0.0);
-        assert_eq!(x.evaluations(), 1);
     }
 
     #[test]
@@ -1082,10 +741,10 @@ mod tests {
         let inputs = [1.0; 8];
         let mut ann = xbar(Mode::Ann);
         ann.program(&w, 1.0).unwrap();
-        ann.dot(&inputs).unwrap();
+        ann.dot_reference(&inputs).unwrap();
         let mut snn = xbar(Mode::Snn);
         snn.program(&w, 1.0).unwrap();
-        snn.dot(&inputs).unwrap();
+        snn.dot_reference(&inputs).unwrap();
         // Energy ∝ V²: (0.75/0.25)² = 9×.
         let ratio = ann.accumulated_read_energy().0 / snn.accumulated_read_energy().0;
         assert!((ratio - 9.0).abs() < 0.5, "V² energy ratio wrong: {ratio}");
@@ -1126,12 +785,17 @@ mod tests {
         let mut x = xbar(Mode::Ann);
         x.program(&[vec![1.0], vec![1.0]], 1.0).unwrap();
         assert!(matches!(
-            x.dot(&[1.0]),
+            x.dot_reference(&[1.0]),
             Err(CrossbarError::InputLengthMismatch {
                 len: 1,
                 expected: 2
             })
         ));
+        assert_eq!(
+            x.accumulated_read_energy(),
+            Joules::ZERO,
+            "a rejected drive evaluates nothing"
+        );
     }
 
     #[test]
@@ -1146,51 +810,8 @@ mod tests {
     }
 
     #[test]
-    fn read_noise_perturbs_but_tracks_ideal() {
-        let mut cfg = CrossbarConfig::paper_default(Mode::Ann);
-        cfg.read_noise_sigma = 0.10;
-        let mut x = AtomicCrossbar::new(cfg).unwrap();
-        let w = vec![vec![0.8; 4]; 4];
-        x.program(&w, 1.0).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let ideal = as_values(&x, &x.clone().dot(&[1.0; 4]).unwrap());
-        let noisy_currents = x.dot_with_noise(&[1.0; 4], &mut rng).unwrap();
-        let noisy = as_values(&x, &noisy_currents);
-        for (a, b) in ideal.iter().zip(&noisy) {
-            assert!((a - b).abs() < 1.5, "noise blew up: {a} vs {b}");
-            // Not all values should survive exactly (sigma=10%).
-        }
-        assert!(ideal.iter().zip(&noisy).any(|(a, b)| a != b));
-    }
-
-    #[test]
-    fn dot_batch_matches_individual_dots_exactly() {
-        let mut x = xbar(Mode::Ann);
-        let w = vec![
-            vec![0.5, -0.25, 1.0],
-            vec![-1.0, 0.75, 0.0],
-            vec![0.25, 0.5, -0.5],
-        ];
-        x.program(&w, 1.0).unwrap();
-        let batch = vec![
-            vec![1.0, 0.5, 0.25],
-            vec![0.0, 1.0, 0.0],
-            vec![0.0, 0.0, 0.0], // all-silent item still counts as an evaluation
-            vec![0.7, 0.0, 0.9],
-        ];
-        let mut seq = x.clone();
-        let expected: Vec<Vec<Amps>> = batch.iter().map(|b| seq.dot(b).unwrap()).collect();
-        let got = x.dot_batch(&batch).unwrap();
-        assert_eq!(got, expected, "batch outputs must be bit-identical");
-        assert_eq!(x.evaluations(), seq.evaluations());
-        // Energy is accrued per item in batch order, so the counters
-        // match the sequential path bit for bit.
-        assert_eq!(x.accumulated_read_energy(), seq.accumulated_read_energy());
-    }
-
-    #[test]
     fn cached_dot_matches_reference_under_faults_and_aging() {
-        use nebula_device::fault::{CellFault, FaultClass, FaultModel};
+        use nebula_device::fault::FaultClass;
         let model = FaultModel::none()
             .with_class_rate(FaultClass::StuckAtGmin, 0.03)
             .with_class_rate(FaultClass::DwPinning, 0.03)
@@ -1207,9 +828,9 @@ mod tests {
         let mut reference = x.clone();
         let mut scalar = x.clone();
         scalar.set_kernel_path(KernelPath::Scalar);
-        let fast = x.dot(&inputs).unwrap();
+        let fast = prepared_dot(&mut x, &inputs);
         let legacy = reference.dot_reference(&inputs).unwrap();
-        let pinned = scalar.dot(&inputs).unwrap();
+        let pinned = prepared_dot(&mut scalar, &inputs);
         assert_eq!(fast, legacy, "Auto path must be bit-identical");
         assert_eq!(pinned, legacy, "scalar path must be bit-identical");
         // The scalar path reproduces the reference energy bitwise; the
@@ -1225,130 +846,102 @@ mod tests {
             (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
             "Auto energy {e_vec} vs reference {e_ref}"
         );
-        assert_eq!(x.evaluations(), reference.evaluations());
     }
+
+    type Mutator = fn(&mut AtomicCrossbar);
 
     #[test]
     fn cache_is_invalidated_by_every_state_mutation() {
-        use nebula_device::fault::CellFault;
-        let mut x = xbar(Mode::Ann);
-        x.program(&[vec![1.0, -1.0], vec![0.5, 0.5]], 1.0).unwrap();
         let inputs = [1.0, 1.0];
-        // Prime the cache, then mutate state and check the next eval
-        // re-resolves instead of serving stale conductances.
-        x.dot(&inputs).unwrap();
-        x.set_cell_fault(0, 0, CellFault::StuckAtGmin);
-        assert_eq!(
-            x.clone().dot(&inputs).unwrap(),
-            x.clone().dot_reference(&inputs).unwrap(),
-            "stale cache after set_cell_fault"
-        );
-        x.dot(&inputs).unwrap();
-        x.set_cell_fault(1, 1, CellFault::RetentionDrift { rate_per_s: 0.05 });
-        x.dot(&inputs).unwrap();
-        x.advance_age(Seconds(10.0));
-        assert_eq!(
-            x.clone().dot(&inputs).unwrap(),
-            x.clone().dot_reference(&inputs).unwrap(),
-            "stale cache after advance_age"
-        );
-        x.dot(&inputs).unwrap();
-        x.kill();
-        assert!(x.clone().dot(&inputs).unwrap().iter().all(|i| i.0 == 0.0));
-        x.revive();
-        assert_eq!(
-            x.clone().dot(&inputs).unwrap(),
-            x.clone().dot_reference(&inputs).unwrap(),
-            "stale cache after kill/revive"
-        );
-        x.dot(&inputs).unwrap();
-        x.clear_faults();
-        assert_eq!(
-            x.clone().dot(&inputs).unwrap(),
-            x.clone().dot_reference(&inputs).unwrap(),
-            "stale cache after clear_faults"
-        );
-        x.dot(&inputs).unwrap();
-        x.program(&[vec![0.25, 0.25], vec![0.25, 0.25]], 1.0)
-            .unwrap();
-        assert_eq!(
-            x.clone().dot(&inputs).unwrap(),
-            x.clone().dot_reference(&inputs).unwrap(),
-            "stale cache after reprogram"
-        );
-        x.dot(&inputs).unwrap();
-        x.reset();
-        assert_eq!(x.rows_used(), 0);
-        assert_eq!(x.dot(&[]).unwrap(), Vec::<Amps>::new());
+        for path in [KernelPath::Auto, KernelPath::Scalar] {
+            let mut x = xbar(Mode::Ann);
+            x.set_kernel_path(path);
+            x.program(&[vec![1.0, -1.0], vec![0.5, 0.5]], 1.0).unwrap();
+            // Prime the cache before each mutation, then check that the
+            // next `prepare()` re-resolves instead of serving stale
+            // conductances.
+            let mutations: [(&str, Mutator); 9] = [
+                ("set_cell_fault", |x| {
+                    x.set_cell_fault(0, 0, CellFault::StuckAtGmin)
+                }),
+                ("set_cell_fault drift", |x| {
+                    x.set_cell_fault(1, 1, CellFault::RetentionDrift { rate_per_s: 0.05 })
+                }),
+                ("advance_age", |x| x.advance_age(Seconds(10.0))),
+                ("fail_row", |x| x.fail_row(1, CellFault::StuckAtGmax)),
+                ("kill", AtomicCrossbar::kill),
+                ("revive", AtomicCrossbar::revive),
+                ("clear_faults", AtomicCrossbar::clear_faults),
+                ("reprogram", |x| {
+                    x.program(&[vec![0.25, 0.25], vec![0.25, 0.25]], 1.0)
+                        .unwrap()
+                }),
+                ("inject_faults", |x| {
+                    let model = nebula_device::fault::FaultModel::single(
+                        nebula_device::fault::FaultClass::StuckAtGmax,
+                        0.5,
+                    );
+                    x.inject_faults(&model, &mut rand::rngs::StdRng::seed_from_u64(3));
+                }),
+            ];
+            for (name, mutate) in mutations {
+                prepared_dot(&mut x, &inputs);
+                mutate(&mut x);
+                assert_eq!(
+                    prepared_dot(&mut x.clone(), &inputs),
+                    oracle(&x, &inputs),
+                    "{path:?}: stale cache after {name}"
+                );
+            }
+            prepared_dot(&mut x, &inputs);
+            x.kill();
+            assert!(prepared_dot(&mut x, &inputs).iter().all(|i| i.0 == 0.0));
+            x.reset();
+            assert_eq!(x.rows_used(), 0);
+            assert_eq!(prepared_dot(&mut x, &[]), Vec::<Amps>::new());
+            assert_eq!(oracle(&x, &[]), Vec::<Amps>::new());
+        }
     }
 
     #[test]
-    fn sparse_dot_matches_dense_binary_drive_exactly() {
+    fn spike_rows_match_dense_binary_oracle_exactly() {
         let mut x = xbar(Mode::Snn);
         x.program(&vec![vec![0.7, -0.3, 0.1]; 8], 1.0).unwrap();
+        x.set_cell_fault(4, 1, CellFault::DwPinning { offset_states: 3 });
         let active = [1usize, 4, 5, 7];
         let mut dense_drive = vec![0.0f64; 8];
         for &r in &active {
             dense_drive[r] = 1.0;
         }
-        let mut dense = x.clone();
-        let sparse_out = x.dot_sparse(&active).unwrap();
-        let dense_out = dense.dot(&dense_drive).unwrap();
-        assert_eq!(sparse_out, dense_out, "sparse must match dense bitwise");
-        assert_eq!(x.accumulated_read_energy(), dense.accumulated_read_energy());
-        assert_eq!(x.evaluations(), dense.evaluations());
-        // Batched sparse matches a sequence of sparse dots.
-        let batch = vec![vec![0usize, 2], vec![], vec![1, 4, 5, 7]];
-        let mut seq = x.clone();
-        let got = x.dot_batch_sparse(&batch).unwrap();
-        let expected: Vec<Vec<Amps>> = batch.iter().map(|b| seq.dot_sparse(b).unwrap()).collect();
-        assert_eq!(got, expected);
-        assert_eq!(x.accumulated_read_energy(), seq.accumulated_read_energy());
-    }
-
-    #[test]
-    fn sparse_row_lists_are_validated() {
-        let mut x = xbar(Mode::Snn);
-        x.program(&vec![vec![1.0]; 4], 1.0).unwrap();
-        assert!(matches!(
-            x.dot_sparse(&[0, 4]),
-            Err(CrossbarError::InvalidActiveRows { row: 4, rows: 4 })
-        ));
-        assert!(matches!(
-            x.dot_sparse(&[2, 1]),
-            Err(CrossbarError::InvalidActiveRows { row: 1, .. })
-        ));
-        assert!(matches!(
-            x.dot_sparse(&[1, 1]),
-            Err(CrossbarError::InvalidActiveRows { .. })
-        ));
-        assert_eq!(x.evaluations(), 0, "failed sparse call evaluates nothing");
-        assert!(matches!(
-            x.dot_batch_sparse(&[vec![0], vec![3, 0]]),
-            Err(CrossbarError::InvalidActiveRows { .. })
-        ));
-        assert_eq!(x.accumulated_read_energy(), Joules::ZERO);
-    }
-
-    #[test]
-    fn dot_batch_validates_every_item_before_evaluating() {
-        let mut x = xbar(Mode::Ann);
-        x.program(&[vec![1.0], vec![1.0]], 1.0).unwrap();
-        let bad = vec![vec![1.0, 1.0], vec![1.0]]; // second item too short
-        assert!(matches!(
-            x.dot_batch(&bad),
-            Err(CrossbarError::InputLengthMismatch {
-                len: 1,
-                expected: 2
-            })
-        ));
-        assert_eq!(x.evaluations(), 0, "failed batch must evaluate nothing");
-        assert_eq!(x.accumulated_read_energy(), Joules::ZERO);
+        let mut reference = x.clone();
+        let expect = reference.dot_reference(&dense_drive).unwrap();
+        let e_ref = reference.accumulated_read_energy().0;
+        for path in [KernelPath::Scalar, KernelPath::Auto] {
+            let mut y = x.clone();
+            y.set_kernel_path(path);
+            y.prepare();
+            let mut acc = vec![0.0f64; kernel::padded_len(3)];
+            let current = y.spike_rows().unwrap().add_rows(&active, 0, &mut acc, 0.0);
+            y.accrue_read(current);
+            let got: Vec<Amps> = acc[..3].iter().copied().map(Amps).collect();
+            assert_eq!(
+                got, expect,
+                "{path:?}: spike rows must match the oracle bitwise"
+            );
+            let e = y.accumulated_read_energy().0;
+            match path {
+                KernelPath::Scalar => assert_eq!(e.to_bits(), e_ref.to_bits()),
+                KernelPath::Auto => assert!((e - e_ref).abs() <= 1e-12 * e_ref, "{e} vs {e_ref}"),
+            }
+            // A dead array has no spike rows: it drives and draws nothing.
+            y.kill();
+            y.prepare();
+            assert!(y.spike_rows().is_none());
+        }
     }
 
     #[test]
     fn stuck_cells_override_programming() {
-        use nebula_device::fault::CellFault;
         let mut x = xbar(Mode::Ann);
         x.program(&[vec![1.0, 1.0], vec![1.0, 1.0]], 1.0).unwrap();
         x.set_cell_fault(0, 0, CellFault::StuckAtGmin);
@@ -1360,7 +953,7 @@ mod tests {
             (x.effective_weight(0, 1) - 1.0).abs() < 1e-9,
             "healthy cell untouched"
         );
-        let out = as_values(&x, &x.clone().dot(&[1.0, 1.0]).unwrap());
+        let out = as_values(&x, &oracle(&x, &[1.0, 1.0]));
         // Column 0: -1 + 1 = 0; column 1: 1 + 1 = 2.
         assert!(out[0].abs() < 0.01, "col0 {out:?}");
         assert!((out[1] - 2.0).abs() < 0.01, "col1 {out:?}");
@@ -1372,19 +965,17 @@ mod tests {
 
     #[test]
     fn failed_row_faults_every_cell_in_the_row() {
-        use nebula_device::fault::CellFault;
         let mut x = xbar(Mode::Ann);
         x.program(&[vec![1.0, 1.0], vec![1.0, 1.0]], 1.0).unwrap();
         x.fail_row(0, CellFault::StuckAtGmin);
         assert_eq!(x.faulty_cells(), x.m());
-        let out = as_values(&x, &x.clone().dot(&[1.0, 1.0]).unwrap());
+        let out = as_values(&x, &oracle(&x, &[1.0, 1.0]));
         // Row 0 contributes -1 per column; row 1 contributes +1.
         assert!(out[0].abs() < 0.01 && out[1].abs() < 0.01, "{out:?}");
     }
 
     #[test]
     fn retention_drift_relaxes_with_age_and_resets_on_program() {
-        use nebula_device::fault::CellFault;
         let mut x = xbar(Mode::Ann);
         x.program(&[vec![1.0]], 1.0).unwrap();
         x.set_cell_fault(0, 0, CellFault::RetentionDrift { rate_per_s: 0.1 });
@@ -1409,7 +1000,7 @@ mod tests {
             x.program(&vec![vec![0.5; 8]; 8], 1.0).unwrap();
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let n = x.inject_faults(&model, &mut rng);
-            let out = x.dot(&[1.0; 8]).unwrap();
+            let out = x.dot_reference(&[1.0; 8]).unwrap();
             (n, out)
         };
         assert_eq!(run(42), run(42));
@@ -1424,14 +1015,13 @@ mod tests {
         x.program(&[vec![1.0, -1.0], vec![0.5, 0.5]], 1.0).unwrap();
         x.kill();
         assert!(x.is_dead());
-        let out = x.dot(&[1.0, 1.0]).unwrap();
+        let out = x.dot_reference(&[1.0, 1.0]).unwrap();
         assert!(out.iter().all(|i| i.0 == 0.0), "dead array must be silent");
         assert_eq!(x.accumulated_read_energy(), Joules::ZERO);
-        assert_eq!(x.evaluations(), 1, "the cycle still happened");
         assert_eq!(x.effective_weight(0, 0), 0.0);
         // Revival restores the programmed weights.
         x.revive();
-        let out = as_values(&x, &x.clone().dot(&[1.0, 1.0]).unwrap());
+        let out = as_values(&x, &oracle(&x, &[1.0, 1.0]));
         assert!((out[0] - 1.5).abs() < 0.05, "{out:?}");
     }
 
@@ -1444,10 +1034,7 @@ mod tests {
         let n = x.inject_faults(&nebula_device::fault::FaultModel::none(), &mut rng);
         assert_eq!(n, 0);
         assert_eq!(x.faulty_cells(), 0);
-        assert_eq!(
-            x.clone().dot(&[1.0]).unwrap(),
-            clean.clone().dot(&[1.0]).unwrap()
-        );
+        assert_eq!(oracle(&x, &[1.0]), oracle(&clean, &[1.0]));
     }
 
     #[test]
@@ -1456,7 +1043,7 @@ mod tests {
         x.program(&[vec![1.0], vec![1.0], vec![1.0], vec![1.0]], 1.0)
             .unwrap();
         let spikes = [1.0, 0.0, 1.0, 1.0];
-        let currents = x.dot(&spikes).unwrap();
+        let currents = x.dot_reference(&spikes).unwrap();
         let out = as_values(&x, &currents);
         assert!((out[0] - 3.0).abs() < 0.01, "expected ≈3 got {}", out[0]);
     }

@@ -46,9 +46,6 @@ pub struct CrossbarConfig {
     pub mode: Mode,
     /// Device parameters of the DW-MTJ synapses and neurons.
     pub device: DeviceParams,
-    /// Multiplicative Gaussian read-noise sigma applied to each
-    /// programmed conductance during evaluation (0 = ideal).
-    pub read_noise_sigma: f64,
 }
 
 impl CrossbarConfig {
@@ -58,7 +55,6 @@ impl CrossbarConfig {
             m: 128,
             mode,
             device: DeviceParams::default(),
-            read_noise_sigma: 0.0,
         }
     }
 
@@ -66,20 +62,11 @@ impl CrossbarConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CrossbarError::InvalidConfig`] when `m` is zero or the
-    /// noise sigma is negative/non-finite.
+    /// Returns [`CrossbarError::InvalidConfig`] when `m` is zero.
     pub fn validate(&self) -> Result<(), CrossbarError> {
         if self.m == 0 {
             return Err(CrossbarError::InvalidConfig {
                 reason: "crossbar side m must be nonzero".to_string(),
-            });
-        }
-        if !(self.read_noise_sigma >= 0.0 && self.read_noise_sigma.is_finite()) {
-            return Err(CrossbarError::InvalidConfig {
-                reason: format!(
-                    "read-noise sigma must be ≥ 0, got {}",
-                    self.read_noise_sigma
-                ),
             });
         }
         Ok(())
@@ -107,8 +94,5 @@ mod tests {
         let mut c = CrossbarConfig::paper_default(Mode::Snn);
         c.m = 0;
         assert!(c.validate().is_err());
-        let mut c2 = CrossbarConfig::paper_default(Mode::Snn);
-        c2.read_noise_sigma = -1.0;
-        assert!(c2.validate().is_err());
     }
 }

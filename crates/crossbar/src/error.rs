@@ -37,14 +37,6 @@ pub enum CrossbarError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// A spike-sparse active-row list was malformed: indices must be
-    /// strictly ascending and each must address a programmed row.
-    InvalidActiveRows {
-        /// The offending row index (out of range or out of order).
-        row: usize,
-        /// Programmed rows the list must index into.
-        rows: usize,
-    },
 }
 
 impl fmt::Display for CrossbarError {
@@ -69,11 +61,6 @@ impl fmt::Display for CrossbarError {
                 )
             }
             CrossbarError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
-            CrossbarError::InvalidActiveRows { row, rows } => write!(
-                f,
-                "active row {row} invalid for {rows} programmed rows \
-                 (indices must be strictly ascending and in range)"
-            ),
         }
     }
 }

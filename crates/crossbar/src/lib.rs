@@ -6,12 +6,17 @@
 //! * [`array`](mod@array) — the `M×M` atomic crossbar of DW-MTJ synapses computing
 //!   analog dot products by Kirchhoff current summation, with
 //!   reference-column signed-weight mapping, 16-level conductance
-//!   quantization, read-noise injection and event-driven energy
+//!   quantization, hard faults, aging and event-driven energy
 //!   accounting.
 //! * [`tile`] — morphable tiles (2×2 ACs) and super-tiles (2×2 tiles)
 //!   with the H0/H1/H2 neuron-unit hierarchy that merges partial sums in
 //!   the *current domain*, supporting receptive fields up to `16M` rows
-//!   without an ADC.
+//!   without an ADC. A super-tile evaluates through one split-phase
+//!   seam — [`SuperTile::prepare`], then
+//!   [`SuperTile::eval_dense_prepared`] (dense drives) or
+//!   [`SuperTile::spike_rows`] (spikes) from any number of workers, then
+//!   [`SuperTile::accrue_batch`] — checked against one per-cell oracle,
+//!   `dot_reference`.
 //! * [`nu`] — neuron units: arrays of current-driven spin neurons
 //!   (spiking IF or saturating ReLU) terminating crossbar columns.
 //! * [`kernel`] — the GEMV kernels beneath the evaluation fast path:
@@ -24,7 +29,8 @@
 //! # Examples
 //!
 //! An end-to-end analog pipeline — program a kernel, evaluate a dot
-//! product, threshold it with spin neurons:
+//! product (here through the per-cell oracle), threshold it with spin
+//! neurons:
 //!
 //! ```
 //! use nebula_crossbar::array::AtomicCrossbar;
@@ -34,7 +40,7 @@
 //!
 //! let mut xbar = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Snn))?;
 //! xbar.program(&[vec![1.0], vec![1.0]], 1.0)?;
-//! let currents = xbar.dot(&[1.0, 1.0])?; // two simultaneous spikes
+//! let currents = xbar.dot_reference(&[1.0, 1.0])?; // two simultaneous spikes
 //! let value = currents[0].0 / xbar.unit_current().0; // ≈ 2.0
 //!
 //! let mut nu = NeuronUnit::new_spiking(1, 2.0, &DeviceParams::default())?;

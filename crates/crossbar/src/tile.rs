@@ -76,6 +76,7 @@ pub fn kernels_per_supertile(rf: usize, m: usize) -> usize {
 /// ```
 /// use nebula_crossbar::config::{CrossbarConfig, Mode};
 /// use nebula_crossbar::tile::{NuLevel, SuperTile};
+/// use nebula_device::units::Amps;
 ///
 /// let mut cfg = CrossbarConfig::paper_default(Mode::Ann);
 /// cfg.m = 8; // small arrays for the example
@@ -84,8 +85,19 @@ pub fn kernels_per_supertile(rf: usize, m: usize) -> usize {
 /// let weights = vec![vec![0.5, -0.5]; 20];
 /// let level = st.program(&weights, 1.0)?;
 /// assert_eq!(level, NuLevel::H1);
-/// let out = st.dot(&vec![1.0; 20])?;
-/// assert_eq!(out.len(), 2);
+///
+/// // The split-phase seam: prepare once, evaluate items through `&self`
+/// // (from any number of workers), then accrue their energy in item order.
+/// let drive = vec![1.0; 20];
+/// st.prepare();
+/// let mut out = vec![Amps::ZERO; st.kernels()];
+/// let mut currents = vec![0.0; st.chunk_count()];
+/// let mut scratch = vec![0.0; st.scratch_cols()];
+/// st.eval_dense_prepared(&drive, &mut out, &mut currents, &mut scratch);
+/// st.accrue_batch(&[&currents]);
+///
+/// // The per-cell oracle computes the same bits.
+/// assert_eq!(out, st.clone().dot_reference(&drive)?);
 /// # Ok::<(), nebula_crossbar::CrossbarError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -190,43 +202,16 @@ impl SuperTile {
         Ok(level)
     }
 
-    /// Evaluates one dot-product cycle: splits `inputs` across the
-    /// stacked ACs and sums their partial column currents in the current
-    /// domain (the H1/H2 aggregation). Returns `kernels` differential
-    /// currents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InputLengthMismatch`] when
-    /// `inputs.len() != rf`.
-    pub fn dot(&mut self, inputs: &[f64]) -> Result<Vec<Amps>, CrossbarError> {
-        if inputs.len() != self.rf {
-            return Err(CrossbarError::InputLengthMismatch {
-                len: inputs.len(),
-                expected: self.rf,
-            });
-        }
-        // One up-front length check proves every per-AC chunk valid:
-        // `chunks(m)` yields full `m`-row slices plus one tail of
-        // `rf mod m` rows — exactly the row counts the ACs were
-        // programmed with — so the subtile loop skips revalidation.
-        // One padded scratch buffer serves every AC chunk in turn —
-        // no per-chunk Vec allocations on the per-timestep path.
-        let mut totals = vec![Amps::ZERO; self.kernels];
-        let mut diff = vec![0.0f64; self.scratch_cols()];
-        for (chunk_idx, chunk) in inputs.chunks(self.m).enumerate() {
-            self.acs[chunk_idx].dot_unchecked_into(chunk, &mut diff);
-            for (t, &d) in totals.iter_mut().zip(diff[..self.kernels].iter()) {
-                *t += Amps(d); // Kirchhoff current summation
-            }
-        }
-        Ok(totals)
-    }
-
-    /// Like [`dot`](Self::dot) but evaluated through each AC's legacy
-    /// uncached loop ([`AtomicCrossbar::dot_reference`]). Bit-identical
-    /// to `dot`; the reference implementation for equivalence tests and
-    /// the `bench_hotpath` sequential leg.
+    /// The per-cell oracle: evaluates one dot-product cycle through each
+    /// stacked AC's uncached loop ([`AtomicCrossbar::dot_reference`]),
+    /// splitting `inputs` across the ACs and summing their partial column
+    /// currents in the current domain (the H1/H2 aggregation,
+    /// chunk-ascending). Returns `kernels` differential currents. The
+    /// split-phase seam ([`prepare`](Self::prepare),
+    /// [`eval_dense_prepared`](Self::eval_dense_prepared) or
+    /// [`spike_rows`](Self::spike_rows), then
+    /// [`accrue_batch`](Self::accrue_batch)) computes the same output bits
+    /// and is checked against this.
     ///
     /// # Errors
     ///
@@ -245,101 +230,6 @@ impl SuperTile {
             for (t, p) in totals.iter_mut().zip(partial) {
                 *t += p;
             }
-        }
-        Ok(totals)
-    }
-
-    /// Evaluates a batch of dot-product cycles in one call, amortizing
-    /// per-call overhead: each AC sees the whole batch of its input
-    /// chunk at once ([`AtomicCrossbar::dot_batch`]).
-    ///
-    /// Per-item outputs **and energy counters** are bit-identical to
-    /// calling [`dot`](Self::dot) on each item in turn: every item's
-    /// partial currents are summed in the same ascending chunk order and
-    /// each AC accrues read energy per item in batch order. Validation
-    /// is all-or-nothing — a bad item length fails the call before any
-    /// evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InputLengthMismatch`] when any item's
-    /// length differs from the programmed receptive field.
-    pub fn dot_batch<S: AsRef<[f64]>>(
-        &mut self,
-        batch: &[S],
-    ) -> Result<Vec<Vec<Amps>>, CrossbarError> {
-        for item in batch {
-            if item.as_ref().len() != self.rf {
-                return Err(CrossbarError::InputLengthMismatch {
-                    len: item.as_ref().len(),
-                    expected: self.rf,
-                });
-            }
-        }
-        let mut totals = vec![vec![Amps::ZERO; self.kernels]; batch.len()];
-        let chunks = self.rf.div_ceil(self.m.max(1));
-        // The up-front check above proves every chunk slice below has the
-        // row count its AC was programmed with, so the per-AC calls skip
-        // revalidation. A reused `sub` buffer avoids a per-chunk Vec, and
-        // each AC accumulates its partials into `totals` directly
-        // (Kirchhoff current summation, chunk-ascending).
-        let mut sub: Vec<&[f64]> = Vec::with_capacity(batch.len());
-        for chunk_idx in 0..chunks {
-            let start = chunk_idx * self.m;
-            let end = (start + self.m).min(self.rf);
-            sub.clear();
-            sub.extend(batch.iter().map(|b| &b.as_ref()[start..end]));
-            self.acs[chunk_idx].dot_batch_accumulate(&sub, &mut totals);
-        }
-        Ok(totals)
-    }
-
-    /// Batched spike-sparse evaluation: each item is a strictly ascending
-    /// list of active (spiking) rows in `0..rf`; silent rows are never
-    /// scanned. Outputs and energy counters are bit-identical to
-    /// [`dot_batch`](Self::dot_batch) driven with the equivalent dense
-    /// binary vectors (a spiking row drives full read voltage).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidActiveRows`] when any item's list
-    /// is out of range or not strictly ascending; validation is
-    /// all-or-nothing.
-    pub fn dot_batch_sparse<S: AsRef<[usize]>>(
-        &mut self,
-        batch: &[S],
-    ) -> Result<Vec<Vec<Amps>>, CrossbarError> {
-        for item in batch {
-            let mut prev: Option<usize> = None;
-            for &r in item.as_ref() {
-                if r >= self.rf || prev.is_some_and(|p| p >= r) {
-                    return Err(CrossbarError::InvalidActiveRows {
-                        row: r,
-                        rows: self.rf,
-                    });
-                }
-                prev = Some(r);
-            }
-        }
-        let mut totals = vec![vec![Amps::ZERO; self.kernels]; batch.len()];
-        let chunks = self.rf.div_ceil(self.m.max(1));
-        // Each item's row list is ascending, so the rows belonging to one
-        // AC chunk form a contiguous sub-slice found by binary search —
-        // no per-chunk copy or rebase allocation. The AC subtracts the
-        // chunk's first row itself and accumulates partials into `totals`
-        // directly, preserving the dense loop's evaluation order.
-        let mut sub: Vec<&[usize]> = Vec::with_capacity(batch.len());
-        for chunk_idx in 0..chunks {
-            let start = chunk_idx * self.m;
-            let end = (start + self.m).min(self.rf);
-            sub.clear();
-            sub.extend(batch.iter().map(|item| {
-                let rows = item.as_ref();
-                let lo = rows.partition_point(|&r| r < start);
-                let hi = rows.partition_point(|&r| r < end);
-                &rows[lo..hi]
-            }));
-            self.acs[chunk_idx].dot_batch_sparse_accumulate(&sub, start, &mut totals);
         }
         Ok(totals)
     }
@@ -367,10 +257,12 @@ impl SuperTile {
         kernel::padded_len(self.kernels)
     }
 
-    /// Selects the inner-loop kernel every atomic crossbar evaluates
-    /// through: [`KernelPath::Auto`] (the default) or the
-    /// [`KernelPath::Scalar`] reference (see
-    /// [`AtomicCrossbar::set_kernel_path`]).
+    /// Selects the inner-loop kernel every atomic crossbar's prepared
+    /// evaluators run through: [`KernelPath::Auto`] (the default) or the
+    /// [`KernelPath::Scalar`] reference. Outputs are bit-identical on both
+    /// paths; only the energy term's association differs. Switching does
+    /// not discard a prepared layout — the next [`prepare`](Self::prepare)
+    /// builds the selected one if it is missing.
     pub fn set_kernel_path(&mut self, path: KernelPath) {
         for ac in &mut self.acs {
             ac.set_kernel_path(path);
@@ -383,9 +275,10 @@ impl SuperTile {
     }
 
     /// Total bytes of the per-AC cache layouts backing the current kernel
-    /// path (see [`AtomicCrossbar::kernel_cache_bytes`]); 0 for ACs whose
-    /// cache is dirty or unbuilt, so call after [`prepare`](Self::prepare)
-    /// for a meaningful footprint.
+    /// path (resolved conductances on [`KernelPath::Scalar`], padded
+    /// differential rows plus per-row sums on [`KernelPath::Auto`]); 0 for
+    /// ACs whose cache is dirty or unbuilt, so call after
+    /// [`prepare`](Self::prepare) for a meaningful footprint.
     pub fn kernel_cache_bytes(&self) -> usize {
         self.acs.iter().map(|ac| ac.kernel_cache_bytes()).sum()
     }
@@ -397,9 +290,10 @@ impl SuperTile {
         self.rf.div_ceil(self.m.max(1))
     }
 
-    /// Split-phase dense evaluation of one item: the compute half of
-    /// [`dot`](Self::dot), usable through `&self` so a worker pool can
-    /// evaluate many items against one prepared tile concurrently.
+    /// Split-phase dense evaluation of one item, through `&self` so a
+    /// worker pool can evaluate many items against one prepared tile
+    /// concurrently: splits `inputs` across the stacked ACs and sums their
+    /// partial currents chunk-ascending, as the oracle does.
     /// Writes the per-kernel differential currents into `totals` (len
     /// [`kernels`](Self::kernels)) and the total (non-differential)
     /// current each AC drew into `currents` (len
@@ -407,9 +301,9 @@ impl SuperTile {
     /// latter back through [`accrue_batch`](Self::accrue_batch) in item
     /// order to keep energy counters bit-identical to the sequential
     /// path. `diff` is scratch space (len ≥
-    /// [`scratch_cols`](Self::scratch_cols); contents ignored). All
-    /// floating-point work happens in exactly [`dot`](Self::dot)'s order, so
-    /// results are independent of worker count.
+    /// [`scratch_cols`](Self::scratch_cols); contents ignored). Every
+    /// output is [`dot_reference`](Self::dot_reference)'s bits, whatever
+    /// the worker count.
     ///
     /// # Panics
     ///
@@ -460,8 +354,8 @@ impl SuperTile {
     /// [`eval_dense_prepared`](Self::eval_dense_prepared) call returned,
     /// or the per-AC current chains a [`spike_rows`](Self::spike_rows)
     /// scatter built for it. Each AC accrues its items in
-    /// ascending item order — the exact floating-point sequence the
-    /// sequential batch path produces.
+    /// ascending item order — the exact floating-point sequence of
+    /// calling [`dot_reference`](Self::dot_reference) on each item in turn.
     ///
     /// Items that drew no current from an AC (silent spike items, or
     /// chunks the sparse evaluator dismissed) are skipped outright:
@@ -471,14 +365,14 @@ impl SuperTile {
     /// skipping the add leaves the energy bits unchanged while the
     /// accrual loop scales with *activity* rather than batch size.
     pub fn accrue_batch(&mut self, per_item: &[&[f64]]) {
-        let chunks = self.rf.div_ceil(self.m.max(1));
+        let chunks = self.chunk_count();
         for (chunk_idx, ac) in self.acs.iter_mut().take(chunks).enumerate() {
             for item in per_item {
                 let current = item[chunk_idx];
                 if current == 0.0 {
                     continue;
                 }
-                ac.accrue_read(current, 1);
+                ac.accrue_read(current);
             }
         }
     }
@@ -591,6 +485,45 @@ mod tests {
         cfg
     }
 
+    /// One dense drive through the split-phase seam (prepare, evaluate,
+    /// accrue), checked bitwise against the per-cell oracle on a clone.
+    fn seam_dot(st: &mut SuperTile, inputs: &[f64]) -> Vec<Amps> {
+        let expect = st.clone().dot_reference(inputs).unwrap();
+        st.prepare();
+        let mut totals = vec![Amps::ZERO; st.kernels()];
+        let mut currents = vec![0.0; st.chunk_count()];
+        let mut diff = vec![0.0; st.scratch_cols()];
+        st.eval_dense_prepared(inputs, &mut totals, &mut currents, &mut diff);
+        st.accrue_batch(&[&currents]);
+        assert_eq!(totals, expect, "seam must match the oracle bitwise");
+        totals
+    }
+
+    /// One binary spike drive (ascending active rows) through the seam:
+    /// each AC adds its rows from `+0.0` and the ACs merge in ascending
+    /// order, as `nebula-core`'s scatter does.
+    fn seam_spikes(st: &mut SuperTile, active: &[usize]) -> Vec<Amps> {
+        st.prepare();
+        let m = st.m();
+        let mut totals = vec![Amps::ZERO; st.kernels()];
+        let mut currents = vec![0.0; st.chunk_count()];
+        let mut acc = vec![0.0; st.scratch_cols()];
+        for (ac, current) in currents.iter_mut().enumerate() {
+            let Some(rows) = st.spike_rows(ac) else {
+                continue; // a dead AC drives and draws nothing
+            };
+            let lo = active.partition_point(|&r| r < ac * m);
+            let hi = active.partition_point(|&r| r < (ac + 1) * m);
+            acc.fill(0.0);
+            *current = rows.add_rows(&active[lo..hi], ac * m, &mut acc, 0.0);
+            for (t, &a) in totals.iter_mut().zip(&acc) {
+                *t += Amps(a);
+            }
+        }
+        st.accrue_batch(&[&currents]);
+        totals
+    }
+
     #[test]
     fn nu_level_selection_matches_paper_rules() {
         let m = 128;
@@ -620,7 +553,7 @@ mod tests {
         let mut st = SuperTile::new(small_config()).unwrap();
         let w = vec![vec![1.0, -1.0]; 4]; // rf=4 ≤ m=8
         assert_eq!(st.program(&w, 1.0).unwrap(), NuLevel::H0);
-        let out = st.dot(&[1.0; 4]).unwrap();
+        let out = seam_dot(&mut st, &[1.0; 4]);
         let unit = st.unit_current().0;
         assert!((out[0].0 / unit - 4.0).abs() < 0.05);
         assert!((out[1].0 / unit + 4.0).abs() < 0.05);
@@ -633,7 +566,7 @@ mod tests {
                      // ±1.0 sit exactly on the 16-level conductance grid.
         let w = vec![vec![1.0]; rf];
         assert_eq!(st.program(&w, 1.0).unwrap(), NuLevel::H1);
-        let out = st.dot(&vec![1.0; rf]).unwrap();
+        let out = seam_dot(&mut st, &vec![1.0; rf]);
         let val = out[0].0 / st.unit_current().0;
         assert!((val - 20.0).abs() < 0.2, "summed dot {val} vs exact 20");
     }
@@ -644,7 +577,7 @@ mod tests {
         let rf = 100; // 32 < 100 ≤ 128 → H2, 13 ACs
         let w = vec![vec![-1.0]; rf]; // exactly representable
         assert_eq!(st.program(&w, 1.0).unwrap(), NuLevel::H2);
-        let out = st.dot(&vec![1.0; rf]).unwrap();
+        let out = seam_dot(&mut st, &vec![1.0; rf]);
         let val = out[0].0 / st.unit_current().0;
         assert!((val + 100.0).abs() < 1.0, "summed dot {val} vs exact -100");
     }
@@ -668,7 +601,26 @@ mod tests {
     fn dot_validates_input_length() {
         let mut st = SuperTile::new(small_config()).unwrap();
         st.program(&vec![vec![1.0]; 10], 1.0).unwrap();
-        assert!(st.dot(&[1.0; 9]).is_err());
+        assert!(matches!(
+            st.dot_reference(&[1.0; 9]),
+            Err(CrossbarError::InputLengthMismatch {
+                len: 9,
+                expected: 10
+            })
+        ));
+        assert_eq!(st.accumulated_read_energy(), Joules::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "drive vector length != rf")]
+    fn seam_rejects_a_drive_of_the_wrong_length() {
+        let mut st = SuperTile::new(small_config()).unwrap();
+        st.program(&vec![vec![1.0]; 10], 1.0).unwrap();
+        st.prepare();
+        let mut totals = vec![Amps::ZERO; st.kernels()];
+        let mut currents = vec![0.0; st.chunk_count()];
+        let mut diff = vec![0.0; st.scratch_cols()];
+        st.eval_dense_prepared(&[1.0; 9], &mut totals, &mut currents, &mut diff);
     }
 
     #[test]
@@ -676,81 +628,9 @@ mod tests {
         let mut st = SuperTile::new(small_config()).unwrap();
         st.program(&vec![vec![1.0]; 20], 1.0).unwrap(); // 3 ACs
         st.program(&vec![vec![1.0]; 4], 1.0).unwrap(); // back to 1 AC
-        let out = st.dot(&[1.0; 4]).unwrap();
+        let out = seam_dot(&mut st, &[1.0; 4]);
         let val = out[0].0 / st.unit_current().0;
         assert!((val - 4.0).abs() < 0.05, "stale rows leaked: {val}");
-    }
-
-    #[test]
-    fn supertile_dot_batch_matches_individual_dots_exactly() {
-        let mut st = SuperTile::new(small_config()).unwrap();
-        let rf = 20; // spans 3 ACs → exercises the chunk-ascending summation
-        st.program(&vec![vec![1.0, -0.5]; rf], 1.0).unwrap();
-        let batch: Vec<Vec<f64>> = (0..5)
-            .map(|i| {
-                (0..rf)
-                    .map(|j| {
-                        if (i + j) % 3 == 0 {
-                            0.0 // sparse entries exercise the event-driven skip
-                        } else {
-                            ((i * 7 + j) % 5) as f64 / 4.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut seq = st.clone();
-        let expected: Vec<Vec<Amps>> = batch.iter().map(|b| seq.dot(b).unwrap()).collect();
-        let got = st.dot_batch(&batch).unwrap();
-        assert_eq!(got, expected, "batch outputs must be bit-identical");
-        // Per-item accrual makes the energy counters match the
-        // sequential path bit for bit.
-        assert_eq!(st.accumulated_read_energy(), seq.accumulated_read_energy());
-    }
-
-    #[test]
-    fn supertile_sparse_batch_matches_dense_binary_batch() {
-        let mut st = SuperTile::new(small_config()).unwrap();
-        let rf = 20; // spans 3 ACs → exercises chunk splitting/rebase
-        st.program(&vec![vec![1.0, -0.5]; rf], 1.0).unwrap();
-        let sparse: Vec<Vec<usize>> = vec![
-            (0..rf).step_by(3).collect(), // crosses all three chunks
-            vec![],                       // fully silent item
-            vec![7, 8, 15, 16, 19],       // straddles chunk boundaries
-        ];
-        let dense: Vec<Vec<f64>> = sparse
-            .iter()
-            .map(|rows| {
-                let mut v = vec![0.0; rf];
-                for &r in rows {
-                    v[r] = 1.0;
-                }
-                v
-            })
-            .collect();
-        let mut dense_st = st.clone();
-        let got = st.dot_batch_sparse(&sparse).unwrap();
-        let expected = dense_st.dot_batch(&dense).unwrap();
-        assert_eq!(got, expected, "sparse must match dense bitwise");
-        assert_eq!(
-            st.accumulated_read_energy(),
-            dense_st.accumulated_read_energy()
-        );
-    }
-
-    #[test]
-    fn supertile_sparse_batch_validates_rows() {
-        let mut st = SuperTile::new(small_config()).unwrap();
-        st.program(&vec![vec![1.0]; 10], 1.0).unwrap();
-        assert!(matches!(
-            st.dot_batch_sparse(&[vec![0usize, 10]]),
-            Err(CrossbarError::InvalidActiveRows { row: 10, rows: 10 })
-        ));
-        assert!(matches!(
-            st.dot_batch_sparse(&[vec![0usize], vec![5, 4]]),
-            Err(CrossbarError::InvalidActiveRows { .. })
-        ));
-        assert_eq!(st.accumulated_read_energy(), Joules::ZERO);
     }
 
     #[test]
@@ -763,8 +643,8 @@ mod tests {
         let mut scalar = st.clone();
         scalar.set_kernel_path(KernelPath::Scalar);
         let expected = reference.dot_reference(&inputs).unwrap();
-        assert_eq!(st.dot(&inputs).unwrap(), expected);
-        assert_eq!(scalar.dot(&inputs).unwrap(), expected);
+        assert_eq!(seam_dot(&mut st, &inputs), expected);
+        assert_eq!(seam_dot(&mut scalar, &inputs), expected);
         // Scalar kernel: energy bitwise; Auto kernel: per-row
         // re-association held to the documented ≤ 1e-12 relative bound.
         assert_eq!(
@@ -794,14 +674,14 @@ mod tests {
 
         let inputs: Vec<f64> = (0..rf).map(|i| (i % 4) as f64 / 3.0 - 0.2).collect();
         assert_eq!(
-            st.dot(&inputs).unwrap(),
-            scalar.dot(&inputs).unwrap(),
+            seam_dot(&mut st, &inputs),
+            seam_dot(&mut scalar, &inputs),
             "Auto dense outputs must be bitwise scalar"
         );
-        let active = vec![vec![1usize, 4, 7, 19]];
+        let active = [1usize, 4, 7, 19];
         assert_eq!(
-            st.dot_batch_sparse(&active).unwrap(),
-            scalar.dot_batch_sparse(&active).unwrap(),
+            seam_spikes(&mut st, &active),
+            seam_spikes(&mut scalar, &active),
             "Auto spike outputs must be bitwise scalar"
         );
         // Energy uses the per-row-sum formulation: ≤ 1e-12 relative.
@@ -811,22 +691,6 @@ mod tests {
             e_ref > 0.0 && (e_auto - e_ref).abs() <= 1e-12 * e_ref,
             "Auto energy {e_auto} vs scalar {e_ref}"
         );
-    }
-
-    #[test]
-    fn supertile_dot_batch_validates_items_up_front() {
-        let mut st = SuperTile::new(small_config()).unwrap();
-        st.program(&vec![vec![1.0]; 10], 1.0).unwrap();
-        let before = st.accumulated_read_energy();
-        let bad = vec![vec![1.0; 10], vec![1.0; 9]];
-        assert!(matches!(
-            st.dot_batch(&bad),
-            Err(CrossbarError::InputLengthMismatch {
-                len: 9,
-                expected: 10
-            })
-        ));
-        assert_eq!(st.accumulated_read_energy(), before);
     }
 
     #[test]
@@ -849,8 +713,8 @@ mod tests {
         assert!(st.program(&vec![vec![1.0]; 4], f64::NAN).is_err());
 
         assert_eq!(st.active_level(), snapshot.active_level());
-        let a = st.dot(&[1.0; 20]).unwrap();
-        let b = snapshot.clone().dot(&[1.0; 20]).unwrap();
+        let a = st.dot_reference(&[1.0; 20]).unwrap();
+        let b = snapshot.clone().dot_reference(&[1.0; 20]).unwrap();
         assert_eq!(a, b, "failed program must not alter crossbar state");
         assert_eq!(
             st.accumulated_program_energy(),
@@ -867,7 +731,7 @@ mod tests {
         st.kill_ac(1); // rows 8..16 go silent
         assert_eq!(st.dead_acs(), 1);
         assert!(!st.is_dead());
-        let out = st.dot(&vec![1.0; rf]).unwrap();
+        let out = seam_dot(&mut st, &vec![1.0; rf]);
         let val = out[0].0 / st.unit_current().0;
         // 20 rows minus the 8 dead ones ≈ 12.
         assert!((val - 12.0).abs() < 0.2, "graceful partial output: {val}");
@@ -881,8 +745,9 @@ mod tests {
         st.kill();
         assert!(st.is_dead());
         assert_eq!(st.faulty_fraction(), 1.0);
-        let out = st.dot(&[1.0; 10]).unwrap();
+        let out = seam_dot(&mut st, &[1.0; 10]);
         assert!(out.iter().all(|i| i.0 == 0.0));
+        assert!(seam_spikes(&mut st, &[0, 9]).iter().all(|i| i.0 == 0.0));
         assert_eq!(
             st.accumulated_read_energy(),
             before,
@@ -890,7 +755,7 @@ mod tests {
         );
         st.revive();
         assert_eq!(st.dead_acs(), 0);
-        let out = st.dot(&[1.0; 10]).unwrap();
+        let out = seam_dot(&mut st, &[1.0; 10]);
         assert!(out[0].0 > 0.0, "revival restores evaluation");
     }
 
@@ -920,7 +785,7 @@ mod tests {
         let mut st = SuperTile::new(small_config()).unwrap();
         st.program(&vec![vec![1.0]; 20], 1.0).unwrap();
         assert!(st.accumulated_program_energy().0 > 0.0);
-        st.dot(&[1.0; 20]).unwrap();
+        seam_dot(&mut st, &[1.0; 20]);
         assert!(st.accumulated_read_energy().0 > 0.0);
     }
 }

@@ -5,13 +5,15 @@
 //! runs analog dot products through a super-tile with current-domain
 //! aggregation, feeds the result into spin neurons, and quantifies the
 //! analog error against exact arithmetic — including the effect of 10%
-//! device variation.
+//! device mismatch (the §IV-D variation model).
 //!
 //! Run with: `cargo run --release --example spin_crossbar_lab`
 
 use nebula::crossbar::{AtomicCrossbar, CrossbarConfig, Mode, NeuronUnit, SuperTile};
 use nebula::device::params::DeviceParams;
 use nebula::device::synapse::transfer_characteristic;
+use nebula::device::units::Amps;
+use nebula::device::variation::VariationModel;
 use rand::Rng;
 use rand::SeedableRng;
 
@@ -36,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 2. Analog dot product in one atomic crossbar vs exact math.
+    // 2. Analog dot product in one atomic crossbar vs exact math, through
+    //    the per-cell oracle.
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let rows = 64;
     let cols = 32;
@@ -46,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inputs: Vec<f64> = (0..rows).map(|_| rng.gen_range(0.0..1.0)).collect();
     let mut xbar = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann))?;
     xbar.program(&weights, 1.0)?;
-    let currents = xbar.dot(&inputs)?;
+    let currents = xbar.dot_reference(&inputs)?;
     let unit = xbar.unit_current().0;
     let mut worst = 0.0f64;
     for j in 0..cols {
@@ -57,27 +60,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n64×32 analog dot product: worst column error {worst:.3} (weight units)");
     println!("read energy so far: {}", xbar.accumulated_read_energy());
 
-    // 3. Device variation: the same crossbar with 10% conductance noise.
-    let mut noisy_cfg = CrossbarConfig::paper_default(Mode::Ann);
-    noisy_cfg.read_noise_sigma = 0.10;
-    let mut noisy = AtomicCrossbar::new(noisy_cfg)?;
-    noisy.program(&weights, 1.0)?;
-    let noisy_currents = noisy.dot_with_noise(&inputs, &mut rng)?;
-    let mut worst_noisy = 0.0f64;
+    // 3. Device mismatch (§IV-D): the same weights, each perturbed by
+    //    10% multiplicative Gaussian variation before programming.
+    let mismatch = VariationModel::new(0.10);
+    let varied: Vec<Vec<f64>> = weights
+        .iter()
+        .map(|row| {
+            let mut row = row.clone();
+            mismatch.perturb_slice(&mut row, &mut rng);
+            row
+        })
+        .collect();
+    let mut varied_xbar = AtomicCrossbar::new(CrossbarConfig::paper_default(Mode::Ann))?;
+    varied_xbar.program(&varied, 1.0)?;
+    let varied_currents = varied_xbar.dot_reference(&inputs)?;
+    let mut worst_varied = 0.0f64;
     for j in 0..cols {
         let exact: f64 = (0..rows).map(|i| inputs[i] * weights[i][j]).sum();
-        worst_noisy = worst_noisy.max((noisy_currents[j].0 / unit - exact).abs());
+        worst_varied = worst_varied.max((varied_currents[j].0 / unit - exact).abs());
     }
-    println!("with 10% device variation: worst column error {worst_noisy:.3}");
+    println!("with 10% device mismatch: worst column error {worst_varied:.3}");
 
-    // 4. A big kernel through the super-tile's current-domain hierarchy.
+    // 4. A big kernel through the super-tile's current-domain hierarchy,
+    //    evaluated through the split-phase seam the engines drive:
+    //    prepare, evaluate, accrue.
     let mut st = SuperTile::new(CrossbarConfig::paper_default(Mode::Snn))?;
     let rf = 600; // needs H2: 4M < 600... (M=128: 512 < 600 ≤ 2048)
     let kernel = vec![vec![1.0]; rf];
     let level = st.program(&kernel, 1.0)?;
     let spikes: Vec<f64> = (0..rf).map(|_| f64::from(rng.gen_bool(0.3))).collect();
     let active = spikes.iter().sum::<f64>();
-    let out = st.dot(&spikes)?;
+    st.prepare();
+    let mut out = vec![Amps::ZERO; st.kernels()];
+    let mut currents = vec![0.0; st.chunk_count()];
+    let mut scratch = vec![0.0; st.scratch_cols()];
+    st.eval_dense_prepared(&spikes, &mut out, &mut currents, &mut scratch);
+    st.accrue_batch(&[&currents]);
     let value = out[0].0 / st.unit_current().0;
     println!(
         "\nR_f = {rf} kernel aggregated at NU level {level:?}: {active} spikes in, \

@@ -1,18 +1,35 @@
 //! Analog-fidelity integration tests: the circuit-level crossbar must
 //! reproduce software arithmetic within quantization error, end to end
-//! through the device models.
+//! through the device models. Physics is checked on the per-cell oracle
+//! (`dot_reference`) and on the split-phase seam the engines drive,
+//! which must match the oracle bit for bit.
 
 use nebula::crossbar::{
     kernels_per_supertile, nu_level_for, AtomicCrossbar, CrossbarConfig, Mode, NeuronUnit, NuLevel,
     SuperTile,
 };
 use nebula::device::params::DeviceParams;
+use nebula::device::units::Amps;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn rng() -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(0xF1DE)
+}
+
+/// One drive through the split-phase seam (prepare, evaluate, accrue),
+/// checked bitwise against the per-cell oracle on a clone.
+fn seam_dot(st: &mut SuperTile, inputs: &[f64]) -> Vec<Amps> {
+    let expect = st.clone().dot_reference(inputs).unwrap();
+    st.prepare();
+    let mut out = vec![Amps::ZERO; st.kernels()];
+    let mut currents = vec![0.0; st.chunk_count()];
+    let mut scratch = vec![0.0; st.scratch_cols()];
+    st.eval_dense_prepared(inputs, &mut out, &mut currents, &mut scratch);
+    st.accrue_batch(&[&currents]);
+    assert_eq!(out, expect, "seam must match the oracle bitwise");
+    out
 }
 
 /// Quantizes a weight the way the crossbar will (16 levels over
@@ -33,7 +50,12 @@ fn full_crossbar_matches_quantized_matmul() {
     let inputs: Vec<f64> = (0..rows).map(|_| r.gen_range(0.0..1.0)).collect();
     xbar.program(&weights, 1.0).unwrap();
     let unit = xbar.unit_current().0;
-    let out = xbar.dot(&inputs).unwrap();
+    let out = xbar.dot_reference(&inputs).unwrap();
+    // A one-AC super-tile holding the same block computes the same bits
+    // through the seam.
+    let mut st = SuperTile::new(CrossbarConfig::paper_default(Mode::Ann)).unwrap();
+    st.program(&weights, 1.0).unwrap();
+    assert_eq!(seam_dot(&mut st, &inputs), out);
     for j in (0..cols).step_by(17) {
         let exact: f64 = (0..rows)
             .map(|i| inputs[i] * grid(weights[i][j], 1.0, 16))
@@ -59,7 +81,7 @@ fn supertile_hierarchy_matches_across_levels() {
         assert_eq!(level, expected_level, "wrong NU level for R_f={rf}");
         let inputs: Vec<f64> = (0..rf).map(|_| r.gen_range(0.0..1.0)).collect();
         let exact: f64 = inputs.iter().zip(&weights).map(|(x, w)| x * w[0]).sum();
-        let out = st.dot(&inputs).unwrap();
+        let out = seam_dot(&mut st, &inputs);
         let analog = out[0].0 / st.unit_current().0;
         assert!(
             (analog - exact).abs() < exact.abs().max(1.0) * 1e-6 + 1e-6,
@@ -81,7 +103,7 @@ fn snn_crossbar_drives_if_neurons_at_the_right_rate() {
     let mut fires = 0usize;
     let steps = 30usize;
     for _ in 0..steps {
-        let out = st.dot(&vec![1.0; k]).unwrap();
+        let out = seam_dot(&mut st, &vec![1.0; k]);
         let value = out[0].0 / st.unit_current().0;
         if nu.process(&[value]).unwrap()[0] > 0.0 {
             fires += 1;
@@ -116,7 +138,8 @@ fn event_driven_energy_is_zero_for_silent_inputs() {
     st.program(&vec![vec![1.0]; 256], 1.0).unwrap();
     let before = st.accumulated_read_energy();
     for _ in 0..10 {
-        st.dot(&vec![0.0; 256]).unwrap();
+        seam_dot(&mut st, &vec![0.0; 256]);
+        st.dot_reference(&vec![0.0; 256]).unwrap();
     }
     assert_eq!(
         st.accumulated_read_energy(),

@@ -1,11 +1,13 @@
 //! Tier-1 guarantee: every parallel path in the stack is bit-identical
-//! to its sequential twin — tensor kernels, crossbar batching, and the
-//! engine suite — regardless of worker count.
+//! to its sequential twin — tensor kernels, the crossbar seam's batched
+//! evaluation, and the engine suite — regardless of worker count.
 
 use nebula::core::energy::EnergyModel;
 use nebula::core::engine::{evaluate_suite, par_evaluate_suite_with_workers, SuiteJob, SuiteMode};
 use nebula::crossbar::config::{CrossbarConfig, Mode};
 use nebula::crossbar::tile::SuperTile;
+use nebula::crossbar::KernelPath;
+use nebula::device::units::Amps;
 use nebula::tensor::{conv, par, ConvGeometry, Tensor};
 use nebula::workloads::zoo;
 use rand::{Rng, SeedableRng};
@@ -49,7 +51,7 @@ fn par_matmul_and_conv_match_sequential_exactly() {
 }
 
 #[test]
-fn supertile_dot_batch_matches_sequential_dots_exactly() {
+fn supertile_seam_batch_matches_sequential_oracle_exactly() {
     let mut cfg = CrossbarConfig::paper_default(Mode::Snn);
     cfg.m = 8;
     let mut st = SuperTile::new(cfg).unwrap();
@@ -64,9 +66,49 @@ fn supertile_dot_batch_matches_sequential_dots_exactly() {
         })
         .collect();
     let mut seq = st.clone();
-    let expected: Vec<_> = batch.iter().map(|b| seq.dot(b).unwrap()).collect();
-    let got = st.dot_batch(&batch).unwrap();
-    assert_eq!(got, expected);
+    let expected: Vec<_> = batch
+        .iter()
+        .map(|b| seq.dot_reference(b).unwrap())
+        .collect();
+    // The seam evaluates items through `&self`, so workers share one
+    // prepared tile; each item's AC currents are accrued afterwards in
+    // item order. On the Scalar path that reproduces the oracle's energy
+    // bits; Auto re-associates it per row (≤ 1e-9 relative).
+    for path in [KernelPath::Scalar, KernelPath::Auto] {
+        st.set_kernel_path(path);
+        st.prepare();
+        for workers in [1, 2, 4] {
+            let chunk = batch.len().div_ceil(workers);
+            let mut got = vec![(Vec::new(), Vec::new()); batch.len()];
+            let tile = &st;
+            std::thread::scope(|s| {
+                for (items, slots) in batch.chunks(chunk).zip(got.chunks_mut(chunk)) {
+                    s.spawn(move || {
+                        let mut scratch = vec![0.0; tile.scratch_cols()];
+                        for (x, slot) in items.iter().zip(slots) {
+                            let mut out = vec![Amps::ZERO; tile.kernels()];
+                            let mut currents = vec![0.0; tile.chunk_count()];
+                            tile.eval_dense_prepared(x, &mut out, &mut currents, &mut scratch);
+                            *slot = (out, currents);
+                        }
+                    });
+                }
+            });
+            let outputs: Vec<_> = got.iter().map(|(out, _)| out.clone()).collect();
+            assert_eq!(outputs, expected, "{path:?} workers={workers}");
+            let mut accrued = st.clone();
+            let per_item: Vec<&[f64]> = got.iter().map(|(_, c)| c.as_slice()).collect();
+            accrued.accrue_batch(&per_item);
+            let (e, e_ref) = (
+                accrued.accumulated_read_energy().0,
+                seq.accumulated_read_energy().0,
+            );
+            match path {
+                KernelPath::Scalar => assert_eq!(e.to_bits(), e_ref.to_bits()),
+                KernelPath::Auto => assert!((e - e_ref).abs() <= 1e-9 * e_ref, "{e} vs {e_ref}"),
+            }
+        }
+    }
 }
 
 #[test]
