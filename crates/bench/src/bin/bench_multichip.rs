@@ -12,12 +12,15 @@
 //! * **Execution** — a wide 9-segment MLP (ANN and SNN) actually runs
 //!   on every cluster size under both strategies, through the same
 //!   circuit-level executors the single-chip engine uses. Every leg
-//!   runs **three** times: single-chip, then sharded through the
-//!   pipeline executor ([`ShardedAnalogNetwork::forward`] /
-//!   [`ShardedSpikingNetwork::run`]) under two schedules set with
-//!   `set_pipeline` — one claimant with the whole batch as one item
-//!   (the sequential schedule, `sharded_ms`) and the default
-//!   [`PipelineConfig`] (`pipelined_ms`). All three must agree bitwise
+//!   runs **three** times: on one chip, then re-placed with
+//!   [`AnalogNetwork::shard`] / [`AnalogSpikingNetwork::shard`] — every
+//!   call runs through the one pipeline executor
+//!   ([`AnalogNetwork::forward`] / [`AnalogSpikingNetwork::run`]) — under
+//!   two schedules set with `set_pipeline`: one claimant with the whole
+//!   batch as one item (the sequential schedule, `sharded_ms`) and the
+//!   default [`PipelineConfig`] (`pipelined_ms`). A one-unit placement
+//!   (one layer-pipelined chip) derives the sequential schedule for
+//!   both, so its two legs time the same schedule. All three must agree bitwise
 //!   on outputs and wave counts, the two schedules must report
 //!   identical cluster traffic, and read energy must match the single
 //!   chip to ≤1e-9 relative. `measured_speedup` is sequential over
@@ -25,7 +28,7 @@
 //!   at the same item count, and `speedup_ratio` their agreement.
 //! * **Scaled VGG/13 SNN** — a channels/8 VGG-13 on 16×16 inputs,
 //!   sharded with the cost-aware
-//!   [`ShardedSpikingNetwork::layer_pipelined_for_input`] splitter, is
+//!   [`AnalogSpikingNetwork::layer_pipelined_for_input`] splitter, is
 //!   the headline measured-speedup leg: on a multi-core runner
 //!   (`NEBULA_THREADS ≥ 4` with ≥ 4 hardware threads) the 4-chip
 //!   pipelined run must beat the sequential schedule by ≥ 1.5×. On a
@@ -54,10 +57,7 @@ use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
 use nebula_core::capacity::fits_chip;
 use nebula_core::chip::ChipConfig;
 use nebula_core::energy::{EnergyModel, ExecMode};
-use nebula_core::multichip::{
-    plan_cluster, ClusterConfig, PipelineConfig, ShardStrategy, ShardedAnalogNetwork,
-    ShardedSpikingNetwork,
-};
+use nebula_core::multichip::{plan_cluster, ClusterConfig, PipelineConfig, ShardStrategy};
 use nebula_nn::layer::Layer;
 use nebula_nn::network::Network;
 use nebula_nn::snn::{IfPopulation, InputEncoding, ResetMode, SnnStage, SpikingNetwork};
@@ -336,13 +336,13 @@ fn run_ann_point(
     let want = single.forward(x).unwrap();
     let single_ms = ms(tm);
 
-    let mut seq = ShardedAnalogNetwork::new(ann.clone(), chips, strategy).unwrap();
+    let mut seq = ann.clone().shard(chips, strategy).unwrap();
     seq.set_pipeline(sequential_config());
     let tm = Instant::now();
     let got_seq = seq.forward(x).unwrap();
     let sharded_ms = ms(tm);
 
-    let mut pipe = ShardedAnalogNetwork::new(ann.clone(), chips, strategy).unwrap();
+    let mut pipe = ann.clone().shard(chips, strategy).unwrap();
     pipe.set_pipeline(cfg.clone());
     let tm = Instant::now();
     let got_pipe = pipe.forward(x).unwrap();
@@ -375,7 +375,7 @@ fn run_snn_point(
     strategy: &'static str,
     chips: usize,
     snn: &AnalogSpikingNetwork,
-    build: &dyn Fn(AnalogSpikingNetwork, usize) -> ShardedSpikingNetwork,
+    build: &dyn Fn(AnalogSpikingNetwork, usize) -> AnalogSpikingNetwork,
     x: &Tensor,
     timesteps: usize,
     cfg: &PipelineConfig,
@@ -509,7 +509,7 @@ fn main() {
                 strategy.name(),
                 chips,
                 &snn,
-                &|net, c| ShardedSpikingNetwork::new(net, c, strategy).unwrap(),
+                &|net, c| net.shard(c, strategy).unwrap(),
                 &x,
                 TIMESTEPS,
                 &cfg,
@@ -540,9 +540,7 @@ fn main() {
             ShardStrategy::LayerPipelined.name(),
             chips,
             &vgg_snn,
-            &move |net, c| {
-                ShardedSpikingNetwork::layer_pipelined_for_input(net, c, &shape).unwrap()
-            },
+            &move |net, c| net.layer_pipelined_for_input(c, &shape).unwrap(),
             &x_vgg,
             VGG_TIMESTEPS,
             &cfg,
@@ -568,11 +566,10 @@ fn main() {
     let oc_net = compile_ann(&Network::new(vec![Layer::dense(16384, 256, &mut r_oc)])).unwrap();
     let x_oc = Tensor::rand_uniform(&[2, 16384], 0.0, 1.0, &mut r_oc);
     let oc_want = oc_net.clone().forward(&x_oc).unwrap();
-    let mut oc_sharded =
-        ShardedAnalogNetwork::new(oc_net.clone(), 4, ShardStrategy::TensorSharded).unwrap();
+    let mut oc_sharded = oc_net.clone().tensor_sharded(4).unwrap();
     oc_sharded.set_pipeline(sequential_config());
     let oc_got = oc_sharded.forward(&x_oc).unwrap();
-    let mut oc_pipe = ShardedAnalogNetwork::new(oc_net, 4, ShardStrategy::TensorSharded).unwrap();
+    let mut oc_pipe = oc_net.tensor_sharded(4).unwrap();
     oc_pipe.set_pipeline(cfg.clone());
     let oc_got_pipe = oc_pipe.forward(&x_oc).unwrap();
     let oc_identical = bits_equal(&oc_want, &oc_got);

@@ -24,12 +24,15 @@
 //!   into the conductance rows they drive (see [`crate::analog_snn`]);
 //!   integrate-and-fire populations sit on the columns.
 //!
-//! The sequential entry points (`forward_sequential`, `run_sequential`)
-//! run the same interpreter with the per-cell oracle
-//! ([`SuperTile::dot_reference`]) at every synaptic stage, and every
-//! multi-chip unit ([`crate::multichip`]) runs it over its slice of the
-//! stages. One crossbar evaluation is one 110 ns wave of the Fig. 8
-//! pipeline.
+//! A compiled network is also its placement on a chip cluster
+//! ([`crate::multichip`]): compiling puts every stage in one unit on one
+//! chip, `shard` re-cuts the stages into more units, and every fast call
+//! (`forward`, `run`, `run_seeded_groups`) runs the units through the
+//! one pipeline executor. The sequential entry points
+//! (`forward_sequential`, `run_sequential`) walk the same units on the
+//! calling thread with the per-cell oracle
+//! ([`SuperTile::dot_reference`]) at every synaptic stage. One crossbar
+//! evaluation is one 110 ns wave of the Fig. 8 pipeline.
 //!
 //! Supported layers: `Dense`, `Conv2d`, `AvgPool` and `Flatten` in both
 //! modes, `Relu` and `ActivationQuant` in ANN mode, IF populations in
@@ -41,6 +44,7 @@
 
 use crate::analog_snn::{EventScratch, StageGeometry};
 use crate::components::{M, MAX_RF_IN_CORE};
+use crate::multichip::Deployment;
 use nebula_crossbar::{kernel, CrossbarConfig, CrossbarError, KernelPath, Mode, SuperTile};
 use nebula_device::units::{Amps, Joules};
 use nebula_nn::layer::Layer;
@@ -683,9 +687,8 @@ impl Stage {
 
 /// The analog engine both modes share: a compiled stage list, the wave
 /// counter, and the mode whose drivers the synaptic stages use (fixed by
-/// the compiler that built it). [`AnalogNetwork`] and
-/// `AnalogSpikingNetwork` wrap one; every multi-chip unit holds one over
-/// a slice of its donor's stages.
+/// the compiler that built it). Every unit of a network's placement
+/// holds one over a slice of the network's stages.
 #[derive(Debug, Clone)]
 pub(crate) struct AnalogEngine {
     pub(crate) stages: Vec<Stage>,
@@ -694,29 +697,6 @@ pub(crate) struct AnalogEngine {
 }
 
 impl AnalogEngine {
-    /// The output shape a batch of `input_shape` produces, checking
-    /// every stage's geometry on the way ([`Stage::output_shape`]).
-    pub(crate) fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        if input_shape.is_empty() {
-            return Err(AnalogError::BadGeometry {
-                reason: "rank-0 input".into(),
-            });
-        }
-        self.stages
-            .iter()
-            .try_fold(input_shape.to_vec(), |shape, stage| {
-                stage.output_shape(&shape)
-            })
-    }
-
-    /// The checks every single-chip entry point makes once, before any
-    /// crossbar is driven: the shape must flow through every stage and
-    /// every value must be finite.
-    pub(crate) fn check_input(&self, inputs: &Tensor) -> Result<(), AnalogError> {
-        self.output_shape(inputs.shape())?;
-        check_finite(inputs)
-    }
-
     /// The stage interpreter: advances `h` (one ANN batch, or one
     /// encoded SNN wave) through every stage with at most `workers`
     /// crossbar workers (`workers == 1` keeps it on the calling thread —
@@ -727,7 +707,7 @@ impl AnalogEngine {
     /// waves and read energy accrue as they would on the chip. Returns
     /// the output and whether any synaptic stage drove a crossbar.
     ///
-    /// The caller has checked `h` ([`check_input`](Self::check_input)).
+    /// The caller has checked `h` against every stage's geometry.
     /// A borrowed `h` is only read: the first stage builds a new tensor
     /// (a copy, if that stage is ReLU, the quantizer or a flatten); those
     /// three work in place on the interpreter's own tensor.
@@ -814,36 +794,10 @@ impl AnalogEngine {
             .flat_map(|m| m.tiles.iter_mut().flatten())
     }
 
-    pub(crate) fn supertile_count(&self) -> usize {
-        self.stages
-            .iter()
-            .filter_map(Stage::matrix)
-            .map(|m| m.tiles.iter().map(Vec::len).sum::<usize>())
-            .sum()
-    }
-
     pub(crate) fn set_kernel_path(&mut self, path: KernelPath) {
         for matrix in self.stages.iter_mut().filter_map(Stage::matrix_mut) {
             matrix.set_kernel_path(path);
         }
-    }
-
-    /// Builds any missing cache layouts and returns the total bytes the
-    /// current kernel path's conductance caches occupy across all tiles
-    /// (see [`SuperTile::kernel_cache_bytes`]).
-    pub(crate) fn conductance_cache_bytes(&mut self) -> usize {
-        self.tiles_mut()
-            .map(|tile| {
-                tile.prepare();
-                tile.kernel_cache_bytes()
-            })
-            .sum()
-    }
-
-    /// Read energy folded stage by stage in order (each stage's tiles
-    /// summed first) — the fold a sharded network repeats over its units.
-    pub(crate) fn read_energy(&self) -> Joules {
-        self.stages.iter().map(Stage::read_energy).sum()
     }
 }
 
@@ -918,12 +872,13 @@ pub(crate) fn accuracy(
     Ok(correct as f64 / labels.len().max(1) as f64)
 }
 
-/// A network compiled onto ANN-mode crossbar hardware models.
+/// A network compiled onto ANN-mode crossbar hardware models, placed on
+/// a chip cluster — one chip until [`shard`](Self::shard) re-cuts it.
 ///
 /// Build with [`compile`]; run with [`AnalogNetwork::forward`].
 #[derive(Debug, Clone)]
 pub struct AnalogNetwork {
-    pub(crate) core: AnalogEngine,
+    pub(crate) place: Deployment,
 }
 
 /// Compiles a (preferably 4-bit-quantized, BN-folded) network for analog
@@ -967,68 +922,55 @@ pub fn compile(net: &Network, config: &CrossbarConfig) -> Result<AnalogNetwork, 
         });
     }
     Ok(AnalogNetwork {
-        core: AnalogEngine {
-            stages,
-            waves: 0,
-            mode: Mode::Ann,
-        },
+        place: Deployment::one_chip(stages, Mode::Ann)?,
     })
 }
 
 impl AnalogNetwork {
     /// Runs a batch through the crossbar models and returns the logits.
     ///
-    /// All samples advance through each stage together: every weight
-    /// stage prepares its tiles once and evaluates the whole batch
-    /// through the split-phase [`SuperTile::eval_dense_prepared`], then
-    /// accrues read energy in item order. Results and energy counters
-    /// are bit-identical to [`forward_sequential`](Self::forward_sequential).
+    /// The call runs through the pipeline executor
+    /// ([`crate::multichip`]). On one chip the whole batch is one item,
+    /// borrowed from the caller: every weight stage prepares its tiles
+    /// once, evaluates the whole batch across the worker pool through the
+    /// split-phase [`SuperTile::eval_dense_prepared`], and accrues read
+    /// energy in item order. A sharded network splits the batch into
+    /// micro-batches of [`PipelineConfig::micro_batch`] rows that stream
+    /// through the chip units (see [`set_pipeline`](Self::set_pipeline));
+    /// ring traffic is journaled and replayed at the join, one transfer
+    /// per route per call. A zero-row batch runs as one empty item.
+    /// Outputs, waves and energy counters are bit-identical to
+    /// [`forward_sequential`](Self::forward_sequential) on any placement
+    /// and schedule.
     ///
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] when the input shape does not
-    /// fit the network (see [`output_shape`](Self::output_shape)),
-    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, and
-    /// propagates circuit and tensor failures.
+    /// fit the network (see [`output_shape`](Self::output_shape)) and
+    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
+    /// before any crossbar or ring traffic; propagates circuit and tensor
+    /// failures; inter-chip routing failures surface from the journal
+    /// replay as [`AnalogError::Noc`].
+    ///
+    /// [`PipelineConfig::micro_batch`]: crate::multichip::PipelineConfig::micro_batch
     pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        self.pass(inputs, nebula_tensor::pool::size(), false)
+        self.place.forward(inputs)
     }
 
-    /// [`forward`](Self::forward) through the per-cell oracle: one
-    /// uncached crossbar evaluation per sample and output position — the
-    /// pre-cache baseline. Kept for equivalence tests and the
-    /// `bench_hotpath` sequential leg.
+    /// [`forward`](Self::forward) through the per-cell oracle — the
+    /// independent reference every fast path is checked against. It
+    /// walks every unit's stages in order on the calling thread, one
+    /// uncached crossbar evaluation per sample and output position,
+    /// without the pipeline executor, its journal or the worker pool. It
+    /// moves no ring traffic on any placement ([`traffic`](Self::traffic)
+    /// is unchanged); outputs, waves and scalar-path read energy match
+    /// `forward` bit for bit.
     ///
     /// # Errors
     ///
-    /// As [`forward`](Self::forward).
+    /// As [`forward`](Self::forward), without the routing failures.
     pub fn forward_sequential(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        self.pass(inputs, 1, true)
-    }
-
-    fn pass(
-        &mut self,
-        inputs: &Tensor,
-        workers: usize,
-        oracle: bool,
-    ) -> Result<Tensor, AnalogError> {
-        self.core.check_input(inputs)?;
-        Ok(self.core.step(Cow::Borrowed(inputs), workers, oracle)?.0)
-    }
-
-    /// The output shape a batch of `input_shape` produces, checking
-    /// every stage's geometry on the way: weight stages need exactly
-    /// their receptive field per row (`[n, rf]` for dense,
-    /// `[n, c, h, w]` with `c·kh·kw = rf` for convolutions), and a
-    /// pooling window must be nonzero and divide its rank-4 input's
-    /// height and width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] for the first stage the shape
-    /// does not fit.
-    pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        self.core.output_shape(input_shape)
+        self.place.forward_sequential(inputs)
     }
 
     /// Predicted class per input row.
@@ -1051,42 +993,10 @@ impl AnalogNetwork {
         accuracy(inputs, labels, || self.forward(inputs))
     }
 
-    /// Selects the crossbar inner-loop kernel every programmed tile
-    /// evaluates through: [`KernelPath::Auto`] (the default) or the
-    /// [`KernelPath::Scalar`] reference. Outputs are bit-identical on
-    /// both; under Auto read energy uses the per-row-sum formulation and
-    /// agrees with the scalar/reference path to a relative error ≤ 1e-12
-    /// per dot instead of bitwise (see [`nebula_crossbar::kernel`]).
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.core.set_kernel_path(path);
-    }
-
-    /// Bytes the conductance caches backing the current kernel path
-    /// occupy across all programmed tiles (building any missing layouts
-    /// first) — the footprint `bench_hotpath` and perfbench report.
-    pub fn conductance_cache_bytes(&mut self) -> usize {
-        self.core.conductance_cache_bytes()
-    }
-
-    /// Crossbar evaluation waves executed so far (each is one 110 ns
-    /// pipeline wave on hardware).
-    pub fn waves(&self) -> u64 {
-        self.core.waves
-    }
-
-    /// Super-tiles this network's weights occupy.
-    pub fn supertile_count(&self) -> usize {
-        self.core.supertile_count()
-    }
-
-    /// Total analog read energy accrued across all crossbars.
-    pub fn read_energy(&self) -> Joules {
-        self.core.read_energy()
-    }
-
-    /// Total programming energy spent writing the weights.
+    /// Total programming energy spent writing the weights, folded over
+    /// the stages as [`read_energy`](Self::read_energy) is.
     pub fn program_energy(&self) -> Joules {
-        self.core.stages.iter().map(Stage::program_energy).sum()
+        self.place.stages().map(Stage::program_energy).sum()
     }
 }
 
@@ -1432,7 +1342,12 @@ mod tests {
                 for workers in [1, 4] {
                     let mut fast = master.clone();
                     fast.set_kernel_path(path);
-                    let y = fast.pass(&x, workers, false).unwrap();
+                    let y = fast
+                        .place
+                        .sole_engine()
+                        .step(Cow::Borrowed(&x), workers, false)
+                        .unwrap()
+                        .0;
                     prop_assert_eq!(y.shape(), expect.shape());
                     for (i, (a, b)) in y.data().iter().zip(expect.data()).enumerate() {
                         let at = format!("{path:?}, {workers} workers, [{i}]: {a} vs {b}");

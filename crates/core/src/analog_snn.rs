@@ -7,23 +7,25 @@
 //! This closes the loop on the paper's multi-modal claim at circuit
 //! level: an [`AnalogSpikingNetwork`] is the same engine as an ANN-mode
 //! [`AnalogNetwork`](crate::analog::AnalogNetwork) — the same programmed
-//! matrices, stage list and stage interpreter ([`crate::analog`]) —
-//! compiled with SNN drivers and IF populations on the columns. This
-//! module holds what only spikes need: the scatter-form evaluation of a
-//! synaptic stage (each spike adds the conductance rows it drives, so
-//! the work scales with spikes, not with crossbar waves), the input
-//! encoders, and the SNN entry points.
+//! matrices, stage list and stage interpreter ([`crate::analog`]), and
+//! the same placement on a chip cluster ([`crate::multichip`]: one chip
+//! until `shard` re-cuts it, every fast call through the one pipeline
+//! executor, one timestep per item) — compiled with SNN drivers and IF
+//! populations on the columns. This module holds what only spikes need:
+//! the scatter-form evaluation of a synaptic stage (each spike adds the
+//! conductance rows it drives, so the work scales with spikes, not with
+//! crossbar waves), the input encoders, and the SNN entry points.
 
-use crate::analog::{accuracy, AnalogEngine, AnalogError, ProgrammedMatrix, Stage};
-use crate::components::M;
+use crate::analog::{accuracy, AnalogError, ProgrammedMatrix, Stage};
+use crate::components::{ACS_PER_SUPERTILE, M};
+use crate::multichip::Deployment;
 use nebula_crossbar::kernel::{self, SpikeRows};
-use nebula_crossbar::{CrossbarConfig, KernelPath, Mode, SuperTile};
-use nebula_device::units::{Joules, Seconds};
+use nebula_crossbar::{CrossbarConfig, Mode, SuperTile};
+use nebula_device::units::Seconds;
 use nebula_device::FaultModel;
 use nebula_nn::snn::{IfPopulation, InputEncoding, SnnStage, SpikingNetwork};
 use nebula_tensor::{ConvGeometry, Tensor};
 use rand::Rng;
-use std::borrow::Cow;
 use std::ops::Range;
 
 impl ProgrammedMatrix {
@@ -607,15 +609,16 @@ impl AxisTaps {
 }
 
 /// A spiking network executing its synaptic arithmetic on SNN-mode
-/// crossbar models.
+/// crossbar models, placed on a chip cluster — one chip until
+/// [`shard`](Self::shard) re-cuts it.
 ///
 /// Build from a *converted* [`SpikingNetwork`] with
 /// [`compile_snn`]; the conversion's threshold balancing (v_th = 1)
 /// carries over unchanged.
 #[derive(Debug, Clone)]
 pub struct AnalogSpikingNetwork {
-    pub(crate) core: AnalogEngine,
-    pub(crate) encoding: InputEncoding,
+    pub(crate) place: Deployment,
+    encoding: InputEncoding,
 }
 
 /// Compiles a converted spiking network onto SNN-mode crossbars.
@@ -642,11 +645,7 @@ pub fn compile_snn(
             })
             .collect::<Result<_, _>>()?;
     Ok(AnalogSpikingNetwork {
-        core: AnalogEngine {
-            stages,
-            waves: 0,
-            mode: Mode::Snn,
-        },
+        place: Deployment::one_chip(stages, Mode::Snn)?,
         encoding: InputEncoding::Poisson,
     })
 }
@@ -657,22 +656,6 @@ impl AnalogSpikingNetwork {
         self.encoding = encoding;
     }
 
-    /// Selects the crossbar inner-loop kernel every programmed tile
-    /// evaluates through: [`KernelPath::Auto`] (the default) or the
-    /// [`KernelPath::Scalar`] reference. Outputs are bit-identical on
-    /// both; under Auto read energy uses the per-row-sum formulation and
-    /// agrees with the scalar/reference path to a relative error ≤ 1e-12
-    /// per dot instead of bitwise (see [`nebula_crossbar::kernel`]).
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.core.set_kernel_path(path);
-    }
-
-    /// Number of programmed super-tiles across all synaptic stages —
-    /// the address space [`kill_ac`](Self::kill_ac) indexes.
-    pub fn supertile_count(&self) -> usize {
-        self.core.supertile_count()
-    }
-
     /// Samples hard faults into every programmed super-tile, in stage
     /// then tile order (the draw sequence is reproducible for a fixed
     /// seed). Returns the total number of faulty cells. The event-driven
@@ -680,7 +663,7 @@ impl AnalogSpikingNetwork {
     /// any fault map — faults perturb conductances, not the active-set
     /// bookkeeping.
     pub fn inject_faults<R: Rng + ?Sized>(&mut self, model: &FaultModel, rng: &mut R) -> usize {
-        self.core
+        self.place
             .tiles_mut()
             .map(|tile| tile.inject_faults(model, rng))
             .sum()
@@ -689,7 +672,7 @@ impl AnalogSpikingNetwork {
     /// Advances every programmed crossbar's age by `dt`, driving
     /// retention-drift faults (see [`SuperTile::advance_age`]).
     pub fn advance_age(&mut self, dt: Seconds) {
-        for tile in self.core.tiles_mut() {
+        for tile in self.place.tiles_mut() {
             tile.advance_age(dt);
         }
     }
@@ -699,78 +682,78 @@ impl AnalogSpikingNetwork {
     /// [`supertile_count`](Self::supertile_count)), `ac` is the AC index
     /// within it.
     ///
-    /// # Panics
-    ///
-    /// Panics when `tile` or `ac` is out of range.
-    pub fn kill_ac(&mut self, tile: usize, ac: usize) {
-        let count = self.supertile_count();
-        match self.core.tiles_mut().nth(tile) {
-            Some(t) => t.kill_ac(ac),
-            None => panic!("super-tile {tile} outside the {count} programmed tiles"),
-        }
-    }
-
-    /// Bytes the conductance caches backing the current kernel path
-    /// occupy across all programmed tiles (building any missing layouts
-    /// first) — the footprint `bench_hotpath` reports per path.
-    pub fn conductance_cache_bytes(&mut self) -> usize {
-        self.core.conductance_cache_bytes()
-    }
-
-    /// Output-potential shape this network produces for `input_shape`
-    /// — the shape [`run`](Self::run) returns (before accumulation the
-    /// per-timestep tensors have the same shape). Used by the zero
-    /// timestep corner and by the serving layer to size empty results
-    /// without executing a wave.
-    ///
     /// # Errors
     ///
-    /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
-    /// flow through the compiled stages.
-    pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        self.core.output_shape(input_shape)
+    /// Returns [`AnalogError::BadGeometry`] naming the index and its
+    /// limit when `tile ≥ supertile_count()` or `ac ≥ 16`, before any
+    /// crossbar changes.
+    pub fn kill_ac(&mut self, tile: usize, ac: usize) -> Result<(), AnalogError> {
+        let count = self.supertile_count();
+        let reason = if tile >= count {
+            format!("super-tile {tile} outside the {count} programmed tiles")
+        } else if ac >= ACS_PER_SUPERTILE {
+            format!("AC {ac} outside the {ACS_PER_SUPERTILE} ACs of a super-tile")
+        } else {
+            if let Some(t) = self.place.tiles_mut().nth(tile) {
+                t.kill_ac(ac);
+            }
+            return Ok(());
+        };
+        Err(AnalogError::BadGeometry { reason })
     }
 
     /// Runs `timesteps` of circuit-backed spiking inference and returns
     /// the accumulated output potentials `[N, classes]`.
     ///
-    /// All samples advance through each timestep together: every
-    /// synaptic stage scatters the wave's spikes straight into the
-    /// crossbar rows they drive (see DESIGN.md "Event-driven
+    /// The call runs through the pipeline executor
+    /// ([`crate::multichip`]), one timestep per item: the whole batch is
+    /// encoded exactly once per timestep, at the pipeline head and in
+    /// ascending timestep order, so RNG consumption never depends on the
+    /// placement. Every synaptic stage scatters the wave's spikes straight
+    /// into the crossbar rows they drive (see DESIGN.md "Event-driven
     /// evaluation") instead of one dense `dot` per sample and output
-    /// position, then accrues read energy in patch order. Outputs, RNG
-    /// consumption and waves are bit-identical to
+    /// position, then accrues read energy in patch order. On one chip the
+    /// scatter spans the worker pool; on a sharded network chip stage *k*
+    /// advances timestep *t+1* while stage *k+1* advances timestep *t*.
+    /// Outputs, RNG consumption and waves are bit-identical to
     /// [`run_sequential`](Self::run_sequential), and so is energy on
-    /// [`KernelPath::Scalar`].
+    /// [`KernelPath::Scalar`](nebula_crossbar::KernelPath::Scalar). The
+    /// RNG is `Send` because the encoder runs on whichever pool worker
+    /// claims the pipeline head.
     ///
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] when the input shape does not
     /// fit the network (see [`output_shape`](Self::output_shape)) and
     /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
-    /// before any timestep runs; propagates circuit and tensor failures.
-    pub fn run<R: Rng + ?Sized>(
+    /// before any timestep runs; propagates circuit and tensor failures;
+    /// inter-chip routing failures surface from the journal replay as
+    /// [`AnalogError::Noc`].
+    pub fn run<R: Rng + Send + ?Sized>(
         &mut self,
         inputs: &Tensor,
         timesteps: usize,
         rng: &mut R,
     ) -> Result<Tensor, AnalogError> {
         let encoding = self.encoding;
-        self.run_with_encoder(inputs, timesteps, false, &mut |x: &Tensor| {
+        self.place.run(inputs, timesteps, |x: &Tensor| {
             encode_with(encoding, x, rng)
         })
     }
 
-    /// [`run`](Self::run) through the per-cell oracle: one uncached
-    /// crossbar evaluation per sample, output position and timestep —
-    /// the pre-cache baseline. The encoder consumes the RNG identically
-    /// (whole batch per timestep), so outputs match [`run`](Self::run)
-    /// bit for bit. Kept for equivalence tests and the `bench_hotpath`
-    /// sequential leg.
+    /// [`run`](Self::run) through the per-cell oracle — the independent
+    /// reference every fast path is checked against. It walks every
+    /// unit's stages in order on the calling thread, one uncached
+    /// crossbar evaluation per sample, output position and timestep,
+    /// without the pipeline executor, its journal or the worker pool. It
+    /// moves no ring traffic on any placement ([`traffic`](Self::traffic)
+    /// is unchanged). The encoder consumes the RNG identically (whole
+    /// batch per timestep), so outputs, waves and scalar-path read energy
+    /// match [`run`](Self::run) bit for bit.
     ///
     /// # Errors
     ///
-    /// As [`run`](Self::run).
+    /// As [`run`](Self::run), without the routing failures.
     pub fn run_sequential<R: Rng + ?Sized>(
         &mut self,
         inputs: &Tensor,
@@ -778,7 +761,7 @@ impl AnalogSpikingNetwork {
         rng: &mut R,
     ) -> Result<Tensor, AnalogError> {
         let encoding = self.encoding;
-        self.run_with_encoder(inputs, timesteps, true, &mut |x: &Tensor| {
+        self.place.run_sequential(inputs, timesteps, |x: &Tensor| {
             encode_with(encoding, x, rng)
         })
     }
@@ -795,9 +778,9 @@ impl AnalogSpikingNetwork {
     /// **bit-identical** to concatenating
     /// `run(group_rows, timesteps, StdRng::seed_from_u64(seed))` per
     /// group — and hence, by the batched-evaluator contract, to
-    /// [`run_sequential`](Self::run_sequential) per group. Coalescing
-    /// requests into one wave therefore cannot change any tenant's
-    /// answer.
+    /// [`run_sequential`](Self::run_sequential) per group, on any
+    /// placement. Coalescing requests into one wave therefore cannot
+    /// change any tenant's answer.
     ///
     /// # Errors
     ///
@@ -809,39 +792,8 @@ impl AnalogSpikingNetwork {
         timesteps: usize,
         groups: &[(usize, u64)],
     ) -> Result<Tensor, AnalogError> {
-        let mut encode = seeded_groups_encoder(self.encoding, inputs, groups)?;
-        self.run_with_encoder(inputs, timesteps, false, &mut encode)
-    }
-
-    fn run_with_encoder(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        oracle: bool,
-        encode: &mut dyn FnMut(&Tensor) -> Tensor,
-    ) -> Result<Tensor, AnalogError> {
-        self.core.check_input(inputs)?;
-        self.core.reset_state();
-        let mut acc: Option<Tensor> = None;
-        let workers = nebula_tensor::pool::size();
-        for _ in 0..timesteps {
-            let (h, _) = self
-                .core
-                .step(Cow::Owned(encode(inputs)), workers, oracle)?;
-            match &mut acc {
-                Some(a) => a.add_assign(&h)?,
-                none => *none = Some(h),
-            }
-        }
-        match acc {
-            Some(a) => Ok(a),
-            // Zero timesteps: no wave ran and no energy accrued, but the
-            // result must still have the shape a one-or-more-timestep
-            // run would produce (all-zero potentials), so callers —
-            // the serving layer in particular — can split it per
-            // request.
-            None => Ok(Tensor::zeros(&self.output_shape(inputs.shape())?)),
-        }
+        let encode = seeded_groups_encoder(self.encoding, inputs, groups)?;
+        self.place.run(inputs, timesteps, encode)
     }
 
     /// Classification accuracy of the circuit-backed SNN.
@@ -851,7 +803,7 @@ impl AnalogSpikingNetwork {
     /// Returns [`AnalogError::BadGeometry`] when the label count differs
     /// from the batch size, before any timestep runs or `rng` is drawn
     /// from; otherwise as [`run`](Self::run).
-    pub fn accuracy<R: Rng + ?Sized>(
+    pub fn accuracy<R: Rng + Send + ?Sized>(
         &mut self,
         inputs: &Tensor,
         labels: &[usize],
@@ -860,18 +812,6 @@ impl AnalogSpikingNetwork {
     ) -> Result<f64, AnalogError> {
         accuracy(inputs, labels, || self.run(inputs, timesteps, rng))
     }
-
-    /// Total analog read energy the crossbars dissipated — the
-    /// event-driven energy figure (silent rows are free).
-    pub fn read_energy(&self) -> Joules {
-        self.core.read_energy()
-    }
-
-    /// Crossbar waves executed (one per sample per output position per
-    /// timestep).
-    pub fn waves(&self) -> u64 {
-        self.core.waves
-    }
 }
 
 /// The timestep encoder for independently seeded request groups:
@@ -879,9 +819,7 @@ impl AnalogSpikingNetwork {
 /// from its own [`rand::rngs::StdRng`] stream seeded with `seed`,
 /// elementwise in row-major order — exactly the draws (Poisson) or
 /// values (Constant) a solo [`encode_with`] over that group's rows
-/// would produce. Both the single-chip and the sharded
-/// `run_seeded_groups` encode through this, which is what keeps the
-/// two serving paths bit-identical.
+/// would produce.
 ///
 /// # Errors
 ///
@@ -968,6 +906,8 @@ pub fn compile_snn_default(snn: &SpikingNetwork) -> Result<AnalogSpikingNetwork,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nebula_crossbar::KernelPath;
+    use nebula_device::units::Joules;
     use nebula_nn::convert::{ann_to_snn, ConversionConfig};
     use nebula_nn::optim::{train, Dataset, TrainConfig};
     use nebula_nn::snn::ResetMode;
@@ -1196,9 +1136,8 @@ mod tests {
     /// Capacities of every scatter-scratch vector, per synaptic stage
     /// and, within it, per worker block.
     fn scratch_caps(net: &AnalogSpikingNetwork) -> Vec<Vec<[usize; 5]>> {
-        net.core
-            .stages
-            .iter()
+        net.place
+            .stages()
             .filter_map(|s| match s {
                 Stage::Dense { scratch, .. } | Stage::Conv { scratch, .. } => Some(&scratch.blocks),
                 _ => None,
@@ -1218,6 +1157,43 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn kill_ac_rejects_out_of_range_indices_before_changing_anything() {
+        let mut r = rng();
+        let mut wounded = conv_snn(&mut r);
+        let mut untouched = wounded.clone();
+        let tiles = wounded.supertile_count();
+        for (tile, ac, limit) in [
+            (tiles, 0, tiles),
+            (tiles + 7, 3, tiles),
+            (0, ACS_PER_SUPERTILE, ACS_PER_SUPERTILE),
+            (tiles - 1, usize::MAX, ACS_PER_SUPERTILE),
+        ] {
+            let bad = if tile >= tiles { tile } else { ac };
+            match wounded.kill_ac(tile, ac) {
+                Err(AnalogError::BadGeometry { reason }) => assert!(
+                    reason.contains(&bad.to_string()) && reason.contains(&limit.to_string()),
+                    "({tile}, {ac}): {reason}"
+                ),
+                other => panic!("({tile}, {ac}): {other:?}"),
+            }
+        }
+        // Nothing changed: the same run on both gives the same bits.
+        let x = Tensor::rand_uniform(&[2, 1, 8, 8], 0.0, 1.0, &mut r);
+        let seeded = || rand::rngs::StdRng::seed_from_u64(3);
+        let got = wounded.run(&x, 6, &mut seeded()).unwrap();
+        let want = untouched.run(&x, 6, &mut seeded()).unwrap();
+        for (a, b) in got.data().iter().zip(want.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(wounded.waves(), untouched.waves());
+        assert_eq!(
+            wounded.read_energy().0.to_bits(),
+            untouched.read_energy().0.to_bits()
+        );
+        assert!(wounded.kill_ac(tiles - 1, ACS_PER_SUPERTILE - 1).is_ok());
     }
 
     #[test]
@@ -1255,7 +1231,7 @@ mod tests {
             "timesteps after the first must not grow the scatter scratch"
         );
         // Between calls every patch bin is back to empty.
-        for stage in &analog.core.stages {
+        for stage in analog.place.stages() {
             if let Stage::Dense { scratch, .. } | Stage::Conv { scratch, .. } = stage {
                 for b in &scratch.blocks {
                     assert!(b.bins.iter().all(|&n| n == 0));

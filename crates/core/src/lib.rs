@@ -72,10 +72,7 @@ pub use fault::{remap_network, ChipFaultState, RemapError, RemapPolicy, RemapRep
 pub use mapper::{
     map_layer, map_network, partition_balanced, plan_stages, Aggregation, LayerMapping,
 };
-pub use multichip::{
-    plan_cluster, ClusterConfig, ClusterPlan, ShardStrategy, ShardedAnalogNetwork,
-    ShardedSpikingNetwork,
-};
+pub use multichip::{plan_cluster, ClusterConfig, ClusterPlan, ShardStrategy};
 pub use serve::{
     ChipPool, InferenceRequest, InferenceResponse, ModelChip, ModelSpec, ModelStats, RequestKind,
     ResponseHandle, ServeConfig, ServeError, Server, ServerStats,

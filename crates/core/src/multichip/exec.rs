@@ -1,11 +1,13 @@
-//! The pipeline executor: the one way a sharded network runs, and the
-//! runtime that turns [`ClusterPlan`](super::ClusterPlan)'s *modeled*
-//! pipeline speedup into measured wall-clock speedup.
+//! The pipeline executor: the one way every compiled network runs, on
+//! one chip or many, and the runtime that turns
+//! [`ClusterPlan`](super::ClusterPlan)'s *modeled* pipeline speedup into
+//! measured wall-clock speedup.
 //!
 //! # Execution model
 //!
-//! A sharded network is a chain of units (one per chip span, each the
-//! shared analog engine over a slice of the donor's stages). Each unit
+//! A network's placement is a chain of units (one per chip span, each
+//! the shared analog engine over a slice of the network's stages; a
+//! freshly compiled network is one unit on one chip). Each unit
 //! is a **pipeline stage** fed by a bounded FIFO queue, and the batch
 //! is split into items that stream through the stages — stage `k`
 //! computes item `i + 1` while stage `k + 1` computes item `i`, exactly
@@ -15,7 +17,10 @@
 //! (membrane state advances strictly in time order inside each stage,
 //! and the wave is still encoded exactly once per timestep at the
 //! pipeline head, so the RNG stream is untouched). One claimant and one
-//! whole-batch item is the degenerate, fully sequential schedule.
+//! whole-batch item is the degenerate, fully sequential schedule, and a
+//! one-unit placement always runs under it ([`schedule`]): its one item
+//! is the caller's batch itself, borrowed rather than copied (items
+//! travel as [`Cow`]s).
 //!
 //! The bounded queues are the backpressure model: a stage may run only
 //! when its input queue is non-empty *and* its downstream queue has
@@ -51,13 +56,13 @@
 //!
 //! # Bitwise identity (journaled accrual replay)
 //!
-//! The repo's contract: sharded execution is bit-identical to the
-//! single-chip engine. Concurrency must not bend that, so the PR 3
-//! split-phase pattern is applied at pipeline scale — stages perform
-//! pure evaluation against state only they own (their tiles, their IF
-//! populations, their scatter scratch, their wave counter), while every
-//! *shared* counter is journaled per stage and replayed sequentially at
-//! the join:
+//! The repo's contract: execution on any placement, under any schedule,
+//! is bit-identical to the sequential oracle. Concurrency must not bend
+//! that, so the split-phase pattern is applied at pipeline scale —
+//! stages perform pure evaluation against state only they own (their
+//! tiles, their IF populations, their scatter scratch, their wave
+//! counter), while every *shared* counter is journaled per stage and
+//! replayed sequentially at the join:
 //!
 //! * **Outputs** — per-item work is pure, queues are FIFO and each
 //!   stage processes items in ascending order (a stage is claimed by at
@@ -66,7 +71,7 @@
 //! * **Energy** — each tile is owned by exactly one stage and sees its
 //!   items in ascending order, so the per-AC accrual fold runs in
 //!   exactly the single-chip order; the read-out then folds every
-//!   unit's stages in the donor's stage order, the single-chip sum.
+//!   unit's stages in compile order, the single-chip sum.
 //! * **NoC traffic** — ring ops mutate the shared [`ChipCluster`], so
 //!   stages record [`TrafficOp`]s into a private [`TrafficJournal`]
 //!   and the join replays them in canonical (stage-major,
@@ -80,9 +85,9 @@
 //!   boundary transfer per timestep, shard traffic silence-gated per
 //!   timestep); all traffic counters are additive, so the stage-major
 //!   replay lands on the same totals for any worker count.
-//! * **Waves** — each unit's engine counts its own, exactly as the
-//!   donor counts them; the sharded `waves()` sums the units' counters,
-//!   so nothing about waves is journaled.
+//! * **Waves** — each unit's engine counts its own, exactly as one
+//!   engine over all the stages would; `waves()` sums the units'
+//!   counters, so nothing about waves is journaled.
 //!
 //! Routing failures (dead ring links) therefore surface at the join,
 //! from the replay, as [`AnalogError::Noc`]; a failed call leaves the
@@ -92,14 +97,16 @@
 use super::{AnalogError, Unit};
 use nebula_noc::ChipCluster;
 use nebula_tensor::Tensor;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
-/// Tuning for the pipeline executor every sharded call runs through
-/// (set per network with `set_pipeline`). `workers: 1` with a
-/// `micro_batch` of at least the batch size is the fully sequential
-/// schedule; every configuration gives the same bits.
+/// Tuning for the pipeline executor a placement of two or more units
+/// runs every call through (set per network with `set_pipeline`; a
+/// one-unit placement derives its own from its unit count). `workers: 1`
+/// with a `micro_batch` of at least the batch size is the fully
+/// sequential schedule; every configuration gives the same bits.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Input rows per ANN pipeline item (micro-batch depth). SNN
@@ -218,12 +225,28 @@ impl TrafficJournal {
     }
 }
 
+/// The schedule a placement of `units` units runs under. Two or more
+/// units use the placement's configuration `cfg` unchanged. One unit
+/// (or none) has nothing to overlap, so it runs the degenerate schedule:
+/// the whole batch as one item, on one claimant, whose stage keeps the
+/// whole pool ([`stage_workers`] of one claimant).
+pub(crate) fn schedule(units: usize, cfg: &PipelineConfig) -> PipelineConfig {
+    if units > 1 {
+        return cfg.clone();
+    }
+    PipelineConfig {
+        micro_batch: usize::MAX,
+        workers: 1,
+        ..cfg.clone()
+    }
+}
+
 /// Streams `n_items` items from `source` through one pipeline stage per
-/// unit under `cfg`, then — at the join — replays every stage's journal
-/// against `cluster` in stage-major order. A stage first journals the
-/// ring transfer its input takes when the previous unit sits on another
-/// chip. Returns every item's output in index order; on an error
-/// nothing is replayed.
+/// unit under the [`schedule`] derived from `cfg`, then — at the join —
+/// replays every stage's journal against `cluster` in stage-major
+/// order. A stage first journals the ring transfer its input takes when
+/// the previous unit sits on another chip. Returns every item's output
+/// in index order; on an error nothing is replayed.
 pub(crate) fn run_units(
     units: &mut [Unit],
     n_items: usize,
@@ -231,7 +254,8 @@ pub(crate) fn run_units(
     cfg: &PipelineConfig,
     cluster: &mut ChipCluster,
 ) -> Result<Vec<Tensor>, AnalogError> {
-    let workers = effective_workers(cfg);
+    let cfg = schedule(units.len(), cfg);
+    let workers = effective_workers(&cfg);
     let sw = stage_workers(workers);
     let chips: Vec<usize> = units.iter().map(|u| u.chip).collect();
     let mut journals: Vec<TrafficJournal> = units
@@ -244,7 +268,7 @@ pub(crate) fn run_units(
         .enumerate()
         .map(|(u, (unit, journal))| {
             let (prev, here) = (u.checked_sub(1).map(|p| chips[p]), chips[u]);
-            Box::new(move |_idx: usize, h: Tensor| {
+            Box::new(move |_idx: usize, h: Cow<'_, Tensor>| {
                 if let Some(prev) = prev.filter(|&p| p != here) {
                     journal.send(prev, here, unit.boundary_bits(&h));
                 }
@@ -262,21 +286,23 @@ pub(crate) fn run_units(
 /// A stage body: consumes item `idx`'s tensor, returns the next stage's
 /// input (or the pipeline output, for the last stage).
 pub(crate) type StageFn<'a> =
-    Box<dyn FnMut(usize, Tensor) -> Result<Tensor, AnalogError> + Send + 'a>;
-/// The item source: produces item `idx`. Called strictly in ascending
-/// `idx` order, one call at a time (the SNN encoder's RNG contract).
-pub(crate) type SourceFn<'a> = Box<dyn FnMut(usize) -> Result<Tensor, AnalogError> + Send + 'a>;
+    Box<dyn FnMut(usize, Cow<'_, Tensor>) -> Result<Tensor, AnalogError> + Send + 'a>;
+/// The item source: produces item `idx`, owned or borrowed from the
+/// caller. Called strictly in ascending `idx` order, one call at a time
+/// (the SNN encoder's RNG contract).
+pub(crate) type SourceFn<'a> =
+    Box<dyn FnMut(usize) -> Result<Cow<'a, Tensor>, AnalogError> + Send + 'a>;
 
 /// What a claimant may run: generate the next item, or advance a stage.
-enum Claim {
+enum Claim<'a> {
     Source(usize),
-    Stage(usize, usize, Tensor),
+    Stage(usize, usize, Cow<'a, Tensor>),
 }
 
-struct SchedState {
+struct SchedState<'a> {
     /// `queues[s]` feeds stage `s`; single producer (stage `s − 1` or
     /// the source), so items are always in ascending order.
-    queues: Vec<VecDeque<(usize, Tensor)>>,
+    queues: Vec<VecDeque<(usize, Cow<'a, Tensor>)>>,
     /// Stage `s` is currently claimed by a worker.
     claimed: Vec<bool>,
     source_claimed: bool,
@@ -294,15 +320,15 @@ struct SchedState {
 /// error is returned (the remaining in-flight work is abandoned); a
 /// panic in a stage body propagates to the caller after all claimants
 /// settle.
-pub(crate) fn run_pipeline(
+pub(crate) fn run_pipeline<'a>(
     n_items: usize,
-    mut source: SourceFn<'_>,
+    mut source: SourceFn<'a>,
     mut stages: Vec<StageFn<'_>>,
     workers: usize,
     capacity: usize,
 ) -> Result<Vec<Tensor>, AnalogError> {
     if stages.is_empty() {
-        stages.push(Box::new(|_, h| Ok(h)));
+        stages.push(Box::new(|_, h| Ok(h.into_owned())));
     }
     let n_stages = stages.len();
     if n_items == 0 {
@@ -370,7 +396,7 @@ pub(crate) fn run_pipeline(
                 }
                 Claim::Stage(s, idx, h) => {
                     let r = (stage_cells[s].lock().expect("stage poisoned"))(idx, h);
-                    (Some(s), idx, r)
+                    (Some(s), idx, r.map(Cow::Owned))
                 }
             }));
             st = state.lock().expect("pipeline scheduler poisoned");
@@ -384,7 +410,7 @@ pub(crate) fn run_pipeline(
                         Ok(h) => match stage {
                             None => st.queues[0].push_back((idx, h)),
                             Some(s) if s + 1 == n_stages => {
-                                st.outputs[idx] = Some(h);
+                                st.outputs[idx] = Some(h.into_owned());
                                 st.done += 1;
                             }
                             Some(s) => st.queues[s + 1].push_back((idx, h)),
@@ -448,13 +474,18 @@ mod tests {
         Tensor::from_vec(vec![v], &[1]).unwrap()
     }
 
+    /// A source item: `v` as an owned one-element tensor.
+    fn owned(v: f32) -> Result<Cow<'static, Tensor>, AnalogError> {
+        Ok(Cow::Owned(item(v)))
+    }
+
     #[test]
     fn pipeline_preserves_item_order_and_applies_stages() {
         for workers in [1usize, 2, 4, 9] {
-            let source: SourceFn<'_> = Box::new(|i| Ok(item(i as f32)));
+            let source: SourceFn<'_> = Box::new(|i| owned(i as f32));
             let stages: Vec<StageFn<'_>> = vec![
-                Box::new(|_, h: Tensor| Ok(item(h.data()[0] * 2.0))),
-                Box::new(|_, h: Tensor| Ok(item(h.data()[0] + 1.0))),
+                Box::new(|_, h: Cow<'_, Tensor>| Ok(item(h.data()[0] * 2.0))),
+                Box::new(|_, h: Cow<'_, Tensor>| Ok(item(h.data()[0] + 1.0))),
             ];
             let outs = run_pipeline(7, source, stages, workers, 2).unwrap();
             let got: Vec<f32> = outs.iter().map(|t| t.data()[0]).collect();
@@ -468,9 +499,9 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         let source: SourceFn<'_> = Box::new(|i| {
             seen.lock().unwrap().push(i);
-            Ok(item(i as f32))
+            owned(i as f32)
         });
-        let stages: Vec<StageFn<'_>> = vec![Box::new(|_, h| Ok(h))];
+        let stages: Vec<StageFn<'_>> = vec![Box::new(|_, h| Ok(h.into_owned()))];
         run_pipeline(16, source, stages, 4, 1).unwrap();
         assert_eq!(*seen.lock().unwrap(), (0..16).collect::<Vec<_>>());
     }
@@ -482,14 +513,14 @@ mod tests {
         // order — at every worker count, including more workers than
         // stages.
         for workers in [1usize, 2, 4] {
-            let source: SourceFn<'_> = Box::new(|i| Ok(item(i as f32)));
+            let source: SourceFn<'_> = Box::new(|i| owned(i as f32));
             let stages: Vec<StageFn<'_>> = vec![
-                Box::new(|_, h: Tensor| Ok(item(h.data()[0] + 10.0))),
-                Box::new(|_, h: Tensor| {
+                Box::new(|_, h: Cow<'_, Tensor>| Ok(item(h.data()[0] + 10.0))),
+                Box::new(|_, h: Cow<'_, Tensor>| {
                     std::thread::sleep(std::time::Duration::from_millis(2));
                     Ok(item(h.data()[0] * 3.0))
                 }),
-                Box::new(|_, h: Tensor| Ok(item(h.data()[0] - 1.0))),
+                Box::new(|_, h: Cow<'_, Tensor>| Ok(item(h.data()[0] - 1.0))),
             ];
             let outs = run_pipeline(9, source, stages, workers, 1).unwrap();
             let got: Vec<f32> = outs.iter().map(|t| t.data()[0]).collect();
@@ -501,13 +532,13 @@ mod tests {
     #[test]
     fn each_stage_sees_items_in_ascending_order() {
         let order = [Mutex::new(Vec::new()), Mutex::new(Vec::new())];
-        let source: SourceFn<'_> = Box::new(|i| Ok(item(i as f32)));
+        let source: SourceFn<'_> = Box::new(|i| owned(i as f32));
         let stages: Vec<StageFn<'_>> = order
             .iter()
             .map(|slot| {
-                Box::new(move |idx: usize, h: Tensor| {
+                Box::new(move |idx: usize, h: Cow<'_, Tensor>| {
                     slot.lock().unwrap().push(idx);
-                    Ok(h)
+                    Ok(h.into_owned())
                 }) as StageFn<'_>
             })
             .collect();
@@ -522,7 +553,7 @@ mod tests {
         let produced = AtomicUsize::new(0);
         let source: SourceFn<'_> = Box::new(|i| {
             produced.fetch_add(1, Ordering::SeqCst);
-            Ok(item(i as f32))
+            owned(i as f32)
         });
         let stages: Vec<StageFn<'_>> = vec![Box::new(|idx, h| {
             if idx == 3 {
@@ -530,7 +561,7 @@ mod tests {
                     reason: "boom".into(),
                 })
             } else {
-                Ok(h)
+                Ok(h.into_owned())
             }
         })];
         let err = run_pipeline(64, source, stages, 2, 2).unwrap_err();
@@ -562,5 +593,44 @@ mod tests {
         snn.send(0, 1, 40);
         snn.send(0, 1, 24);
         assert_eq!(snn.ops.len(), 2, "per-timestep ops stay separate");
+    }
+
+    /// The schedule is derived from the unit count, not set by a knob:
+    /// a one-unit (or stage-less) placement runs the whole batch as one
+    /// item on one claimant, and that claimant's stage keeps the whole
+    /// pool, whatever the configuration says; two or more units run the
+    /// configuration unchanged.
+    #[test]
+    fn schedule_is_derived_from_the_unit_count() {
+        let configs = [
+            PipelineConfig::default(),
+            PipelineConfig {
+                micro_batch: 1,
+                workers: 4,
+                queue_capacity: 1,
+            },
+            PipelineConfig {
+                micro_batch: 7,
+                workers: 1,
+                queue_capacity: 3,
+            },
+        ];
+        for cfg in &configs {
+            for units in [0, 1] {
+                let s = schedule(units, cfg);
+                assert_eq!(s.micro_batch, usize::MAX, "{units} units, {cfg:?}");
+                assert_eq!(s.workers, 1, "{units} units, {cfg:?}");
+                assert_eq!(effective_workers(&s), 1);
+                assert_eq!(
+                    stage_workers(effective_workers(&s)),
+                    nebula_tensor::pool::size()
+                );
+            }
+            for units in [2, 3, 5] {
+                let s = schedule(units, cfg);
+                let fields = |c: &PipelineConfig| (c.micro_batch, c.workers, c.queue_capacity);
+                assert_eq!(fields(&s), fields(cfg), "{units} units");
+            }
+        }
     }
 }

@@ -16,28 +16,28 @@
 //!   home chip and reduce there. This is the strategy that makes a
 //!   layer wider than one chip's core pool runnable at all.
 //!
-//! The functional executors ([`ShardedAnalogNetwork`],
-//! [`ShardedSpikingNetwork`]) are built by *placing an
-//! already-compiled* single-chip network — its stages are cut into
-//! units, one per chip span, and the programmed
-//! [`SuperTile`](nebula_crossbar::SuperTile)s move
-//! with them, never reprogrammed. A placement changes where stages run,
-//! not how: every unit holds the analog engine both modes share over a
-//! contiguous slice of the donor's stages, and the one stage interpreter
-//! of [`crate::analog`] runs it. So outputs, wave counts and
-//! (scalar-path) energy counters are **bit-identical** to the
-//! single-chip engine:
+//! A compiled network *is* its placement. [`AnalogNetwork`] and
+//! [`AnalogSpikingNetwork`] each hold their stages cut into units, one
+//! per chip span, and the cluster those chips form. Compiling gives the
+//! trivial placement: every stage in one unit on one chip.
+//! [`AnalogNetwork::shard`] (and `layer_pipelined`, `tensor_sharded`,
+//! and the SNN's `layer_pipelined_for_input`) re-cut the same stages
+//! into more units; the programmed [`SuperTile`]s move with them, never
+//! reprogrammed. A placement changes where stages run, not how: every
+//! unit holds the analog engine both modes share over a contiguous slice
+//! of the stages, and the one stage interpreter of [`crate::analog`]
+//! runs it. So outputs, wave counts and (scalar-path) energy counters
+//! are **bit-identical** on every placement:
 //!
 //! * Pipelined: a forward pass is a left-to-right fold over stages, so
 //!   splitting the stage list at any boundary changes no operation.
-//! * Tensor-sharded: a wide layer keeps the donor's unsplit matrix, and
-//!   its unit runs it through the donor's interpreter — same matrix,
-//!   same code, same bits. Its segments are *placed* on chips (segment
-//!   `s` on chip `s mod N`, like the paper's multi-core spill with some
-//!   cores on other chips); only the ring traffic that placement costs
-//!   is new.
-//! * Energy: the sharded counters fold every unit's stages in the
-//!   donor's stage order — the single-chip fold.
+//! * Tensor-sharded: a wide layer keeps its unsplit matrix, and its unit
+//!   runs it through the same interpreter — same matrix, same code, same
+//!   bits. Its segments are *placed* on chips (segment `s` on chip
+//!   `s mod N`, like the paper's multi-core spill with some cores on
+//!   other chips); only the ring traffic that placement costs is new.
+//! * Energy: the counters fold every unit's stages in compile order —
+//!   the one-chip fold.
 //!
 //! Inter-chip traffic is accounted through a
 //! [`nebula_noc::ChipCluster`]: one ring `send` per pipeline boundary
@@ -51,15 +51,20 @@
 //! [`NocError::UnroutableChips`] — the same detour-or-fail fault model
 //! the intra-chip mesh uses.
 //!
-//! Both executors run every call through one **pipeline executor**
-//! ([`ShardedAnalogNetwork::forward`], [`ShardedSpikingNetwork::run`]
-//! and [`ShardedSpikingNetwork::run_seeded_groups`]): micro-batches
-//! (ANN) or timesteps (SNN) stream through the chip stages on pool
-//! workers, turning the plan's modeled overlap into measured wall-clock
-//! overlap, configured per network by `set_pipeline`
-//! ([`PipelineConfig`]). Every counter is the same for any
-//! configuration — see the `exec` module docs for the scheduler and
-//! the journaled traffic replay that make that hold.
+//! Every fast call — [`AnalogNetwork::forward`],
+//! [`AnalogSpikingNetwork::run`] and
+//! [`AnalogSpikingNetwork::run_seeded_groups`] — runs through one
+//! **pipeline executor**, with one body per mode: micro-batches (ANN) or
+//! timesteps (SNN) stream through the chip units on pool workers, turning
+//! the plan's modeled overlap into measured wall-clock overlap. A
+//! placement of two or more units runs under its [`PipelineConfig`]
+//! (`set_pipeline`); a one-unit placement derives its schedule from the
+//! unit count instead — the whole batch as one item (borrowed, not
+//! copied), on one claimant, whose stage keeps the whole pool. Every
+//! counter is the same for any schedule — see the `exec` module docs for
+//! the scheduler and the journaled traffic replay that make that hold.
+//! The sequential oracles (`forward_sequential`, `run_sequential`) walk
+//! the same units in order on the calling thread, outside the executor.
 //!
 //! [`NocError::UnroutableChips`]: nebula_noc::NocError::UnroutableChips
 
@@ -70,20 +75,18 @@ pub use exec::PipelineConfig;
 use exec::{run_units, SourceFn, TrafficJournal};
 
 use crate::analog::{check_finite, AnalogEngine, AnalogError, AnalogNetwork, Stage};
-use crate::analog_snn::{encode_with, seeded_groups_encoder, AnalogSpikingNetwork};
+use crate::analog_snn::AnalogSpikingNetwork;
 use crate::capacity::CapacityExceeded;
 use crate::chip::ChipConfig;
 use crate::components::{MAX_RF_IN_CORE, MESH_SIDE};
 use crate::energy::ExecMode;
 use crate::mapper;
 use crate::pipeline;
-use nebula_crossbar::Mode;
+use nebula_crossbar::{KernelPath, Mode, SuperTile};
 use nebula_device::units::Joules;
-use nebula_nn::snn::InputEncoding;
 use nebula_nn::stats::LayerDescriptor;
 use nebula_noc::{ChipCluster, ClusterNode, MeshTopology, NodeId, TrafficStats, LINK_HOP_CYCLES};
 use nebula_tensor::Tensor;
-use rand::Rng;
 use std::borrow::Cow;
 
 /// Bits per inter-chip activation in ANN mode (4-bit quantized values).
@@ -313,7 +316,7 @@ fn account_shard_traffic(
 // Placement: one unit type for both modes and both strategies
 // ---------------------------------------------------------------------
 
-/// A contiguous span of the donor's stages placed on `chip`, held as an
+/// A contiguous span of a network's stages placed on `chip`, held as an
 /// engine of its own. `remote` is empty except on a unit holding one
 /// multi-segment synaptic stage under tensor sharding: there it lists
 /// the other chips that hold the stage's segments (segment `s` lives on
@@ -356,15 +359,15 @@ impl Unit {
     /// the unit's stages, and a tensor-sharded unit journals the input
     /// fan-out and partial fan-in its remote segments cost — on every
     /// ANN call, and on an SNN timestep only when the spikes reached a
-    /// patch. The sharded entry point checked the whole input first.
+    /// patch. The entry point checked the whole input first.
     fn exec(
         &mut self,
-        h: Tensor,
+        h: Cow<'_, Tensor>,
         journal: &mut TrafficJournal,
         workers: usize,
     ) -> Result<Tensor, AnalogError> {
         let in_bits = h.len() as u64 * self.act_bits();
-        let (out, hit) = self.net.step(Cow::Owned(h), workers, false)?;
+        let (out, hit) = self.net.step(h, workers, false)?;
         if hit && !self.remote.is_empty() {
             journal.shard(HOME, &self.remote, in_bits, out.len() as u64 * PARTIAL_BITS);
         }
@@ -372,18 +375,18 @@ impl Unit {
     }
 }
 
-/// Cuts `net` into units for `chips` chips. Layer-pipelined: contiguous
-/// spans balanced by `costs` (super-tile weight when `None`).
+/// Cuts `stages` into `mode` units for `chips` chips. Layer-pipelined:
+/// contiguous spans balanced by `costs` (super-tile weight when `None`).
 /// Tensor-sharded: a home span, then each multi-segment synaptic stage
 /// alone, then the next span. Every unit keeps its stages whole, so the
-/// evaluation is the donor's.
+/// evaluation is the one-chip network's.
 fn cut(
-    net: AnalogEngine,
+    stages: Vec<Stage>,
+    mode: Mode,
     chips: usize,
     strategy: ShardStrategy,
     costs: Option<Vec<u64>>,
 ) -> Vec<Unit> {
-    let AnalogEngine { stages, mode, .. } = net;
     let places: Vec<(usize, Option<Vec<usize>>)> = match strategy {
         ShardStrategy::LayerPipelined => {
             let costs = costs.unwrap_or_else(|| {
@@ -442,185 +445,137 @@ fn cut(
     units
 }
 
-/// Output shape for `input_shape`, checked unit by unit as a single-chip
-/// network checks its stages.
-fn output_shape(units: &[Unit], input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-    units
-        .iter()
-        .try_fold(input_shape.to_vec(), |shape, u| u.net.output_shape(&shape))
-}
-
-/// The checks every sharded entry point makes once, before any crossbar
-/// or ring traffic: the shape must flow through every unit and every
-/// value must be finite.
-fn check_input(units: &[Unit], inputs: &Tensor) -> Result<(), AnalogError> {
-    output_shape(units, inputs.shape())?;
-    check_finite(inputs)
-}
-
-/// Every unit's stages, in the donor's order.
-fn stages(units: &[Unit]) -> impl Iterator<Item = &Stage> {
-    units.iter().flat_map(|u| &u.net.stages)
-}
-
-/// Crossbar waves the donor ran before sharding plus every unit's.
-fn waves(extra: u64, units: &[Unit]) -> u64 {
-    extra + units.iter().map(|u| u.net.waves).sum::<u64>()
-}
-
 // ---------------------------------------------------------------------
-// ANN executor
+// The deployment every compiled network holds
 // ---------------------------------------------------------------------
 
-/// An ANN compiled once, then distributed over a chip cluster. Built
-/// from an [`AnalogNetwork`] (faults, aging and kernel-path choices
-/// carry over with the moved tiles); outputs, wave counts and
-/// scalar-path energy are bit-identical to the donor network's
-/// [`AnalogNetwork::forward`].
+/// A compiled network as it sits on a chip cluster: its stages cut into
+/// units, the ring between the chips, and the pipeline configuration.
+/// [`AnalogNetwork`] holds one, and [`AnalogSpikingNetwork`] holds one
+/// beside its input encoding. Compiling places every stage in one unit
+/// on one chip; `shard` re-cuts the same stages into more units. Every
+/// fast call runs through [`run_units`], one body per mode, and the
+/// sequential oracle walks the same units on the calling thread.
 #[derive(Debug, Clone)]
-pub struct ShardedAnalogNetwork {
+pub(crate) struct Deployment {
     units: Vec<Unit>,
     cluster: ChipCluster,
     strategy: ShardStrategy,
+    /// Waves the stages ran under an earlier placement.
     extra_waves: u64,
     pipeline: PipelineConfig,
 }
 
-impl ShardedAnalogNetwork {
-    /// Distributes `net` over `chips` chips under `strategy`.
+impl Deployment {
+    /// Freshly compiled `mode` stages in one unit on one chip (no unit
+    /// for a stage-less network): the one-chip layer-pipelined placement.
     ///
     /// # Errors
     ///
     /// Propagates cluster-construction failures.
-    pub fn new(
-        net: AnalogNetwork,
-        chips: usize,
-        strategy: ShardStrategy,
-    ) -> Result<Self, AnalogError> {
+    pub(crate) fn one_chip(stages: Vec<Stage>, mode: Mode) -> Result<Self, AnalogError> {
+        let strategy = ShardStrategy::LayerPipelined;
         Ok(Self {
-            cluster: default_cluster(chips)?,
+            cluster: default_cluster(1)?,
             strategy,
-            extra_waves: net.core.waves,
-            units: cut(net.core, chips.max(1), strategy, None),
+            extra_waves: 0,
+            units: cut(stages, mode, 1, strategy, None),
             pipeline: PipelineConfig::default(),
         })
     }
 
-    /// Pipelines `net` over `chips` chips: contiguous stage spans,
-    /// balanced by crossbar (super-tile) weight.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster-construction failures.
-    pub fn layer_pipelined(net: AnalogNetwork, chips: usize) -> Result<Self, AnalogError> {
-        Self::new(net, chips, ShardStrategy::LayerPipelined)
+    /// Re-cuts the same stages for `chips` chips under `strategy` (see
+    /// [`cut`]) on a fresh cluster. The waves run so far and the pipeline
+    /// configuration carry over; on an error nothing has changed.
+    fn reshard(
+        &mut self,
+        mode: Mode,
+        chips: usize,
+        strategy: ShardStrategy,
+        costs: Option<Vec<u64>>,
+    ) -> Result<(), AnalogError> {
+        self.cluster = default_cluster(chips)?;
+        self.extra_waves = self.waves();
+        let stages = std::mem::take(&mut self.units)
+            .into_iter()
+            .flat_map(|u| u.net.stages)
+            .collect();
+        self.units = cut(stages, mode, chips.max(1), strategy, costs);
+        self.strategy = strategy;
+        Ok(())
     }
 
-    /// Shards `net`'s multi-segment layers row-wise over `chips` chips;
-    /// everything else stays on the home chip.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster-construction failures.
-    pub fn tensor_sharded(net: AnalogNetwork, chips: usize) -> Result<Self, AnalogError> {
-        Self::new(net, chips, ShardStrategy::TensorSharded)
+    /// Every unit's stages, in compile order.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = &Stage> {
+        self.units.iter().flat_map(|u| &u.net.stages)
     }
 
-    /// The distribution strategy this network was built with.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
+    /// Every programmed super-tile, in stage then tile order.
+    pub(crate) fn tiles_mut(&mut self) -> impl Iterator<Item = &mut SuperTile> {
+        self.units.iter_mut().flat_map(|u| u.net.tiles_mut())
     }
 
-    /// Chips in the cluster.
-    pub fn chips(&self) -> usize {
-        self.cluster.chips()
+    /// Crossbar waves run before the last re-cut plus every unit's.
+    fn waves(&self) -> u64 {
+        self.extra_waves + self.units.iter().map(|u| u.net.waves).sum::<u64>()
     }
 
-    /// The cluster (traffic statistics live here).
-    pub fn cluster(&self) -> &ChipCluster {
-        &self.cluster
-    }
-
-    /// Mutable cluster access — link fault injection goes through here.
-    pub fn cluster_mut(&mut self) -> &mut ChipCluster {
-        &mut self.cluster
-    }
-
-    /// Cumulative cluster traffic (all meshes plus ring links).
-    pub fn traffic(&self) -> TrafficStats {
-        self.cluster.stats()
-    }
-
-    /// Configures the pipeline executor every call runs through
-    /// ([`PipelineConfig::default`] until set). Any configuration gives
-    /// the same outputs, waves, traffic and scalar-path energy; it only
-    /// moves wall-clock overlap.
-    pub fn set_pipeline(&mut self, cfg: PipelineConfig) {
-        self.pipeline = cfg;
-    }
-
-    /// Selects the crossbar kernel path on every unit.
-    pub fn set_kernel_path(&mut self, path: nebula_crossbar::KernelPath) {
-        for unit in &mut self.units {
-            unit.net.set_kernel_path(path);
+    /// The output shape a batch of `input_shape` produces, checking every
+    /// stage's geometry on the way ([`Stage::output_shape`]). A rank-0
+    /// input fits no network, not even a stage-less one.
+    fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
+        if input_shape.is_empty() {
+            return Err(AnalogError::BadGeometry {
+                reason: "rank-0 input".into(),
+            });
         }
+        self.stages()
+            .try_fold(input_shape.to_vec(), |shape, stage| {
+                stage.output_shape(&shape)
+            })
     }
 
-    /// Output shape for `input_shape`, checked unit by unit as
-    /// [`AnalogNetwork::output_shape`] checks a single-chip network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
-    /// flow through the units.
-    pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        output_shape(&self.units, input_shape)
+    /// The checks every entry point makes once, before any crossbar or
+    /// ring traffic: the shape must flow through every stage and every
+    /// value must be finite. Returns the output shape.
+    fn check_input(&self, inputs: &Tensor) -> Result<Vec<usize>, AnalogError> {
+        let shape = self.output_shape(inputs.shape())?;
+        check_finite(inputs)?;
+        Ok(shape)
     }
 
-    /// Runs a batch through the cluster and returns the logits —
-    /// bit-identical to the donor single-chip
-    /// [`AnalogNetwork::forward`]. The batch is split into micro-batches
-    /// of [`PipelineConfig::micro_batch`] rows that stream through the
-    /// chip stages on pool workers (see
-    /// [`set_pipeline`](Self::set_pipeline)); per-stage traffic is
-    /// journaled and replayed at the join, one transfer per route per
-    /// call. A zero-row batch runs as one empty micro-batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] when the input shape does not
-    /// fit the network (see [`output_shape`](Self::output_shape)) and
-    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
-    /// before any crossbar or ring traffic; propagates circuit and tensor
-    /// failures; inter-chip routing failures surface from the journal
-    /// replay as [`AnalogError::Noc`].
-    pub fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        check_input(&self.units, inputs)?;
-        // Only a stage-less network accepts a rank-0 input: the identity.
-        let Some(&n) = inputs.shape().first() else {
-            return Ok(inputs.clone());
-        };
-        let depth = self.pipeline.micro_batch.clamp(1, n.max(1));
+    /// The ANN body: the batch streams through the units as items of the
+    /// derived schedule's micro-batch depth — on one unit the whole
+    /// batch, borrowed from the caller — and the item outputs are
+    /// concatenated in index order. A zero-row batch is one empty item.
+    pub(crate) fn forward(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
+        self.check_input(inputs)?;
+        let n = inputs.shape()[0];
+        let depth = exec::schedule(self.units.len(), &self.pipeline)
+            .micro_batch
+            .clamp(1, n.max(1));
+        let items = n.div_ceil(depth).max(1);
         let row_elems = inputs.len().checked_div(n).unwrap_or(0);
-        let in_shape = inputs.shape().to_vec();
-        let data = inputs.data();
         let source: SourceFn<'_> = Box::new(move |idx| {
+            if items == 1 {
+                return Ok(Cow::Borrowed(inputs));
+            }
             let (lo, hi) = (idx * depth, ((idx + 1) * depth).min(n));
-            let mut shape = in_shape.clone();
+            let mut shape = inputs.shape().to_vec();
             shape[0] = hi - lo;
-            Ok(Tensor::from_vec(
-                data[lo * row_elems..hi * row_elems].to_vec(),
-                &shape,
-            )?)
+            let rows = inputs.data()[lo * row_elems..hi * row_elems].to_vec();
+            Ok(Cow::Owned(Tensor::from_vec(rows, &shape)?))
         });
-        let outs = run_units(
+        let mut outs = run_units(
             &mut self.units,
-            n.div_ceil(depth).max(1),
+            items,
             source,
             &self.pipeline,
             &mut self.cluster,
         )?;
-        // Concatenate micro-batch outputs in index order.
+        if outs.len() == 1 {
+            return Ok(outs.remove(0));
+        }
         let mut out_shape = outs[0].shape().to_vec();
         out_shape[0] = n;
         let mut out = Vec::with_capacity(outs.iter().map(Tensor::len).sum());
@@ -630,88 +585,259 @@ impl ShardedAnalogNetwork {
         Ok(Tensor::from_vec(out, &out_shape)?)
     }
 
-    /// Total analog read energy across every chip, folded over the
-    /// donor's stages in order — the single-chip fold, so bitwise equal
-    /// to the donor's counter on the scalar path.
-    pub fn read_energy(&self) -> Joules {
-        stages(&self.units).map(Stage::read_energy).sum()
+    /// The SNN body: returns every membrane to rest, then streams
+    /// `timesteps` items through the units, each the whole batch encoded
+    /// by `encode` at the pipeline head in ascending timestep order, and
+    /// sums the potentials ([`sum_timesteps`]).
+    pub(crate) fn run(
+        &mut self,
+        inputs: &Tensor,
+        timesteps: usize,
+        mut encode: impl FnMut(&Tensor) -> Tensor + Send,
+    ) -> Result<Tensor, AnalogError> {
+        let shape = self.check_input(inputs)?;
+        self.reset_state();
+        let source: SourceFn<'_> = Box::new(move |_t| Ok(Cow::Owned(encode(inputs))));
+        let outs = run_units(
+            &mut self.units,
+            timesteps,
+            source,
+            &self.pipeline,
+            &mut self.cluster,
+        )?;
+        sum_timesteps(outs.into_iter().map(Ok), &shape)
     }
 
-    /// Total programming energy (spent before sharding; tiles moved),
-    /// folded as [`read_energy`](Self::read_energy) is.
-    pub fn program_energy(&self) -> Joules {
-        stages(&self.units).map(Stage::program_energy).sum()
+    /// The ANN oracle: [`walk`](Self::walk) over the checked batch.
+    pub(crate) fn forward_sequential(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
+        self.check_input(inputs)?;
+        self.walk(Cow::Borrowed(inputs))
     }
 
-    /// Crossbar evaluation waves executed across the cluster — equal to
-    /// the single-chip count (sharding a wave does not multiply it).
-    pub fn waves(&self) -> u64 {
-        waves(self.extra_waves, &self.units)
+    /// The SNN oracle: [`walk`](Self::walk) once per timestep, encoding
+    /// the whole batch first, as [`run`](Self::run) does.
+    pub(crate) fn run_sequential(
+        &mut self,
+        inputs: &Tensor,
+        timesteps: usize,
+        mut encode: impl FnMut(&Tensor) -> Tensor,
+    ) -> Result<Tensor, AnalogError> {
+        let shape = self.check_input(inputs)?;
+        self.reset_state();
+        let steps = (0..timesteps).map(|_| self.walk(Cow::Owned(encode(inputs))));
+        sum_timesteps(steps, &shape)
+    }
+
+    /// The oracle walk: advances `h` through every unit's stages in
+    /// order, on the calling thread, each synaptic stage through the
+    /// per-cell evaluator (`AnalogEngine::step(.., 1, true)`). It uses no
+    /// pipeline, journal or pool, and moves no ring traffic.
+    fn walk(&mut self, mut h: Cow<'_, Tensor>) -> Result<Tensor, AnalogError> {
+        for unit in &mut self.units {
+            h = Cow::Owned(unit.net.step(h, 1, true)?.0);
+        }
+        Ok(h.into_owned())
+    }
+
+    /// Returns every IF population to rest.
+    fn reset_state(&mut self) {
+        for unit in &mut self.units {
+            unit.net.reset_state();
+        }
+    }
+
+    /// The one unit's engine, for tests that drive the interpreter with
+    /// an explicit worker count.
+    #[cfg(test)]
+    pub(crate) fn sole_engine(&mut self) -> &mut AnalogEngine {
+        assert_eq!(self.units.len(), 1, "a one-unit placement");
+        &mut self.units[0].net
     }
 }
 
-// ---------------------------------------------------------------------
-// SNN executor
-// ---------------------------------------------------------------------
-
-/// A spiking network distributed over a chip cluster. Built from a
-/// compiled [`AnalogSpikingNetwork`]; outputs, RNG consumption, wave
-/// counts and scalar-path energy are bit-identical to the donor's
-/// [`AnalogSpikingNetwork::run`] / `run_seeded_groups` — every wave is
-/// encoded once at the pipeline head, so the Poisson draw order never
-/// changes.
-#[derive(Debug, Clone)]
-pub struct ShardedSpikingNetwork {
-    units: Vec<Unit>,
-    cluster: ChipCluster,
-    strategy: ShardStrategy,
-    encoding: InputEncoding,
-    extra_waves: u64,
-    pipeline: PipelineConfig,
+/// Sums per-timestep potentials in ascending timestep order. Zero
+/// timesteps run no wave and move no traffic, but still return the
+/// `shape` a longer run would (all-zero potentials), so callers — the
+/// serving layer in particular — can split it per request.
+fn sum_timesteps(
+    steps: impl Iterator<Item = Result<Tensor, AnalogError>>,
+    shape: &[usize],
+) -> Result<Tensor, AnalogError> {
+    let mut acc: Option<Tensor> = None;
+    for h in steps {
+        let h = h?;
+        match &mut acc {
+            Some(a) => a.add_assign(&h)?,
+            none => *none = Some(h),
+        }
+    }
+    Ok(acc.unwrap_or_else(|| Tensor::zeros(shape)))
 }
 
-impl ShardedSpikingNetwork {
-    /// Distributes `net` over `chips` chips under `strategy`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster-construction failures.
-    pub fn new(
-        net: AnalogSpikingNetwork,
-        chips: usize,
-        strategy: ShardStrategy,
-    ) -> Result<Self, AnalogError> {
-        Self::place(net, chips, strategy, None)
-    }
+/// The placement API both network types share, written once over their
+/// `place` field: re-cutting the stages for more chips, the cluster they
+/// run on, the pipeline and kernel configuration, and the counters that
+/// every placement keeps identical.
+macro_rules! placement_api {
+    ($net:ident, $mode:expr) => {
+        impl $net {
+            /// Re-places this network's stages on `chips` chips under
+            /// `strategy`. The programmed tiles move with their stages —
+            /// faults, aging and the kernel path go with them, nothing is
+            /// reprogrammed — so outputs, waves and scalar-path energy stay
+            /// bit-identical to the one-chip network. The cluster is new:
+            /// its traffic starts from zero.
+            ///
+            /// # Errors
+            ///
+            /// Propagates cluster-construction failures.
+            pub fn shard(
+                mut self,
+                chips: usize,
+                strategy: ShardStrategy,
+            ) -> Result<Self, AnalogError> {
+                self.place.reshard($mode, chips, strategy, None)?;
+                Ok(self)
+            }
 
-    fn place(
-        net: AnalogSpikingNetwork,
-        chips: usize,
-        strategy: ShardStrategy,
-        costs: Option<Vec<u64>>,
-    ) -> Result<Self, AnalogError> {
-        Ok(Self {
-            cluster: default_cluster(chips)?,
-            strategy,
-            encoding: net.encoding,
-            extra_waves: net.core.waves,
-            units: cut(net.core, chips.max(1), strategy, costs),
-            pipeline: PipelineConfig::default(),
-        })
-    }
+            /// Pipelines the stages over `chips` chips: contiguous spans,
+            /// balanced by crossbar (super-tile) weight. IF populations
+            /// stay with their synaptic stage's chip, so membrane state is
+            /// chip-local.
+            ///
+            /// # Errors
+            ///
+            /// Propagates cluster-construction failures.
+            pub fn layer_pipelined(self, chips: usize) -> Result<Self, AnalogError> {
+                self.shard(chips, ShardStrategy::LayerPipelined)
+            }
 
-    /// Pipelines `net` over `chips` chips (contiguous stage spans,
-    /// balanced by super-tile weight). IF populations stay with their
-    /// synaptic stage's chip, so membrane state is chip-local.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster-construction failures.
-    pub fn layer_pipelined(net: AnalogSpikingNetwork, chips: usize) -> Result<Self, AnalogError> {
-        Self::new(net, chips, ShardStrategy::LayerPipelined)
-    }
+            /// Shards the multi-segment synaptic layers row-wise over
+            /// `chips` chips; every other stage stays on the home chip.
+            ///
+            /// # Errors
+            ///
+            /// Propagates cluster-construction failures.
+            pub fn tensor_sharded(self, chips: usize) -> Result<Self, AnalogError> {
+                self.shard(chips, ShardStrategy::TensorSharded)
+            }
 
-    /// Pipelines `net` over `chips` chips with stage spans balanced by
+            /// The distribution strategy of the current placement
+            /// (layer-pipelined for a freshly compiled network).
+            pub fn strategy(&self) -> ShardStrategy {
+                self.place.strategy
+            }
+
+            /// Chips in the cluster (one for a freshly compiled network).
+            pub fn chips(&self) -> usize {
+                self.place.cluster.chips()
+            }
+
+            /// The cluster (traffic statistics live here).
+            pub fn cluster(&self) -> &ChipCluster {
+                &self.place.cluster
+            }
+
+            /// Mutable cluster access — link fault injection goes through
+            /// here.
+            pub fn cluster_mut(&mut self) -> &mut ChipCluster {
+                &mut self.place.cluster
+            }
+
+            /// Cumulative cluster traffic (all meshes plus ring links).
+            pub fn traffic(&self) -> TrafficStats {
+                self.place.cluster.stats()
+            }
+
+            /// Configures the pipeline executor for a placement of two or
+            /// more units ([`PipelineConfig::default`] until set; a re-cut
+            /// keeps it). A one-unit placement ignores it: it runs the
+            /// whole batch as one item on one claimant, whose stage keeps
+            /// the whole pool. Any configuration gives the same outputs,
+            /// waves, traffic and scalar-path energy; it only moves
+            /// wall-clock overlap.
+            pub fn set_pipeline(&mut self, cfg: PipelineConfig) {
+                self.place.pipeline = cfg;
+            }
+
+            /// Selects the crossbar inner-loop kernel every programmed tile
+            /// evaluates through: [`KernelPath::Auto`] (the default) or the
+            /// [`KernelPath::Scalar`] reference. Outputs are bit-identical
+            /// on both; under Auto read energy uses the per-row-sum
+            /// formulation and agrees with the scalar/reference path to a
+            /// relative error ≤ 1e-12 per dot instead of bitwise (see
+            /// [`nebula_crossbar::kernel`]).
+            pub fn set_kernel_path(&mut self, path: KernelPath) {
+                for unit in &mut self.place.units {
+                    unit.net.set_kernel_path(path);
+                }
+            }
+
+            /// The output shape a batch of `input_shape` produces (for an
+            /// SNN, the accumulated potentials'), checking every stage's
+            /// geometry on the way: weight stages need exactly their
+            /// receptive field per row (`[n, rf]` for dense, `[n, c, h, w]`
+            /// with `c·kh·kw = rf` for convolutions), and a pooling window
+            /// must be nonzero and divide its rank-4 input's height and
+            /// width. Used to size results without executing a wave.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`AnalogError::BadGeometry`] for a rank-0 input and
+            /// for the first stage the shape does not fit.
+            pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
+                self.place.output_shape(input_shape)
+            }
+
+            /// Super-tiles this network's weights occupy, across every
+            /// chip, in stage-then-tile compile order.
+            pub fn supertile_count(&self) -> usize {
+                self.place
+                    .stages()
+                    .filter_map(Stage::matrix)
+                    .map(|m| m.tiles.iter().map(Vec::len).sum::<usize>())
+                    .sum()
+            }
+
+            /// Bytes the conductance caches backing the current kernel path
+            /// occupy across all programmed tiles (building any missing
+            /// layouts first) — the footprint `bench_hotpath` and
+            /// perfbench report.
+            pub fn conductance_cache_bytes(&mut self) -> usize {
+                self.place
+                    .tiles_mut()
+                    .map(|tile| {
+                        tile.prepare();
+                        tile.kernel_cache_bytes()
+                    })
+                    .sum()
+            }
+
+            /// Total analog read energy across every chip, folded over the
+            /// stages in compile order (each stage's tiles summed first) —
+            /// the same fold on any placement, so bitwise equal to the
+            /// one-chip counter on the scalar path. In SNN mode silent rows
+            /// are free: the event-driven energy figure.
+            pub fn read_energy(&self) -> Joules {
+                self.place.stages().map(Stage::read_energy).sum()
+            }
+
+            /// Crossbar evaluation waves executed so far — one 110 ns
+            /// pipeline wave per sample and output position (per timestep
+            /// in SNN mode). Sharding a wave does not multiply it, so every
+            /// placement counts the same.
+            pub fn waves(&self) -> u64 {
+                self.place.waves()
+            }
+        }
+    };
+}
+
+placement_api!(AnalogNetwork, Mode::Ann);
+placement_api!(AnalogSpikingNetwork, Mode::Snn);
+
+impl AnalogSpikingNetwork {
+    /// Pipelines the stages over `chips` chips with spans balanced by
     /// per-timestep *compute* (output patches × receptive field ×
     /// columns) for the given input shape, rather than by super-tile
     /// count. Any contiguous split is bit-identical; this only moves
@@ -721,18 +847,19 @@ impl ShardedSpikingNetwork {
     ///
     /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
     /// flow through the stages (the check
-    /// [`AnalogSpikingNetwork::output_shape`] makes); propagates
+    /// [`output_shape`](Self::output_shape) makes); propagates
     /// cluster-construction failures.
     pub fn layer_pipelined_for_input(
-        net: AnalogSpikingNetwork,
+        mut self,
         chips: usize,
         input_shape: &[usize],
     ) -> Result<Self, AnalogError> {
+        self.output_shape(input_shape)?;
         let mut shape = input_shape.to_vec();
-        let mut costs = Vec::with_capacity(net.core.stages.len());
-        for stage in &net.core.stages {
+        let mut costs = Vec::new();
+        for stage in self.place.stages() {
             let next = stage.output_shape(&shape)?;
-            let patches: usize = next[2..].iter().product();
+            let patches: usize = next.iter().skip(2).product();
             costs.push(
                 stage
                     .matrix()
@@ -740,174 +867,22 @@ impl ShardedSpikingNetwork {
             );
             shape = next;
         }
-        Self::place(net, chips, ShardStrategy::LayerPipelined, Some(costs))
-    }
-
-    /// Shards `net`'s multi-segment synaptic layers row-wise across
-    /// `chips` chips; IF populations and pooling stay on the home chip.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster-construction failures.
-    pub fn tensor_sharded(net: AnalogSpikingNetwork, chips: usize) -> Result<Self, AnalogError> {
-        Self::new(net, chips, ShardStrategy::TensorSharded)
-    }
-
-    /// The distribution strategy this network was built with.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
-    }
-
-    /// Chips in the cluster.
-    pub fn chips(&self) -> usize {
-        self.cluster.chips()
-    }
-
-    /// The cluster (traffic statistics live here).
-    pub fn cluster(&self) -> &ChipCluster {
-        &self.cluster
-    }
-
-    /// Mutable cluster access — link fault injection goes through here.
-    pub fn cluster_mut(&mut self) -> &mut ChipCluster {
-        &mut self.cluster
-    }
-
-    /// Cumulative cluster traffic (all meshes plus ring links).
-    pub fn traffic(&self) -> TrafficStats {
-        self.cluster.stats()
-    }
-
-    /// Sets the input encoding (carried over from the donor network by
-    /// default).
-    pub fn set_encoding(&mut self, encoding: InputEncoding) {
-        self.encoding = encoding;
-    }
-
-    /// Configures the pipeline executor every call runs through
-    /// ([`PipelineConfig::default`] until set). Any configuration gives
-    /// the same outputs, waves, traffic and scalar-path energy; it only
-    /// moves wall-clock overlap.
-    pub fn set_pipeline(&mut self, cfg: PipelineConfig) {
-        self.pipeline = cfg;
-    }
-
-    /// Selects the crossbar kernel path on every unit.
-    pub fn set_kernel_path(&mut self, path: nebula_crossbar::KernelPath) {
-        for unit in &mut self.units {
-            unit.net.set_kernel_path(path);
-        }
-    }
-
-    /// Output-potential shape for `input_shape` (used by the
-    /// zero-timestep corner).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] when `input_shape` cannot
-    /// flow through the units.
-    pub fn output_shape(&self, input_shape: &[usize]) -> Result<Vec<usize>, AnalogError> {
-        output_shape(&self.units, input_shape)
-    }
-
-    /// Runs `timesteps` of spiking inference across the cluster —
-    /// bit-identical to the donor single-chip
-    /// [`AnalogSpikingNetwork::run`]. Each timestep is one pipeline
-    /// item (see [`set_pipeline`](Self::set_pipeline)), so chip stage
-    /// *k* advances timestep *t+1* while stage *k+1* advances timestep
-    /// *t*; the whole batch is encoded exactly once per timestep, at the
-    /// pipeline head and in ascending timestep order, so RNG
-    /// consumption matches. The RNG is `Send` because the encoder runs
-    /// on whichever pool worker claims the pipeline head.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] when the input shape does not
-    /// fit the network (see [`output_shape`](Self::output_shape)) and
-    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
-    /// before any timestep runs; propagates circuit and tensor failures;
-    /// inter-chip routing failures surface from the journal replay as
-    /// [`AnalogError::Noc`].
-    pub fn run<R: Rng + Send + ?Sized>(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        rng: &mut R,
-    ) -> Result<Tensor, AnalogError> {
-        let encoding = self.encoding;
-        self.run_with_encoder(inputs, timesteps, |x: &Tensor| {
-            encode_with(encoding, x, rng)
-        })
-    }
-
-    /// Runs independently seeded request groups — the serving layer's
-    /// entry point; bit-identical to the donor's
-    /// [`AnalogSpikingNetwork::run_seeded_groups`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] when the group row counts
-    /// don't sum to the batch size; otherwise as [`run`](Self::run).
-    pub fn run_seeded_groups(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        groups: &[(usize, u64)],
-    ) -> Result<Tensor, AnalogError> {
-        let encode = seeded_groups_encoder(self.encoding, inputs, groups)?;
-        self.run_with_encoder(inputs, timesteps, encode)
-    }
-
-    fn run_with_encoder(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        mut encode: impl FnMut(&Tensor) -> Tensor + Send,
-    ) -> Result<Tensor, AnalogError> {
-        check_input(&self.units, inputs)?;
-        for unit in &mut self.units {
-            unit.net.reset_state();
-        }
-        let source: SourceFn<'_> = Box::new(move |_t| Ok(encode(inputs)));
-        let outs = run_units(
-            &mut self.units,
-            timesteps,
-            source,
-            &self.pipeline,
-            &mut self.cluster,
-        )?;
-        // Fold potentials in ascending timestep order. Zero timesteps
-        // run no wave and move no traffic, but still return the shape a
-        // longer run would (all-zero potentials).
-        let mut outs = outs.into_iter();
-        let Some(mut acc) = outs.next() else {
-            return Ok(Tensor::zeros(&self.output_shape(inputs.shape())?));
-        };
-        for h in outs {
-            acc.add_assign(&h)?;
-        }
-        Ok(acc)
-    }
-
-    /// Total analog read energy across every chip, folded over the
-    /// donor's stages in order — bitwise equal to the single-chip
-    /// counter on the scalar path.
-    pub fn read_energy(&self) -> Joules {
-        stages(&self.units).map(Stage::read_energy).sum()
-    }
-
-    /// Crossbar waves executed across the cluster — equal to the
-    /// single-chip count.
-    pub fn waves(&self) -> u64 {
-        waves(self.extra_waves, &self.units)
+        self.place
+            .reshard(Mode::Snn, chips, ShardStrategy::LayerPipelined, Some(costs))?;
+        Ok(self)
     }
 }
+
+/// The name perfbench gives a sharded spiking network: the spiking
+/// network itself, on whatever placement it was given. It stays until
+/// perfbench is next changed (ROADMAP.md, item 10).
+pub type ShardedSpikingNetwork = AnalogSpikingNetwork;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nebula_nn::layer::Layer;
-    use nebula_nn::snn::{IfPopulation, ResetMode, SnnStage, SpikingNetwork};
+    use nebula_nn::snn::{IfPopulation, InputEncoding, ResetMode, SnnStage, SpikingNetwork};
     use nebula_workloads::zoo;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -954,7 +929,7 @@ mod tests {
         let mut single = master.clone();
         let want = single.forward(&x).unwrap();
         for chips in [1usize, 2, 4] {
-            let mut sharded = ShardedAnalogNetwork::layer_pipelined(master.clone(), chips).unwrap();
+            let mut sharded = master.clone().layer_pipelined(chips).unwrap();
             let got = sharded.forward(&x).unwrap();
             assert!(bits_equal(&want, &got), "{chips}-chip pipeline diverged");
             assert_eq!(sharded.waves(), single.waves());
@@ -968,7 +943,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[2, MAX_RF_IN_CORE + 7], 0.0, 1.0, &mut r);
         let mut single = master.clone();
         let want = single.forward(&x).unwrap();
-        let mut sharded = ShardedAnalogNetwork::tensor_sharded(master, 2).unwrap();
+        let mut sharded = master.tensor_sharded(2).unwrap();
         let got = sharded.forward(&x).unwrap();
         assert!(bits_equal(&want, &got));
         assert_eq!(sharded.read_energy(), single.read_energy());
@@ -985,7 +960,7 @@ mod tests {
         let mut r1 = ChaCha8Rng::seed_from_u64(41);
         let want = single.run(&x, 4, &mut r1).unwrap();
         for strategy in [ShardStrategy::LayerPipelined, ShardStrategy::TensorSharded] {
-            let mut sharded = ShardedSpikingNetwork::new(master.clone(), 3, strategy).unwrap();
+            let mut sharded = master.clone().shard(3, strategy).unwrap();
             let mut r2 = ChaCha8Rng::seed_from_u64(41);
             let got = sharded.run(&x, 4, &mut r2).unwrap();
             assert!(bits_equal(&want, &got), "{strategy:?} diverged");
@@ -996,7 +971,7 @@ mod tests {
     #[test]
     fn dead_link_reroutes_or_surfaces_as_noc_error() {
         let master = wide_snn(31);
-        let mut sharded = ShardedSpikingNetwork::tensor_sharded(master.clone(), 2).unwrap();
+        let mut sharded = master.clone().tensor_sharded(2).unwrap();
         let x = Tensor::from_vec(vec![1.0; MAX_RF_IN_CORE + 5], &[1, MAX_RF_IN_CORE + 5]).unwrap();
         // Two chips share one link: killing it severs the ring, so the
         // sharded stage's fan-out must fail loudly, not silently.
@@ -1005,7 +980,7 @@ mod tests {
         let err = sharded.run(&x, 1, &mut r).unwrap_err();
         assert!(matches!(err, AnalogError::Noc(_)), "got {err:?}");
         // On a 4-chip ring one dead link just detours the long way.
-        let mut sharded4 = ShardedSpikingNetwork::tensor_sharded(master, 4).unwrap();
+        let mut sharded4 = master.tensor_sharded(4).unwrap();
         sharded4.cluster_mut().fail_link(0).unwrap();
         let mut r = ChaCha8Rng::seed_from_u64(1);
         sharded4.run(&x, 1, &mut r).unwrap();

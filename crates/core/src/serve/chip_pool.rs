@@ -5,43 +5,39 @@
 //! long-lived state; an in-flight request is transient. The pool is the
 //! seam that keeps the two apart: batch workers check a chip out for
 //! exactly one wave and check it back in, so "which physical chip holds
-//! this model" is invisible to tenants and the same model can later be
+//! this model" is invisible to tenants and the same model can be
 //! replicated, sharded or reprogrammed behind the pool without touching
-//! the request path. Mutable chip state a wave touches — energy
+//! the request path. A sharded model is the same network type on a
+//! bigger placement: each replica is a whole chip cluster, checked out
+//! as one unit, and it serves through the same two match arms as a
+//! single chip. Mutable chip state a wave touches — energy
 //! counters, wave counts, membrane potentials — is confined to the
 //! checked-out instance, which is what makes concurrent batches for one
 //! model safe.
 
 use crate::analog::AnalogNetwork;
 use crate::analog_snn::AnalogSpikingNetwork;
-use crate::multichip::{ShardedAnalogNetwork, ShardedSpikingNetwork};
 use nebula_device::units::Joules;
 use std::sync::{Condvar, Mutex};
 
 /// One programmed chip instance: the ANN or SNN analog executor with
-/// weights already written. The `Sharded*` variants are whole chip
-/// *clusters* checked out as one unit — a model too wide for a single
-/// chip serves exactly like any other, the pool seam hides the
-/// difference.
+/// weights already written, on one chip or sharded over a cluster
+/// ([`AnalogNetwork::shard`]) — a model too wide for a single chip
+/// serves exactly like any other, the pool seam hides the difference.
 #[derive(Debug, Clone)]
 pub enum ModelChip {
-    /// ANN-mode chip ([`AnalogNetwork`]).
+    /// ANN-mode network ([`AnalogNetwork`]).
     Ann(AnalogNetwork),
-    /// SNN-mode chip ([`AnalogSpikingNetwork`]).
+    /// SNN-mode network ([`AnalogSpikingNetwork`]).
     Snn(AnalogSpikingNetwork),
-    /// ANN distributed over a chip cluster ([`ShardedAnalogNetwork`]).
-    ShardedAnn(ShardedAnalogNetwork),
-    /// SNN distributed over a chip cluster ([`ShardedSpikingNetwork`]).
-    ShardedSnn(ShardedSpikingNetwork),
 }
 
 impl ModelChip {
-    /// `"ann"` or `"snn"` — the request kind this chip serves (sharded
-    /// clusters serve the same request kinds as single chips).
+    /// `"ann"` or `"snn"` — the request kind this chip serves.
     pub fn kind_name(&self) -> &'static str {
         match self {
-            ModelChip::Ann(_) | ModelChip::ShardedAnn(_) => "ann",
-            ModelChip::Snn(_) | ModelChip::ShardedSnn(_) => "snn",
+            ModelChip::Ann(_) => "ann",
+            ModelChip::Snn(_) => "snn",
         }
     }
 
@@ -50,8 +46,6 @@ impl ModelChip {
         match self {
             ModelChip::Ann(n) => n.read_energy(),
             ModelChip::Snn(n) => n.read_energy(),
-            ModelChip::ShardedAnn(n) => n.read_energy(),
-            ModelChip::ShardedSnn(n) => n.read_energy(),
         }
     }
 
@@ -60,8 +54,6 @@ impl ModelChip {
         match self {
             ModelChip::Ann(n) => n.waves(),
             ModelChip::Snn(n) => n.waves(),
-            ModelChip::ShardedAnn(n) => n.waves(),
-            ModelChip::ShardedSnn(n) => n.waves(),
         }
     }
 }

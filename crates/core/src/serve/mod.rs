@@ -19,8 +19,9 @@
 //!                          ▼
 //!                 AnalogNetwork::forward /
 //!                 AnalogSpikingNetwork::run_seeded_groups
-//!                 (split-phase batched evaluators on the
-//!                  persistent nebula_tensor::pool workers)
+//!                 (the placement's pipeline executor, one
+//!                  chip or many, over the split-phase batched
+//!                  evaluators on nebula_tensor::pool workers)
 //!                          │ split outputs per request
 //!                          ▼
 //!                 ResponseHandle::wait (exactly one answer each)
@@ -245,32 +246,11 @@ impl ModelSpec {
         }
     }
 
-    /// An ANN model sharded across a chip cluster — models too wide for
-    /// one chip serve through the same request path; each replica is a
-    /// whole cluster.
-    pub fn sharded_ann(
-        name: &str,
-        cluster: crate::multichip::ShardedAnalogNetwork,
-        replicas: usize,
-    ) -> Self {
-        Self {
-            name: name.to_string(),
-            chip: ModelChip::ShardedAnn(cluster),
-            replicas,
-        }
-    }
-
-    /// An SNN model sharded across a chip cluster.
-    pub fn sharded_snn(
-        name: &str,
-        cluster: crate::multichip::ShardedSpikingNetwork,
-        replicas: usize,
-    ) -> Self {
-        Self {
-            name: name.to_string(),
-            chip: ModelChip::ShardedSnn(cluster),
-            replicas,
-        }
+    /// [`snn`](Self::snn) under the name perfbench uses for a sharded
+    /// network: a network on any placement is served the same way. It
+    /// stays until perfbench is next changed (ROADMAP.md, item 10).
+    pub fn sharded_snn(name: &str, chip: AnalogSpikingNetwork, replicas: usize) -> Self {
+        Self::snn(name, chip, replicas)
     }
 }
 
@@ -610,18 +590,13 @@ fn evaluate_batch(chip: &mut ModelChip, batch: &[Pending]) -> Result<Vec<Tensor>
             .collect()
     };
     let y = match (chip, &batch[0].kind) {
+        // Every model streams through the pipeline executor on its own
+        // placement (one chip or many) under the schedule that placement
+        // derives; every schedule is bit-identical to the sequential
+        // oracle, so the serving identity contract is untouched.
         (ModelChip::Ann(net), RequestKind::Ann) => net.forward(&x)?,
-        // Sharded models stream through the pipeline executor under
-        // the network's own `PipelineConfig` (the default unless the
-        // spec's network was given another); every configuration is
-        // bit-identical to the single-chip donor, so the serving
-        // identity contract is untouched.
-        (ModelChip::ShardedAnn(cluster), RequestKind::Ann) => cluster.forward(&x)?,
         (ModelChip::Snn(net), RequestKind::Snn { timesteps, .. }) => {
             net.run_seeded_groups(&x, *timesteps, &snn_groups(batch))?
-        }
-        (ModelChip::ShardedSnn(cluster), RequestKind::Snn { timesteps, .. }) => {
-            cluster.run_seeded_groups(&x, *timesteps, &snn_groups(batch))?
         }
         _ => {
             return Err(ServeError::BadRequest(

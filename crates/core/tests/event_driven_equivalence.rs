@@ -24,7 +24,7 @@
 use nebula_core::analog::AnalogError;
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
 use nebula_core::components::{M, MAX_RF_IN_CORE};
-use nebula_core::multichip::{PipelineConfig, ShardedSpikingNetwork};
+use nebula_core::multichip::PipelineConfig;
 use nebula_crossbar::KernelPath;
 use nebula_device::units::Seconds;
 use nebula_device::{FaultClass, FaultModel};
@@ -213,7 +213,7 @@ proptest! {
             // Power-gate one AC of one super-tile: its partial currents
             // read as zero on both engines.
             let tiles = master.supertile_count();
-            master.kill_ac(net_seed as usize % tiles, killed_ac);
+            master.kill_ac(net_seed as usize % tiles, killed_ac).unwrap();
         }
         let flat = mask(raw, density_step);
         let x = Tensor::from_vec(flat[..2 * input].to_vec(), &[2, input]).unwrap();
@@ -252,7 +252,7 @@ fn wound(master: &mut AnalogSpikingNetwork, seed: u64, killed_ac: usize) {
     let mut fault_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFA17);
     master.inject_faults(&model, &mut fault_rng);
     master.advance_age(Seconds(5e6));
-    master.kill_ac(0, killed_ac);
+    master.kill_ac(0, killed_ac).unwrap();
 }
 
 /// Random spike-probability frames at `density_step / 4` activity.
@@ -348,7 +348,7 @@ fn two_segments_and_a_two_chip_split_match_sequential_bitwise() {
                 ..PipelineConfig::default()
             },
         ] {
-            let mut sharded = ShardedSpikingNetwork::tensor_sharded(master.clone(), 2).unwrap();
+            let mut sharded = master.clone().tensor_sharded(2).unwrap();
             sharded.set_kernel_path(path);
             sharded.set_pipeline(cfg.clone());
             let got = sharded
@@ -400,7 +400,7 @@ fn misshaped_and_non_finite_inputs_are_rejected_up_front() {
     }
     assert_eq!(fast.waves(), 0, "no wave ran");
     assert_eq!(seq.read_energy().0, 0.0);
-    let mut sharded = ShardedSpikingNetwork::layer_pipelined(master, 2).unwrap();
+    let mut sharded = master.layer_pipelined(2).unwrap();
     assert!(bad_shape(sharded.run(&wrong, 3, &mut r)));
     assert!(bad_shape(sharded.run_seeded_groups(&wrong, 3, &[(2, 1)])));
     assert!(matches!(
@@ -431,7 +431,7 @@ fn misshaped_and_non_finite_inputs_are_rejected_up_front() {
         .unwrap();
         let x = Tensor::full(&shape, 0.9);
         let (mut fast, mut seq) = (master.clone(), master.clone());
-        let mut sharded = ShardedSpikingNetwork::layer_pipelined(master, 2).unwrap();
+        let mut sharded = master.layer_pipelined(2).unwrap();
         let case = format!("pool {k}, input {shape:?}");
         assert!(bad_shape(fast.run(&x, 3, &mut r)), "{case}");
         assert!(bad_shape(seq.run_sequential(&x, 3, &mut r)), "{case}");

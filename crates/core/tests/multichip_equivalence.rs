@@ -1,10 +1,10 @@
 //! Property-based equivalence of multi-chip sharded execution against
-//! the single-chip engine — the one oracle.
+//! the single-chip engine and the sequential oracle.
 //!
-//! [`ShardedAnalogNetwork`] and [`ShardedSpikingNetwork`] distribute an
-//! already-compiled network over a chip cluster — contiguous pipeline
+//! [`AnalogNetwork::shard`] and [`AnalogSpikingNetwork::shard`] re-place
+//! an already-compiled network over a chip cluster — contiguous pipeline
 //! spans or row-wise tensor shards whose partial sums reduce across the
-//! ring — and run every call through the pipeline executor. These
+//! ring — and every call runs through the pipeline executor. These
 //! properties pin down the contract that makes both the distribution
 //! and the schedule invisible: on arbitrary small networks whose first
 //! layer genuinely spans multiple `16M`-row segments, under **both**
@@ -17,18 +17,18 @@
 //! the scalar path and within 1e-9 relative on Auto. Traffic has no
 //! single-chip counterpart, so every schedule's full [`TrafficStats`]
 //! must equal the one-claimant, whole-batch schedule's, and
-//! layer-pipelined link transfers follow a closed form. Deterministic
+//! layer-pipelined link transfers follow a closed form. The sequential
+//! oracle runs on the sharded placements too, and matches without
+//! moving any ring traffic. Deterministic
 //! cases cover capacity-1 backpressure, dead ring links and zero-size
 //! batches.
 
 use nebula_core::analog::{compile_ann, AnalogError, AnalogNetwork};
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
 use nebula_core::components::MAX_RF_IN_CORE;
-use nebula_core::multichip::{
-    PipelineConfig, ShardStrategy, ShardedAnalogNetwork, ShardedSpikingNetwork,
-};
+use nebula_core::multichip::{PipelineConfig, ShardStrategy};
 use nebula_crossbar::KernelPath;
-use nebula_device::units::Seconds;
+use nebula_device::units::{Joules, Seconds};
 use nebula_device::{FaultClass, FaultModel};
 use nebula_nn::layer::Layer;
 use nebula_nn::network::Network;
@@ -55,6 +55,9 @@ const DEPTHS: [usize; 4] = [1, 2, 7, 64];
 
 /// Pipeline claimants: one (sequential), and more than one.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Multi-unit placements the sequential oracle runs on.
+const ORACLE_CHIPS: [usize; 2] = [2, 4];
 
 /// A dense ANN whose first matrix spans two row segments (`R_f > 16M`),
 /// so tensor sharding splits real state across chips.
@@ -159,7 +162,7 @@ fn assert_ann_equivalent(
     let mut traffic = Vec::new();
     for cfg in [whole_batch(), cfg.clone()] {
         let tag = format!("{strategy:?}/{chips} {path:?} {cfg:?}");
-        let mut sharded = ShardedAnalogNetwork::new(master.clone(), chips, strategy).unwrap();
+        let mut sharded = master.clone().shard(chips, strategy).unwrap();
         sharded.set_kernel_path(path);
         sharded.set_pipeline(cfg);
         let got = sharded.forward(x).unwrap();
@@ -179,7 +182,7 @@ fn assert_ann_equivalent(
 /// equality is part of the contract. `shard` builds the sharded twin.
 fn assert_snn_equivalent(
     master: &AnalogSpikingNetwork,
-    shard: &dyn Fn(AnalogSpikingNetwork) -> ShardedSpikingNetwork,
+    shard: &dyn Fn(AnalogSpikingNetwork) -> AnalogSpikingNetwork,
     path: KernelPath,
     x: &Tensor,
     timesteps: usize,
@@ -216,12 +219,80 @@ fn assert_snn_equivalent(
     traffic[0]
 }
 
-/// `ShardedSpikingNetwork::new` under `strategy` on `chips` chips.
+/// [`AnalogSpikingNetwork::shard`] under `strategy` on `chips` chips.
 fn sharded_snn(
     strategy: ShardStrategy,
     chips: usize,
-) -> impl Fn(AnalogSpikingNetwork) -> ShardedSpikingNetwork {
-    move |net| ShardedSpikingNetwork::new(net, chips, strategy).unwrap()
+) -> impl Fn(AnalogSpikingNetwork) -> AnalogSpikingNetwork {
+    move |net| net.shard(chips, strategy).unwrap()
+}
+
+fn energy_bits(e: Joules) -> u64 {
+    e.0.to_bits()
+}
+
+/// The sequential oracle on a `chips`-chip placement, under both
+/// strategies on the Scalar kernel: its output bits, waves and read
+/// energy bits match the pipelined `forward` on the same placement and
+/// the one-chip donor's, and it leaves the cluster's traffic unchanged.
+fn assert_ann_oracle_on_placement(master: &AnalogNetwork, chips: usize, x: &Tensor) {
+    let scalar = |mut net: AnalogNetwork| {
+        net.set_kernel_path(KernelPath::Scalar);
+        net
+    };
+    let mut donor = scalar(master.clone());
+    let want = donor.forward(x).unwrap();
+    for strategy in STRATEGIES {
+        let tag = format!("{strategy:?}/{chips} forward_sequential");
+        let mut pipelined = scalar(master.clone().shard(chips, strategy).unwrap());
+        let fast = pipelined.forward(x).unwrap();
+        let mut oracle = scalar(master.clone().shard(chips, strategy).unwrap());
+        let before = oracle.traffic();
+        let got = oracle.forward_sequential(x).unwrap();
+        assert_bits_equal(&tag, &fast, &got);
+        assert_bits_equal(&tag, &want, &got);
+        assert_eq!(oracle.waves(), pipelined.waves(), "{tag} waves");
+        assert_eq!(oracle.waves(), donor.waves(), "{tag} waves");
+        let e = energy_bits(oracle.read_energy());
+        assert_eq!(e, energy_bits(pipelined.read_energy()), "{tag} energy");
+        assert_eq!(e, energy_bits(donor.read_energy()), "{tag} energy");
+        assert_eq!(oracle.traffic(), before, "{tag} moved ring traffic");
+    }
+}
+
+/// SNN twin of [`assert_ann_oracle_on_placement`]: `run_sequential` on
+/// the sharded placement against `run` on it and on the donor, every
+/// leg encoding from an identically seeded RNG.
+fn assert_snn_oracle_on_placement(
+    master: &AnalogSpikingNetwork,
+    chips: usize,
+    x: &Tensor,
+    timesteps: usize,
+    seed: u64,
+) {
+    let scalar = |mut net: AnalogSpikingNetwork| {
+        net.set_kernel_path(KernelPath::Scalar);
+        net
+    };
+    let rng = || ChaCha8Rng::seed_from_u64(seed);
+    let mut donor = scalar(master.clone());
+    let want = donor.run(x, timesteps, &mut rng()).unwrap();
+    for strategy in STRATEGIES {
+        let tag = format!("{strategy:?}/{chips} run_sequential t={timesteps}");
+        let mut pipelined = scalar(master.clone().shard(chips, strategy).unwrap());
+        let fast = pipelined.run(x, timesteps, &mut rng()).unwrap();
+        let mut oracle = scalar(master.clone().shard(chips, strategy).unwrap());
+        let before = oracle.traffic();
+        let got = oracle.run_sequential(x, timesteps, &mut rng()).unwrap();
+        assert_bits_equal(&tag, &fast, &got);
+        assert_bits_equal(&tag, &want, &got);
+        assert_eq!(oracle.waves(), pipelined.waves(), "{tag} waves");
+        assert_eq!(oracle.waves(), donor.waves(), "{tag} waves");
+        let e = energy_bits(oracle.read_energy());
+        assert_eq!(e, energy_bits(pipelined.read_energy()), "{tag} energy");
+        assert_eq!(e, energy_bits(donor.read_energy()), "{tag} energy");
+        assert_eq!(oracle.traffic(), before, "{tag} moved ring traffic");
+    }
 }
 
 /// Applies an activity mask: elements whose keep-draw clears the
@@ -245,9 +316,10 @@ proptest! {
     /// Wide dense ANNs: both strategies, 1/2/4 chips, every kernel
     /// path, activity swept from fully silent to fully dense, under a
     /// drawn schedule — micro-batch depth (ragged at 7, larger than the
-    /// batch at 64), claimants and queue capacity.
+    /// batch at 64), claimants and queue capacity — and the sequential
+    /// oracle on a drawn 2- or 4-chip placement.
     #[test]
-    fn sharded_ann_matches_single_chip_bitwise(
+    fn multichip_ann_matches_single_chip_bitwise(
         extra in 1usize..40,
         hidden in 2usize..8,
         out in 2usize..5,
@@ -258,6 +330,7 @@ proptest! {
         pattern in proptest::collection::vec((0.0f32..1.0, 0.0f64..1.0), 16..64),
         density_step in 0usize..5,
         net_seed in 0u64..1_000,
+        oracle_chips_idx in 0usize..ORACLE_CHIPS.len(),
     ) {
         let master = wide_ann(extra, hidden, out, net_seed);
         let input = MAX_RF_IN_CORE + extra;
@@ -273,12 +346,14 @@ proptest! {
                 }
             }
         }
+        assert_ann_oracle_on_placement(&master, ORACLE_CHIPS[oracle_chips_idx], &x);
     }
 
     /// Wide dense SNNs: both strategies, 1/2/4 chips, every kernel
     /// path, both encodings — RNG consumption, membrane state order and
     /// per-timestep silence skips must survive sharding and any number
-    /// of pipeline claimants.
+    /// of pipeline claimants, and the sequential oracle on a drawn 2- or
+    /// 4-chip placement.
     #[test]
     fn sharded_snn_matches_single_chip_bitwise(
         extra in 1usize..40,
@@ -293,6 +368,7 @@ proptest! {
         density_step in 0usize..5,
         net_seed in 0u64..1_000,
         run_seed in 0u64..1_000,
+        oracle_chips_idx in 0usize..ORACLE_CHIPS.len(),
     ) {
         let mut master = wide_snn(extra, hidden, out, net_seed);
         if constant == 1 {
@@ -313,6 +389,8 @@ proptest! {
                 }
             }
         }
+        let chips = ORACLE_CHIPS[oracle_chips_idx];
+        assert_snn_oracle_on_placement(&master, chips, &x, timesteps, run_seed);
     }
 
     /// Wide conv SNNs: the sharded convolution spike path. The
@@ -350,8 +428,8 @@ proptest! {
                     );
                 }
             }
-            let balanced = |net| {
-                ShardedSpikingNetwork::layer_pipelined_for_input(net, 3, x.shape()).unwrap()
+            let balanced = |net: AnalogSpikingNetwork| {
+                net.layer_pipelined_for_input(3, x.shape()).unwrap()
             };
             assert_snn_equivalent(&master, &balanced, path, &x, timesteps, run_seed, &cfg);
         }
@@ -384,7 +462,7 @@ proptest! {
         master.advance_age(Seconds(age_s));
         if kill == 1 {
             let tiles = master.supertile_count();
-            master.kill_ac(net_seed as usize % tiles, killed_ac);
+            master.kill_ac(net_seed as usize % tiles, killed_ac).unwrap();
         }
         let input = MAX_RF_IN_CORE + extra;
         let x = Tensor::from_vec(
@@ -451,7 +529,7 @@ fn dead_link_errors_or_detours() {
     let x = Tensor::from_vec(vec![1.0; input], &[1, input]).unwrap();
     for cfg in [whole_batch(), PipelineConfig::default(), config(1, 4, 1)] {
         // Two chips share one link: severing the ring must fail loudly.
-        let mut sharded = ShardedSpikingNetwork::tensor_sharded(master.clone(), 2).unwrap();
+        let mut sharded = master.clone().tensor_sharded(2).unwrap();
         sharded.set_pipeline(cfg.clone());
         sharded.cluster_mut().fail_link(0).unwrap();
         let err = sharded
@@ -459,8 +537,8 @@ fn dead_link_errors_or_detours() {
             .unwrap_err();
         assert!(matches!(err, AnalogError::Noc(_)), "{cfg:?}: got {err:?}");
         // A 4-chip ring detours the long way.
-        let wounded = |net| {
-            let mut s = ShardedSpikingNetwork::tensor_sharded(net, 4).unwrap();
+        let wounded = |net: AnalogSpikingNetwork| {
+            let mut s = net.tensor_sharded(4).unwrap();
             s.cluster_mut().fail_link(0).unwrap();
             s
         };
@@ -515,7 +593,7 @@ fn link_transfers_count_one_per_boundary_per_call_or_timestep() {
         let boundaries = chips.min(3) as u64 - 1;
         for cfg in [whole_batch(), config(1, 2, 1), config(2, 4, 2)] {
             let tag = format!("{chips} chips {cfg:?}");
-            let mut ann = ShardedAnalogNetwork::layer_pipelined(deep_narrow_ann(1), chips).unwrap();
+            let mut ann = deep_narrow_ann(1).layer_pipelined(chips).unwrap();
             ann.set_pipeline(cfg.clone());
             for calls in 1..=3 {
                 ann.forward(&x).unwrap();
@@ -525,8 +603,7 @@ fn link_transfers_count_one_per_boundary_per_call_or_timestep() {
                     "{tag}: ANN after {calls} calls"
                 );
             }
-            let mut snn =
-                ShardedSpikingNetwork::layer_pipelined(deep_narrow_snn(2), chips).unwrap();
+            let mut snn = deep_narrow_snn(2).layer_pipelined(chips).unwrap();
             snn.set_pipeline(cfg);
             let mut rng = ChaCha8Rng::seed_from_u64(4);
             snn.run(&x, 4, &mut rng).unwrap();
@@ -561,7 +638,8 @@ fn traffic(transfers: u64, flit_hops: u64, ru: u64, link_flit_hops: u64) -> Traf
 /// batch runs as one empty micro-batch (its boundary and shard
 /// transfers still round 0 bits up to one flit), zero timesteps return
 /// shaped zeros with no traffic, and a stage-less network is the
-/// identity (ANN) or the sum of its encoded inputs (SNN).
+/// identity (ANN) or the sum of its encoded inputs (SNN). A rank-0 input
+/// fits no network, stage-less or not: `BadGeometry`, as on one chip.
 #[test]
 fn zero_size_edges_keep_their_shapes_waves_and_traffic() {
     let mut r = ChaCha8Rng::seed_from_u64(9);
@@ -594,21 +672,35 @@ fn zero_size_edges_keep_their_shapes_waves_and_traffic() {
                 ShardStrategy::TensorSharded => traffic(6, 54, 1, 2),
             };
             for (name, net, shape, want_shape, want_traffic) in [
-                ("zero rows", &ann, vec![0, input], vec![0, 3], zero_rows),
-                ("stage-less", &empty_ann, vec![2, 4], vec![2, 4], none),
+                (
+                    "zero rows",
+                    &ann,
+                    vec![0, input],
+                    Some(vec![0, 3]),
+                    zero_rows,
+                ),
+                ("stage-less", &empty_ann, vec![2, 4], Some(vec![2, 4]), none),
                 (
                     "stage-less zero rows",
                     &empty_ann,
                     vec![0, 4],
-                    vec![0, 4],
+                    Some(vec![0, 4]),
                     none,
                 ),
-                ("stage-less rank 0", &empty_ann, vec![], vec![], none),
+                ("stage-less rank 0", &empty_ann, vec![], None, none),
             ] {
-                let mut sharded = ShardedAnalogNetwork::new(net.clone(), 2, strategy).unwrap();
+                let mut sharded = net.clone().shard(2, strategy).unwrap();
                 sharded.set_pipeline(cfg.clone());
-                let y = sharded.forward(&Tensor::full(&shape, 0.5)).unwrap();
-                assert_eq!(y.shape(), &want_shape[..], "{tag} ANN {name}");
+                let y = sharded.forward(&Tensor::full(&shape, 0.5));
+                match want_shape {
+                    Some(want_shape) => {
+                        assert_eq!(y.unwrap().shape(), &want_shape[..], "{tag} ANN {name}")
+                    }
+                    None => assert!(
+                        matches!(y, Err(AnalogError::BadGeometry { .. })),
+                        "{tag} ANN {name}: {y:?}"
+                    ),
+                }
                 assert_eq!(sharded.waves(), 0, "{tag} ANN {name}");
                 assert_eq!(sharded.traffic(), want_traffic, "{tag} ANN {name}");
             }
@@ -633,12 +725,12 @@ fn zero_size_edges_keep_their_shapes_waves_and_traffic() {
                     0 => vec![],
                     n => vec![(n, 4)],
                 };
-                let mut by_rng = ShardedSpikingNetwork::new(net.clone(), 2, strategy).unwrap();
+                let mut by_rng = net.clone().shard(2, strategy).unwrap();
                 by_rng.set_pipeline(cfg.clone());
                 let y_rng = by_rng
                     .run(&x, timesteps, &mut ChaCha8Rng::seed_from_u64(4))
                     .unwrap();
-                let mut by_groups = ShardedSpikingNetwork::new(net.clone(), 2, strategy).unwrap();
+                let mut by_groups = net.clone().shard(2, strategy).unwrap();
                 by_groups.set_pipeline(cfg.clone());
                 let y_groups = by_groups.run_seeded_groups(&x, timesteps, &groups).unwrap();
                 for (leg, y, sharded) in
@@ -675,7 +767,7 @@ fn zero_size_edges_keep_their_shapes_waves_and_traffic() {
 /// segments, so tensor sharding splits it into row shards, and for a
 /// pool window that does not divide its map or is zero.
 #[test]
-fn sharded_ann_rejects_misshaped_batches_up_front() {
+fn multichip_ann_rejects_misshaped_batches_up_front() {
     let mut r = ChaCha8Rng::seed_from_u64(21);
     let channels = MAX_RF_IN_CORE / 9 + 1;
     let conv = Network::new(vec![
@@ -729,7 +821,7 @@ fn sharded_ann_rejects_misshaped_batches_up_front() {
     for (net, good, bad_shapes) in cases {
         for strategy in STRATEGIES {
             for cfg in [PipelineConfig::default(), config(1, 2, 1)] {
-                let mut sharded = ShardedAnalogNetwork::new(net.clone(), 2, strategy).unwrap();
+                let mut sharded = net.clone().shard(2, strategy).unwrap();
                 sharded.set_pipeline(cfg.clone());
                 for shape in &bad_shapes {
                     let x = Tensor::zeros(shape);
@@ -807,8 +899,7 @@ fn scalar_energy_folds_in_single_chip_order() {
             .unwrap();
         for chips in [2usize, 3, 4] {
             let tag = format!("hidden {hidden}, {chips} chips");
-            let mut ann =
-                ShardedAnalogNetwork::tensor_sharded(wide_ann(9, hidden, 3, seed), chips).unwrap();
+            let mut ann = wide_ann(9, hidden, 3, seed).tensor_sharded(chips).unwrap();
             ann.set_kernel_path(path);
             ann.forward(&x).unwrap();
             assert_eq!(bits(ann.read_energy()), bits(single.read_energy()), "{tag}");
@@ -817,8 +908,7 @@ fn scalar_energy_folds_in_single_chip_order() {
                 bits(single.program_energy()),
                 "{tag}"
             );
-            let mut snn =
-                ShardedSpikingNetwork::tensor_sharded(wide_snn(9, hidden, 3, seed), chips).unwrap();
+            let mut snn = wide_snn(9, hidden, 3, seed).tensor_sharded(chips).unwrap();
             snn.set_kernel_path(path);
             snn.run(&x, 3, &mut ChaCha8Rng::seed_from_u64(seed))
                 .unwrap();
@@ -841,8 +931,7 @@ fn scalar_energy_folds_in_single_chip_order() {
         single.forward(&x).unwrap();
         for chips in [2usize, 3] {
             let tag = format!("seed {seed}, {chips}-chip pipeline");
-            let mut ann =
-                ShardedAnalogNetwork::layer_pipelined(six_layer_ann(seed), chips).unwrap();
+            let mut ann = six_layer_ann(seed).layer_pipelined(chips).unwrap();
             ann.set_kernel_path(path);
             ann.forward(&x).unwrap();
             assert_eq!(bits(ann.read_energy()), bits(single.read_energy()), "{tag}");
@@ -896,17 +985,16 @@ fn tensor_sharded_traffic_and_waves_are_pinned() {
     ];
     for (chips, ann_traffic, snn_traffic, conv_traffic) in pins {
         let mut ann =
-            ShardedAnalogNetwork::tensor_sharded(wide_ann(MAX_RF_IN_CORE + 9, 6, 3, 5), chips)
-                .unwrap();
+            AnalogNetwork::tensor_sharded(wide_ann(MAX_RF_IN_CORE + 9, 6, 3, 5), chips).unwrap();
         ann.forward(&ann_x).unwrap();
         ann.forward(&ann_x).unwrap();
         assert_eq!(ann.traffic(), ann_traffic, "ANN dense, {chips} chips");
         assert_eq!(ann.waves(), 12, "ANN dense, {chips} chips");
         let snn =
-            ShardedSpikingNetwork::tensor_sharded(wide_snn(MAX_RF_IN_CORE + 9, 5, 3, 6), chips)
+            AnalogSpikingNetwork::tensor_sharded(wide_snn(MAX_RF_IN_CORE + 9, 5, 3, 6), chips)
                 .unwrap();
         let conv =
-            ShardedSpikingNetwork::tensor_sharded(wide_conv_snn(channels, 4, 3, 8), chips).unwrap();
+            AnalogSpikingNetwork::tensor_sharded(wide_conv_snn(channels, 4, 3, 8), chips).unwrap();
         for (name, mut net, x, seed, want, waves) in [
             ("SNN dense", snn, &snn_x, 7, snn_traffic, [12, 16]),
             ("SNN conv", conv, &conv_x, 9, conv_traffic, [51, 68]),

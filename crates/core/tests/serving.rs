@@ -652,7 +652,7 @@ fn coalesced_batches_are_bitwise_identical_across_kernel_paths() {
 #[test]
 fn sharded_models_serve_bitwise_identically_through_the_same_request_path() {
     use nebula_core::components::MAX_RF_IN_CORE;
-    use nebula_core::multichip::{ShardStrategy, ShardedAnalogNetwork, ShardedSpikingNetwork};
+    use nebula_core::multichip::ShardStrategy;
     use nebula_nn::snn::{IfPopulation, InputEncoding, ResetMode, SnnStage, SpikingNetwork};
 
     let mut r = rng();
@@ -676,10 +676,8 @@ fn sharded_models_serve_bitwise_identically_through_the_same_request_path() {
         InputEncoding::Poisson,
     ))
     .unwrap();
-    let sharded_ann =
-        ShardedAnalogNetwork::new(ann.clone(), 3, ShardStrategy::TensorSharded).unwrap();
-    let sharded_snn =
-        ShardedSpikingNetwork::new(snn.clone(), 3, ShardStrategy::TensorSharded).unwrap();
+    let sharded_ann = ann.clone().shard(3, ShardStrategy::TensorSharded).unwrap();
+    let sharded_snn = snn.clone().shard(3, ShardStrategy::TensorSharded).unwrap();
     let cfg = ServeConfig {
         queue_capacity: 16,
         max_batch: 2,
@@ -688,8 +686,8 @@ fn sharded_models_serve_bitwise_identically_through_the_same_request_path() {
     let server = Server::start(
         cfg,
         vec![
-            ModelSpec::sharded_ann("wide-ann", sharded_ann, 1),
-            ModelSpec::sharded_snn("wide-snn", sharded_snn, 1),
+            ModelSpec::ann("wide-ann", sharded_ann, 1),
+            ModelSpec::snn("wide-snn", sharded_snn, 1),
         ],
     )
     .unwrap();

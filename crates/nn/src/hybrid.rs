@@ -147,11 +147,9 @@ impl HybridNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates layer shape errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `labels.len()` differs from the batch size.
+    /// Returns [`NnError::InvalidConfig`] when `labels.len()` differs
+    /// from the batch size, before anything runs or `rng` is drawn from;
+    /// otherwise propagates [`run`](Self::run)'s errors.
     pub fn accuracy<R: Rng + ?Sized>(
         &mut self,
         inputs: &Tensor,
@@ -159,8 +157,13 @@ impl HybridNetwork {
         timesteps: usize,
         rng: &mut R,
     ) -> Result<f64, NnError> {
+        let rows = inputs.shape().first().copied().unwrap_or(0);
+        if rows != labels.len() {
+            return Err(NnError::InvalidConfig {
+                reason: format!("{} labels for a batch of {rows}", labels.len()),
+            });
+        }
         let result = self.run(inputs, timesteps, rng)?;
-        assert_eq!(result.predictions.len(), labels.len());
         let correct = result
             .predictions
             .iter()
@@ -290,6 +293,29 @@ mod tests {
             hyb_acc >= snn_acc,
             "hybrid ({hyb_acc}) should not trail pure SNN ({snn_acc}) at T={t}"
         );
+    }
+
+    #[test]
+    fn accuracy_checks_the_label_count_before_running() {
+        let mut r = rng();
+        let data = blobs01(10, &mut r);
+        let net = deep_trained_net(&data, &mut r);
+        let mut h = HybridNetwork::split(&net, &data, 1, &ConversionConfig::default()).unwrap();
+        let mut longer = data.labels.clone();
+        longer.push(0);
+        for labels in [&data.labels[..5], &longer[..]] {
+            let mut drawn = rand::rngs::StdRng::seed_from_u64(5);
+            let acc = h.accuracy(&data.inputs, labels, 4, &mut drawn);
+            assert!(
+                matches!(acc, Err(NnError::InvalidConfig { .. })),
+                "{} labels: {acc:?}",
+                labels.len()
+            );
+            // The RNG was not touched: its next draw is a fresh stream's.
+            let fresh = rand::rngs::StdRng::seed_from_u64(5).gen::<u64>();
+            assert_eq!(drawn.gen::<u64>(), fresh);
+        }
+        assert!(h.accuracy(&data.inputs, &data.labels, 4, &mut r).is_ok());
     }
 
     #[test]
