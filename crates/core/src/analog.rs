@@ -1243,41 +1243,6 @@ mod tests {
         assert!(analog.read_energy() > before, "reads cost energy");
     }
 
-    #[test]
-    fn batched_forward_matches_sequential_reference_exactly() {
-        let mut r = rng();
-        // Conv → pool → dense exercises every batched stage kind.
-        let net = Network::new(vec![
-            L::conv2d(2, 4, 3, 1, 1, &mut r),
-            L::relu(),
-            L::avg_pool(2),
-            L::flatten(),
-            L::dense(4 * 4 * 4, 5, &mut r),
-        ]);
-        let x = Tensor::rand_uniform(&[6, 2, 8, 8], 0.0, 1.0, &mut r);
-        let mut fast = compile_ann(&net).unwrap();
-        let mut slow = fast.clone();
-        let mut scalar = fast.clone();
-        scalar.set_kernel_path(KernelPath::Scalar);
-        let yf = fast.forward(&x).unwrap();
-        let ys = slow.forward_sequential(&x).unwrap();
-        let yk = scalar.forward(&x).unwrap();
-        assert_eq!(yf.shape(), ys.shape());
-        for ((a, b), c) in yf.data().iter().zip(ys.data()).zip(yk.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "fast {a} vs reference {b}");
-            assert_eq!(c.to_bits(), b.to_bits(), "scalar {c} vs reference {b}");
-        }
-        // Scalar kernel: energy bitwise-identical to the reference leg;
-        // Auto kernel: per-row energy re-association within 1e-12.
-        assert_eq!(scalar.read_energy(), slow.read_energy());
-        let (e_vec, e_ref) = (fast.read_energy().0, slow.read_energy().0);
-        assert!(
-            (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "Auto energy {e_vec} vs reference {e_ref}"
-        );
-        assert_eq!(fast.waves(), slow.waves());
-    }
-
     /// An input value from the drive's edge cases: exact zeros of both
     /// signs, negatives (a zero drive) and values above the drive scale
     /// (a full drive), or anything in between.

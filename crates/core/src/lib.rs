@@ -74,6 +74,6 @@ pub use mapper::{
 };
 pub use multichip::{plan_cluster, ClusterConfig, ClusterPlan, ShardStrategy};
 pub use serve::{
-    ChipPool, InferenceRequest, InferenceResponse, ModelChip, ModelSpec, ModelStats, RequestKind,
+    InferenceRequest, InferenceResponse, ModelChip, ModelSpec, ModelStats, RequestKind,
     ResponseHandle, ServeConfig, ServeError, Server, ServerStats,
 };

@@ -881,111 +881,7 @@ pub type ShardedSpikingNetwork = AnalogSpikingNetwork;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nebula_nn::layer::Layer;
-    use nebula_nn::snn::{IfPopulation, InputEncoding, ResetMode, SnnStage, SpikingNetwork};
     use nebula_workloads::zoo;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn bits_equal(a: &Tensor, b: &Tensor) -> bool {
-        a.shape() == b.shape()
-            && a.data()
-                .iter()
-                .zip(b.data())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
-    /// A dense ANN whose first matrix spans multiple R_f segments, so
-    /// tensor sharding has something to split.
-    fn wide_ann(seed: u64) -> AnalogNetwork {
-        let mut r = ChaCha8Rng::seed_from_u64(seed);
-        let net = nebula_nn::network::Network::new(vec![
-            Layer::dense(MAX_RF_IN_CORE + 7, 6, &mut r),
-            Layer::relu(),
-            Layer::dense(6, 4, &mut r),
-        ]);
-        crate::analog::compile_ann(&net).unwrap()
-    }
-
-    fn wide_snn(seed: u64) -> AnalogSpikingNetwork {
-        let mut r = ChaCha8Rng::seed_from_u64(seed);
-        let snn = SpikingNetwork::new(
-            vec![
-                SnnStage::Synaptic(Layer::dense(MAX_RF_IN_CORE + 5, 5, &mut r)),
-                SnnStage::IntegrateFire(IfPopulation::new(0.7, ResetMode::Subtract)),
-                SnnStage::Synaptic(Layer::dense(5, 3, &mut r)),
-                SnnStage::IntegrateFire(IfPopulation::new(0.7, ResetMode::Zero)),
-            ],
-            InputEncoding::Poisson,
-        );
-        crate::analog_snn::compile_snn_default(&snn).unwrap()
-    }
-
-    #[test]
-    fn pipelined_ann_matches_single_chip_bitwise() {
-        let master = wide_ann(11);
-        let mut r = ChaCha8Rng::seed_from_u64(3);
-        let x = Tensor::rand_uniform(&[3, MAX_RF_IN_CORE + 7], 0.0, 1.0, &mut r);
-        let mut single = master.clone();
-        let want = single.forward(&x).unwrap();
-        for chips in [1usize, 2, 4] {
-            let mut sharded = master.clone().layer_pipelined(chips).unwrap();
-            let got = sharded.forward(&x).unwrap();
-            assert!(bits_equal(&want, &got), "{chips}-chip pipeline diverged");
-            assert_eq!(sharded.waves(), single.waves());
-        }
-    }
-
-    #[test]
-    fn tensor_sharded_ann_matches_single_chip_bitwise() {
-        let master = wide_ann(19);
-        let mut r = ChaCha8Rng::seed_from_u64(5);
-        let x = Tensor::rand_uniform(&[2, MAX_RF_IN_CORE + 7], 0.0, 1.0, &mut r);
-        let mut single = master.clone();
-        let want = single.forward(&x).unwrap();
-        let mut sharded = master.tensor_sharded(2).unwrap();
-        let got = sharded.forward(&x).unwrap();
-        assert!(bits_equal(&want, &got));
-        assert_eq!(sharded.read_energy(), single.read_energy());
-        // The wide layer's partials actually crossed the ring.
-        assert!(sharded.traffic().link_flit_hops > 0);
-    }
-
-    #[test]
-    fn sharded_snn_matches_single_chip_bitwise_including_rng() {
-        let master = wide_snn(23);
-        let mut r = ChaCha8Rng::seed_from_u64(9);
-        let x = Tensor::rand_uniform(&[2, MAX_RF_IN_CORE + 5], 0.0, 1.0, &mut r);
-        let mut single = master.clone();
-        let mut r1 = ChaCha8Rng::seed_from_u64(41);
-        let want = single.run(&x, 4, &mut r1).unwrap();
-        for strategy in [ShardStrategy::LayerPipelined, ShardStrategy::TensorSharded] {
-            let mut sharded = master.clone().shard(3, strategy).unwrap();
-            let mut r2 = ChaCha8Rng::seed_from_u64(41);
-            let got = sharded.run(&x, 4, &mut r2).unwrap();
-            assert!(bits_equal(&want, &got), "{strategy:?} diverged");
-            assert_eq!(sharded.waves(), single.waves(), "{strategy:?} waves");
-        }
-    }
-
-    #[test]
-    fn dead_link_reroutes_or_surfaces_as_noc_error() {
-        let master = wide_snn(31);
-        let mut sharded = master.clone().tensor_sharded(2).unwrap();
-        let x = Tensor::from_vec(vec![1.0; MAX_RF_IN_CORE + 5], &[1, MAX_RF_IN_CORE + 5]).unwrap();
-        // Two chips share one link: killing it severs the ring, so the
-        // sharded stage's fan-out must fail loudly, not silently.
-        sharded.cluster_mut().fail_link(0).unwrap();
-        let mut r = ChaCha8Rng::seed_from_u64(1);
-        let err = sharded.run(&x, 1, &mut r).unwrap_err();
-        assert!(matches!(err, AnalogError::Noc(_)), "got {err:?}");
-        // On a 4-chip ring one dead link just detours the long way.
-        let mut sharded4 = master.tensor_sharded(4).unwrap();
-        sharded4.cluster_mut().fail_link(0).unwrap();
-        let mut r = ChaCha8Rng::seed_from_u64(1);
-        sharded4.run(&x, 1, &mut r).unwrap();
-        assert!(sharded4.traffic().link_flit_hops > 0);
-    }
 
     #[test]
     fn plan_pipelines_vgg_and_rejects_undersized_clusters() {

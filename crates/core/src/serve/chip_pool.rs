@@ -60,7 +60,7 @@ impl ModelChip {
 
 /// A blocking pool of identical programmed chip replicas for one model.
 #[derive(Debug)]
-pub struct ChipPool {
+pub(crate) struct ChipPool {
     idle: Mutex<Vec<ModelChip>>,
     available: Condvar,
     replicas: usize,
@@ -70,11 +70,13 @@ impl ChipPool {
     /// Builds a pool of `replicas` instances by cloning the programmed
     /// prototype (cloning copies the programmed conductance state; each
     /// replica's energy counters then accrue independently).
+    /// [`Server::start`](crate::serve::Server::start) rejects zero
+    /// replicas before it builds a pool.
     ///
     /// # Panics
     ///
     /// Panics when `replicas` is zero.
-    pub fn new(prototype: ModelChip, replicas: usize) -> Self {
+    pub(crate) fn new(prototype: ModelChip, replicas: usize) -> Self {
         assert!(replicas >= 1, "a chip pool needs at least one replica");
         let mut idle = Vec::with_capacity(replicas);
         for _ in 1..replicas {
@@ -89,12 +91,12 @@ impl ChipPool {
     }
 
     /// Number of replicas the pool was built with.
-    pub fn replicas(&self) -> usize {
+    pub(crate) fn replicas(&self) -> usize {
         self.replicas
     }
 
     /// Takes an idle chip, blocking until one is checked back in.
-    pub fn checkout(&self) -> ModelChip {
+    pub(crate) fn checkout(&self) -> ModelChip {
         let mut idle = self.idle.lock().expect("chip pool poisoned");
         loop {
             if let Some(chip) = idle.pop() {
@@ -105,7 +107,7 @@ impl ChipPool {
     }
 
     /// Returns a chip to the pool and wakes one waiting worker.
-    pub fn checkin(&self, chip: ModelChip) {
+    pub(crate) fn checkin(&self, chip: ModelChip) {
         let mut idle = self.idle.lock().expect("chip pool poisoned");
         debug_assert!(idle.len() < self.replicas, "more checkins than replicas");
         idle.push(chip);
@@ -117,7 +119,7 @@ impl ChipPool {
     /// chip is checked in (e.g. after
     /// [`Server::shutdown`](crate::serve::Server::shutdown)); a snapshot
     /// otherwise.
-    pub fn total_read_energy(&self) -> Joules {
+    pub(crate) fn total_read_energy(&self) -> Joules {
         self.idle
             .lock()
             .expect("chip pool poisoned")
@@ -128,7 +130,7 @@ impl ChipPool {
 
     /// Sum of executed waves over the *idle* replicas (see
     /// [`total_read_energy`](Self::total_read_energy) for the caveat).
-    pub fn total_waves(&self) -> u64 {
+    pub(crate) fn total_waves(&self) -> u64 {
         self.idle
             .lock()
             .expect("chip pool poisoned")

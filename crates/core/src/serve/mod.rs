@@ -5,8 +5,9 @@
 //! concurrently, a dynamic batcher coalesces compatible requests (same
 //! model, same per-sample shape, same SNN timestep count) into single
 //! crossbar waves, and each model runs on a pool of programmed chip
-//! replicas ([`ChipPool`]) so the long-lived "programmed chip state" is
-//! decoupled from transient "in-flight request state".
+//! replicas (the crate-private `ChipPool`) so the long-lived
+//! "programmed chip state" is decoupled from transient "in-flight
+//! request state".
 //!
 //! # Architecture
 //!
@@ -53,10 +54,11 @@ mod chip_pool;
 mod oneshot;
 mod queue;
 
-pub use chip_pool::{ChipPool, ModelChip};
+pub use chip_pool::ModelChip;
 
 use crate::analog::{check_finite, AnalogError};
 use crate::analog_snn::AnalogSpikingNetwork;
+use chip_pool::ChipPool;
 use nebula_device::units::Joules;
 use nebula_tensor::Tensor;
 use oneshot::OneShot;
@@ -201,7 +203,9 @@ pub struct ServeConfig {
     /// Most requests one crossbar wave coalesces.
     pub max_batch: usize,
     /// Longest a request waits for batch companions before its batch
-    /// dispatches anyway.
+    /// dispatches anyway. A wait too long to add to an [`Instant`], such
+    /// as `Duration::MAX`, never expires: batches then dispatch when
+    /// full or at shutdown.
     pub max_wait: Duration,
 }
 

@@ -70,11 +70,15 @@ pub(crate) struct RequestQueue {
 }
 
 impl RequestQueue {
+    /// An empty queue bounded at `capacity` requests. Nothing is
+    /// reserved up front, so any bound (`usize::MAX` included) is cheap;
+    /// [`push_blocking`](Self::push_blocking) and
+    /// [`try_push`](Self::try_push) enforce it.
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
             inner: Mutex::new(Inner {
-                deque: VecDeque::with_capacity(capacity),
+                deque: VecDeque::new(),
                 shutdown: false,
             }),
             not_empty: Condvar::new(),
@@ -128,7 +132,9 @@ impl RequestQueue {
     /// plus up to `max_batch − 1` later requests sharing its
     /// [`BatchKey`], in arrival order. Dispatches early when the
     /// compatibility group reaches `max_batch`; otherwise waits out the
-    /// head's `max_wait` deadline so a lone request is never stranded.
+    /// head's `max_wait` deadline so a lone request is never stranded. A
+    /// deadline past what an [`Instant`] can hold (`Duration::MAX`) is
+    /// no deadline: the batch dispatches on `max_batch` or shutdown.
     /// During shutdown pending requests dispatch immediately (no
     /// deadline wait); returns `None` once shut down *and* drained,
     /// which is the worker exit signal.
@@ -145,9 +151,10 @@ impl RequestQueue {
             }
             let key = inner.deque[0].key();
             let compatible = inner.deque.iter().filter(|p| p.key() == key).count();
-            let deadline = inner.deque[0].arrived + max_wait;
+            let deadline = inner.deque[0].arrived.checked_add(max_wait);
             let now = Instant::now();
-            if compatible >= max_batch || now >= deadline || inner.shutdown {
+            let expired = deadline.is_some_and(|d| now >= d);
+            if compatible >= max_batch || expired || inner.shutdown {
                 let mut batch = Vec::with_capacity(compatible.min(max_batch));
                 let mut rest = VecDeque::with_capacity(inner.deque.len());
                 for p in inner.deque.drain(..) {
@@ -168,9 +175,11 @@ impl RequestQueue {
                 }
                 return Some(batch);
             }
+            // No deadline waits for a push or shutdown to notify.
+            let timeout = deadline.map_or(Duration::MAX, |d| d - now);
             let (guard, _) = self
                 .not_empty
-                .wait_timeout(inner, deadline - now)
+                .wait_timeout(inner, timeout)
                 .expect("request queue poisoned");
             inner = guard;
         }

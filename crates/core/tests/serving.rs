@@ -315,6 +315,51 @@ fn invalid_requests_are_rejected_up_front() {
     ));
 }
 
+/// A server without limits: an unbounded queue reserves nothing up
+/// front, and a `max_wait` too long to add to an `Instant` is no
+/// deadline. It starts; a batch dispatches once full, and a lone request
+/// at shutdown — each bitwise like the sequential reference.
+#[test]
+fn a_server_without_limits_starts_and_serves_bitwise() {
+    let mut r = rng();
+    let (net, _) = trained_net(&mut r);
+    let chip = compile_ann(&net).unwrap();
+    let mut reference = chip.clone();
+    let cfg = ServeConfig {
+        queue_capacity: usize::MAX,
+        max_batch: 2,
+        max_wait: Duration::MAX,
+    };
+    let server = Server::start(cfg, vec![ModelSpec::ann("mlp", chip, 1)]).unwrap();
+    let inputs: Vec<Tensor> = (0..3).map(|i| input(&mut r, 1 + i)).collect();
+    let handles: Vec<_> = inputs
+        .iter()
+        .map(|x| {
+            server
+                .submit(InferenceRequest {
+                    model: "mlp".into(),
+                    tenant: 0,
+                    input: x.clone(),
+                    kind: RequestKind::Ann,
+                })
+                .unwrap()
+        })
+        .collect();
+    // The first two fill a batch; the third waits for shutdown.
+    for (i, (x, h)) in inputs.iter().zip(&handles).enumerate() {
+        if i == 2 {
+            server.begin_shutdown();
+        }
+        let resp = h.wait_for(Duration::from_secs(60)).expect("dispatched");
+        let got = resp.unwrap().output;
+        let want = reference.forward_sequential(x).unwrap();
+        assert_eq!(got.shape(), want.shape());
+        for (a, b) in got.data().iter().zip(want.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "served {a} vs sequential {b}");
+        }
+    }
+}
+
 #[test]
 fn a_non_finite_request_never_fails_another_tenants_batch() {
     // Between two valid requests another tenant submits a NaN and an
