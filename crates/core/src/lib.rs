@@ -21,7 +21,8 @@
 //! * [`chip`] — chip configuration, mesh placement and NoC traffic.
 //! * [`serve`] — async multi-tenant inference serving: per-model
 //!   request queues, a dynamic batcher coalescing compatible requests
-//!   into single crossbar waves, and pools of programmed chip replicas.
+//!   into single crossbar waves, and programmed chip replicas each
+//!   driven by its own batch worker.
 //!
 //! # Examples
 //!

@@ -4,10 +4,12 @@
 //! service: tenants submit ANN and SNN inference jobs for mixed models
 //! concurrently, a dynamic batcher coalesces compatible requests (same
 //! model, same per-sample shape, same SNN timestep count) into single
-//! crossbar waves, and each model runs on a pool of programmed chip
-//! replicas (the crate-private `ChipPool`) so the long-lived
-//! "programmed chip state" is decoupled from transient "in-flight
-//! request state".
+//! crossbar waves, and each model runs on programmed chip replicas.
+//! A replica is long-lived state (its weights are written into the
+//! crossbar conductances); a request is transient. Each replica has one
+//! owner, the batch worker that drives it, so the mutable chip state a
+//! wave touches (energy counters, wave counts, membrane potentials) is
+//! never shared between concurrent batches.
 //!
 //! # Architecture
 //!
@@ -15,8 +17,8 @@
 //! tenants ──submit──▶ per-model RequestQueue (bounded, backpressure)
 //!                          │ next_batch: ≤ max_batch compatible
 //!                          │ requests, or max_wait deadline
-//!                     batch workers (replicas per model)
-//!                          │ checkout ──▶ ChipPool ◀── checkin
+//!                     batch workers (one per replica, each
+//!                          │ owning its programmed ModelChip clone)
 //!                          ▼
 //!                 AnalogNetwork::forward /
 //!                 AnalogSpikingNetwork::run_seeded_groups
@@ -48,24 +50,23 @@
 //! drops), [`Server::try_submit`] reports [`ServeError::QueueFull`].
 //! [`Server::shutdown`] is graceful: queued requests are drained and
 //! answered, blocked submitters fail with [`ServeError::ShuttingDown`],
-//! and every accepted request is answered exactly once.
+//! and every accepted request is answered exactly once. A request
+//! dropped unanswered (say its worker died outside the evaluation
+//! guard) is answered [`ServeError::Internal`] rather than left hanging.
 
-mod chip_pool;
-mod oneshot;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod queue;
 
-pub use chip_pool::ModelChip;
-
-use crate::analog::{check_finite, AnalogError};
+use crate::analog::{check_finite, AnalogError, AnalogNetwork};
 use crate::analog_snn::AnalogSpikingNetwork;
-use chip_pool::ChipPool;
 use nebula_device::units::Joules;
 use nebula_tensor::Tensor;
-use oneshot::OneShot;
 use queue::{Pending, RequestQueue};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -90,8 +91,9 @@ pub enum ServeError {
     BadRequest(String),
     /// The analog evaluator rejected the batch.
     Analog(AnalogError),
-    /// A batch worker panicked while evaluating (a bug, surfaced as an
-    /// answer so no tenant hangs).
+    /// A batch worker panicked while evaluating, or the request was
+    /// dropped unanswered (a bug, surfaced as an answer so no tenant
+    /// hangs).
     Internal(String),
 }
 
@@ -160,14 +162,14 @@ pub struct InferenceResponse {
     pub batched_with: usize,
     /// Time from arrival to batch dispatch (queueing + batching wait).
     pub queued: Duration,
-    /// Time from dispatch to completion (chip checkout + evaluation).
+    /// Time from dispatch to completion (evaluation).
     pub service: Duration,
 }
 
 /// A claim on a future [`InferenceResponse`]; every accepted request is
 /// answered exactly once.
 pub struct ResponseHandle {
-    slot: Arc<OneShot<Result<InferenceResponse, ServeError>>>,
+    answer: Receiver<Result<InferenceResponse, ServeError>>,
 }
 
 impl std::fmt::Debug for ResponseHandle {
@@ -182,15 +184,76 @@ impl ResponseHandle {
     /// # Errors
     ///
     /// Whatever the serving layer answered with (evaluation failure,
-    /// worker panic).
+    /// worker panic), or [`ServeError::Internal`] if the request was
+    /// dropped unanswered.
     pub fn wait(self) -> Result<InferenceResponse, ServeError> {
-        self.slot.wait()
+        self.answer.recv().unwrap_or_else(|_| Err(dropped()))
     }
 
     /// Waits up to `timeout`; `None` if the answer has not arrived yet
-    /// (it stays claimable by a later call).
+    /// (it stays claimable by a later call). The answer is delivered
+    /// once: after it, and for a request dropped unanswered, this
+    /// returns [`ServeError::Internal`].
     pub fn wait_for(&self, timeout: Duration) -> Option<Result<InferenceResponse, ServeError>> {
-        self.slot.wait_for(timeout)
+        match self.answer.recv_timeout(timeout) {
+            Ok(answer) => Some(answer),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => Some(Err(dropped())),
+        }
+    }
+}
+
+fn dropped() -> ServeError {
+    ServeError::Internal("request dropped unanswered".into())
+}
+
+/// Takes the guard out of a lock result whether or not a thread panicked
+/// while holding the lock. Sound for the serving state because every
+/// critical section it guards leaves that state consistent at each point
+/// where it can panic: the request queue's `deque` and `shutdown` flag
+/// and the per-model counters hold no invariant across fields that any
+/// code relies on, so any mix of updates is a valid state, and a request
+/// lost with an unwinding critical section drops its reply sender, which
+/// answers its tenant [`ServeError::Internal`].
+fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One programmed chip instance: the ANN or SNN analog executor with
+/// weights already written, on one chip or sharded over a cluster
+/// ([`AnalogNetwork::shard`]). A model too wide for a single chip
+/// serves exactly like any other.
+#[derive(Debug, Clone)]
+pub enum ModelChip {
+    /// ANN-mode network ([`AnalogNetwork`]).
+    Ann(AnalogNetwork),
+    /// SNN-mode network ([`AnalogSpikingNetwork`]).
+    Snn(AnalogSpikingNetwork),
+}
+
+impl ModelChip {
+    /// `"ann"` or `"snn"` — the request kind this chip serves.
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            ModelChip::Ann(_) => "ann",
+            ModelChip::Snn(_) => "snn",
+        }
+    }
+
+    /// Analog read energy this instance has dissipated so far.
+    pub fn read_energy(&self) -> Joules {
+        match self {
+            ModelChip::Ann(n) => n.read_energy(),
+            ModelChip::Snn(n) => n.read_energy(),
+        }
+    }
+
+    /// Crossbar evaluation waves this instance has executed so far.
+    pub fn waves(&self) -> u64 {
+        match self {
+            ModelChip::Ann(n) => n.waves(),
+            ModelChip::Snn(n) => n.waves(),
+        }
     }
 }
 
@@ -220,20 +283,21 @@ impl Default for ServeConfig {
 }
 
 /// A model to host: a programmed chip prototype plus how many replicas
-/// to pool.
+/// to serve it on.
 #[derive(Debug)]
 pub struct ModelSpec {
     /// Name requests address.
     pub name: String,
     /// Programmed prototype; replicas are clones of it.
     pub chip: ModelChip,
-    /// Pooled chip instances (= concurrent batches for this model).
+    /// Chip instances, each driven by its own batch worker (=
+    /// concurrent batches for this model).
     pub replicas: usize,
 }
 
 impl ModelSpec {
     /// An ANN model spec.
-    pub fn ann(name: &str, chip: crate::analog::AnalogNetwork, replicas: usize) -> Self {
+    pub fn ann(name: &str, chip: AnalogNetwork, replicas: usize) -> Self {
         Self {
             name: name.to_string(),
             chip: ModelChip::Ann(chip),
@@ -264,13 +328,15 @@ struct ModelCounters {
     batches: u64,
     largest_batch: usize,
     per_tenant: HashMap<u64, u64>,
+    /// Each replica's cumulative `(read_energy, waves)`, indexed by
+    /// worker, as of its last finished batch.
+    replicas: Vec<(Joules, u64)>,
 }
 
 struct ModelState {
     name: String,
     kind: &'static str,
     queue: RequestQueue,
-    chips: ChipPool,
     counters: Mutex<ModelCounters>,
 }
 
@@ -281,7 +347,7 @@ pub struct ModelStats {
     pub model: String,
     /// `"ann"` or `"snn"`.
     pub kind: &'static str,
-    /// Chip replicas pooled.
+    /// Chip replicas served.
     pub replicas: usize,
     /// Requests answered (dispatched into waves).
     pub requests: u64,
@@ -291,10 +357,12 @@ pub struct ModelStats {
     pub largest_batch: usize,
     /// Requests per tenant, ascending by tenant id.
     pub per_tenant: Vec<(u64, u64)>,
-    /// Read energy summed over idle replicas (exact after shutdown).
+    /// Read energy summed over the replicas in replica order, each as
+    /// of its last finished batch (exact whenever no batch is in
+    /// flight).
     pub read_energy: Joules,
-    /// Evaluation waves summed over idle replicas (exact after
-    /// shutdown).
+    /// Evaluation waves summed over the replicas, each as of its last
+    /// finished batch (exact whenever no batch is in flight).
     pub waves: u64,
 }
 
@@ -316,8 +384,8 @@ pub struct ServerStats {
     pub models: Vec<ModelStats>,
 }
 
-/// The inference server: per-model queues, batch workers and chip
-/// pools. See the [module docs](self) for the architecture.
+/// The inference server: per-model queues and one batch worker per
+/// chip replica. See the [module docs](self) for the architecture.
 pub struct Server {
     models: Vec<Arc<ModelState>>,
     by_name: HashMap<String, usize>,
@@ -326,8 +394,9 @@ pub struct Server {
 
 impl Server {
     /// Boots the server: programs nothing (chips arrive pre-programmed
-    /// in `specs`), builds one queue + chip pool per model and spawns
-    /// `replicas` batch workers each.
+    /// in `specs`), builds one queue per model and spawns `replicas`
+    /// batch workers each, every worker owning one clone of the
+    /// prototype.
     ///
     /// # Errors
     ///
@@ -341,6 +410,7 @@ impl Server {
         }
         let mut models = Vec::with_capacity(specs.len());
         let mut by_name = HashMap::with_capacity(specs.len());
+        let mut prototypes = Vec::with_capacity(specs.len());
         for spec in specs {
             if spec.replicas == 0 {
                 return Err(ServeError::BadRequest(format!(
@@ -354,34 +424,43 @@ impl Server {
                     spec.name
                 )));
             }
+            // Energy the prototype spent before serving still counts:
+            // every replica is a clone that starts from these totals.
+            let seed = (spec.chip.read_energy(), spec.chip.waves());
             let state = Arc::new(ModelState {
                 name: spec.name.clone(),
                 kind: spec.chip.kind_name(),
                 queue: RequestQueue::new(config.queue_capacity),
-                chips: ChipPool::new(spec.chip, spec.replicas),
-                counters: Mutex::new(ModelCounters::default()),
+                counters: Mutex::new(ModelCounters {
+                    replicas: vec![seed; spec.replicas],
+                    ..ModelCounters::default()
+                }),
             });
             by_name.insert(spec.name, models.len());
             models.push(state);
+            prototypes.push((spec.chip, spec.replicas));
         }
-        let mut workers = Vec::new();
-        for state in &models {
-            for w in 0..state.chips.replicas() {
-                let state = Arc::clone(state);
-                let cfg = config;
-                workers.push(
+        // Built before any worker spawns: if a spawn fails, dropping the
+        // server shuts down the queues and joins the workers already up.
+        let mut server = Self {
+            models,
+            by_name,
+            workers: Vec::new(),
+        };
+        for (m, (prototype, replicas)) in prototypes.into_iter().enumerate() {
+            let mut chips: Vec<ModelChip> = (1..replicas).map(|_| prototype.clone()).collect();
+            chips.push(prototype);
+            for (w, chip) in chips.into_iter().enumerate() {
+                let state = Arc::clone(&server.models[m]);
+                server.workers.push(
                     std::thread::Builder::new()
                         .name(format!("nebula-serve-{}-{w}", state.name))
-                        .spawn(move || worker_loop(&state, cfg))
+                        .spawn(move || worker_loop(&state, w, chip, config))
                         .map_err(|e| ServeError::Internal(format!("spawn failed: {e}")))?,
                 );
             }
         }
-        Ok(Self {
-            models,
-            by_name,
-            workers,
-        })
+        Ok(server)
     }
 
     fn make_pending(
@@ -411,15 +490,15 @@ impl Server {
         // Refused here, per request: inside a coalesced batch the
         // engines' own check would fail every tenant in the batch.
         check_finite(&req.input)?;
-        let slot = Arc::new(OneShot::new());
+        let (reply, answer) = mpsc::channel();
         let pending = Pending {
             tenant: req.tenant,
             input: req.input,
             kind: req.kind,
-            slot: Arc::clone(&slot),
+            reply,
             arrived: Instant::now(),
         };
-        Ok((state, pending, ResponseHandle { slot }))
+        Ok((state, pending, ResponseHandle { answer }))
     }
 
     /// Submits a request, blocking while the model's queue is full
@@ -480,27 +559,27 @@ impl Server {
     }
 
     /// Snapshot of the serving statistics. Chip energy/wave totals sum
-    /// the *idle* replicas, so they are exact once the server has shut
-    /// down (or is quiescent).
+    /// each replica as of its last finished batch, so they are exact
+    /// whenever no batch is in flight.
     pub fn stats(&self) -> ServerStats {
         let models = self
             .models
             .iter()
             .map(|state| {
-                let c = state.counters.lock().expect("counters poisoned");
+                let c = unpoison(state.counters.lock());
                 let mut per_tenant: Vec<(u64, u64)> =
                     c.per_tenant.iter().map(|(&t, &n)| (t, n)).collect();
                 per_tenant.sort_unstable();
                 ModelStats {
                     model: state.name.clone(),
                     kind: state.kind,
-                    replicas: state.chips.replicas(),
+                    replicas: c.replicas.len(),
                     requests: c.requests,
                     batches: c.batches,
                     largest_batch: c.largest_batch,
                     per_tenant,
-                    read_energy: state.chips.total_read_energy(),
-                    waves: state.chips.total_waves(),
+                    read_energy: c.replicas.iter().map(|r| r.0).sum(),
+                    waves: c.replicas.iter().map(|r| r.1).sum(),
                 }
             })
             .collect();
@@ -514,12 +593,13 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop(state: &ModelState, cfg: ServeConfig) {
+/// Batch worker `w`: evaluates every batch it claims on `chip`, the
+/// replica it owns.
+fn worker_loop(state: &ModelState, w: usize, mut chip: ModelChip, cfg: ServeConfig) {
     while let Some(batch) = state.queue.next_batch(cfg.max_batch, cfg.max_wait) {
         let dispatched = Instant::now();
-        let mut chip = state.chips.checkout();
-        // A panicking evaluator must not strand the batch's tenants (or
-        // poison the whole server): catch it and answer with an error.
+        // A panicking evaluator must not take this replica's worker down
+        // with it: catch the panic and answer the batch with its message.
         let result = catch_unwind(AssertUnwindSafe(|| evaluate_batch(&mut chip, &batch)))
             .unwrap_or_else(|panic| {
                 let reason = panic
@@ -529,10 +609,10 @@ fn worker_loop(state: &ModelState, cfg: ServeConfig) {
                     .unwrap_or_else(|| "evaluator panicked".into());
                 Err(ServeError::Internal(reason))
             });
-        state.chips.checkin(chip);
         let done = Instant::now();
         {
-            let mut c = state.counters.lock().expect("counters poisoned");
+            let mut c = unpoison(state.counters.lock());
+            c.replicas[w] = (chip.read_energy(), chip.waves());
             c.batches += 1;
             c.requests += batch.len() as u64;
             c.largest_batch = c.largest_batch.max(batch.len());
@@ -545,19 +625,18 @@ fn worker_loop(state: &ModelState, cfg: ServeConfig) {
             Ok(outputs) => {
                 debug_assert_eq!(outputs.len(), batched_with);
                 for (p, output) in batch.into_iter().zip(outputs) {
-                    let answered = p.slot.fulfill(Ok(InferenceResponse {
+                    let queued = dispatched.saturating_duration_since(p.arrived);
+                    p.answer(Ok(InferenceResponse {
                         output,
                         batched_with,
-                        queued: dispatched.saturating_duration_since(p.arrived),
+                        queued,
                         service: done.saturating_duration_since(dispatched),
                     }));
-                    debug_assert!(answered, "request answered twice");
                 }
             }
             Err(e) => {
                 for p in batch {
-                    let answered = p.slot.fulfill(Err(e.clone()));
-                    debug_assert!(answered, "request answered twice");
+                    p.answer(Err(e.clone()));
                 }
             }
         }
@@ -625,4 +704,28 @@ fn evaluate_batch(chip: &mut ModelChip, batch: &[Pending]) -> Result<Vec<Tensor>
         offset += r;
     }
     Ok(outputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_request_dropped_unanswered_is_answered_internal() {
+        let (reply, answer) = mpsc::channel();
+        let pending = Pending {
+            tenant: 0,
+            input: Tensor::zeros(&[1, 2]),
+            kind: RequestKind::Ann,
+            reply,
+            arrived: Instant::now(),
+        };
+        let handle = ResponseHandle { answer };
+        drop(pending);
+        assert!(matches!(
+            handle.wait_for(Duration::from_secs(1)),
+            Some(Err(ServeError::Internal(_)))
+        ));
+        assert!(matches!(handle.wait(), Err(ServeError::Internal(_))));
+    }
 }

@@ -14,11 +14,11 @@
 //! drained and answered by the workers, while waiting submitters give
 //! up with [`ShuttingDown`](crate::serve::ServeError::ShuttingDown).
 
-use super::oneshot::OneShot;
-use super::{InferenceResponse, RequestKind, ServeError};
+use super::{unpoison, InferenceResponse, RequestKind, ServeError};
 use nebula_tensor::Tensor;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::Sender;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// What a request must agree on to share a crossbar wave with another:
@@ -34,17 +34,26 @@ pub(crate) struct BatchKey {
     trailing: Vec<usize>,
 }
 
-/// A queued request: the tenant's job plus its response slot and
-/// arrival time (the batching deadline is relative to arrival).
+/// A queued request: the tenant's job plus the sender of its answer and
+/// its arrival time (the batching deadline is relative to arrival).
 pub(crate) struct Pending {
     pub tenant: u64,
     pub input: Tensor,
     pub kind: RequestKind,
-    pub slot: Arc<OneShot<Result<InferenceResponse, ServeError>>>,
+    pub reply: Sender<Result<InferenceResponse, ServeError>>,
     pub arrived: Instant,
 }
 
 impl Pending {
+    /// Answers the request. Answering consumes it, so no request is
+    /// answered twice; one dropped unanswered disconnects its
+    /// [`ResponseHandle`](super::ResponseHandle), which then reports
+    /// [`ServeError::Internal`].
+    pub(crate) fn answer(self, answer: Result<InferenceResponse, ServeError>) {
+        // A tenant that dropped its handle no longer wants the answer.
+        let _ = self.reply.send(answer);
+    }
+
     pub(crate) fn key(&self) -> BatchKey {
         BatchKey {
             timesteps: match self.kind {
@@ -93,7 +102,7 @@ impl RequestQueue {
     ///
     /// [`ServeError::ShuttingDown`] once shutdown has begun.
     pub(crate) fn push_blocking(&self, p: Pending) -> Result<(), ServeError> {
-        let mut inner = self.inner.lock().expect("request queue poisoned");
+        let mut inner = unpoison(self.inner.lock());
         loop {
             if inner.shutdown {
                 return Err(ServeError::ShuttingDown);
@@ -104,7 +113,7 @@ impl RequestQueue {
                 self.not_empty.notify_all();
                 return Ok(());
             }
-            inner = self.not_full.wait(inner).expect("request queue poisoned");
+            inner = unpoison(self.not_full.wait(inner));
         }
     }
 
@@ -115,7 +124,7 @@ impl RequestQueue {
     /// [`ServeError::QueueFull`] when at capacity,
     /// [`ServeError::ShuttingDown`] once shutdown has begun.
     pub(crate) fn try_push(&self, p: Pending) -> Result<(), ServeError> {
-        let mut inner = self.inner.lock().expect("request queue poisoned");
+        let mut inner = unpoison(self.inner.lock());
         if inner.shutdown {
             return Err(ServeError::ShuttingDown);
         }
@@ -140,13 +149,13 @@ impl RequestQueue {
     /// which is the worker exit signal.
     pub(crate) fn next_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<Pending>> {
         let max_batch = max_batch.max(1);
-        let mut inner = self.inner.lock().expect("request queue poisoned");
+        let mut inner = unpoison(self.inner.lock());
         loop {
             if inner.deque.is_empty() {
                 if inner.shutdown {
                     return None;
                 }
-                inner = self.not_empty.wait(inner).expect("request queue poisoned");
+                inner = unpoison(self.not_empty.wait(inner));
                 continue;
             }
             let key = inner.deque[0].key();
@@ -177,11 +186,7 @@ impl RequestQueue {
             }
             // No deadline waits for a push or shutdown to notify.
             let timeout = deadline.map_or(Duration::MAX, |d| d - now);
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(inner, timeout)
-                .expect("request queue poisoned");
-            inner = guard;
+            inner = unpoison(self.not_empty.wait_timeout(inner, timeout)).0;
         }
     }
 
@@ -189,7 +194,7 @@ impl RequestQueue {
     /// [`ServeError::ShuttingDown`]) and workers (they drain the queue,
     /// then exit).
     pub(crate) fn shutdown(&self) {
-        let mut inner = self.inner.lock().expect("request queue poisoned");
+        let mut inner = unpoison(self.inner.lock());
         inner.shutdown = true;
         drop(inner);
         self.not_empty.notify_all();
@@ -198,10 +203,52 @@ impl RequestQueue {
 
     /// Requests currently queued (not yet claimed by a batch).
     pub(crate) fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("request queue poisoned")
-            .deque
-            .len()
+        unpoison(self.inner.lock()).deque.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+
+    fn pending(tenant: u64) -> Pending {
+        Pending {
+            tenant,
+            input: Tensor::zeros(&[1, 2]),
+            kind: RequestKind::Ann,
+            reply: channel().0,
+            arrived: Instant::now(),
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_queue_lock_loses_no_request() {
+        let q = Arc::new(RequestQueue::new(8));
+        q.try_push(pending(0)).unwrap();
+        q.push_blocking(pending(1)).unwrap();
+        let holder = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let _guard = q.inner.lock();
+                panic!("panic while holding the queue lock");
+            })
+        };
+        assert!(holder.join().is_err());
+        assert!(q.inner.lock().is_err(), "the lock must be marked");
+
+        q.try_push(pending(2)).unwrap();
+        q.push_blocking(pending(3)).unwrap();
+        assert_eq!(q.len(), 4);
+        let batch = q.next_batch(8, Duration::ZERO).unwrap();
+        let tenants: Vec<u64> = batch.iter().map(|p| p.tenant).collect();
+        assert_eq!(tenants, [0, 1, 2, 3]);
+        assert_eq!(q.len(), 0);
+
+        q.shutdown();
+        assert!(q.next_batch(8, Duration::ZERO).is_none());
+        assert_eq!(q.try_push(pending(4)), Err(ServeError::ShuttingDown));
+        assert_eq!(q.push_blocking(pending(5)), Err(ServeError::ShuttingDown));
     }
 }
