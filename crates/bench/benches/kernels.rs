@@ -87,7 +87,7 @@ fn bench_snn(c: &mut Criterion) {
 }
 
 /// The two crossbar inner-loop kernels ([`KernelPath`]) head to head on
-/// dense and spike-sparse GEMV, plus the packed f32 GEMM against its
+/// dense and spike-sparse GEMV, plus the register-tiled f32 GEMM against its
 /// naive pinned reference at im2col shapes from the LeNet and VGG
 /// workloads. Summarized in `EXPERIMENTS.md` ("Kernel microbenchmarks").
 fn bench_kernel_paths(c: &mut Criterion) {
@@ -129,7 +129,7 @@ fn bench_kernel_paths(c: &mut Criterion) {
         }
     }
 
-    // Packed f32 GEMM at im2col shapes: LeNet conv2 (24×24 patches of a
+    // Register-tiled f32 GEMM at im2col shapes: LeNet conv2 (24×24 patches of a
     // 6-channel 5×5 window onto 16 kernels) and the VGG/10 bench's
     // second conv (16×16 patches of a 16-channel 3×3 window onto 16
     // kernels), against the naive pinned reference.
@@ -139,14 +139,14 @@ fn bench_kernel_paths(c: &mut Criterion) {
     ] {
         let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
         let b_mat = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
-        c.bench_function(&format!("gemm_{name}_{m}x{k}x{n}_packed"), |b| {
+        c.bench_function(&format!("gemm_{name}_{m}x{k}x{n}_tiled"), |b| {
             b.iter(|| a.matmul(black_box(&b_mat)).unwrap())
         });
         c.bench_function(&format!("gemm_{name}_{m}x{k}x{n}_reference"), |b| {
             b.iter(|| nebula_tensor::gemm::matmul_reference(&a, black_box(&b_mat)).unwrap())
         });
         // Mostly-zero rows (spike-train matrices): near the threshold the
-        // dense axpy still wins — the skip branch only pays once rows are
+        // dense tiles still win — the skip branch only pays once rows are
         // nearly silent, as spiking im2col patches are (≥ 99 % zeros).
         for (tag, cut) in [("80pct_zero", 0.6f32), ("98pct_zero", 0.96)] {
             let sparse_a = a.map(|v| if v < cut { 0.0 } else { v });

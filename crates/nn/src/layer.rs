@@ -10,9 +10,9 @@
 
 use crate::error::NnError;
 use crate::param::Param;
-// Matmuls and patch lowering go through `par` — bit-identical to the
-// sequential ops for any worker count, and backed by the blocked GEMM.
-use nebula_tensor::{avg_pool2d, avg_pool2d_backward, col2im, par, ConvGeometry, Tensor};
+// Matmuls and convolutions go through `par` — bit-identical to the
+// sequential ops for any worker count, and backed by the tiled GEMM.
+use nebula_tensor::{avg_pool2d, avg_pool2d_backward, par, ConvGeometry, Tensor};
 use rand::Rng;
 
 /// A network layer.
@@ -171,9 +171,20 @@ impl Layer {
     ///
     /// Propagates shape errors from the tensor substrate.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor, NnError> {
+        self.forward_with(x, train, &mut Scratch::default())
+    }
+
+    /// [`forward`](Self::forward) drawing the buffers it caches for the
+    /// backward pass from `scratch`.
+    pub(crate) fn forward_with(
+        &mut self,
+        x: &Tensor,
+        train: bool,
+        scratch: &mut Scratch,
+    ) -> Result<Tensor, NnError> {
         match self {
             Layer::Dense(l) => l.forward(x, train),
-            Layer::Conv2d(l) => l.forward(x, train),
+            Layer::Conv2d(l) => l.forward(x, train, scratch),
             Layer::DepthwiseConv2d(l) => l.forward(x, train),
             Layer::BatchNorm2d(l) => l.forward(x, train),
             Layer::Relu(l) => l.forward(x, train),
@@ -191,17 +202,32 @@ impl Layer {
     /// Returns [`NnError::BackwardBeforeForward`] when no forward pass has
     /// been cached.
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
+        Ok(self
+            .backward_with(grad, true, &mut Scratch::default())?
+            .expect("the input gradient was requested"))
+    }
+
+    /// [`backward`](Self::backward) that returns the buffers the forward
+    /// pass cached to `scratch`, and skips the input gradient of a dense
+    /// or convolution layer when `input_grad` is false (the first layer
+    /// in training), returning `None` then.
+    pub(crate) fn backward_with(
+        &mut self,
+        grad: &Tensor,
+        input_grad: bool,
+        scratch: &mut Scratch,
+    ) -> Result<Option<Tensor>, NnError> {
         match self {
-            Layer::Dense(l) => l.backward(grad),
-            Layer::Conv2d(l) => l.backward(grad),
-            Layer::DepthwiseConv2d(l) => l.backward(grad),
-            Layer::BatchNorm2d(l) => l.backward(grad),
-            Layer::Relu(l) => l.backward(grad),
-            Layer::AvgPool(l) => l.backward(grad),
-            Layer::Flatten(l) => l.backward(grad),
+            Layer::Dense(l) => l.backward(grad, input_grad),
+            Layer::Conv2d(l) => l.backward(grad, input_grad, scratch),
+            Layer::DepthwiseConv2d(l) => l.backward(grad).map(Some),
+            Layer::BatchNorm2d(l) => l.backward(grad).map(Some),
+            Layer::Relu(l) => l.backward(grad).map(Some),
+            Layer::AvgPool(l) => l.backward(grad).map(Some),
+            Layer::Flatten(l) => l.backward(grad).map(Some),
             // Straight-through estimator: the quantizer is identity in the
             // backward pass.
-            Layer::ActivationQuant(_) => Ok(grad.clone()),
+            Layer::ActivationQuant(_) => Ok(Some(grad.clone())),
         }
     }
 
@@ -252,19 +278,58 @@ impl Layer {
                 Ok(vec![input[0], l.weight.value.shape()[1]])
             }
             Layer::Conv2d(l) => {
-                let (oh, ow) = l.geom.out_hw(input[2], input[3])?;
-                Ok(vec![input[0], l.weight.value.shape()[0], oh, ow])
+                let [n, _, h, w] = image_shape("conv2d", input)?;
+                let (oh, ow) = l.geom.out_hw(h, w)?;
+                Ok(vec![n, l.weight.value.shape()[0], oh, ow])
             }
             Layer::DepthwiseConv2d(l) => {
-                let (oh, ow) = l.geom.out_hw(input[2], input[3])?;
-                Ok(vec![input[0], input[1], oh, ow])
+                let [n, c, h, w] = image_shape("depthwise_conv2d", input)?;
+                let (oh, ow) = l.geom.out_hw(h, w)?;
+                Ok(vec![n, c, oh, ow])
             }
             Layer::BatchNorm2d(_) | Layer::Relu(_) | Layer::ActivationQuant(_) => {
                 Ok(input.to_vec())
             }
-            Layer::AvgPool(l) => Ok(vec![input[0], input[1], input[2] / l.k, input[3] / l.k]),
+            Layer::AvgPool(l) => {
+                let [n, c, h, w] = image_shape("avg_pool", input)?;
+                let k = l.window()?;
+                Ok(vec![n, c, h / k, w / k])
+            }
             Layer::Flatten(_) => Ok(vec![input[0], input[1..].iter().product()]),
         }
+    }
+}
+
+/// Buffers that one training run recycles between batches: the
+/// convolution layers' patch matrices, which a forward pass caches and
+/// its backward pass hands back. `optim::train` owns one and drops it when
+/// it returns; no layer or network keeps one between calls.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    buffers: Vec<Vec<f32>>,
+}
+
+impl Scratch {
+    /// The most recently returned buffer (the layers of a network take
+    /// and return theirs in mirrored order, so each gets its own back),
+    /// or a new, empty one.
+    fn take(&mut self) -> Vec<f32> {
+        self.buffers.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, buffer: Vec<f32>) {
+        self.buffers.push(buffer);
+    }
+}
+
+/// The `[N, C, H, W]` dimensions of an image-layer input shape, or
+/// [`NnError::InvalidConfig`] when it is not rank 4.
+fn image_shape(layer: &str, shape: &[usize]) -> Result<[usize; 4], NnError> {
+    match *shape {
+        [n, c, h, w] => Ok([n, c, h, w]),
+        _ => Err(NnError::InvalidConfig {
+            reason: format!("{layer} expects rank-4 input, got {shape:?}"),
+        }),
     }
 }
 
@@ -298,14 +363,14 @@ impl DenseLayer {
         Ok(y)
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
+    fn backward(&mut self, grad: &Tensor, input_grad: bool) -> Result<Option<Tensor>, NnError> {
         let x = self
             .cache_input
             .take()
             .ok_or_else(|| NnError::BackwardBeforeForward {
                 layer: "dense".to_string(),
             })?;
-        let dw = par::matmul(&x.transpose()?, grad)?;
+        let dw = par::matmul_tn(&x, grad)?;
         self.weight.grad.add_assign(&dw)?;
         let o = self.bias.value.len();
         {
@@ -316,7 +381,10 @@ impl DenseLayer {
                 }
             }
         }
-        Ok(par::matmul(grad, &self.weight.value.transpose()?)?)
+        if !input_grad {
+            return Ok(None);
+        }
+        Ok(Some(par::matmul(grad, &self.weight.value.transpose()?)?))
     }
 }
 
@@ -326,12 +394,16 @@ impl DenseLayer {
 
 #[derive(Debug, Clone, PartialEq)]
 struct ConvCache {
-    cols: Tensor,
+    /// The input's transposed patches, [`par::conv2d_patches`].
+    patches: Tensor,
     input_shape: [usize; 4],
 }
 
-/// Dense 2-D convolution implemented by `im2col` + matmul — mirroring how
-/// NEBULA physically maps kernels onto crossbar columns.
+/// Dense 2-D convolution: `im2col` patches times the flattened kernel,
+/// mirroring how NEBULA physically maps kernels onto crossbar columns.
+/// The patches are lowered transposed, one `[C·KH·KW, OH·OW]` block per
+/// image, which makes each product an `A·B` whose output is already the
+/// image's planes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Conv2dLayer {
     /// Kernel tensor `[OC, IC, KH, KW]`.
@@ -344,84 +416,63 @@ pub struct Conv2dLayer {
 }
 
 impl Conv2dLayer {
-    fn wmat(&self) -> Result<Tensor, NnError> {
-        let s = self.weight.value.shape();
-        Ok(self.weight.value.reshape(&[s[0], s[1] * s[2] * s[3]])?)
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let (n, _c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let oc = self.weight.value.shape()[0];
-        let (oh, ow) = self.geom.out_hw(h, w)?;
-        let cols = par::im2col(x, self.geom)?; // [N*S, CKK]
-        let prod = par::matmul(&cols, &self.wmat()?.transpose()?)?; // [N*S, OC]
-
-        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-        let spatial = oh * ow;
-        let src = prod.data();
-        let b = self.bias.value.data();
-        let dst = out.data_mut();
-        for img in 0..n {
-            for s in 0..spatial {
-                let src_row = (img * spatial + s) * oc;
-                for o in 0..oc {
-                    dst[img * oc * spatial + o * spatial + s] = src[src_row + o] + b[o];
-                }
-            }
+    fn forward(
+        &mut self,
+        x: &Tensor,
+        train: bool,
+        scratch: &mut Scratch,
+    ) -> Result<Tensor, NnError> {
+        let input_shape = image_shape("conv2d", x.shape())?;
+        let (weight, bias) = (&self.weight.value, Some(&self.bias.value));
+        if !train {
+            return Ok(par::conv2d(x, weight, bias, self.geom)?);
         }
-        if train {
-            self.cache = Some(ConvCache {
-                cols,
-                input_shape: [n, x.shape()[1], h, w],
-            });
-        }
+        let patches = par::conv2d_patches(x, self.geom, scratch.take())?;
+        let out = par::conv2d_from_patches(&patches, weight, bias)?;
+        self.cache = Some(ConvCache {
+            patches,
+            input_shape,
+        });
         Ok(out)
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
+    fn backward(
+        &mut self,
+        grad: &Tensor,
+        input_grad: bool,
+        scratch: &mut Scratch,
+    ) -> Result<Option<Tensor>, NnError> {
         let cache = self
             .cache
             .take()
             .ok_or_else(|| NnError::BackwardBeforeForward {
                 layer: "conv2d".to_string(),
             })?;
-        let (n, oc, oh, ow) = (
-            grad.shape()[0],
-            grad.shape()[1],
-            grad.shape()[2],
-            grad.shape()[3],
-        );
-        let spatial = oh * ow;
-        // Permute grad [N, OC, S] → gmat [N*S, OC].
-        let mut gmat = Tensor::zeros(&[n * spatial, oc]);
+        // dW = grad_rowsᵀ · im2col(x), over patch rows in ascending order.
+        let dw = par::conv2d_weight_grad(&cache.patches, grad)?;
+        self.weight
+            .grad
+            .add_assign(&dw.reshape(self.weight.value.shape())?)?;
+        scratch.give(cache.patches.into_vec());
+        // db = per-channel sums, in the same patch order.
         {
-            let src = grad.data();
-            let dst = gmat.data_mut();
-            for img in 0..n {
-                for o in 0..oc {
-                    for s in 0..spatial {
-                        dst[(img * spatial + s) * oc + o] =
-                            src[img * oc * spatial + o * spatial + s];
+            let db = self.bias.grad.data_mut();
+            let oc = db.len();
+            let spatial = grad.len() / (grad.shape()[0] * oc).max(1);
+            for image in grad.data().chunks_exact((oc * spatial).max(1)) {
+                for (d, plane) in db.iter_mut().zip(image.chunks_exact(spatial.max(1))) {
+                    for &g in plane {
+                        *d += g;
                     }
                 }
             }
         }
-        // dW = gmatᵀ · cols, reshaped back to [OC, IC, KH, KW].
-        let dwm = par::matmul(&gmat.transpose()?, &cache.cols)?;
-        let dw = dwm.reshape(self.weight.value.shape())?;
-        self.weight.grad.add_assign(&dw)?;
-        // db = per-channel sums.
-        {
-            let db = self.bias.grad.data_mut();
-            for row in gmat.data().chunks(oc) {
-                for (d, &g) in db.iter_mut().zip(row) {
-                    *d += g;
-                }
-            }
+        if !input_grad {
+            return Ok(None);
         }
-        // dx = col2im(gmat · Wmat).
-        let dcols = par::matmul(&gmat, &self.wmat()?)?;
-        Ok(col2im(&dcols, cache.input_shape, self.geom)?)
+        // dx = col2im(grad_rows · Wmat), one image at a time.
+        let dx = par::conv2d_input_grad(grad, &self.weight.value, cache.input_shape, self.geom)?;
+        Ok(Some(dx))
     }
 }
 
@@ -662,9 +713,8 @@ impl ReluLayer {
             })?;
         let mut dx = grad.clone();
         for (v, keep) in dx.data_mut().iter_mut().zip(mask) {
-            if !keep {
-                *v = 0.0;
-            }
+            // A select rather than a branch, so the loop vectorizes.
+            *v = if keep { *v } else { 0.0 };
         }
         Ok(dx)
     }
@@ -679,11 +729,23 @@ pub struct AvgPoolLayer {
 }
 
 impl AvgPoolLayer {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        if train {
-            self.cache_shape = Some([x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]]);
+    /// The pool window, or [`NnError::InvalidConfig`] when it is zero.
+    fn window(&self) -> Result<usize, NnError> {
+        if self.k == 0 {
+            return Err(NnError::InvalidConfig {
+                reason: "avg_pool window must be nonzero".to_string(),
+            });
         }
-        Ok(avg_pool2d(x, self.k)?)
+        Ok(self.k)
+    }
+
+    fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor, NnError> {
+        let shape = image_shape("avg_pool", x.shape())?;
+        let out = avg_pool2d(x, self.window()?)?;
+        if train {
+            self.cache_shape = Some(shape);
+        }
+        Ok(out)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
@@ -987,6 +1049,56 @@ mod tests {
         assert!(l.forward(&Tensor::ones(&[1]), false).is_err());
         let mut l2 = Layer::activation_quant(1.0, 1);
         assert!(l2.forward(&Tensor::ones(&[1]), false).is_err());
+    }
+
+    #[test]
+    fn conv2d_forward_rejects_a_rank_below_four() {
+        let mut l = Layer::conv2d(1, 2, 3, 1, 1, &mut rng());
+        for shape in [&[4, 4][..], &[1, 4, 4]] {
+            assert!(matches!(
+                l.forward(&Tensor::zeros(shape), true),
+                Err(NnError::InvalidConfig { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn output_shape_rejects_a_rank_below_four() {
+        let mut r = rng();
+        for layer in [
+            Layer::conv2d(1, 2, 3, 1, 1, &mut r),
+            Layer::depthwise_conv2d(1, 3, 1, 1, &mut r),
+            Layer::avg_pool(2),
+        ] {
+            for shape in [&[][..], &[4], &[2, 4], &[1, 4, 4]] {
+                assert!(
+                    matches!(
+                        layer.output_shape(shape),
+                        Err(NnError::InvalidConfig { .. })
+                    ),
+                    "{} on {shape:?}",
+                    layer.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn avg_pool_rejects_a_zero_window() {
+        let mut l = Layer::avg_pool(0);
+        assert!(matches!(
+            l.output_shape(&[1, 1, 4, 4]),
+            Err(NnError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            l.forward(&Tensor::ones(&[1, 1, 4, 4]), true),
+            Err(NnError::InvalidConfig { .. })
+        ));
+        let mut l = Layer::avg_pool(2);
+        assert!(matches!(
+            l.forward(&Tensor::ones(&[4, 4]), true),
+            Err(NnError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sequential feed-forward networks.
 
 use crate::error::NnError;
-use crate::layer::Layer;
+use crate::layer::{Layer, Scratch};
 use nebula_tensor::Tensor;
 
 /// A feed-forward network: an ordered stack of [`Layer`]s.
@@ -92,9 +92,19 @@ impl Network {
     ///
     /// Propagates layer shape errors.
     pub fn forward_train(&mut self, x: &Tensor) -> Result<Tensor, NnError> {
+        self.forward_train_with(x, &mut Scratch::default())
+    }
+
+    /// [`forward_train`](Self::forward_train) drawing the buffers the
+    /// layers cache for the backward pass from `scratch`.
+    pub(crate) fn forward_train_with(
+        &mut self,
+        x: &Tensor,
+        scratch: &mut Scratch,
+    ) -> Result<Tensor, NnError> {
         let mut h = x.clone();
         for layer in &mut self.layers {
-            h = layer.forward(&h, true)?;
+            h = layer.forward_with(&h, true, scratch)?;
         }
         Ok(h)
     }
@@ -128,6 +138,28 @@ impl Network {
             g = layer.backward(&g)?;
         }
         Ok(g)
+    }
+
+    /// [`backward`](Self::backward) for training: accumulates every
+    /// parameter gradient, returns the layers' cached buffers to
+    /// `scratch`, and stops before the first layer's input gradient,
+    /// which nothing reads.
+    pub(crate) fn backward_params(
+        &mut self,
+        grad_output: &Tensor,
+        scratch: &mut Scratch,
+    ) -> Result<(), NnError> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer
+                .backward_with(&g, true, scratch)?
+                .expect("the input gradient was requested");
+        }
+        first.backward_with(&g, false, scratch)?;
+        Ok(())
     }
 
     /// Clears all parameter gradients.

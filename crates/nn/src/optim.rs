@@ -1,6 +1,7 @@
 //! SGD training: optimizer, configuration and a mini-batch training loop.
 
 use crate::error::NnError;
+use crate::layer::Scratch;
 use crate::loss::softmax_cross_entropy;
 use crate::network::Network;
 use nebula_tensor::Tensor;
@@ -225,6 +226,8 @@ pub fn train<R: Rng + ?Sized>(
     let mut lr = config.learning_rate;
     let mut reports = Vec::with_capacity(config.epochs);
     let mut order: Vec<usize> = (0..data.len()).collect();
+    // Patch buffers recycled from batch to batch, freed on return.
+    let mut scratch = Scratch::default();
     for epoch in 0..config.epochs {
         order.shuffle(rng);
         let mut total_loss = 0.0f64;
@@ -233,9 +236,9 @@ pub fn train<R: Rng + ?Sized>(
         for chunk in order.chunks(config.batch_size) {
             let batch = data.gather(chunk);
             net.zero_grad();
-            let logits = net.forward_train(&batch.inputs)?;
+            let logits = net.forward_train_with(&batch.inputs, &mut scratch)?;
             let (loss, grad) = softmax_cross_entropy(&logits, &batch.labels)?;
-            net.backward(&grad)?;
+            net.backward_params(&grad, &mut scratch)?;
             for layer in net.layers_mut() {
                 for p in layer.params_mut() {
                     if config.grad_clip > 0.0 {

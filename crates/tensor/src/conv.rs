@@ -82,7 +82,9 @@ fn expect_rank(t: &Tensor, rank: usize, op: &'static str) -> Result<(), TensorEr
 
 /// Lowers image patches to rows: output is
 /// `[N·OH·OW, C·KH·KW]`, one flattened receptive field per row —
-/// the exact vector a NEBULA crossbar column receives.
+/// the exact vector a NEBULA crossbar column receives. A patch whose
+/// window lies inside the image horizontally copies each kernel row as
+/// `kw` contiguous values; only border patches test every tap.
 ///
 /// # Errors
 ///
@@ -97,50 +99,158 @@ pub fn im2col(input: &Tensor, geom: ConvGeometry) -> Result<Tensor, TensorError>
         input.shape()[3],
     ];
     let (oh, ow) = geom.out_hw(h, w)?;
-    let cols_per_row = c * geom.kh * geom.kw;
+    let (kh, kw) = (geom.kh, geom.kw);
+    let cols_per_row = c * kh * kw;
     let mut out = vec![0.0f32; n * oh * ow * cols_per_row];
-    im2col_rows(input.data(), [n, c, h, w], [oh, ow], geom, 0, &mut out);
+    let plane = h * w;
+    if cols_per_row == 0 || plane == 0 {
+        // No taps, or every tap is padding.
+        return Tensor::from_vec(out, &[n * oh * ow, cols_per_row]);
+    }
+    let data = input.data();
+    for (row, out_row) in out.chunks_exact_mut(cols_per_row).enumerate() {
+        // Decompose the flat patch-row index back into (img, oy, ox).
+        let (img, rem) = (row / (oh * ow), row % (oh * ow));
+        let image = &data[img * c * plane..][..c * plane];
+        let y0 = (rem / ow * geom.stride) as isize - geom.pad as isize;
+        let x0 = (rem % ow * geom.stride) as isize - geom.pad as isize;
+        let interior = x0 >= 0 && x0 as usize + kw <= w;
+        for (ch_taps, channel) in out_row
+            .chunks_exact_mut(kh * kw)
+            .zip(image.chunks_exact(plane))
+        {
+            for (ky, taps) in ch_taps.chunks_exact_mut(kw).enumerate() {
+                let iy = y0 + ky as isize;
+                if iy < 0 || iy as usize >= h {
+                    continue;
+                }
+                let src = &channel[iy as usize * w..][..w];
+                if interior {
+                    taps.copy_from_slice(&src[x0 as usize..][..kw]);
+                } else {
+                    for (kx, t) in taps.iter_mut().enumerate() {
+                        let ix = x0 + kx as isize;
+                        if ix >= 0 && (ix as usize) < w {
+                            *t = src[ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
     Tensor::from_vec(out, &[n * oh * ow, cols_per_row])
 }
 
-/// Shared im2col inner kernel: fills patch rows `row0..row0 + r` (where
-/// `r = out_rows.len() / (c·kh·kw)`) of the `[N·OH·OW, C·KH·KW]` patch
-/// matrix into `out_rows`. `out_rows` must be zero-initialised (padded
-/// taps are left untouched).
-///
-/// Each row depends only on its own flat index, so both the sequential
-/// [`im2col`] and the parallel [`crate::par::im2col`] call this with
-/// different row windows and produce bit-identical patch matrices.
-pub(crate) fn im2col_rows(
-    data: &[f32],
-    [n, c, h, w]: [usize; 4],
+/// Lowers one `[C, H, W]` image to rows `taps` of its *transposed* patch
+/// matrix `[C·KH·KW, OH·OW]` (row `(ch·KH + ky)·KW + kx` holds tap
+/// `(ch, ky, kx)` of every patch, in output order), writing every element
+/// of `out` (padded taps are `0.0`). Row `t` of this matrix is column `t`
+/// of the image's [`im2col`] rows, value for value. Each tap row is built
+/// from contiguous input row segments clipped to the image once.
+pub(crate) fn im2col_image_t(
+    image: &[f32],
+    [h, w]: [usize; 2],
     [oh, ow]: [usize; 2],
     geom: ConvGeometry,
-    row0: usize,
-    out_rows: &mut [f32],
+    taps: std::ops::Range<usize>,
+    out: &mut [f32],
 ) {
-    let cols_per_row = c * geom.kh * geom.kw;
-    debug_assert_eq!(out_rows.len() % cols_per_row.max(1), 0);
-    let (ih_stride, ic_stride, in_stride) = (w, h * w, c * h * w);
-    for (local, out_row) in out_rows.chunks_mut(cols_per_row).enumerate() {
-        // Decompose the flat patch-row index back into (img, oy, ox).
-        let row = row0 + local;
-        let (img, rem) = (row / (oh * ow), row % (oh * ow));
-        let (oy, ox) = (rem / ow, rem % ow);
-        debug_assert!(img < n);
-        let mut col = 0;
-        for ch in 0..c {
-            for ky in 0..geom.kh {
-                let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                for kx in 0..geom.kw {
-                    let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                    if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                        out_row[col] = data[img * in_stride
-                            + ch * ic_stride
-                            + iy as usize * ih_stride
-                            + ix as usize];
+    let (kh, kw, stride, pad) = (geom.kh, geom.kw, geom.stride, geom.pad);
+    let spatial = oh * ow;
+    if spatial == 0 {
+        return;
+    }
+    for (t, row) in taps.zip(out.chunks_exact_mut(spatial)) {
+        let (ch, ky, kx) = (t / (kh * kw), t / kw % kh, t % kw);
+        let channel = &image[ch * h * w..][..h * w];
+        let cols = tap_columns(geom, w, ow, kx);
+        for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
+            let iy = (oy * stride + ky) as isize - pad as isize;
+            if iy < 0 || iy as usize >= h || cols.is_empty() {
+                dst.fill(0.0);
+                continue;
+            }
+            let src = &channel[iy as usize * w..][..w];
+            let x_first = cols.start * stride + kx - pad;
+            dst[..cols.start].fill(0.0);
+            if stride == 1 {
+                dst[cols.clone()].copy_from_slice(&src[x_first..][..cols.len()]);
+            } else {
+                for (d, &v) in dst[cols.clone()]
+                    .iter_mut()
+                    .zip(src[x_first..].iter().step_by(stride))
+                {
+                    *d = v;
+                }
+            }
+            dst[cols.end..].fill(0.0);
+        }
+    }
+}
+
+/// Output columns `ox` whose tap `kx` lands inside an image of width `w`:
+/// `0 ≤ ox·stride + kx − pad < w`.
+fn tap_columns(geom: ConvGeometry, w: usize, ow: usize, kx: usize) -> std::ops::Range<usize> {
+    let first = geom.pad.saturating_sub(kx).div_ceil(geom.stride).min(ow);
+    let end = (w + geom.pad)
+        .saturating_sub(kx)
+        .div_ceil(geom.stride)
+        .min(ow);
+    first..end.max(first)
+}
+
+/// Scatter-adds one image's patch gradients into its input gradient:
+/// `patch_grads` is the image's `[C·KH·KW, OH·OW]` patch-gradient matrix
+/// (the transpose of its rows of `col2im`'s input) and `image` its
+/// `[C, H, W]` gradient. Gives [`col2im`]'s bits: `col2im` adds patch rows
+/// in ascending order, so each input element receives its terms in
+/// ascending output position; here every tap adds its whole
+/// `[OH, OW]` plane at once, and the taps of a channel run from the last
+/// `(ky, kx)` to the first — for one input element, a later tap means an
+/// earlier output position, so the terms arrive in the same order. Each
+/// tap's plane adds row segments clipped to the image once, with no
+/// per-element bounds test.
+pub(crate) fn col2im_image(
+    patch_grads: &[f32],
+    [c, h, w]: [usize; 3],
+    [oh, ow]: [usize; 2],
+    geom: ConvGeometry,
+    image: &mut [f32],
+) {
+    let (kh, kw, stride, pad) = (geom.kh, geom.kw, geom.stride, geom.pad);
+    let spatial = oh * ow;
+    if spatial == 0 || h * w == 0 {
+        return;
+    }
+    for (ch_grads, channel) in patch_grads
+        .chunks_exact(kh * kw * spatial)
+        .zip(image.chunks_exact_mut(h * w))
+        .take(c)
+    {
+        for ky in (0..kh).rev() {
+            for kx in (0..kw).rev() {
+                let tap = &ch_grads[(ky * kw + kx) * spatial..][..spatial];
+                let cols = tap_columns(geom, w, ow, kx);
+                if cols.is_empty() {
+                    continue;
+                }
+                let x_first = cols.start * stride + kx - pad;
+                for (oy, grads) in tap.chunks_exact(ow).enumerate() {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy as usize >= h {
+                        continue;
                     }
-                    col += 1;
+                    let dst = &mut channel[iy as usize * w..][..w];
+                    let src = &grads[cols.clone()];
+                    if stride == 1 {
+                        for (d, &g) in dst[x_first..][..src.len()].iter_mut().zip(src) {
+                            *d += g;
+                        }
+                    } else {
+                        for (d, &g) in dst[x_first..].iter_mut().step_by(stride).zip(src) {
+                            *d += g;
+                        }
+                    }
                 }
             }
         }
@@ -492,6 +602,11 @@ pub fn avg_pool2d_backward(
     k: usize,
 ) -> Result<Tensor, TensorError> {
     expect_rank(grad_out, 4, "avg_pool2d_backward")?;
+    if k == 0 {
+        return Err(TensorError::InvalidGeometry {
+            reason: "pool window must be nonzero".to_string(),
+        });
+    }
     let [n, c, h, w] = input_shape;
     if grad_out.shape() != [n, c, h / k, w / k] {
         return Err(TensorError::ShapeMismatch {
@@ -502,22 +617,24 @@ pub fn avg_pool2d_backward(
     }
     let (oh, ow) = (h / k, w / k);
     let mut out = Tensor::zeros(&[n, c, h, w]);
-    let src = grad_out.data();
-    let dst = out.data_mut();
+    if oh * ow == 0 {
+        return Ok(out);
+    }
     let inv = 1.0 / (k * k) as f32;
-    for img in 0..n {
-        for ch in 0..c {
-            let out_base = (img * c + ch) * h * w;
-            let in_base = (img * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = src[in_base + oy * ow + ox] * inv;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            dst[out_base + (oy * k + ky) * w + (ox * k + kx)] = g;
-                        }
-                    }
-                }
+    // Each gradient row fills the first of its k input rows, k values
+    // per gradient, and the other k − 1 rows copy it.
+    let planes = grad_out.data().chunks_exact(oh * ow);
+    for (g_plane, d_plane) in planes.zip(out.data_mut().chunks_exact_mut(h * w)) {
+        for (g_row, d_rows) in g_plane
+            .chunks_exact(ow)
+            .zip(d_plane.chunks_exact_mut(k * w))
+        {
+            let (first, rest) = d_rows.split_at_mut(w);
+            for (&g, window) in g_row.iter().zip(first.chunks_exact_mut(k)) {
+                window.fill(g * inv);
+            }
+            for row in rest.chunks_exact_mut(w) {
+                row.copy_from_slice(first);
             }
         }
     }
@@ -561,6 +678,49 @@ mod tests {
         assert_eq!(&cols.data()[0..4], &[0.0, 1.0, 3.0, 4.0]);
         // Last patch is the bottom-right block: 4 5 / 7 8.
         assert_eq!(&cols.data()[12..16], &[4.0, 5.0, 7.0, 8.0]);
+    }
+
+    #[test]
+    fn im2col_matches_the_per_tap_loop_on_every_geometry() {
+        for (n, c, h, w) in [(2, 3, 7, 5), (1, 2, 1, 1), (1, 1, 4, 9)] {
+            let x = seq_tensor(&[n, c, h, w]).map(|v| v - 20.0);
+            for k in 1..=4 {
+                for stride in 1..=3 {
+                    for pad in 0..=2 {
+                        let g = ConvGeometry::new(k, stride, pad);
+                        let Ok((oh, ow)) = g.out_hw(h, w) else {
+                            continue;
+                        };
+                        let cols = im2col(&x, g).unwrap();
+                        let mut expect = Vec::new();
+                        for img in 0..n {
+                            for oy in 0..oh {
+                                for ox in 0..ow {
+                                    for ch in 0..c {
+                                        for ky in 0..k {
+                                            for kx in 0..k {
+                                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                                let inside = iy >= 0
+                                                    && (iy as usize) < h
+                                                    && ix >= 0
+                                                    && (ix as usize) < w;
+                                                expect.push(if inside {
+                                                    x.at(&[img, ch, iy as usize, ix as usize])
+                                                } else {
+                                                    0.0
+                                                });
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        assert_eq!(cols.data(), &expect[..], "{g:?} on {h}×{w}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -783,6 +943,48 @@ mod tests {
         assert!(dx.data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
         // Sum is preserved.
         assert!((dx.sum() - g.sum()).abs() < 1e-5);
+    }
+
+    #[test]
+    fn avg_pool_backward_matches_the_per_element_loop_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut r = rand::rngs::StdRng::seed_from_u64(9);
+        for k in 1..=4 {
+            // Sides that k divides and sides it does not (the trailing
+            // rows and columns get no gradient).
+            for (n, c, h, w) in [(1, 1, k, k), (2, 3, 2 * k, 3 * k), (1, 2, 2 * k + 1, k + 1)] {
+                let (oh, ow) = (h / k, w / k);
+                let g = Tensor::from_vec(
+                    (0..n * c * oh * ow)
+                        .map(|_| r.gen_range(-3.0f32..3.0))
+                        .collect(),
+                    &[n, c, oh, ow],
+                )
+                .unwrap();
+                let got = avg_pool2d_backward(&g, [n, c, h, w], k).unwrap();
+                let mut expect = Tensor::zeros(&[n, c, h, w]);
+                let inv = 1.0 / (k * k) as f32;
+                for plane in 0..n * c {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let v = g.data()[(plane * oh + oy) * ow + ox] * inv;
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let i = (plane * h + oy * k + ky) * w + ox * k + kx;
+                                    expect.data_mut()[i] = v;
+                                }
+                            }
+                        }
+                    }
+                }
+                for (a, e) in got.data().iter().zip(expect.data()) {
+                    assert_eq!(a.to_bits(), e.to_bits(), "k {k} shape {n}×{c}×{h}×{w}");
+                }
+            }
+        }
+        assert!(avg_pool2d_backward(&Tensor::ones(&[1, 1, 2, 2]), [1, 1, 4, 4], 0).is_err());
+        let empty = avg_pool2d_backward(&Tensor::zeros(&[1, 1, 0, 0]), [1, 1, 1, 1], 2).unwrap();
+        assert_eq!(empty.data(), &[0.0]);
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! convolution and pooling operations the neural-network layers need.
 //!
 //! * [`Tensor`] — row-major dense tensor: arithmetic, matmul, reductions.
-//! * [`gemm`] — the cache-blocked, panel-packed f32 GEMM kernel behind
-//!   every matmul, with a row-sparsity branch for spike matrices and the
-//!   pinned naive reference ([`gemm::matmul_reference`]) it is
-//!   bit-identical to.
+//! * [`gemm`] — the register-tiled f32 GEMM kernel behind every matmul
+//!   and blocked convolution, with a row-sparsity branch for spike
+//!   matrices and the pinned naive reference
+//!   ([`gemm::matmul_reference`]) it is bit-identical to.
 //! * [`conv`] — `im2col`/`col2im` lowering (the software twin of NEBULA's
 //!   kernel-to-crossbar mapping), dense & depthwise convolution, pooling.
-//! * [`par`] — parallel matmul / im2col / conv2d that are bit-identical
-//!   to their sequential counterparts, running on [`pool`].
+//! * [`par`] — parallel matmul, `aᵀ·b` and blocked conv2d with its
+//!   weight and input gradients, bit-identical to their sequential
+//!   compositions, running on [`pool`].
 //! * [`pool`] — the lazily-initialized persistent worker pool behind
 //!   every parallel kernel (honors `NEBULA_THREADS`).
 //!

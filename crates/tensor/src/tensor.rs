@@ -351,28 +351,10 @@ impl Tensor {
     /// matrices, or [`TensorError::ShapeMismatch`] when the inner
     /// dimensions disagree.
     pub fn matmul(&self, other: &Self) -> Result<Self, TensorError> {
-        if self.rank() != 2 || other.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: if self.rank() != 2 {
-                    self.rank()
-                } else {
-                    other.rank()
-                },
-                op: "matmul",
-            });
-        }
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-                op: "matmul",
-            });
-        }
+        let (m, k, n) = crate::gemm::check_nn(self, other)?;
         let mut out = vec![0.0f32; m * n];
-        crate::gemm::gemm(&self.data, &other.data, k, n, 0, &mut out);
+        let strides = crate::gemm::Strides::nn(k);
+        crate::gemm::gemm(&self.data, strides, &other.data, k, n, 0, &mut out);
         Ok(Self {
             data: out,
             shape: vec![m, n],

@@ -1,6 +1,8 @@
 //! Property-based tests of the tensor substrate.
 
-use nebula_tensor::{conv2d, depthwise_conv2d, max_pool2d, ConvGeometry, Tensor};
+use nebula_tensor::{
+    col2im, conv2d, depthwise_conv2d, im2col, max_pool2d, par, ConvGeometry, Tensor,
+};
 use proptest::prelude::*;
 
 fn matrix(r: usize, c: usize) -> impl Strategy<Value = Tensor> {
@@ -108,10 +110,9 @@ proptest! {
         prop_assert!(t.quantile(1.0) >= t.max() - 1e-6);
     }
 
-    /// The blocked, panel-packed GEMM behind `Tensor::matmul` is
-    /// bit-identical to the naive pinned reference on dense inputs, for
-    /// shapes spanning the `MR`-quad remainder, single rows/columns and
-    /// generic rectangles.
+    /// The register-tiled GEMM behind `Tensor::matmul` is bit-identical
+    /// to the naive pinned reference on dense inputs, for shapes spanning
+    /// the tile remainders, single rows/columns and generic rectangles.
     #[test]
     fn blocked_gemm_matches_reference_bitwise(
         pick in 0usize..5,
@@ -138,8 +139,8 @@ proptest! {
     }
 
     /// With zeros injected (sparse-row branch eligible), outputs still
-    /// match the reference except possibly in the sign of exact zeros
-    /// (`-0.0 + 0.0` skips), and exact zeros stay exact.
+    /// match the reference; the zero checks hold the skipped terms to
+    /// leaving exact zeros exact.
     #[test]
     fn sparse_gemm_matches_reference_up_to_zero_signs(
         m in 1usize..8,
@@ -167,5 +168,105 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    /// `par::matmul_tn(a, b)` is `a.transpose()?.matmul(b)` bit for bit,
+    /// at one worker and four, across the tile edges (`m mod 4`,
+    /// `n mod 16`, depths past one 256-long `k` block) and on zero-heavy
+    /// operands.
+    #[test]
+    fn matmul_tn_is_the_transposed_product_bitwise(
+        m in 1usize..40,
+        k in 1usize..300,
+        n in 1usize..40,
+        zero_pct in 0u32..101,
+        seed in 0u64..u64::MAX,
+    ) {
+        let a = sparse_tensor(&[k, m], zero_pct, seed);
+        let b = sparse_tensor(&[k, n], 0, seed ^ 1);
+        let expect = a.transpose().unwrap().matmul(&b).unwrap();
+        for workers in [1, 4] {
+            let got = par::matmul_tn_with_workers(&a, &b, workers).unwrap();
+            prop_assert_eq!(got.shape(), expect.shape());
+            for (x, y) in got.data().iter().zip(expect.data()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    /// The blocked convolutions equal the `im2col` → `matmul` → `col2im`
+    /// composition they replace, bit for bit, at one worker and four:
+    /// the forward against `conv::conv2d`, the weight gradient against
+    /// `grad_rowsᵀ · im2col(x)` and the input gradient against
+    /// `col2im(grad_rows · wmat)`, where `grad_rows` is the output
+    /// gradient permuted to `[N·OH·OW, OC]`. Inputs and gradients carry
+    /// exact zeros, as ReLU leaves them.
+    #[test]
+    fn blocked_convolutions_match_the_im2col_composition_bitwise(
+        (n, c, oc) in (1usize..4, 1usize..5, 1usize..7),
+        (h, w) in (1usize..11, 1usize..11),
+        (k, stride, pad) in (1usize..4, 1usize..3, 0usize..3),
+        zero_pct in 0u32..101,
+        seed in 0u64..u64::MAX,
+    ) {
+        let geom = ConvGeometry::new(k, stride, pad);
+        let Ok((oh, ow)) = geom.out_hw(h, w) else {
+            // The window does not fit: nothing to compare.
+            continue;
+        };
+        let x = sparse_tensor(&[n, c, h, w], zero_pct, seed);
+        let weight = sparse_tensor(&[oc, c, k, k], 0, seed ^ 1);
+        let bias = sparse_tensor(&[oc], 0, seed ^ 2);
+        let grad = sparse_tensor(&[n, oc, oh, ow], zero_pct, seed ^ 3);
+        let spatial = oh * ow;
+        let mut grad_rows = Tensor::zeros(&[n * spatial, oc]);
+        for img in 0..n {
+            for o in 0..oc {
+                for s in 0..spatial {
+                    grad_rows.data_mut()[(img * spatial + s) * oc + o] =
+                        grad.data()[(img * oc + o) * spatial + s];
+                }
+            }
+        }
+        let cols = im2col(&x, geom).unwrap();
+        let wmat = weight.reshape(&[oc, c * k * k]).unwrap();
+        let forward = conv2d(&x, &weight, Some(&bias), geom).unwrap();
+        let dw = grad_rows.transpose().unwrap().matmul(&cols).unwrap();
+        let dx = col2im(&grad_rows.matmul(&wmat).unwrap(), [n, c, h, w], geom).unwrap();
+        for workers in [1, 4] {
+            let got = par::conv2d_with_workers(&x, &weight, Some(&bias), geom, workers).unwrap();
+            assert_bits(&got, &forward, "forward");
+            let patches = par::conv2d_patches_with_workers(&x, geom, Vec::new(), workers).unwrap();
+            let got = par::conv2d_weight_grad_with_workers(&patches, &grad, workers).unwrap();
+            assert_bits(&got, &dw, "weight gradient");
+            let got = par::conv2d_input_grad_with_workers(&grad, &weight, [n, c, h, w], geom, workers)
+                .unwrap();
+            assert_bits(&got, &dx, "input gradient");
+        }
+    }
+}
+
+/// Values in `[-1, 1)`, each exactly zero with probability `zero_pct` %.
+fn sparse_tensor(shape: &[usize], zero_pct: u32, seed: u64) -> Tensor {
+    use rand::Rng as _;
+    use rand::SeedableRng;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let len = shape.iter().product();
+    let data = (0..len)
+        .map(|_| {
+            if rng.gen_range(0u32..100) < zero_pct {
+                0.0
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, shape).unwrap()
+}
+
+fn assert_bits(got: &Tensor, expect: &Tensor, what: &str) {
+    assert_eq!(got.shape(), expect.shape(), "{what}");
+    for (i, (x, y)) in got.data().iter().zip(expect.data()).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what} at {i}: {x} vs {y}");
     }
 }
