@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Bencher, Criterion};
 use nebula_core::energy::EnergyModel;
 use nebula_core::engine::{evaluate_ann, evaluate_snn};
 use nebula_core::mapper::map_network;
-use nebula_crossbar::{CrossbarConfig, KernelPath, Mode, SuperTile};
+use nebula_crossbar::{CrossbarConfig, Mode, SuperTile};
 use nebula_device::units::Amps;
 use nebula_nn::layer::Layer;
 use nebula_nn::snn::{IfPopulation, ResetMode};
@@ -16,11 +16,10 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// A super-tile holding `weights` on `path`, prepared for the seam.
-fn prepared_tile(mode: Mode, weights: &[Vec<f64>], path: KernelPath) -> SuperTile {
+/// A super-tile holding `weights`, prepared for the seam.
+fn prepared_tile(mode: Mode, weights: &[Vec<f64>]) -> SuperTile {
     let mut st = SuperTile::new(CrossbarConfig::paper_default(mode)).unwrap();
     st.program(weights, 1.0).unwrap();
-    st.set_kernel_path(path);
     st.prepare();
     st
 }
@@ -41,7 +40,7 @@ fn bench_seam_dense(b: &mut Bencher, st: &mut SuperTile, inputs: &[f64]) {
 fn bench_crossbar(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let kernel: Vec<Vec<f64>> = (0..2000).map(|_| vec![rng.gen_range(-1.0..1.0)]).collect();
-    let mut st = prepared_tile(Mode::Snn, &kernel, KernelPath::Auto);
+    let mut st = prepared_tile(Mode::Snn, &kernel);
     let spikes: Vec<f64> = (0..2000)
         .map(|_| if rng.gen_bool(0.2) { 1.0 } else { 0.0 })
         .collect();
@@ -86,25 +85,22 @@ fn bench_snn(c: &mut Criterion) {
     });
 }
 
-/// The two crossbar inner-loop kernels ([`KernelPath`]) head to head on
-/// dense and spike-sparse GEMV, plus the register-tiled f32 GEMM against its
-/// naive pinned reference at im2col shapes from the LeNet and VGG
-/// workloads. Summarized in `EXPERIMENTS.md` ("Kernel microbenchmarks").
-fn bench_kernel_paths(c: &mut Criterion) {
+/// The crossbar kernels on dense and spike-sparse GEMV, plus the
+/// register-tiled f32 GEMM against its naive pinned reference at im2col
+/// shapes from the LeNet and VGG workloads. Summarized in
+/// `EXPERIMENTS.md` ("Kernel microbenchmarks").
+fn bench_kernels(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let paths = [("auto", KernelPath::Auto), ("scalar", KernelPath::Scalar)];
 
     // Dense GEMV: full 128×128 differential array, analog input drive.
     let weights: Vec<Vec<f64>> = (0..128)
         .map(|_| (0..128).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
     let inputs: Vec<f64> = (0..128).map(|_| rng.gen_range(0.0..1.0)).collect();
-    for (label, path) in paths {
-        let mut st = prepared_tile(Mode::Ann, &weights, path);
-        c.bench_function(&format!("gemv_dense_128x128_{label}"), |b| {
-            bench_seam_dense(b, &mut st, &inputs)
-        });
-    }
+    let mut st = prepared_tile(Mode::Ann, &weights);
+    c.bench_function("gemv_dense_128x128", |b| {
+        bench_seam_dense(b, &mut st, &inputs)
+    });
 
     // Spike-sparse GEMV at 5 / 20 / 80 % row activity (SNN mode drives
     // active rows at full read voltage; silent rows are skipped): the
@@ -113,20 +109,15 @@ fn bench_kernel_paths(c: &mut Criterion) {
         let active: Vec<usize> = (0..128)
             .filter(|_| rng.gen_bool(f64::from(activity) / 100.0))
             .collect();
-        for (label, path) in paths {
-            let st = prepared_tile(Mode::Snn, &weights, path);
-            let rows = st.spike_rows(0).unwrap();
-            let mut acc = vec![0.0; st.scratch_cols()];
-            c.bench_function(
-                &format!("gemv_sparse_128x128_act{activity:02}_{label}"),
-                |b| {
-                    b.iter(|| {
-                        acc.fill(0.0);
-                        rows.add_rows(black_box(&active), 0, &mut acc, 0.0)
-                    })
-                },
-            );
-        }
+        let st = prepared_tile(Mode::Snn, &weights);
+        let rows = st.spike_rows(0).unwrap();
+        let mut acc = vec![0.0; st.scratch_cols()];
+        c.bench_function(&format!("gemv_sparse_128x128_act{activity:02}"), |b| {
+            b.iter(|| {
+                acc.fill(0.0);
+                rows.add_rows(black_box(&active), 0, &mut acc, 0.0)
+            })
+        });
     }
 
     // Register-tiled f32 GEMM at im2col shapes: LeNet conv2 (24×24 patches of a
@@ -174,6 +165,6 @@ fn bench_architecture(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_crossbar, bench_tensor, bench_snn, bench_kernel_paths, bench_architecture
+    targets = bench_crossbar, bench_tensor, bench_snn, bench_kernels, bench_architecture
 }
 criterion_main!(benches);

@@ -9,17 +9,13 @@
 //! is an exact knob, swept 90–99% sparse, against the same quantized
 //! network run once as an ANN on the same frames.
 //!
-//! Per (timesteps, sparsity) point, three SNN legs run:
+//! Per (timesteps, sparsity) point, two SNN legs run:
 //!
 //! * **sequential** — `run_sequential`, the per-sample per-cell
 //!   reference;
-//! * **scalar** — the event-driven engine pinned to
-//!   [`KernelPath::Scalar`], whose outputs *and* read energy must match
-//!   the reference bit for bit;
-//! * **event** — the event-driven engine on the default
-//!   [`KernelPath::Auto`] kernels (the timed production path),
-//!   bitwise-identical outputs and per-row-sum energy within 1e-9
-//!   relative of the reference.
+//! * **event** — `run`, the event-driven engine (the timed production
+//!   path), whose outputs, waves *and* read energy must match the
+//!   reference bit for bit.
 //!
 //! The ANN baseline leg (`forward` vs `forward_sequential`) is checked
 //! the same way. Constant input encoding makes every leg's active set
@@ -34,28 +30,23 @@
 //! from the energy sweep (`null` when the curves don't cross in range).
 //!
 //! Writes `results/BENCH_sparsity.json` (schema
-//! `nebula-bench-sparsity/1`, documented in `EXPERIMENTS.md`).
+//! `nebula-bench-sparsity/2`, documented in `EXPERIMENTS.md`).
 //! `NEBULA_SPARSITY_SAMPLES` overrides the evaluated sample count and
 //! `NEBULA_SPARSITY_POINTS` the sweep size (CI smoke runs 2 points).
 //! The binary aborts on any divergence.
 
 use std::time::Instant;
 
-use nebula_bench::measure::{bits_equal, ms, rel_err, sample_count};
+use nebula_bench::measure::{bits_equal, ms, sample_count};
 use nebula_bench::setup::{trained, Workload};
 use nebula_core::analog::compile_ann;
 use nebula_core::analog_snn::compile_snn_default;
-use nebula_crossbar::KernelPath;
 use nebula_nn::convert::{ann_to_snn, ConversionConfig};
 use nebula_nn::quant::{quantize_network, QuantConfig};
 use nebula_nn::snn::InputEncoding;
 use nebula_workloads::{generate_events, EventStreamConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// Accumulated per-row-sum energy tolerance vs the reference (each dot
-/// is within 1e-12 relative; the sweep sums millions of them).
-const ENERGY_RTOL: f64 = 1e-9;
 
 /// Acceptance bar: SNN@300 event-path wall time at 99% sparsity must be
 /// at most this fraction of the dense-tick baseline. Applies to the
@@ -94,14 +85,13 @@ struct Point {
     activity: f64,
     dense_baseline: bool,
     sequential_ms: f64,
-    scalar_ms: f64,
     event_ms: f64,
     ann_ms: f64,
     snn_energy_j: f64,
     ann_energy_j: f64,
-    /// All four legs bitwise/exactly identical to their references.
+    /// Both fast legs bitwise identical to their references: outputs,
+    /// waves and read energy.
     identical: bool,
-    energy_rel_err: f64,
     wall_ratio_vs_dense: f64,
 }
 
@@ -151,31 +141,19 @@ fn main() {
             let cfg = EventStreamConfig::dvs(16, 10, samples, sparsity);
             let x = generate_events(&cfg).unwrap().inputs;
 
-            // --- SNN: sequential reference, scalar event, fast event --
+            // --- SNN: sequential reference, event-driven engine ------
             let mut seq = snn_master.clone();
-            let mut scalar = snn_master.clone();
-            scalar.set_kernel_path(KernelPath::Scalar);
             let mut event = snn_master.clone();
             let mut r_seq = ChaCha8Rng::seed_from_u64(7);
-            let mut r_scalar = ChaCha8Rng::seed_from_u64(7);
             let mut r_event = ChaCha8Rng::seed_from_u64(7);
             let tm = Instant::now();
             let ys = seq.run_sequential(&x, timesteps, &mut r_seq).unwrap();
             let sequential_ms = ms(tm);
             let tm = Instant::now();
-            let ysc = scalar.run(&x, timesteps, &mut r_scalar).unwrap();
-            let scalar_ms = ms(tm);
-            let tm = Instant::now();
             let ye = event.run(&x, timesteps, &mut r_event).unwrap();
             let event_ms = ms(tm);
-            // Scalar kernels accrue the reference energy formulation, so
-            // even the joule counters must agree bit for bit.
-            let scalar_identical = bits_equal(&ysc, &ys)
-                && scalar.read_energy() == seq.read_energy()
-                && scalar.waves() == seq.waves();
-            let event_energy_err = rel_err(event.read_energy().0, seq.read_energy().0);
             let event_identical = bits_equal(&ye, &ys)
-                && event_energy_err <= ENERGY_RTOL
+                && event.read_energy().0.to_bits() == seq.read_energy().0.to_bits()
                 && event.waves() == seq.waves();
 
             // --- ANN baseline on the same frames ----------------------
@@ -185,9 +163,8 @@ fn main() {
             let ya = ann.forward(&x).unwrap();
             let ann_ms = ms(tm);
             let yas = ann_seq.forward_sequential(&x).unwrap();
-            let ann_energy_err = rel_err(ann.read_energy().0, ann_seq.read_energy().0);
             let ann_identical = bits_equal(&ya, &yas)
-                && ann_energy_err <= ENERGY_RTOL
+                && ann.read_energy().0.to_bits() == ann_seq.read_energy().0.to_bits()
                 && ann.waves() == ann_seq.waves();
 
             if dense_baseline {
@@ -199,20 +176,17 @@ fn main() {
                 activity: 1.0 - sparsity,
                 dense_baseline,
                 sequential_ms,
-                scalar_ms,
                 event_ms,
                 ann_ms,
                 snn_energy_j: event.read_energy().0,
                 ann_energy_j: ann.read_energy().0,
-                identical: scalar_identical && event_identical && ann_identical,
-                energy_rel_err: event_energy_err.max(ann_energy_err),
+                identical: event_identical && ann_identical,
                 wall_ratio_vs_dense: event_ms / dense_event_ms.max(1e-9),
             });
         }
     }
 
     let all_identical = points.iter().all(|p| p.identical);
-    let max_energy_err = points.iter().map(|p| p.energy_rel_err).fold(0.0, f64::max);
     let sparsest = *sweep.last().unwrap();
     let snn300_ratio = points
         .iter()
@@ -221,7 +195,7 @@ fn main() {
         .unwrap_or(f64::NAN);
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"nebula-bench-sparsity/1\",\n");
+    json.push_str("  \"schema\": \"nebula-bench-sparsity/2\",\n");
     json.push_str("  \"workload\": \"VGG/10 on DVS event streams\",\n");
     json.push_str(&format!("  \"samples\": {samples},\n"));
     json.push_str(&format!("  \"workers\": {workers},\n"));
@@ -236,13 +210,12 @@ fn main() {
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"timesteps\": {}, \"sparsity\": {}, \"activity\": {}, \"dense_baseline\": {}, \"sequential_ms\": {:.3}, \"scalar_ms\": {:.3}, \"event_ms\": {:.3}, \"ann_ms\": {:.3}, \"snn_energy_j\": {:.6e}, \"ann_energy_j\": {:.6e}, \"snn_over_ann_energy\": {:.4}, \"wall_ratio_vs_dense\": {:.4}, \"identical\": {}, \"energy_rel_err\": {:.3e}}}{}\n",
+            "    {{\"timesteps\": {}, \"sparsity\": {}, \"activity\": {}, \"dense_baseline\": {}, \"sequential_ms\": {:.3}, \"event_ms\": {:.3}, \"ann_ms\": {:.3}, \"snn_energy_j\": {:.6e}, \"ann_energy_j\": {:.6e}, \"snn_over_ann_energy\": {:.4}, \"wall_ratio_vs_dense\": {:.4}, \"identical\": {}}}{}\n",
             p.timesteps,
             p.sparsity,
             p.activity,
             p.dense_baseline,
             p.sequential_ms,
-            p.scalar_ms,
             p.event_ms,
             p.ann_ms,
             p.snn_energy_j,
@@ -250,7 +223,6 @@ fn main() {
             p.snn_energy_j / p.ann_energy_j.max(1e-300),
             p.wall_ratio_vs_dense,
             p.identical,
-            p.energy_rel_err,
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
@@ -277,8 +249,8 @@ fn main() {
         SMOKE_WALL_RATIO_MAX
     };
     json.push_str(&format!(
-        "  \"summary\": {{\"identical\": {}, \"max_energy_rel_err\": {:.3e}, \"snn300_sparsest_wall_ratio\": {:.4}, \"wall_ratio_max\": {}}}\n",
-        all_identical, max_energy_err, snn300_ratio, wall_ratio_max
+        "  \"summary\": {{\"identical\": {}, \"snn300_sparsest_wall_ratio\": {:.4}, \"wall_ratio_max\": {}}}\n",
+        all_identical, snn300_ratio, wall_ratio_max
     ));
     json.push_str("}\n");
 
@@ -292,12 +264,11 @@ fn main() {
     println!("BENCH sparsity (VGG/10 events, {samples} samples), written to {path}\n");
     for p in &points {
         println!(
-            "  snn@{:<3} sparsity {:>5.3}{}  seq {:>8.1} ms   scalar {:>8.1} ms   event {:>8.1} ms   ann {:>7.1} ms   snn/ann energy {:>8.3}   wall/dense {:>6.3}   identical: {}",
+            "  snn@{:<3} sparsity {:>5.3}{}  seq {:>8.1} ms   event {:>8.1} ms   ann {:>7.1} ms   snn/ann energy {:>8.3}   wall/dense {:>6.3}   identical: {}",
             p.timesteps,
             p.sparsity,
             if p.dense_baseline { "*" } else { " " },
             p.sequential_ms,
-            p.scalar_ms,
             p.event_ms,
             p.ann_ms,
             p.snn_energy_j / p.ann_energy_j.max(1e-300),
@@ -310,10 +281,6 @@ fn main() {
     assert!(
         all_identical,
         "event-driven path diverged from the reference"
-    );
-    assert!(
-        max_energy_err <= ENERGY_RTOL,
-        "per-row-sum energy deviated {max_energy_err:.3e} > {ENERGY_RTOL:.0e} relative"
     );
     assert!(
         snn300_ratio <= wall_ratio_max,

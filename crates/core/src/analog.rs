@@ -45,7 +45,7 @@
 use crate::analog_snn::{EventScratch, StageGeometry};
 use crate::components::{M, MAX_RF_IN_CORE};
 use crate::multichip::Deployment;
-use nebula_crossbar::{kernel, CrossbarConfig, CrossbarError, KernelPath, Mode, SuperTile};
+use nebula_crossbar::{kernel, CrossbarConfig, CrossbarError, Mode, SuperTile};
 use nebula_device::units::{Amps, Joules};
 use nebula_nn::layer::Layer;
 use nebula_nn::snn::IfPopulation;
@@ -242,8 +242,7 @@ impl ProgrammedMatrix {
     /// where `x > 0.5` — and returns the real-valued products `Wᵀx` per
     /// column. Bit-identical to one item of
     /// [`dot_batch_with`](Self::dot_batch_with) (ANN) or one patch of
-    /// `scatter_spikes` (SNN): the oracle of the sequential entry points
-    /// and the `bench_hotpath` sequential leg.
+    /// `scatter_spikes` (SNN): the oracle of the sequential entry points.
     pub(crate) fn dot_reference(&mut self, x: &[f32], mode: Mode) -> Result<Vec<f32>, AnalogError> {
         debug_assert_eq!(x.len(), self.rf);
         let x_scale = self.x_scale;
@@ -281,10 +280,8 @@ impl ProgrammedMatrix {
     /// [`dot_reference`](Self::dot_reference) on each row in turn — for
     /// any worker count — because each item's floating-point work is
     /// per-item pure and the accrual order matches the sequential path.
-    /// Energy counters are bit-identical too under
-    /// [`KernelPath::Scalar`]; the default [`KernelPath::Auto`] kernel re-associates
-    /// the total-current sum per row and tracks the reference to a
-    /// relative error ≤ 1e-12.
+    /// Energy counters are bit-identical too: the kernels and the oracle
+    /// chain the same per-row currents.
     ///
     /// Each item's drive is written by a fill accessor, `fill(item,
     /// drive)`, into a reused `rf`-long buffer of driver levels (already
@@ -464,12 +461,6 @@ impl ProgrammedMatrix {
             .flatten()
             .map(SuperTile::accumulated_program_energy)
             .sum()
-    }
-
-    pub(crate) fn set_kernel_path(&mut self, path: KernelPath) {
-        for tile in self.tiles.iter_mut().flatten() {
-            tile.set_kernel_path(path);
-        }
     }
 }
 
@@ -793,12 +784,6 @@ impl AnalogEngine {
             .filter_map(Stage::matrix_mut)
             .flat_map(|m| m.tiles.iter_mut().flatten())
     }
-
-    pub(crate) fn set_kernel_path(&mut self, path: KernelPath) {
-        for matrix in self.stages.iter_mut().filter_map(Stage::matrix_mut) {
-            matrix.set_kernel_path(path);
-        }
-    }
 }
 
 /// The activation quantizer, in place: every `v` becomes
@@ -963,8 +948,8 @@ impl AnalogNetwork {
     /// uncached crossbar evaluation per sample and output position,
     /// without the pipeline executor, its journal or the worker pool. It
     /// moves no ring traffic on any placement ([`traffic`](Self::traffic)
-    /// is unchanged); outputs, waves and scalar-path read energy match
-    /// `forward` bit for bit.
+    /// is unchanged); outputs, waves and read energy match `forward` bit
+    /// for bit.
     ///
     /// # Errors
     ///
@@ -1262,11 +1247,10 @@ mod tests {
         /// kernels 1–5 (even ones too), strides 1–3 (some not tiling the
         /// input), padding 0–2 (some ≥ k/2), 1–5 channels, 1–4 images —
         /// `forward` must equal `forward_sequential` bit for bit at 1 and
-        /// 4 workers on both kernel paths, with equal waves and, on the
-        /// Scalar path, equal energy bits. The first convolution sees the
-        /// raw edge values at `x_scale = 1`; after a quantizer the second
-        /// sees quantized values and the third (and the dense stage) raw
-        /// products, both at `x_scale = amax`.
+        /// 4 workers, with equal waves and equal energy bits. The first
+        /// convolution sees the raw edge values at `x_scale = 1`; after a
+        /// quantizer the second sees quantized values and the third (and
+        /// the dense stage) raw products, both at `x_scale = amax`.
         #[test]
         fn gathered_forward_matches_im2col_oracle_bitwise(
             geoms in prop::collection::vec((1usize..6, 1usize..4, 0usize..3), 3),
@@ -1303,27 +1287,22 @@ mod tests {
             let master = compile_ann(&Network::new(layers)).unwrap();
             let mut oracle = master.clone();
             let expect = oracle.forward_sequential(&x).unwrap();
-            for path in [KernelPath::Scalar, KernelPath::Auto] {
-                for workers in [1, 4] {
-                    let mut fast = master.clone();
-                    fast.set_kernel_path(path);
-                    let y = fast
-                        .place
-                        .sole_engine()
-                        .step(Cow::Borrowed(&x), workers, false)
-                        .unwrap()
-                        .0;
-                    prop_assert_eq!(y.shape(), expect.shape());
-                    for (i, (a, b)) in y.data().iter().zip(expect.data()).enumerate() {
-                        let at = format!("{path:?}, {workers} workers, [{i}]: {a} vs {b}");
-                        prop_assert_eq!(a.to_bits(), b.to_bits(), "{at}");
-                    }
-                    prop_assert_eq!(fast.waves(), oracle.waves());
-                    if path == KernelPath::Scalar {
-                        let energy = |net: &AnalogNetwork| net.read_energy().0.to_bits();
-                        prop_assert_eq!(energy(&fast), energy(&oracle));
-                    }
+            for workers in [1, 4] {
+                let mut fast = master.clone();
+                let y = fast
+                    .place
+                    .sole_engine()
+                    .step(Cow::Borrowed(&x), workers, false)
+                    .unwrap()
+                    .0;
+                prop_assert_eq!(y.shape(), expect.shape());
+                for (i, (a, b)) in y.data().iter().zip(expect.data()).enumerate() {
+                    let at = format!("{workers} workers, [{i}]: {a} vs {b}");
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{at}");
                 }
+                prop_assert_eq!(fast.waves(), oracle.waves());
+                let energy = |net: &AnalogNetwork| net.read_energy().0.to_bits();
+                prop_assert_eq!(energy(&fast), energy(&oracle));
             }
         }
     }
@@ -1463,24 +1442,15 @@ mod tests {
         let x = Tensor::rand_uniform(&[3, 3000], 0.0, 1.0, &mut r);
         let mut fast = compile_ann_with_mismatch(&net, 0.10, &mut r).unwrap();
         let mut slow = fast.clone();
-        let mut scalar = fast.clone();
-        scalar.set_kernel_path(KernelPath::Scalar);
         let yf = fast.forward(&x).unwrap();
         let ys = slow.forward_sequential(&x).unwrap();
-        let yk = scalar.forward(&x).unwrap();
-        for ((a, b), c) in yf.data().iter().zip(ys.data()).zip(yk.data()) {
+        for (a, b) in yf.data().iter().zip(ys.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "fast {a} vs reference {b}");
-            assert_eq!(c.to_bits(), b.to_bits(), "scalar {c} vs reference {b}");
         }
         // Per-cell 10% mismatch puts every conductance off the device
-        // grid; the scalar kernel still reproduces the reference energy
-        // bitwise, Auto within 1e-12.
-        assert_eq!(scalar.read_energy(), slow.read_energy());
-        let (e_vec, e_ref) = (fast.read_energy().0, slow.read_energy().0);
-        assert!(
-            (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "Auto energy {e_vec} vs reference {e_ref}"
-        );
+        // grid; the energy is still the reference's bits.
+        let (e_fast, e_ref) = (fast.read_energy().0, slow.read_energy().0);
+        assert_eq!(e_fast.to_bits(), e_ref.to_bits(), "{e_fast} vs {e_ref}");
     }
 
     #[test]

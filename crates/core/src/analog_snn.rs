@@ -58,7 +58,7 @@ impl ProgrammedMatrix {
     /// number the rows in order, so they split into one ascending run per
     /// AC. Each (patch, AC) run is summed from `+0.0` in row order — the
     /// per-AC evaluators' sequence — and its current chain links
-    /// `v·row_sum[r]` (or the scalar per-cell chain) in the same order.
+    /// `v·row_sum[r]` in the same order, as the oracle does.
     /// A patch's ACs then merge in ascending order into a `+0.0` total,
     /// and `(total / unit) as f32` is added per segment and column group.
     /// Untouched ACs and patches are skipped: their contribution is
@@ -716,9 +716,8 @@ impl AnalogSpikingNetwork {
     /// scatter spans the worker pool; on a sharded network chip stage *k*
     /// advances timestep *t+1* while stage *k+1* advances timestep *t*.
     /// Outputs, RNG consumption and waves are bit-identical to
-    /// [`run_sequential`](Self::run_sequential), and so is energy on
-    /// [`KernelPath::Scalar`](nebula_crossbar::KernelPath::Scalar). The
-    /// RNG is `Send` because the encoder runs on whichever pool worker
+    /// [`run_sequential`](Self::run_sequential), and so is read energy.
+    /// The RNG is `Send` because the encoder runs on whichever pool worker
     /// claims the pipeline head.
     ///
     /// # Errors
@@ -748,8 +747,8 @@ impl AnalogSpikingNetwork {
     /// without the pipeline executor, its journal or the worker pool. It
     /// moves no ring traffic on any placement ([`traffic`](Self::traffic)
     /// is unchanged). The encoder consumes the RNG identically (whole
-    /// batch per timestep), so outputs, waves and scalar-path read energy
-    /// match [`run`](Self::run) bit for bit.
+    /// batch per timestep), so outputs, waves and read energy match
+    /// [`run`](Self::run) bit for bit.
     ///
     /// # Errors
     ///
@@ -906,7 +905,6 @@ pub fn compile_snn_default(snn: &SpikingNetwork) -> Result<AnalogSpikingNetwork,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nebula_crossbar::KernelPath;
     use nebula_device::units::Joules;
     use nebula_nn::convert::{ann_to_snn, ConversionConfig};
     use nebula_nn::optim::{train, Dataset, TrainConfig};
@@ -962,7 +960,6 @@ mod tests {
         .unwrap();
         let config = CrossbarConfig::paper_default(Mode::Snn);
         let mut auto = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
-        auto.set_kernel_path(KernelPath::Auto);
 
         // A batch of only silent items must produce zero outputs and
         // touch no energy counter.
@@ -975,39 +972,38 @@ mod tests {
         );
 
         // Mixed batch (silent / single-row / multi-row): bitwise equal to
-        // the per-item scalar reference at 1 and 3 workers; the silent
-        // item contributes nothing.
-        let mut scalar = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
-        scalar.set_kernel_path(KernelPath::Scalar);
+        // the per-item reference at 1 and 3 workers, outputs and energy;
+        // the silent item contributes nothing.
+        let mut reference = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
         let items: [&[usize]; 3] = [&[], &[4], &[0, 3, 9]];
-        let mut energies = Vec::new();
-        for workers in [1, 3] {
-            let mut a = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
-            a.set_kernel_path(KernelPath::Auto);
-            let out = scatter_dense(&mut a, &items, workers);
-            for (i, rows) in items.iter().enumerate() {
+        let expect: Vec<Vec<f32>> = items
+            .iter()
+            .map(|rows| {
                 let mut spikes = vec![0.0f32; 10];
                 for &r in *rows {
                     spikes[r] = 1.0;
                 }
-                let reference = scalar.dot_reference(&spikes, Mode::Snn).unwrap();
-                for (c, (&a, &s)) in out[i * 3..(i + 1) * 3].iter().zip(&reference).enumerate() {
+                reference.dot_reference(&spikes, Mode::Snn).unwrap()
+            })
+            .collect();
+        let e_ref = reference.read_energy().0;
+        assert!(e_ref > 0.0);
+        for workers in [1, 3] {
+            let mut a = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
+            let out = scatter_dense(&mut a, &items, workers);
+            for (i, expect) in expect.iter().enumerate() {
+                for (c, (&a, &s)) in out[i * 3..(i + 1) * 3].iter().zip(expect).enumerate() {
                     assert_eq!(a.to_bits(), s.to_bits(), "item {i} col {c}");
                 }
             }
-            energies.push(a.read_energy());
+            // Energy accrues via per-row sums: the oracle's bits.
+            let e = a.read_energy().0;
+            assert_eq!(
+                e.to_bits(),
+                e_ref.to_bits(),
+                "{workers} workers: {e} vs {e_ref}"
+            );
         }
-        // Energy accrues via per-row sums: the same bits for any worker
-        // count, within 1e-12 of the scalar chain on the same activity.
-        assert_eq!(energies[0], energies[1]);
-        let mut scalar = ProgrammedMatrix::program(&weight, 1.0, &config, Mode::Snn).unwrap();
-        scalar.set_kernel_path(KernelPath::Scalar);
-        scatter_dense(&mut scalar, &items, 1);
-        let (e_auto, e_ref) = (energies[0].0, scalar.read_energy().0);
-        assert!(
-            e_ref > 0.0 && (e_auto - e_ref).abs() <= 1e-12 * e_ref,
-            "Auto energy {e_auto} vs scalar {e_ref}"
-        );
     }
 
     #[test]
@@ -1276,8 +1272,8 @@ mod tests {
         // All-silent input into a *biased* first layer: the skip path
         // must still inject the bias (as `0.0 + b`, so even a `-0.0`
         // bias keeps identical bits), which can fire downstream neurons
-        // whose spikes then drive the later crossbars for real. Scalar
-        // kernels make even the energy comparison bitwise.
+        // whose spikes then drive the later crossbars for real. The
+        // energy comparison is bitwise too.
         let mut r = rng();
         let (mut net, data) = trained_net(&mut r);
         let mut biased = false;
@@ -1293,7 +1289,6 @@ mod tests {
         }
         let functional = ann_to_snn(&net, &data, &ConversionConfig::default()).unwrap();
         let mut fast = compile_snn_default(&functional).unwrap();
-        fast.set_kernel_path(KernelPath::Scalar);
         let mut slow = fast.clone();
         fast.set_encoding(InputEncoding::Constant);
         slow.set_encoding(InputEncoding::Constant);
@@ -1303,7 +1298,10 @@ mod tests {
         for (a, b) in yf.data().iter().zip(ys.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(fast.read_energy(), slow.read_energy());
+        assert_eq!(
+            fast.read_energy().0.to_bits(),
+            slow.read_energy().0.to_bits()
+        );
         assert!(
             fast.read_energy() > Joules::ZERO,
             "bias-driven downstream spikes should reach the crossbars"

@@ -26,8 +26,8 @@
 //! reprogrammed. A placement changes where stages run, not how: every
 //! unit holds the analog engine both modes share over a contiguous slice
 //! of the stages, and the one stage interpreter of [`crate::analog`]
-//! runs it. So outputs, wave counts and (scalar-path) energy counters
-//! are **bit-identical** on every placement:
+//! runs it. So outputs, wave counts and energy counters are
+//! **bit-identical** on every placement:
 //!
 //! * Pipelined: a forward pass is a left-to-right fold over stages, so
 //!   splitting the stage list at any boundary changes no operation.
@@ -82,7 +82,9 @@ use crate::components::{MAX_RF_IN_CORE, MESH_SIDE};
 use crate::energy::ExecMode;
 use crate::mapper;
 use crate::pipeline;
-use nebula_crossbar::{KernelPath, Mode, SuperTile};
+#[allow(deprecated)]
+use nebula_crossbar::KernelPath;
+use nebula_crossbar::{Mode, SuperTile};
 use nebula_device::units::Joules;
 use nebula_nn::stats::LayerDescriptor;
 use nebula_noc::{ChipCluster, ClusterNode, MeshTopology, NodeId, TrafficStats, LINK_HOP_CYCLES};
@@ -683,9 +685,9 @@ macro_rules! placement_api {
         impl $net {
             /// Re-places this network's stages on `chips` chips under
             /// `strategy`. The programmed tiles move with their stages —
-            /// faults, aging and the kernel path go with them, nothing is
-            /// reprogrammed — so outputs, waves and scalar-path energy stay
-            /// bit-identical to the one-chip network. The cluster is new:
+            /// faults and aging go with them, nothing is reprogrammed — so
+            /// outputs, waves and energy stay bit-identical to the one-chip
+            /// network. The cluster is new:
             /// its traffic starts from zero.
             ///
             /// # Errors
@@ -754,24 +756,17 @@ macro_rules! placement_api {
             /// keeps it). A one-unit placement ignores it: it runs the
             /// whole batch as one item on one claimant, whose stage keeps
             /// the whole pool. Any configuration gives the same outputs,
-            /// waves, traffic and scalar-path energy; it only moves
-            /// wall-clock overlap.
+            /// waves, traffic and energy; it only moves wall-clock
+            /// overlap.
             pub fn set_pipeline(&mut self, cfg: PipelineConfig) {
                 self.place.pipeline = cfg;
             }
 
-            /// Selects the crossbar inner-loop kernel every programmed tile
-            /// evaluates through: [`KernelPath::Auto`] (the default) or the
-            /// [`KernelPath::Scalar`] reference. Outputs are bit-identical
-            /// on both; under Auto read energy uses the per-row-sum
-            /// formulation and agrees with the scalar/reference path to a
-            /// relative error ≤ 1e-12 per dot instead of bitwise (see
-            /// [`nebula_crossbar::kernel`]).
-            pub fn set_kernel_path(&mut self, path: KernelPath) {
-                for unit in &mut self.place.units {
-                    unit.net.set_kernel_path(path);
-                }
-            }
+            /// Does nothing: every programmed tile evaluates through the
+            /// one crossbar kernel path.
+            #[deprecated(note = "the crossbar has one kernel path; there is nothing to select")]
+            #[allow(deprecated)]
+            pub fn set_kernel_path(&mut self, _path: KernelPath) {}
 
             /// The output shape a batch of `input_shape` produces (for an
             /// SNN, the accumulated potentials'), checking every stage's
@@ -799,10 +794,9 @@ macro_rules! placement_api {
                     .sum()
             }
 
-            /// Bytes the conductance caches backing the current kernel path
-            /// occupy across all programmed tiles (building any missing
-            /// layouts first) — the footprint `bench_hotpath` and
-            /// perfbench report.
+            /// Bytes the prepared conductance caches occupy across all
+            /// programmed tiles (building any missing caches first) — the
+            /// footprint perfbench reports.
             pub fn conductance_cache_bytes(&mut self) -> usize {
                 self.place
                     .tiles_mut()
@@ -816,7 +810,7 @@ macro_rules! placement_api {
             /// Total analog read energy across every chip, folded over the
             /// stages in compile order (each stage's tiles summed first) —
             /// the same fold on any placement, so bitwise equal to the
-            /// one-chip counter on the scalar path. In SNN mode silent rows
+            /// one-chip counter. In SNN mode silent rows
             /// are free: the event-driven energy figure.
             pub fn read_energy(&self) -> Joules {
                 self.place.stages().map(Stage::read_energy).sum()

@@ -8,25 +8,24 @@
 //! timesteps. The oracles (`forward_sequential`, `run_sequential`) walk
 //! the same units in order on the calling thread through the per-cell
 //! evaluator. One property draws a mode, a net family, a placement, a
-//! pipeline schedule, a kernel path, an input and (for an SNN) an
-//! encoding, an entry point and a wound, and asserts against the oracle
-//! *on the same placement*: output bits and waves exactly, read energy
-//! bitwise on the Scalar kernel and within 1e-9 relative on Auto, traffic
-//! equal to the one-claimant whole-batch schedule's, and no ring traffic
-//! from the oracle, whose bits, waves and energy are the one-chip
-//! oracle's (a placement changes where stages run, never what they
-//! compute). A deterministic sweep runs every (mode × strategy ×
-//! chips × kernel path) cell on every run. The remaining tests are the
-//! edges and pins: zero-size edges, capacity-1 backpressure, dead links,
-//! misshaped inputs, two column groups, a two-segment conv on every
-//! split, the layer-pipelined link-transfer closed form, the Scalar
-//! energy fold and the tensor-sharded traffic pins.
+//! pipeline schedule, an input and (for an SNN) an encoding, an entry
+//! point and a wound, and asserts against the oracle *on the same
+//! placement*: output bits, waves and read energy bits exactly (seeded
+//! groups' energy within 1e-9 relative), traffic equal to the
+//! one-claimant whole-batch schedule's, and no ring traffic from the
+//! oracle, whose bits, waves and energy are the one-chip oracle's (a
+//! placement changes where stages run, never what they compute). A
+//! deterministic sweep runs every (mode × strategy × chips) cell on
+//! every run. The remaining tests are the edges and pins: zero-size
+//! edges, capacity-1 backpressure, dead links, misshaped inputs, two
+//! column groups, a two-segment conv on every split, the
+//! layer-pipelined link-transfer closed form, the energy fold and the
+//! tensor-sharded traffic pins.
 
 use nebula_core::analog::{compile_ann, AnalogError, AnalogNetwork};
 use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
 use nebula_core::components::{M, MAX_RF_IN_CORE};
 use nebula_core::multichip::{PipelineConfig, ShardStrategy};
-use nebula_crossbar::KernelPath;
 use nebula_device::units::Seconds;
 use nebula_device::{FaultClass, FaultModel};
 use nebula_nn::layer::Layer;
@@ -39,10 +38,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Accumulated per-row-sum energy tolerance (1e-12 relative per dot).
+/// Energy tolerance of seeded groups against their oracle, which folds
+/// the batch's energy group by group rather than in one chain.
 const ENERGY_RTOL: f64 = 1e-9;
-
-const PATHS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Auto];
 
 const STRATEGIES: [ShardStrategy; 2] =
     [ShardStrategy::LayerPipelined, ShardStrategy::TensorSharded];
@@ -109,10 +107,6 @@ impl Net {
     /// `Strategy/chips` of the current placement.
     fn placement(&self) -> String {
         each!(self, n => format!("{:?}/{}", n.strategy(), n.chips()))
-    }
-
-    fn set_kernel_path(&mut self, path: KernelPath) {
-        each!(self, n => n.set_kernel_path(path))
     }
 
     fn set_pipeline(&mut self, cfg: PipelineConfig) {
@@ -353,25 +347,24 @@ fn assert_bits(tag: &str, want: &Tensor, got: &Tensor) {
 }
 
 /// The one contract: `call` on the one-chip `master` placed by `place`,
-/// first through the oracle, then through the executor on kernel `path`
-/// under the whole-batch schedule and under `cfg`. Both fast legs must
-/// give the oracle's output bits and waves, and its read energy —
-/// bitwise on Scalar, within [`ENERGY_RTOL`] on Auto and for seeded
-/// groups, whose oracle folds group by group. The oracle moves no ring
+/// first through the oracle, then through the executor under the
+/// whole-batch schedule and under `cfg`. Both fast legs must give the
+/// oracle's output bits and waves, and its read energy bits — within
+/// [`ENERGY_RTOL`] for seeded groups, whose oracle folds group by
+/// group. The oracle moves no ring
 /// traffic and does not see the placement: its bits, waves and energy
 /// bits are the one-chip oracle's. Both schedules move the same traffic,
 /// which is returned.
 fn check(
     master: &Net,
     place: &dyn Fn(Net) -> Net,
-    path: KernelPath,
     cfg: &PipelineConfig,
     x: &Tensor,
     call: &Call,
 ) -> TrafficStats {
     let mut oracle = place(master.clone());
     let (placement, shape) = (oracle.placement(), x.shape());
-    let tag = format!("{placement} input {shape:?} {path:?} {cfg:?} {call:?}");
+    let tag = format!("{placement} input {shape:?} {cfg:?} {call:?}");
     let want = oracle.call(x, call, true).unwrap();
     assert_eq!(oracle.traffic(), TrafficStats::default(), "{tag}: oracle");
     let mut one_chip = master.clone();
@@ -383,11 +376,10 @@ fn check(
         oracle.energy().to_bits(),
         "{tag}: one-chip energy"
     );
-    let exact = path == KernelPath::Scalar && !matches!(call, Call::Groups { .. });
+    let exact = !matches!(call, Call::Groups { .. });
     let mut traffic = Vec::new();
     for cfg in [whole_batch(), cfg.clone()] {
         let mut fast = place(master.clone());
-        fast.set_kernel_path(path);
         fast.set_pipeline(cfg);
         let got = fast.call(x, call, false).unwrap();
         assert_bits(&tag, &want, &got);
@@ -417,7 +409,7 @@ proptest! {
     /// layer may span two segments; a placement (1, 2 or 4 chips under
     /// either strategy, or compute-balanced for an SNN — a dense stack
     /// also runs on every other placement); a schedule (depth,
-    /// claimants, queue capacity); a kernel path; and an input from
+    /// claimants, queue capacity); and an input from
     /// fully silent to fully dense, with the drive's edge values for an
     /// ANN. An SNN also draws its encoding, its entry point (`run`, or
     /// `run_seeded_groups` over a drawn partition) and optionally
@@ -429,7 +421,7 @@ proptest! {
         (stride, pad, k_step, acs, extra_ch) in
             (1usize..3, 0usize..3, 0usize..3, 1usize..4, 0usize..3),
         (oc, side, two_groups, amax) in (1usize..5, 1usize..8, 0u8..4, 0.3f32..3.0),
-        (strategy, chips, balanced, path) in (0usize..2, 0usize..3, 0u8..2, 0usize..2),
+        (strategy, chips, balanced) in (0usize..2, 0usize..3, 0u8..2),
         (depth, claimants, queue_capacity) in (0usize..4, 0usize..3, 1usize..4),
         pattern in proptest::collection::vec((0u8..6, 0.0f32..1.0, 0.0f64..1.0), 16..64),
         (density_step, constant, grouped, cuts, timesteps) in
@@ -518,13 +510,13 @@ proptest! {
             &placed
         };
         let cfg = config(DEPTHS[depth], CLAIMANTS[claimants], queue_capacity);
-        check(&master, place, PATHS[path], &cfg, &x, &call);
+        check(&master, place, &cfg, &x, &call);
         if family == 0 {
             // The cheap dense family runs on every other placement too.
             for other in STRATEGIES {
                 for n in CHIP_COUNTS {
                     if (other, n) != (strategy, chips) {
-                        check(&master, &at(other, n), PATHS[path], &cfg, &x, &call);
+                        check(&master, &at(other, n), &cfg, &x, &call);
                     }
                 }
             }
@@ -532,12 +524,12 @@ proptest! {
     }
 }
 
-/// Every (mode × strategy × chips × kernel path) cell, on every run: the
+/// Every (mode × strategy × chips) cell, twelve in all, on every run: the
 /// quantized conv ANN with a pool and a two-segment dense layer, on a
 /// batch of five in micro-batches of two, and the two-segment dense SNN
 /// through both entry points.
 #[test]
-fn every_mode_strategy_chip_count_and_kernel_path_matches_the_oracle() {
+fn every_mode_strategy_and_chip_count_matches_the_oracle() {
     let ann = pooled_net(false, conv(1, 60, 3, 1, 1, 12), 2, 1.5, 3, 1);
     let pattern: Vec<(u8, f32, f64)> = (0..61u8)
         .map(|i| (i % 6, f32::from(i) / 61.0, f64::from(i % 5) / 5.0))
@@ -550,12 +542,10 @@ fn every_mode_strategy_chip_count_and_kernel_path_matches_the_oracle() {
     let cfg = config(2, 2, 1);
     for strategy in STRATEGIES {
         for chips in CHIP_COUNTS {
-            for path in PATHS {
-                let place = at(strategy, chips);
-                check(&ann, &place, path, &cfg, &ann_x, &Call::Forward);
-                for call in &calls {
-                    check(&snn, &place, path, &cfg, &snn_x, call);
-                }
+            let place = at(strategy, chips);
+            check(&ann, &place, &cfg, &ann_x, &Call::Forward);
+            for call in &calls {
+                check(&snn, &place, &cfg, &snn_x, call);
             }
         }
     }
@@ -572,18 +562,14 @@ fn two_column_groups_match_the_oracle() {
     let one_chip = at(ShardStrategy::LayerPipelined, 1);
     let ann = conv_net(false, g, None, 7);
     let mut snn = conv_net(true, g, None, 7);
-    for path in PATHS {
-        check(&ann, &one_chip, path, &whole_batch(), &x, &Call::Forward);
-        check(&snn, &one_chip, path, &whole_batch(), &x, &run(2, 9));
-    }
+    check(&ann, &one_chip, &whole_batch(), &x, &Call::Forward);
+    check(&snn, &one_chip, &whole_batch(), &x, &run(2, 9));
     let model = FaultModel::single(FaultClass::TmrDegradation, 0.2)
         .with_class_rate(FaultClass::RetentionDrift, 0.2);
     if let Net::Snn(n) = &mut snn {
         wound(n, &model, 5e6, (1, 0), 7);
     }
-    for path in PATHS {
-        check(&snn, &one_chip, path, &whole_batch(), &x, &run(2, 9));
-    }
+    check(&snn, &one_chip, &whole_batch(), &x, &run(2, 9));
 }
 
 /// A receptive field over `MAX_RF_IN_CORE` rows: two segments, each
@@ -621,9 +607,7 @@ fn a_two_segment_conv_matches_the_oracle_on_every_split() {
     for (master, call) in &masters {
         for x in &inputs {
             for place in &placements {
-                for path in PATHS {
-                    check(master, place, path, &config(1, 4, 2), x, call);
-                }
+                check(master, place, &config(1, 4, 2), x, call);
             }
         }
     }
@@ -640,10 +624,7 @@ fn capacity_one_backpressure_completes_with_identical_bits() {
     let x = random(&[9, width], 5);
     let place = at(ShardStrategy::LayerPipelined, 4);
     for workers in [1, 2, 4, 9] {
-        for path in PATHS {
-            let cfg = config(1, workers, 1);
-            check(&master, &place, path, &cfg, &x, &Call::Forward);
-        }
+        check(&master, &place, &config(1, workers, 1), &x, &Call::Forward);
     }
 }
 
@@ -669,10 +650,8 @@ fn dead_links_fail_loudly_or_detour() {
             severed.set_pipeline(cfg.clone());
             let err = severed.call(&x, &call, false).unwrap_err();
             assert!(matches!(err, AnalogError::Noc(_)), "{cfg:?}: got {err:?}");
-            for path in PATHS {
-                let traffic = check(&master, &dead(4), path, &cfg, &x, &call);
-                assert!(traffic.link_flit_hops > 0, "{cfg:?}: partials crossed");
-            }
+            let traffic = check(&master, &dead(4), &cfg, &x, &call);
+            assert!(traffic.link_flit_hops > 0, "{cfg:?}: partials crossed");
         }
     }
 }
@@ -881,7 +860,7 @@ fn zero_size_edges_keep_their_shapes_waves_and_traffic() {
     }
 }
 
-/// Scalar-path energy is one fold over the donor's stages, in stage
+/// Energy is one fold over the donor's stages, in stage
 /// order, whichever chips the stages sit on: read energy (and the ANN's
 /// programming energy) must equal the single chip's bit for bit when a
 /// tensor-sharded layer spans several column groups (129–300 outputs,
@@ -889,7 +868,7 @@ fn zero_size_edges_keep_their_shapes_waves_and_traffic() {
 /// stages. Summing per-unit or per-segment subtotals first moves the
 /// last bits in some of these cases.
 #[test]
-fn scalar_energy_folds_in_single_chip_order() {
+fn energy_folds_in_single_chip_order() {
     let width = MAX_RF_IN_CORE + 9;
     // SNN?, widths, seed, strategy and chip counts.
     let mut cases = Vec::new();
@@ -923,7 +902,6 @@ fn scalar_energy_folds_in_single_chip_order() {
         let call = if snn { run(3, seed) } else { Call::Forward };
         let fold = |chips| {
             let mut net = at(strategy, chips)(stack_net(snn, &widths, seed));
-            net.set_kernel_path(KernelPath::Scalar);
             net.call(&x, &call, false).unwrap();
             let program = match &net {
                 Net::Ann(n) => n.program_energy().0.to_bits(),

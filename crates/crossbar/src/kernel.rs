@@ -4,8 +4,7 @@
 //! current-summing spin-neuron evaluation of the DW-magnet designs the
 //! paper builds on). This module holds the lane-level primitives the
 //! [`AtomicCrossbar`](crate::array::AtomicCrossbar) evaluators dispatch
-//! to, plus the [`KernelPath`] selector that switches between the pinned
-//! scalar reference loop and the differential layout.
+//! to.
 //!
 //! # Layout and bit-identity contract
 //!
@@ -13,14 +12,14 @@
 //! conductances `g_eff − g_mid` pre-subtracted per cell and zero-padded
 //! to a multiple of [`LANES`], alongside a per-row total-conductance sum
 //! for the energy term. Because `g_eff − g_mid` is computed once at
-//! prepare time with the exact same operands the scalar loop uses per
-//! visit, and because each output column `diff[j]` is still accumulated
-//! in row-ascending order, the vectorized differential outputs are
-//! **bit-identical** to the scalar fast path and to `dot_reference`.
-//! Only the total-current (energy) accumulation is re-associated — per
-//! row instead of per cell — so read energy under [`KernelPath::Auto`]
-//! agrees with the reference to a relative error ≤ 1e-12 rather than
-//! bitwise (the scalar path remains bitwise-exact on energy too).
+//! prepare time with the exact same operands the per-cell oracle
+//! (`dot_reference`) uses per visit, and because each output column
+//! `diff[j]` is still accumulated in row-ascending order, the
+//! differential outputs are **bit-identical** to the oracle. The energy
+//! term is too: a driven word line at voltage `v` draws `v · ΣG`, and
+//! the oracle sums each row's conductances column-ascending before
+//! adding `v · row_sum` to its row-ascending total, exactly the chain
+//! the kernels run over the cached sums.
 //!
 //! # The GEMV kernel: column blocks and runtime dispatch
 //!
@@ -59,24 +58,13 @@ pub fn padded_len(cols: usize) -> usize {
     cols.div_ceil(LANES) * LANES
 }
 
-/// Which inner-loop implementation an [`AtomicCrossbar`](crate::array::AtomicCrossbar)
-/// evaluates through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The former inner-loop selector. Every drive evaluates through the one
+/// differential layout, so the only variant selects nothing.
+#[deprecated(note = "the crossbar has one kernel path; there is nothing to select")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// The production path: every drive, dense and binary spike alike,
-    /// evaluates through the differential column-lane layout (the
-    /// column-blocked GEMV for dense drives, [`SpikeRows::add_rows`] for
-    /// spikes), with the energy term folded into a per-row conductance
-    /// sum. Differential outputs are bit-identical to
-    /// [`KernelPath::Scalar`]; energy agrees to relative error ≤ 1e-12.
-    /// No environment variable overrides it: callers pick a path with
-    /// `set_kernel_path`.
-    #[default]
+    /// The one kernel path.
     Auto,
-    /// The scalar loop over effective conductances: per-cell
-    /// `g − g_mid` subtraction and a single serial total-current chain.
-    /// Pinned as the bitwise-exact reference (outputs *and* energy).
-    Scalar,
 }
 
 /// Most drive rows one compacted pass holds: the paper's atomic-crossbar
@@ -85,8 +73,8 @@ pub enum KernelPath {
 /// column's row-ascending accumulation order.
 const MAX_ROWS: usize = 128;
 
-/// Differential column-lane layout ([`KernelPath::Auto`]), the one
-/// [`gemv`] walks.
+/// The prepared differential column-lane layout [`gemv`] and
+/// [`SpikeRows`] walk.
 #[derive(Debug, Clone)]
 pub(crate) struct VectorLayout {
     /// Differential conductances `g_eff − g_mid`, row-major with each row
@@ -106,9 +94,9 @@ pub(crate) struct VectorLayout {
 /// chain). `diff` must be at least `padded_cols` long.
 ///
 /// Each column receives exactly one `+= v · dg` per driven row, in
-/// row-ascending order — the scalar loop's operation on the same
-/// operands — so the outputs are bitwise identical to it; the total is
-/// the per-row-sum chain of the differential layout. Runs the AVX2 build
+/// row-ascending order — the oracle's operation on the same operands —
+/// so the outputs are bitwise identical to it, and so is the total, the
+/// oracle's chain of row currents. Runs the AVX2 build
 /// when the host has it, else the portable one; both compile the same
 /// source and produce the same bits. `is_x86_feature_detected!` probes
 /// the CPU on its first call and caches the answer for the process.
@@ -225,48 +213,23 @@ fn column_block<const W: usize>(
 /// its own. Each column still gets exactly one add per driven row, of
 /// the value the per-AC evaluators add, in the order given; as long as
 /// the caller passes a patch's rows in ascending order into a `+0.0`
-/// accumulator, the outputs are bit-identical to [`KernelPath::Scalar`]
-/// and the current chain matches the layout's own energy formulation.
+/// accumulator, the outputs and the current chain are bit-identical to
+/// the per-cell oracle.
 #[derive(Debug, Clone, Copy)]
 pub struct SpikeRows<'a> {
     v: f64,
-    layout: RowLayout<'a>,
-}
-
-/// The cache layout behind a [`SpikeRows`] view.
-#[derive(Debug, Clone, Copy)]
-enum RowLayout<'a> {
-    /// The padded differential layout ([`KernelPath::Auto`]).
-    Differential {
-        dg: &'a [f64],
-        stride: usize,
-        row_sum: &'a [f64],
-    },
-    /// Resolved conductances ([`KernelPath::Scalar`]): per-cell
-    /// `g − g_mid` and the per-cell total-current chain.
-    Scalar {
-        eff: &'a [f64],
-        cols: usize,
-        g_mid: f64,
-    },
+    dg: &'a [f64],
+    stride: usize,
+    row_sum: &'a [f64],
 }
 
 impl<'a> SpikeRows<'a> {
-    pub(crate) fn differential(v: f64, m: &'a VectorLayout) -> Self {
+    pub(crate) fn new(v: f64, m: &'a VectorLayout) -> Self {
         Self {
             v,
-            layout: RowLayout::Differential {
-                dg: &m.dg,
-                stride: m.padded_cols,
-                row_sum: &m.row_sum,
-            },
-        }
-    }
-
-    pub(crate) fn scalar(v: f64, eff: &'a [f64], cols: usize, g_mid: f64) -> Self {
-        Self {
-            v,
-            layout: RowLayout::Scalar { eff, cols, g_mid },
+            dg: &m.dg,
+            stride: m.padded_cols,
+            row_sum: &m.row_sum,
         }
     }
 
@@ -274,77 +237,58 @@ impl<'a> SpikeRows<'a> {
     /// order given, into `acc` (which must hold at least
     /// [`padded_len`]`(cols)` values; padding lanes only ever gain
     /// `v · 0.0`) and returns `current` continued by the rows' shares of
-    /// the total current — `v · row_sum[r]` per row on the differential
-    /// layout, the per-cell `v · g` chain on the scalar one.
+    /// the total current, `v · row_sum[r]` per row.
     ///
-    /// On the differential layout the columns are walked in blocks of
-    /// 32, 16 and 8 lanes, as the dense GEMV walks them: a block's sums
-    /// stay in a local `[f64; W]` (registers) across all the rows, and
-    /// the first block also carries the current chain. Every column
-    /// still receives one `+= v · dg` per row, in row order, so the
-    /// result is the same bits as adding the rows one at a time.
+    /// The columns are walked in blocks of 32, 16 and 8 lanes, as the
+    /// dense GEMV walks them: a block's sums stay in a local `[f64; W]`
+    /// (registers) across all the rows, and the first block also carries
+    /// the current chain. Every column still receives one `+= v · dg` per
+    /// row, in row order, so the result is the same bits as adding the
+    /// rows one at a time.
     #[inline(always)]
     pub fn add_rows(&self, rows: &[usize], base: usize, acc: &mut [f64], mut current: f64) -> f64 {
-        let v = self.v;
-        match self.layout {
-            RowLayout::Differential {
-                dg,
-                stride,
-                row_sum,
-            } => {
-                if rows.is_empty() {
-                    return current;
-                }
-                let rows = DriveRows {
-                    rows,
-                    base,
-                    v,
-                    dg,
-                    stride,
-                };
-                // The first block, at least 8 lanes wide, carries the
-                // current chain; the rest tile the stride as in `gemv`.
-                let mut col = if stride >= 32 {
-                    current = rows.block::<32, true>(0, acc, row_sum, current);
-                    32
-                } else if stride >= 16 {
-                    current = rows.block::<16, true>(0, acc, row_sum, current);
-                    16
-                } else {
-                    current = rows.block::<LANES, true>(0, acc, row_sum, current);
-                    LANES
-                };
-                while col + 32 <= stride {
-                    rows.block::<32, false>(col, acc, row_sum, current);
-                    col += 32;
-                }
-                if col + 16 <= stride {
-                    rows.block::<16, false>(col, acc, row_sum, current);
-                    col += 16;
-                }
-                if col + LANES <= stride {
-                    rows.block::<LANES, false>(col, acc, row_sum, current);
-                    col += LANES;
-                }
-                debug_assert_eq!(col, stride, "stride must be a multiple of LANES");
-                current
-            }
-            RowLayout::Scalar { eff, cols, g_mid } => {
-                for &r in rows {
-                    let r = r - base;
-                    for (a, &g) in acc[..cols].iter_mut().zip(&eff[r * cols..(r + 1) * cols]) {
-                        *a += v * (g - g_mid);
-                        current += v * g;
-                    }
-                }
-                current
-            }
+        let (stride, row_sum) = (self.stride, self.row_sum);
+        if rows.is_empty() {
+            return current;
         }
+        let rows = DriveRows {
+            rows,
+            base,
+            v: self.v,
+            dg: self.dg,
+            stride,
+        };
+        // The first block, at least 8 lanes wide, carries the current
+        // chain; the rest tile the stride as in `gemv`.
+        let mut col = if stride >= 32 {
+            current = rows.block::<32, true>(0, acc, row_sum, current);
+            32
+        } else if stride >= 16 {
+            current = rows.block::<16, true>(0, acc, row_sum, current);
+            16
+        } else {
+            current = rows.block::<LANES, true>(0, acc, row_sum, current);
+            LANES
+        };
+        while col + 32 <= stride {
+            rows.block::<32, false>(col, acc, row_sum, current);
+            col += 32;
+        }
+        if col + 16 <= stride {
+            rows.block::<16, false>(col, acc, row_sum, current);
+            col += 16;
+        }
+        if col + LANES <= stride {
+            rows.block::<LANES, false>(col, acc, row_sum, current);
+            col += LANES;
+        }
+        debug_assert_eq!(col, stride, "stride must be a multiple of LANES");
+        current
     }
 }
 
-/// The rows one [`SpikeRows::add_rows`] call drives on the differential
-/// layout, all at the spike voltage `v`.
+/// The rows one [`SpikeRows::add_rows`] call drives, all at the spike
+/// voltage `v`.
 struct DriveRows<'r> {
     rows: &'r [usize],
     base: usize,
@@ -400,8 +344,8 @@ mod tests {
     /// One differential-layout case: a random `rows × cols` layout, a
     /// dense or spike drive with about `zero_pct`% silent rows, and a
     /// random starting `diff`. Every build of [`gemv`] (dense) or the
-    /// [`SpikeRows`] row adds (spikes) must reproduce the per-cell scalar
-    /// loop bit for bit — the differential outputs, the untouched tail
+    /// [`SpikeRows`] row adds (spikes) must reproduce the per-cell loop
+    /// bit for bit — the differential outputs, the untouched tail
     /// past the stride, and the total current.
     fn check_gemv(cols: usize, rows: usize, zero_pct: usize, spikes: bool, seed: u64) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -463,7 +407,7 @@ mod tests {
                     .filter(|&r| inputs[r] != 0.0)
                     .map(|r| r + 7)
                     .collect();
-                SpikeRows::differential(v, m).add_rows(&driven, 7, out, 0.0)
+                SpikeRows::new(v, m).add_rows(&driven, 7, out, 0.0)
             })]
         } else {
             vec![("dispatch", gemv), ("portable", gemv_portable)]
@@ -511,10 +455,5 @@ mod tests {
         ) {
             check_gemv(cols, rows, zero_pct, spikes == 1, seed);
         }
-    }
-
-    #[test]
-    fn default_path_is_auto() {
-        assert_eq!(KernelPath::default(), KernelPath::Auto);
     }
 }

@@ -16,13 +16,13 @@
 //!   [`SuperTile::eval_dense_prepared`] (dense drives) or
 //!   [`SuperTile::spike_rows`] (spikes) from any number of workers, then
 //!   [`SuperTile::accrue_batch`] — checked against one per-cell oracle,
-//!   `dot_reference`.
+//!   `dot_reference`, bit for bit in outputs and read energy.
 //! * [`nu`] — neuron units: arrays of current-driven spin neurons
 //!   (spiking IF or saturating ReLU) terminating crossbar columns.
 //! * [`kernel`] — the GEMV kernels beneath the evaluation fast path:
 //!   the column-lane differential-conductance layout with per-row
-//!   energy sums, the spike row adds, and the [`KernelPath`] selector
-//!   (`Auto`, or the `Scalar` reference).
+//!   conductance sums (each driven row's current, as the oracle sums
+//!   it), and the spike row adds.
 //! * [`converters`] — the multi-level DACs, spike drivers and the
 //!   sparingly used 4-bit ADC.
 //!
@@ -63,6 +63,7 @@ pub use array::AtomicCrossbar;
 pub use config::{CrossbarConfig, Mode};
 pub use converters::{Adc, MultiLevelDac, SpikeDriver};
 pub use error::CrossbarError;
+#[allow(deprecated)]
 pub use kernel::KernelPath;
 pub use nu::NeuronUnit;
 pub use tile::{acs_per_kernel, kernels_per_supertile, nu_level_for, NuLevel, SuperTile};

@@ -14,7 +14,7 @@
 use crate::array::AtomicCrossbar;
 use crate::config::CrossbarConfig;
 use crate::error::CrossbarError;
-use crate::kernel::{self, KernelPath};
+use crate::kernel;
 use nebula_device::fault::FaultModel;
 use nebula_device::units::{Amps, Joules, Seconds};
 use rand::Rng;
@@ -106,7 +106,6 @@ pub struct SuperTile {
     m: usize,
     rf: usize,
     kernels: usize,
-    level: Option<NuLevel>,
 }
 
 impl SuperTile {
@@ -125,18 +124,12 @@ impl SuperTile {
             m,
             rf: 0,
             kernels: 0,
-            level: None,
         })
     }
 
     /// Atomic-crossbar side `M`.
     pub fn m(&self) -> usize {
         self.m
-    }
-
-    /// The hierarchy level the current programming activates.
-    pub fn active_level(&self) -> Option<NuLevel> {
-        self.level
     }
 
     /// Programs a kernel matrix `weights[rf][k]` (`k` kernels as columns)
@@ -198,7 +191,6 @@ impl SuperTile {
         }
         self.rf = rf;
         self.kernels = k;
-        self.level = Some(level);
         Ok(level)
     }
 
@@ -257,28 +249,10 @@ impl SuperTile {
         kernel::padded_len(self.kernels)
     }
 
-    /// Selects the inner-loop kernel every atomic crossbar's prepared
-    /// evaluators run through: [`KernelPath::Auto`] (the default) or the
-    /// [`KernelPath::Scalar`] reference. Outputs are bit-identical on both
-    /// paths; only the energy term's association differs. Switching does
-    /// not discard a prepared layout — the next [`prepare`](Self::prepare)
-    /// builds the selected one if it is missing.
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        for ac in &mut self.acs {
-            ac.set_kernel_path(path);
-        }
-    }
-
-    /// The inner-loop kernel the tile's crossbars are set to.
-    pub fn kernel_path(&self) -> KernelPath {
-        self.acs[0].kernel_path()
-    }
-
-    /// Total bytes of the per-AC cache layouts backing the current kernel
-    /// path (resolved conductances on [`KernelPath::Scalar`], padded
-    /// differential rows plus per-row sums on [`KernelPath::Auto`]); 0 for
-    /// ACs whose cache is dirty or unbuilt, so call after
-    /// [`prepare`](Self::prepare) for a meaningful footprint.
+    /// Total bytes of the per-AC prepared caches (padded differential
+    /// rows plus per-row sums); 0 for ACs whose cache is dirty or
+    /// unbuilt, so call after [`prepare`](Self::prepare) for a meaningful
+    /// footprint.
     pub fn kernel_cache_bytes(&self) -> usize {
         self.acs.iter().map(|ac| ac.kernel_cache_bytes()).sum()
     }
@@ -299,11 +273,11 @@ impl SuperTile {
     /// current each AC drew into `currents` (len
     /// [`chunk_count`](Self::chunk_count)) — the caller must feed the
     /// latter back through [`accrue_batch`](Self::accrue_batch) in item
-    /// order to keep energy counters bit-identical to the sequential
-    /// path. `diff` is scratch space (len ≥
-    /// [`scratch_cols`](Self::scratch_cols); contents ignored). Every
-    /// output is [`dot_reference`](Self::dot_reference)'s bits, whatever
-    /// the worker count.
+    /// order to keep energy counters bit-identical to the oracle. `diff`
+    /// is scratch space (len ≥ [`scratch_cols`](Self::scratch_cols);
+    /// contents ignored). Every output, and the energy accrued from
+    /// `currents`, is [`dot_reference`](Self::dot_reference)'s bits,
+    /// whatever the worker count.
     ///
     /// # Panics
     ///
@@ -417,11 +391,6 @@ impl SuperTile {
         }
     }
 
-    /// Number of power-gated (dead) atomic crossbars.
-    pub fn dead_acs(&self) -> usize {
-        self.acs.iter().filter(|ac| ac.is_dead()).count()
-    }
-
     /// True when every atomic crossbar is dead — the whole super-tile is
     /// out of service and the mapper must route around it.
     pub fn is_dead(&self) -> bool {
@@ -486,9 +455,11 @@ mod tests {
     }
 
     /// One dense drive through the split-phase seam (prepare, evaluate,
-    /// accrue), checked bitwise against the per-cell oracle on a clone.
+    /// accrue), checked bitwise against the per-cell oracle on a clone:
+    /// outputs and accrued energy.
     fn seam_dot(st: &mut SuperTile, inputs: &[f64]) -> Vec<Amps> {
-        let expect = st.clone().dot_reference(inputs).unwrap();
+        let mut oracle = st.clone();
+        let expect = oracle.dot_reference(inputs).unwrap();
         st.prepare();
         let mut totals = vec![Amps::ZERO; st.kernels()];
         let mut currents = vec![0.0; st.chunk_count()];
@@ -496,7 +467,17 @@ mod tests {
         st.eval_dense_prepared(inputs, &mut totals, &mut currents, &mut diff);
         st.accrue_batch(&[&currents]);
         assert_eq!(totals, expect, "seam must match the oracle bitwise");
+        assert_eq!(
+            st.accumulated_read_energy().0.to_bits(),
+            oracle.accumulated_read_energy().0.to_bits(),
+            "seam energy must match the oracle bitwise"
+        );
         totals
+    }
+
+    /// Dead ACs of `st`.
+    fn dead_acs(st: &SuperTile) -> usize {
+        st.acs.iter().filter(|ac| ac.is_dead()).count()
     }
 
     /// One binary spike drive (ascending active rows) through the seam:
@@ -637,59 +618,41 @@ mod tests {
     fn supertile_dot_reference_matches_fast_path() {
         let mut st = SuperTile::new(small_config()).unwrap();
         let rf = 20;
-        st.program(&vec![vec![0.75, -0.25]; rf], 1.0).unwrap();
-        let inputs: Vec<f64> = (0..rf).map(|i| (i % 4) as f64 / 3.0).collect();
-        let mut reference = st.clone();
-        let mut scalar = st.clone();
-        scalar.set_kernel_path(KernelPath::Scalar);
-        let expected = reference.dot_reference(&inputs).unwrap();
-        assert_eq!(seam_dot(&mut st, &inputs), expected);
-        assert_eq!(seam_dot(&mut scalar, &inputs), expected);
-        // Scalar kernel: energy bitwise; Auto kernel: per-row
-        // re-association held to the documented ≤ 1e-12 relative bound.
-        assert_eq!(
-            scalar.accumulated_read_energy(),
-            reference.accumulated_read_energy()
-        );
-        let e_ref = reference.accumulated_read_energy().0;
-        let e_vec = st.accumulated_read_energy().0;
-        assert!(
-            (e_vec - e_ref).abs() <= 1e-12 * e_ref.abs(),
-            "Auto energy {e_vec} vs reference {e_ref}"
-        );
-    }
-
-    #[test]
-    fn supertile_auto_matches_scalar_bitwise() {
-        let mut st = SuperTile::new(small_config()).unwrap();
-        let rf = 20;
         let weights: Vec<Vec<f64>> = (0..rf)
-            .map(|r| vec![(r % 5) as f64 / 4.0 - 0.5, (r % 3) as f64 / 2.0])
+            .map(|r| {
+                (0..5)
+                    .map(|c| ((3 * r + c) % 7) as f64 / 6.0 - 0.5)
+                    .collect()
+            })
             .collect();
         st.program(&weights, 1.0).unwrap();
-        st.kill_ac(1); // kill switch must flow through both layouts
-        let mut scalar = st.clone();
-        scalar.set_kernel_path(KernelPath::Scalar);
-        assert_eq!(st.kernel_path(), KernelPath::Auto);
+        // The kill switch must flow through the cache, and drifted cells
+        // leave the device grid, so the row sums round.
+        st.kill_ac(1);
+        let drift = FaultModel::single(nebula_device::fault::FaultClass::RetentionDrift, 0.5);
+        st.inject_faults(&drift, &mut rand::rngs::StdRng::seed_from_u64(5));
+        st.advance_age(Seconds(1e6));
+        let mut reference = st.clone();
 
+        // Dense drives: `seam_dot` checks outputs and energy bitwise.
         let inputs: Vec<f64> = (0..rf).map(|i| (i % 4) as f64 / 3.0 - 0.2).collect();
-        assert_eq!(
-            seam_dot(&mut st, &inputs),
-            seam_dot(&mut scalar, &inputs),
-            "Auto dense outputs must be bitwise scalar"
-        );
+        seam_dot(&mut st, &inputs);
+        reference.dot_reference(&inputs).unwrap();
+
+        // Spike drives: the same bits as the oracle's binary drive.
         let active = [1usize, 4, 7, 19];
+        let mut binary = vec![0.0; rf];
+        for &r in &active {
+            binary[r] = 1.0;
+        }
+        let expect = reference.dot_reference(&binary).unwrap();
+        assert_eq!(seam_spikes(&mut st, &active), expect);
+        let e_ref = reference.accumulated_read_energy().0;
+        assert!(e_ref > 0.0);
         assert_eq!(
-            seam_spikes(&mut st, &active),
-            seam_spikes(&mut scalar, &active),
-            "Auto spike outputs must be bitwise scalar"
-        );
-        // Energy uses the per-row-sum formulation: ≤ 1e-12 relative.
-        let e_ref = scalar.accumulated_read_energy().0;
-        let e_auto = st.accumulated_read_energy().0;
-        assert!(
-            e_ref > 0.0 && (e_auto - e_ref).abs() <= 1e-12 * e_ref,
-            "Auto energy {e_auto} vs scalar {e_ref}"
+            st.accumulated_read_energy().0.to_bits(),
+            e_ref.to_bits(),
+            "spike energy must match the oracle bitwise"
         );
     }
 
@@ -712,7 +675,6 @@ mod tests {
         assert!(st.program(&vec![vec![1.0]; 4], 0.0).is_err());
         assert!(st.program(&vec![vec![1.0]; 4], f64::NAN).is_err());
 
-        assert_eq!(st.active_level(), snapshot.active_level());
         let a = st.dot_reference(&[1.0; 20]).unwrap();
         let b = snapshot.clone().dot_reference(&[1.0; 20]).unwrap();
         assert_eq!(a, b, "failed program must not alter crossbar state");
@@ -729,7 +691,7 @@ mod tests {
         let rf = 20; // spans 3 ACs of m=8: rows 0..8, 8..16, 16..20
         st.program(&vec![vec![1.0]; rf], 1.0).unwrap();
         st.kill_ac(1); // rows 8..16 go silent
-        assert_eq!(st.dead_acs(), 1);
+        assert_eq!(dead_acs(&st), 1);
         assert!(!st.is_dead());
         let out = seam_dot(&mut st, &vec![1.0; rf]);
         let val = out[0].0 / st.unit_current().0;
@@ -754,7 +716,7 @@ mod tests {
             "dead tile draws nothing"
         );
         st.revive();
-        assert_eq!(st.dead_acs(), 0);
+        assert_eq!(dead_acs(&st), 0);
         let out = seam_dot(&mut st, &[1.0; 10]);
         assert!(out[0].0 > 0.0, "revival restores evaluation");
     }

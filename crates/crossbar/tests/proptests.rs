@@ -4,14 +4,13 @@
 //! (`dot_reference`); the fast path is checked through the one
 //! split-phase seam `nebula-core` drives (`SuperTile::prepare`,
 //! `eval_dense_prepared` / `spike_rows`, `accrue_batch`) against that
-//! oracle.
+//! oracle, bit for bit in outputs and read energy.
 
 #![allow(clippy::needless_range_loop)]
 
 use nebula_crossbar::converters::{Adc, MultiLevelDac, SpikeDriver};
 use nebula_crossbar::{
-    kernels_per_supertile, nu_level_for, AtomicCrossbar, CrossbarConfig, KernelPath, Mode,
-    SuperTile,
+    kernels_per_supertile, nu_level_for, AtomicCrossbar, CrossbarConfig, Mode, SuperTile,
 };
 use nebula_device::fault::{FaultClass, FaultModel};
 use nebula_device::units::{Amps, Seconds};
@@ -45,10 +44,6 @@ fn kernel_shapes() -> impl Strategy<Value = Vec<Vec<f64>>> {
     })
 }
 
-/// Relative bound on Auto's accumulated per-row-sum read energy against
-/// the scalar chain.
-const ENERGY_RTOL: f64 = 1e-9;
-
 /// A model injecting one hard fault class at `rate` per cell, or none.
 fn fault_model(kind: usize, rate: f64) -> FaultModel {
     let class = match kind {
@@ -62,13 +57,12 @@ fn fault_model(kind: usize, rate: f64) -> FaultModel {
     FaultModel::single(class, rate)
 }
 
-/// A super-tile of `m`-sided ACs programmed with `w` on `path`.
-fn tile(mode: Mode, m: usize, w: &[Vec<f64>], path: KernelPath) -> SuperTile {
+/// A super-tile of `m`-sided ACs programmed with `w`.
+fn tile(mode: Mode, m: usize, w: &[Vec<f64>]) -> SuperTile {
     let mut cfg = CrossbarConfig::paper_default(mode);
     cfg.m = m;
     let mut st = SuperTile::new(cfg).unwrap();
     st.program(w, 1.0).unwrap();
-    st.set_kernel_path(path);
     st
 }
 
@@ -162,22 +156,20 @@ fn assert_bitwise(got: &[Vec<Amps>], expect: &[Vec<Amps>], what: &str) {
     }
 }
 
-/// Scalar energy must be the oracle's bits; Auto's per-row-sum energy
-/// within [`ENERGY_RTOL`].
-fn assert_energy(path: KernelPath, got: &SuperTile, expect: &SuperTile) {
+/// The seam's accumulated read energy must be the oracle's bits: both
+/// sum each driven row's conductances, then chain the row currents.
+fn assert_energy(got: &SuperTile, expect: &SuperTile) {
     let (e_got, e_ref) = (
         got.accumulated_read_energy().0,
         expect.accumulated_read_energy().0,
     );
-    match path {
-        KernelPath::Scalar => prop_assert_eq!(e_got.to_bits(), e_ref.to_bits(), "scalar energy"),
-        KernelPath::Auto => prop_assert!(
-            (e_got - e_ref).abs() <= ENERGY_RTOL * e_ref.abs(),
-            "Auto energy {} vs oracle {}",
-            e_got,
-            e_ref
-        ),
-    }
+    prop_assert_eq!(
+        e_got.to_bits(),
+        e_ref.to_bits(),
+        "energy {} vs oracle {}",
+        e_got,
+        e_ref
+    );
 }
 
 proptest! {
@@ -298,34 +290,28 @@ proptest! {
         prop_assert_eq!(d.events(), expected);
     }
 
-    /// Both inner-loop kernels produce, through the seam, bit-identical
-    /// differential column currents to the uncached per-cell oracle on
-    /// arbitrary single-AC shapes — including single rows/columns and
-    /// widths straddling the 8-lane boundary (remainder lanes) — and the
-    /// scalar path's read energy is bitwise too, while Auto's
-    /// per-row-sum energy stays within 1e-9 relative.
+    /// The seam produces bit-identical differential column currents and
+    /// read energy to the uncached per-cell oracle on arbitrary single-AC
+    /// shapes — including single rows/columns and widths straddling the
+    /// 8-lane boundary (remainder lanes).
     #[test]
-    fn kernel_paths_match_reference_bitwise(
+    fn seam_matches_reference_bitwise(
         w in kernel_shapes(),
         drives in proptest::collection::vec(0.0f64..1.0, 24),
     ) {
         let inputs = vec![drives[..w.len()].to_vec()];
-        let mut reference = tile(Mode::Ann, 128, &w, KernelPath::Scalar);
+        let mut reference = tile(Mode::Ann, 128, &w);
         let expect = oracle(&mut reference, &inputs);
-        for path in [KernelPath::Scalar, KernelPath::Auto] {
-            let mut st = tile(Mode::Ann, 128, &w, path);
-            assert_bitwise(&seam_dense(&mut st, &inputs), &expect, &format!("{path:?}"));
-            assert_energy(path, &st, &reference);
-        }
+        let mut st = tile(Mode::Ann, 128, &w);
+        assert_bitwise(&seam_dense(&mut st, &inputs), &expect, "seam");
+        assert_energy(&st, &reference);
     }
 
-    /// Spike drives through the seam agree bitwise with dense SNN-mode
-    /// evaluation of the equivalent binary drive on both kernel paths,
-    /// with or without faulty cells, and the two paths agree bitwise on
-    /// the outputs (Auto's per-row-sum energy within 1e-9 of Scalar's).
-    /// The explicit edges hold on both paths too: an all-silent drive
-    /// outputs zeros and accrues no energy, and a single active row
-    /// reproduces the scalar bits.
+    /// Spike drives through the seam agree bitwise, in outputs and
+    /// energy, with the oracle and with the dense seam on the equivalent
+    /// binary drive, with or without faulty cells. The explicit edges
+    /// hold too: an all-silent drive outputs zeros and accrues no
+    /// energy, and a single active row reproduces the oracle's bits.
     #[test]
     fn sparse_and_dense_spike_evaluation_agree(
         w in kernel_shapes(),
@@ -340,38 +326,30 @@ proptest! {
         let dense = vec![binary_drive(&active[0], rows)];
         let single = vec![vec![row_pick % rows]];
         let faults = fault_model(kind, rate);
-        let build = |path| {
-            let mut st = tile(Mode::Snn, 32, &w, path);
-            degrade(&mut st, &faults, seed, 0.0);
-            st
-        };
-        let mut scalar = build(KernelPath::Scalar);
-        let scalar_out = seam_spikes(&mut scalar, &active);
-        let scalar_single = seam_spikes(&mut scalar.clone(), &single);
-        assert_bitwise(&scalar_out, &oracle(&mut build(KernelPath::Scalar), &dense), "scalar vs oracle");
-        for path in [KernelPath::Scalar, KernelPath::Auto] {
-            let mut a = build(path);
-            let mut b = a.clone();
-            let silent = seam_spikes(&mut a, &[vec![]]);
-            prop_assert!(silent[0].iter().all(|c| c.0 == 0.0), "{:?}: silent input must output zeros", path);
-            prop_assert_eq!(a.accumulated_read_energy().0, 0.0, "{:?}: silent input must not accrue energy", path);
-            let ya = seam_spikes(&mut a, &active);
-            assert_bitwise(&ya, &seam_dense(&mut b, &dense), &format!("{path:?} spikes vs dense"));
-            assert_bitwise(&ya, &scalar_out, &format!("{path:?} vs scalar"));
-            prop_assert_eq!(a.accumulated_read_energy().0.to_bits(), b.accumulated_read_energy().0.to_bits());
-            assert_energy(KernelPath::Auto, &a, &scalar);
-            assert_bitwise(&seam_spikes(&mut a, &single), &scalar_single, &format!("{path:?} single row"));
-        }
+        let mut a = tile(Mode::Snn, 32, &w);
+        degrade(&mut a, &faults, seed, 0.0);
+        let mut b = a.clone();
+        let mut reference = a.clone();
+        let silent = seam_spikes(&mut a, &[vec![]]);
+        prop_assert!(silent[0].iter().all(|c| c.0 == 0.0), "silent input must output zeros");
+        prop_assert_eq!(a.accumulated_read_energy().0, 0.0, "silent input must not accrue energy");
+        let ya = seam_spikes(&mut a, &active);
+        assert_bitwise(&ya, &oracle(&mut reference, &dense), "spikes vs oracle");
+        assert_bitwise(&ya, &seam_dense(&mut b, &dense), "spikes vs dense");
+        assert_energy(&a, &reference);
+        assert_energy(&b, &reference);
+        let expect_single = oracle(&mut reference, &[binary_drive(&single[0], rows)]);
+        assert_bitwise(&seam_spikes(&mut a, &single), &expect_single, "single row");
+        assert_energy(&a, &reference);
     }
 
     /// Bit-identity survives every conductance-mutating event: dead
     /// tiles, stuck/pinned/degraded/drifting cells and retention aging
-    /// all flow through the same cached layouts. Over a chain of up to
-    /// three seam calls, Scalar matches the uncached oracle bitwise on
-    /// outputs and accumulated energy; Auto matches the outputs bitwise
-    /// and the accumulated energy within 1e-9 relative.
+    /// all flow through the same cached layout. Over a chain of up to
+    /// three seam calls, the seam matches the uncached oracle bitwise on
+    /// outputs and accumulated energy.
     #[test]
-    fn kernel_paths_match_reference_under_faults_and_aging(
+    fn seam_matches_reference_under_faults_and_aging(
         w in kernel_shapes(),
         drives in proptest::collection::vec(0.0f64..1.0, 24 * 3),
         kind in 0usize..6,
@@ -382,36 +360,27 @@ proptest! {
         dots in 1usize..4,
     ) {
         let rows = w.len();
-        let faults = fault_model(kind, rate);
-        let build = |path| {
-            let mut st = tile(Mode::Ann, 32, &w, path);
-            degrade(&mut st, &faults, seed, age_s);
-            if dead == 1 {
-                st.kill();
-            }
-            st
-        };
-        let mut reference = build(KernelPath::Scalar);
-        let mut scalar = build(KernelPath::Scalar);
-        let mut auto = build(KernelPath::Auto);
+        let mut st = tile(Mode::Ann, 32, &w);
+        degrade(&mut st, &fault_model(kind, rate), seed, age_s);
+        if dead == 1 {
+            st.kill();
+        }
+        let mut reference = st.clone();
         for d in 0..dots {
             let inputs = vec![drives[d * rows..(d + 1) * rows].to_vec()];
             let expect = oracle(&mut reference, &inputs);
-            assert_bitwise(&seam_dense(&mut scalar, &inputs), &expect, &format!("scalar dot {d}"));
-            assert_bitwise(&seam_dense(&mut auto, &inputs), &expect, &format!("auto dot {d}"));
+            assert_bitwise(&seam_dense(&mut st, &inputs), &expect, &format!("dot {d}"));
         }
-        assert_energy(KernelPath::Scalar, &scalar, &reference);
-        assert_energy(KernelPath::Auto, &auto, &reference);
+        assert_energy(&st, &reference);
     }
 
     /// The seam on multi-AC tiles: with `m = 8` the receptive field spans
     /// H0, H1 and H2 (up to `16·m` rows), so partial currents are merged
     /// across up to 16 stacked ACs. A batch goes through the seam dense
     /// (`eval_dense_prepared`) and as spikes (`spike_rows(ac).add_rows`),
-    /// accrued in item order, and must match the per-item oracle under
-    /// faulty cells, aging, a killed AC and a whole-tile kill: Scalar
-    /// outputs and energy bitwise, Auto outputs bitwise and energy within
-    /// 1e-9 relative.
+    /// accrued in item order, and must match the per-item oracle, outputs
+    /// and energy bitwise, under faulty cells, aging, a killed AC and a
+    /// whole-tile kill.
     #[test]
     fn seam_matches_oracle_on_multi_ac_tiles(
         shape in (1usize..129, 1usize..9),
@@ -437,31 +406,29 @@ proptest! {
             .collect();
         let binary: Vec<Vec<f64>> = spikes.iter().map(|a| binary_drive(a, rf)).collect();
         let faults = fault_model(kind, rate);
-        for path in [KernelPath::Scalar, KernelPath::Auto] {
-            for (mode, drive) in [(Mode::Ann, &dense), (Mode::Snn, &binary)] {
-                let mut st = tile(mode, 8, &w, path);
-                degrade(&mut st, &faults, seed, age_s);
-                if kill_ac < 16 {
-                    st.kill_ac(kill_ac);
-                }
-                if whole_kill == 0 {
-                    st.kill();
-                }
-                let mut reference = st.clone();
-                let expect = oracle(&mut reference, drive);
-                let (got, what) = match mode {
-                    Mode::Ann => (seam_dense(&mut st, drive), "dense"),
-                    Mode::Snn => (seam_spikes(&mut st, &spikes), "spikes"),
-                };
-                assert_bitwise(&got, &expect, &format!("{path:?} {what} rf {rf}"));
-                assert_energy(path, &st, &reference);
+        for (mode, drive) in [(Mode::Ann, &dense), (Mode::Snn, &binary)] {
+            let mut st = tile(mode, 8, &w);
+            degrade(&mut st, &faults, seed, age_s);
+            if kill_ac < 16 {
+                st.kill_ac(kill_ac);
             }
+            if whole_kill == 0 {
+                st.kill();
+            }
+            let mut reference = st.clone();
+            let expect = oracle(&mut reference, drive);
+            let (got, what) = match mode {
+                Mode::Ann => (seam_dense(&mut st, drive), "dense"),
+                Mode::Snn => (seam_spikes(&mut st, &spikes), "spikes"),
+            };
+            assert_bitwise(&got, &expect, &format!("{what} rf {rf}"));
+            assert_energy(&st, &reference);
         }
     }
 
     #[test]
     fn read_energy_never_decreases(w in small_weights(), evals in 1usize..5) {
-        let mut st = tile(Mode::Snn, 128, &w, KernelPath::Auto);
+        let mut st = tile(Mode::Snn, 128, &w);
         let drive = vec![vec![1.0; w.len()]];
         let mut last = st.accumulated_read_energy().0;
         for _ in 0..evals {
