@@ -53,7 +53,7 @@ use std::time::Instant;
 
 use nebula_bench::measure::{bits_equal, ms, rel_err, sample_count};
 use nebula_core::analog::{compile_ann, AnalogNetwork};
-use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
+use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork, Draws};
 use nebula_core::capacity::fits_chip;
 use nebula_core::chip::ChipConfig;
 use nebula_core::energy::{EnergyModel, ExecMode};
@@ -385,21 +385,21 @@ fn run_snn_point(
     let mut single = snn.clone();
     let mut r1 = ChaCha8Rng::seed_from_u64(7);
     let tm = Instant::now();
-    let want = single.run(x, timesteps, &mut r1).unwrap();
+    let want = single.run(x, timesteps, Draws::Stream(&mut r1)).unwrap();
     let single_ms = ms(tm);
 
     let mut seq = build(snn.clone(), chips);
     seq.set_pipeline(sequential_config());
     let mut r2 = ChaCha8Rng::seed_from_u64(7);
     let tm = Instant::now();
-    let got_seq = seq.run(x, timesteps, &mut r2).unwrap();
+    let got_seq = seq.run(x, timesteps, Draws::Stream(&mut r2)).unwrap();
     let sharded_ms = ms(tm);
 
     let mut pipe = build(snn.clone(), chips);
     pipe.set_pipeline(cfg.clone());
     let mut r3 = ChaCha8Rng::seed_from_u64(7);
     let tm = Instant::now();
-    let got_pipe = pipe.run(x, timesteps, &mut r3).unwrap();
+    let got_pipe = pipe.run(x, timesteps, Draws::Stream(&mut r3)).unwrap();
     let pipelined_ms = ms(tm);
 
     let waves_ok = single.waves() == seq.waves() && seq.waves() == pipe.waves();

@@ -15,7 +15,7 @@
 //!   coalesced requests at the cost of batching wait).
 //!
 //! After each leg the exact request stream is replayed one request at a
-//! time through fresh `forward_sequential` / `run_sequential` reference
+//! time through fresh `oracle::forward` / `oracle::run` reference
 //! chips (same inputs, same per-request seeds) and every served output
 //! is compared **bit for bit** — the binary aborts on any divergence,
 //! so a recorded result file is also a bit-identity proof.
@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 
 use nebula_bench::setup::{trained, Workload};
 use nebula_core::analog::{compile_ann, AnalogNetwork};
-use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
+use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork, Draws};
+use nebula_core::oracle;
 use nebula_core::serve::{InferenceRequest, ModelSpec, RequestKind, ServeConfig, Server};
 use nebula_nn::convert::{ann_to_snn, ConversionConfig};
 use nebula_nn::quant::{quantize_network, QuantConfig};
@@ -202,11 +203,10 @@ fn run_leg(
     for (job, resp) in stream.iter().zip(&responses) {
         let expect = if job.snn {
             let mut r = rand::rngs::StdRng::seed_from_u64(job.seed);
-            snn_ref
-                .run_sequential(&job.input, TIMESTEPS, &mut r)
+            oracle::run(&mut snn_ref, &job.input, TIMESTEPS, Draws::Stream(&mut r))
                 .expect("replay snn")
         } else {
-            ann_ref.forward_sequential(&job.input).expect("replay ann")
+            oracle::forward(&mut ann_ref, &job.input).expect("replay ann")
         };
         identical &= resp.output.shape() == expect.shape()
             && resp

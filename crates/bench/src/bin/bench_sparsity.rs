@@ -11,13 +11,13 @@
 //!
 //! Per (timesteps, sparsity) point, two SNN legs run:
 //!
-//! * **sequential** — `run_sequential`, the per-sample per-cell
+//! * **sequential** — `oracle::run`, the per-sample per-cell
 //!   reference;
 //! * **event** — `run`, the event-driven engine (the timed production
 //!   path), whose outputs, waves *and* read energy must match the
 //!   reference bit for bit.
 //!
-//! The ANN baseline leg (`forward` vs `forward_sequential`) is checked
+//! The ANN baseline leg (`forward` vs `oracle::forward`) is checked
 //! the same way. Constant input encoding makes every leg's active set
 //! deterministic and exactly the configured density. A sparsity-0.0
 //! point per timestep count is the **dense-tick baseline**: the same
@@ -40,7 +40,8 @@ use std::time::Instant;
 use nebula_bench::measure::{bits_equal, ms, sample_count};
 use nebula_bench::setup::{trained, Workload};
 use nebula_core::analog::compile_ann;
-use nebula_core::analog_snn::compile_snn_default;
+use nebula_core::analog_snn::{compile_snn_default, Draws};
+use nebula_core::oracle;
 use nebula_nn::convert::{ann_to_snn, ConversionConfig};
 use nebula_nn::quant::{quantize_network, QuantConfig};
 use nebula_nn::snn::InputEncoding;
@@ -147,10 +148,12 @@ fn main() {
             let mut r_seq = ChaCha8Rng::seed_from_u64(7);
             let mut r_event = ChaCha8Rng::seed_from_u64(7);
             let tm = Instant::now();
-            let ys = seq.run_sequential(&x, timesteps, &mut r_seq).unwrap();
+            let ys = oracle::run(&mut seq, &x, timesteps, Draws::Stream(&mut r_seq)).unwrap();
             let sequential_ms = ms(tm);
             let tm = Instant::now();
-            let ye = event.run(&x, timesteps, &mut r_event).unwrap();
+            let ye = event
+                .run(&x, timesteps, Draws::Stream(&mut r_event))
+                .unwrap();
             let event_ms = ms(tm);
             let event_identical = bits_equal(&ye, &ys)
                 && event.read_energy().0.to_bits() == seq.read_energy().0.to_bits()
@@ -162,7 +165,7 @@ fn main() {
             let tm = Instant::now();
             let ya = ann.forward(&x).unwrap();
             let ann_ms = ms(tm);
-            let yas = ann_seq.forward_sequential(&x).unwrap();
+            let yas = oracle::forward(&mut ann_seq, &x).unwrap();
             let ann_identical = bits_equal(&ya, &yas)
                 && ann.read_energy().0.to_bits() == ann_seq.read_energy().0.to_bits()
                 && ann.waves() == ann_seq.waves();

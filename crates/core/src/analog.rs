@@ -26,11 +26,10 @@
 //!
 //! A compiled network is also its placement on a chip cluster
 //! ([`crate::multichip`]): compiling puts every stage in one unit on one
-//! chip, `shard` re-cuts the stages into more units, and every fast call
-//! (`forward`, `run`, `run_seeded_groups`) runs the units through the
-//! one pipeline executor. The sequential entry points
-//! (`forward_sequential`, `run_sequential`) walk the same units on the
-//! calling thread with the per-cell oracle
+//! chip, `shard` re-cuts the stages into more units, and the one call
+//! per mode (`forward`, `run`) runs the units through the one pipeline
+//! executor. The oracles ([`crate::oracle`]) walk the same units on the
+//! calling thread with the per-cell evaluator
 //! ([`SuperTile::dot_reference`]) at every synaptic stage. One crossbar
 //! evaluation is one 110 ns wave of the Fig. 8 pipeline.
 //!
@@ -925,8 +924,8 @@ impl AnalogNetwork {
     /// ring traffic is journaled and replayed at the join, one transfer
     /// per route per call. A zero-row batch runs as one empty item.
     /// Outputs, waves and energy counters are bit-identical to
-    /// [`forward_sequential`](Self::forward_sequential) on any placement
-    /// and schedule.
+    /// [`oracle::forward`](crate::oracle::forward) on any placement and
+    /// schedule.
     ///
     /// # Errors
     ///
@@ -942,29 +941,10 @@ impl AnalogNetwork {
         self.place.forward(inputs)
     }
 
-    /// [`forward`](Self::forward) through the per-cell oracle — the
-    /// independent reference every fast path is checked against. It
-    /// walks every unit's stages in order on the calling thread, one
-    /// uncached crossbar evaluation per sample and output position,
-    /// without the pipeline executor, its journal or the worker pool. It
-    /// moves no ring traffic on any placement ([`traffic`](Self::traffic)
-    /// is unchanged); outputs, waves and read energy match `forward` bit
-    /// for bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`forward`](Self::forward), without the routing failures.
+    /// [`oracle::forward`](crate::oracle::forward).
+    #[deprecated(note = "use `oracle::forward`; ROADMAP.md item 11 deletes this")]
     pub fn forward_sequential(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        self.place.forward_sequential(inputs)
-    }
-
-    /// Predicted class per input row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates circuit and tensor failures.
-    pub fn predict(&mut self, inputs: &Tensor) -> Result<Vec<usize>, AnalogError> {
-        Ok(self.forward(inputs)?.argmax_rows()?)
+        crate::oracle::forward(self, inputs)
     }
 
     /// Classification accuracy over a labelled batch.
@@ -1018,16 +998,15 @@ pub fn compile_ann_with_mismatch<R: Rng + ?Sized>(
     compile_ann(&noisy)
 }
 
-/// Number of `ACS_PER_SUPERTILE`-AC super-tiles a dense `rf×cols`
-/// matrix occupies under this executor's splitting (for capacity
-/// sanity-checks in tests).
-pub fn expected_supertiles(rf: usize, cols: usize) -> usize {
-    rf.div_ceil(MAX_RF_IN_CORE) * cols.div_ceil(M)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of `ACS_PER_SUPERTILE`-AC super-tiles a dense `rf×cols`
+    /// matrix occupies under this executor's splitting.
+    fn expected_supertiles(rf: usize, cols: usize) -> usize {
+        rf.div_ceil(MAX_RF_IN_CORE) * cols.div_ceil(M)
+    }
     use nebula_nn::Layer as L;
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -1091,7 +1070,7 @@ mod tests {
         for (bad, index) in [(f32::NAN, 3usize), (f32::NEG_INFINITY, 0)] {
             let mut x = Tensor::full(&[2, 2], 0.5);
             x.data_mut()[index] = bad;
-            for result in [analog.forward(&x), analog.forward_sequential(&x)] {
+            for result in [analog.forward(&x), crate::oracle::forward(&mut analog, &x)] {
                 assert!(
                     matches!(result, Err(AnalogError::NonFiniteInput { index: i }) if i == index),
                     "{bad} at {index}: {result:?}"
@@ -1143,7 +1122,7 @@ mod tests {
             let mut analog = compile_ann(&net).unwrap();
             for shape in &bad {
                 let x = Tensor::zeros(shape);
-                for result in [analog.forward(&x), analog.forward_sequential(&x)] {
+                for result in [analog.forward(&x), crate::oracle::forward(&mut analog, &x)] {
                     assert!(
                         matches!(result, Err(AnalogError::BadGeometry { .. })),
                         "{shape:?}: {result:?}"
@@ -1286,7 +1265,7 @@ mod tests {
             let x = Tensor::from_vec(data, &[images, channels, h, w]).unwrap();
             let master = compile_ann(&Network::new(layers)).unwrap();
             let mut oracle = master.clone();
-            let expect = oracle.forward_sequential(&x).unwrap();
+            let expect = crate::oracle::forward(&mut oracle, &x).unwrap();
             for workers in [1, 4] {
                 let mut fast = master.clone();
                 let y = fast
@@ -1320,7 +1299,7 @@ mod tests {
         let bits: Vec<u32> = x.data().iter().map(|v| v.to_bits()).collect();
         let mut analog = compile_ann(&net).unwrap();
         let fast = analog.forward(&x).unwrap();
-        let slow = analog.forward_sequential(&x).unwrap();
+        let slow = crate::oracle::forward(&mut analog, &x).unwrap();
         assert_eq!(
             x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             bits
@@ -1443,7 +1422,7 @@ mod tests {
         let mut fast = compile_ann_with_mismatch(&net, 0.10, &mut r).unwrap();
         let mut slow = fast.clone();
         let yf = fast.forward(&x).unwrap();
-        let ys = slow.forward_sequential(&x).unwrap();
+        let ys = crate::oracle::forward(&mut slow, &x).unwrap();
         for (a, b) in yf.data().iter().zip(ys.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "fast {a} vs reference {b}");
         }

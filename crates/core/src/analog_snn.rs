@@ -9,12 +9,12 @@
 //! [`AnalogNetwork`](crate::analog::AnalogNetwork) — the same programmed
 //! matrices, stage list and stage interpreter ([`crate::analog`]), and
 //! the same placement on a chip cluster ([`crate::multichip`]: one chip
-//! until `shard` re-cuts it, every fast call through the one pipeline
-//! executor, one timestep per item) — compiled with SNN drivers and IF
+//! until `shard` re-cuts it, `run` through the one pipeline executor,
+//! one timestep per item) — compiled with SNN drivers and IF
 //! populations on the columns. This module holds what only spikes need:
 //! the scatter-form evaluation of a synaptic stage (each spike adds the
 //! conductance rows it drives, so the work scales with spikes, not with
-//! crossbar waves), the input encoders, and the SNN entry points.
+//! crossbar waves), the input encoding and its [`Draws`], and `run`.
 
 use crate::analog::{accuracy, AnalogError, ProgrammedMatrix, Stage};
 use crate::components::{ACS_PER_SUPERTILE, M};
@@ -25,7 +25,8 @@ use nebula_device::units::Seconds;
 use nebula_device::FaultModel;
 use nebula_nn::snn::{IfPopulation, InputEncoding, SnnStage, SpikingNetwork};
 use nebula_tensor::{ConvGeometry, Tensor};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::ops::Range;
 
 impl ProgrammedMatrix {
@@ -618,7 +619,7 @@ impl AxisTaps {
 #[derive(Debug, Clone)]
 pub struct AnalogSpikingNetwork {
     pub(crate) place: Deployment,
-    encoding: InputEncoding,
+    pub(crate) encoding: InputEncoding,
 }
 
 /// Compiles a converted spiking network onto SNN-mode crossbars.
@@ -703,180 +704,161 @@ impl AnalogSpikingNetwork {
     }
 
     /// Runs `timesteps` of circuit-backed spiking inference and returns
-    /// the accumulated output potentials `[N, classes]`.
+    /// the accumulated output potentials `[N, classes]`, encoding the
+    /// input from `draws`.
     ///
     /// The call runs through the pipeline executor
     /// ([`crate::multichip`]), one timestep per item: the whole batch is
     /// encoded exactly once per timestep, at the pipeline head and in
-    /// ascending timestep order, so RNG consumption never depends on the
+    /// ascending timestep order, so the draws never depend on the
     /// placement. Every synaptic stage scatters the wave's spikes straight
     /// into the crossbar rows they drive (see DESIGN.md "Event-driven
     /// evaluation") instead of one dense `dot` per sample and output
     /// position, then accrues read energy in patch order. On one chip the
     /// scatter spans the worker pool; on a sharded network chip stage *k*
     /// advances timestep *t+1* while stage *k+1* advances timestep *t*.
-    /// Outputs, RNG consumption and waves are bit-identical to
-    /// [`run_sequential`](Self::run_sequential), and so is read energy.
-    /// The RNG is `Send` because the encoder runs on whichever pool worker
-    /// claims the pipeline head.
+    /// Outputs, draws, waves and read energy are bit-identical to
+    /// [`oracle::run`](crate::oracle::run).
     ///
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] when the input shape does not
-    /// fit the network (see [`output_shape`](Self::output_shape)) and
-    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, both
+    /// fit the network (see [`output_shape`](Self::output_shape)) or
+    /// [`Draws::Groups`] does not partition its rows, and
+    /// [`AnalogError::NonFiniteInput`] for a NaN or infinite input, all
     /// before any timestep runs; propagates circuit and tensor failures;
     /// inter-chip routing failures surface from the journal replay as
     /// [`AnalogError::Noc`].
-    pub fn run<R: Rng + Send + ?Sized>(
+    pub fn run(
+        &mut self,
+        inputs: &Tensor,
+        timesteps: usize,
+        draws: Draws<'_>,
+    ) -> Result<Tensor, AnalogError> {
+        let mut draws = draws.bind(self.encoding, inputs)?;
+        self.place
+            .run(inputs, timesteps, move |x: &Tensor| draws.encode(x))
+    }
+
+    /// [`oracle::run`](crate::oracle::run) from one caller stream.
+    #[deprecated(note = "use `oracle::run` with `Draws::Stream`; ROADMAP.md item 11 deletes this")]
+    pub fn run_sequential<R: RngCore + Send>(
         &mut self,
         inputs: &Tensor,
         timesteps: usize,
         rng: &mut R,
     ) -> Result<Tensor, AnalogError> {
-        let encoding = self.encoding;
-        self.place.run(inputs, timesteps, |x: &Tensor| {
-            encode_with(encoding, x, rng)
-        })
+        crate::oracle::run(self, inputs, timesteps, Draws::Stream(rng))
     }
 
-    /// [`run`](Self::run) through the per-cell oracle — the independent
-    /// reference every fast path is checked against. It walks every
-    /// unit's stages in order on the calling thread, one uncached
-    /// crossbar evaluation per sample, output position and timestep,
-    /// without the pipeline executor, its journal or the worker pool. It
-    /// moves no ring traffic on any placement ([`traffic`](Self::traffic)
-    /// is unchanged). The encoder consumes the RNG identically (whole
-    /// batch per timestep), so outputs, waves and read energy match
-    /// [`run`](Self::run) bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run), without the routing failures.
-    pub fn run_sequential<R: Rng + ?Sized>(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        rng: &mut R,
-    ) -> Result<Tensor, AnalogError> {
-        let encoding = self.encoding;
-        self.place.run_sequential(inputs, timesteps, |x: &Tensor| {
-            encode_with(encoding, x, rng)
-        })
-    }
-
-    /// Runs `timesteps` of circuit-backed spiking inference for a batch
-    /// of independently seeded request groups — the serving layer's
-    /// entry point for dynamically batched SNN jobs.
-    ///
-    /// `groups` partitions the batch rows: `(rows, seed)` covers the
-    /// next `rows` samples and encodes them, every timestep, from its
-    /// own [`rand::rngs::StdRng`] stream seeded with `seed`. Because a
-    /// solo run over one group's rows consumes its RNG in exactly the
-    /// same order (row-major per timestep), the output potentials are
-    /// **bit-identical** to concatenating
-    /// `run(group_rows, timesteps, StdRng::seed_from_u64(seed))` per
-    /// group — and hence, by the batched-evaluator contract, to
-    /// [`run_sequential`](Self::run_sequential) per group, on any
-    /// placement. Coalescing requests into one wave therefore cannot
-    /// change any tenant's answer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::BadGeometry`] when the group row counts
-    /// don't sum to the batch size; otherwise as [`run`](Self::run).
+    /// [`run`](Self::run) from per-group seeds.
+    #[deprecated(note = "use `run` with `Draws::Groups`; ROADMAP.md item 11 deletes this")]
     pub fn run_seeded_groups(
         &mut self,
         inputs: &Tensor,
         timesteps: usize,
         groups: &[(usize, u64)],
     ) -> Result<Tensor, AnalogError> {
-        let encode = seeded_groups_encoder(self.encoding, inputs, groups)?;
-        self.place.run(inputs, timesteps, encode)
+        self.run(inputs, timesteps, Draws::Groups(groups))
     }
 
-    /// Classification accuracy of the circuit-backed SNN.
+    /// Classification accuracy of the circuit-backed SNN, drawing from
+    /// one caller stream.
     ///
     /// # Errors
     ///
     /// Returns [`AnalogError::BadGeometry`] when the label count differs
     /// from the batch size, before any timestep runs or `rng` is drawn
     /// from; otherwise as [`run`](Self::run).
-    pub fn accuracy<R: Rng + Send + ?Sized>(
+    pub fn accuracy<R: RngCore + Send>(
         &mut self,
         inputs: &Tensor,
         labels: &[usize],
         timesteps: usize,
         rng: &mut R,
     ) -> Result<f64, AnalogError> {
-        accuracy(inputs, labels, || self.run(inputs, timesteps, rng))
+        accuracy(inputs, labels, || {
+            self.run(inputs, timesteps, Draws::Stream(rng))
+        })
     }
 }
 
-/// The timestep encoder for independently seeded request groups:
-/// group `(rows, seed)` covers the next `rows` batch rows and draws
-/// from its own [`rand::rngs::StdRng`] stream seeded with `seed`,
-/// elementwise in row-major order — exactly the draws (Poisson) or
-/// values (Constant) a solo [`encode_with`] over that group's rows
-/// would produce.
-///
-/// # Errors
-///
-/// Returns [`AnalogError::BadGeometry`] for a rank-0 input or when the
-/// group row counts don't sum to the batch size.
-pub(crate) fn seeded_groups_encoder<'g>(
-    encoding: InputEncoding,
-    inputs: &Tensor,
-    groups: &'g [(usize, u64)],
-) -> Result<impl FnMut(&Tensor) -> Tensor + Send + 'g, AnalogError> {
-    let n = *inputs
-        .shape()
-        .first()
-        .ok_or_else(|| AnalogError::BadGeometry {
-            reason: "rank-0 input".into(),
-        })?;
-    let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
-    if total != n {
-        return Err(AnalogError::BadGeometry {
-            reason: format!("seeded groups cover {total} rows, batch has {n}"),
-        });
+/// Where an SNN run's random draws come from. Every timestep encodes
+/// the whole batch elementwise in row-major order (Poisson draws once
+/// per element; Constant draws nothing).
+pub enum Draws<'a> {
+    /// One caller stream for the whole batch.
+    Stream(&'a mut (dyn RngCore + Send)),
+    /// Seeded request groups partitioning the batch: `(rows, seed)`
+    /// covers the next `rows` rows with the draws a solo run over them
+    /// makes from `Stream(&mut StdRng::seed_from_u64(seed))`, so
+    /// coalescing requests cannot change any tenant's answer.
+    Groups(&'a [(usize, u64)]),
+}
+
+/// [`Draws`] checked against one batch: the per-timestep encoder.
+pub(crate) enum BoundDraws<'a> {
+    Stream(InputEncoding, &'a mut (dyn RngCore + Send)),
+    Groups(InputEncoding, Vec<(usize, StdRng)>, usize),
+}
+
+impl<'a> Draws<'a> {
+    /// Binds these draws to a batch of `inputs` under `encoding`, or
+    /// returns [`AnalogError::BadGeometry`] when groups meet a rank-0
+    /// input or do not cover exactly its rows.
+    pub(crate) fn bind(
+        self,
+        encoding: InputEncoding,
+        inputs: &Tensor,
+    ) -> Result<BoundDraws<'a>, AnalogError> {
+        let groups = match self {
+            Draws::Stream(rng) => return Ok(BoundDraws::Stream(encoding, rng)),
+            Draws::Groups(groups) => groups,
+        };
+        let bad = |reason: String| Err(AnalogError::BadGeometry { reason });
+        let Some(&n) = inputs.shape().first() else {
+            return bad("rank-0 input".into());
+        };
+        let total: usize = groups.iter().map(|&(rows, _)| rows).sum();
+        if total != n {
+            return bad(format!("seeded groups cover {total} rows, batch has {n}"));
+        }
+        let rngs = groups
+            .iter()
+            .map(|&(rows, seed)| (rows, StdRng::seed_from_u64(seed)));
+        let row_elems = inputs.len().checked_div(n).unwrap_or(0);
+        Ok(BoundDraws::Groups(encoding, rngs.collect(), row_elems))
     }
-    let row_elems = inputs.len().checked_div(n).unwrap_or(0);
-    let mut rngs: Vec<rand::rngs::StdRng> = groups
-        .iter()
-        .map(|&(_, seed)| rand::SeedableRng::seed_from_u64(seed))
-        .collect();
-    Ok(move |x: &Tensor| {
+}
+
+impl BoundDraws<'_> {
+    /// Encodes one timestep of the bound batch `x`.
+    pub(crate) fn encode(&mut self, x: &Tensor) -> Tensor {
         let mut t = Tensor::zeros(x.shape());
-        let mut offset = 0usize;
-        for (&(rows, _), rng) in groups.iter().zip(rngs.iter_mut()) {
-            let span = offset * row_elems..(offset + rows) * row_elems;
-            encode_into(
-                encoding,
-                &x.data()[span.clone()],
-                &mut t.data_mut()[span],
-                rng,
-            );
-            offset += rows;
+        match self {
+            BoundDraws::Stream(encoding, rng) => {
+                encode_into(*encoding, x.data(), t.data_mut(), &mut **rng)
+            }
+            BoundDraws::Groups(encoding, rngs, row_elems) => {
+                let mut offset = 0usize;
+                for (rows, rng) in rngs {
+                    let span = offset * *row_elems..(offset + *rows) * *row_elems;
+                    encode_into(
+                        *encoding,
+                        &x.data()[span.clone()],
+                        &mut t.data_mut()[span],
+                        rng,
+                    );
+                    offset += *rows;
+                }
+            }
         }
         t
-    })
+    }
 }
 
-/// Encodes one timestep of input under `encoding`, drawing from `rng`
-/// elementwise in row-major order (Poisson consumes exactly one draw
-/// per element; Constant consumes none).
-pub(crate) fn encode_with<R: Rng + ?Sized>(
-    encoding: InputEncoding,
-    inputs: &Tensor,
-    rng: &mut R,
-) -> Tensor {
-    let mut t = Tensor::zeros(inputs.shape());
-    encode_into(encoding, inputs.data(), t.data_mut(), rng);
-    t
-}
-
-/// Encodes `src` into `dst` as [`encode_with`] does.
+/// Encodes `src` into `dst` under `encoding`, drawing from `rng`
+/// elementwise in order.
 fn encode_into<R: Rng + ?Sized>(
     encoding: InputEncoding,
     src: &[f32],
@@ -1106,7 +1088,7 @@ mod tests {
         let functional = ann_to_snn(&net, &data, &ConversionConfig::default()).unwrap();
         let mut analog = compile_snn_default(&functional).unwrap();
         let zeros = Tensor::zeros(&[4, 2]);
-        analog.run(&zeros, 20, &mut r).unwrap();
+        analog.run(&zeros, 20, Draws::Stream(&mut r)).unwrap();
         assert_eq!(
             analog.read_energy(),
             Joules::ZERO,
@@ -1179,8 +1161,8 @@ mod tests {
         // Nothing changed: the same run on both gives the same bits.
         let x = Tensor::rand_uniform(&[2, 1, 8, 8], 0.0, 1.0, &mut r);
         let seeded = || rand::rngs::StdRng::seed_from_u64(3);
-        let got = wounded.run(&x, 6, &mut seeded()).unwrap();
-        let want = untouched.run(&x, 6, &mut seeded()).unwrap();
+        let got = wounded.run(&x, 6, Draws::Stream(&mut seeded())).unwrap();
+        let want = untouched.run(&x, 6, Draws::Stream(&mut seeded())).unwrap();
         for (a, b) in got.data().iter().zip(want.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1202,7 +1184,7 @@ mod tests {
         let mut analog = conv_snn(&mut r);
         let x = Tensor::rand_uniform(&[3, 1, 8, 8], 0.0, 1.0, &mut r);
         let mut r1 = rand::rngs::StdRng::seed_from_u64(41);
-        analog.run(&x, 1, &mut r1).unwrap();
+        analog.run(&x, 1, Draws::Stream(&mut r1)).unwrap();
         let caps = scratch_caps(&analog);
         // One scratch per synaptic stage (the conv and the dense), each
         // with one block per worker the 3-image batch can use.
@@ -1218,9 +1200,9 @@ mod tests {
             }
         }
         let mut r2 = rand::rngs::StdRng::seed_from_u64(42);
-        analog.run(&x, 25, &mut r2).unwrap();
+        analog.run(&x, 25, Draws::Stream(&mut r2)).unwrap();
         let dense = Tensor::full(&[3, 1, 8, 8], 1.0);
-        analog.run(&dense, 3, &mut r2).unwrap();
+        analog.run(&dense, 3, Draws::Stream(&mut r2)).unwrap();
         assert_eq!(
             scratch_caps(&analog),
             caps,
@@ -1257,8 +1239,8 @@ mod tests {
         fast.set_encoding(InputEncoding::Constant);
         slow.set_encoding(InputEncoding::Constant);
         let zeros = Tensor::zeros(&[4, 2]);
-        let yf = fast.run(&zeros, 12, &mut r).unwrap();
-        let ys = slow.run_sequential(&zeros, 12, &mut r).unwrap();
+        let yf = fast.run(&zeros, 12, Draws::Stream(&mut r)).unwrap();
+        let ys = crate::oracle::run(&mut slow, &zeros, 12, Draws::Stream(&mut r)).unwrap();
         for (a, b) in yf.data().iter().zip(ys.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1293,8 +1275,8 @@ mod tests {
         fast.set_encoding(InputEncoding::Constant);
         slow.set_encoding(InputEncoding::Constant);
         let zeros = Tensor::zeros(&[3, 2]);
-        let yf = fast.run(&zeros, 30, &mut r).unwrap();
-        let ys = slow.run_sequential(&zeros, 30, &mut r).unwrap();
+        let yf = fast.run(&zeros, 30, Draws::Stream(&mut r)).unwrap();
+        let ys = crate::oracle::run(&mut slow, &zeros, 30, Draws::Stream(&mut r)).unwrap();
         for (a, b) in yf.data().iter().zip(ys.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1315,8 +1297,11 @@ mod tests {
         let functional = ann_to_snn(&net, &data, &ConversionConfig::default()).unwrap();
         let mut quiet = compile_snn_default(&functional).unwrap();
         let mut busy = compile_snn_default(&functional).unwrap();
-        quiet.run(&Tensor::full(&[4, 2], 0.05), 30, &mut r).unwrap();
-        busy.run(&Tensor::full(&[4, 2], 0.9), 30, &mut r).unwrap();
+        quiet
+            .run(&Tensor::full(&[4, 2], 0.05), 30, Draws::Stream(&mut r))
+            .unwrap();
+        busy.run(&Tensor::full(&[4, 2], 0.9), 30, Draws::Stream(&mut r))
+            .unwrap();
         assert!(
             busy.read_energy() > quiet.read_energy() * 2.0,
             "event-driven scaling broken: {} vs {}",
@@ -1337,7 +1322,7 @@ mod tests {
         let n: usize = groups.iter().map(|g| g.0).sum();
         let x = Tensor::from_vec(data.inputs.data()[..n * cols].to_vec(), &[n, cols]).unwrap();
         let mut batched = compiled.clone();
-        let y = batched.run_seeded_groups(&x, 60, &groups).unwrap();
+        let y = batched.run(&x, 60, Draws::Groups(&groups)).unwrap();
         assert_eq!(y.shape(), [n, 2]);
         let out_cols = y.shape()[1];
         let mut offset = 0usize;
@@ -1352,7 +1337,7 @@ mod tests {
             // contract.
             let mut solo = compiled.clone();
             let mut rg: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(seed);
-            let yg = solo.run_sequential(&xg, 60, &mut rg).unwrap();
+            let yg = crate::oracle::run(&mut solo, &xg, 60, Draws::Stream(&mut rg)).unwrap();
             for (i, (a, b)) in y.data()[offset * out_cols..(offset + rows) * out_cols]
                 .iter()
                 .zip(yg.data())
@@ -1375,7 +1360,7 @@ mod tests {
         let functional = ann_to_snn(&net, &data, &ConversionConfig::default()).unwrap();
         let mut analog = compile_snn_default(&functional).unwrap();
         let x = Tensor::from_vec(data.inputs.data()[..5 * 2].to_vec(), &[5, 2]).unwrap();
-        let y = analog.run(&x, 0, &mut r).unwrap();
+        let y = analog.run(&x, 0, Draws::Stream(&mut r)).unwrap();
         assert_eq!(
             y.shape(),
             [5, 2],
@@ -1385,7 +1370,7 @@ mod tests {
         assert_eq!(analog.read_energy(), Joules::ZERO);
         assert_eq!(analog.waves(), 0);
         let mut seq = compile_snn_default(&functional).unwrap();
-        let ys = seq.run_sequential(&x, 0, &mut r).unwrap();
+        let ys = crate::oracle::run(&mut seq, &x, 0, Draws::Stream(&mut r)).unwrap();
         assert_eq!(ys.shape(), y.shape());
         assert_eq!(seq.read_energy(), Joules::ZERO);
     }

@@ -19,6 +19,10 @@
 //! * [`fault`] — chip-level fault state and the remap-around-faults
 //!   policy (graceful degradation instead of hard failure).
 //! * [`chip`] — chip configuration, mesh placement and NoC traffic.
+//! * [`analog`], [`analog_snn`] and [`multichip`] — networks compiled
+//!   onto the crossbar models and placed on a ring of chips, one call
+//!   per mode: [`AnalogNetwork::forward`] and [`AnalogSpikingNetwork::run`].
+//! * [`oracle`] — each call's sequential per-cell reference.
 //! * [`serve`] — async multi-tenant inference serving: per-model
 //!   request queues, a dynamic batcher coalescing compatible requests
 //!   into single crossbar waves, and programmed chip replicas each
@@ -55,12 +59,13 @@ pub mod engine;
 pub mod fault;
 pub mod mapper;
 pub mod multichip;
+pub mod oracle;
 pub mod pipeline;
 pub mod serve;
 pub mod trace;
 
 pub use analog::{compile as compile_analog, AnalogNetwork};
-pub use analog_snn::{compile_snn, AnalogSpikingNetwork};
+pub use analog_snn::{compile_snn, AnalogSpikingNetwork, Draws};
 pub use capacity::{fits_chip, CapacityExceeded};
 pub use chip::{Chip, ChipConfig, Placement};
 pub use energy::{ComponentEnergy, EnergyModel, ExecMode, LayerEnergy};

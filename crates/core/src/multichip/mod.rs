@@ -51,10 +51,9 @@
 //! [`NocError::UnroutableChips`] — the same detour-or-fail fault model
 //! the intra-chip mesh uses.
 //!
-//! Every fast call — [`AnalogNetwork::forward`],
-//! [`AnalogSpikingNetwork::run`] and
-//! [`AnalogSpikingNetwork::run_seeded_groups`] — runs through one
-//! **pipeline executor**, with one body per mode: micro-batches (ANN) or
+//! The one call per mode — [`AnalogNetwork::forward`] and
+//! [`AnalogSpikingNetwork::run`] — runs through one **pipeline
+//! executor**, with one body per mode: micro-batches (ANN) or
 //! timesteps (SNN) stream through the chip units on pool workers, turning
 //! the plan's modeled overlap into measured wall-clock overlap. A
 //! placement of two or more units runs under its [`PipelineConfig`]
@@ -63,8 +62,8 @@
 //! copied), on one claimant, whose stage keeps the whole pool. Every
 //! counter is the same for any schedule — see the `exec` module docs for
 //! the scheduler and the journaled traffic replay that make that hold.
-//! The sequential oracles (`forward_sequential`, `run_sequential`) walk
-//! the same units in order on the calling thread, outside the executor.
+//! The oracles ([`crate::oracle`]) walk the same units in order on the
+//! calling thread, outside the executor.
 //!
 //! [`NocError::UnroutableChips`]: nebula_noc::NocError::UnroutableChips
 
@@ -457,7 +456,7 @@ fn cut(
 /// beside its input encoding. Compiling places every stage in one unit
 /// on one chip; `shard` re-cuts the same stages into more units. Every
 /// fast call runs through [`run_units`], one body per mode, and the
-/// sequential oracle walks the same units on the calling thread.
+/// oracles ([`crate::oracle`]) walk the same units on the calling thread.
 #[derive(Debug, Clone)]
 pub(crate) struct Deployment {
     units: Vec<Unit>,
@@ -540,7 +539,7 @@ impl Deployment {
     /// The checks every entry point makes once, before any crossbar or
     /// ring traffic: the shape must flow through every stage and every
     /// value must be finite. Returns the output shape.
-    fn check_input(&self, inputs: &Tensor) -> Result<Vec<usize>, AnalogError> {
+    pub(crate) fn check_input(&self, inputs: &Tensor) -> Result<Vec<usize>, AnalogError> {
         let shape = self.output_shape(inputs.shape())?;
         check_finite(inputs)?;
         Ok(shape)
@@ -610,31 +609,11 @@ impl Deployment {
         sum_timesteps(outs.into_iter().map(Ok), &shape)
     }
 
-    /// The ANN oracle: [`walk`](Self::walk) over the checked batch.
-    pub(crate) fn forward_sequential(&mut self, inputs: &Tensor) -> Result<Tensor, AnalogError> {
-        self.check_input(inputs)?;
-        self.walk(Cow::Borrowed(inputs))
-    }
-
-    /// The SNN oracle: [`walk`](Self::walk) once per timestep, encoding
-    /// the whole batch first, as [`run`](Self::run) does.
-    pub(crate) fn run_sequential(
-        &mut self,
-        inputs: &Tensor,
-        timesteps: usize,
-        mut encode: impl FnMut(&Tensor) -> Tensor,
-    ) -> Result<Tensor, AnalogError> {
-        let shape = self.check_input(inputs)?;
-        self.reset_state();
-        let steps = (0..timesteps).map(|_| self.walk(Cow::Owned(encode(inputs))));
-        sum_timesteps(steps, &shape)
-    }
-
     /// The oracle walk: advances `h` through every unit's stages in
     /// order, on the calling thread, each synaptic stage through the
     /// per-cell evaluator (`AnalogEngine::step(.., 1, true)`). It uses no
     /// pipeline, journal or pool, and moves no ring traffic.
-    fn walk(&mut self, mut h: Cow<'_, Tensor>) -> Result<Tensor, AnalogError> {
+    pub(crate) fn walk(&mut self, mut h: Cow<'_, Tensor>) -> Result<Tensor, AnalogError> {
         for unit in &mut self.units {
             h = Cow::Owned(unit.net.step(h, 1, true)?.0);
         }
@@ -642,7 +621,7 @@ impl Deployment {
     }
 
     /// Returns every IF population to rest.
-    fn reset_state(&mut self) {
+    pub(crate) fn reset_state(&mut self) {
         for unit in &mut self.units {
             unit.net.reset_state();
         }
@@ -661,7 +640,7 @@ impl Deployment {
 /// timesteps run no wave and move no traffic, but still return the
 /// `shape` a longer run would (all-zero potentials), so callers — the
 /// serving layer in particular — can split it per request.
-fn sum_timesteps(
+pub(crate) fn sum_timesteps(
     steps: impl Iterator<Item = Result<Tensor, AnalogError>>,
     shape: &[usize],
 ) -> Result<Tensor, AnalogError> {
@@ -868,8 +847,8 @@ impl AnalogSpikingNetwork {
 }
 
 /// The name perfbench gives a sharded spiking network: the spiking
-/// network itself, on whatever placement it was given. It stays until
-/// perfbench is next changed (ROADMAP.md, item 10).
+/// network itself, on whatever placement it was given.
+#[deprecated(note = "use `AnalogSpikingNetwork`; ROADMAP.md item 11 deletes this alias")]
 pub type ShardedSpikingNetwork = AnalogSpikingNetwork;
 
 #[cfg(test)]

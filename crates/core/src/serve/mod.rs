@@ -21,7 +21,7 @@
 //!                          │ owning its programmed ModelChip clone)
 //!                          ▼
 //!                 AnalogNetwork::forward /
-//!                 AnalogSpikingNetwork::run_seeded_groups
+//!                 AnalogSpikingNetwork::run(.., Draws::Groups)
 //!                 (the placement's pipeline executor, one
 //!                  chip or many, over the split-phase batched
 //!                  evaluators on nebula_tensor::pool workers)
@@ -39,10 +39,9 @@
 //! request rows into one wave is associativity-free (each output row
 //! depends only on its input row), and each SNN request carries its own
 //! seed whose RNG stream is consumed exactly as a solo run would
-//! ([`AnalogSpikingNetwork::run_seeded_groups`]). So a served response
-//! is bit-identical to running that request alone through
-//! `forward_sequential` / `run_sequential` — asserted end-to-end by
-//! `bench_serving` and the serving test suite.
+//! ([`Draws::Groups`]). So a served response is bit-identical to running
+//! that request alone through its [oracle](crate::oracle) — asserted
+//! end-to-end by `bench_serving` and the serving test suite.
 //!
 //! # Backpressure and shutdown
 //!
@@ -59,7 +58,7 @@
 mod queue;
 
 use crate::analog::{check_finite, AnalogError, AnalogNetwork};
-use crate::analog_snn::AnalogSpikingNetwork;
+use crate::analog_snn::{AnalogSpikingNetwork, Draws};
 use nebula_device::units::Joules;
 use nebula_tensor::Tensor;
 use queue::{Pending, RequestQueue};
@@ -232,14 +231,6 @@ pub enum ModelChip {
 }
 
 impl ModelChip {
-    /// `"ann"` or `"snn"` — the request kind this chip serves.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            ModelChip::Ann(_) => "ann",
-            ModelChip::Snn(_) => "snn",
-        }
-    }
-
     /// Analog read energy this instance has dissipated so far.
     pub fn read_energy(&self) -> Joules {
         match self {
@@ -315,8 +306,8 @@ impl ModelSpec {
     }
 
     /// [`snn`](Self::snn) under the name perfbench uses for a sharded
-    /// network: a network on any placement is served the same way. It
-    /// stays until perfbench is next changed (ROADMAP.md, item 10).
+    /// network: a network on any placement is served the same way.
+    #[deprecated(note = "use `ModelSpec::snn`; ROADMAP.md item 11 deletes this")]
     pub fn sharded_snn(name: &str, chip: AnalogSpikingNetwork, replicas: usize) -> Self {
         Self::snn(name, chip, replicas)
     }
@@ -429,7 +420,10 @@ impl Server {
             let seed = (spec.chip.read_energy(), spec.chip.waves());
             let state = Arc::new(ModelState {
                 name: spec.name.clone(),
-                kind: spec.chip.kind_name(),
+                kind: match spec.chip {
+                    ModelChip::Ann(_) => "ann",
+                    ModelChip::Snn(_) => "snn",
+                },
                 queue: RequestQueue::new(config.queue_capacity),
                 counters: Mutex::new(ModelCounters {
                     replicas: vec![seed; spec.replicas],
@@ -679,7 +673,7 @@ fn evaluate_batch(chip: &mut ModelChip, batch: &[Pending]) -> Result<Vec<Tensor>
         // oracle, so the serving identity contract is untouched.
         (ModelChip::Ann(net), RequestKind::Ann) => net.forward(&x)?,
         (ModelChip::Snn(net), RequestKind::Snn { timesteps, .. }) => {
-            net.run_seeded_groups(&x, *timesteps, &snn_groups(batch))?
+            net.run(&x, *timesteps, Draws::Groups(&snn_groups(batch)))?
         }
         _ => {
             return Err(ServeError::BadRequest(

@@ -22,7 +22,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// What a request must agree on to share a crossbar wave with another:
-/// the evaluator call is one `forward` / `run_seeded_groups`, so every
+/// the evaluator call is one `forward` / `run`, so every
 /// member needs the same per-sample shape, and SNN members the same
 /// timestep count (seeds stay per-request — each gets its own RNG
 /// stream inside the wave).

@@ -5,13 +5,17 @@
 //! pass them. These pins hard-code what a small ANN (conv, ReLU,
 //! activation quantizer, average pool, dense) and a small SNN (conv,
 //! IF, average pool, dense, IF; Poisson and Constant encoding) produce
-//! through every single-chip entry point: a digest of the output bits,
-//! the wave count, the read energy bits and (ANN) the programming energy
-//! bits. The `auto` in each leg's label names the production kernel path
-//! the fast rows were first recorded on; those rows have not moved since.
+//! through each single-chip call and its oracle: a digest of the output
+//! bits, the wave count, the read energy bits and (ANN) the programming
+//! energy bits. Each leg keeps the label it was recorded under:
+//! `forward_sequential` and `run_sequential` are `oracle::forward` and
+//! `oracle::run` from one stream, and `run_seeded_groups` is `run` from
+//! seeded groups. The `auto` names the production kernel path the fast
+//! rows were first recorded on; those rows have not moved since.
 
 use nebula_core::analog::{compile_ann, AnalogNetwork};
-use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
+use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork, Draws};
+use nebula_core::oracle;
 use nebula_nn::layer::Layer;
 use nebula_nn::network::Network;
 use nebula_nn::snn::{IfPopulation, InputEncoding, ResetMode, SnnStage, SpikingNetwork};
@@ -125,7 +129,7 @@ fn ann_outputs_waves_and_energy_are_pinned() {
         let mut net = master.clone();
         let y = match entry {
             "forward" => net.forward(&x),
-            _ => net.forward_sequential(&x),
+            _ => oracle::forward(&mut net, &x),
         }
         .unwrap();
         got.push((
@@ -152,9 +156,9 @@ fn snn_outputs_waves_and_energy_are_pinned() {
             net.set_encoding(encoding);
             let mut rng = ChaCha8Rng::seed_from_u64(1904);
             let y = match entry {
-                "run" => net.run(&x, 6, &mut rng),
-                "run_sequential" => net.run_sequential(&x, 6, &mut rng),
-                _ => net.run_seeded_groups(&x, 6, &[(2, 7), (1, 9)]),
+                "run" => net.run(&x, 6, Draws::Stream(&mut rng)),
+                "run_sequential" => oracle::run(&mut net, &x, 6, Draws::Stream(&mut rng)),
+                _ => net.run(&x, 6, Draws::Groups(&[(2, 7), (1, 9)])),
             }
             .unwrap();
             got.push((

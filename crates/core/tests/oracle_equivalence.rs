@@ -1,20 +1,20 @@
 //! The bitwise contract, proven once against one oracle.
 //!
-//! Every fast call — [`AnalogNetwork::forward`],
-//! [`AnalogSpikingNetwork::run`] and
-//! [`AnalogSpikingNetwork::run_seeded_groups`] — runs through the
-//! pipeline executor on whatever placement the network has, and skips
-//! work the oracle does not: silent rows, items, AC accruals, layers and
-//! timesteps. The oracles (`forward_sequential`, `run_sequential`) walk
-//! the same units in order on the calling thread through the per-cell
-//! evaluator. One property draws a mode, a net family, a placement, a
-//! pipeline schedule, an input and (for an SNN) an encoding, an entry
-//! point and a wound, and asserts against the oracle *on the same
-//! placement*: output bits, waves and read energy bits exactly (seeded
-//! groups' energy within 1e-9 relative), traffic equal to the
-//! one-claimant whole-batch schedule's, and no ring traffic from the
-//! oracle, whose bits, waves and energy are the one-chip oracle's (a
-//! placement changes where stages run, never what they compute). A
+//! The one call per mode — [`AnalogNetwork::forward`] and
+//! [`AnalogSpikingNetwork::run`], from one caller stream or per-group
+//! seeds — runs through the pipeline executor on whatever placement the
+//! network has, and skips work the oracle does not: silent rows, items,
+//! AC accruals, layers and timesteps. The oracles ([`oracle::forward`],
+//! [`oracle::run`]) walk the same units in order on the calling thread
+//! through the per-cell evaluator. One property draws a mode, a net
+//! family, a placement, a pipeline schedule, an input and (for an SNN)
+//! an encoding, its draws and a wound, and asserts against the oracle
+//! *on the same placement*: output bits, waves and read energy bits
+//! exactly, traffic equal to the one-claimant whole-batch schedule's,
+//! and no ring traffic from the oracle, whose bits, waves and energy are
+//! the one-chip oracle's (a placement changes where stages run, never
+//! what they compute). Seeded groups also keep the serving promise: a
+//! coalesced batch's outputs are each group's solo oracle run. A
 //! deterministic sweep runs every (mode × strategy × chips) cell on
 //! every run. The remaining tests are the edges and pins: zero-size
 //! edges, capacity-1 backpressure, dead links, misshaped inputs, two
@@ -23,9 +23,10 @@
 //! tensor-sharded traffic pins.
 
 use nebula_core::analog::{compile_ann, AnalogError, AnalogNetwork};
-use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
+use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork, Draws};
 use nebula_core::components::{M, MAX_RF_IN_CORE};
 use nebula_core::multichip::{PipelineConfig, ShardStrategy};
+use nebula_core::oracle;
 use nebula_device::units::Seconds;
 use nebula_device::{FaultClass, FaultModel};
 use nebula_nn::layer::Layer;
@@ -37,10 +38,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// Energy tolerance of seeded groups against their oracle, which folds
-/// the batch's energy group by group rather than in one chain.
-const ENERGY_RTOL: f64 = 1e-9;
 
 const STRATEGIES: [ShardStrategy; 2] =
     [ShardStrategy::LayerPipelined, ShardStrategy::TensorSharded];
@@ -74,12 +71,11 @@ macro_rules! each {
 /// The entry point a case calls, fast and oracle alike.
 #[derive(Debug, Clone)]
 enum Call {
-    /// ANN `forward` / `forward_sequential`.
+    /// ANN `forward`.
     Forward,
-    /// SNN `run` / `run_sequential`, one ChaCha8 stream seeded `seed`.
+    /// SNN `run` from one ChaCha8 stream seeded `seed`.
     Run { timesteps: usize, seed: u64 },
-    /// SNN `run_seeded_groups`; its oracle is each group's own
-    /// `run_sequential` on that group's rows and seed.
+    /// SNN `run` from per-group seeds.
     Groups {
         timesteps: usize,
         groups: Vec<(usize, u64)>,
@@ -135,33 +131,31 @@ impl Net {
 
     /// `call` on `x` through the oracle or through the fast path.
     fn call(&mut self, x: &Tensor, call: &Call, oracle: bool) -> Result<Tensor, AnalogError> {
-        let chacha = |seed: u64| ChaCha8Rng::seed_from_u64(seed);
-        match (self, call) {
-            (Net::Ann(n), Call::Forward) if oracle => n.forward_sequential(x),
-            (Net::Ann(n), Call::Forward) => n.forward(x),
-            (Net::Snn(n), &Call::Run { timesteps, seed }) if oracle => {
-                n.run_sequential(x, timesteps, &mut chacha(seed))
+        let mut stream;
+        let (timesteps, draws) = match call {
+            Call::Forward => {
+                let Net::Ann(n) = self else {
+                    unreachable!("{call:?} on {self:?}")
+                };
+                return if oracle {
+                    oracle::forward(n, x)
+                } else {
+                    n.forward(x)
+                };
             }
-            (Net::Snn(n), &Call::Run { timesteps, seed }) => n.run(x, timesteps, &mut chacha(seed)),
-            (Net::Snn(n), Call::Groups { timesteps, groups }) if oracle => {
-                let shape = n.output_shape(x.shape())?;
-                let row = x.len().checked_div(x.shape()[0]).unwrap_or(0);
-                let (mut lo, mut out) = (0, Vec::new());
-                for &(rows, seed) in groups {
-                    let mut group_shape = x.shape().to_vec();
-                    group_shape[0] = rows;
-                    let data = x.data()[lo * row..(lo + rows) * row].to_vec();
-                    let xg = Tensor::from_vec(data, &group_shape)?;
-                    let y = n.run_sequential(&xg, *timesteps, &mut StdRng::seed_from_u64(seed))?;
-                    out.extend_from_slice(y.data());
-                    lo += rows;
-                }
-                Ok(Tensor::from_vec(out, &shape)?)
+            &Call::Run { timesteps, seed } => {
+                stream = ChaCha8Rng::seed_from_u64(seed);
+                (timesteps, Draws::Stream(&mut stream))
             }
-            (Net::Snn(n), Call::Groups { timesteps, groups }) => {
-                n.run_seeded_groups(x, *timesteps, groups)
-            }
-            (net, call) => unreachable!("{call:?} on {net:?}"),
+            Call::Groups { timesteps, groups } => (*timesteps, Draws::Groups(groups)),
+        };
+        let Net::Snn(n) = self else {
+            unreachable!("{call:?} on {self:?}")
+        };
+        if oracle {
+            oracle::run(n, x, timesteps, draws)
+        } else {
+            n.run(x, timesteps, draws)
         }
     }
 }
@@ -346,15 +340,36 @@ fn assert_bits(tag: &str, want: &Tensor, got: &Tensor) {
     }
 }
 
+/// Each group's solo oracle run on its own rows, drawing from its own
+/// seeded stream, concatenated in group order — what the serving layer
+/// promises every tenant of a coalesced batch.
+fn solo_groups(master: &Net, x: &Tensor, timesteps: usize, groups: &[(usize, u64)]) -> Tensor {
+    let Net::Snn(net) = master else {
+        unreachable!("groups on an ANN")
+    };
+    let row = x.len().checked_div(x.shape()[0]).unwrap_or(0);
+    let (mut lo, mut out) = (0, Vec::new());
+    for &(rows, seed) in groups {
+        let mut shape = x.shape().to_vec();
+        shape[0] = rows;
+        let xg = Tensor::from_vec(x.data()[lo * row..(lo + rows) * row].to_vec(), &shape).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let y = oracle::run(&mut net.clone(), &xg, timesteps, Draws::Stream(&mut rng)).unwrap();
+        out.extend_from_slice(y.data());
+        lo += rows;
+    }
+    let shape = master.output_shape(x.shape()).unwrap();
+    Tensor::from_vec(out, &shape).unwrap()
+}
+
 /// The one contract: `call` on the one-chip `master` placed by `place`,
 /// first through the oracle, then through the executor under the
 /// whole-batch schedule and under `cfg`. Both fast legs must give the
-/// oracle's output bits and waves, and its read energy bits — within
-/// [`ENERGY_RTOL`] for seeded groups, whose oracle folds group by
-/// group. The oracle moves no ring
-/// traffic and does not see the placement: its bits, waves and energy
-/// bits are the one-chip oracle's. Both schedules move the same traffic,
-/// which is returned.
+/// oracle's output bits, waves and read energy bits. The oracle moves no
+/// ring traffic and does not see the placement: its bits, waves and
+/// energy bits are the one-chip oracle's. Seeded groups' outputs are
+/// also each group's solo oracle run. Both schedules move the same
+/// traffic, which is returned.
 fn check(
     master: &Net,
     place: &dyn Fn(Net) -> Net,
@@ -376,7 +391,10 @@ fn check(
         oracle.energy().to_bits(),
         "{tag}: one-chip energy"
     );
-    let exact = !matches!(call, Call::Groups { .. });
+    if let Call::Groups { timesteps, groups } = call {
+        let solo = solo_groups(master, x, *timesteps, groups);
+        assert_bits(&format!("{tag}: solo groups"), &solo, &want);
+    }
     let mut traffic = Vec::new();
     for cfg in [whole_batch(), cfg.clone()] {
         let mut fast = place(master.clone());
@@ -385,14 +403,7 @@ fn check(
         assert_bits(&tag, &want, &got);
         assert_eq!(fast.waves(), oracle.waves(), "{tag} waves");
         let (e_want, e_got) = (oracle.energy(), fast.energy());
-        if exact {
-            assert_eq!(e_want.to_bits(), e_got.to_bits(), "{tag} energy");
-        } else if e_want == 0.0 {
-            assert_eq!(e_got, 0.0, "{tag} energy from a silent run");
-        } else {
-            let rel = ((e_got - e_want) / e_want).abs();
-            assert!(rel <= ENERGY_RTOL, "{tag} energy {e_got} vs {e_want}");
-        }
+        assert_eq!(e_want.to_bits(), e_got.to_bits(), "{tag} energy");
         traffic.push(fast.traffic());
     }
     assert_eq!(traffic[0], traffic[1], "{tag} traffic");
@@ -411,8 +422,8 @@ proptest! {
     /// also runs on every other placement); a schedule (depth,
     /// claimants, queue capacity); and an input from
     /// fully silent to fully dense, with the drive's edge values for an
-    /// ANN. An SNN also draws its encoding, its entry point (`run`, or
-    /// `run_seeded_groups` over a drawn partition) and optionally
+    /// ANN. An SNN also draws its encoding, its draws (one stream, or
+    /// seeded groups over a drawn partition) and optionally
     /// faults, aging and a killed AC on any super-tile.
     #[test]
     fn plan_matches_oracle_bitwise(
@@ -527,7 +538,7 @@ proptest! {
 /// Every (mode × strategy × chips) cell, twelve in all, on every run: the
 /// quantized conv ANN with a pool and a two-segment dense layer, on a
 /// batch of five in micro-batches of two, and the two-segment dense SNN
-/// through both entry points.
+/// from both kinds of draws.
 #[test]
 fn every_mode_strategy_and_chip_count_matches_the_oracle() {
     let ann = pooled_net(false, conv(1, 60, 3, 1, 1, 12), 2, 1.5, 3, 1);
@@ -656,26 +667,23 @@ fn dead_links_fail_loudly_or_detour() {
     }
 }
 
-/// Every entry point of `net` on a batch of `rows`, each with whether it
-/// has an oracle twin: ANN `forward`, or SNN `run` (also at zero
-/// timesteps, which still validate) and `run_seeded_groups`.
-fn entry_points(net: &Net, rows: usize) -> Vec<(Call, bool)> {
+/// Every call of `net` on a batch of `rows`: ANN `forward`, or SNN `run`
+/// from one stream (also at zero timesteps, which still validate) and
+/// from seeded groups.
+fn entry_points(net: &Net, rows: usize) -> Vec<Call> {
     match net {
-        Net::Ann(_) => vec![(Call::Forward, true)],
-        Net::Snn(_) => vec![
-            (run(3, 1), true),
-            (run(0, 1), true),
-            (seeded(3, &[(rows, 1)]), false),
-        ],
+        Net::Ann(_) => vec![Call::Forward],
+        Net::Snn(_) => vec![run(3, 1), run(0, 1), seeded(3, &[(rows, 1)])],
     }
 }
 
 /// Misshaped and non-finite inputs fail before any wave or ring traffic,
-/// in both modes, on every entry point and its oracle, on one chip and
-/// on two under both strategies, at any schedule: a dense and a
-/// convolutional first layer whose receptive field spans two segments
-/// (so tensor sharding splits it), a pool window that does not divide
-/// its map, and a zero pool window.
+/// in both modes, on every call and its oracle, on one chip and on two
+/// under both strategies, at any schedule: a dense and a convolutional
+/// first layer whose receptive field spans two segments (so tensor
+/// sharding splits it), a pool window that does not divide its map, and
+/// a zero pool window. So do seeded groups that under- or over-cover
+/// the batch, and seeded groups on a rank-0 input.
 #[test]
 fn misshaped_and_non_finite_inputs_are_rejected_up_front() {
     let channels = MAX_RF_IN_CORE / 9 + 1;
@@ -684,8 +692,8 @@ fn misshaped_and_non_finite_inputs_are_rejected_up_front() {
     let pool = conv(1, 2, 3, 1, 1, 4);
     let rejects = |net: &mut Net, x: &Tensor, ok: &dyn Fn(&AnalogError) -> bool| {
         let rows = x.shape().first().copied().unwrap_or(0);
-        for (call, has_oracle) in entry_points(net, rows) {
-            for oracle in [false, has_oracle] {
+        for call in entry_points(net, rows) {
+            for oracle in [false, true] {
                 let y = net.call(x, &call, oracle);
                 assert!(
                     y.as_ref().is_err_and(ok),
@@ -728,11 +736,26 @@ fn misshaped_and_non_finite_inputs_are_rejected_up_front() {
                             let non_finite = AnalogError::NonFiniteInput { index };
                             rejects(&mut placed, &x, &|e| *e == non_finite);
                         }
+                        if snn {
+                            let rows = good[0];
+                            let partitions = [
+                                (good.clone(), vec![(rows - 1, 1)]),
+                                (good.clone(), vec![(rows, 1), (1, 2)]),
+                                (vec![], vec![(1, 1)]),
+                            ];
+                            for (shape, groups) in partitions {
+                                let call = seeded(3, &groups);
+                                for oracle in [false, true] {
+                                    let y = placed.call(&Tensor::full(&shape, 0.5), &call, oracle);
+                                    assert!(y.as_ref().is_err_and(bad_geometry), "{call:?}: {y:?}");
+                                }
+                            }
+                        }
                         let case = format!("SNN {snn}, {strategy:?}/{chips}, {cfg:?}");
                         assert_eq!(placed.waves(), 0, "{case}: no wave ran");
                         assert_eq!(placed.energy(), 0.0, "{case}: no crossbar read");
                         assert_eq!(placed.traffic().transfers, 0, "{case}: no ring traffic");
-                        let (call, _) = entry_points(&placed, good[0]).remove(0);
+                        let call = entry_points(&placed, good[0]).remove(0);
                         let y = placed.call(&Tensor::full(good, 0.5), &call, false).unwrap();
                         assert_eq!(y.shape(), placed.output_shape(good).unwrap(), "{case}");
                     }

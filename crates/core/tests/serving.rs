@@ -11,7 +11,8 @@
 //! response slots plus response counting here.
 
 use nebula_core::analog::{compile_ann, AnalogError};
-use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork};
+use nebula_core::analog_snn::{compile_snn_default, AnalogSpikingNetwork, Draws};
+use nebula_core::oracle;
 use nebula_core::serve::{
     InferenceRequest, ModelSpec, RequestKind, ServeConfig, ServeError, Server,
 };
@@ -86,7 +87,7 @@ fn served_ann_batches_are_bitwise_identical_to_sequential() {
         .collect();
     for (x, h) in inputs.iter().zip(handles) {
         let resp = h.wait().unwrap();
-        let expect = reference.forward_sequential(x).unwrap();
+        let expect = oracle::forward(&mut reference, x).unwrap();
         assert_eq!(resp.output.shape(), expect.shape());
         for (a, b) in resp.output.data().iter().zip(expect.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "served {a} vs sequential {b}");
@@ -130,7 +131,7 @@ fn served_snn_seeds_stay_per_request_inside_a_batch() {
         // coalesced answer bit for bit.
         let mut reference = chip.clone();
         let mut seed_rng = rand::rngs::StdRng::seed_from_u64(*seed);
-        let expect = reference.run_sequential(x, 40, &mut seed_rng).unwrap();
+        let expect = oracle::run(&mut reference, x, 40, Draws::Stream(&mut seed_rng)).unwrap();
         assert_eq!(resp.output.shape(), expect.shape());
         for (a, b) in resp.output.data().iter().zip(expect.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "served {a} vs sequential {b}");
@@ -166,7 +167,7 @@ fn single_item_batch_accrues_exactly_sequential_energy() {
     assert_eq!(resp.batched_with, 1);
     server.shutdown();
 
-    let expect = reference.forward_sequential(&x).unwrap();
+    let expect = oracle::forward(&mut reference, &x).unwrap();
     for (a, b) in resp.output.data().iter().zip(expect.data()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -254,7 +255,7 @@ fn empty_and_zero_timestep_requests_do_not_panic() {
     let real = h_real.wait().unwrap();
     let mut reference = snn_ref;
     let mut seed_rng = rand::rngs::StdRng::seed_from_u64(5);
-    let expect = reference.run_sequential(&x, 15, &mut seed_rng).unwrap();
+    let expect = oracle::run(&mut reference, &x, 15, Draws::Stream(&mut seed_rng)).unwrap();
     for (a, b) in real.output.data().iter().zip(expect.data()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -349,7 +350,7 @@ fn a_server_without_limits_starts_and_serves_bitwise() {
         }
         let resp = h.wait_for(Duration::from_secs(60)).expect("dispatched");
         let got = resp.unwrap().output;
-        let want = reference.forward_sequential(x).unwrap();
+        let want = oracle::forward(&mut reference, x).unwrap();
         assert_eq!(got.shape(), want.shape());
         for (a, b) in got.data().iter().zip(want.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "served {a} vs sequential {b}");
@@ -419,11 +420,10 @@ fn a_non_finite_request_never_fails_another_tenants_batch() {
                 "{model}: the valid pair shares a batch"
             );
             let expect = match kind {
-                RequestKind::Ann => ann.clone().forward_sequential(x).unwrap(),
+                RequestKind::Ann => oracle::forward(&mut ann.clone(), x).unwrap(),
                 RequestKind::Snn { timesteps, seed } => {
                     let mut seed_rng = rand::rngs::StdRng::seed_from_u64(seed);
-                    snn.clone()
-                        .run_sequential(x, timesteps, &mut seed_rng)
+                    oracle::run(&mut snn.clone(), x, timesteps, Draws::Stream(&mut seed_rng))
                         .unwrap()
                 }
             };
@@ -495,10 +495,10 @@ fn concurrent_submitters_are_each_answered_exactly_once_and_bitwise() {
                 let expect = if snn_job {
                     let mut reference = snn.clone();
                     let mut seed_rng = rand::rngs::StdRng::seed_from_u64(seed);
-                    reference.run_sequential(&x, 20, &mut seed_rng).unwrap()
+                    oracle::run(&mut reference, &x, 20, Draws::Stream(&mut seed_rng)).unwrap()
                 } else {
                     let mut reference = chip.clone();
-                    reference.forward_sequential(&x).unwrap()
+                    oracle::forward(&mut reference, &x).unwrap()
                 };
                 assert_eq!(resp.output.shape(), expect.shape());
                 for (a, b) in resp.output.data().iter().zip(expect.data()) {
@@ -596,7 +596,7 @@ fn full_queue_applies_backpressure_and_shutdown_drains_in_flight() {
 
     for (x, h) in xs.iter().zip(handles) {
         let resp = h.wait().unwrap();
-        let expect = reference.forward_sequential(x).unwrap();
+        let expect = oracle::forward(&mut reference, x).unwrap();
         for (a, b) in resp.output.data().iter().zip(expect.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -669,8 +669,8 @@ fn sharded_models_serve_bitwise_identically_through_the_same_request_path() {
         })
         .unwrap();
     // Reference: the same compiled nets, unsharded, on one chip.
-    let expect_a = ann.clone().forward_sequential(&xa).unwrap();
-    let expect_s = snn.clone().run_seeded_groups(&xs, 12, &[(2, 77)]).unwrap();
+    let expect_a = oracle::forward(&mut ann.clone(), &xa).unwrap();
+    let expect_s = oracle::run(&mut snn.clone(), &xs, 12, Draws::Groups(&[(2, 77)])).unwrap();
     for (resp, expect) in [
         (ha.wait().unwrap(), expect_a),
         (hs.wait().unwrap(), expect_s),

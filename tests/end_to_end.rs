@@ -145,7 +145,7 @@ fn trained_network_maps_onto_the_chip() {
 fn analog_executors_run_through_the_facade() {
     // Exercise the re-exported circuit-level executors end to end.
     use nebula::core::analog::compile_ann;
-    use nebula::core::analog_snn::compile_snn_default;
+    use nebula::core::analog_snn::{compile_snn_default, Draws};
     use nebula::crossbar::{CrossbarConfig, Mode};
     use nebula::nn::Layer;
     use nebula::tensor::Tensor;
@@ -179,7 +179,7 @@ fn analog_executors_run_through_the_facade() {
     let calib = nebula::nn::optim::Dataset::new(x.clone(), vec![0, 1, 0]).unwrap();
     let snn = ann_to_snn(&net, &calib, &ConversionConfig::default()).unwrap();
     let mut analog_snn = compile_snn_default(&snn).unwrap();
-    let potentials = analog_snn.run(&x, 50, &mut r).unwrap();
+    let potentials = analog_snn.run(&x, 50, Draws::Stream(&mut r)).unwrap();
     assert_eq!(potentials.shape(), &[3, 2]);
     assert!(analog_snn.waves() > 0);
     // A custom crossbar config also compiles.
